@@ -55,7 +55,8 @@ func (net *Network) InFlightPackets() int {
 		}
 	}
 	for _, sw := range net.switches {
-		for _, o := range sw.out {
+		for i := range sw.out {
+			o := &sw.out[i]
 			n += o.port.inflight.n
 			for i := range o.voq {
 				n += o.voq[i].len()

@@ -103,17 +103,13 @@ func TestPktQueue(t *testing.T) {
 	if q.len() != 200 {
 		t.Fatalf("len = %d", q.len())
 	}
-	wantBytes := 200 * (100 + packet.DataHeader)
-	if q.bytes != wantBytes {
-		t.Fatalf("bytes = %d, want %d", q.bytes, wantBytes)
-	}
 	for i := 0; i < 200; i++ {
 		p := q.pop()
 		if p == nil || p.PSN != packet.PSN(i) {
 			t.Fatalf("pop %d = %v", i, p)
 		}
 	}
-	if !q.empty() || q.bytes != 0 {
+	if !q.empty() {
 		t.Fatal("queue should be empty after draining")
 	}
 }

@@ -10,9 +10,11 @@ import (
 )
 
 // node is anything attached to links: a Switch or a NIC.
+// Both methods name the link by the receiver's own port index for it,
+// which the transmitting outPort resolved at build time (peerPort).
 type node interface {
-	receive(pkt *packet.Packet, from packet.NodeID)
-	pfcFrame(from packet.NodeID, pause bool)
+	receive(pkt *packet.Packet, inPort int)
+	pfcFrame(port int, pause bool)
 }
 
 // partition is one shard's slice of the fabric: the nodes assigned to one
@@ -126,6 +128,19 @@ func NewPartitioned(engs []*sim.Engine, assign []int, t topo.Topology, cfg Confi
 		net.parts[i] = &partition{eng: eng, pool: packet.NewPool()}
 	}
 
+	// A node's ports are numbered in link order, so one pass over the
+	// links yields every port index before any port exists — which is what
+	// lets each direction be wired already knowing the index its peer gives
+	// the reverse direction.
+	links := t.Links()
+	portIdx := make([]int, 2*len(links)) // directed link → port index at its transmitter
+	degree := make([]int, len(nodes))
+	for i, l := range links {
+		portIdx[2*i], portIdx[2*i+1] = degree[l.A], degree[l.B]
+		degree[l.A]++
+		degree[l.B]++
+	}
+
 	for _, n := range nodes {
 		part := net.parts[assign[n.ID]]
 		if n.Kind == topo.Host {
@@ -133,7 +148,7 @@ func NewPartitioned(engs []*sim.Engine, assign []int, t topo.Topology, cfg Confi
 			net.nodes[n.ID] = nic
 			net.nics[n.ID] = nic
 		} else {
-			sw := newSwitch(n.ID, net, part)
+			sw := newSwitch(n.ID, net, part, degree[n.ID])
 			net.nodes[n.ID] = sw
 			net.switches = append(net.switches, sw)
 		}
@@ -141,13 +156,14 @@ func NewPartitioned(engs []*sim.Engine, assign []int, t topo.Topology, cfg Confi
 
 	// Wire both directions of every link, attaching each direction's
 	// fault state (nil on healthy links).
-	for i, l := range t.Links() {
+	for i, l := range links {
+		a, b := portIdx[2*i], portIdx[2*i+1]
 		net.ports = append(net.ports,
-			net.wire(l.A, l.B, cfg.Faults.Dir(i, false)),
-			net.wire(l.B, l.A, cfg.Faults.Dir(i, true)))
+			net.wire(l.A, l.B, a, b, cfg.Faults.Dir(i, false)),
+			net.wire(l.B, l.A, b, a, cfg.Faults.Dir(i, true)))
 	}
 	for _, sw := range net.switches {
-		sw.finalize()
+		sw.buildRoutes()
 	}
 
 	net.computeLookahead()
@@ -246,78 +262,56 @@ func (net *Network) scheduleFaults(m *fault.Model) {
 			continue
 		}
 		for ci, ch := range fl.Sched {
-			net.ports[d].eng.ScheduleEventFrom(&net.envClk, ch.At, net, netFault, uint64(d)<<32|uint64(ci))
+			net.ports[d].eng.ScheduleEventFrom(&net.envClk, ch.At, net, 0, uint64(d)<<32|uint64(ci))
 		}
 	}
 }
 
-// wire creates the unidirectional port from → to and returns it. A
-// boundary crossing (endpoints on different partitions) gets a
+// wire creates the unidirectional port from → to and returns it; idx and
+// peerPort are the transmitter's and the receiver's port index for this
+// link. A boundary crossing (endpoints on different partitions) gets a
 // cross-shard channel in place of direct delivery.
-func (net *Network) wire(from, to packet.NodeID, flt *fault.Link) *outPort {
+func (net *Network) wire(from, to packet.NodeID, idx, peerPort int, flt *fault.Link) *outPort {
 	owner := net.parts[net.partOf[from]]
-	dst := net.nodes[to]
-	clk := &net.clks[from]
-
-	var (
-		deliver func(pkt *packet.Packet)
-		xchan   *linkChan
-	)
-	if net.partOf[from] != net.partOf[to] {
-		consumer := net.parts[net.partOf[to]]
-		xchan = &linkChan{
-			dst:  dst,
-			from: from,
-			eng:  consumer.eng,
-			clk:  clk,
-			net:  net,
-			part: consumer,
-			prod: net.parts[net.partOf[from]],
-			flt:  flt,
-		}
-		consumer.inbox = append(consumer.inbox, xchan)
-		net.chans = append(net.chans, xchan)
-	} else {
-		deliver = func(pkt *packet.Packet) { dst.receive(pkt, from) }
+	port := outPort{
+		eng:      owner.eng,
+		clk:      &net.clks[from],
+		part:     owner,
+		rate:     net.Cfg.Rate,
+		curRate:  net.Cfg.Rate,
+		prop:     net.Cfg.Prop,
+		flt:      flt,
+		peer:     net.nodes[to],
+		peerPort: peerPort,
 	}
-
-	baseLoss := 0.0
 	if flt != nil {
-		baseLoss = flt.Loss
+		port.curLoss = flt.Loss
 	}
+	if consumer := net.parts[net.partOf[to]]; consumer != owner {
+		port.xchan = &linkChan{
+			dst:    port.peer,
+			inPort: peerPort,
+			eng:    consumer.eng,
+			clk:    port.clk,
+			net:    net,
+			part:   consumer,
+			prod:   owner,
+			flt:    flt,
+		}
+		consumer.inbox = append(consumer.inbox, port.xchan)
+		net.chans = append(net.chans, port.xchan)
+	}
+
 	switch n := net.nodes[from].(type) {
 	case *NIC:
-		n.egress = outPort{
-			eng:     owner.eng,
-			clk:     clk,
-			part:    owner,
-			rate:    net.Cfg.Rate,
-			curRate: net.Cfg.Rate,
-			curLoss: baseLoss,
-			prop:    net.Cfg.Prop,
-			flt:     flt,
-			origin:  true,
-			xchan:   xchan,
-			deliver: deliver,
-			source:  n.nextPacket,
-		}
+		port.nic = n
+		n.egress = port
 		return &n.egress
 	case *Switch:
-		idx := n.addPort(to)
-		o := n.out[idx]
-		o.port = outPort{
-			eng:     owner.eng,
-			clk:     clk,
-			part:    owner,
-			rate:    net.Cfg.Rate,
-			curRate: net.Cfg.Rate,
-			curLoss: baseLoss,
-			prop:    net.Cfg.Prop,
-			flt:     flt,
-			xchan:   xchan,
-			deliver: deliver,
-			source:  o.nextPacket,
-		}
+		n.neighbors[idx] = to
+		o := &n.out[idx]
+		port.sw = o
+		o.port = port
 		return &o.port
 	default:
 		panic(fmt.Sprintf("fabric: unknown node type %T", n))
@@ -488,56 +482,12 @@ func (net *Network) Census() Census {
 	return t
 }
 
-// Network sim.Handler event kinds: a PFC frame arriving at its target
-// (arg packs (from, to, pause) — see sendPFC) and a scheduled fault-model
-// transition (arg packs directed-link index << 32 | schedule index). In
-// both cases the payload rides in the argument, so no frame or event
-// object exists per occurrence.
-const (
-	netPFC uint8 = iota
-	netFault
-)
-
-// sendPFC delivers a PFC frame from a switch to neighbor `to`. PFC frames
-// are link-local flow control below the packet queues: they are modelled
-// as arriving one control-frame serialization plus one propagation delay
-// after generation, without competing for queue space. The configured
-// headroom absorbs the data still in flight during that delay plus the
-// packet being serialized. A frame crossing a shard boundary rides the
-// from→to link's channel; either way it is ranked under the generating
-// switch's clock, so serial and sharded runs order it identically.
-//
-// Folding the ControlFrame serialization into the arrival delay here is
-// what keeps PFC fabrics on the widened prop+serMin lookahead: every
-// frame that can cross a cut link — data, ACK family, PFC — is now due
-// at least serMin+prop after the instant it is pushed, so
-// computeLookahead needs no PFC special case.
-func (net *Network) sendPFC(from, to packet.NodeID, pause bool) {
-	sw := net.nodes[from].(*Switch)
-	port := &sw.out[sw.portOf[to]].port
-	delay := net.Cfg.Rate.Serialize(packet.ControlFrame) + net.Cfg.Prop
-	if port.xchan != nil {
-		port.xchan.sendPFC(port.eng.Now().Add(delay), pause)
-		return
-	}
-	arg := uint64(uint32(from))<<33 | uint64(uint32(to))<<1
-	if pause {
-		arg |= 1
-	}
-	port.eng.AfterEventFrom(port.clk, delay, net, netPFC, arg)
-}
-
-// HandleEvent implements sim.Handler: PFC frame arrival or a fault-model
-// link transition.
-func (net *Network) HandleEvent(kind uint8, arg uint64) {
-	if kind == netFault {
-		d := int(arg >> 32)
-		net.ports[d].applyChange(net.Cfg.Faults.Dirs()[d].Sched[arg&0xffffffff])
-		return
-	}
-	from := packet.NodeID(int32(arg >> 33))
-	to := packet.NodeID(int32(arg >> 1 & 0xffffffff))
-	net.nodes[to].pfcFrame(from, arg&1 != 0)
+// HandleEvent implements sim.Handler: a scheduled fault-model transition.
+// The payload rides in the argument (directed-link index << 32 | schedule
+// index), so no event object exists per transition.
+func (net *Network) HandleEvent(_ uint8, arg uint64) {
+	d := int(arg >> 32)
+	net.ports[d].applyChange(net.Cfg.Faults.Dirs()[d].Sched[arg&0xffffffff])
 }
 
 // QueuedBytes reports total bytes buffered across all switches — a

@@ -120,7 +120,7 @@ func (n *NIC) DetachSink(id packet.FlowID) { delete(n.sinks, id) }
 // that finished but have not been reaped yet).
 func (n *NIC) ActiveSources() int { return len(n.sources) }
 
-// nextPacket is the egress port's source callback.
+// nextPacket supplies the egress port's next packet.
 func (n *NIC) nextPacket() *packet.Packet {
 	if pkt := n.ctrl.pop(); pkt != nil {
 		return pkt
@@ -197,7 +197,7 @@ func (n *NIC) reap() {
 // the pool. Transports therefore must not retain the *Packet past
 // HandleData/HandleControl — they read the fields they need and emit fresh
 // control packets instead, which every transport in this repo does.
-func (n *NIC) receive(pkt *packet.Packet, _ packet.NodeID) {
+func (n *NIC) receive(pkt *packet.Packet, _ int) {
 	now := n.part.eng.Now()
 	n.part.census.Delivered++
 	switch pkt.Type {
@@ -224,7 +224,7 @@ func (n *NIC) receive(pkt *packet.Packet, _ packet.NodeID) {
 
 // pfcFrame pauses or resumes the NIC egress (PFC asserted by the edge
 // switch).
-func (n *NIC) pfcFrame(_ packet.NodeID, pause bool) {
+func (n *NIC) pfcFrame(_ int, pause bool) {
 	if pause {
 		n.egress.pause()
 	} else {

@@ -10,11 +10,12 @@ import (
 const (
 	portTxDone  uint8 = iota // last byte left the transmitter
 	portDeliver              // last byte arrived at the peer
+	portPFC                  // a PFC frame arrived at the peer; arg 1 = pause
 )
 
 // outPort serializes packets onto one unidirectional link. Both switch
-// output ports and NIC egress ports are outPorts; they differ only in the
-// source callback that supplies the next packet.
+// output ports and NIC egress ports are outPorts; they differ only in who
+// supplies the next packet (sw or nic).
 //
 // Timing model: a packet occupies the transmitter for Wire×rate
 // picoseconds (serialization), then arrives at the peer after the
@@ -54,12 +55,19 @@ type outPort struct {
 	// flt is this direction's fault state, nil on healthy links.
 	flt *fault.Link
 
-	// source supplies the next packet to transmit, or nil if none is
-	// ready. Called only when the port is idle and unpaused.
-	source func() *packet.Packet
-	// deliver hands a packet to the remote end; called at arrival time.
-	// Nil on boundary ports, whose arrivals ride xchan instead.
-	deliver func(*packet.Packet)
+	// Exactly one of sw and nic is set: the switch output or host NIC this
+	// port transmits for, which supplies the next packet (nextPacket) when
+	// the port is idle and unpaused. A NIC port is where packets enter
+	// the fabric and are counted in Census.Injected.
+	sw  *swOut
+	nic *NIC
+	// peer is the node at the far end of the link and peerPort its port
+	// index for this link, both resolved at build time: arrivals call
+	// peer.receive(pkt, peerPort) and PFC frames peer.pfcFrame(peerPort, …)
+	// directly. Boundary ports carry them too, but their arrivals ride
+	// xchan, which holds its own copy.
+	peer     node
+	peerPort int
 	// xchan, when non-nil, marks a boundary port: the link's receiver
 	// lives on another shard, and serialization *start* pushes the packet
 	// into this cross-shard channel — due one serialization plus one
@@ -82,12 +90,6 @@ type outPort struct {
 	// it (at most one packet serializes per port at a time).
 	serRank uint64
 
-	// origin marks a NIC egress port: packets transmitted here enter the
-	// fabric and are counted in Census.Injected. Packed with the flag
-	// bytes below so the struct stays within the same cache-line budget
-	// it had before curLoss was added.
-	origin bool
-
 	busy   bool
 	paused bool // PFC X-OFF received from downstream
 	down   bool // link failed (fault.ChangeDown); nothing transmits
@@ -101,11 +103,15 @@ func (o *outPort) kick() {
 	if o.busy || o.paused || o.down {
 		return
 	}
-	pkt := o.source()
-	if pkt == nil {
-		return
-	}
-	if o.origin {
+	var pkt *packet.Packet
+	if o.nic == nil {
+		if pkt = o.sw.nextPacket(); pkt == nil {
+			return
+		}
+	} else {
+		if pkt = o.nic.nextPacket(); pkt == nil {
+			return
+		}
 		o.part.census.Injected++
 	}
 	o.busy = true
@@ -129,7 +135,7 @@ func (o *outPort) kick() {
 }
 
 // HandleEvent implements sim.Handler: port timing events.
-func (o *outPort) HandleEvent(kind uint8, _ uint64) {
+func (o *outPort) HandleEvent(kind uint8, arg uint64) {
 	switch kind {
 	case portTxDone:
 		o.busy = false
@@ -160,8 +166,38 @@ func (o *outPort) HandleEvent(kind uint8, _ uint64) {
 				return
 			}
 		}
-		o.deliver(pkt)
+		o.peer.receive(pkt, o.peerPort)
+	case portPFC:
+		o.peer.pfcFrame(o.peerPort, arg != 0)
 	}
+}
+
+// sendPFC sends a PFC frame to the peer — a switch pausing or resuming the
+// neighbor that feeds the input this port faces. PFC frames are link-local
+// flow control below the packet queues: they are modelled as arriving one
+// control-frame serialization plus one propagation delay after generation,
+// without competing for queue space. The configured headroom absorbs the
+// data still in flight during that delay plus the packet being
+// serialized. A frame crossing a shard boundary rides the link's channel;
+// either way it is ranked under the generating switch's clock, so serial
+// and sharded runs order it identically.
+//
+// Folding the ControlFrame serialization into the arrival delay here is
+// what keeps PFC fabrics on the widened prop+serMin lookahead: every
+// frame that can cross a cut link — data, ACK family, PFC — is due at
+// least serMin+prop after the instant it is pushed, so computeLookahead
+// needs no PFC special case.
+func (o *outPort) sendPFC(pause bool) {
+	delay := o.rate.Serialize(packet.ControlFrame) + o.prop
+	if o.xchan != nil {
+		o.xchan.sendPFC(o.eng.Now().Add(delay), pause)
+		return
+	}
+	var arg uint64
+	if pause {
+		arg = 1
+	}
+	o.eng.AfterEventFrom(o.clk, delay, o, portPFC, arg)
 }
 
 // die is a fault death site: the packet leaves the simulation here, so it

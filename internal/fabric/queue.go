@@ -9,10 +9,9 @@ import "github.com/irnsim/irn/internal/packet"
 // of two so head/tail indexing is a bitmask — on the per-packet path that
 // beats both the old compacting copy and an integer modulo.
 type pktQueue struct {
-	buf   []*packet.Packet // ring storage; len(buf) is 0 or a power of two
-	head  int              // index of the first packet
-	n     int              // packets queued
-	bytes int
+	buf  []*packet.Packet // ring storage; len(buf) is 0 or a power of two
+	head int              // index of the first packet
+	n    int              // packets queued
 }
 
 // queueMinCap is the capacity a queue starts from (and the floor below
@@ -31,7 +30,6 @@ func (q *pktQueue) push(p *packet.Packet) {
 	}
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
 	q.n++
-	q.bytes += p.Wire
 }
 
 // pop removes and returns the packet at the head, or nil if empty.
@@ -43,7 +41,6 @@ func (q *pktQueue) pop() *packet.Packet {
 	q.buf[q.head] = nil // release for GC
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	q.bytes -= p.Wire
 	// A ring that absorbed an incast burst would otherwise pin its peak
 	// footprint for the rest of the run (across every VOQ of every
 	// switch). Once capacity greatly exceeds the live count, reallocate
@@ -95,5 +92,5 @@ func (q *pktQueue) reset() {
 	for i := 0; i < q.n; i++ {
 		q.buf[(q.head+i)&mask] = nil
 	}
-	q.head, q.n, q.bytes = 0, 0, 0
+	q.head, q.n = 0, 0
 }

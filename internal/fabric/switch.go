@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"math/bits"
+	"slices"
+
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 )
@@ -9,20 +12,47 @@ import (
 // per input at every output) scheduled round-robin, per-input-port buffer
 // accounting, optional PFC generation, and RED/ECN marking — the switch
 // model of §4.1.
+//
+// Layout: everything one packet-hop reads is a dense slice indexed by
+// port or destination, resolved once at build time. Port i's input state,
+// output queue and link all face the same neighbor, and the link's far
+// end knows this switch's index for it (outPort.peerPort), so a hop never
+// maps a node ID back to a port.
 type Switch struct {
 	id   packet.NodeID
 	net  *Network
 	part *partition // the shard slice this switch belongs to
 	rng  *sim.RNG   // per-switch ECN marking stream
 
-	neighbors []packet.NodeID       // port index → neighbor node
-	portOf    map[packet.NodeID]int // neighbor node → port index
-	in        []inState             // per input port
-	out       []*swOut              // per output port
-	routes    [][]int               // dst host → candidate output ports
-	salt      uint64                // per-switch ECMP salt
-	sprayCtr  uint64                // per-packet path counter (Spray mode)
-	shared    int                   // shared-buffer occupancy (SharedBuffer mode)
+	neighbors []packet.NodeID // port index → neighbor node
+	in        []inState       // per input port
+	out       []swOut         // per output port
+
+	// Routing: routeOf maps a destination host to one of the switch's few
+	// distinct equal-cost port sets (a fat-tree edge or aggregation switch
+	// has k/2+1 — one per down port plus the shared uplink set — and a
+	// core switch k), so the table is two bytes per host instead of a
+	// slice per host. The sets sit back to back in one array, each as its
+	// length followed by its candidate output ports in topo.NextHops
+	// order (at most 32 entries, one cache line, at k=16); routeOf holds
+	// the offset of the set's length.
+	routeOf []uint16
+	sets    []uint16
+
+	salt     uint64 // per-switch ECMP salt
+	sprayCtr uint64 // per-packet path counter (Spray mode)
+	shared   int    // shared-buffer occupancy (SharedBuffer mode)
+
+	// Per-packet configuration, copied out of net.Cfg by loadConfig so the
+	// datapath reads the switch's own cache lines.
+	lossInject func(*packet.Packet) bool
+	bufCap     int  // drop-tail limit: per input, or the pool when shared
+	pfcOn      int  // input occupancy above which X-OFF is sent
+	pfcOff     int  // input occupancy at or below which X-ON is sent
+	sharedBuf  bool // bufCap applies to the switch-wide pool
+	pfc        bool
+	ecn        bool
+	spray      bool
 }
 
 type inState struct {
@@ -34,49 +64,85 @@ type swOut struct {
 	sw     *Switch
 	port   outPort
 	voq    []pktQueue // per input port
+	occ    []uint64   // bit i set ⇔ voq[i] is non-empty; one word per 64 inputs
 	rr     int
 	queued int // total bytes queued at this output (for ECN marking)
 }
 
-// newSwitch wires a switch shell; ports are attached by the Network.
-func newSwitch(id packet.NodeID, net *Network, part *partition) *Switch {
-	return &Switch{
-		id:     id,
-		net:    net,
-		part:   part,
-		rng:    ecnRNG(net.Cfg.Seed, id),
-		portOf: make(map[packet.NodeID]int),
-		salt:   mix64(uint64(id) + 0x5151_7eb5_c0de),
+// newSwitch builds a switch shell of the given port count; the Network
+// wires each port (see Network.wire).
+func newSwitch(id packet.NodeID, net *Network, part *partition, ports int) *Switch {
+	s := &Switch{
+		id:        id,
+		net:       net,
+		part:      part,
+		rng:       ecnRNG(net.Cfg.Seed, id),
+		salt:      mix64(uint64(id) + 0x5151_7eb5_c0de),
+		neighbors: make([]packet.NodeID, ports),
+		in:        make([]inState, ports),
+		out:       make([]swOut, ports),
 	}
+	// One slab each for the VOQ matrix and its occupancy bitmaps, so a
+	// switch's queue state is contiguous.
+	words := (ports + 63) / 64
+	voq := make([]pktQueue, ports*ports)
+	occ := make([]uint64, ports*words)
+	for i := range s.out {
+		s.out[i].sw = s
+		s.out[i].voq = voq[i*ports : (i+1)*ports]
+		s.out[i].occ = occ[i*words : (i+1)*words]
+	}
+	s.loadConfig()
+	return s
 }
 
-// addPort registers a neighbor and returns the new port index.
-func (s *Switch) addPort(neighbor packet.NodeID) int {
-	idx := len(s.neighbors)
-	s.neighbors = append(s.neighbors, neighbor)
-	s.portOf[neighbor] = idx
-	s.in = append(s.in, inState{})
-	o := &swOut{sw: s}
-	s.out = append(s.out, o)
-	return idx
-}
-
-// finalize sizes the VOQ matrices and routing table once all ports exist.
-func (s *Switch) finalize() {
-	n := len(s.neighbors)
-	for _, o := range s.out {
-		o.voq = make([]pktQueue, n)
+// buildRoutes fills the routing table once every port is wired.
+func (s *Switch) buildRoutes() {
+	portOf := make(map[packet.NodeID]uint16, len(s.neighbors))
+	for i, nb := range s.neighbors {
+		portOf[nb] = uint16(i)
 	}
-	hosts := s.net.Topo.Hosts()
-	s.routes = make([][]int, hosts)
-	for dst := 0; dst < hosts; dst++ {
-		hops := s.net.Topo.NextHops(s.id, packet.NodeID(dst))
-		ports := make([]int, len(hops))
-		for i, h := range hops {
-			ports[i] = s.portOf[h]
+	s.routeOf = make([]uint16, s.net.Topo.Hosts())
+	var ports []uint16
+	for dst := range s.routeOf {
+		ports = ports[:0]
+		for _, h := range s.net.Topo.NextHops(s.id, packet.NodeID(dst)) {
+			ports = append(ports, portOf[h])
 		}
-		s.routes[dst] = ports
+		s.routeOf[dst] = s.internSet(ports)
 	}
+}
+
+// internSet returns the offset in s.sets of the port set equal to ports,
+// appending it on first sight.
+func (s *Switch) internSet(ports []uint16) uint16 {
+	off := 0
+	for ; off < len(s.sets); off += 1 + int(s.sets[off]) {
+		if slices.Equal(s.sets[off+1:off+1+int(s.sets[off])], ports) {
+			return uint16(off)
+		}
+	}
+	if off+len(ports) >= 1<<16 {
+		panic("fabric: switch route sets exceed the 16-bit offset space")
+	}
+	s.sets = append(append(s.sets, uint16(len(ports))), ports...)
+	return uint16(off)
+}
+
+// loadConfig copies the per-packet parameters out of the fabric config.
+func (s *Switch) loadConfig() {
+	cfg := &s.net.Cfg
+	s.lossInject = cfg.LossInject
+	s.sharedBuf = cfg.SharedBuffer
+	s.bufCap = cfg.BufferBytes
+	if s.sharedBuf {
+		s.bufCap *= len(s.in)
+	}
+	s.pfc = cfg.PFC
+	s.pfcOn = cfg.PFCThreshold()
+	s.pfcOff = s.pfcOn - cfg.PFCHysteresis
+	s.ecn = cfg.ECN.Enabled
+	s.spray = cfg.Spray
 }
 
 // reset returns the switch to its just-built state for a new run: empty
@@ -87,28 +153,33 @@ func (s *Switch) reset() {
 	for i := range s.in {
 		s.in[i] = inState{}
 	}
-	for _, o := range s.out {
+	for i := range s.out {
+		o := &s.out[i]
 		o.rr, o.queued = 0, 0
 		for i := range o.voq {
 			o.voq[i].reset()
 		}
+		clear(o.occ)
 		o.port.reset()
 	}
 	s.sprayCtr = 0
 	s.shared = 0
+	s.loadConfig()
 }
 
-// receive handles a packet arriving on the link from neighbor `from`.
-func (s *Switch) receive(pkt *packet.Packet, from packet.NodeID) {
-	inIdx := s.portOf[from]
-	cfg := &s.net.Cfg
+// drop is a switch death site: the packet is counted (stat and census stay
+// paired, or the conservation invariant breaks) and returns to the pool.
+func (s *Switch) drop(pkt *packet.Packet, census *uint64) {
+	s.part.stats.Drops++
+	*census++
+	s.part.pool.Release(pkt)
+}
 
-	// Injected losses (tests, failure-injection experiments). A drop is
-	// a packet death: the packet returns to the pool right here.
-	if cfg.LossInject != nil && cfg.LossInject(pkt) {
-		s.part.stats.Drops++
-		s.part.census.InjectDrops++
-		s.part.pool.Release(pkt)
+// receive handles a packet arriving on input port inIdx.
+func (s *Switch) receive(pkt *packet.Packet, inIdx int) {
+	// Injected losses (tests, failure-injection experiments).
+	if s.lossInject != nil && s.lossInject(pkt) {
+		s.drop(pkt, &s.part.census.InjectDrops)
 		return
 	}
 
@@ -116,39 +187,35 @@ func (s *Switch) receive(pkt *packet.Packet, from packet.NodeID) {
 	// should not trigger; without PFC it is the loss the transports
 	// must recover from. In shared-buffer mode the pool spans all input
 	// ports (total = ports × BufferBytes).
-	if cfg.SharedBuffer {
-		if s.shared+pkt.Wire > cfg.BufferBytes*len(s.in) {
-			s.part.stats.Drops++
-			s.part.census.OverflowDrops++
-			s.part.pool.Release(pkt)
-			return
-		}
-	} else if s.in[inIdx].bytes+pkt.Wire > cfg.BufferBytes {
-		s.part.stats.Drops++
-		s.part.census.OverflowDrops++
-		s.part.pool.Release(pkt)
+	in := &s.in[inIdx]
+	used := in.bytes
+	if s.sharedBuf {
+		used = s.shared
+	}
+	if used+pkt.Wire > s.bufCap {
+		s.drop(pkt, &s.part.census.OverflowDrops)
 		return
 	}
 
-	outIdx := s.pickOutput(pkt)
-	o := s.out[outIdx]
+	o := &s.out[s.pickOutput(pkt)]
 
 	// RED/ECN marking against this output's backlog.
-	if cfg.ECN.Enabled && pkt.ECT && !pkt.CE && s.markECN(o.queued) {
+	if s.ecn && pkt.ECT && !pkt.CE && s.markECN(o.queued) {
 		pkt.CE = true
 		s.part.stats.ECNMarked++
 	}
 
 	o.voq[inIdx].push(pkt)
+	o.occ[inIdx>>6] |= 1 << (inIdx & 63)
 	o.queued += pkt.Wire
-	s.in[inIdx].bytes += pkt.Wire
+	in.bytes += pkt.Wire
 	s.shared += pkt.Wire
 
 	// PFC: assert X-OFF upstream when this input crosses the threshold.
-	if cfg.PFC && !s.in[inIdx].paused && s.in[inIdx].bytes > cfg.PFCThreshold() {
-		s.in[inIdx].paused = true
+	if s.pfc && !in.paused && in.bytes > s.pfcOn {
+		in.paused = true
 		s.part.stats.PauseFrames++
-		s.net.sendPFC(s.id, from, true)
+		s.out[inIdx].port.sendPFC(true)
 	}
 
 	o.port.kick()
@@ -162,12 +229,14 @@ func (s *Switch) receive(pkt *packet.Packet, from packet.NodeID) {
 // hashed pick stands — the packet queues at the dead port and its loss is
 // recovered like any other.
 func (s *Switch) pickOutput(pkt *packet.Packet) int {
-	ports := s.routes[pkt.Dst]
-	if len(ports) == 1 {
-		return ports[0]
+	off := int(s.routeOf[pkt.Dst])
+	n := int(s.sets[off])
+	ports := s.sets[off+1 : off+1+n]
+	if n == 1 {
+		return int(ports[0])
 	}
 	h := uint64(pkt.Hash)
-	if s.net.Cfg.Spray {
+	if s.spray {
 		s.sprayCtr++
 		h ^= s.sprayCtr * 0x9e3779b97f4a7c15
 	}
@@ -184,62 +253,76 @@ func (s *Switch) pickOutput(pkt *packet.Packet) int {
 			for _, p := range ports {
 				if !s.out[p].port.down {
 					if k == 0 {
-						return p
+						return int(p)
 					}
 					k--
 				}
 			}
 		}
 	}
-	return ports[hv%uint64(len(ports))]
+	if n&(n-1) == 0 {
+		return int(ports[hv&uint64(n-1)]) // == hv % n, without the divide
+	}
+	return int(ports[hv%uint64(n)])
 }
 
-// nextPacket is the output port's source callback: round-robin over the
-// input VOQs feeding this output.
+// nextInput returns the first input at or after from whose VOQ at this
+// output is non-empty, or -1.
+func (o *swOut) nextInput(from int) int {
+	for w := from >> 6; w < len(o.occ); w++ {
+		m := o.occ[w]
+		if w == from>>6 {
+			m &^= 1<<(from&63) - 1
+		}
+		if m != 0 {
+			return w<<6 | bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}
+
+// nextPacket supplies the output port's next packet: round-robin over the
+// input VOQs feeding this output, resuming after the input served last.
+// The occupancy bitmap finds that input without touching the empty VOQs
+// in between.
 func (o *swOut) nextPacket() *packet.Packet {
-	n := len(o.voq)
-	idx := o.rr
-	if idx >= n {
-		idx = 0
-	}
-	// Conditional wrap instead of modulo: this scan runs once per
-	// forwarded packet and port counts are not powers of two.
-	for i := 0; i < n; i++ {
-		if pkt := o.voq[idx].pop(); pkt != nil {
-			o.rr = idx + 1
-			o.queued -= pkt.Wire
-			o.sw.dequeued(idx, pkt)
-			return pkt
-		}
-		if idx++; idx == n {
-			idx = 0
+	idx := o.nextInput(o.rr)
+	if idx < 0 {
+		if idx = o.nextInput(0); idx < 0 {
+			return nil
 		}
 	}
-	return nil
+	q := &o.voq[idx]
+	pkt := q.pop()
+	if q.empty() {
+		o.occ[idx>>6] &^= 1 << (idx & 63)
+	}
+	o.rr = idx + 1
+	o.queued -= pkt.Wire
+	o.sw.dequeued(idx, pkt)
+	return pkt
 }
 
 // dequeued updates input accounting after a packet leaves input inIdx's
 // buffer, releasing PFC if the buffer drained far enough.
 func (s *Switch) dequeued(inIdx int, pkt *packet.Packet) {
-	s.in[inIdx].bytes -= pkt.Wire
+	in := &s.in[inIdx]
+	in.bytes -= pkt.Wire
 	s.shared -= pkt.Wire
-	cfg := &s.net.Cfg
-	if cfg.PFC && s.in[inIdx].paused &&
-		s.in[inIdx].bytes <= cfg.PFCThreshold()-cfg.PFCHysteresis {
-		s.in[inIdx].paused = false
+	if in.paused && in.bytes <= s.pfcOff {
+		in.paused = false
 		s.part.stats.ResumeFrames++
-		s.net.sendPFC(s.id, s.neighbors[inIdx], false)
+		s.out[inIdx].port.sendPFC(false)
 	}
 }
 
-// pfcFrame handles an X-OFF/X-ON received from a downstream neighbor: it
-// pauses or resumes this switch's output port facing that neighbor.
-func (s *Switch) pfcFrame(from packet.NodeID, pause bool) {
-	o := s.out[s.portOf[from]]
+// pfcFrame handles an X-OFF/X-ON received on port: it pauses or resumes
+// the output port facing the neighbor that sent it.
+func (s *Switch) pfcFrame(port int, pause bool) {
 	if pause {
-		o.port.pause()
+		s.out[port].port.pause()
 	} else {
-		o.port.resume()
+		s.out[port].port.resume()
 	}
 }
 

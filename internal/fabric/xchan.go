@@ -41,11 +41,11 @@ import (
 // barrier's channel operations order every access; nothing here needs a
 // lock.
 type linkChan struct {
-	dst  node          // receiving node
-	from packet.NodeID // transmitting node (receive/pfcFrame source)
-	eng  *sim.Engine   // consumer shard's engine
-	clk  *sim.Clock    // producing node's clock
-	net  *Network      // owning fabric, for the producer window clamp
+	dst    node        // receiving node
+	inPort int         // dst's port index for this link
+	eng    *sim.Engine // consumer shard's engine
+	clk    *sim.Clock  // producing node's clock
+	net    *Network    // owning fabric, for the producer window clamp
 
 	// part is the consumer partition: boundary fault deaths count in its
 	// stats/census and release into its pool, the same side an interior
@@ -183,7 +183,7 @@ func (c *linkChan) HandleEvent(_ uint8, arg uint64) {
 		}
 	}
 	if e.pkt == nil {
-		c.dst.pfcFrame(c.from, e.pause)
+		c.dst.pfcFrame(c.inPort, e.pause)
 		return
 	}
 	// Fault resolution at the receiving end, mirroring portDeliver: a
@@ -205,7 +205,7 @@ func (c *linkChan) HandleEvent(_ uint8, arg uint64) {
 		}
 	}
 	c.delivered++
-	c.dst.receive(e.pkt, c.from)
+	c.dst.receive(e.pkt, c.inPort)
 }
 
 // die is the boundary-link fault death site: stat + census stay paired

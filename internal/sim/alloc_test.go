@@ -60,8 +60,10 @@ func TestTimerRearmZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestClosureScheduleStillWorks pins the compatibility wrapper: the
-// closure path and the typed path interleave in FIFO order at equal times.
+// TestClosureScheduleStillWorks pins the closure wrapper: it rides the
+// typed path (interleaving FIFO with typed events at equal times) and adds
+// no allocation of its own — converting a func value to Handler is free,
+// so scheduling an existing closure allocates nothing.
 func TestClosureScheduleStillWorks(t *testing.T) {
 	e := NewEngine()
 	h := &countingHandler{}
@@ -72,5 +74,12 @@ func TestClosureScheduleStillWorks(t *testing.T) {
 	e.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 || h.fired[0] != 1 {
 		t.Fatalf("mixed dispatch broke ordering: order=%v fired=%v", order, h.fired)
+	}
+	fn := func() { order = order[:0] }
+	if allocs := testing.AllocsPerRun(200, func() {
+		e.Schedule(e.Now()+1, fn)
+		e.Run()
+	}); allocs != 0 {
+		t.Fatalf("Schedule of an existing closure allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -19,17 +19,13 @@ type Handler interface {
 // pure function of simulation state: a sharded run merging events from
 // several engines reproduces it bit-for-bit (see RunWindows).
 //
-// An event fires through exactly one of two paths: the typed handler path
-// (h != nil), which allocates nothing, or the legacy closure path (fn).
-// Steady-state simulation traffic — port serialization and delivery, timer
-// ticks, PFC frames, transport timeouts — runs entirely on the typed path;
-// closures remain for one-shot setup work (flow arrivals in tests and
-// examples) where an allocation per event is harmless.
+// Every event fires through its Handler; a closure rides the same path as
+// a funcHandler (see Schedule), so the queue stores one 48-byte shape and
+// the dispatch loop has no branch.
 type event struct {
 	at   Time
 	rank uint64
 	h    Handler
-	fn   func()
 	arg  uint64
 	kind uint8
 }
@@ -108,8 +104,7 @@ func (h *eventHeap) pop() event {
 	n := len(q) - 1
 	top := q[0]
 	q[0] = q[n]
-	q[n].fn = nil // release closure and handler for GC
-	q[n].h = nil
+	q[n].h = nil // release the handler for GC
 	q = q[:n]
 	*h = q
 	// Sift down.
@@ -292,19 +287,19 @@ func (e *Engine) ScheduleRankedBatch(h Handler, evs []RankedEvent) {
 	e.queue.pushBatch(h, evs)
 }
 
-// Schedule runs fn at absolute time at. This is the legacy closure path,
-// kept for setup work and tests; each call allocates the closure. Hot
-// callers use ScheduleEventFrom.
-func (e *Engine) Schedule(at Time, fn func()) {
-	e.checkTime(at)
-	e.noteSchedule(at)
-	e.queue.push(event{at: at, rank: e.clk.Next(), fn: fn})
-}
+// funcHandler adapts a closure to Handler. Func values are pointer-shaped,
+// so the conversion to the interface does not allocate.
+type funcHandler func()
+
+func (f funcHandler) HandleEvent(uint8, uint64) { f() }
+
+// Schedule runs fn at absolute time at, ranked under the engine's own
+// clock — the closure convenience form for tests, examples and one-shot
+// setup work. Hot callers use ScheduleEventFrom.
+func (e *Engine) Schedule(at Time, fn func()) { e.ScheduleEvent(at, funcHandler(fn), 0, 0) }
 
 // After runs fn d after the current time.
-func (e *Engine) After(d Duration, fn func()) {
-	e.Schedule(e.now.Add(d), fn)
-}
+func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.now.Add(d), fn) }
 
 // Run executes events until the queue empties or Stop is called.
 func (e *Engine) Run() {
@@ -388,11 +383,7 @@ func (e *Engine) step() {
 	ev := e.queue.pop()
 	e.now = ev.at
 	e.executed++
-	if ev.h != nil {
-		ev.h.HandleEvent(ev.kind, ev.arg)
-	} else {
-		ev.fn()
-	}
+	ev.h.HandleEvent(ev.kind, ev.arg)
 }
 
 // Stop halts Run/RunUntil after the current event completes. Pending events

@@ -1,11 +1,14 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // The engine's event queue is a hierarchical timing wheel. A binary heap
 // pays O(log n) sift cost per push and pop against the whole pending
 // population (measured ~2300 standing events in a loaded fabric, ~12
-// levels of 56-byte swaps each way); the wheel pays O(1) bucket placement
+// levels of 48-byte swaps each way); the wheel pays O(1) bucket placement
 // per push and a bitmap scan per clock advance, because discrete-event
 // time lets events be bucketed by firing tick and only the slot at the
 // cursor ever needs exact ordering.
@@ -14,16 +17,22 @@ import "math/bits"
 // level-0 slot is one tick (2^wheelTickShift ps), and level 0 *slides*:
 // any event within wheelSlots ticks of the cursor maps to slot
 // tick mod wheelSlots, so the datapath's short-horizon events (packet
-// serialization at ~200 ns, propagation at 2 µs ≈ 134 ticks) always place
+// serialization at ~200 ns, propagation at 2 µs ≈ 488 ticks) always place
 // directly at level 0, never through a cascade. Each level above is
 // window-aligned and covers wheelSlots× the span below it; an event lands
 // at the lowest level whose current window (the aligned range of ticks
 // sharing the cursor's upper bits) contains its tick, and events beyond
 // the top level's window go to a far-future overflow heap that refills
-// the wheels when the cursor rolls into their window. With a 16.4 ns tick
-// the spans are ~4.2 µs (sliding) / 1.1 ms / 275 ms / 70 s:
+// the wheels when the cursor rolls into their window. With a 4.1 ns tick
+// and 1024 slots the spans are ~4.2 µs (sliding) / 4.3 ms / 4.4 s / 75 min:
 // retransmission timers resolve at level 1, flow arrivals at levels 1–2,
 // and the overflow heap is touched only by pathological schedules.
+//
+// The tick is sized against the drain, not against time resolution: a
+// slot is sorted as it drains, and at k=16 a 4 ns slot averages 16 events
+// where a 16 ns one held four times that. The slot count follows from the
+// sliding span, which must cover one propagation plus one serialization
+// delay.
 //
 // Determinism: pop order is exactly the canonical (at, rank) key —
 // bit-identical to the reference heap the wheel is differentially tested
@@ -40,8 +49,8 @@ import "math/bits"
 // and FuzzEventOrder drive the wheel and a reference heap side by side on
 // randomized schedules to enforce this.
 const (
-	wheelTickShift = 14 // tick granularity: 2^14 ps ≈ 16.4 ns
-	wheelLevelBits = 8
+	wheelTickShift = 12 // tick granularity: 2^12 ps ≈ 4.1 ns
+	wheelLevelBits = 10
 	wheelSlots     = 1 << wheelLevelBits
 	wheelSlotMask  = wheelSlots - 1
 	wheelLevels    = 4
@@ -92,6 +101,12 @@ type timingWheel struct {
 	// overflow holds events beyond the top level's window.
 	overflow eventHeap
 }
+
+// bucketMinCap is the capacity a bucket array is born with: level 0 keeps
+// ~500 arrays circulating (one per tick of a propagation delay), and
+// growing each from one event through append's doubling chain would cost
+// four more allocations apiece.
+const bucketMinCap = 16
 
 // tickOf maps an absolute time to its wheel tick.
 func tickOf(at Time) uint64 { return uint64(at) >> wheelTickShift }
@@ -151,7 +166,9 @@ func (w *timingWheel) place(ev event) {
 	}
 	b := w.bucket[lvl][idx]
 	if b == nil {
-		b = w.takeSpare(lvl)
+		if b = w.takeSpare(lvl); b == nil {
+			b = make([]event, 0, bucketMinCap)
+		}
 	}
 	w.bucket[lvl][idx] = append(b, ev)
 	w.occ[lvl][idx>>6] |= 1 << (idx & 63)
@@ -205,7 +222,7 @@ func (w *timingWheel) refill() {
 // window and refilling from it. Returns false when nothing is pending.
 //
 // Level 0 slides, so its scan has two parts: slots above the cursor's
-// index hold ticks in the cursor's 256-tick block ("ahead"), wrapped
+// index hold ticks in the cursor's wheelSlots-tick block ("ahead"), wrapped
 // slots hold ticks just across the next block boundary. A cascade due at
 // an aligned boundary must win against a wrapped slot at or after that
 // boundary — the cascaded bucket's events merge into the very same
@@ -285,10 +302,8 @@ func (w *timingWheel) drainCurSlot() {
 // backing array, and a warmed-up wheel never allocates.
 func (w *timingWheel) drainSlot(idx uint64) {
 	b := w.take(0, idx)
-	w.ready = append(w.ready[:0], b...)
-	w.head = 0
+	w.ready, w.head = sortSlot(w.ready[:0], b), 0
 	w.giveBack(0, b)
-	sortEvents(w.ready)
 }
 
 // cascade re-places every event of bucket (lvl, idx) one level down.
@@ -308,24 +323,26 @@ func (w *timingWheel) take(lvl int, idx uint64) []event {
 	return b
 }
 
-// takeSpare pops the largest-capacity spare array of a level. Largest
-// matters: slot populations are bimodal (one bulk slot per window plus a
-// scatter of timer slots), and a LIFO pool would keep handing a
+// takeSpare pops a spare array of a level. Above level 0 it takes the
+// largest: slot populations there are bimodal (one bulk slot per window
+// plus a scatter of timer slots), and a LIFO pool would keep handing a
 // timer-sized array to the bulk slot, re-growing it through its doubling
-// chain every window. Taking the max lets every circulating array ratchet
-// up to the peak population once, after which growth stops for good. The
-// pool holds at most the peak number of concurrently occupied slots
-// (a few dozen), so the scan is trivial.
+// chain every window, whereas taking the max lets every circulating array
+// ratchet up to the peak population once; those pools hold a few dozen
+// arrays, so the scan is trivial. Level 0 has hundreds of similar arrays
+// and takes the one drained last, which is still in cache.
 func (w *timingWheel) takeSpare(lvl int) []event {
 	s := w.spare[lvl]
 	n := len(s)
 	if n == 0 {
 		return nil
 	}
-	best := 0
-	for i := 1; i < n; i++ {
-		if cap(s[i]) > cap(s[best]) {
-			best = i
+	best := n - 1
+	if lvl > 0 {
+		for i := 0; i < n-1; i++ {
+			if cap(s[i]) > cap(s[best]) {
+				best = i
+			}
 		}
 	}
 	b := s[best]
@@ -354,12 +371,64 @@ func (w *timingWheel) scan(lvl int, from uint64) (uint64, bool) {
 	return 0, false
 }
 
+// Drain sorting: slots up to insertionSortMax events are insertion-sorted;
+// larger ones are first split into subTicks runs by time (see sortSlot).
+const (
+	insertionSortMax = 32
+	subTickBits      = 4
+	subTicks         = 1 << subTickBits
+)
+
+// sortSlot returns dst holding the events of one level-0 slot, src, in
+// (at, rank) order. The slot is copied into the frontier anyway, so a
+// large one (half of a loaded k=16 fabric's events sit in slots of 32–128)
+// is copied as a counting sort on the top subTickBits of the in-tick
+// offset: that leaves subTicks runs, in order relative to each other, of
+// a handful of events each. A same-instant flood lands in one run and
+// costs the heapsort it always did.
+func sortSlot(dst, src []event) []event {
+	if len(src) <= insertionSortMax {
+		dst = append(dst, src...)
+		sortEvents(dst)
+		return dst
+	}
+	var run [subTicks]int // counts, then run ends, then (after the scatter) run starts
+	for i := range src {
+		run[subTick(src[i].at)]++
+	}
+	sum := 0
+	for k := range run {
+		sum += run[k]
+		run[k] = sum
+	}
+	dst = slices.Grow(dst, len(src))[:len(src)]
+	for i := range src {
+		k := subTick(src[i].at)
+		run[k]--
+		dst[run[k]] = src[i]
+	}
+	for k, start := range run {
+		end := len(dst)
+		if k+1 < subTicks {
+			end = run[k+1]
+		}
+		sortEvents(dst[start:end])
+	}
+	return dst
+}
+
+// subTick maps a time to its sub-tick run: the top subTickBits of its
+// offset within the tick.
+func subTick(at Time) uint64 {
+	return uint64(at) >> (wheelTickShift - subTickBits) & (subTicks - 1)
+}
+
 // sortEvents orders a drained slot by (at, rank): insertion sort for the
 // typical handful of events, in-place heapsort for pathological same-tick
 // floods. Both are deterministic — (at, rank) is a total order, so the
 // sorted sequence is unique regardless of algorithm.
 func sortEvents(evs []event) {
-	if len(evs) <= 32 {
+	if len(evs) <= insertionSortMax {
 		for i := 1; i < len(evs); i++ {
 			ev := evs[i]
 			j := i
@@ -404,8 +473,8 @@ func siftDownMax(evs []event, i, n int) {
 // reset empties the wheel while keeping every backing array warm, so a
 // reused engine schedules without re-growing its buckets. Unlike the
 // steady-state paths, reset zeroes stale entries up to each array's
-// capacity: nothing scheduled in the previous run may keep a handler or
-// closure alive across trials.
+// capacity: nothing scheduled in the previous run may keep a handler
+// alive across trials.
 func (w *timingWheel) reset() {
 	w.cur, w.size = 0, 0
 	clearEvents(w.ready[:cap(w.ready)])
@@ -431,8 +500,7 @@ func (w *timingWheel) reset() {
 	}
 }
 
-// clearEvents zeroes a slice of events, dropping handler and closure
-// references.
+// clearEvents zeroes a slice of events, dropping handler references.
 func clearEvents(evs []event) {
 	for i := range evs {
 		evs[i] = event{}

@@ -87,6 +87,47 @@ func TestWheelMatchesHeap(t *testing.T) {
 	}
 }
 
+// TestWheelCrowdedTick: slots far past the insertion-sort range — the
+// counting-sort drain and, inside one sub-tick run, the heapsort fallback —
+// must still pop in exact (at, rank) order. Populations straddle both
+// thresholds (33 and 1025 events), spread across one tick, packed into one
+// sub-tick run, and all at a single instant.
+func TestWheelCrowdedTick(t *testing.T) {
+	const tick = 1 << wheelTickShift
+	for _, n := range []int{insertionSortMax + 1, 200, wheelSlots + 1, 5000} {
+		for _, width := range []int64{tick, tick >> subTickBits, 1} {
+			m := &wheelModel{}
+			r := NewRNG(uint64(n) ^ uint64(width))
+			base := Time(7 * tick) // a tick of its own, ahead of the cursor
+			for i := 0; i < n; i++ {
+				m.push(base + Time(r.Intn(int(width))))
+			}
+			// A second crowded tick lands while the first drains.
+			for i := 0; i < n; i++ {
+				m.pop(t)
+				m.push(base + Time(tick+r.Intn(int(width))))
+			}
+			m.drainAll(t)
+		}
+	}
+}
+
+// TestWheelGeometry pins the arithmetic the geometry rests on: level 0
+// must span a propagation plus a serialization delay (2 µs + ~0.2 µs at
+// the paper's defaults) so datapath events never cascade, and the widest
+// shift any test in this file builds must fit a signed 64-bit Time.
+func TestWheelGeometry(t *testing.T) {
+	if span := Duration(wheelSlots << wheelTickShift); span < 4*Microsecond {
+		t.Errorf("level 0 spans %d ps, want >= 4 µs", int64(span))
+	}
+	if top := wheelTickShift + wheelSpanBits + 8; top >= 63 {
+		t.Errorf("test schedules shift by up to %d bits, overflowing Time", top)
+	}
+	if subTickBits > wheelTickShift {
+		t.Errorf("sub-tick runs need %d in-tick bits, the tick has %d", subTickBits, wheelTickShift)
+	}
+}
+
 // Picoseconds converts an integer count to a Time delta (test helper for
 // readability in span arithmetic).
 func Picoseconds(n int64) Time { return Time(n) }
@@ -116,6 +157,13 @@ func FuzzEventOrder(f *testing.F) {
 	seed := make([]byte, 64)
 	binary.LittleEndian.PutUint64(seed, uint64(1)<<(wheelTickShift+wheelSpanBits))
 	f.Add(seed)
+	// One crowded tick ahead of the cursor: 40 pushes at 2^14 ps plus a
+	// sub-tick offset, then pops.
+	crowd := make([]byte, 0, 128)
+	for i := 0; i < 40; i++ {
+		crowd = append(crowd, 14, byte(i*37), byte(i%4))
+	}
+	f.Add(append(crowd, 0x87, 0x87, 0x87, 0x87, 0x87))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := &wheelModel{}
 		for len(data) > 0 {
@@ -128,19 +176,16 @@ func FuzzEventOrder(f *testing.F) {
 				}
 				continue
 			}
-			// Push: delta magnitude from the op's low 6 bits, capped at
-			// 2^48 ps so a single push can land beyond the wheels' 2^46 ps
-			// top window (all levels AND the overflow/rollover path are
+			// Push: delta magnitude from the op's low 6 bits, capped two
+			// bits past the wheels' top window so a single push can land
+			// beyond it (all levels AND the overflow/rollover path are
 			// reachable), fine offset from the next two bytes.
 			var off uint64
 			if len(data) >= 2 {
 				off = uint64(binary.LittleEndian.Uint16(data))
 				data = data[2:]
 			}
-			sh := uint(op & 0x3f)
-			if sh > 48 {
-				sh = 48
-			}
+			sh := min(uint(op&0x3f), wheelTickShift+wheelSpanBits+2)
 			delta := (uint64(1) << sh) + off
 			m.push(m.now + Time(delta))
 		}
