@@ -240,24 +240,6 @@ func TestAckLossIsHarmless(t *testing.T) {
 	}
 }
 
-func TestRandomLossStorm(t *testing.T) {
-	// 5% random data loss: the flow must still complete, exercising
-	// mixed NACK and timeout recovery paths.
-	p := DefaultParams(1000, 113)
-	rng := sim.NewRNG(99)
-	lossFn := func(pkt *packet.Packet) bool {
-		return pkt.Type == packet.TypeData && rng.Float64() < 0.05
-	}
-	snd, rcv, _, doneAt := runOverFabric(t, p, nil, 1000, lossFn)
-	if doneAt == 0 {
-		t.Fatalf("flow did not complete under random loss (recv %d/1000, retx %d, to %d)",
-			rcv.Received(), snd.Stats.Retransmits, snd.Stats.Timeouts)
-	}
-	if snd.Stats.Retransmits == 0 {
-		t.Error("expected retransmissions under 5% loss")
-	}
-}
-
 func TestBDPFCBoundsReceiverBuffering(t *testing.T) {
 	// With BDP-FC, the receiver never tracks more than BDPCap packets of
 	// out-of-order state — the §6.1 memory argument. Drop the very first

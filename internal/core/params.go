@@ -102,12 +102,3 @@ func DefaultParams(mtu, bdpCap int) Params {
 		NackThreshold:   1,
 	}
 }
-
-// SenderStats counts transport events for diagnostics and experiments.
-type SenderStats struct {
-	Sent        uint64 // data packets transmitted (including retransmits)
-	Retransmits uint64
-	Timeouts    uint64
-	Nacks       uint64 // NACKs received
-	Recoveries  uint64 // times loss recovery was entered
-}

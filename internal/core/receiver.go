@@ -1,15 +1,15 @@
 package core
 
 import (
-	"github.com/irnsim/irn/internal/bitmap"
 	"github.com/irnsim/irn/internal/cc"
 	"github.com/irnsim/irn/internal/packet"
+	"github.com/irnsim/irn/internal/recovery"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/transport"
 )
 
 // Receiver is the IRN receiver of §3.1: it keeps out-of-order packets
-// (tracking them in a BDP-sized bitmap), sends a cumulative ACK for every
+// (tracking them in a BDP-sized recovery.Reorder window), sends a cumulative ACK for every
 // in-order arrival, and on every out-of-order arrival sends a NACK
 // carrying both the cumulative acknowledgement and the sequence number
 // that triggered it.
@@ -27,10 +27,8 @@ type Receiver struct {
 	flow *transport.Flow
 	p    Params
 
-	expected packet.PSN
-	rcv      *bitmap.Bitmap // out-of-order arrivals beyond expected
-	received int            // distinct data packets received
-	total    int
+	win   recovery.Reorder
+	total int
 
 	cnp *cc.CNPGenerator
 
@@ -61,15 +59,15 @@ func NewReceiver(ep transport.Endpoint, flow *transport.Flow, p Params, done tra
 	if capPkts <= 0 || capPkts > r.total {
 		capPkts = r.total
 	}
-	r.rcv = bitmap.New(capPkts + 1)
+	r.win = recovery.NewReorder(capPkts + 1)
 	return r
 }
 
 // Received reports distinct data packets received so far.
-func (r *Receiver) Received() int { return r.received }
+func (r *Receiver) Received() int { return r.win.Received() }
 
 // Expected returns the next expected sequence number.
-func (r *Receiver) Expected() packet.PSN { return r.expected }
+func (r *Receiver) Expected() packet.PSN { return r.win.Expected() }
 
 // HandleData implements transport.Sink.
 func (r *Receiver) HandleData(pkt *packet.Packet, now sim.Time) {
@@ -79,60 +77,38 @@ func (r *Receiver) HandleData(pkt *packet.Packet, now sim.Time) {
 		r.ep.SendControl(r.pool.NewCNP(pkt.Flow, r.flow.Dst, r.flow.Src))
 	}
 
-	switch {
-	case pkt.PSN < r.expected:
-		// Duplicate of an already-delivered packet (a spurious or
-		// crossed retransmission). Re-ACK so the sender advances.
+	kind, fresh := r.win.Arrive(pkt.PSN)
+	switch kind {
+	case recovery.Duplicate:
+		// A spurious or crossed retransmission of a delivered packet.
+		// Re-ACK so the sender advances.
 		r.Duplicates++
-		r.sendAck(pkt, now)
+		r.sendAck(pkt)
 
-	case pkt.PSN == r.expected:
-		r.deliverInOrder(pkt, now)
+	case recovery.InOrder:
+		r.sendAck(pkt)
+		r.maybeComplete(now)
 
-	default: // out of order
-		fresh, err := r.rcv.Set(pkt.PSN)
-		if err != nil {
-			// Beyond the tracking window: only possible when the sender
-			// violates BDP-FC; drop and NACK to resynchronize.
-			r.sendNack(pkt, now)
-			return
-		}
-		if fresh {
-			r.received++
-		} else {
+	case recovery.OutOfOrder:
+		if !fresh {
 			r.Duplicates++
 		}
 		// "Upon every out-of-order packet arrival, an IRN receiver
 		// sends a NACK" (§3.1).
-		r.sendNack(pkt, now)
+		r.sendNack(pkt)
 		r.maybeComplete(now)
-	}
-}
 
-// deliverInOrder accepts the expected packet and advances past any
-// previously buffered out-of-order packets.
-func (r *Receiver) deliverInOrder(pkt *packet.Packet, now sim.Time) {
-	r.received++
-	if _, err := r.rcv.Set(pkt.PSN); err != nil {
-		// Window bookkeeping failed; this cannot happen when the
-		// sender honors the cap, but recover defensively.
-		r.rcv.Reset(pkt.PSN + 1)
-		r.expected = pkt.PSN + 1
-		r.sendAck(pkt, now)
-		r.maybeComplete(now)
-		return
+	case recovery.Outside:
+		// Beyond the tracking window: only possible when the sender
+		// violates BDP-FC; drop and NACK to resynchronize.
+		r.sendNack(pkt)
 	}
-	n := r.rcv.LeadingOnes()
-	r.rcv.Advance(n)
-	r.expected += packet.PSN(n)
-	r.sendAck(pkt, now)
-	r.maybeComplete(now)
 }
 
 // sendAck emits a cumulative ACK echoing the triggering packet's
 // timestamp and congestion marking.
-func (r *Receiver) sendAck(trigger *packet.Packet, _ sim.Time) {
-	ack := r.pool.NewAck(r.flow.ID, r.flow.Dst, r.flow.Src, r.expected)
+func (r *Receiver) sendAck(trigger *packet.Packet) {
+	ack := r.pool.NewAck(r.flow.ID, r.flow.Dst, r.flow.Src, r.win.Expected())
 	ack.AckedSentAt = trigger.SentAt
 	ack.ECNEcho = trigger.CE
 	r.Acks++
@@ -141,8 +117,8 @@ func (r *Receiver) sendAck(trigger *packet.Packet, _ sim.Time) {
 
 // sendNack emits an IRN NACK: cumulative ack plus the PSN that triggered
 // it (the simplified SACK).
-func (r *Receiver) sendNack(trigger *packet.Packet, _ sim.Time) {
-	n := r.pool.NewNack(r.flow.ID, r.flow.Dst, r.flow.Src, r.expected, trigger.PSN)
+func (r *Receiver) sendNack(trigger *packet.Packet) {
+	n := r.pool.NewNack(r.flow.ID, r.flow.Dst, r.flow.Src, r.win.Expected(), trigger.PSN)
 	n.AckedSentAt = trigger.SentAt
 	n.ECNEcho = trigger.CE
 	r.Nacks++
@@ -152,7 +128,7 @@ func (r *Receiver) sendNack(trigger *packet.Packet, _ sim.Time) {
 // maybeComplete fires the completion callback when the whole message has
 // arrived.
 func (r *Receiver) maybeComplete(now sim.Time) {
-	if r.flow.Finished || r.received < r.total {
+	if r.flow.Finished || r.win.Received() < r.total {
 		return
 	}
 	r.flow.Finished = true

@@ -1,23 +1,22 @@
 package core
 
 import (
-	"github.com/irnsim/irn/internal/bitmap"
 	"github.com/irnsim/irn/internal/packet"
+	"github.com/irnsim/irn/internal/recovery"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/transport"
 )
 
-// Sender is the IRN sender state machine of §3.1/§3.2. It implements
-// transport.Source.
+// Sender is the IRN sender of §3.1/§3.2. It implements transport.Source.
 //
-// Loss recovery: the sender tracks cumulative and selective
-// acknowledgements in a bitmap over [cumAck, cumAck+window). It enters
-// recovery on a NACK or timeout. The first retransmission is the packet
-// at the cumulative ack; any later packet counts as lost only if a higher
-// PSN has been selectively acked. When no lost packet remains, new packets
-// flow again (subject to BDP-FC), and recovery ends once the cumulative
-// ack passes the recovery sequence — the last regular packet sent before
-// the first retransmission.
+// Loss recovery is recovery.Scoreboard: entered on a NACK or timeout,
+// first retransmission at the cumulative ack, later packets lost only
+// below a selective ack, ended once the cumulative ack passes the highest
+// PSN transmitted before it began. What this type adds is the send
+// pointer under BDP-FC and the congestion window, pacing, the NACK
+// threshold, the retransmission fetch delay, and the §4.3 ablations:
+// go-back-N rewinds nextNew instead of asking the scoreboard for lost
+// packets, and the no-SACK mode never feeds it selective acks.
 type Sender struct {
 	ep   transport.Endpoint
 	pool *packet.Pool
@@ -26,15 +25,9 @@ type Sender struct {
 	cc   transport.Controller
 
 	total   int
-	cumAck  packet.PSN
 	nextNew packet.PSN
-	maxSent packet.PSN     // highest PSN ever transmitted + 1
-	acked   *bitmap.Bitmap // selective acks over [cumAck, ...)
-
-	inRecovery  bool
-	recoverySeq packet.PSN // last regular PSN sent before first retransmission
-	retxNext    packet.PSN // scan pointer for the next retransmission
-	highSack    packet.PSN // highest selectively-acked PSN (0 = none; stores PSN+1)
+	maxSent packet.PSN // highest PSN ever transmitted + 1, across go-back-N rewinds
+	sb      recovery.Scoreboard
 
 	nackCount int // NACKs since last recovery entry (NackThreshold)
 
@@ -42,17 +35,12 @@ type Sender struct {
 	retxEligAt sim.Time // earliest next retransmission (fetch-delay model)
 
 	rto *sim.Timer
-	// Dynamic RTO estimator state (§4.3 question 3).
-	srtt, rttvar sim.Duration
-	haveRTT      bool
+	rtt recovery.RTT // dynamic RTO estimate (§4.3 question 3)
 
 	done bool
 
-	Stats SenderStats
+	Stats transport.SenderStats
 }
-
-// stopper is implemented by controllers with background timers (DCQCN).
-type stopper interface{ Stop() }
 
 // NewSender builds an IRN sender for flow on endpoint ep. cc may be nil
 // for no explicit congestion control.
@@ -76,12 +64,9 @@ func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl trans
 	}
 	capPkts := p.BDPCap
 	if capPkts <= 0 || capPkts > s.total {
-		capPkts = s.total
-	}
-	if p.BDPCap <= 0 {
 		capPkts = s.total // uncapped window: bitmap must cover the message
 	}
-	s.acked = bitmap.New(capPkts + 1)
+	s.sb = recovery.NewScoreboard(capPkts + 1)
 	s.rto = sim.NewHandlerTimer(ep.Engine(), ep.Clock(), s, senderRTO)
 	return s
 }
@@ -100,7 +85,7 @@ func (s *Sender) Done() bool { return s.done }
 
 // inflight is the BDP-FC quantity: distance between the next new sequence
 // number and the last acknowledged one (§3.2).
-func (s *Sender) inflight() int { return int(s.nextNew - s.cumAck) }
+func (s *Sender) inflight() int { return int(s.nextNew - s.sb.Cum()) }
 
 // windowOpen reports whether BDP-FC and the congestion window admit a new
 // (non-retransmitted) packet.
@@ -115,38 +100,9 @@ func (s *Sender) windowOpen() bool {
 	return true
 }
 
-// peekRetx reports the next retransmission candidate without consuming it.
-func (s *Sender) peekRetx() (packet.PSN, bool) {
-	if !s.inRecovery {
-		return 0, false
-	}
-	if s.p.Recovery == RecoveryGoBackN {
-		// Go-back-N rewinds nextNew instead of tracking retransmissions.
-		return 0, false
-	}
-	if s.retxNext <= s.cumAck {
-		// The cumulative ack itself is always the first retransmission.
-		if s.cumAck < packet.PSN(s.total) {
-			return s.cumAck, true
-		}
-		return 0, false
-	}
-	if s.p.Recovery == RecoveryNoSACK {
-		// Without SACK state only the cumulative-ack packet is ever
-		// retransmitted; retxNext > cumAck means it already was.
-		return 0, false
-	}
-	// A packet is lost only if a higher PSN was selectively acked.
-	if s.highSack == 0 || s.retxNext >= s.highSack {
-		return 0, false
-	}
-	off := s.acked.NextZero(int(s.retxNext - s.cumAck))
-	psn := s.cumAck + packet.PSN(off)
-	if psn < s.highSack && psn < packet.PSN(s.total) {
-		return psn, true
-	}
-	return 0, false
-}
+// selective reports whether lost packets are retransmitted one by one;
+// go-back-N rewinds nextNew instead.
+func (s *Sender) selective() bool { return s.p.Recovery != RecoveryGoBackN }
 
 // HasData implements transport.Source.
 func (s *Sender) HasData(now sim.Time) (bool, sim.Time) {
@@ -156,11 +112,13 @@ func (s *Sender) HasData(now sim.Time) (bool, sim.Time) {
 	if now < s.paceUntil {
 		return false, s.paceUntil
 	}
-	if _, ok := s.peekRetx(); ok {
-		if now < s.retxEligAt {
-			return false, s.retxEligAt
+	if s.selective() {
+		if _, lost := s.sb.Peek(packet.PSN(s.total)); lost {
+			if now < s.retxEligAt {
+				return false, s.retxEligAt
+			}
+			return true, 0
 		}
-		return true, 0
 	}
 	if s.nextNew < packet.PSN(s.total) && s.windowOpen() {
 		return true, 0
@@ -171,13 +129,11 @@ func (s *Sender) HasData(now sim.Time) (bool, sim.Time) {
 // NextPacket implements transport.Source.
 func (s *Sender) NextPacket(now sim.Time) *packet.Packet {
 	var psn packet.PSN
-	if p, ok := s.peekRetx(); ok && now >= s.retxEligAt {
-		psn = p
-		if s.retxNext <= s.cumAck {
-			s.retxNext = s.cumAck + 1
-		} else {
-			s.retxNext = psn + 1
-		}
+	lost := false
+	if s.selective() && now >= s.retxEligAt {
+		psn, lost = s.sb.Take(packet.PSN(s.total))
+	}
+	if lost {
 		if s.p.RetxFetchDelay > 0 {
 			// The next retransmission must be identified by a fresh
 			// look-ahead, costing another fetch (§6.3 worst case).
@@ -207,7 +163,7 @@ func (s *Sender) NextPacket(now sim.Time) *packet.Packet {
 	if d := s.cc.SendDelay(pkt.Wire); d > 0 {
 		s.paceUntil = now.Add(d)
 	}
-	s.armRTO(now)
+	s.armRTO()
 	return pkt
 }
 
@@ -216,10 +172,10 @@ func (s *Sender) NextPacket(now sim.Time) *packet.Packet {
 // retransmissions elsewhere), RTOHigh otherwise; or the dynamic estimate.
 func (s *Sender) rtoDuration() sim.Duration {
 	if s.p.DynamicRTO {
-		if !s.haveRTT {
+		rto, ok := s.rtt.RTO()
+		if !ok {
 			return s.p.RTOHigh
 		}
-		rto := s.srtt + 4*s.rttvar
 		if rto < s.p.RTOLow {
 			rto = s.p.RTOLow
 		}
@@ -228,14 +184,11 @@ func (s *Sender) rtoDuration() sim.Duration {
 		}
 		return rto
 	}
-	if s.inflight() < s.p.RTOLowThreshold {
-		return s.p.RTOLow
-	}
-	return s.p.RTOHigh
+	return recovery.DualRTO(s.inflight(), s.p.RTOLowThreshold, s.p.RTOLow, s.p.RTOHigh)
 }
 
 // armRTO (re)arms the retransmission timer.
-func (s *Sender) armRTO(sim.Time) {
+func (s *Sender) armRTO() {
 	if s.done {
 		s.rto.Cancel()
 		return
@@ -249,40 +202,32 @@ func (s *Sender) onTimeout() {
 	if s.done {
 		return
 	}
-	if s.cumAck >= s.maxSent {
+	if s.sb.Cum() >= s.maxSent {
 		// Nothing outstanding; nothing to recover. Do not re-arm — the
 		// next transmission re-arms the timer.
 		return
 	}
 	s.Stats.Timeouts++
 	s.enterRecovery()
-	s.retxNext = s.cumAck // rescan from the start on timeout
-	if s.p.Recovery == RecoveryGoBackN {
-		s.goBackTo(s.cumAck)
+	s.sb.Rescan()
+	if !s.selective() {
+		s.goBackTo(s.sb.Cum())
 	}
 	if s.p.BackoffOnLoss {
 		s.cc.OnLoss(s.ep.Now())
 	}
-	s.armRTO(s.ep.Now())
+	s.armRTO()
 	s.ep.Wake()
 }
 
-// enterRecovery transitions into loss recovery if not already there.
+// enterRecovery starts a recovery episode if none is running. The
+// recovery sequence is the highest PSN ever transmitted, which survives
+// go-back-N rewinds of nextNew.
 func (s *Sender) enterRecovery() {
-	if s.inRecovery {
-		return
+	if s.sb.Enter(s.maxSent) {
+		s.Stats.Recoveries++
+		s.nackCount = 0
 	}
-	s.inRecovery = true
-	s.Stats.Recoveries++
-	// "The recovery sequence corresponds to the last regular packet that
-	// was sent before the retransmission of a lost packet" — the highest
-	// PSN ever transmitted, which survives go-back-N rewinds.
-	if s.maxSent > 0 {
-		s.recoverySeq = s.maxSent - 1
-	} else {
-		s.recoverySeq = 0
-	}
-	s.nackCount = 0
 }
 
 // goBackTo rewinds the transmission point for go-back-N recovery.
@@ -310,54 +255,36 @@ func (s *Sender) handleAck(pkt *packet.Packet, now sim.Time, nack bool) {
 	if s.done {
 		return
 	}
+	newly, _ := s.sb.Ack(pkt.CumAck)
 	// RTT sample from the echoed transmit timestamp.
 	if pkt.AckedSentAt > 0 {
 		rtt := now.Sub(pkt.AckedSentAt)
-		s.updateRTT(rtt)
-		newly := 0
-		if pkt.CumAck > s.cumAck {
-			newly = int(pkt.CumAck - s.cumAck)
-		}
+		s.rtt.Sample(rtt)
 		if newly > 0 || !nack {
 			s.cc.OnAck(now, rtt, newly, pkt.ECNEcho)
 		}
 	}
 
-	if pkt.CumAck > s.cumAck {
-		s.acked.AdvanceTo(pkt.CumAck)
-		s.cumAck = pkt.CumAck
-		if s.retxNext < s.cumAck {
-			s.retxNext = s.cumAck
-		}
-		if s.nextNew < s.cumAck {
+	if newly > 0 {
+		if s.nextNew < pkt.CumAck {
 			// A go-back-N rewind was overtaken by the cumulative ack
 			// (the receiver already had the rewound range buffered);
 			// never resend delivered packets.
-			s.nextNew = s.cumAck
+			s.nextNew = pkt.CumAck
 		}
 		s.nackCount = 0
-		if s.inRecovery && s.cumAck > s.recoverySeq {
-			s.inRecovery = false
-		}
-		s.armRTO(now)
+		s.armRTO()
 	}
 
 	if nack {
 		s.Stats.Nacks++
-		if s.p.Recovery == RecoverySACK && pkt.SackPSN >= s.cumAck {
-			if fresh, err := s.acked.Set(pkt.SackPSN); err == nil && fresh {
-				if pkt.SackPSN+1 > s.highSack {
-					s.highSack = pkt.SackPSN + 1
-				}
-			}
+		if s.p.Recovery == RecoverySACK {
+			s.sb.Sack(pkt.SackPSN)
 		}
-		entered := false
-		if !s.inRecovery {
+		if !s.sb.InRecovery() {
 			s.nackCount++
 			if s.nackCount >= s.p.NackThreshold {
 				s.enterRecovery()
-				entered = true
-				s.retxNext = s.cumAck
 				if s.p.RetxFetchDelay > 0 {
 					s.retxEligAt = now.Add(s.p.RetxFetchDelay)
 				}
@@ -369,50 +296,24 @@ func (s *Sender) handleAck(pkt *packet.Packet, now sim.Time, nack bool) {
 		// Go-back-N ablation (§4.3): the sender ignores the selective
 		// acknowledgement and rewinds to the cumulative ack on every
 		// NACK — the redundant-retransmission pathology of §4.2.3.
-		if s.p.Recovery == RecoveryGoBackN && (s.inRecovery || entered) {
-			s.goBackTo(s.cumAck)
+		if !s.selective() && s.sb.InRecovery() {
+			s.goBackTo(s.sb.Cum())
 		}
 	}
 
-	if s.cumAck >= packet.PSN(s.total) {
+	if s.sb.Cum() >= packet.PSN(s.total) {
 		s.finish()
 		return
 	}
 	s.ep.Wake()
 }
 
-// updateRTT feeds the dynamic RTO estimator (RFC 6298 shape).
-func (s *Sender) updateRTT(rtt sim.Duration) {
-	if rtt <= 0 {
-		return
-	}
-	if !s.haveRTT {
-		s.srtt = rtt
-		s.rttvar = rtt / 2
-		s.haveRTT = true
-		return
-	}
-	d := s.srtt - rtt
-	if d < 0 {
-		d = -d
-	}
-	s.rttvar = (3*s.rttvar + d) / 4
-	s.srtt = (7*s.srtt + rtt) / 8
-}
-
 // finish marks the flow fully acknowledged and releases resources.
 func (s *Sender) finish() {
 	s.done = true
 	s.rto.Cancel()
-	if st, ok := s.cc.(stopper); ok {
+	if st, ok := s.cc.(transport.Stopper); ok {
 		st.Stop()
 	}
 	s.ep.Wake() // let the NIC reap this source
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -147,7 +147,7 @@ func TestSenderSelectiveRetransmitOrder(t *testing.T) {
 		s.HandleControl(n, at)
 	}
 	nack(2, 3, 100)
-	if !s.inRecovery {
+	if !s.sb.InRecovery() {
 		t.Fatal("NACK must enter recovery")
 	}
 	nack(2, 4, 200)
@@ -186,21 +186,21 @@ func TestSenderExitsRecoveryPastRecoverySeq(t *testing.T) {
 	nack := packet.NewNack(1, 1, 0, 3, 5)
 	nack.AckedSentAt = 1
 	s.HandleControl(nack, 100)
-	if !s.inRecovery || s.recoverySeq != 9 {
-		t.Fatalf("recovery state: in=%v seq=%d", s.inRecovery, s.recoverySeq)
+	if !s.sb.InRecovery() || s.sb.RecoverySeq() != 9 {
+		t.Fatalf("recovery state: in=%v seq=%d", s.sb.InRecovery(), s.sb.RecoverySeq())
 	}
 	// Cumulative ack up to 9 (== recoverySeq) keeps recovery; must
 	// exceed it.
 	ack := packet.NewAck(1, 1, 0, 9)
 	ack.AckedSentAt = 1
 	s.HandleControl(ack, 200)
-	if !s.inRecovery {
+	if !s.sb.InRecovery() {
 		t.Fatal("cum == recoverySeq must not exit recovery")
 	}
 	ack2 := packet.NewAck(1, 1, 0, 10)
 	ack2.AckedSentAt = 1
 	s.HandleControl(ack2, 300)
-	if s.inRecovery {
+	if s.sb.InRecovery() {
 		t.Fatal("cum > recoverySeq must exit recovery")
 	}
 }
@@ -283,11 +283,11 @@ func TestSenderNackThreshold(t *testing.T) {
 	}
 	nack(100, 3)
 	nack(200, 4)
-	if s.inRecovery {
+	if s.sb.InRecovery() {
 		t.Fatal("recovery before threshold")
 	}
 	nack(300, 5)
-	if !s.inRecovery {
+	if !s.sb.InRecovery() {
 		t.Fatal("recovery must engage at the third NACK")
 	}
 }
@@ -302,7 +302,7 @@ func TestSenderTimeoutEntersRecovery(t *testing.T) {
 	if s.Stats.Timeouts == 0 {
 		t.Fatal("timeout did not fire")
 	}
-	if !s.inRecovery {
+	if !s.sb.InRecovery() {
 		t.Fatal("timeout must enter recovery")
 	}
 	pkts := drain(s, ep.eng.Now())
@@ -348,7 +348,7 @@ func TestSenderDynamicRTO(t *testing.T) {
 	}
 	// Feed a stable 50 µs RTT.
 	for i := 0; i < 20; i++ {
-		s.updateRTT(50 * sim.Microsecond)
+		s.rtt.Sample(50 * sim.Microsecond)
 	}
 	rto := s.rtoDuration()
 	if rto < 50*sim.Microsecond || rto > 200*sim.Microsecond {
@@ -389,8 +389,8 @@ func TestSenderStaleAckIgnored(t *testing.T) {
 	a2 := packet.NewAck(1, 1, 0, 4)
 	a2.AckedSentAt = 1
 	s.HandleControl(a2, 200)
-	if s.cumAck != 10 {
-		t.Errorf("cumAck = %d, want 10", s.cumAck)
+	if s.sb.Cum() != 10 {
+		t.Errorf("cumAck = %d, want 10", s.sb.Cum())
 	}
 }
 

@@ -37,13 +37,12 @@ func TestSketchMatchesExact(t *testing.T) {
 		}
 		for _, s := range e.Scenarios {
 			s := s
-			s.ExactMetrics = true
 			t.Run(e.ID+"/"+s.Name, func(t *testing.T) {
 				ran++
-				res := Run(s)
+				res := NewWorker().run(s, runOpts{exact: true})
 				ex := res.ExactCollector
 				if ex == nil || !ex.Exact() {
-					t.Fatal("ExactMetrics run must carry the exact collector")
+					t.Fatal("exact run must carry the exact collector")
 				}
 				if ex.Count() != res.Summary.Flows {
 					t.Fatalf("collector count %d != summary flows %d", ex.Count(), res.Summary.Flows)
@@ -155,9 +154,7 @@ func TestFigDCCollectorMemoryBounded(t *testing.T) {
 	}
 	// Exact mode is the deliberate exception: it retains records.
 	e, _ := ByID("figdc", Scale{Flows: 200, IncastBytes: 1, IncastReps: 1})
-	s := e.Scenarios[1]
-	s.ExactMetrics = true
-	if ex := Run(s); ex.MetricsBytes <= b.MetricsBytes {
+	if ex := NewWorker().run(e.Scenarios[1], runOpts{exact: true}); ex.MetricsBytes <= b.MetricsBytes {
 		t.Errorf("exact mode footprint %d should exceed streaming %d", ex.MetricsBytes, b.MetricsBytes)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"github.com/irnsim/irn/internal/fabric"
 	"github.com/irnsim/irn/internal/fault"
 	"github.com/irnsim/irn/internal/kv"
-	"github.com/irnsim/irn/internal/metrics"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/topo"
@@ -25,8 +24,8 @@ import (
 )
 
 // runKV executes the replicated-KV workload on an already-built fabric.
-// Called from Worker.Run once the net/engines/faults are in place.
-func (w *Worker) runKV(s Scenario, net *fabric.Network, engines []*sim.Engine, top topo.Topology, bdpCap int) Result {
+// Called from Worker.run once the net/engines/faults are in place.
+func (w *Worker) runKV(s Scenario, opts runOpts, net *fabric.Network, engines []*sim.Engine, top topo.Topology, bdpCap int) Result {
 	o := s.KV // normalized by Scenario.normalize
 	hosts := make([]packet.NodeID, top.Hosts())
 	for i := range hosts {
@@ -53,10 +52,7 @@ func (w *Worker) runKV(s Scenario, net *fabric.Network, engines []*sim.Engine, t
 	svc := kv.New(net, pl, qcfg, o, s.Seed)
 	lastIssue := svc.Start()
 
-	lookahead := net.Lookahead()
-	if s.BareLookahead {
-		lookahead = s.Prop
-	}
+	lookahead := opts.lookahead(net)
 	var wstats sim.WindowStats
 	sim.RunWindows(sim.WindowConfig{
 		Engines:   engines,
@@ -68,7 +64,7 @@ func (w *Worker) runKV(s Scenario, net *fabric.Network, engines []*sim.Engine, t
 			return svc.LastResolve().Add(net.WindowSlack())
 		},
 		Widen:        svc.Widen,
-		FixedWindows: s.FixedWindows,
+		FixedWindows: opts.fixedWindows,
 		Stats:        &wstats,
 	})
 
@@ -91,15 +87,12 @@ func (w *Worker) runKV(s Scenario, net *fabric.Network, engines []*sim.Engine, t
 	res.ShardStats = buildShardStats(net, lookahead, &wstats)
 	// The FCT collector surface stays wired (empty — no flows ran) so the
 	// differential and store paths treat kv results uniformly.
-	agg := &metrics.Collector{}
-	if s.ExactMetrics {
-		agg = metrics.NewExact()
-	}
+	agg := opts.collector()
 	res.MetricsBytes = agg.MemFootprint()
 	res.Summary = agg.Summarize()
 	res.SinglePktCDF = agg.SinglePacketTail([]float64{90, 95, 99, 99.9})
 	res.FCTSketch = agg.FCTHistogram()
-	if s.ExactMetrics {
+	if opts.exact {
 		res.ExactCollector = agg
 	}
 	retx, tos, _, _ := svc.TransportStats()

@@ -6,17 +6,10 @@ import (
 	"testing"
 )
 
-// stripLookahead erases the one field allowed to differ between a
-// bare-lookahead and a widened-lookahead Result: the knob itself.
-func stripLookahead(r Result) Result {
-	r.Scenario.BareLookahead = false
-	return stripShards(r)
-}
-
 // TestLookaheadDifferentialAcrossPresets pins the widened-lookahead
 // safety argument end to end: for every fig* preset and every shard
 // count, forcing the windows back to the bare link-propagation width
-// (BareLookahead) produces Results bit-identical to the widened runs —
+// (runOpts.bareLookahead) produces Results bit-identical to the widened runs —
 // metrics, event counts, census, pool accounting, everything. Wider
 // windows may only change how the executed events are grouped into
 // barriers, never which events execute or in what canonical order.
@@ -33,10 +26,8 @@ func TestLookaheadDifferentialAcrossPresets(t *testing.T) {
 				for _, shards := range []int{1, 2, 4} {
 					wide := s
 					wide.Shards = shards
-					ref := stripLookahead(Run(wide))
-					bare := wide
-					bare.BareLookahead = true
-					got := stripLookahead(Run(bare))
+					ref := stripShards(Run(wide))
+					got := stripShards(NewWorker().run(wide, runOpts{bareLookahead: true}))
 					if !reflect.DeepEqual(got, ref) {
 						t.Fatalf("%s at %d shards: bare lookahead diverged from widened:\nwidened: %+v\nbare:    %+v",
 							s.Name, shards, ref, got)

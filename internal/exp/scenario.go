@@ -171,33 +171,42 @@ type Scenario struct {
 	// Grace is how long past the last flow arrival the simulation may
 	// run before unfinished flows are declared incomplete.
 	Grace sim.Duration
+}
 
-	// ExactMetrics switches the run's collectors into exact mode: every
-	// flow record is retained (O(flows) memory again) and the Result
-	// carries the merged collector so the sort-based reference statistics
-	// are available next to the streaming ones. Only the differential
-	// test harness sets this; it is excluded from the store fingerprint
-	// like Shards, since it cannot change any streaming aggregate.
-	ExactMetrics bool
-
-	// BareLookahead forces the conservative windows back to the bare
+// runOpts are the test-harness switches of a run. None of them can change
+// a streaming aggregate or the executed-event set — the differential,
+// lookahead and barrier-count tests pin exactly that — so they are not
+// part of a Scenario, its store fingerprint, or any public surface;
+// Worker.Run always passes the zero value.
+type runOpts struct {
+	// exact keeps every flow record (O(flows) memory) and returns the
+	// merged record-retaining collector as Result.ExactCollector, so the
+	// sort-based reference statistics sit next to the streaming ones.
+	exact bool
+	// bareLookahead narrows the conservative windows to the bare
 	// link-propagation lookahead instead of the widened propagation +
-	// minimum-frame-serialization bound the fabric computes. Results are
-	// bit-identical either way — the Done horizon pins the executed-event
-	// set independently of the window width — which the lookahead
-	// differential test asserts; like Shards and ExactMetrics it is
-	// excluded from the store fingerprint.
-	BareLookahead bool
-
-	// FixedWindows disables the adaptive safe-window extension (see
+	// minimum-frame-serialization bound the fabric computes.
+	bareLookahead bool
+	// fixedWindows disables the adaptive safe-window extension (see
 	// sim.RunWindows): every window spans exactly one lookahead past the
-	// global minimum, paying a barrier per window even through sparse
-	// phases. Results are bit-identical either way — the Done horizon
-	// pins the executed-event set independently of window boundaries —
-	// so, like Shards and BareLookahead, it is excluded from the store
-	// fingerprint. The barrier-count regression tests set it to measure
-	// the collapse the adaptive extension buys.
-	FixedWindows bool
+	// global minimum, paying a barrier per window through sparse phases.
+	fixedWindows bool
+}
+
+// collector returns a fresh collector in the run's mode.
+func (o runOpts) collector() *metrics.Collector {
+	if o.exact {
+		return metrics.NewExact()
+	}
+	return &metrics.Collector{}
+}
+
+// lookahead returns the safe-window width for a run on net.
+func (o runOpts) lookahead(net *fabric.Network) sim.Duration {
+	if o.bareLookahead {
+		return net.Cfg.Prop
+	}
+	return net.Lookahead()
 }
 
 // normalize fills defaults.
@@ -297,9 +306,8 @@ type Result struct {
 	// the shard-determinism tests zero it alongside Scenario.Shards.
 	MetricsBytes int
 	// ExactCollector is the merged exact-mode collector (records
-	// retained), set only when Scenario.ExactMetrics is on; nil
-	// otherwise. The differential harness reads its Exact* reference
-	// statistics.
+	// retained), set only by the in-package differential harness, which
+	// reads its Exact* reference statistics; nil otherwise.
 	ExactCollector *metrics.Collector
 	// KV is the replicated key-value service report, set only when the
 	// scenario ran the kv workload (Scenario.KV.Requests > 0).
@@ -319,7 +327,7 @@ type Result struct {
 // suite's ReportMetric columns.
 type ShardStats struct {
 	// Lookahead is the safe-window width in force (the fabric's proven
-	// bound, or bare Prop under Scenario.BareLookahead).
+	// bound; bare Prop only in the lookahead differential test).
 	Lookahead sim.Duration
 	// Barriers is the number of window barriers the run paid and
 	// WideWindows how many of those adaptively extended a shard's window
@@ -365,31 +373,6 @@ type ShardStat struct {
 	// frames) drained into this shard at barriers.
 	Drained uint64
 }
-
-// senderStats abstracts per-transport counters.
-type senderStats interface {
-	retransmits() uint64
-	timeouts() uint64
-}
-
-type irnStats struct{ s *core.Sender }
-
-func (w irnStats) retransmits() uint64 { return w.s.Stats.Retransmits }
-func (w irnStats) timeouts() uint64    { return w.s.Stats.Timeouts }
-
-// roceStats wraps only the sender half: RoCE's timeout count lives on
-// the receiver, which may be attached by a different shard — the
-// launcher tracks receivers in a slice of their own (rcvs) so each slot
-// has exactly one writing shard.
-type roceStats struct{ s *rocev2.Sender }
-
-func (w roceStats) retransmits() uint64 { return w.s.Stats.Retransmits }
-func (w roceStats) timeouts() uint64    { return 0 }
-
-type tcpStats struct{ s *tcpstack.Sender }
-
-func (w tcpStats) retransmits() uint64 { return w.s.Stats.Retransmits }
-func (w tcpStats) timeouts() uint64    { return w.s.Stats.Timeouts }
 
 // Worker runs scenarios on one long-lived engine, reusing simulation
 // infrastructure across runs. The engine (and its timing-wheel bucket
@@ -479,7 +462,10 @@ func Run(s Scenario) Result { return NewWorker().Run(s) }
 // Run executes a scenario on this worker, reusing the engine always and
 // the fabric when the scenario is structurally identical to the previous
 // run's.
-func (w *Worker) Run(s Scenario) Result {
+func (w *Worker) Run(s Scenario) Result { return w.run(s, runOpts{}) }
+
+// run is Run under the given test-harness switches.
+func (w *Worker) run(s Scenario, o runOpts) Result {
 	s = s.normalize()
 
 	rate := fabric.Gbps(s.Gbps)
@@ -568,7 +554,7 @@ func (w *Worker) Run(s Scenario) Result {
 	}
 
 	if s.KV.Requests > 0 {
-		return w.runKV(s, net, engines, top, bdpCap)
+		return w.runKV(s, o, net, engines, top, bdpCap)
 	}
 
 	// Build the flow list.
@@ -608,18 +594,14 @@ func (w *Worker) Run(s Scenario) Result {
 		minRTT:      sim.Duration(2*top.LongestPathHops()) * (s.Prop + rate.Serialize(s.MTU+packet.DataHeader)),
 		specs:       specs,
 		flows:       make([]*transport.Flow, len(specs)),
-		stats:       make([]senderStats, len(specs)),
+		stats:       make([]*transport.SenderStats, len(specs)),
 		rcvs:        make([]*rocev2.Receiver, len(specs)),
 		cols:        make([]*metrics.Collector, net.Shards()),
 		shard:       make([]launcherShard, net.Shards()),
 		incastFlows: incastFlows,
 	}
 	for i := range l.cols {
-		if s.ExactMetrics {
-			l.cols[i] = metrics.NewExact()
-		} else {
-			l.cols[i] = &metrics.Collector{}
-		}
+		l.cols[i] = o.collector()
 	}
 
 	// Each flow arrives as two typed events: the sender attaches on the
@@ -652,10 +634,7 @@ func (w *Worker) Run(s Scenario) Result {
 	// completion plus the canonical window slack", so the set of executed
 	// events — and with it every counter below — is identical for every
 	// shard count AND every lookahead width up to the slack.
-	lookahead := net.Lookahead()
-	if s.BareLookahead {
-		lookahead = s.Prop
-	}
+	lookahead := o.lookahead(net)
 	deadline := lastArrival.Add(s.Grace)
 	var wstats sim.WindowStats
 	sim.RunWindows(sim.WindowConfig{
@@ -666,7 +645,7 @@ func (w *Worker) Run(s Scenario) Result {
 		Done:         l.allDone,
 		Horizon:      l.horizon,
 		Widen:        l.widen,
-		FixedWindows: s.FixedWindows,
+		FixedWindows: o.fixedWindows,
 		Stats:        &wstats,
 	})
 
@@ -698,10 +677,7 @@ func (w *Worker) Run(s Scenario) Result {
 	// (each written only by the shard owning the flow's destination);
 	// merge them in shard order. Every merged aggregate is exact-integer
 	// state, so the fold reproduces the serial run bit for bit.
-	agg := &metrics.Collector{}
-	if s.ExactMetrics {
-		agg = metrics.NewExact()
-	}
+	agg := o.collector()
 	for _, c := range l.cols {
 		res.MetricsBytes += c.MemFootprint()
 		agg.Merge(c)
@@ -711,8 +687,8 @@ func (w *Worker) Run(s Scenario) Result {
 			agg.AddIncomplete()
 		}
 		if st := l.stats[i]; st != nil {
-			res.Retransmits += st.retransmits()
-			res.Timeouts += st.timeouts()
+			res.Retransmits += st.Retransmits
+			res.Timeouts += st.Timeouts
 		}
 		if rcv := l.rcvs[i]; rcv != nil {
 			res.Timeouts += rcv.TimeoutNacks
@@ -722,7 +698,7 @@ func (w *Worker) Run(s Scenario) Result {
 	res.Summary = agg.Summarize()
 	res.SinglePktCDF = agg.SinglePacketTail([]float64{90, 95, 99, 99.9})
 	res.FCTSketch = agg.FCTHistogram()
-	if s.ExactMetrics {
+	if o.exact {
 		res.ExactCollector = agg
 	}
 	return res
@@ -764,8 +740,11 @@ type launcher struct {
 
 	specs []workload.Spec
 	flows []*transport.Flow
-	stats []senderStats      // [i] written by the shard of flow i's source
-	rcvs  []*rocev2.Receiver // [i] written by the shard of flow i's destination
+	stats []*transport.SenderStats // [i] written by the shard of flow i's source
+	// rcvs[i] is written by the shard of flow i's destination: RoCE's
+	// timeout count lives on the receiver, which a different shard than
+	// the sender's may own, so each slice has one writing shard per slot.
+	rcvs []*rocev2.Receiver
 	// cols[k] is shard k's streaming collector: each completion folds
 	// into the collector of the shard owning the flow's destination as it
 	// happens, so a run holds O(shards) metric state instead of a
@@ -880,15 +859,15 @@ func (l *launcher) startSender(i int) {
 	case TransportIRN:
 		snd := core.NewSender(src, fl, l.irnParams(), ctrl)
 		src.AttachSource(snd)
-		l.stats[i] = irnStats{snd}
+		l.stats[i] = &snd.Stats
 	case TransportRoCE:
 		snd := rocev2.NewSender(src, fl, l.roceParams(), ctrl)
 		src.AttachSource(snd)
-		l.stats[i] = roceStats{s: snd}
+		l.stats[i] = &snd.Stats
 	case TransportTCP:
 		snd := tcpstack.NewSender(src, fl, tcpstack.DefaultParams(s.MTU))
 		src.AttachSource(snd)
-		l.stats[i] = tcpStats{snd}
+		l.stats[i] = &snd.Stats
 	}
 }
 

@@ -157,13 +157,10 @@ func TestAdaptiveWindowsCollapseBarriers(t *testing.T) {
 	compare := func(t *testing.T, s Scenario) (bf, ba uint64) {
 		t.Helper()
 		s.Shards = 4
-		fixed := s
-		fixed.FixedWindows = true
-		rf := Run(fixed)
+		rf := NewWorker().run(s, runOpts{fixedWindows: true})
 		ra := Run(s)
 
 		af, aa := stripShards(rf), stripShards(ra)
-		af.Scenario.FixedWindows = false
 		if !reflect.DeepEqual(af, aa) {
 			t.Fatalf("%s: adaptive windows changed the Result", s.Name)
 		}

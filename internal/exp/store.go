@@ -72,18 +72,8 @@ func Fingerprint(s Scenario) string {
 	// Intra-run sharding is a wall-clock knob with bit-identical results
 	// (the determinism tests pin it), so it is not part of a result's
 	// configuration identity: a sharded rerun must land on — and compare
-	// against — the serial run's row. ExactMetrics likewise: it only adds
-	// reference state on the side, never changes a streaming aggregate.
+	// against — the serial run's row.
 	n.Shards = 0
-	n.ExactMetrics = false
-	// BareLookahead narrows the safe windows without changing the
-	// executed-event set (the lookahead differential test pins it).
-	n.BareLookahead = false
-	// FixedWindows disables the adaptive window extension — barrier
-	// cadence only, never the executed-event set (the barrier-count
-	// regression test pins the former, the determinism suites the
-	// latter).
-	n.FixedWindows = false
 	data, err := json.Marshal(n)
 	if err != nil {
 		// Scenario is a plain struct; Marshal cannot fail on it.

@@ -49,13 +49,6 @@ func DefaultParams(mtu int) Params {
 	return Params{MTU: mtu, RTOHigh: 320 * sim.Microsecond}
 }
 
-// SenderStats counts sender events.
-type SenderStats struct {
-	Sent        uint64
-	Retransmits uint64
-	Nacks       uint64
-}
-
 // Sender is the RoCE go-back-N sender. It implements transport.Source.
 type Sender struct {
 	ep   transport.Endpoint
@@ -75,10 +68,8 @@ type Sender struct {
 	// arrives (it can only be lost when PFC is off).
 	probe *sim.Timer
 
-	Stats SenderStats
+	Stats transport.SenderStats
 }
-
-type stopper interface{ Stop() }
 
 // NewSender builds a RoCE sender; ctrl may be nil.
 func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl transport.Controller) *Sender {
@@ -206,7 +197,7 @@ func (s *Sender) finish() {
 	}
 	s.done = true
 	s.probe.Cancel()
-	if st, ok := s.cc.(stopper); ok {
+	if st, ok := s.cc.(transport.Stopper); ok {
 		st.Stop()
 	}
 	s.ep.Wake()

@@ -3,8 +3,9 @@
 // Where IRN strips TCP down to SACK recovery + a static BDP window, this
 // stack keeps the parts IRN deliberately dropped: slow start, ssthresh,
 // AIMD congestion avoidance, duplicate-ACK fast retransmit, NewReno-style
-// fast recovery with a SACK scoreboard, and a dynamically computed RTO
-// with exponential backoff (RFC 6298).
+// fast recovery, and a dynamically computed RTO with exponential backoff
+// (RFC 6298). The SACK scoreboard, the RTT estimator and the receiver's
+// reassembly window are the ones IRN kept: internal/recovery.
 //
 // Segments are modelled at MTU granularity (one PSN = one segment). The
 // byte-stream reassembly and the RDMA-message translation layers that make
@@ -15,8 +16,8 @@
 package tcpstack
 
 import (
-	"github.com/irnsim/irn/internal/bitmap"
 	"github.com/irnsim/irn/internal/packet"
+	"github.com/irnsim/irn/internal/recovery"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/transport"
 )
@@ -56,14 +57,6 @@ func DefaultParams(mtu int) Params {
 	}
 }
 
-// SenderStats counts transport events.
-type SenderStats struct {
-	Sent            uint64
-	Retransmits     uint64
-	Timeouts        uint64
-	FastRetransmits uint64
-}
-
 // Sender is the TCP sender. It implements transport.Source.
 type Sender struct {
 	ep   transport.Endpoint
@@ -72,30 +65,23 @@ type Sender struct {
 	p    Params
 
 	total   int
-	cumAck  packet.PSN
 	nextNew packet.PSN
-	sacked  *bitmap.Bitmap
+	sb      recovery.Scoreboard // fast recovery
 
 	// Congestion control.
 	cwnd     float64
 	ssthresh float64
 
-	// Fast recovery.
-	dupAcks     int
-	inRecovery  bool
-	recoverySeq packet.PSN
-	retxNext    packet.PSN
-	highSack    packet.PSN
+	dupAcks int
 
 	// RTO (RFC 6298).
-	srtt, rttvar sim.Duration
-	haveRTT      bool
-	backoff      uint
-	rto          *sim.Timer
+	rtt     recovery.RTT
+	backoff uint
+	rto     *sim.Timer
 
 	done bool
 
-	Stats SenderStats
+	Stats transport.SenderStats
 }
 
 // NewSender builds a TCP sender for flow.
@@ -118,7 +104,7 @@ func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params) *Sender {
 		cwnd:     float64(p.InitialWindow),
 		ssthresh: 1 << 30, // slow start until the first loss
 	}
-	s.sacked = bitmap.New(minInt(s.total, 1<<16) + 1)
+	s.sb = recovery.NewScoreboard(bitmapWindow(s.total))
 	s.rto = sim.NewHandlerTimer(ep.Engine(), ep.Clock(), s, senderRTO)
 	return s
 }
@@ -129,12 +115,9 @@ const senderRTO uint8 = 0
 // HandleEvent implements sim.Handler (the retransmission timer).
 func (s *Sender) HandleEvent(uint8, uint64) { s.onTimeout() }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+// bitmapWindow sizes the SACK and reassembly bitmaps: the whole message,
+// up to a 64 Ki-segment socket buffer.
+func bitmapWindow(total int) int { return min(total, 1<<16) + 1 }
 
 // Flow implements transport.Source.
 func (s *Sender) Flow() *transport.Flow { return s.flow }
@@ -159,37 +142,14 @@ func (s *Sender) window() int {
 	return w
 }
 
-func (s *Sender) inflight() int { return int(s.nextNew - s.cumAck) }
-
-// peekRetx mirrors the SACK scoreboard logic: a segment is retransmitted
-// if a higher segment has been SACKed, starting with the cumulative ack.
-func (s *Sender) peekRetx() (packet.PSN, bool) {
-	if !s.inRecovery {
-		return 0, false
-	}
-	if s.retxNext <= s.cumAck {
-		if s.cumAck < packet.PSN(s.total) {
-			return s.cumAck, true
-		}
-		return 0, false
-	}
-	if s.highSack == 0 || s.retxNext >= s.highSack {
-		return 0, false
-	}
-	off := s.sacked.NextZero(int(s.retxNext - s.cumAck))
-	psn := s.cumAck + packet.PSN(off)
-	if psn < s.highSack && psn < packet.PSN(s.total) {
-		return psn, true
-	}
-	return 0, false
-}
+func (s *Sender) inflight() int { return int(s.nextNew - s.sb.Cum()) }
 
 // HasData implements transport.Source.
 func (s *Sender) HasData(sim.Time) (bool, sim.Time) {
 	if s.done {
 		return false, 0
 	}
-	if _, ok := s.peekRetx(); ok {
+	if _, lost := s.sb.Peek(packet.PSN(s.total)); lost {
 		return true, 0
 	}
 	if s.nextNew < packet.PSN(s.total) && s.inflight() < s.window() {
@@ -200,14 +160,8 @@ func (s *Sender) HasData(sim.Time) (bool, sim.Time) {
 
 // NextPacket implements transport.Source.
 func (s *Sender) NextPacket(now sim.Time) *packet.Packet {
-	var psn packet.PSN
-	if p, ok := s.peekRetx(); ok {
-		psn = p
-		if s.retxNext <= s.cumAck {
-			s.retxNext = s.cumAck + 1
-		} else {
-			s.retxNext = psn + 1
-		}
+	psn, lost := s.sb.Take(packet.PSN(s.total))
+	if lost {
 		s.Stats.Retransmits++
 	} else if s.nextNew < packet.PSN(s.total) && s.inflight() < s.window() {
 		psn = s.nextNew
@@ -226,11 +180,9 @@ func (s *Sender) NextPacket(now sim.Time) *packet.Packet {
 
 // rtoDuration computes SRTT + 4·RTTVAR with exponential backoff.
 func (s *Sender) rtoDuration() sim.Duration {
-	var base sim.Duration
-	if !s.haveRTT {
+	base, ok := s.rtt.RTO()
+	if !ok {
 		base = s.p.InitialRTO
-	} else {
-		base = s.srtt + 4*s.rttvar
 	}
 	if base < s.p.MinRTO {
 		base = s.p.MinRTO
@@ -256,29 +208,24 @@ func (s *Sender) onTimeout() {
 	if s.done {
 		return
 	}
-	if s.cumAck >= s.nextNew {
+	if s.sb.Cum() >= s.nextNew {
 		return
 	}
 	s.Stats.Timeouts++
-	s.ssthresh = maxF(float64(s.inflight())/2, 2)
+	s.ssthresh = max(float64(s.inflight())/2, 2)
 	s.cwnd = 1
 	s.backoff++
 	if s.backoff > 6 {
 		s.backoff = 6
 	}
-	s.inRecovery = true
-	s.recoverySeq = s.nextNew - 1
-	s.retxNext = s.cumAck
-	s.highSack = 0 // scoreboard unreliable after an RTO; rebuild from acks
+	// Unlike IRN's timeout this restamps a running episode, and it
+	// treats the scoreboard as unreliable after an RTO: holes count again
+	// only below selective acks not yet recorded.
+	s.sb.Restamp(s.nextNew)
+	s.sb.Rescan()
+	s.sb.DropHighSack()
 	s.armRTO()
 	s.ep.Wake()
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // HandleControl implements transport.Source: TCP ACK processing with
@@ -287,52 +234,39 @@ func (s *Sender) HandleControl(pkt *packet.Packet, now sim.Time) {
 	if s.done || pkt.Type != packet.TypeAck {
 		return
 	}
-	// SACK information rides along on duplicate ACKs.
-	if pkt.SackPSN > 0 && pkt.SackPSN >= s.cumAck {
-		if fresh, err := s.sacked.Set(pkt.SackPSN); err == nil && fresh {
-			if pkt.SackPSN+1 > s.highSack {
-				s.highSack = pkt.SackPSN + 1
-			}
-		}
+	// SACK information rides along on duplicate ACKs (zero = none).
+	if pkt.SackPSN > 0 {
+		s.sb.Sack(pkt.SackPSN)
 	}
 
 	switch {
-	case pkt.CumAck > s.cumAck:
-		newly := int(pkt.CumAck - s.cumAck)
-		s.sacked.AdvanceTo(pkt.CumAck)
-		s.cumAck = pkt.CumAck
-		if s.retxNext < s.cumAck {
-			s.retxNext = s.cumAck
-		}
+	case pkt.CumAck > s.sb.Cum():
+		recovering := s.sb.InRecovery()
+		newly, exited := s.sb.Ack(pkt.CumAck)
 		s.dupAcks = 0
 		s.backoff = 0
 		if pkt.AckedSentAt > 0 {
-			s.updateRTT(now.Sub(pkt.AckedSentAt))
+			s.rtt.Sample(now.Sub(pkt.AckedSentAt))
 		}
-		if s.inRecovery {
-			if s.cumAck > s.recoverySeq {
-				s.inRecovery = false
-				s.cwnd = s.ssthresh // deflate to ssthresh on exit
-			}
-		} else {
+		if exited {
+			s.cwnd = s.ssthresh // deflate to ssthresh on exit
+		} else if !recovering {
 			s.growWindow(newly)
 		}
 		s.armRTO()
 
-	case pkt.CumAck == s.cumAck && s.cumAck < packet.PSN(s.total):
+	case pkt.CumAck == s.sb.Cum() && pkt.CumAck < packet.PSN(s.total):
 		s.dupAcks++
-		if !s.inRecovery && s.dupAcks >= s.p.DupAckThreshold {
+		if !s.sb.InRecovery() && s.dupAcks >= s.p.DupAckThreshold {
 			// Fast retransmit + fast recovery.
 			s.Stats.FastRetransmits++
-			s.ssthresh = maxF(float64(s.inflight())/2, 2)
+			s.ssthresh = max(float64(s.inflight())/2, 2)
 			s.cwnd = s.ssthresh
-			s.inRecovery = true
-			s.recoverySeq = s.nextNew - 1
-			s.retxNext = s.cumAck
+			s.sb.Enter(s.nextNew)
 		}
 	}
 
-	if s.cumAck >= packet.PSN(s.total) {
+	if s.sb.Cum() >= packet.PSN(s.total) {
 		s.done = true
 		s.rto.Cancel()
 	}
@@ -353,25 +287,6 @@ func (s *Sender) growWindow(newly int) {
 	}
 }
 
-// updateRTT is the RFC 6298 estimator.
-func (s *Sender) updateRTT(rtt sim.Duration) {
-	if rtt <= 0 {
-		return
-	}
-	if !s.haveRTT {
-		s.srtt = rtt
-		s.rttvar = rtt / 2
-		s.haveRTT = true
-		return
-	}
-	d := s.srtt - rtt
-	if d < 0 {
-		d = -d
-	}
-	s.rttvar = (3*s.rttvar + d) / 4
-	s.srtt = (7*s.srtt + rtt) / 8
-}
-
 // Receiver is the TCP receiver: it buffers out-of-order segments and acks
 // every arrival — cumulative ACKs for in-order data, duplicate ACKs
 // carrying SACK information for gaps. It implements transport.Sink.
@@ -381,10 +296,8 @@ type Receiver struct {
 	flow *transport.Flow
 	p    Params
 
-	expected packet.PSN
-	rcv      *bitmap.Bitmap
-	received int
-	total    int
+	win   recovery.Reorder
+	total int
 
 	done transport.Completer
 
@@ -405,51 +318,38 @@ func NewReceiver(ep transport.Endpoint, flow *transport.Flow, p Params, done tra
 		total: flow.Pkts,
 		done:  done,
 	}
-	r.rcv = bitmap.New(minInt(r.total, 1<<16) + 1)
+	r.win = recovery.NewReorder(bitmapWindow(r.total))
 	return r
 }
 
 // Received reports distinct segments received.
-func (r *Receiver) Received() int { return r.received }
+func (r *Receiver) Received() int { return r.win.Received() }
 
 // HandleData implements transport.Sink.
 func (r *Receiver) HandleData(pkt *packet.Packet, now sim.Time) {
-	switch {
-	case pkt.PSN < r.expected:
+	switch kind, _ := r.win.Arrive(pkt.PSN); kind {
+	case recovery.Duplicate:
 		r.ack(pkt, 0) // duplicate data: re-ack current position
 
-	case pkt.PSN == r.expected:
-		if _, err := r.rcv.Set(pkt.PSN); err != nil {
-			r.rcv.Reset(pkt.PSN)
-			r.rcv.Set(pkt.PSN)
-		}
-		n := r.rcv.LeadingOnes()
-		r.rcv.Advance(n)
-		r.expected += packet.PSN(n)
-		r.received++
+	case recovery.InOrder:
 		r.ack(pkt, 0)
 		r.maybeComplete(now)
 
-	default:
-		fresh, err := r.rcv.Set(pkt.PSN)
-		if err != nil {
-			// Outside the reassembly window: drop; the sender will
-			// retransmit once the window drains.
-			return
-		}
-		if fresh {
-			r.received++
-		}
+	case recovery.OutOfOrder:
 		r.DupAcks++
 		r.ack(pkt, pkt.PSN) // duplicate ACK with SACK info
 		r.maybeComplete(now)
+
+	case recovery.Outside:
+		// Outside the reassembly window: drop; the sender will
+		// retransmit once the window drains.
 	}
 }
 
 // ack emits a cumulative ACK; sack != 0 marks it as a duplicate ACK
 // carrying selective-acknowledgement information.
 func (r *Receiver) ack(trigger *packet.Packet, sack packet.PSN) {
-	a := r.pool.NewAck(r.flow.ID, r.flow.Dst, r.flow.Src, r.expected)
+	a := r.pool.NewAck(r.flow.ID, r.flow.Dst, r.flow.Src, r.win.Expected())
 	a.SackPSN = sack
 	a.AckedSentAt = trigger.SentAt
 	a.ECNEcho = trigger.CE
@@ -458,7 +358,7 @@ func (r *Receiver) ack(trigger *packet.Packet, sack packet.PSN) {
 }
 
 func (r *Receiver) maybeComplete(now sim.Time) {
-	if r.flow.Finished || r.received < r.total {
+	if r.flow.Finished || r.win.Received() < r.total {
 		return
 	}
 	r.flow.Finished = true

@@ -105,6 +105,18 @@ type Source interface {
 	Done() bool
 }
 
+// SenderStats counts sender-side events. Every transport's Sender exports
+// one as its Stats field; a transport leaves the counters it has no event
+// for at zero.
+type SenderStats struct {
+	Sent            uint64 // data packets transmitted (including retransmits)
+	Retransmits     uint64
+	Timeouts        uint64
+	Nacks           uint64 // NACKs received
+	Recoveries      uint64 // times loss recovery was entered
+	FastRetransmits uint64 // duplicate-ACK recoveries (tcpstack)
+}
+
 // Completer receives flow-completion notifications from receiving
 // transports. It replaces the old per-flow onComplete closure: the
 // experiment launcher registers one Completer for every flow, so starting
@@ -151,6 +163,10 @@ type Controller interface {
 	// WindowPackets returns the window limit in packets (zero = none).
 	WindowPackets() int
 }
+
+// Stopper is implemented by controllers with background timers (DCQCN);
+// a sender stops its controller when the flow completes.
+type Stopper interface{ Stop() }
 
 // None is the absence of explicit congestion control: line-rate sending,
 // no window. ("The flow starts at line-rate for all cases", §4.1.)

@@ -130,27 +130,22 @@ type QP struct {
 
 	// ---- Requester: request transmission (sPSN space, §5.4) ----
 	reqWQEs  []*reqWQE
-	posted   uint32 // messages posted
-	expired  uint32 // messages expired via MSN
-	sendQ    []*VPacket
+	posted   uint32     // messages posted
+	expired  uint32     // messages expired via MSN
+	sendQ    []*VPacket // packetized, not yet transmitted: PSNs [tx.next-len, tx.next)
 	fenceQ   []*Request // requests held behind a fence
-	pend     map[uint32]*VPacket
-	txNext   uint32
-	txCum    uint32
-	txSack   *bitmap.Bitmap
-	inRecov  bool
-	recSeq   uint32
-	retxNext uint32
-	highSack uint32
+	tx       sendHalf
+	rewind   uint32 // go-back-N only: next retained packet to resend
 	rnrUntil sim.Time
-	timer    *sim.Timer
 	sendSSN  uint32 // recv_WQE_SN allocator (Send*, WriteImm)
 	readSSN  uint32 // read_WQE_SN allocator
 
 	// ---- Requester: read/atomic responses (rPSN space) ----
-	readsOut map[uint32]*reqWQE // read_WQE_SN → WQE awaiting data
-	rrx      *bitmap.TwoBitmap
-	rrxExp   uint32
+	readsOut     map[uint32]*reqWQE // read_WQE_SN → WQE awaiting data
+	readsPending int                // reads/atomics whose data has not all arrived
+	readCQ       uint32             // next read_WQE_SN due a CQE (posted order)
+	rrx          *bitmap.TwoBitmap
+	rrxExp       uint32
 
 	// ---- Responder: request reception (sPSN space) ----
 	rx       *bitmap.TwoBitmap
@@ -162,15 +157,7 @@ type QP struct {
 	readSNAt map[uint32]uint32       // read_WQE_SN → sPSN (dedupe)
 
 	// ---- Responder: read/atomic response transmission (rPSN space) ----
-	rtxNext  uint32
-	rtxCum   uint32
-	rpend    map[uint32]*VPacket
-	rtxSack  *bitmap.Bitmap
-	rInRecov bool
-	rRecSeq  uint32
-	rRetxNx  uint32
-	rHigh    uint32
-	rTimer   *sim.Timer
+	rtx sendHalf
 
 	// Stats.
 	Retransmits, Timeouts, RNRNacks, Drops uint64
@@ -212,20 +199,18 @@ func NewQPOn(name string, eng *sim.Engine, clk *sim.Clock, cfg Config, wire Wire
 		wire:     wire,
 		mem:      mem,
 		cq:       cq,
-		pend:     make(map[uint32]*VPacket),
-		txSack:   bitmap.New(4096),
+		tx:       newSendHalf(),
 		readsOut: make(map[uint32]*reqWQE),
-		rrx:      bitmap.NewTwo(4096),
-		rx:       bitmap.NewTwo(4096),
+		rrx:      bitmap.NewTwo(psnWindow),
+		rx:       bitmap.NewTwo(psnWindow),
 		staged:   make(map[uint32]*stagedCQE),
 		readBuf:  make(map[uint32]*pendingRead),
 		readSNAt: make(map[uint32]uint32),
-		rpend:    make(map[uint32]*VPacket),
-		rtxSack:  bitmap.New(4096),
+		rtx:      newSendHalf(),
 	}
 	q.recvQ = newRecvQueue()
-	q.timer = sim.NewHandlerTimer(eng, clk, q, qpTimer)
-	q.rTimer = sim.NewHandlerTimer(eng, clk, q, qpReadTimer)
+	q.tx.timer = sim.NewHandlerTimer(eng, clk, q, qpTimer)
+	q.rtx.timer = sim.NewHandlerTimer(eng, clk, q, qpReadTimer)
 	return q
 }
 
@@ -269,56 +254,48 @@ func (q *QP) MSN() uint32 { return q.msn }
 // Expected exposes the responder's expected sPSN (tests).
 func (q *QP) Expected() uint32 { return q.rxExp }
 
-// PostSend posts a Request WQE and starts transmission.
+// PostSend posts a Request WQE and starts transmission. A malformed
+// request is rejected here, before it can be queued behind a fence.
 func (q *QP) PostSend(req Request) error {
 	if q.dead {
 		return fmt.Errorf("verbs: %s: qp dead (retry budget exhausted)", q.name)
 	}
-	if req.Op == OpSendInv {
+	switch req.Op {
+	case OpWrite, OpWriteImm, OpSend, OpFetchAdd, OpCmpSwap:
+	case OpSendInv:
 		req.Fence = true // Appendix B.5
+	case OpRead:
+		if len(req.Local) == 0 {
+			return fmt.Errorf("verbs: read needs a destination buffer")
+		}
+	default:
+		return fmt.Errorf("verbs: unknown op %v", req.Op)
 	}
 	if (req.Fence && len(q.reqWQEs) > 0) || len(q.fenceQ) > 0 {
 		q.fenceQ = append(q.fenceQ, &req)
 		return nil
 	}
-	return q.admit(req)
+	q.admit(req)
+	return nil
 }
 
-// admit packetizes a request into the send queue.
-func (q *QP) admit(req Request) error {
-	w := &reqWQE{req: req, msgIdx: q.posted}
+// admit packetizes a request PostSend has validated into the send queue.
+func (q *QP) admit(req Request) {
+	w := &reqWQE{req: req, msgIdx: q.posted, pkts: 1}
 	switch req.Op {
-	case OpWrite, OpWriteImm:
-		if !validLen(len(req.Data)) {
-			return fmt.Errorf("verbs: bad write length %d", len(req.Data))
-		}
-		w.pkts = pktsFor(len(req.Data), q.cfg.MTU)
-	case OpSend, OpSendInv:
-		if !validLen(len(req.Data)) {
-			return fmt.Errorf("verbs: bad send length %d", len(req.Data))
-		}
+	case OpWrite, OpWriteImm, OpSend, OpSendInv:
 		w.pkts = pktsFor(len(req.Data), q.cfg.MTU)
 	case OpRead:
-		if len(req.Local) == 0 {
-			return fmt.Errorf("verbs: read needs a destination buffer")
-		}
-		w.pkts = 1
 		w.dataRemaining = pktsFor(len(req.Local), q.cfg.MTU)
 	case OpFetchAdd, OpCmpSwap:
-		w.pkts = 1
 		w.dataRemaining = 1 // single response packet
-	default:
-		return fmt.Errorf("verbs: unknown op %v", req.Op)
 	}
-	w.firstPSN = q.txNext
+	w.firstPSN = q.tx.next
 	q.posted++
 	q.reqWQEs = append(q.reqWQEs, w)
 	q.buildPackets(w)
 	q.pump()
-	return nil
 }
-
-func validLen(n int) bool { return n >= 0 }
 
 func pktsFor(n, mtu int) int {
 	if n <= 0 {
@@ -339,8 +316,9 @@ func (q *QP) buildPackets(w *reqWQE) {
 		sn := q.readSSN
 		q.readSSN++
 		q.readsOut[sn] = w
+		q.readsPending++
 		p := &VPacket{
-			BTH:  packet.BTH{Opcode: packet.OpReadRequest, PSN: q.txNext},
+			BTH:  packet.BTH{Opcode: packet.OpReadRequest, PSN: q.tx.next},
 			RETH: packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: uint32(len(req.Local))},
 			Ext:  packet.IRNExt{WQESeq: sn},
 		}
@@ -349,12 +327,13 @@ func (q *QP) buildPackets(w *reqWQE) {
 		sn := q.readSSN
 		q.readSSN++
 		q.readsOut[sn] = w
+		q.readsPending++
 		op := packet.OpFetchAdd
 		if req.Op == OpCmpSwap {
 			op = packet.OpCompareSwap
 		}
 		p := &VPacket{
-			BTH:       packet.BTH{Opcode: op, PSN: q.txNext},
+			BTH:       packet.BTH{Opcode: op, PSN: q.tx.next},
 			RETH:      packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: 8},
 			Ext:       packet.IRNExt{WQESeq: sn},
 			AtomicCmp: req.Cmp, AtomicSwap: req.Swap,
@@ -389,7 +368,7 @@ func (q *QP) buildSegmented(w *reqWQE, data []byte, isWrite bool) {
 			payload = data[lo:hi]
 		}
 		p := &VPacket{
-			BTH:     packet.BTH{Opcode: segOpcode(req.Op, i, n), PSN: q.txNext},
+			BTH:     packet.BTH{Opcode: segOpcode(req.Op, i, n), PSN: q.tx.next},
 			Payload: payload,
 		}
 		if isWrite {
@@ -439,8 +418,8 @@ func segOpcode(op OpType, i, n int) packet.Opcode {
 
 // enqueue assigns the next sPSN and queues the packet for transmission.
 func (q *QP) enqueue(p *VPacket) {
-	p.BTH.PSN = q.txNext
-	q.txNext++
+	p.BTH.PSN = q.tx.next
+	q.tx.next++
 	q.sendQ = append(q.sendQ, p)
 }
 
@@ -456,91 +435,61 @@ func (q *QP) pump() {
 	}
 	if q.cfg.GoBackN {
 		// Go-back-N (baseline RoCE): rewind the whole window from the
-		// recovery point; every pending packet at and above it goes out
+		// recovery point; every retained packet at and above it goes out
 		// again in PSN order.
-		for q.inRecov && q.retxNext < q.txNext {
-			if p, ok := q.pend[q.retxNext]; ok {
+		for q.tx.sb.InRecovery() && q.rewind < q.tx.next {
+			if p, ok := q.tx.pend[q.rewind]; ok {
 				q.Retransmits++
 				q.wire.Send(p)
 			}
-			q.retxNext++
+			q.rewind++
 		}
-	}
-	// Retransmissions (selective, §3.1).
-	for !q.cfg.GoBackN && q.inRecov {
-		psn, ok := q.peekRetx()
-		if !ok {
-			break
-		}
-		if q.retxNext <= q.txCum {
-			q.retxNext = q.txCum + 1
-		} else {
-			q.retxNext = psn + 1
-		}
-		if p, ok := q.pend[psn]; ok {
-			q.Retransmits++
-			q.wire.Send(p)
-		}
+	} else {
+		// Selective retransmission (§3.1) of what has been transmitted.
+		q.resendLost(&q.tx, q.tx.next-uint32(len(q.sendQ)))
 	}
 	// New packets under BDP-FC.
-	for len(q.sendQ) > 0 && int(q.txNext-q.txCum) <= q.cfg.BDPCap+len(q.sendQ) {
+	for len(q.sendQ) > 0 {
 		p := q.sendQ[0]
-		if int(p.BTH.PSN-q.txCum) >= q.cfg.BDPCap {
+		if int(p.BTH.PSN-q.tx.sb.Cum()) >= q.cfg.BDPCap {
 			break
 		}
 		q.sendQ = q.sendQ[1:]
-		q.pend[p.BTH.PSN] = p
+		q.tx.pend[p.BTH.PSN] = p
 		q.wire.Send(p)
 	}
-	q.armTimer()
+	q.arm(&q.tx)
 }
 
-// peekRetx mirrors §3.1: first the cumulative ack, then holes below the
-// highest SACK.
-func (q *QP) peekRetx() (uint32, bool) {
-	if q.retxNext <= q.txCum {
-		if _, ok := q.pend[q.txCum]; ok {
-			return q.txCum, true
-		}
-		return 0, false
+// enterRecovery starts a recovery episode on the request stream if none
+// is running. The recovery sequence is the last PSN enqueued — which may
+// not have been transmitted yet — where IRN's sender uses the last one
+// transmitted.
+func (q *QP) enterRecovery() {
+	if q.tx.sb.Enter(q.tx.next) {
+		q.rewind = q.tx.sb.Cum()
 	}
-	if q.highSack == 0 || q.retxNext >= q.highSack {
-		return 0, false
-	}
-	off := q.txSack.NextZero(int(q.retxNext - q.txCum))
-	psn := q.txCum + uint32(off)
-	if psn < q.highSack {
-		if _, ok := q.pend[psn]; ok {
-			return psn, true
-		}
-	}
-	return 0, false
 }
 
-// armTimer arms the request retransmission timer (§3.1 dual timeouts).
-func (q *QP) armTimer() {
-	if q.txCum >= q.txNext {
-		q.timer.Cancel()
-		return
-	}
-	d := q.cfg.RTOHigh
-	if int(q.txNext-q.txCum) < q.cfg.RTOLowN {
-		d = q.cfg.RTOLow
-	}
-	q.timer.Arm(d)
+// restartRecovery is enterRecovery with the rescan (and rewind) from the
+// cumulative ack forced even when an episode is already running
+// (timeouts, RNR back-off).
+func (q *QP) restartRecovery() {
+	q.tx.sb.Enter(q.tx.next)
+	q.tx.sb.Rescan()
+	q.rewind = q.tx.sb.Cum()
 }
 
 // onTimeout restarts recovery from the cumulative ack.
 func (q *QP) onTimeout() {
-	if q.dead || q.txCum >= q.txNext {
+	if q.dead || q.tx.idle() {
 		return
 	}
 	q.Timeouts++
 	if q.bumpAttempts() {
 		return
 	}
-	q.enterRecovery()
-	q.retxNext = q.txCum
+	q.restartRecovery()
 	q.pump()
 }
 
@@ -565,8 +514,8 @@ func (q *QP) fail(now sim.Time) {
 		return
 	}
 	q.dead = true
-	q.timer.Cancel()
-	q.rTimer.Cancel()
+	q.tx.timer.Cancel()
+	q.rtx.timer.Cancel()
 	for _, w := range q.reqWQEs {
 		if !w.completed {
 			w.completed = true
@@ -587,16 +536,6 @@ func (q *QP) fail(now sim.Time) {
 	}
 	q.fenceQ = nil
 	q.sendQ = nil
-}
-
-func (q *QP) enterRecovery() {
-	if q.inRecov {
-		return
-	}
-	q.inRecov = true
-	if q.txNext > 0 {
-		q.recSeq = q.txNext - 1
-	}
 }
 
 // Receive processes a packet from the peer; the Wire calls this.

@@ -12,22 +12,11 @@ import (
 
 // onAck processes an ACK (nack=false) or NACK/RNR (nack=true).
 func (q *QP) onAck(p *VPacket, nack bool, now sim.Time) {
-	cum := p.BTH.PSN
-
-	if cum > q.txCum {
-		for psn := q.txCum; psn != cum; psn++ {
-			delete(q.pend, psn)
-		}
-		q.txSack.AdvanceTo(cum)
-		q.txCum = cum
+	if cum := p.BTH.PSN; q.ack(&q.tx, cum) {
 		q.attempts = 0 // cumulative progress refills the retry budget
-		if q.retxNext < cum {
-			q.retxNext = cum
+		if q.rewind < cum {
+			q.rewind = cum
 		}
-		if q.inRecov && cum > q.recSeq {
-			q.inRecov = false
-		}
-		q.armTimer()
 	}
 
 	// Expire Request WQEs the responder has completed (§5.3.3): the MSN
@@ -44,24 +33,16 @@ func (q *QP) onAck(p *VPacket, nack bool, now sim.Time) {
 				return
 			}
 			q.rnrUntil = now.Add(q.cfg.RNRDelay)
-			q.enterRecovery()
-			q.retxNext = q.txCum
+			q.restartRecovery()
 			q.eng.ScheduleEventFrom(q.clk, q.rnrUntil, q, qpRNRResume, uint64(q.rnrUntil))
 			return
 		default:
-			if !q.cfg.GoBackN && p.SackPSN >= q.txCum {
+			if !q.cfg.GoBackN {
 				// SACK bookkeeping feeds selective retransmission only;
 				// the go-back-N baseline ignores the hint and rewinds.
-				if fresh, err := q.txSack.Set(p.SackPSN); err == nil && fresh {
-					if p.SackPSN+1 > q.highSack {
-						q.highSack = p.SackPSN + 1
-					}
-				}
+				q.tx.sb.Sack(p.SackPSN)
 			}
-			if !q.inRecov {
-				q.enterRecovery()
-				q.retxNext = q.txCum
-			}
+			q.enterRecovery()
 		}
 	}
 	q.pump()
@@ -86,38 +67,20 @@ func (q *QP) expireRequests(msn uint32, now sim.Time) {
 			}
 		}
 	}
-	q.releaseFence(now)
+	q.releaseFence()
 }
 
 // releaseFence admits fenced requests once every prior WQE has expired
 // and completed (§5.3.4, Appendix B.5).
-func (q *QP) releaseFence(now sim.Time) {
+func (q *QP) releaseFence() {
 	for len(q.fenceQ) > 0 {
-		if len(q.reqWQEs) > 0 {
+		if len(q.reqWQEs) > 0 || q.readsPending > 0 {
 			return
-		}
-		for _, w := range q.readsOutstanding() {
-			if !w.completed {
-				return
-			}
 		}
 		next := q.fenceQ[0]
 		q.fenceQ = q.fenceQ[1:]
-		if err := q.admit(*next); err != nil {
-			q.cq.push(CQE{WQEID: next.ID, Op: next.Op, At: now})
-		}
+		q.admit(*next)
 	}
-}
-
-// readsOutstanding lists read/atomic WQEs still awaiting data.
-func (q *QP) readsOutstanding() []*reqWQE {
-	var out []*reqWQE
-	for _, w := range q.readsOut {
-		if w.dataRemaining > 0 {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // onReadResponse handles a read/atomic response packet on the rPSN space:
@@ -151,16 +114,9 @@ func (q *QP) onReadResponse(p *VPacket, now sim.Time) {
 				w.atomicResult(p.AtomicCmp)
 			}
 			w.dataRemaining--
-			if w.dataRemaining == 0 && !w.completed {
-				w.completed = true
-				q.cq.push(CQE{
-					WQEID:  w.req.ID,
-					Op:     w.req.Op,
-					Len:    len(w.req.Local),
-					Atomic: w.atomicVal,
-					At:     now,
-				})
-				q.releaseFence(now)
+			if w.dataRemaining == 0 {
+				q.readsPending--
+				q.completeReads(now)
 			}
 		}
 	}
@@ -171,6 +127,30 @@ func (q *QP) onReadResponse(p *VPacket, now sim.Time) {
 	} else {
 		q.sendReadAck(true, psn)
 	}
+}
+
+// completeReads delivers Read/Atomic CQEs in posted order: a read whose
+// data all landed while an earlier read still has a hole waits for it,
+// the requester-side twin of the responder's premature CQEs (§5.3.3).
+func (q *QP) completeReads(now sim.Time) {
+	for {
+		w, ok := q.readsOut[q.readCQ]
+		if !ok || w.dataRemaining > 0 {
+			break
+		}
+		q.readCQ++
+		if !w.completed {
+			w.completed = true
+			q.cq.push(CQE{
+				WQEID:  w.req.ID,
+				Op:     w.req.Op,
+				Len:    len(w.req.Local),
+				Atomic: w.atomicVal,
+				At:     now,
+			})
+		}
+	}
+	q.releaseFence()
 }
 
 // sendReadAck emits the read (N)ACK (§5.2): cumulative rPSN plus,

@@ -7,7 +7,8 @@ import (
 
 // This file is the responder half of the QP: request-packet processing
 // with out-of-order DMA placement (§5.3), the Read WQE buffer, premature
-// CQEs, MSN maintenance, and read-response transmission on the rPSN space.
+// CQEs, MSN maintenance, and read/atomic execution (the responses go out
+// on the rPSN space's sendHalf).
 
 // onRequest handles an arriving request packet (Write/Send/Read/Atomic).
 func (q *QP) onRequest(p *VPacket, now sim.Time) {
@@ -54,7 +55,7 @@ func (q *QP) onRequest(p *VPacket, now sim.Time) {
 		return
 	}
 	if fresh {
-		q.placeData(p, now)
+		q.placeData(p)
 	}
 
 	if ooo {
@@ -81,7 +82,7 @@ func isSendOpcode(op packet.Opcode) bool {
 // placeData DMAs the packet payload to its final location immediately,
 // even out of order (§5.3: "the NIC DMAs OOO packets directly to the
 // final address in the application memory").
-func (q *QP) placeData(p *VPacket, now sim.Time) {
+func (q *QP) placeData(p *VPacket) {
 	op := p.BTH.Opcode
 	switch {
 	case op >= packet.OpWriteFirst && op <= packet.OpWriteOnlyImm:
@@ -141,7 +142,6 @@ func (q *QP) placeData(p *VPacket, now sim.Time) {
 			cmp: p.AtomicCmp, swap: p.AtomicSwap,
 		})
 	}
-	_ = now
 }
 
 // parkRead stores a Read/Atomic request for in-order execution; the
@@ -175,7 +175,7 @@ func (q *QP) advanceCumulative(now sim.Time) {
 		if r, ok := q.readBuf[psn]; ok && !r.executed {
 			r.executed = true
 			q.msn++
-			q.executeRead(r, now)
+			q.executeRead(r)
 		}
 	}
 }
@@ -206,7 +206,7 @@ func (q *QP) emitRecvCQE(st *stagedCQE, now sim.Time) {
 
 // executeRead runs an eligible Read or Atomic and streams the response
 // on the rPSN space.
-func (q *QP) executeRead(r *pendingRead, now sim.Time) {
+func (q *QP) executeRead(r *pendingRead) {
 	switch r.op {
 	case OpRead:
 		data, ok := q.mem.Read(r.rkey, r.va, r.length)
@@ -221,7 +221,7 @@ func (q *QP) executeRead(r *pendingRead, now sim.Time) {
 				hi = len(data)
 			}
 			p := &VPacket{
-				BTH:     packet.BTH{Opcode: readRespOpcode(i, n), PSN: q.rtxNext},
+				BTH:     packet.BTH{Opcode: readRespOpcode(i, n), PSN: q.rtx.next},
 				Ext:     packet.IRNExt{WQESeq: r.sn, RelOffset: uint32(i)},
 				Payload: data[lo:hi],
 			}
@@ -238,13 +238,12 @@ func (q *QP) executeRead(r *pendingRead, now sim.Time) {
 			}
 		}
 		p := &VPacket{
-			BTH:       packet.BTH{Opcode: packet.OpReadRespOnly, PSN: q.rtxNext},
+			BTH:       packet.BTH{Opcode: packet.OpReadRespOnly, PSN: q.rtx.next},
 			Ext:       packet.IRNExt{WQESeq: r.sn},
 			AtomicCmp: orig, // original value rides back to the requester
 		}
 		q.sendReadResp(p)
 	}
-	_ = now
 }
 
 func readRespOpcode(i, n int) packet.Opcode {
@@ -257,106 +256,6 @@ func readRespOpcode(i, n int) packet.Opcode {
 		return packet.OpReadRespLast
 	default:
 		return packet.OpReadRespMiddle
-	}
-}
-
-// sendReadResp assigns the next rPSN and transmits, retaining the packet
-// for retransmission. The Read responder implements timeouts (§5.2).
-func (q *QP) sendReadResp(p *VPacket) {
-	p.BTH.PSN = q.rtxNext
-	q.rtxNext++
-	q.rpend[p.BTH.PSN] = p
-	q.wire.Send(p)
-	q.armReadTimer()
-}
-
-func (q *QP) armReadTimer() {
-	if q.rtxCum >= q.rtxNext {
-		q.rTimer.Cancel()
-		return
-	}
-	d := q.cfg.RTOHigh
-	if int(q.rtxNext-q.rtxCum) < q.cfg.RTOLowN {
-		d = q.cfg.RTOLow
-	}
-	q.rTimer.Arm(d)
-}
-
-// onReadTimeout retransmits read responses from the cumulative point.
-func (q *QP) onReadTimeout() {
-	if q.rtxCum >= q.rtxNext {
-		return
-	}
-	q.Timeouts++
-	q.rInRecov = true
-	if q.rtxNext > 0 {
-		q.rRecSeq = q.rtxNext - 1
-	}
-	q.rRetxNx = q.rtxCum
-	q.pumpReadRetx()
-	q.armReadTimer()
-}
-
-// onReadNack processes the requester's read (N)ACKs (§5.2): cumulative
-// advance plus SACK bookkeeping on the rPSN space.
-func (q *QP) onReadNack(p *VPacket) {
-	cum := p.BTH.PSN
-	isNack := p.AETH.Syndrome == packet.SyndromeNack
-	if cum > q.rtxCum {
-		for psn := q.rtxCum; psn != cum; psn++ {
-			delete(q.rpend, psn)
-		}
-		q.rtxSack.AdvanceTo(cum)
-		q.rtxCum = cum
-		if q.rRetxNx < cum {
-			q.rRetxNx = cum
-		}
-		if q.rInRecov && cum > q.rRecSeq {
-			q.rInRecov = false
-		}
-		q.armReadTimer()
-	}
-	if isNack {
-		if p.SackPSN >= q.rtxCum {
-			if fresh, err := q.rtxSack.Set(p.SackPSN); err == nil && fresh {
-				if p.SackPSN+1 > q.rHigh {
-					q.rHigh = p.SackPSN + 1
-				}
-			}
-		}
-		if !q.rInRecov {
-			q.rInRecov = true
-			if q.rtxNext > 0 {
-				q.rRecSeq = q.rtxNext - 1
-			}
-			q.rRetxNx = q.rtxCum
-		}
-		q.pumpReadRetx()
-	}
-}
-
-// pumpReadRetx selectively retransmits lost read responses.
-func (q *QP) pumpReadRetx() {
-	for q.rInRecov {
-		var psn uint32
-		if q.rRetxNx <= q.rtxCum {
-			psn = q.rtxCum
-			q.rRetxNx = q.rtxCum + 1
-		} else {
-			if q.rHigh == 0 || q.rRetxNx >= q.rHigh {
-				return
-			}
-			off := q.rtxSack.NextZero(int(q.rRetxNx - q.rtxCum))
-			psn = q.rtxCum + uint32(off)
-			if psn >= q.rHigh {
-				return
-			}
-			q.rRetxNx = psn + 1
-		}
-		if p, ok := q.rpend[psn]; ok {
-			q.Retransmits++
-			q.wire.Send(p)
-		}
 	}
 }
 

@@ -11,10 +11,13 @@
 //
 // The layer runs over an abstract Wire that may delay, reorder and drop
 // packets; tests drive it over both a perfect pipe and adversarial
-// channels. It is deliberately self-contained rather than layered on
-// internal/core: §5 is precisely about how IRN's loss recovery interacts
-// with RDMA message semantics, so the transport logic here operates on
-// verbs packets with their real header content.
+// channels. §5 is about how IRN's loss recovery interacts with RDMA
+// message semantics, so the packets here carry their real header content
+// and the message-level rules — WQE and CQE ordering, MSN expiry, RNR,
+// fences — live in this package. The loss recovery underneath them is
+// not a second implementation: each QP runs internal/recovery's
+// scoreboard once per PSN space (sendHalf), the same state machine as
+// internal/core's sender.
 package verbs
 
 import (
