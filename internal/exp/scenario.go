@@ -285,7 +285,8 @@ type Result struct {
 	// Retransmits and Timeouts aggregate sender recovery activity.
 	Retransmits uint64
 	Timeouts    uint64
-	// Events is the number of simulator events executed.
+	// Events is the number of engine events executed — a cost counter,
+	// not a packet count; idle serialization ends execute none.
 	Events uint64
 	// SimTime is the simulated time at which the run ended.
 	SimTime sim.Time

@@ -48,7 +48,8 @@ type Row struct {
 	ECNMarked   uint64             `json:"ecn_marked"`
 	Retransmits uint64             `json:"retransmits"`
 	Timeouts    uint64             `json:"timeouts"`
-	Events      uint64             `json:"events"`
+	// Events is Result.Events: engine events executed, a cost counter.
+	Events uint64 `json:"events"`
 	// KV columns (schema v2), present only on replicated-KV rows.
 	KVAvail       float64 `json:"kv_avail,omitempty"`
 	KVCommitP50ms float64 `json:"kv_commit_p50_ms,omitempty"`

@@ -44,22 +44,22 @@ func (c *Census) Exits() uint64 {
 // window (including NIC egress links), or resident in a cross-shard
 // boundary channel between serialization start and hand-off to the
 // receiving node (a boundary packet is pushed at kick and never enters
-// the port's in-flight ring, so the two never double-count). With Census.Exits it closes the conservation equation
-// at any quiescent instant (between events serially; at a window barrier
-// sharded).
+// the port's in-flight queue, so the two never double-count). With
+// Census.Exits it closes the conservation equation at any quiescent
+// instant (between events serially; at a window barrier sharded).
 func (net *Network) InFlightPackets() int {
 	n := 0
 	for _, nic := range net.nics {
 		if nic != nil {
-			n += nic.egress.inflight.n
+			n += nic.egress.inflight.Len()
 		}
 	}
 	for _, sw := range net.switches {
 		for i := range sw.out {
 			o := &sw.out[i]
-			n += o.port.inflight.n
+			n += o.port.inflight.Len()
 			for i := range o.voq {
-				n += o.voq[i].len()
+				n += o.voq[i].Len()
 			}
 		}
 	}
@@ -81,7 +81,7 @@ func (net *Network) CtrlBacklog() int {
 	n := 0
 	for _, nic := range net.nics {
 		if nic != nil {
-			n += nic.ctrl.len()
+			n += nic.ctrl.Len()
 		}
 	}
 	return n

@@ -74,9 +74,10 @@ func TestVOQBitmapMatchesLinearScan(t *testing.T) {
 			sw := net.switches[0]
 			const outIdx = 1
 			o := &sw.out[outIdx]
-			// Hold the transmitter busy: arrivals queue, and the test alone
-			// decides when the output asks for its next packet.
-			o.port.busy = true
+			// Hold the transmitter with the pause flag: arrivals queue, and
+			// the test alone decides when the output asks for its next
+			// packet.
+			o.port.paused = true
 
 			m := &voqModel{
 				q:      make([][]*packet.Packet, ports),
@@ -239,7 +240,7 @@ func TestSwitchHopZeroAllocs(t *testing.T) {
 		sink := sinkFunc(func(*packet.Packet, sim.Time) {})
 		net.NIC(15).AttachSink(1, sink)
 		net.NIC(15).AttachSink(2, sink)
-		run() // warm: pool, VOQ rings, in-flight rings, wheel buckets
+		run() // warm: pool, wheel buckets
 		// Each blaster and its flow are the run's own allocations; the
 		// 128 packets × 5 switch hops in between must add none.
 		if perRun := testing.AllocsPerRun(10, run); perRun > 4 {

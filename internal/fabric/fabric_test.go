@@ -93,45 +93,45 @@ func TestBDPCapNear110(t *testing.T) {
 }
 
 func TestPktQueue(t *testing.T) {
-	var q pktQueue
-	if !q.empty() || q.pop() != nil || q.peek() != nil {
+	var q packet.Queue
+	if !q.Empty() || q.Len() != 0 || q.Pop() != nil {
 		t.Fatal("fresh queue should be empty")
 	}
 	for i := 0; i < 200; i++ {
-		q.push(packet.NewData(1, 0, 1, packet.PSN(i), 100, false))
+		q.Push(packet.NewData(1, 0, 1, packet.PSN(i), 100, false))
 	}
-	if q.len() != 200 {
-		t.Fatalf("len = %d", q.len())
+	if q.Len() != 200 {
+		t.Fatalf("len = %d", q.Len())
 	}
 	for i := 0; i < 200; i++ {
-		p := q.pop()
+		p := q.Pop()
 		if p == nil || p.PSN != packet.PSN(i) {
 			t.Fatalf("pop %d = %v", i, p)
 		}
 	}
-	if !q.empty() {
+	if !q.Empty() {
 		t.Fatal("queue should be empty after draining")
 	}
 }
 
 func TestPktQueueInterleaved(t *testing.T) {
-	var q pktQueue
+	var q packet.Queue
 	next, popped := 0, 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 10; i++ {
-			q.push(packet.NewData(1, 0, 1, packet.PSN(next), 10, false))
+			q.Push(packet.NewData(1, 0, 1, packet.PSN(next), 10, false))
 			next++
 		}
 		for i := 0; i < 7; i++ {
-			p := q.pop()
+			p := q.Pop()
 			if p.PSN != packet.PSN(popped) {
 				t.Fatalf("pop order broken: got %d want %d", p.PSN, popped)
 			}
 			popped++
 		}
 	}
-	if q.len() != next-popped {
-		t.Fatalf("len = %d, want %d", q.len(), next-popped)
+	if q.Len() != next-popped {
+		t.Fatalf("len = %d, want %d", q.Len(), next-popped)
 	}
 }
 

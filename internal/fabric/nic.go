@@ -22,7 +22,7 @@ type NIC struct {
 	part *partition // the shard slice this host belongs to
 
 	egress outPort
-	ctrl   pktQueue
+	ctrl   packet.Queue
 
 	sources   []transport.Source
 	rr        int
@@ -61,7 +61,7 @@ func (n *NIC) HandleEvent(uint8, uint64) { n.egress.kick() }
 // the timer's own bookkeeping must be cleared with it).
 func (n *NIC) reset() {
 	n.egress.reset()
-	n.ctrl.reset()
+	n.ctrl.Reset()
 	for i := range n.sources {
 		n.sources[i] = nil
 	}
@@ -94,7 +94,7 @@ func (n *NIC) Pool() *packet.Pool { return n.part.pool }
 // strict priority on the egress port.
 func (n *NIC) SendControl(pkt *packet.Packet) {
 	pkt.Hash = uint32(mix64(uint64(pkt.Flow)))
-	n.ctrl.push(pkt)
+	n.ctrl.Push(pkt)
 	n.egress.kick()
 }
 
@@ -122,7 +122,7 @@ func (n *NIC) ActiveSources() int { return len(n.sources) }
 
 // nextPacket supplies the egress port's next packet.
 func (n *NIC) nextPacket() *packet.Packet {
-	if pkt := n.ctrl.pop(); pkt != nil {
+	if pkt := n.ctrl.Pop(); pkt != nil {
 		return pkt
 	}
 	now := n.part.eng.Now()

@@ -9,61 +9,6 @@ import (
 	"github.com/irnsim/irn/internal/transport"
 )
 
-// TestPktQueueShrinksAfterBurst: a VOQ that absorbed an incast burst must
-// not pin its peak backing array for the rest of the run.
-func TestPktQueueShrinksAfterBurst(t *testing.T) {
-	var q pktQueue
-	const burst = 16384
-	for i := 0; i < burst; i++ {
-		q.push(packet.NewData(1, 0, 1, packet.PSN(i), 100, false))
-	}
-	peak := cap(q.buf)
-	if peak < burst {
-		t.Fatalf("burst did not grow the queue: cap=%d", peak)
-	}
-	for i := 0; i < burst; i++ {
-		if q.pop() == nil {
-			t.Fatalf("queue drained early at %d", i)
-		}
-	}
-	if q.len() != 0 {
-		t.Fatalf("queue not empty after drain: len=%d", q.len())
-	}
-	if cap(q.buf) > shrinkMinCap {
-		t.Fatalf("drained queue still pins cap=%d (peak %d), want <= %d", cap(q.buf), peak, shrinkMinCap)
-	}
-}
-
-// TestPktQueueShrinkPreservesFIFO: shrinking must never reorder or lose
-// packets while the queue stays partially full.
-func TestPktQueueShrinkPreservesFIFO(t *testing.T) {
-	var q pktQueue
-	next := 0   // next PSN to push
-	expect := 0 // next PSN expected from pop
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			q.push(packet.NewData(1, 0, 1, packet.PSN(next), 100, false))
-			next++
-		}
-	}
-	pop := func(n int) {
-		for i := 0; i < n; i++ {
-			p := q.pop()
-			if p == nil || p.PSN != packet.PSN(expect) {
-				t.Fatalf("pop = %v, want PSN %d", p, expect)
-			}
-			expect++
-		}
-	}
-	push(10000) // burst
-	pop(9900)   // drain most of it — triggers compaction + shrink
-	push(50)    // steady trickle across the shrunk buffer
-	pop(150)
-	if !q.empty() {
-		t.Fatalf("queue should be empty: len=%d", q.len())
-	}
-}
-
 // pooledBlaster is a blaster that draws its packets from the fabric's
 // pool, as the real transports do.
 type pooledBlaster struct {

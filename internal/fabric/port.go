@@ -8,7 +8,7 @@ import (
 
 // outPort event kinds (sim.Handler dispatch).
 const (
-	portTxDone  uint8 = iota // last byte left the transmitter
+	portTxDone  uint8 = iota // last byte left a transmitter somebody is waiting for
 	portDeliver              // last byte arrived at the peer
 	portPFC                  // a PFC frame arrived at the peer; arg 1 = pause
 )
@@ -22,12 +22,31 @@ const (
 // propagation delay. Store-and-forward: the next hop sees the packet only
 // after its last byte arrives.
 //
-// The port is a sim.Handler: serialization-done and arrival are typed
-// events, so steady-state forwarding schedules nothing on the heap. The
-// packet riding each event lives in the port's in-flight FIFO rather than
-// a closure: serialization is strictly ordered and the propagation delay
-// is constant per link, so packets arrive in exactly the order they were
-// queued — popping the ring head at each portDeliver event is equivalent
+// One engine event per packet-hop. Starting a transmission (kick) knows
+// both instants that follow from it, so it schedules the arrival at
+// now+ser+prop right away — portDeliver on an interior link, the
+// cross-shard channel on a boundary link, the same call site either way —
+// and merely records the serialization end as (busyUntil, txRank). The
+// port is serializing iff the engine's position in its total order,
+// (Now(), Rank()), is before (busyUntil, txRank); no flag is kept and no
+// event marks the end of an idle port's serialization. A portTxDone event
+// is scheduled at exactly that position — at most one pending — only
+// when somebody will want the transmitter then: right after a dequeue
+// that left the owner backlogged, or when kick finds the port serializing.
+// Every dequeue therefore happens at the same (time, rank) as if each
+// serialization end were an event, which keeps pause, link-down,
+// rate-change and round-robin behaviour independent of the elision.
+//
+// kick draws two ranks from the node's clock per transmission, arrival
+// first, then serialization end, used or not: an unused draw is what keeps
+// the clock sequence — and with it the (at, rank) of every other event the
+// node schedules — the same whether or not the tx-done event exists, and
+// the same under every partitioning.
+//
+// The packet riding each arrival lives in the port's in-flight FIFO rather
+// than a closure: serialization is strictly ordered and the propagation
+// delay is constant per link, so packets arrive in exactly the order they
+// were queued — popping the head at each portDeliver event is equivalent
 // to capturing the packet per event, without the capture.
 //
 // Fault injection happens at the arrival end of the link: random in-flight
@@ -35,7 +54,7 @@ const (
 // resolve at portDeliver, where the packet either dies (released to the
 // pool, counted in Stats/Census) or is handed on. Keeping every pushed
 // packet paired with exactly one portDeliver event — even across link
-// flaps — is what keeps the in-flight ring and the event queue in sync.
+// flaps — is what keeps the in-flight FIFO and the event queue in sync.
 type outPort struct {
 	eng  *sim.Engine // the owning node's shard engine
 	clk  *sim.Clock  // the owning node's rank clock
@@ -69,86 +88,102 @@ type outPort struct {
 	peer     node
 	peerPort int
 	// xchan, when non-nil, marks a boundary port: the link's receiver
-	// lives on another shard, and serialization *start* pushes the packet
-	// into this cross-shard channel — due one serialization plus one
-	// propagation delay out — instead of scheduling portDeliver. The
-	// early push is what widens the group's lookahead by the minimum
-	// frame serialization (see Network.computeLookahead); the arrival
-	// instant is identical to the interior path's.
+	// lives on another shard, so kick pushes the arrival into this
+	// cross-shard channel instead of scheduling portDeliver. Pushing at
+	// serialization start is what widens the group's lookahead by the
+	// minimum frame serialization (see Network.computeLookahead).
 	xchan *linkChan
 
 	// inflight holds interior packets between transmission start and
 	// arrival at the peer: the tail is serializing, earlier entries are
 	// propagating. Boundary packets live in xchan instead.
-	inflight pktRing
+	inflight packet.Queue
 
-	// serRank is the arrival rank of the packet currently serializing on
-	// an interior port, drawn at serialization start. Both paths draw the
-	// arrival rank at kick — boundary ports inside xchan.send, interior
-	// ports here — so a node's clock sequence is identical under every
-	// partitioning; portTxDone consumes it before the next kick overwrites
-	// it (at most one packet serializes per port at a time).
-	serRank uint64
+	// (busyUntil, txRank) is where the current — or most recent —
+	// serialization ends in the engine's total order; txPending marks a
+	// portTxDone event queued at that position.
+	busyUntil sim.Time
+	txRank    uint64
+	txPending bool
 
-	busy   bool
 	paused bool // PFC X-OFF received from downstream
 	down   bool // link failed (fault.ChangeDown); nothing transmits
 }
 
+// serializing reports whether the transmitter is still occupied: whether
+// the serialization end lies ahead of the executing event in (at, rank)
+// order.
+func (o *outPort) serializing() bool {
+	now := o.eng.Now()
+	return now < o.busyUntil || now == o.busyUntil && o.eng.Rank() < o.txRank
+}
+
 // kick starts a transmission if the port is idle, unpaused, up, and a
-// packet is available. It reschedules itself after each completed
-// serialization, so one kick keeps the port busy as long as the source has
-// packets.
+// packet is available. While the owner stays backlogged each serialization
+// end kicks again, so one kick keeps the port busy as long as the source
+// has packets.
 func (o *outPort) kick() {
-	if o.busy || o.paused || o.down {
+	if o.paused || o.down {
+		return // resume and link-up kick again
+	}
+	if o.serializing() {
+		o.wantTxDone()
 		return
 	}
 	var pkt *packet.Packet
+	var backlog bool
 	if o.nic == nil {
 		if pkt = o.sw.nextPacket(); pkt == nil {
 			return
 		}
+		backlog = o.sw.queued != 0
 	} else {
 		if pkt = o.nic.nextPacket(); pkt == nil {
 			return
 		}
 		o.part.census.Injected++
+		// With no source attached and no control queued, the next
+		// nextPacket would pop, scan, reap and arm nothing; anything that
+		// changes that (SendControl, AttachSource, Wake) kicks. Any
+		// attached source, done or not, keeps the serialization end an
+		// event, so reap and pacing-timer instants do not move.
+		backlog = !o.nic.ctrl.Empty() || len(o.nic.sources) > 0
 	}
-	o.busy = true
-	ser := o.curRate.Serialize(pkt.Wire)
-	// The arrival rank is drawn first, then the txdone rank — on both
-	// paths, so the node's clock sequence is partitioning-invariant.
+	o.busyUntil = o.eng.Now().Add(o.curRate.Serialize(pkt.Wire))
+	// The packet keeps this timing whatever happens next: a rate change
+	// applies from the next kick (see applyChange), a PFC pause lets the
+	// current serialization complete, and a link death resolves at
+	// arrival.
+	arrive := o.busyUntil.Add(o.prop)
 	if o.xchan != nil {
-		// Boundary link: hand the packet to the cross-shard channel now,
-		// due at serialization end plus one propagation delay — the same
-		// arrival instant, same rank draw, as the interior path. A rate
-		// change mid-serialization cannot invalidate the due time (the
-		// packet being serialized keeps its timing, see applyChange), a
-		// PFC pause lets the current serialization complete, and a link
-		// death resolves consumer-side at arrival (linkChan.HandleEvent).
-		o.xchan.send(o.eng.Now().Add(ser+o.prop), pkt)
+		o.xchan.send(arrive, pkt)
 	} else {
-		o.serRank = o.clk.Next()
-		o.inflight.push(pkt)
+		o.inflight.Push(pkt)
+		o.eng.ScheduleRanked(arrive, o.clk.Next(), o, portDeliver, 0)
 	}
-	o.eng.AfterEventFrom(o.clk, ser, o, portTxDone, 0)
+	o.txRank = o.clk.Next()
+	if backlog {
+		o.wantTxDone()
+	}
+}
+
+// wantTxDone makes the pending serialization end an event, so that it
+// kicks the port; at most one is queued per serialization.
+func (o *outPort) wantTxDone() {
+	if !o.txPending {
+		o.txPending = true
+		o.eng.ScheduleRanked(o.busyUntil, o.txRank, o, portTxDone, 0)
+	}
 }
 
 // HandleEvent implements sim.Handler: port timing events.
 func (o *outPort) HandleEvent(kind uint8, arg uint64) {
 	switch kind {
 	case portTxDone:
-		o.busy = false
-		if o.xchan == nil {
-			// Arrival at the peer is one propagation delay after the
-			// last byte leaves; the rank was drawn at serialization
-			// start (kick). Boundary ports already pushed their packet
-			// into the channel at kick.
-			o.eng.ScheduleRanked(o.eng.Now().Add(o.prop), o.serRank, o, portDeliver, 0)
-		}
+		o.txPending = false
 		o.kick()
 	case portDeliver:
-		pkt := o.inflight.pop()
+		pkt := o.inflight.Pop()
 		// Fault resolution at the receiving end. A downed link kills the
 		// packets that were in flight when it failed; then the in-flight
 		// loss draw; then the CRC check.
@@ -242,19 +277,20 @@ func (o *outPort) applyChange(ch fault.Change) {
 	}
 }
 
-// reset returns the port to its just-wired state for a new run: idle,
-// unpaused, up, at the configured rate and base loss rate, with the
-// in-flight window empty. The fault-link pointer is reassigned by
-// Network.Reset before the per-node resets run, so reading flt here sees
-// the fresh model.
+// reset returns the port to its just-wired state for a new run (the engine
+// is back at position zero): idle, unpaused, up, at the configured rate
+// and base loss rate, with the in-flight window empty. The fault-link
+// pointer is reassigned by Network.Reset before the per-node resets run,
+// so reading flt here sees the fresh model.
 func (o *outPort) reset() {
 	o.curRate = o.rate
 	o.curLoss = 0
 	if o.flt != nil {
 		o.curLoss = o.flt.Loss
 	}
-	o.inflight.reset()
-	o.busy, o.paused, o.down = false, false, false
+	o.inflight.Reset()
+	o.busyUntil, o.txRank, o.txPending = 0, 0, false
+	o.paused, o.down = false, false
 }
 
 // pause handles a PFC X-OFF: the packet currently being serialized
@@ -269,51 +305,4 @@ func (o *outPort) resume() {
 	}
 	o.paused = false
 	o.kick()
-}
-
-// pktRing is a small FIFO ring of packets that grows on demand and never
-// allocates afterwards. A link holds at most ceil(prop/serialization)+1
-// packets in flight, so rings stay tiny; the zero value is ready for use.
-// Capacity is always a power of two so indexing is a bitmask — this ring
-// is touched twice per packet per hop, where an integer modulo is
-// measurable.
-type pktRing struct {
-	buf  []*packet.Packet // len(buf) is 0 or a power of two
-	head int
-	n    int
-}
-
-// push appends p to the tail.
-func (r *pktRing) push(p *packet.Packet) {
-	if r.n == len(r.buf) {
-		grown := make([]*packet.Packet, max(4, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf = grown
-		r.head = 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
-	r.n++
-}
-
-// pop removes and returns the head, or nil if empty.
-func (r *pktRing) pop() *packet.Packet {
-	if r.n == 0 {
-		return nil
-	}
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return p
-}
-
-// reset empties the ring for a new run, dropping packet references but
-// keeping the array warm.
-func (r *pktRing) reset() {
-	for i := 0; i < r.n; i++ {
-		r.buf[(r.head+i)&(len(r.buf)-1)] = nil
-	}
-	r.head, r.n = 0, 0
 }

@@ -63,8 +63,8 @@ type inState struct {
 type swOut struct {
 	sw     *Switch
 	port   outPort
-	voq    []pktQueue // per input port
-	occ    []uint64   // bit i set ⇔ voq[i] is non-empty; one word per 64 inputs
+	voq    []packet.Queue // per input port
+	occ    []uint64       // bit i set ⇔ voq[i] is non-empty; one word per 64 inputs
 	rr     int
 	queued int // total bytes queued at this output (for ECN marking)
 }
@@ -85,7 +85,7 @@ func newSwitch(id packet.NodeID, net *Network, part *partition, ports int) *Swit
 	// One slab each for the VOQ matrix and its occupancy bitmaps, so a
 	// switch's queue state is contiguous.
 	words := (ports + 63) / 64
-	voq := make([]pktQueue, ports*ports)
+	voq := make([]packet.Queue, ports*ports)
 	occ := make([]uint64, ports*words)
 	for i := range s.out {
 		s.out[i].sw = s
@@ -157,7 +157,7 @@ func (s *Switch) reset() {
 		o := &s.out[i]
 		o.rr, o.queued = 0, 0
 		for i := range o.voq {
-			o.voq[i].reset()
+			o.voq[i].Reset()
 		}
 		clear(o.occ)
 		o.port.reset()
@@ -205,7 +205,7 @@ func (s *Switch) receive(pkt *packet.Packet, inIdx int) {
 		s.part.stats.ECNMarked++
 	}
 
-	o.voq[inIdx].push(pkt)
+	o.voq[inIdx].Push(pkt)
 	o.occ[inIdx>>6] |= 1 << (inIdx & 63)
 	o.queued += pkt.Wire
 	in.bytes += pkt.Wire
@@ -293,8 +293,8 @@ func (o *swOut) nextPacket() *packet.Packet {
 		}
 	}
 	q := &o.voq[idx]
-	pkt := q.pop()
-	if q.empty() {
+	pkt := q.Pop()
+	if q.Empty() {
 		o.occ[idx>>6] &^= 1 << (idx & 63)
 	}
 	o.rr = idx + 1

@@ -120,7 +120,7 @@ func (c *linkChan) mark(at sim.Time) {
 }
 
 // send pushes a packet arrival due at. Called by the producing port at
-// serialization start, in place of scheduling portDeliver.
+// serialization start, where an interior port schedules portDeliver.
 func (c *linkChan) send(at sim.Time, pkt *packet.Packet) {
 	c.mark(at)
 	c.inbox = append(c.inbox, chanEntry{at: at, rank: c.clk.Next(), pkt: pkt})
@@ -221,9 +221,9 @@ func (c *linkChan) die(pkt *packet.Packet, stat, census *uint64) {
 // resident counts the data packets inside the channel — pushed (at
 // serialization start) but not yet handed to the receiving node or killed
 // by a fault on arrival. They are in flight for conservation purposes,
-// exactly like packets riding an interior port's in-flight ring: a
-// boundary packet lives here from kick to arrival instead of in the
-// ring. Only meaningful at quiescence.
+// exactly like packets riding an interior port's in-flight queue: a
+// boundary packet lives here from kick to arrival instead. Only
+// meaningful at quiescence.
 func (c *linkChan) resident() int { return c.sent - c.delivered - c.killed }
 
 // reset empties the channel for a new run, dropping packet references but

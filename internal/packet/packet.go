@@ -146,12 +146,77 @@ type Packet struct {
 	// packet — clearing this field — as soon as the handler returns).
 	Verbs any
 
-	// pooled marks a packet currently sitting in a Pool's free list; it
-	// exists only to catch lifecycle bugs (double release, use after
-	// release via a stale constructor) deterministically instead of as
-	// silent state corruption.
-	pooled bool
+	// next is the packet's one intrusive link, and held names what is
+	// currently using it. A packet sits in at most one place at a time — a
+	// Pool's free list, then hop by hop a Queue (NIC control queue or
+	// switch VOQ) followed by a port's in-flight Queue, then the pool
+	// again — so one link serves them all and no holder needs a backing
+	// array. held exists only to catch lifecycle bugs (double release,
+	// release or re-queue of a packet still queued) deterministically
+	// instead of as silent state corruption.
+	next *Packet
+	held holder
 }
+
+// holder names what currently links a packet through next.
+type holder uint8
+
+const (
+	heldByNone  holder = iota // loose: owned by whoever holds the pointer
+	heldByQueue               // linked in a Queue
+	heldByPool                // linked in a Pool's free list
+)
+
+// Queue is an intrusive FIFO of packets, linked through the packets
+// themselves: a 24-byte header with no backing array, so an empty queue
+// costs nothing, a deep one pins nothing once drained, and push and pop
+// touch only the header and the packets involved. A packet can be in at
+// most one Queue at a time (Push panics otherwise). The zero value is an
+// empty queue.
+type Queue struct {
+	head, tail *Packet
+	n          int
+}
+
+// Push appends p.
+func (q *Queue) Push(p *Packet) {
+	if p.held != heldByNone {
+		panic("packet: push of a packet that is already queued or pooled")
+	}
+	p.held = heldByQueue
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+	q.n++
+}
+
+// Pop removes and returns the head, or nil if the queue is empty.
+func (q *Queue) Pop() *Packet {
+	p := q.head
+	if p == nil {
+		return nil
+	}
+	if q.head = p.next; q.head == nil {
+		q.tail = nil
+	}
+	p.next, p.held = nil, heldByNone
+	q.n--
+	return p
+}
+
+// Len returns the number of queued packets.
+func (q *Queue) Len() int { return q.n }
+
+// Empty reports whether the queue holds no packets.
+func (q *Queue) Empty() bool { return q.head == nil }
+
+// Reset empties the queue for a new run. The packets it held belong to the
+// previous run and are abandoned to the GC, still marked queued: a stale
+// pointer to one cannot be pushed or released by mistake.
+func (q *Queue) Reset() { *q = Queue{} }
 
 // IsControl reports whether the packet is a transport control packet
 // (ACK/NACK/CNP). PFC frames are link-local and never routed.
@@ -186,17 +251,19 @@ func (p *Packet) String() string {
 //
 // The pool is deliberately NOT a sync.Pool: the simulator is
 // single-threaded per engine (the fleet runner shards whole scenarios, one
-// engine each, across workers), and a plain LIFO slice keeps both the
-// reuse order and the resulting pointer graph fully deterministic, which
-// the serial ≡ parallel bit-identical-results invariant depends on.
-// sync.Pool's per-P caches and GC-driven eviction would make reuse order
-// scheduler-dependent and defeat the determinism tests.
+// engine each, across workers), and a plain LIFO stack — threaded through
+// the packets' own link field — keeps both the reuse order and the
+// resulting pointer graph fully deterministic, which the serial ≡ parallel
+// bit-identical-results invariant depends on. sync.Pool's per-P caches and
+// GC-driven eviction would make reuse order scheduler-dependent and defeat
+// the determinism tests.
 //
 // All methods are nil-receiver safe: a nil *Pool degrades to plain heap
 // allocation with Release as a no-op, which is what the package-level
 // constructors (unit tests, microbenchmarks, the verbs examples) use.
 type Pool struct {
-	free []*Packet
+	free  *Packet // top of the free stack
+	nfree int
 
 	// Stats.
 	Allocs   uint64 // packets newly heap-allocated
@@ -212,12 +279,11 @@ func (p *Pool) get() *Packet {
 	if p == nil {
 		return &Packet{}
 	}
-	if n := len(p.free); n > 0 {
-		pkt := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if pkt := p.free; pkt != nil {
+		p.free = pkt.next
+		p.nfree--
 		p.Reuses++
-		pkt.pooled = false
+		pkt.next, pkt.held = nil, heldByNone
 		return pkt
 	}
 	p.Allocs++
@@ -227,19 +293,24 @@ func (p *Pool) get() *Packet {
 // Release returns a dead packet to the free list. Call it exactly once,
 // at the point the packet leaves the simulation: delivery to the
 // destination host's transport, or a drop at a switch. Releasing the same
-// packet twice panics — the aliasing it would create corrupts simulation
-// state in ways that are far harder to debug than a crash. Release on a
-// nil pool (or of a nil packet) is a no-op, so unpooled packets from the
-// package-level constructors may flow through the same code paths.
+// packet twice, or while it still sits in a Queue, panics — the aliasing
+// it would create corrupts simulation state in ways that are far harder to
+// debug than a crash. Release on a nil pool (or of a nil packet) is a
+// no-op, so unpooled packets from the package-level constructors may flow
+// through the same code paths.
 func (p *Pool) Release(pkt *Packet) {
 	if p == nil || pkt == nil {
 		return
 	}
-	if pkt.pooled {
+	switch pkt.held {
+	case heldByPool:
 		panic("packet: double release into pool")
+	case heldByQueue:
+		panic("packet: release of a packet that is still queued")
 	}
-	*pkt = Packet{pooled: true}
-	p.free = append(p.free, pkt)
+	*pkt = Packet{next: p.free, held: heldByPool}
+	p.free = pkt
+	p.nfree++
 	p.Releases++
 }
 
@@ -248,7 +319,7 @@ func (p *Pool) FreeLen() int {
 	if p == nil {
 		return 0
 	}
-	return len(p.free)
+	return p.nfree
 }
 
 // ResetStats zeroes the pool's counters for a new run while keeping the

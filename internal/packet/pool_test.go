@@ -1,6 +1,9 @@
 package packet
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestPoolRoundTripZeroAllocs is the allocation-regression guard for the
 // pooled packet lifecycle: once the free list is warm, a full
@@ -9,7 +12,7 @@ import "testing"
 func TestPoolRoundTripZeroAllocs(t *testing.T) {
 	p := NewPool()
 
-	// Warm the free list and its backing array.
+	// Warm the free list.
 	warm := []*Packet{p.NewData(1, 0, 1, 0, 1000, false), p.NewAck(1, 1, 0, 1)}
 	for _, pkt := range warm {
 		p.Release(pkt)
@@ -94,5 +97,115 @@ func TestPoolAbsorbsForeignPackets(t *testing.T) {
 	}
 	if got := p.NewCNP(1, 0, 1); got != d {
 		t.Fatal("adopted packet not reused")
+	}
+}
+
+// TestPoolFreeListIsLIFO: the free list is a stack threaded through the
+// packets' own link, and its order is part of the determinism contract —
+// which packet a constructor returns decides Allocs/Reuses and the pointer
+// graph of every later run on the pool.
+func TestPoolFreeListIsLIFO(t *testing.T) {
+	p := NewPool()
+	var pkts []*Packet
+	for i := 0; i < 5; i++ {
+		pkts = append(pkts, p.NewData(1, 0, 1, PSN(i), 100, false))
+	}
+	for _, pkt := range pkts {
+		p.Release(pkt)
+	}
+	if p.FreeLen() != 5 || p.Live() != 0 {
+		t.Fatalf("free=%d live=%d after releasing all 5", p.FreeLen(), p.Live())
+	}
+	for i := 4; i >= 2; i-- {
+		if got := p.NewAck(1, 1, 0, 0); got != pkts[i] {
+			t.Fatalf("reuse %d did not return the most recently released packet", 4-i)
+		}
+	}
+	// Interleaved: a release goes on top of what is left.
+	p.Release(pkts[3])
+	for _, want := range []*Packet{pkts[3], pkts[1], pkts[0]} {
+		if got := p.NewCNP(1, 0, 1); got != want {
+			t.Fatal("interleaved release broke LIFO order")
+		}
+	}
+	if p.FreeLen() != 0 || p.Allocs != 5 || p.Reuses != 6 {
+		t.Fatalf("free=%d allocs=%d reuses=%d, want 0/5/6", p.FreeLen(), p.Allocs, p.Reuses)
+	}
+	if fresh := p.NewCNP(1, 0, 1); fresh == pkts[0] || p.Allocs != 6 {
+		t.Fatal("empty free list did not heap-allocate")
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestQueueMatchesSliceModel: random pushes and pops against a plain slice
+// FIFO. The queue and the pool share the packet's one link, so the
+// ownership hand-offs are checked along the way: a popped packet carries no
+// link, and a packet cannot be released, or queued a second time, while a
+// queue holds it.
+func TestQueueMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pool := NewPool()
+	var qs [3]Queue
+	var model [3][]*Packet
+	for step := 0; step < 50000; step++ {
+		i := rng.Intn(len(qs))
+		q, m := &qs[i], &model[i]
+		// Phases of growth and of drain, so queues cross empty both ways.
+		pushes := 4
+		if (step/2000)%2 == 0 {
+			pushes = 6
+		}
+		if rng.Intn(10) < pushes {
+			pkt := pool.NewData(1, 0, 1, PSN(step), 100, false)
+			q.Push(pkt)
+			*m = append(*m, pkt)
+			if rng.Intn(500) == 0 {
+				mustPanic(t, "release of a queued packet", func() { pool.Release(pkt) })
+				mustPanic(t, "second push of a queued packet", func() { qs[(i+1)%len(qs)].Push(pkt) })
+			}
+		} else {
+			got := q.Pop()
+			var want *Packet
+			if len(*m) > 0 {
+				want, *m = (*m)[0], (*m)[1:]
+			}
+			if got != want {
+				t.Fatalf("step %d: Pop = %v, model %v", step, got, want)
+			}
+			if got != nil {
+				if got.next != nil || got.held != heldByNone {
+					t.Fatalf("step %d: popped packet still linked: next=%v held=%d", step, got.next, got.held)
+				}
+				pool.Release(got) // straight back into the pool, over the same link
+			}
+		}
+		if q.Len() != len(*m) || q.Empty() != (len(*m) == 0) {
+			t.Fatalf("step %d: Len/Empty = %d/%v with %d queued", step, q.Len(), q.Empty(), len(*m))
+		}
+	}
+	queued := 0
+	for i := range qs {
+		queued += qs[i].Len()
+	}
+	if pool.Live() != queued {
+		t.Fatalf("pool has %d packets checked out, queues hold %d", pool.Live(), queued)
+	}
+	mustPanic(t, "push of a pooled packet", func() {
+		pkt := pool.NewCNP(1, 0, 1)
+		pool.Release(pkt)
+		qs[0].Push(pkt)
+	})
+	qs[0].Reset()
+	if !qs[0].Empty() || qs[0].Len() != 0 || qs[0].Pop() != nil {
+		t.Fatal("Reset left the queue non-empty")
 	}
 }

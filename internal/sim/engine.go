@@ -136,7 +136,8 @@ func (h *eventHeap) pop() event {
 // The zero value is not ready for use; call NewEngine.
 type Engine struct {
 	now     Time
-	clk     Clock // fallback rank source for un-clocked scheduling
+	rank    uint64 // rank of the executing (or last executed) event, see Rank
+	clk     Clock  // fallback rank source for un-clocked scheduling
 	queue   timingWheel
 	stopped bool
 
@@ -174,7 +175,7 @@ func NewEngine() *Engine {
 // instead of constructing a new one; any Timer attached to the engine must
 // be Reset alongside it (its pending event is discarded with the queue).
 func (e *Engine) Reset() {
-	e.now, e.executed = 0, 0
+	e.now, e.rank, e.executed = 0, 0, 0
 	e.clk.Reset()
 	e.stopped = false
 	e.nextAt, e.nextKnown = 0, false
@@ -184,6 +185,15 @@ func (e *Engine) Reset() {
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
+
+// Rank returns the rank of the executing event — with Now, the engine's
+// position in the canonical (at, rank) order: every event keyed at or
+// before (Now(), Rank()) has run, none keyed after it has. That lets a
+// model decide whether an instant it only recorded, never scheduled, has
+// already passed (a port's serialization end, see fabric). Between runs it
+// is the last executed event's rank, or the maximum once the clock has
+// been moved past the last event to a deadline.
+func (e *Engine) Rank() uint64 { return e.rank }
 
 // Executed reports how many events have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -244,11 +254,13 @@ func (e *Engine) AfterEvent(d Duration, h Handler, kind uint8, arg uint64) {
 	e.ScheduleEvent(e.now.Add(d), h, kind, arg)
 }
 
-// ScheduleRanked inserts an event whose rank was already drawn — by a
-// cross-shard channel at production time on another engine. The rank must
-// come from a Clock that is not also feeding this engine directly, or
-// ordering collides. This is the shard-merge entry point: draining a
-// channel re-ranks nothing, so the merged order equals the serial order.
+// ScheduleRanked inserts an event whose rank was already drawn from a
+// Clock — by a cross-shard channel at production time on another engine,
+// or by a port that draws its ranks at a fixed call site and schedules
+// (or elides) the events later. Each drawn rank keys at most one event, so
+// ordering cannot collide. This is also the shard-merge entry point:
+// draining a channel re-ranks nothing, so the merged order equals the
+// serial order.
 func (e *Engine) ScheduleRanked(at Time, rank uint64, h Handler, kind uint8, arg uint64) {
 	e.checkTime(at)
 	e.noteSchedule(at)
@@ -325,7 +337,7 @@ func (e *Engine) RunUntil(deadline Time) {
 			return
 		}
 		if e.queue.peekAt() > deadline {
-			e.now = deadline
+			e.AdvanceTo(deadline)
 			return
 		}
 		e.step()
@@ -371,17 +383,18 @@ func (e *Engine) NextEventTime() (Time, bool) {
 }
 
 // AdvanceTo moves the clock forward to t without executing anything —
-// the windowed counterpart of RunUntil's deadline semantics. Moving
-// backwards is a no-op.
+// the windowed counterpart of RunUntil's deadline semantics; callers have
+// run every event due at or before t, so the position in the (at, rank)
+// order moves past all of instant t. Moving backwards is a no-op.
 func (e *Engine) AdvanceTo(t Time) {
-	if t > e.now {
-		e.now = t
+	if t >= e.now {
+		e.now, e.rank = t, ^uint64(0)
 	}
 }
 
 func (e *Engine) step() {
 	ev := e.queue.pop()
-	e.now = ev.at
+	e.now, e.rank = ev.at, ev.rank
 	e.executed++
 	ev.h.HandleEvent(ev.kind, ev.arg)
 }
