@@ -82,7 +82,8 @@ func (s *Spec) Enabled() bool {
 }
 
 // Validate checks rates, factors, link indexes and time ordering against
-// the number of full-duplex links in the topology.
+// the number of full-duplex links in the topology. Each kind of window is
+// checked element by element first, then for overlaps on a link.
 func (s *Spec) Validate(numLinks int) error {
 	if s.LossRate < 0 || s.LossRate > 1 {
 		return fmt.Errorf("fault: loss rate %v outside [0,1]", s.LossRate)
@@ -90,26 +91,26 @@ func (s *Spec) Validate(numLinks int) error {
 	if s.CorruptRate < 0 || s.CorruptRate > 1 {
 		return fmt.Errorf("fault: corrupt rate %v outside [0,1]", s.CorruptRate)
 	}
-	for i, f := range s.Flaps {
+	var ws []window // one kind's windows, for the overlap check
+	for _, f := range s.Flaps {
 		if f.Link < 0 || f.Link >= numLinks {
 			return fmt.Errorf("fault: flap link %d outside [0,%d)", f.Link, numLinks)
 		}
 		if f.UpAt != 0 && f.UpAt <= f.DownAt {
 			return fmt.Errorf("fault: flap on link %d comes up at %d before going down at %d", f.Link, f.UpAt, f.DownAt)
 		}
-		// Windows on the same link must not overlap: the compiled down
-		// state is a single boolean per direction, so an earlier flap's Up
-		// would raise a link a later flap still holds down. Touching
-		// windows (UpAt == next DownAt) are fine — the schedule orders
-		// restoring transitions before failing ones at a shared instant.
-		for _, g := range s.Flaps[:i] {
-			if g.Link == f.Link && overlaps(f.DownAt, f.UpAt, g.DownAt, g.UpAt) {
-				return fmt.Errorf("fault: overlapping flaps on link %d ([%d,%d) and [%d,%d))",
-					f.Link, g.DownAt, g.UpAt, f.DownAt, f.UpAt)
-			}
-		}
+		ws = append(ws, window{f.Link, f.DownAt, f.UpAt})
 	}
-	for i, d := range s.Degrades {
+	// Windows on the same link must not overlap: the compiled down state
+	// is a single boolean per direction, so an earlier flap's Up would
+	// raise a link a later flap still holds down. Touching windows (UpAt
+	// == next DownAt) are fine — the schedule orders restoring transitions
+	// before failing ones at a shared instant.
+	if err := checkDisjoint("flaps", ws); err != nil {
+		return err
+	}
+	ws = ws[:0]
+	for _, d := range s.Degrades {
 		if d.Link < 0 || d.Link >= numLinks {
 			return fmt.Errorf("fault: degrade link %d outside [0,%d)", d.Link, numLinks)
 		}
@@ -119,16 +120,15 @@ func (s *Spec) Validate(numLinks int) error {
 		if d.To != 0 && d.To <= d.From {
 			return fmt.Errorf("fault: degrade on link %d ends at %d before starting at %d", d.Link, d.To, d.From)
 		}
-		// Same single-value argument as for flaps: the effective rate is
-		// one scalar per direction.
-		for _, g := range s.Degrades[:i] {
-			if g.Link == d.Link && overlaps(d.From, d.To, g.From, g.To) {
-				return fmt.Errorf("fault: overlapping degrades on link %d ([%d,%d) and [%d,%d))",
-					d.Link, g.From, g.To, d.From, d.To)
-			}
-		}
+		ws = append(ws, window{d.Link, d.From, d.To})
 	}
-	for i, b := range s.Bursts {
+	// Same single-value argument as for flaps: the effective rate is one
+	// scalar per direction.
+	if err := checkDisjoint("degrades", ws); err != nil {
+		return err
+	}
+	ws = ws[:0]
+	for _, b := range s.Bursts {
 		if b.Link < 0 || b.Link >= numLinks {
 			return fmt.Errorf("fault: loss burst link %d outside [0,%d)", b.Link, numLinks)
 		}
@@ -138,13 +138,34 @@ func (s *Spec) Validate(numLinks int) error {
 		if b.To != 0 && b.To <= b.From {
 			return fmt.Errorf("fault: loss burst on link %d ends at %d before starting at %d", b.Link, b.To, b.From)
 		}
-		// The effective loss rate is one scalar per direction, like the
-		// degrade factor.
-		for _, g := range s.Bursts[:i] {
-			if g.Link == b.Link && overlaps(b.From, b.To, g.From, g.To) {
-				return fmt.Errorf("fault: overlapping loss bursts on link %d ([%d,%d) and [%d,%d))",
-					b.Link, g.From, g.To, b.From, b.To)
-			}
+		ws = append(ws, window{b.Link, b.From, b.To})
+	}
+	// The effective loss rate is one scalar per direction, like the
+	// degrade factor.
+	return checkDisjoint("loss bursts", ws)
+}
+
+// window is one flap, degrade or loss burst as the overlap check sees it:
+// [from, to) on a link, to == 0 meaning the rest of the run.
+type window struct {
+	link     int
+	from, to sim.Time
+}
+
+// checkDisjoint sorts ws by (link, start) and reports an error if two
+// windows on one link overlap. Every window is non-empty (to == 0 or to >
+// from, checked by the caller), so once sorted some pair overlaps exactly
+// when some pair of neighbours does.
+func checkDisjoint(kind string, ws []window) error {
+	sort.Slice(ws, func(a, b int) bool {
+		if ws[a].link != ws[b].link {
+			return ws[a].link < ws[b].link
+		}
+		return ws[a].from < ws[b].from
+	})
+	for k := 1; k < len(ws); k++ {
+		if p, w := ws[k-1], ws[k]; p.link == w.link && overlaps(p.from, p.to, w.from, w.to) {
+			return fmt.Errorf("fault: overlapping %s on link %d ([%d,%d) and [%d,%d))", kind, w.link, p.from, p.to, w.from, w.to)
 		}
 	}
 	return nil

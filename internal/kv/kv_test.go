@@ -15,7 +15,15 @@ import (
 // completion (or the deadline). lossFn may be nil.
 func runKV(t *testing.T, o Options, lossFn func(*packet.Packet) bool) (*Service, *Report) {
 	t.Helper()
-	o = o.WithDefaults()
+	svc, eng := newStarService(o.WithDefaults(), lossFn)
+	svc.Start()
+	eng.RunUntil(sim.Time(200 * sim.Millisecond))
+	return svc, svc.Report()
+}
+
+// newStarService builds the service on a single-switch star: leader on
+// host 0, then followers, then clients.
+func newStarService(o Options, lossFn func(*packet.Packet) bool) (*Service, *sim.Engine) {
 	eng := sim.NewEngine()
 	cfg := fabric.DefaultConfig()
 	cfg.LossInject = lossFn
@@ -30,10 +38,7 @@ func runKV(t *testing.T, o Options, lossFn func(*packet.Packet) bool) (*Service,
 		pl.Clients = append(pl.Clients, packet.NodeID(1+o.Followers+i))
 	}
 
-	svc := New(net, pl, verbs.DefaultConfig(), o, 7)
-	svc.Start()
-	eng.RunUntil(sim.Time(200 * sim.Millisecond))
-	return svc, svc.Report()
+	return New(net, pl, verbs.DefaultConfig(), o, 7), eng
 }
 
 func testOptions(mode Mode) Options {

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -9,6 +10,13 @@ import (
 // explicit value length, so frames decode from the front of a ring slot
 // (which is larger than the frame) and round-trip byte-exactly — the
 // property FuzzKVRPCFraming checks differentially.
+//
+// Each frame kind decodes two ways. The exported Unmarshal* return a
+// message that owns its value (one copy). The unexported view* decode in
+// place: the returned Value aliases the input, which is what every ring
+// consumer inside the service uses — under verbs.Memory.View's contract
+// the bytes are parsed, and copied only where something must outlive the
+// event, before the handler returns.
 
 // Op is the key-value operation carried by a request.
 type Op uint8
@@ -80,8 +88,12 @@ type Request struct {
 	Value  []byte // Put payload; nil for Get
 }
 
-// MarshalRequest appends r's canonical encoding to dst.
+// MarshalRequest appends r's canonical encoding to dst; a nil dst is
+// allocated once at the frame's exact size.
 func MarshalRequest(dst []byte, r Request) []byte {
+	if dst == nil {
+		dst = make([]byte, 0, reqHeaderLen+len(r.Value))
+	}
 	dst = append(dst, byte(r.Op))
 	dst = binary.BigEndian.AppendUint32(dst, r.Client)
 	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
@@ -94,6 +106,13 @@ func MarshalRequest(dst []byte, r Request) []byte {
 // number of bytes consumed. MarshalRequest(nil, req) == b[:n] for every
 // successful decode — the encoding is canonical.
 func UnmarshalRequest(b []byte) (req Request, n int, err error) {
+	req, n, err = viewRequest(b)
+	req.Value = bytes.Clone(req.Value) // an empty value decodes as nil and stays nil
+	return req, n, err
+}
+
+// viewRequest is UnmarshalRequest without the copy: req.Value aliases b.
+func viewRequest(b []byte) (req Request, n int, err error) {
 	if len(b) < reqHeaderLen {
 		return Request{}, 0, fmt.Errorf("kv: request frame truncated at %d bytes", len(b))
 	}
@@ -113,7 +132,7 @@ func UnmarshalRequest(b []byte) (req Request, n int, err error) {
 		return Request{}, 0, fmt.Errorf("kv: request value truncated: want %d, have %d", n, len(b))
 	}
 	if vlen > 0 {
-		req.Value = append([]byte(nil), b[reqHeaderLen:n]...)
+		req.Value = b[reqHeaderLen:n:n]
 	}
 	return req, n, nil
 }
@@ -126,8 +145,12 @@ type Response struct {
 	Value  []byte // Get result; nil otherwise
 }
 
-// MarshalResponse appends r's canonical encoding to dst.
+// MarshalResponse appends r's canonical encoding to dst; a nil dst is
+// allocated once at the frame's exact size.
 func MarshalResponse(dst []byte, r Response) []byte {
+	if dst == nil {
+		dst = make([]byte, 0, respHeaderLen+len(r.Value))
+	}
 	dst = append(dst, byte(r.Status))
 	dst = binary.BigEndian.AppendUint32(dst, r.Client)
 	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
@@ -138,6 +161,14 @@ func MarshalResponse(dst []byte, r Response) []byte {
 // UnmarshalResponse decodes a response from the front of b, returning
 // the number of bytes consumed.
 func UnmarshalResponse(b []byte) (resp Response, n int, err error) {
+	resp, n, err = viewResponse(b)
+	resp.Value = bytes.Clone(resp.Value)
+	return resp, n, err
+}
+
+// viewResponse is UnmarshalResponse without the copy: resp.Value aliases
+// b.
+func viewResponse(b []byte) (resp Response, n int, err error) {
 	if len(b) < respHeaderLen {
 		return Response{}, 0, fmt.Errorf("kv: response frame truncated at %d bytes", len(b))
 	}
@@ -156,7 +187,7 @@ func UnmarshalResponse(b []byte) (resp Response, n int, err error) {
 		return Response{}, 0, fmt.Errorf("kv: response value truncated: want %d, have %d", n, len(b))
 	}
 	if vlen > 0 {
-		resp.Value = append([]byte(nil), b[respHeaderLen:n]...)
+		resp.Value = b[respHeaderLen:n:n]
 	}
 	return resp, n, nil
 }

@@ -12,7 +12,11 @@ package kv
 // orders against all shard execution.
 
 import (
+	"bytes"
+	"sort"
+
 	"github.com/irnsim/irn/internal/fabric"
+	"github.com/irnsim/irn/internal/fifo"
 	"github.com/irnsim/irn/internal/metrics"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
@@ -47,6 +51,12 @@ type Service struct {
 
 	issues     []issue
 	phaseNames []string
+	// windows is Options.Phases with each name resolved to its bucket;
+	// sorted records that they are ordered by From and pairwise disjoint
+	// (every fault.Schedule.Windows output is), so at most one window —
+	// the last starting at or before t — can hold a time t.
+	windows []phaseWindow
+	sorted  bool
 
 	leader    *server
 	followers []*follower
@@ -91,6 +101,12 @@ func (s *Service) Widen(shard int) bool {
 	return true
 }
 
+// phaseWindow is one Options.Phases entry with its bucket resolved.
+type phaseWindow struct {
+	from, to sim.Time // to == 0: open-ended
+	bucket   int
+}
+
 // issue is one precomputed request: who issues it, when, and what.
 type issue struct {
 	client int
@@ -128,19 +144,7 @@ func New(net *fabric.Network, pl Placement, qcfg verbs.Config, o Options, seed u
 		clients:   make([]*client, o.Clients),
 		shard:     make([]kvShard, net.Shards()),
 	}
-	s.phaseNames = []string{"steady"}
-	for _, w := range o.Phases {
-		known := false
-		for _, n := range s.phaseNames {
-			if n == w.Name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			s.phaseNames = append(s.phaseNames, w.Name)
-		}
-	}
+	s.phaseNames, s.windows, s.sorted = resolvePhases(o.Phases)
 	s.issues = make([]issue, o.Requests)
 	rngs := make([]*sim.RNG, o.Clients)
 	ts := make([]sim.Time, o.Clients)
@@ -162,18 +166,46 @@ func New(net *fabric.Network, pl Placement, qcfg verbs.Config, o Options, seed u
 	return s
 }
 
+// resolvePhases names the buckets — "steady" first, then each phase name
+// in order of first appearance — and resolves every window to its bucket
+// once, so bucketing a request compares no strings.
+func resolvePhases(phases []Phase) (names []string, windows []phaseWindow, sorted bool) {
+	names = []string{"steady"}
+	bucket := map[string]int{"steady": 0}
+	windows = make([]phaseWindow, len(phases))
+	sorted = true
+	for k, w := range phases {
+		b, known := bucket[w.Name]
+		if !known {
+			b = len(names)
+			bucket[w.Name] = b
+			names = append(names, w.Name)
+		}
+		windows[k] = phaseWindow{from: w.From, to: w.To, bucket: b}
+		if k > 0 {
+			prev := phases[k-1]
+			sorted = sorted && prev.From <= w.From && prev.To != 0 && prev.To <= w.From
+		}
+	}
+	return names, windows, sorted
+}
+
 // slotBytes is the ring-slot size: the largest frame plus header slack.
 func (s *Service) slotBytes() int { return 32 + s.o.ValueBytes }
 
-// bucketOf maps a scheduled issue time to its phase bucket.
+// bucketOf maps a scheduled issue time to its phase bucket: that of the
+// first window holding t, found by binary search when the windows are
+// sorted and disjoint and by scanning them in order otherwise
+// (overlapping or open-ended user-supplied phases).
 func (s *Service) bucketOf(t sim.Time) int {
-	for _, w := range s.o.Phases {
-		if t >= w.From && (w.To == 0 || t < w.To) {
-			for b, n := range s.phaseNames {
-				if n == w.Name {
-					return b
-				}
-			}
+	ws := s.windows
+	if s.sorted {
+		k := sort.Search(len(ws), func(k int) bool { return ws[k].from > t })
+		ws = ws[max(k-1, 0):k]
+	}
+	for _, w := range ws {
+		if t >= w.from && (w.to == 0 || t < w.to) {
+			return w.bucket
 		}
 	}
 	return 0
@@ -328,7 +360,8 @@ func (s *Service) Report() *Report {
 // ---------------------------------------------------------------------
 // Leader.
 
-// logEntry is one uncommitted-or-committed Put in the leader's log.
+// logEntry is one uncommitted Put in the leader's log. val is a sub-slice
+// of the leader's owning copy of the request frame.
 type logEntry struct {
 	client int
 	seq    uint64
@@ -361,9 +394,15 @@ type server struct {
 	respSeq  []uint32    // per-client response ring sequence (ModeWriteImm)
 	lastDone []cached
 
-	store  map[uint64][]byte
-	log    []logEntry
-	commit int // committed prefix length
+	// store values are replaced, never mutated: each is a sub-slice of a
+	// request frame that replication writes still in flight may alias.
+	store map[uint64][]byte
+	// log is the uncommitted suffix of the replicated log: entry k has the
+	// absolute index commit+k, the number followers see on the wire. An
+	// entry is dropped the moment it commits, so the log holds at most
+	// one entry per client however long the run.
+	log    fifo.Queue[logEntry]
+	commit int // entries committed so far
 	need   int // follower acks required per entry (quorum − leader)
 
 	degraded       bool
@@ -430,30 +469,28 @@ func (srv *server) onClientCQE(i int, e verbs.CQE) {
 	if !e.Receive {
 		return
 	}
-	var req Request
-	var err error
+	// The frame is handled in place and its buffer handed back after:
+	// handle copies what must outlive this event before it returns.
 	switch srv.s.o.Mode {
 	case ModeSend:
-		id := int(e.WQEID)
-		buf := srv.srqBufs[id]
-		req, _, err = UnmarshalRequest(buf[:e.Len])
+		buf := srv.srqBufs[int(e.WQEID)]
+		srv.handle(i, buf[:e.Len], e.At)
 		srv.srq.Post(e.WQEID, buf) // repost the consumed SRQ WQE
 	default: // ModeWriteImm
 		slot := int(e.Imm) % reqSlots
-		// Zero-copy: UnmarshalRequest copies the value out, so the ring
-		// bytes are done with before the next slot write can land.
 		ring, _ := srv.mem.View(rkReq+uint32(i), uint64(slot*srv.s.slotBytes()), srv.s.slotBytes())
-		req, _, err = UnmarshalRequest(ring)
+		srv.handle(i, ring, e.At)
 		srv.chalves[i].qp.PostRecv(0, nil)
 	}
+}
+
+// handle processes one client request frame on the leader. buf is only
+// valid during the call.
+func (srv *server) handle(i int, buf []byte, now sim.Time) {
+	req, n, err := viewRequest(buf)
 	if err != nil {
 		return
 	}
-	srv.handle(i, req, e.At)
-}
-
-// handle processes one decoded client request on the leader.
-func (srv *server) handle(i int, req Request, now sim.Time) {
 	ld := &srv.lastDone[i]
 	if ld.valid && req.Seq == ld.seq {
 		srv.sendResp(i, ld.resp) // duplicate of the answered request
@@ -473,8 +510,8 @@ func (srv *server) handle(i int, req Request, now sim.Time) {
 	}
 	// Put: drop duplicates of an entry still in flight (its response
 	// comes at commit), then run the failover state machine.
-	for k := srv.commit; k < len(srv.log); k++ {
-		if srv.log[k].client == i && srv.log[k].seq == req.Seq {
+	for k := 0; k < srv.log.Len(); k++ {
+		if en := srv.log.At(k); en.client == i && en.seq == req.Seq {
 			return
 		}
 	}
@@ -484,21 +521,23 @@ func (srv *server) handle(i int, req Request, now sim.Time) {
 		srv.reply(i, Response{Client: uint32(i), Seq: req.Seq, Status: RespReadOnly})
 		return
 	}
-	idx := len(srv.log)
-	srv.log = append(srv.log, logEntry{
+	// The leader's one copy of the request. The encoding is canonical, so
+	// the frame the client sent is the frame the followers are sent, and
+	// its value bytes are the log entry's and, once committed, the
+	// store's.
+	frame := bytes.Clone(buf[:n])
+	idx := srv.commit + srv.log.Len()
+	srv.log.Push(logEntry{
 		client: i,
 		seq:    req.Seq,
 		key:    req.Key,
-		// UnmarshalRequest allocated this value fresh; the log entry
-		// takes ownership instead of copying it a second time.
-		val: req.Value,
-		at:  now,
+		val:    frame[reqHeaderLen:],
+		at:     now,
 	})
 	if srv.need == 0 {
 		srv.advanceCommit(now)
 		return
 	}
-	frame := MarshalRequest(nil, req)
 	slot := uint64(idx%logSlots) * uint64(srv.s.slotBytes())
 	for j := range srv.fhalves {
 		_ = srv.fhalves[j].qp.PostSend(verbs.Request{
@@ -516,41 +555,43 @@ func (srv *server) handle(i int, req Request, now sim.Time) {
 // commit point caught up; degrade when the oldest uncommitted entry has
 // aged past the quorum timeout.
 func (srv *server) refreshDegraded(now sim.Time) {
-	if srv.commit == len(srv.log) {
+	if srv.log.Len() == 0 {
 		srv.degraded = false
 		return
 	}
-	if !srv.degraded && now.Sub(srv.log[srv.commit].at) > srv.s.o.QuorumTimeout {
+	if !srv.degraded && now.Sub(srv.log.At(0).at) > srv.s.o.QuorumTimeout {
 		srv.degraded = true
 		srv.degradedEnters++
 	}
 }
 
 // onFollowerCQE consumes follower j's ack (a zero-length WRITE-with-imm
-// whose immediate is the log index).
+// whose immediate is the log index). An ack for an index outside the
+// retained log — already committed and dropped, or never appended — is
+// ignored.
 func (srv *server) onFollowerCQE(j int, e verbs.CQE) {
 	if !e.Receive {
 		return
 	}
 	srv.fhalves[j].qp.PostRecv(0, nil)
-	idx := int(e.Imm)
-	if idx >= len(srv.log) {
+	k := int(e.Imm) - srv.commit
+	if k < 0 || k >= srv.log.Len() {
 		return
 	}
-	srv.log[idx].acks++
+	srv.log.At(k).acks++
 	srv.advanceCommit(e.At)
 }
 
 // advanceCommit applies and answers the quorum-acked log prefix, and
 // clears degradation once fully caught up.
 func (srv *server) advanceCommit(now sim.Time) {
-	for srv.commit < len(srv.log) && srv.log[srv.commit].acks >= srv.need {
-		en := &srv.log[srv.commit]
+	for srv.log.Len() > 0 && srv.log.At(0).acks >= srv.need {
+		en := srv.log.Pop()
 		srv.store[en.key] = en.val
 		srv.commit++
 		srv.reply(en.client, Response{Client: uint32(en.client), Seq: en.seq, Status: RespOK})
 	}
-	if srv.degraded && srv.commit == len(srv.log) {
+	if srv.degraded && srv.log.Len() == 0 {
 		srv.degraded = false
 	}
 }
@@ -615,8 +656,14 @@ func (f *follower) onCQE(e verbs.CQE) {
 	idx := int(e.Imm)
 	slot := uint64(idx%logSlots) * uint64(f.s.slotBytes())
 	ring, _ := f.mem.View(rkLog, slot, f.s.slotBytes())
-	if en, _, err := UnmarshalRequest(ring); err == nil {
-		f.store[en.Key] = en.Value
+	if en, _, err := viewRequest(ring); err == nil {
+		// Nothing aliases the follower's store, so an entry of the same
+		// length is overwritten in place.
+		if old, ok := f.store[en.Key]; ok && len(old) == len(en.Value) {
+			copy(old, en.Value)
+		} else {
+			f.store[en.Key] = bytes.Clone(en.Value)
+		}
 	}
 	_ = f.ep.qp.PostSend(verbs.Request{ID: uint64(idx), Op: verbs.OpWriteImm, Imm: uint32(idx)})
 }
@@ -646,7 +693,7 @@ type client struct {
 	recvBufs [][]byte // posted response buffers (ModeSend)
 	val      []byte   // Put-payload scratch, rewritten per send
 
-	queue     []int
+	queue     fifo.Queue[int]
 	cur       int // outstanding request index; -1 when idle
 	attempt   int
 	inBackoff bool
@@ -699,7 +746,7 @@ func (s *Service) attachClient(i int) {
 // enqueue hands the client a scheduled request (the evIssue event).
 func (c *client) enqueue(r int) {
 	c.st.Issued++
-	c.queue = append(c.queue, r)
+	c.queue.Push(r)
 	if c.cur < 0 && !c.inBackoff {
 		c.startNext(c.nic.Now())
 	}
@@ -707,12 +754,11 @@ func (c *client) enqueue(r int) {
 
 // startNext pops the backlog and transmits.
 func (c *client) startNext(now sim.Time) {
-	if len(c.queue) == 0 {
+	if c.queue.Len() == 0 {
 		c.cur = -1
 		return
 	}
-	c.cur = c.queue[0]
-	c.queue = c.queue[1:]
+	c.cur = c.queue.Pop()
 	c.attempt = 0
 	c.send(now)
 }
@@ -792,18 +838,20 @@ func (c *client) onCQE(e verbs.CQE) {
 	if !e.Receive {
 		return
 	}
+	// Only the status and sequence number are read, in place: a Get's
+	// value is never copied out of the response buffer.
 	var resp Response
 	var err error
 	switch c.s.o.Mode {
 	case ModeSend:
 		id := int(e.WQEID)
 		buf := c.recvBufs[id]
-		resp, _, err = UnmarshalResponse(buf[:e.Len])
+		resp, _, err = viewResponse(buf[:e.Len])
 		c.ep.qp.PostRecv(e.WQEID, buf)
 	default: // ModeWriteImm
 		slot := int(e.Imm) % respSlots
 		ring, _ := c.mem.View(rkResp, uint64(slot*c.s.slotBytes()), c.s.slotBytes())
-		resp, _, err = UnmarshalResponse(ring)
+		resp, _, err = viewResponse(ring)
 		c.ep.qp.PostRecv(0, nil)
 	}
 	if err != nil {

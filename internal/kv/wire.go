@@ -14,14 +14,17 @@ package kv
 //
 // Packet-pool ownership contract: the fabric packet only ferries a
 // pointer to the verbs packet (Packet.Verbs). The VPacket itself is
-// owned by the sending QP (which retains it for retransmission) and is
-// immutable after construction, so the same pointer can cross a shard
-// boundary or be resent safely. Receivers must extract the pointer
-// inside HandleData/HandleControl: the NIC releases the fabric packet —
-// wiping Verbs — the moment the handler returns.
+// owned by the sending QP — carved from that QP's slab, retained for
+// retransmission, never recycled — and is immutable after construction,
+// so the same pointer can cross a shard boundary or be resent safely,
+// and a copy still in flight when its original is acknowledged reads
+// what was sent. Receivers must extract the pointer inside
+// HandleData/HandleControl: the NIC releases the fabric packet — wiping
+// Verbs — the moment the handler returns.
 
 import (
 	"github.com/irnsim/irn/internal/fabric"
+	"github.com/irnsim/irn/internal/fifo"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/transport"
@@ -82,18 +85,12 @@ type vsource struct {
 	nic *fabric.NIC
 	fl  transport.Flow
 	qp  *verbs.QP
-
-	// q/head form a reusable FIFO: consumed entries advance head instead
-	// of re-slicing the array away (q = q[1:] discards capacity, so a
-	// long-lived connection reallocates the queue once per wrap). The
-	// array is reclaimed whole whenever the queue drains.
-	q    []*verbs.VPacket
-	head int
+	q   fifo.Queue[*verbs.VPacket]
 }
 
 // push enqueues an outbound verbs packet and kicks the NIC.
 func (s *vsource) push(vp *verbs.VPacket) {
-	s.q = append(s.q, vp)
+	s.q.Push(vp)
 	s.nic.Wake()
 }
 
@@ -102,19 +99,14 @@ func (s *vsource) Flow() *transport.Flow { return &s.fl }
 
 // HasData implements transport.Source.
 func (s *vsource) HasData(now sim.Time) (bool, sim.Time) {
-	return s.head < len(s.q), 0
+	return s.q.Len() > 0, 0
 }
 
 // NextPacket implements transport.Source: wrap the next verbs packet in
 // a fabric data packet. The wire size counts the IRN headers (RETH in
 // every packet, the IRN extension) on top of the standard RoCEv2 frame.
 func (s *vsource) NextPacket(now sim.Time) *packet.Packet {
-	vp := s.q[s.head]
-	s.q[s.head] = nil
-	s.head++
-	if s.head == len(s.q) {
-		s.q, s.head = s.q[:0], 0
-	}
+	vp := s.q.Pop()
 	pk := s.nic.Pool().NewData(s.fl.ID, s.fl.Src, s.fl.Dst, vp.BTH.PSN,
 		len(vp.Payload), vp.BTH.Opcode.IsLast())
 	pk.Wire = len(vp.Payload) + packet.DataHeader + packet.RETHSize + packet.IRNExtSize

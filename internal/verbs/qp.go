@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/irnsim/irn/internal/bitmap"
+	"github.com/irnsim/irn/internal/fifo"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 )
@@ -11,7 +12,7 @@ import (
 // Config parameterizes a QP.
 type Config struct {
 	MTU      int
-	BDPCap   int          // request packets in flight (BDP-FC)
+	BDPCap   int          // request packets in flight (BDP-FC); at most 4096, the PSN window
 	RTOLow   sim.Duration // short timeout (few packets in flight)
 	RTOHigh  sim.Duration
 	RTOLowN  int
@@ -78,11 +79,12 @@ type reqWQE struct {
 func (w *reqWQE) atomicResult(v uint64) { w.atomicVal = v }
 
 // RecvWQE is a Receive WQE: an application buffer consumed by Sends and
-// Write-with-Immediates in posted order.
+// Write-with-Immediates in posted order. Its recv_WQE_SN, assigned at
+// post (or SRQ dequeue), is its position in the owning wqeRing.
 type RecvWQE struct {
-	ID  uint64
-	Buf []byte
-	sn  uint32 // recv_WQE_SN, assigned at post (or SRQ dequeue)
+	ID   uint64
+	Buf  []byte
+	held bool // posted and not yet consumed
 }
 
 // pendingRead is a Read/Atomic request parked in the responder's Read WQE
@@ -101,14 +103,15 @@ type pendingRead struct {
 
 // stagedCQE is a premature CQE (§5.3.3): the last packet of a message
 // arrived before its predecessors; the completion is staged "in main
-// memory" until the cumulative point passes it.
+// memory" until the cumulative point passes it. Staged entries live by
+// value in a ring indexed by the sPSN of the message's last packet.
 type stagedCQE struct {
 	recvSN  uint32
 	imm     uint32
 	length  int
 	invKey  uint32
 	hasRecv bool // consumes a Receive WQE (Send*, WriteImm)
-	isSend  bool
+	valid   bool // slot holds a staged completion
 }
 
 // QP is one end of a reliable connection. Both endpoints are full QPs:
@@ -129,11 +132,10 @@ type QP struct {
 	dead     bool
 
 	// ---- Requester: request transmission (sPSN space, §5.4) ----
-	reqWQEs  []*reqWQE
-	posted   uint32     // messages posted
-	expired  uint32     // messages expired via MSN
-	sendQ    []*VPacket // packetized, not yet transmitted: PSNs [tx.next-len, tx.next)
-	fenceQ   []*Request // requests held behind a fence
+	reqWQEs  fifo.Queue[*reqWQE]
+	posted   uint32              // messages posted
+	expired  uint32              // messages expired via MSN
+	fenceQ   fifo.Queue[Request] // requests held behind a fence
 	tx       sendHalf
 	rewind   uint32 // go-back-N only: next retained packet to resend
 	rnrUntil sim.Time
@@ -151,13 +153,20 @@ type QP struct {
 	rx       *bitmap.TwoBitmap
 	rxExp    uint32
 	msn      uint32
-	staged   map[uint32]*stagedCQE
+	staged   [psnWindow]stagedCQE // by sPSN&psnMask of the last packet
 	recvQ    recvProvider
 	readBuf  map[uint32]*pendingRead // keyed by sPSN of the request packet
 	readSNAt map[uint32]uint32       // read_WQE_SN → sPSN (dedupe)
 
 	// ---- Responder: read/atomic response transmission (rPSN space) ----
 	rtx sendHalf
+
+	// Per-message objects are carved from slabs. VPackets are never
+	// recycled: the wire ferries them by pointer and a retransmitted copy
+	// can still be in flight when the cumulative ack releases the
+	// original, so reuse would hand a receiver a rewritten packet.
+	pkts slab[VPacket]
+	wqes slab[reqWQE]
 
 	// Stats.
 	Retransmits, Timeouts, RNRNacks, Drops uint64
@@ -167,7 +176,7 @@ type QP struct {
 type recvProvider interface {
 	// next dequeues the Receive WQE with the given sequence number,
 	// allotting sequence numbers on demand for SRQs (Appendix B.2).
-	get(sn uint32) (*RecvWQE, bool)
+	get(sn uint32) (RecvWQE, bool)
 	// posted reports how many receive WQEs have sequence numbers
 	// assigned or assignable right now.
 	available(sn uint32) bool
@@ -191,6 +200,11 @@ func NewQPOn(name string, eng *sim.Engine, clk *sim.Clock, cfg Config, wire Wire
 	if cfg.MTU <= 0 || cfg.BDPCap <= 0 {
 		panic("verbs: bad config")
 	}
+	if cfg.BDPCap > psnWindow {
+		// The PSN-indexed rings and the SACK scoreboard cover psnWindow
+		// sequence numbers past the cumulative point.
+		panic(fmt.Sprintf("verbs: BDPCap %d exceeds the %d-PSN window", cfg.BDPCap, psnWindow))
+	}
 	q := &QP{
 		name:     name,
 		eng:      eng,
@@ -199,16 +213,15 @@ func NewQPOn(name string, eng *sim.Engine, clk *sim.Clock, cfg Config, wire Wire
 		wire:     wire,
 		mem:      mem,
 		cq:       cq,
-		tx:       newSendHalf(),
+		tx:       newSendHalf(cfg.BDPCap),
 		readsOut: make(map[uint32]*reqWQE),
 		rrx:      bitmap.NewTwo(psnWindow),
 		rx:       bitmap.NewTwo(psnWindow),
-		staged:   make(map[uint32]*stagedCQE),
 		readBuf:  make(map[uint32]*pendingRead),
 		readSNAt: make(map[uint32]uint32),
-		rtx:      newSendHalf(),
+		rtx:      newSendHalf(psnWindow),
+		recvQ:    &wqeRing{},
 	}
-	q.recvQ = newRecvQueue()
 	q.tx.timer = sim.NewHandlerTimer(eng, clk, q, qpTimer)
 	q.rtx.timer = sim.NewHandlerTimer(eng, clk, q, qpReadTimer)
 	return q
@@ -237,15 +250,15 @@ func (q *QP) HandleEvent(kind uint8, arg uint64) {
 
 // UseSRQ attaches a shared receive queue (Appendix B.2). The QP keeps
 // its own recv_WQE_SN space over WQEs it dequeues from the pool.
-func (q *QP) UseSRQ(srq *SRQ) { q.recvQ = newSRQBinding(srq) }
+func (q *QP) UseSRQ(srq *SRQ) { q.recvQ = &srqBinding{srq: srq} }
 
 // PostRecv posts a Receive WQE to the QP's own receive queue.
 func (q *QP) PostRecv(id uint64, buf []byte) {
-	rq, ok := q.recvQ.(*recvQueue)
+	rq, ok := q.recvQ.(*wqeRing)
 	if !ok {
 		panic("verbs: QP uses an SRQ; post to the SRQ instead")
 	}
-	rq.post(&RecvWQE{ID: id, Buf: buf})
+	rq.post(RecvWQE{ID: id, Buf: buf})
 }
 
 // MSN exposes the responder's message sequence number (tests).
@@ -271,8 +284,8 @@ func (q *QP) PostSend(req Request) error {
 	default:
 		return fmt.Errorf("verbs: unknown op %v", req.Op)
 	}
-	if (req.Fence && len(q.reqWQEs) > 0) || len(q.fenceQ) > 0 {
-		q.fenceQ = append(q.fenceQ, &req)
+	if (req.Fence && q.reqWQEs.Len() > 0) || q.fenceQ.Len() > 0 {
+		q.fenceQ.Push(req)
 		return nil
 	}
 	q.admit(req)
@@ -281,7 +294,8 @@ func (q *QP) PostSend(req Request) error {
 
 // admit packetizes a request PostSend has validated into the send queue.
 func (q *QP) admit(req Request) {
-	w := &reqWQE{req: req, msgIdx: q.posted, pkts: 1}
+	w := q.wqes.get()
+	w.req, w.msgIdx, w.pkts = req, q.posted, 1
 	switch req.Op {
 	case OpWrite, OpWriteImm, OpSend, OpSendInv:
 		w.pkts = pktsFor(len(req.Data), q.cfg.MTU)
@@ -292,7 +306,7 @@ func (q *QP) admit(req Request) {
 	}
 	w.firstPSN = q.tx.next
 	q.posted++
-	q.reqWQEs = append(q.reqWQEs, w)
+	q.reqWQEs.Push(w)
 	q.buildPackets(w)
 	q.pump()
 }
@@ -317,12 +331,11 @@ func (q *QP) buildPackets(w *reqWQE) {
 		q.readSSN++
 		q.readsOut[sn] = w
 		q.readsPending++
-		p := &VPacket{
-			BTH:  packet.BTH{Opcode: packet.OpReadRequest, PSN: q.tx.next},
-			RETH: packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: uint32(len(req.Local))},
-			Ext:  packet.IRNExt{WQESeq: sn},
-		}
-		q.enqueue(p)
+		p := q.pkts.get()
+		p.BTH.Opcode = packet.OpReadRequest
+		p.RETH = packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: uint32(len(req.Local))}
+		p.Ext.WQESeq = sn
+		q.tx.enqueue(p)
 	case OpFetchAdd, OpCmpSwap:
 		sn := q.readSSN
 		q.readSSN++
@@ -332,16 +345,15 @@ func (q *QP) buildPackets(w *reqWQE) {
 		if req.Op == OpCmpSwap {
 			op = packet.OpCompareSwap
 		}
-		p := &VPacket{
-			BTH:       packet.BTH{Opcode: op, PSN: q.tx.next},
-			RETH:      packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: 8},
-			Ext:       packet.IRNExt{WQESeq: sn},
-			AtomicCmp: req.Cmp, AtomicSwap: req.Swap,
-		}
+		p := q.pkts.get()
+		p.BTH.Opcode = op
+		p.RETH = packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: 8}
+		p.Ext.WQESeq = sn
+		p.AtomicCmp, p.AtomicSwap = req.Cmp, req.Swap
 		if req.Op == OpFetchAdd {
 			p.AtomicCmp = req.Add // add operand rides in the cmp slot
 		}
-		q.enqueue(p)
+		q.tx.enqueue(p)
 	}
 }
 
@@ -367,10 +379,9 @@ func (q *QP) buildSegmented(w *reqWQE, data []byte, isWrite bool) {
 		if lo < len(data) {
 			payload = data[lo:hi]
 		}
-		p := &VPacket{
-			BTH:     packet.BTH{Opcode: segOpcode(req.Op, i, n), PSN: q.tx.next},
-			Payload: payload,
-		}
+		p := q.pkts.get()
+		p.BTH.Opcode = segOpcode(req.Op, i, n)
+		p.Payload = payload
 		if isWrite {
 			p.RETH = packet.RETH{VA: req.VA + uint64(lo), RKey: req.RKey, DMALen: uint32(len(data))}
 		}
@@ -386,7 +397,7 @@ func (q *QP) buildSegmented(w *reqWQE, data []byte, isWrite bool) {
 			p.Imm = req.Imm
 			p.InvKey = req.InvKey
 		}
-		q.enqueue(p)
+		q.tx.enqueue(p)
 	}
 }
 
@@ -416,13 +427,6 @@ func segOpcode(op OpType, i, n int) packet.Opcode {
 	}
 }
 
-// enqueue assigns the next sPSN and queues the packet for transmission.
-func (q *QP) enqueue(p *VPacket) {
-	p.BTH.PSN = q.tx.next
-	q.tx.next++
-	q.sendQ = append(q.sendQ, p)
-}
-
 // pump transmits everything currently allowed: retransmissions first,
 // then new packets within BDP-FC.
 func (q *QP) pump() {
@@ -438,27 +442,15 @@ func (q *QP) pump() {
 		// recovery point; every retained packet at and above it goes out
 		// again in PSN order.
 		for q.tx.sb.InRecovery() && q.rewind < q.tx.next {
-			if p, ok := q.tx.pend[q.rewind]; ok {
-				q.Retransmits++
-				q.wire.Send(p)
-			}
+			q.resend(&q.tx, q.rewind)
 			q.rewind++
 		}
 	} else {
 		// Selective retransmission (§3.1) of what has been transmitted.
-		q.resendLost(&q.tx, q.tx.next-uint32(len(q.sendQ)))
+		q.resendLost(&q.tx)
 	}
 	// New packets under BDP-FC.
-	for len(q.sendQ) > 0 {
-		p := q.sendQ[0]
-		if int(p.BTH.PSN-q.tx.sb.Cum()) >= q.cfg.BDPCap {
-			break
-		}
-		q.sendQ = q.sendQ[1:]
-		q.tx.pend[p.BTH.PSN] = p
-		q.wire.Send(p)
-	}
-	q.arm(&q.tx)
+	q.transmit(&q.tx)
 }
 
 // enterRecovery starts a recovery episode on the request stream if none
@@ -516,13 +508,12 @@ func (q *QP) fail(now sim.Time) {
 	q.dead = true
 	q.tx.timer.Cancel()
 	q.rtx.timer.Cancel()
-	for _, w := range q.reqWQEs {
-		if !w.completed {
+	for ; q.reqWQEs.Len() > 0; q.reqWQEs.Pop() {
+		if w := *q.reqWQEs.At(0); !w.completed {
 			w.completed = true
 			q.cq.push(CQE{WQEID: w.req.ID, Op: w.req.Op, Status: StatusRetryExceeded, At: now})
 		}
 	}
-	q.reqWQEs = nil
 	// Reads/atomics already expired from reqWQEs but awaiting data:
 	// walk the read_WQE_SN space in order, never the map.
 	for sn := uint32(0); sn < q.readSSN; sn++ {
@@ -531,11 +522,11 @@ func (q *QP) fail(now sim.Time) {
 			q.cq.push(CQE{WQEID: w.req.ID, Op: w.req.Op, Status: StatusRetryExceeded, At: now})
 		}
 	}
-	for _, r := range q.fenceQ {
+	for q.fenceQ.Len() > 0 {
+		r := q.fenceQ.Pop()
 		q.cq.push(CQE{WQEID: r.ID, Op: r.Op, Status: StatusRetryExceeded, At: now})
 	}
-	q.fenceQ = nil
-	q.sendQ = nil
+	q.tx.sendQ = fifo.Queue[*VPacket]{}
 }
 
 // Receive processes a packet from the peer; the Wire calls this.

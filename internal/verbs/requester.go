@@ -51,13 +51,13 @@ func (q *QP) onAck(p *VPacket, nack bool, now sim.Time) {
 // expireRequests pops Request WQEs up to the acknowledged MSN, emitting
 // CQEs for Writes and Sends (Reads and Atomics complete on data arrival).
 func (q *QP) expireRequests(msn uint32, now sim.Time) {
-	for q.expired < msn && len(q.reqWQEs) > 0 {
-		w := q.reqWQEs[0]
+	for q.expired < msn && q.reqWQEs.Len() > 0 {
+		w := *q.reqWQEs.At(0)
 		if w.msgIdx >= msn {
 			break
 		}
 		w.expired = true
-		q.reqWQEs = q.reqWQEs[1:]
+		q.reqWQEs.Pop()
 		q.expired++
 		switch w.req.Op {
 		case OpWrite, OpWriteImm, OpSend, OpSendInv:
@@ -73,13 +73,11 @@ func (q *QP) expireRequests(msn uint32, now sim.Time) {
 // releaseFence admits fenced requests once every prior WQE has expired
 // and completed (§5.3.4, Appendix B.5).
 func (q *QP) releaseFence() {
-	for len(q.fenceQ) > 0 {
-		if len(q.reqWQEs) > 0 || q.readsPending > 0 {
+	for q.fenceQ.Len() > 0 {
+		if q.reqWQEs.Len() > 0 || q.readsPending > 0 {
 			return
 		}
-		next := q.fenceQ[0]
-		q.fenceQ = q.fenceQ[1:]
-		q.admit(*next)
+		q.admit(q.fenceQ.Pop())
 	}
 }
 
@@ -160,9 +158,9 @@ func (q *QP) sendReadAck(nack bool, sack uint32) {
 	if nack {
 		syn = packet.SyndromeNack
 	}
-	q.wire.Send(&VPacket{
-		BTH:     packet.BTH{Opcode: packet.OpReadNack, PSN: q.rrxExp},
-		AETH:    packet.AETH{Syndrome: syn},
-		SackPSN: sack,
-	})
+	p := q.pkts.get()
+	p.BTH = packet.BTH{Opcode: packet.OpReadNack, PSN: q.rrxExp}
+	p.AETH.Syndrome = syn
+	p.SackPSN = sack
+	q.wire.Send(p)
 }

@@ -92,12 +92,12 @@ func (q *QP) placeData(p *VPacket) {
 			q.mem.Write(p.RETH.RKey, p.RETH.VA, p.Payload)
 		}
 		if op.IsLast() {
-			st := &stagedCQE{imm: p.Imm, length: int(p.RETH.DMALen)}
+			st := stagedCQE{imm: p.Imm, length: int(p.RETH.DMALen), valid: true}
 			if op.HasImmediate() {
 				st.hasRecv = true
 				st.recvSN = p.Ext.WQESeq
 			}
-			q.staged[p.BTH.PSN] = st
+			q.staged[p.BTH.PSN&psnMask] = st
 		}
 
 	case isSendOpcode(op):
@@ -109,17 +109,17 @@ func (q *QP) placeData(p *VPacket) {
 			}
 		}
 		if op.IsLast() {
-			st := &stagedCQE{
+			st := stagedCQE{
 				recvSN:  p.Ext.WQESeq,
 				imm:     p.Imm,
 				hasRecv: true,
-				isSend:  true,
+				valid:   true,
 				length:  int(p.Ext.RelOffset)*q.cfg.MTU + len(p.Payload),
 			}
 			if op == packet.OpSendLastInv || op == packet.OpSendOnlyInv {
 				st.invKey = p.InvKey
 			}
-			q.staged[p.BTH.PSN] = st
+			q.staged[p.BTH.PSN&psnMask] = st
 		}
 
 	case op == packet.OpReadRequest:
@@ -167,10 +167,10 @@ func (q *QP) advanceCumulative(now sim.Time) {
 	}
 	q.rxExp += uint32(pkts)
 	for psn := base; psn != q.rxExp; psn++ {
-		if st, ok := q.staged[psn]; ok {
-			delete(q.staged, psn)
+		if st := &q.staged[psn&psnMask]; st.valid {
+			st.valid = false
 			q.msn++
-			q.emitRecvCQE(st, now)
+			q.emitRecvCQE(*st, now)
 		}
 		if r, ok := q.readBuf[psn]; ok && !r.executed {
 			r.executed = true
@@ -182,7 +182,7 @@ func (q *QP) advanceCumulative(now sim.Time) {
 
 // emitRecvCQE delivers a responder-side completion (and the
 // Send-with-Invalidate side effect).
-func (q *QP) emitRecvCQE(st *stagedCQE, now sim.Time) {
+func (q *QP) emitRecvCQE(st stagedCQE, now sim.Time) {
 	if st.invKey != 0 {
 		q.mem.Invalidate(st.invKey)
 	}
@@ -220,11 +220,10 @@ func (q *QP) executeRead(r *pendingRead) {
 			if hi > len(data) {
 				hi = len(data)
 			}
-			p := &VPacket{
-				BTH:     packet.BTH{Opcode: readRespOpcode(i, n), PSN: q.rtx.next},
-				Ext:     packet.IRNExt{WQESeq: r.sn, RelOffset: uint32(i)},
-				Payload: data[lo:hi],
-			}
+			p := q.pkts.get()
+			p.BTH.Opcode = readRespOpcode(i, n)
+			p.Ext = packet.IRNExt{WQESeq: r.sn, RelOffset: uint32(i)}
+			p.Payload = data[lo:hi]
 			q.sendReadResp(p)
 		}
 	case OpFetchAdd, OpCmpSwap:
@@ -237,11 +236,10 @@ func (q *QP) executeRead(r *pendingRead) {
 				q.mem.WriteWord(r.rkey, r.va, r.swap)
 			}
 		}
-		p := &VPacket{
-			BTH:       packet.BTH{Opcode: packet.OpReadRespOnly, PSN: q.rtx.next},
-			Ext:       packet.IRNExt{WQESeq: r.sn},
-			AtomicCmp: orig, // original value rides back to the requester
-		}
+		p := q.pkts.get()
+		p.BTH.Opcode = packet.OpReadRespOnly
+		p.Ext.WQESeq = r.sn
+		p.AtomicCmp = orig // original value rides back to the requester
 		q.sendReadResp(p)
 	}
 }
@@ -261,25 +259,25 @@ func readRespOpcode(i, n int) packet.Opcode {
 
 // sendAck emits a cumulative ACK carrying the MSN (§5.3.3).
 func (q *QP) sendAck() {
-	q.wire.Send(&VPacket{
-		BTH:  packet.BTH{Opcode: packet.OpAcknowledge, PSN: q.rxExp},
-		AETH: packet.AETH{Syndrome: packet.SyndromeAck, MSN: q.msn},
-	})
+	q.sendAckFamily(packet.OpAcknowledge, packet.SyndromeAck, 0)
 }
 
 // sendNack emits an IRN NACK: cumulative ack + triggering PSN.
 func (q *QP) sendNack(sack uint32) {
-	q.wire.Send(&VPacket{
-		BTH:     packet.BTH{Opcode: packet.OpAtomicAcknowledge, PSN: q.rxExp},
-		AETH:    packet.AETH{Syndrome: packet.SyndromeNack, MSN: q.msn},
-		SackPSN: sack,
-	})
+	q.sendAckFamily(packet.OpAtomicAcknowledge, packet.SyndromeNack, sack)
 }
 
 // sendRNR emits a receiver-not-ready NACK (Appendix B.3/B.4).
 func (q *QP) sendRNR() {
-	q.wire.Send(&VPacket{
-		BTH:  packet.BTH{Opcode: packet.OpAtomicAcknowledge, PSN: q.rxExp},
-		AETH: packet.AETH{Syndrome: packet.SyndromeRNRNack, MSN: q.msn},
-	})
+	q.sendAckFamily(packet.OpAtomicAcknowledge, packet.SyndromeRNRNack, 0)
+}
+
+// sendAckFamily emits one (N)ACK on the sPSN space: the cumulative point
+// and the MSN, plus the triggering PSN on an IRN NACK.
+func (q *QP) sendAckFamily(op packet.Opcode, syndrome uint8, sack uint32) {
+	p := q.pkts.get()
+	p.BTH = packet.BTH{Opcode: op, PSN: q.rxExp}
+	p.AETH = packet.AETH{Syndrome: syndrome, MSN: q.msn}
+	p.SackPSN = sack
+	q.wire.Send(p)
 }

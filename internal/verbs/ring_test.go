@@ -1,0 +1,361 @@
+package verbs
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"github.com/irnsim/irn/internal/fifo"
+	"github.com/irnsim/irn/internal/packet"
+	"github.com/irnsim/irn/internal/sim"
+)
+
+// loopWire is a Wire between two QPs on one engine: packets queue and
+// arrive one link delay later through a typed event, so a delivery
+// allocates nothing in the wire itself and an allocation count is the
+// QPs' own.
+type loopWire struct {
+	eng  *sim.Engine
+	peer *QP
+	q    fifo.Queue[*VPacket]
+}
+
+func (w *loopWire) Send(p *VPacket) {
+	w.q.Push(p)
+	w.eng.AfterEvent(2*sim.Microsecond, w, 0, 0)
+}
+
+func (w *loopWire) HandleEvent(uint8, uint64) { w.peer.Receive(w.q.Pop(), w.eng.Now()) }
+
+// TestMessageAllocsBudget pins the steady-state allocation cost of one
+// message through a QP pair: WQEs and packets are slab-carved (one
+// allocation per 64), Receive WQEs and staged CQEs live by value in
+// rings, and the queues keep their arrays, so a message costs a fraction
+// of an allocation however many packets and acks it takes.
+func TestMessageAllocsBudget(t *testing.T) {
+	eng := sim.NewEngine()
+	ab, ba := &loopWire{eng: eng}, &loopWire{eng: eng}
+	memB := NewMemory()
+	cqA, cqB := &CQ{}, &CQ{}
+	a := NewQP("a", eng, DefaultConfig(), ab, NewMemory(), cqA)
+	b := NewQP("b", eng, DefaultConfig(), ba, memB, cqB)
+	ab.peer, ba.peer = b, a
+	done := 0
+	cqA.OnComplete(func(e CQE) {
+		if e.Status == StatusOK {
+			done++
+		}
+	})
+	cqB.OnComplete(func(CQE) {})
+	memB.Register(1, make([]byte, 2048))
+
+	msg, buf, frame := make([]byte, 64), make([]byte, 64), make([]byte, 2048)
+	const batch = 256
+	for _, tc := range []struct {
+		name string
+		req  Request
+		buf  []byte
+	}{
+		{"64B-SEND", Request{Op: OpSend, Data: msg}, buf},
+		{"2KB-WRITE_IMM", Request{Op: OpWriteImm, Data: frame, RKey: 1, Imm: 7}, nil},
+	} {
+		run := func() {
+			for i := 0; i < batch; i++ {
+				b.PostRecv(uint64(i), tc.buf)
+				if err := a.PostSend(tc.req); err != nil {
+					t.Fatal(err)
+				}
+				eng.Run()
+			}
+		}
+		run() // warm the queues and rings to their steady size
+		done = 0
+		perMsg := testing.AllocsPerRun(4, run) / batch
+		t.Logf("%s: %.3f allocs/message", tc.name, perMsg)
+		if done != 5*batch {
+			t.Fatalf("%s: %d of %d messages completed", tc.name, done, 5*batch)
+		}
+		if perMsg > 1 {
+			t.Errorf("%s: %.2f allocs/message, budget 1", tc.name, perMsg)
+		}
+	}
+}
+
+func TestNewQPRejectsBDPCapBeyondWindow(t *testing.T) {
+	mk := func(bdpCap int) (err any) {
+		defer func() { err = recover() }()
+		cfg := DefaultConfig()
+		cfg.BDPCap = bdpCap
+		NewQP("q", sim.NewEngine(), cfg, WireFunc(func(*VPacket) {}), NewMemory(), &CQ{})
+		return nil
+	}
+	if err := mk(psnWindow); err != nil {
+		t.Errorf("BDPCap == psnWindow rejected: %v", err)
+	}
+	err := mk(psnWindow + 1)
+	if msg, _ := err.(string); !strings.Contains(msg, "BDPCap") {
+		t.Errorf("BDPCap > psnWindow: got %v, want a panic naming BDPCap", err)
+	}
+}
+
+// TestRecvRingGrowsAndWraps drives the Receive WQE ring through growth
+// with a non-zero base and through out-of-order consumption.
+func TestRecvRingGrowsAndWraps(t *testing.T) {
+	var r wqeRing
+	for sn := uint32(0); sn < 5; sn++ {
+		r.post(RecvWQE{ID: uint64(sn)})
+	}
+	r.consume(1) // out of order: base must wait for 0
+	if r.base != 0 || r.available(1) || !r.available(0) {
+		t.Fatalf("after consume(1): base %d, available(1) %v", r.base, r.available(1))
+	}
+	r.consume(0)
+	if r.base != 2 {
+		t.Fatalf("base %d after the prefix was consumed, want 2", r.base)
+	}
+	for sn := uint32(5); sn < 40; sn++ { // grows 8 → 64 with base = 2
+		r.post(RecvWQE{ID: uint64(sn)})
+	}
+	for sn := uint32(0); sn < 45; sn++ {
+		w, ok := r.get(sn)
+		if want := sn >= 2 && sn < 40; ok != want || (ok && w.ID != uint64(sn)) {
+			t.Fatalf("get(%d) = %+v, %v", sn, w, ok)
+		}
+	}
+	for sn := uint32(2); sn < 40; sn++ {
+		r.consume(sn)
+		r.post(RecvWQE{ID: uint64(sn + 38)})
+	}
+	if len(r.slots) != 64 || r.base != 40 || r.next != 78 {
+		t.Fatalf("steady repost grew the ring: %d slots, [%d,%d)", len(r.slots), r.base, r.next)
+	}
+}
+
+// chaosWire is the adversarial link of internal/recovery's grid for an
+// in-package test: every packet is delivered zero, one or two times,
+// each copy after its own random delay (jitter reorders; a few are held
+// back past RTOLow).
+type chaosWire struct {
+	eng     *sim.Engine
+	rng     *sim.RNG
+	to      **QP
+	observe func(p *VPacket)          // at transmission
+	arrive  func(p *VPacket, dst *QP) // before each delivery
+}
+
+func (w *chaosWire) Send(p *VPacket) {
+	if w.observe != nil {
+		w.observe(p)
+	}
+	if w.rng.Float64() < 0.05 {
+		return
+	}
+	copies := 1
+	if w.rng.Float64() < 0.03 {
+		copies = 2
+	}
+	for ; copies > 0; copies-- {
+		d := 2*sim.Microsecond + sim.Duration(w.rng.Intn(3000))*sim.Nanosecond
+		if w.rng.Float64() < 0.02 {
+			d += sim.Duration(w.rng.Intn(150)) * sim.Microsecond
+		}
+		w.eng.After(d, func() {
+			if w.arrive != nil {
+				w.arrive(p, *w.to)
+			}
+			(*w.to).Receive(p, w.eng.Now())
+		})
+	}
+}
+
+// TestRingsWrapUnderAdversarialLink pushes three windows' worth of PSNs
+// on both PSN spaces through one QP pair over a link that drops,
+// duplicates, delays and reorders, so every slot of the retained-packet,
+// staged-CQE and Receive-WQE rings is reused at least twice. Every
+// message completes exactly once and in order with its bytes intact, no
+// request goes out beyond BDP-FC, and a copy of a request packet replayed
+// a full window after it was acknowledged is re-ACKed and never placed.
+func TestRingsWrapUnderAdversarialLink(t *testing.T) {
+	for _, gbn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("GoBackN=%v", gbn), func(t *testing.T) { ringWrap(t, gbn) })
+	}
+}
+
+func ringWrap(t *testing.T, goBackN bool) {
+	const (
+		mtu      = 1000
+		bdpCap   = 32
+		triples  = 3*psnWindow/8 + 1 // each SEND+WRITE_IMM+READ triple is 8 sPSNs and 8 rPSNs
+		messages = 3 * triples
+		inFlight = 12 // messages outstanding
+		recvs    = 16 // Receive WQEs posted
+		sendLen  = 2500
+		writeLen = 3500
+		readLen  = 8 * mtu
+		slots    = 4 // WRITE_IMM targets rotate over this many region slots
+	)
+	eng := sim.NewEngine()
+	cfg := DefaultConfig()
+	cfg.MTU, cfg.BDPCap, cfg.GoBackN = mtu, bdpCap, goBackN
+	var a, b *QP
+	cqA, cqB := &CQ{}, &CQ{}
+	memB := NewMemory()
+	region := make([]byte, slots*4096)
+	source := fill(64*1024, 5) // what READs fetch; never written
+	memB.Register(7, region)
+	memB.Register(8, source)
+
+	pattern := func(i, n int) []byte { return fill(n, byte(i*13)) }
+	readVA := func(i int) uint64 { return uint64(i*97) % uint64(len(source)-readLen) }
+
+	// Requester → responder: BDP-FC is checked against the highest
+	// cumulative ack delivered so far; one acknowledged last-packet is
+	// kept aside to be replayed a window later.
+	var reqCum uint32
+	var stale *VPacket
+	replays := 0
+	rng := sim.NewRNG(sim.DeriveSeed(3, "ringwrap", 0))
+	ab := &chaosWire{eng: eng, rng: rng, to: &b}
+	ab.observe = func(p *VPacket) {
+		if isAck(p.BTH.Opcode) {
+			return // read (N)ACKs ride the rPSN space
+		}
+		if int(p.BTH.PSN-reqCum) >= bdpCap {
+			t.Fatalf("request PSN %d sent with cumulative ack %d: beyond the cap %d", p.BTH.PSN, reqCum, bdpCap)
+		}
+		if stale == nil && p.BTH.Opcode.IsLast() && len(p.Payload) > 0 {
+			stale = p
+		}
+	}
+	var acksFromB int
+	var lastFromB *VPacket
+	ba := &chaosWire{eng: eng, rng: rng, to: &a}
+	ba.observe = func(p *VPacket) { acksFromB++; lastFromB = p }
+	ba.arrive = func(p *VPacket, _ *QP) {
+		if op := p.BTH.Opcode; (op == packet.OpAcknowledge || op == packet.OpAtomicAcknowledge) && p.BTH.PSN > reqCum {
+			reqCum = p.BTH.PSN
+		}
+	}
+	a = NewQP("a", eng, cfg, ab, NewMemory(), cqA)
+	b = NewQP("b", eng, cfg, ba, memB, cqB)
+
+	// Responder completions: SENDs and WRITE_IMMs, in posted order, each
+	// checked against its bytes the moment it completes.
+	recvBufs := make([][]byte, recvs)
+	for k := range recvBufs {
+		recvBufs[k] = make([]byte, 4096)
+		b.PostRecv(uint64(k), recvBufs[k])
+	}
+	nextRecv := 0 // index among the messages that complete at the responder
+	cqB.OnComplete(func(e CQE) {
+		i := int(e.Imm) // the message index rides in the immediate
+		if want := nextRecv/2*3 + nextRecv%2; i != want || !e.Receive {
+			t.Fatalf("responder completion %d is for message %d, want %d", nextRecv, i, want)
+		}
+		if int(e.WQEID) != nextRecv%recvs {
+			t.Fatalf("responder completion %d consumed WQE %d, want %d", nextRecv, e.WQEID, nextRecv%recvs)
+		}
+		switch i % 3 {
+		case 0:
+			if e.Len != sendLen || !bytes.Equal(recvBufs[e.WQEID][:sendLen], pattern(i, sendLen)) {
+				t.Fatalf("SEND %d landed the wrong bytes", i)
+			}
+		case 1:
+			at := (i / 3 % slots) * 4096
+			if !bytes.Equal(region[at:at+writeLen], pattern(i, writeLen)) {
+				t.Fatalf("WRITE_IMM %d landed the wrong bytes", i)
+			}
+		}
+		nextRecv++
+		b.PostRecv(e.WQEID, recvBufs[e.WQEID])
+	})
+
+	// Requester: a closed loop keeping inFlight messages posted. Reads
+	// complete on data and the rest on acknowledgement, so completions are
+	// in posted order within each of the two kinds.
+	posted, completed := 0, 0
+	var sendsDone, readsDone int
+	locals := map[int][]byte{}
+	post := func() {
+		i := posted
+		posted++
+		req := Request{ID: uint64(i), Imm: uint32(i)}
+		switch i % 3 {
+		case 0:
+			req.Op, req.Data = OpSend, pattern(i, sendLen)
+		case 1:
+			req.Op, req.Data = OpWriteImm, pattern(i, writeLen)
+			req.RKey, req.VA = 7, uint64(i/3%slots)*4096
+		case 2:
+			locals[i] = make([]byte, readLen)
+			req.Op, req.Local = OpRead, locals[i]
+			req.RKey, req.VA = 8, readVA(i)
+		}
+		if err := a.PostSend(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cqA.OnComplete(func(e CQE) {
+		i := int(e.WQEID)
+		want := sendsDone/2*3 + sendsDone%2
+		if e.Op == OpRead {
+			want = 3*readsDone + 2
+			readsDone++
+			if va := readVA(i); !bytes.Equal(locals[i], source[va:va+readLen]) {
+				t.Fatalf("READ %d returned the wrong bytes", i)
+			}
+			delete(locals, i)
+		} else {
+			sendsDone++
+		}
+		if i != want || e.Status != StatusOK {
+			t.Fatalf("requester completion of WQE %d (%v, %v), want WQE %d", i, e.Op, e.Status, want)
+		}
+		completed++
+		if posted < messages {
+			post()
+		}
+	})
+	for posted < inFlight {
+		post()
+	}
+
+	for deadline := sim.Time(10 * sim.Second); completed < messages; {
+		at, ok := eng.NextEventTime()
+		if !ok || at > deadline {
+			t.Fatalf("stalled at %v: %d of %d messages completed", eng.Now(), completed, messages)
+		}
+		eng.RunUntil(at)
+		// The kept packet is a full window behind: replay it.
+		if stale != nil && b.Expected() >= stale.BTH.PSN+psnWindow {
+			before := append([]byte(nil), region...)
+			acks, recvDone, msn, drops := acksFromB, nextRecv, b.MSN(), b.Drops
+			b.Receive(stale, eng.Now())
+			if acksFromB != acks+1 || lastFromB.BTH.Opcode != packet.OpAcknowledge || lastFromB.BTH.PSN != b.Expected() {
+				t.Fatalf("stale PSN %d (expected %d) was not answered with a cumulative ACK", stale.BTH.PSN, b.Expected())
+			}
+			if nextRecv != recvDone || b.MSN() != msn || b.Drops != drops || !bytes.Equal(region, before) {
+				t.Fatalf("stale PSN %d (expected %d) was placed or completed again", stale.BTH.PSN, b.Expected())
+			}
+			stale = nil
+			replays++
+		}
+	}
+	eng.RunUntil(eng.Now().Add(20 * cfg.RTOHigh))
+	if eng.Pending() != 0 {
+		t.Errorf("%d events pending long after completion: a timer never stopped", eng.Pending())
+	}
+	if completed != messages || nextRecv != 2*triples {
+		t.Errorf("%d requester and %d responder completions, want %d and %d", completed, nextRecv, messages, 2*triples)
+	}
+	if a.tx.next < 3*psnWindow || b.rtx.next < 3*psnWindow {
+		t.Errorf("only %d sPSNs and %d rPSNs used; the rings did not wrap three times", a.tx.next, b.rtx.next)
+	}
+	if replays < 2 {
+		t.Errorf("%d stale replays, want at least 2", replays)
+	}
+	if a.Retransmits == 0 || b.Retransmits == 0 {
+		t.Error("no retransmissions: the link was not adversarial")
+	}
+}

@@ -1,31 +1,82 @@
 package verbs
 
 import (
+	"github.com/irnsim/irn/internal/fifo"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/recovery"
 	"github.com/irnsim/irn/internal/sim"
 )
 
 // psnWindow is how far past the cumulative point each PSN space tracks
-// selective acks and arrivals; BDP-FC keeps senders far inside it.
-const psnWindow = 4096
+// selective acks and arrivals, and the size of every PSN-indexed ring: a
+// sender keeps fewer than psnWindow PSNs outstanding (NewQPOn refuses a
+// larger BDPCap) and a receiver refuses arrivals psnWindow or more past
+// its cumulative point, so psn&psnMask never aliases two live PSNs.
+const (
+	psnWindow = 4096
+	psnMask   = psnWindow - 1
+)
+
+// slab carves objects out of 64-element arrays: one allocation per 64
+// objects. Nothing is handed out twice — an object lives exactly as long
+// as a plain heap object would, the garbage collector frees an array once
+// every object in it is unreachable — so a slab changes the malloc count
+// and nothing else.
+type slab[T any] struct{ free []T }
+
+// get returns a new zero T.
+func (s *slab[T]) get() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, 64)
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	return p
+}
 
 // sendHalf is the reliable transmit side of one PSN space. A QP has two:
 // the requester's request stream (sPSN) and the responder's read-response
 // stream (rPSN, §5.2), with the same loss recovery on both.
 type sendHalf struct {
 	sb    recovery.Scoreboard
-	next  uint32              // next PSN to assign
-	pend  map[uint32]*VPacket // transmitted, awaiting the cumulative ack
+	next  uint32               // next PSN to assign
+	sendQ fifo.Queue[*VPacket] // built, not yet transmitted: PSNs [sent(), next)
+	pend  [psnWindow]*VPacket  // transmitted, awaiting the cumulative ack; by psn&psnMask
+	limit int                  // most PSNs outstanding: BDP-FC on requests, the window on responses
 	timer *sim.Timer
 }
 
-func newSendHalf() sendHalf {
-	return sendHalf{sb: recovery.NewScoreboard(psnWindow), pend: make(map[uint32]*VPacket)}
+func newSendHalf(limit int) sendHalf {
+	return sendHalf{sb: recovery.NewScoreboard(psnWindow), limit: limit}
 }
 
 // idle reports whether every assigned PSN has been acknowledged.
 func (h *sendHalf) idle() bool { return h.sb.Cum() >= h.next }
+
+// sent is one past the last PSN transmitted.
+func (h *sendHalf) sent() uint32 { return h.next - uint32(h.sendQ.Len()) }
+
+// enqueue assigns p the next PSN of h and queues it for transmission.
+func (h *sendHalf) enqueue(p *VPacket) {
+	p.BTH.PSN = h.next
+	h.next++
+	h.sendQ.Push(p)
+}
+
+// transmit sends h's queued packets while fewer than limit PSNs are
+// outstanding, retaining each for retransmission, and re-arms the timer.
+func (q *QP) transmit(h *sendHalf) {
+	for h.sendQ.Len() > 0 {
+		p := *h.sendQ.At(0)
+		if int(p.BTH.PSN-h.sb.Cum()) >= h.limit {
+			break
+		}
+		h.sendQ.Pop()
+		h.pend[p.BTH.PSN&psnMask] = p
+		q.wire.Send(p)
+	}
+	q.arm(h)
+}
 
 // arm arms h's retransmission timer (§3.1 dual timeouts), or cancels it
 // when nothing is outstanding.
@@ -40,8 +91,8 @@ func (q *QP) arm(h *sendHalf) {
 // ack applies a cumulative acknowledgement to h, releasing the retained
 // packets below it, and reports whether it made progress.
 func (q *QP) ack(h *sendHalf, cum uint32) bool {
-	for psn := h.sb.Cum(); psn < cum; psn++ {
-		delete(h.pend, psn)
+	for psn, end := h.sb.Cum(), min(cum, h.sent()); psn < end; psn++ {
+		h.pend[psn&psnMask] = nil
 	}
 	if newly, _ := h.sb.Ack(cum); newly == 0 {
 		return false
@@ -50,31 +101,34 @@ func (q *QP) ack(h *sendHalf, cum uint32) bool {
 	return true
 }
 
-// resendLost retransmits every packet of h the scoreboard reports lost;
-// sent is one past the last PSN transmitted.
-func (q *QP) resendLost(h *sendHalf, sent uint32) {
+// resend retransmits psn if it is outstanding — transmitted and not yet
+// cumulatively acknowledged, the only PSNs whose ring slot is theirs.
+func (q *QP) resend(h *sendHalf, psn uint32) {
+	if cum := h.sb.Cum(); psn-cum < h.sent()-cum {
+		q.Retransmits++
+		q.wire.Send(h.pend[psn&psnMask])
+	}
+}
+
+// resendLost retransmits every transmitted packet of h the scoreboard
+// reports lost.
+func (q *QP) resendLost(h *sendHalf) {
 	for {
-		psn, ok := h.sb.Take(sent)
+		psn, ok := h.sb.Take(h.sent())
 		if !ok {
 			return
 		}
-		if p, ok := h.pend[psn]; ok {
-			q.Retransmits++
-			q.wire.Send(p)
-		}
+		q.resend(h, psn)
 	}
 }
 
 // ---- Read-response stream (rPSN space) ----
 
-// sendReadResp assigns the next rPSN and transmits, retaining the packet
-// for retransmission. The Read responder implements timeouts (§5.2).
+// sendReadResp assigns the next rPSN and transmits. The Read responder
+// implements timeouts (§5.2).
 func (q *QP) sendReadResp(p *VPacket) {
-	p.BTH.PSN = q.rtx.next
-	q.rtx.next++
-	q.rtx.pend[p.BTH.PSN] = p
-	q.wire.Send(p)
-	q.arm(&q.rtx)
+	q.rtx.enqueue(p)
+	q.transmit(&q.rtx)
 }
 
 // onReadTimeout retransmits read responses from the cumulative point.
@@ -87,7 +141,7 @@ func (q *QP) onReadTimeout() {
 	q.Timeouts++
 	q.rtx.sb.Restamp(q.rtx.next)
 	q.rtx.sb.Rescan()
-	q.resendLost(&q.rtx, q.rtx.next)
+	q.resendLost(&q.rtx)
 	q.arm(&q.rtx)
 }
 
@@ -98,6 +152,9 @@ func (q *QP) onReadNack(p *VPacket) {
 	if p.AETH.Syndrome == packet.SyndromeNack {
 		q.rtx.sb.Sack(p.SackPSN)
 		q.rtx.sb.Enter(q.rtx.next)
-		q.resendLost(&q.rtx, q.rtx.next)
+		q.resendLost(&q.rtx)
+	}
+	if q.rtx.sendQ.Len() > 0 {
+		q.transmit(&q.rtx) // responses held back by a full window
 	}
 }

@@ -18,6 +18,13 @@
 // not a second implementation: each QP runs internal/recovery's
 // scoreboard once per PSN space (sendHalf), the same state machine as
 // internal/core's sender.
+//
+// Per-message state is fixed-size, as §6's NIC budget assumes: retained
+// packets and staged CQEs sit in rings indexed by PSN, Receive WQEs in a
+// ring indexed by recv_WQE_SN, WQEs and packets are carved from per-QP
+// slabs and the queues keep their arrays, so a message in steady state
+// costs a fraction of a heap allocation (ARCHITECTURE.md, "verbs/kv
+// message path").
 package verbs
 
 import (
@@ -183,9 +190,11 @@ func (m *Memory) Read(rkey uint32, va uint64, length int) ([]byte, bool) {
 
 // View returns the registered bytes at rkey/va without copying. The
 // slice aliases the region: it is only valid until the next Write to
-// the range, so callers must parse (or copy) before returning to the
-// event loop — the contract ring consumers use to decode a frame
-// in place without a per-delivery allocation.
+// the range, and a Write only ever happens inside a later event (a
+// packet arriving at the QP), so callers must finish with the bytes —
+// parse them, and copy what has to outlive the handler — before
+// returning to the event loop. Every kv ring consumer decodes its frame
+// this way, in place, with no per-delivery allocation.
 func (m *Memory) View(rkey uint32, va uint64, length int) ([]byte, bool) {
 	buf, ok := m.regions[rkey]
 	if !ok || va+uint64(length) > uint64(len(buf)) {
