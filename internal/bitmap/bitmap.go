@@ -16,7 +16,7 @@ import (
 )
 
 // Bitmap is a ring bitmap over the sequence window [Base, Base+Cap).
-// The zero value is unusable; call New.
+// The zero value is unusable; call New, or Init on an embedded one.
 type Bitmap struct {
 	words []uint64
 	mask  int // size-1; size is a power of two
@@ -26,24 +26,37 @@ type Bitmap struct {
 	count int    // number of set bits
 }
 
-// New returns a bitmap with capacity for at least capacity bits. Capacity
-// is rounded up to a power of two so ring arithmetic stays branch-free.
+// New returns a bitmap with capacity for at least capacity bits.
 func New(capacity int) *Bitmap {
+	b := new(Bitmap)
+	b.Init(make([]uint64, Words(capacity)))
+	return b
+}
+
+// Words returns how many 64-bit words a bitmap of at least capacity bits
+// occupies. Capacity is rounded up to a power of two (at least one word)
+// so ring arithmetic stays branch-free.
+func Words(capacity int) int {
 	if capacity <= 0 {
 		panic("bitmap: non-positive capacity")
 	}
-	size := 1
+	size := 64
 	for size < capacity {
 		size <<= 1
 	}
-	if size < 64 {
-		size = 64
+	return size / 64
+}
+
+// Init makes b an empty bitmap at base 0 over words, which must be all
+// zero and Words(capacity) long. The bitmap owns words from here on: a
+// caller that carves them from a larger array hands each bitmap its own
+// run.
+func (b *Bitmap) Init(words []uint64) {
+	size := 64 * len(words)
+	if size == 0 || size&(size-1) != 0 {
+		panic("bitmap: word count is not a power of two")
 	}
-	return &Bitmap{
-		words: make([]uint64, size/64),
-		mask:  size - 1,
-		size:  size,
-	}
+	*b = Bitmap{words: words, mask: size - 1, size: size}
 }
 
 // Cap returns the bitmap capacity in bits.

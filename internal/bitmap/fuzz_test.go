@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -105,17 +106,32 @@ func (r *refWindow) countRange(from, to int) int {
 // (set/get/clear, head-advancing shifts, find-first-zero/one, popcount) —
 // and fails on any observable divergence. This is the harness that pins
 // the NIC state machine's core data structure.
+//
+// Two bitmaps run side by side, Init-ed over adjacent halves of one word
+// array as a flow's sender and receiver bitmaps are when carved from a
+// slab; bit 3 of the op byte picks the one an operation applies to. Each
+// is checked against its own model, and an operation on one must leave
+// the other's words exactly as they were.
 func FuzzBitmapOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{3, 200, 3, 255, 4, 64, 1, 10, 5, 0})
 	f.Add([]byte{0, 0, 0, 63, 3, 63, 0, 1, 6, 7, 2, 1})
+	f.Add([]byte{0, 127, 8, 0, 11, 129, 3, 127, 8, 127, 12, 255, 0, 0, 13, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const capacity = 128 // rounds to itself; two words
-		b := New(capacity)
-		ref := newRefWindow(b.Cap())
+		w := Words(capacity)
+		run := make([]uint64, 2*w)
+		var pair [2]Bitmap
+		pair[0].Init(run[:w:w])
+		pair[1].Init(run[w:])
+		refs := [2]*refWindow{newRefWindow(capacity), newRefWindow(capacity)}
+		other := make([]uint64, w)
 
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i]%8, data[i+1]
+			which := int(data[i] >> 3 & 1)
+			b, ref := &pair[which], refs[which]
+			copy(other, pair[1-which].words)
 			// Offsets may deliberately land outside the window (up to 2x
 			// capacity): out-of-window behavior is part of the contract.
 			seq := b.Base() + uint32(arg)
@@ -171,6 +187,9 @@ func FuzzBitmapOps(f *testing.F) {
 			}
 			if b.Base() != ref.base {
 				t.Fatalf("after op %d: Base = %d, ref %d", op, b.Base(), ref.base)
+			}
+			if !slices.Equal(other, pair[1-which].words) {
+				t.Fatalf("op %d on bitmap %d changed its neighbour's words: %x -> %x", op, which, other, pair[1-which].words)
 			}
 		}
 	})

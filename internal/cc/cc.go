@@ -45,8 +45,13 @@ type CNPGenerator struct {
 // NewCNPGenerator returns a generator with the ConnectX-4 default 50 µs
 // interval.
 func NewCNPGenerator() *CNPGenerator {
-	return &CNPGenerator{MinInterval: 50 * sim.Microsecond}
+	g := new(CNPGenerator)
+	g.Init()
+	return g
 }
+
+// Init is NewCNPGenerator in place, for a generator embedded by value.
+func (g *CNPGenerator) Init() { *g = CNPGenerator{MinInterval: 50 * sim.Microsecond} }
 
 // OnMarked reports whether a CNP should be sent for a CE-marked arrival
 // at time now.

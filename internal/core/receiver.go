@@ -5,6 +5,7 @@ import (
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/recovery"
 	"github.com/irnsim/irn/internal/sim"
+	"github.com/irnsim/irn/internal/slab"
 	"github.com/irnsim/irn/internal/transport"
 )
 
@@ -30,7 +31,7 @@ type Receiver struct {
 	win   recovery.Reorder
 	total int
 
-	cnp *cc.CNPGenerator
+	cnp cc.CNPGenerator
 
 	done transport.Completer
 
@@ -43,24 +44,27 @@ type Receiver struct {
 // taking an interface instead of a closure keeps flow start allocation-
 // free on the launcher's hot path.
 func NewReceiver(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer) *Receiver {
+	r := new(Receiver)
+	r.Init(ep, flow, p, done, nil)
+	return r
+}
+
+// Init is NewReceiver in place, with the arrival bitmap's words carved
+// from words (nil: the heap); see Sender.Init.
+func (r *Receiver) Init(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer, words *slab.Slab[uint64]) {
 	if flow.Pkts == 0 {
 		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)
 	}
-	r := &Receiver{
+	*r = Receiver{
 		ep:    ep,
 		pool:  ep.Pool(),
 		flow:  flow,
 		p:     p,
 		total: flow.Pkts,
-		cnp:   cc.NewCNPGenerator(),
 		done:  done,
 	}
-	capPkts := p.BDPCap
-	if capPkts <= 0 || capPkts > r.total {
-		capPkts = r.total
-	}
-	r.win = recovery.NewReorder(capPkts + 1)
-	return r
+	r.cnp.Init()
+	r.win.Init(words.Run(windowWords(flow.Pkts, p)))
 }
 
 // Received reports distinct data packets received so far.

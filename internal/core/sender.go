@@ -1,9 +1,11 @@
 package core
 
 import (
+	"github.com/irnsim/irn/internal/bitmap"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/recovery"
 	"github.com/irnsim/irn/internal/sim"
+	"github.com/irnsim/irn/internal/slab"
 	"github.com/irnsim/irn/internal/transport"
 )
 
@@ -34,7 +36,7 @@ type Sender struct {
 	paceUntil  sim.Time
 	retxEligAt sim.Time // earliest next retransmission (fetch-delay model)
 
-	rto *sim.Timer
+	rto sim.Timer
 	rtt recovery.RTT // dynamic RTO estimate (§4.3 question 3)
 
 	done bool
@@ -45,6 +47,17 @@ type Sender struct {
 // NewSender builds an IRN sender for flow on endpoint ep. cc may be nil
 // for no explicit congestion control.
 func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl transport.Controller) *Sender {
+	s := new(Sender)
+	s.Init(ep, flow, p, ctrl, nil)
+	return s
+}
+
+// Init is NewSender in place: s is one object — timer, scoreboard and
+// bitmap header included — and only the bitmap words live outside it,
+// carved from words (nil: the heap). A launcher that carves s itself from
+// a slab starts a flow without touching the allocator. s must not be
+// copied afterwards.
+func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl transport.Controller, words *slab.Slab[uint64]) {
 	if ctrl == nil {
 		ctrl = transport.None{}
 	}
@@ -54,7 +67,7 @@ func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl trans
 	if p.NackThreshold < 1 {
 		p.NackThreshold = 1
 	}
-	s := &Sender{
+	*s = Sender{
 		ep:    ep,
 		pool:  ep.Pool(),
 		flow:  flow,
@@ -62,13 +75,19 @@ func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl trans
 		cc:    ctrl,
 		total: flow.Pkts,
 	}
+	s.sb.Init(words.Run(windowWords(flow.Pkts, p)))
+	s.rto.Init(ep.Engine(), ep.Clock(), s, senderRTO)
+}
+
+// windowWords sizes the sender's SACK bitmap and the receiver's arrival
+// bitmap: one bit more than the BDP-FC cap, or than the message when it is
+// shorter or the window uncapped (the bitmap must then cover it all).
+func windowWords(pkts int, p Params) int {
 	capPkts := p.BDPCap
-	if capPkts <= 0 || capPkts > s.total {
-		capPkts = s.total // uncapped window: bitmap must cover the message
+	if capPkts <= 0 || capPkts > pkts {
+		capPkts = pkts
 	}
-	s.sb = recovery.NewScoreboard(capPkts + 1)
-	s.rto = sim.NewHandlerTimer(ep.Engine(), ep.Clock(), s, senderRTO)
-	return s
+	return bitmap.Words(capPkts + 1)
 }
 
 // senderRTO is the Sender's only sim.Handler event kind: RTO expiry.

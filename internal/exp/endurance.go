@@ -57,11 +57,12 @@ func (c EnduranceConfig) normalize() EnduranceConfig {
 }
 
 // EnduranceSegment is one soak segment's outcome plus the live heap
-// observed after it (post-GC), the bounded-memory series the soak
-// asserts on.
+// observed after it (post-GC) and the packets the worker's pools own —
+// the bounded-memory series the soak asserts on.
 type EnduranceSegment struct {
 	Result
 	HeapLive uint64
+	PoolCap  int
 }
 
 // EnduranceReport aggregates a soak.
@@ -150,7 +151,7 @@ func RunEndurance(cfg EnduranceConfig) (EnduranceReport, error) {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		rep.Segments = append(rep.Segments, EnduranceSegment{Result: r, HeapLive: ms.HeapAlloc})
+		rep.Segments = append(rep.Segments, EnduranceSegment{Result: r, HeapLive: ms.HeapAlloc, PoolCap: w.net.PoolCap()})
 		rep.SimTime += sim.Duration(r.SimTime)
 		rep.Rebuilds = w.Rebuilds()
 		if cfg.Log != nil {

@@ -56,6 +56,12 @@ func TestEnduranceSoak(t *testing.T) {
 			t.Errorf("segment %d live heap %d exceeds budget %d (first segment: %d) — memory is growing",
 				i, seg.HeapLive, budget, first)
 		}
+		// A segment moves packets between the shards' pools and may strand
+		// some at its cut-off; the reset reclaims them all, so two segments
+		// size the pools for good.
+		if i >= 2 && seg.PoolCap != rep.Segments[1].PoolCap {
+			t.Errorf("segment %d grew the packet pools from %d to %d packets", i, rep.Segments[1].PoolCap, seg.PoolCap)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/rocev2"
 	"github.com/irnsim/irn/internal/sim"
+	"github.com/irnsim/irn/internal/slab"
 	"github.com/irnsim/irn/internal/tcpstack"
 	"github.com/irnsim/irn/internal/topo"
 	"github.com/irnsim/irn/internal/transport"
@@ -516,39 +517,43 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	// the new seed and fault model when the structure matches, rebuild it
 	// otherwise. The requested shard count is part of the structure: a
 	// different partitioning is a different port/channel wiring.
+	//
+	// The cache is replaced whole, and only once nothing can fail any
+	// more: a caller that recovers the fault-model panic below must find
+	// the previous topology still paired with the previous fabric.
 	shards := s.Shards
 	key := keyOf(s.Arity, shards, cfg)
-	if !w.built || w.key != key {
-		w.top = topo.NewFatTree(s.Arity)
+	reuse := w.built && w.key == key
+	top := w.top
+	if !reuse {
+		top = topo.NewFatTree(s.Arity)
 	}
 	var faults *fault.Model
 	if s.Faults.Enabled() {
-		m, err := fault.New(s.Faults, len(w.top.Links()), s.Seed)
+		m, err := fault.New(s.Faults, len(top.Links()), s.Seed)
 		if err != nil {
 			panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
 		}
 		faults = m
 	}
-	var net *fabric.Network
-	if w.built && w.key == key {
+	if reuse {
 		for _, e := range w.engs[:w.used] {
 			e.Reset()
 		}
-		net = w.net
-		net.Reset(s.Seed, faults)
+		w.net.Reset(s.Seed, faults)
 	} else {
-		assign, used := topo.PartitionNodes(w.top, shards)
+		assign, used := topo.PartitionNodes(top, shards)
 		engs := w.engines(used)
 		for _, e := range engs {
 			e.Reset()
 		}
 		cfg.Faults = faults
-		net = fabric.NewPartitioned(engs, assign, w.top, cfg)
-		w.net, w.key, w.used, w.built = net, key, used, true
+		w.net = fabric.NewPartitioned(engs, assign, top, cfg)
+		w.top, w.key, w.used, w.built = top, key, used, true
 		w.rebuilds++
 	}
+	net := w.net
 	engines := w.engs[:w.used]
-	top := w.top
 	bdpCap := int(float64(net.BDPCap()) * s.BDPCapScale)
 	if bdpCap < 1 {
 		bdpCap = 1
@@ -594,7 +599,7 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 		bdpCap:      bdpCap,
 		minRTT:      sim.Duration(2*top.LongestPathHops()) * (s.Prop + rate.Serialize(s.MTU+packet.DataHeader)),
 		specs:       specs,
-		flows:       make([]*transport.Flow, len(specs)),
+		flows:       make([]transport.Flow, len(specs)),
 		stats:       make([]*transport.SenderStats, len(specs)),
 		rcvs:        make([]*rocev2.Receiver, len(specs)),
 		cols:        make([]*metrics.Collector, net.Shards()),
@@ -614,7 +619,7 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	// lookahead — to reach the destination.)
 	var lastArrival sim.Time
 	for i, spec := range specs {
-		l.flows[i] = &transport.Flow{
+		l.flows[i] = transport.Flow{
 			ID:    packet.FlowID(i + 1),
 			Src:   spec.Src,
 			Dst:   spec.Dst,
@@ -683,8 +688,8 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 		res.MetricsBytes += c.MemFootprint()
 		agg.Merge(c)
 	}
-	for i, fl := range l.flows {
-		if !fl.Finished {
+	for i := range l.flows {
+		if !l.flows[i].Finished {
 			agg.AddIncomplete()
 		}
 		if st := l.stats[i]; st != nil {
@@ -712,9 +717,11 @@ const (
 	launchDst
 )
 
-// launcherShard is one shard's completion bookkeeping, written only by
-// that shard's goroutine during windows and read by the coordinator at
-// barriers. Padded so two shards' counters never share a cache line.
+// launcherShard is one shard's slice of the launcher: completion
+// bookkeeping, written only by that shard's goroutine during windows and
+// read by the coordinator at barriers, and the slabs that shard carves
+// per-flow transport state from. Padded so two shards' fields never share
+// a cache line.
 type launcherShard struct {
 	done       int      // flows whose destination lives on this shard
 	incastDone sim.Time // latest incast completion seen on this shard
@@ -725,7 +732,21 @@ type launcherShard struct {
 	// by the coordinator at barriers (widen), read by the shard during
 	// windows (FlowDone) — barrier ordering covers both.
 	stopTarget int
-	_          [4]uint64
+
+	// A sender is carved on its source host's shard, a receiver on its
+	// destination's. The slabs belong to the run — nothing is recycled,
+	// and the chunks die with the launcher as separately allocated objects
+	// would — so starting a flow costs a fraction of a heap allocation.
+	// Only the slabs of the scenario's transport ever fill.
+	irnSnd  slab.Slab[core.Sender]
+	irnRcv  slab.Slab[core.Receiver]
+	roceSnd slab.Slab[rocev2.Sender]
+	roceRcv slab.Slab[rocev2.Receiver]
+	tcpSnd  slab.Slab[tcpstack.Sender]
+	tcpRcv  slab.Slab[tcpstack.Receiver]
+	words   slab.Slab[uint64] // SACK and arrival bitmap words
+
+	_ [7]uint64 // to 256 bytes
 }
 
 // launcher wires each flow's transports at the flow's arrival time and
@@ -740,7 +761,7 @@ type launcher struct {
 	minRTT sim.Duration
 
 	specs []workload.Spec
-	flows []*transport.Flow
+	flows []transport.Flow
 	stats []*transport.SenderStats // [i] written by the shard of flow i's source
 	// rcvs[i] is written by the shard of flow i's destination: RoCE's
 	// timeout count lives on the receiver, which a different shard than
@@ -851,22 +872,25 @@ func (l *launcher) horizon() sim.Time {
 // the source NIC. Runs on the source host's shard.
 func (l *launcher) startSender(i int) {
 	s := l.s
-	spec := l.specs[i]
-	fl := l.flows[i]
-	src := l.net.NIC(spec.Src)
+	fl := &l.flows[i]
+	src := l.net.NIC(fl.Src)
+	sh := &l.shard[l.net.ShardOf(fl.Src)]
 
 	ctrl := buildCC(src, s, l.bdpCap, l.minRTT)
 	switch s.Transport {
 	case TransportIRN:
-		snd := core.NewSender(src, fl, l.irnParams(), ctrl)
+		snd := sh.irnSnd.Get()
+		snd.Init(src, fl, l.irnParams(), ctrl, &sh.words)
 		src.AttachSource(snd)
 		l.stats[i] = &snd.Stats
 	case TransportRoCE:
-		snd := rocev2.NewSender(src, fl, l.roceParams(), ctrl)
+		snd := sh.roceSnd.Get()
+		snd.Init(src, fl, l.roceParams(), ctrl)
 		src.AttachSource(snd)
 		l.stats[i] = &snd.Stats
 	case TransportTCP:
-		snd := tcpstack.NewSender(src, fl, tcpstack.DefaultParams(s.MTU))
+		snd := sh.tcpSnd.Get()
+		snd.Init(src, fl, tcpstack.DefaultParams(s.MTU), &sh.words)
 		src.AttachSource(snd)
 		l.stats[i] = &snd.Stats
 	}
@@ -877,18 +901,24 @@ func (l *launcher) startSender(i int) {
 // splitting the attachment keeps each shard touching only its own nodes.
 func (l *launcher) startReceiver(i int) {
 	s := l.s
-	fl := l.flows[i]
+	fl := &l.flows[i]
 	dst := l.net.NIC(fl.Dst)
+	sh := &l.shard[l.net.ShardOf(fl.Dst)]
 
 	switch s.Transport {
 	case TransportIRN:
-		dst.AttachSink(fl.ID, core.NewReceiver(dst, fl, l.irnParams(), l))
+		rcv := sh.irnRcv.Get()
+		rcv.Init(dst, fl, l.irnParams(), l, &sh.words)
+		dst.AttachSink(fl.ID, rcv)
 	case TransportRoCE:
-		rcv := rocev2.NewReceiver(dst, fl, l.roceParams(), l)
+		rcv := sh.roceRcv.Get()
+		rcv.Init(dst, fl, l.roceParams(), l)
 		dst.AttachSink(fl.ID, rcv)
 		l.rcvs[i] = rcv
 	case TransportTCP:
-		dst.AttachSink(fl.ID, tcpstack.NewReceiver(dst, fl, tcpstack.DefaultParams(s.MTU), l))
+		rcv := sh.tcpRcv.Get()
+		rcv.Init(dst, fl, tcpstack.DefaultParams(s.MTU), l, &sh.words)
+		dst.AttachSink(fl.ID, rcv)
 	}
 }
 

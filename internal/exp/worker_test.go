@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/irnsim/irn/internal/fault"
+	"github.com/irnsim/irn/internal/sim"
 )
 
 // TestWorkerReuseBitIdentical pins the zero-rebuild contract: a Worker
@@ -45,30 +46,131 @@ func TestWorkerReuseBitIdentical(t *testing.T) {
 }
 
 // TestWorkerPoolWarmReuse: the second trial on a worker must serve its
-// packets from the pool's warm free list, not the heap — the point of
-// keeping the pool across trials.
+// packets from the chunks the first one allocated, not the heap — the
+// point of keeping the pool across trials.
 func TestWorkerPoolWarmReuse(t *testing.T) {
 	w := NewWorker()
 	s := Scenario{Name: "warm", NumFlows: 150, Seed: 3}
 	first := w.Run(s)
+	grown := w.net.PoolCap()
 	second := w.Run(s)
-	if !reflect.DeepEqual(first.Summary, second.Summary) {
+	if !reflect.DeepEqual(first, second) {
 		t.Fatal("warm trial changed results")
 	}
-	// After the first trial the free list holds every packet the run
-	// released; the second trial must allocate a small fraction of what
-	// the first did.
-	// (Allocs counters reset per run, so Result-level comparison works.)
-	firstAllocs := first.Census.Injected // proxy: every injected packet was allocated or reused
-	if firstAllocs == 0 {
-		t.Fatal("no packets injected")
+	if first.Census.Injected == 0 || grown == 0 {
+		t.Fatalf("first trial injected %d packets from a pool of %d", first.Census.Injected, grown)
 	}
-	pool := w.net.Pool()
-	if pool.Reuses == 0 {
-		t.Fatal("second trial never reused a pooled packet")
+	if got := w.net.PoolCap(); got != grown {
+		t.Fatalf("second trial grew the pool from %d to %d packets; pool warmth lost", grown, got)
 	}
-	if pool.Allocs*4 > pool.Reuses {
-		t.Fatalf("second trial heap-allocated %d packets vs %d reuses; pool warmth lost",
-			pool.Allocs, pool.Reuses)
+}
+
+// TestFlowMarginalAllocs pins what one more flow costs the allocator on a
+// warm worker: the allocation difference between a 2N-flow run and an
+// N-flow run, divided by N. Fabric, pool, wheel and NIC tables are warm
+// (a 2N run went first) and the per-run arrays are counted once on both
+// sides, so what is left is per-flow state — and that is carved from the
+// launcher's slabs, 64 objects or bitmap words per heap allocation: a
+// sender, a receiver, and for IRN and TCP the words of two bitmaps. TCP's
+// bitmaps cover the whole message, so a flow past 64×64 segments takes its
+// words straight from the heap. A transport that goes back to one object
+// per flow, or a launcher that allocates per flow again, costs 1 or more.
+func TestFlowMarginalAllocs(t *testing.T) {
+	const n = 400
+	for _, tc := range []struct {
+		name   string
+		s      Scenario
+		budget float64
+	}{
+		{"IRN", Scenario{Transport: TransportIRN}, 0.25},
+		{"RoCE+PFC", Scenario{Transport: TransportRoCE, PFC: true}, 0.25},
+		{"iWARP/TCP", Scenario{Transport: TransportTCP}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			s.Name, s.Seed = "flow-alloc", 5
+			w := NewWorker()
+			measure := func(flows int) float64 {
+				s.NumFlows = flows
+				return testing.AllocsPerRun(1, func() { w.Run(s) })
+			}
+			measure(2 * n)
+			base := measure(n)
+			double := measure(2 * n)
+			perFlow := (double - base) / n
+			t.Logf("allocs: %.0f @ %d flows, %.0f @ %d, marginal %.3f/flow", base, n, double, 2*n, perFlow)
+			if perFlow > tc.budget {
+				t.Fatalf("marginal allocation cost %.3f allocs/flow exceeds the %.2f budget", perFlow, tc.budget)
+			}
+			if perFlow <= 0 {
+				t.Fatalf("marginal allocation cost %.3f/flow — the workload did not scale", perFlow)
+			}
+		})
+	}
+}
+
+// TestWorkerSurvivesFaultModelPanic: a scenario whose fault spec does not
+// fit its topology panics before anything is built, and must leave the
+// worker's cache exactly as it was — the previous fabric still paired
+// with the previous topology. (The cache used to take the new arity's
+// topology first, so the next run of the old scenario generated its
+// workload for the wrong host count.)
+func TestWorkerSurvivesFaultModelPanic(t *testing.T) {
+	good := Scenario{Name: "k6", NumFlows: 120, Seed: 11}
+	bad := Scenario{Name: "k4-bad-faults", Arity: 4, NumFlows: 120, Seed: 11,
+		Faults: fault.Spec{Flaps: []fault.Flap{{Link: 1 << 20, DownAt: 1000}}}}
+
+	w := NewWorker()
+	want := w.Run(good)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("out-of-range fault link did not panic")
+			}
+		}()
+		w.Run(bad)
+	}()
+	if got := w.Run(good); !reflect.DeepEqual(got, want) {
+		t.Fatalf("run after a recovered panic diverged\nfresh: %+v\nafter: %+v", want, got)
+	}
+	if w.Rebuilds() != 1 {
+		t.Fatalf("worker built %d fabrics, want the one the panic left cached", w.Rebuilds())
+	}
+}
+
+// TestWorkerReclaimsCutOffPackets: a lossy run cut off at a short Grace
+// leaves packets in flight and retransmission timers armed; the next runs
+// on the worker — another transport on the same fabric, then the first
+// again — must each equal a fresh worker's, close the pool equation, and
+// after the first round draw every packet from the chunks the pool
+// already owns, the stranded ones included.
+func TestWorkerReclaimsCutOffPackets(t *testing.T) {
+	irn := Scenario{Name: "cut-irn", NumFlows: 300, Seed: 9, Grace: 20 * sim.Microsecond,
+		Faults: fault.Spec{LossRate: 0.01}}
+	roce := irn
+	roce.Name, roce.Transport = "cut-roce", TransportRoCE
+
+	w := NewWorker()
+	var caps []int
+	for i, s := range []Scenario{irn, roce, irn, roce} {
+		got := w.Run(s)
+		if got.InFlight == 0 || got.Summary.Incomplete == 0 {
+			t.Fatalf("run %d (%s): %d packets in flight, %d flows incomplete — the cut-off stranded nothing",
+				i, s.Name, got.InFlight, got.Summary.Incomplete)
+		}
+		if got.PoolLive != got.InFlight+got.CtrlBacklog {
+			t.Fatalf("run %d (%s): pool has %d live packets, want %d in flight + %d ctrl backlog",
+				i, s.Name, got.PoolLive, got.InFlight, got.CtrlBacklog)
+		}
+		if want := Run(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (%s) on the reused worker diverged from a fresh one", i, s.Name)
+		}
+		caps = append(caps, w.net.PoolCap())
+	}
+	if w.Rebuilds() != 1 {
+		t.Fatalf("worker built %d fabrics; the transports must share one", w.Rebuilds())
+	}
+	if caps[2] != caps[1] || caps[3] != caps[1] {
+		t.Fatalf("pool kept growing across repeats: %v packets", caps)
 	}
 }

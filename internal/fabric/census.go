@@ -73,9 +73,9 @@ func (net *Network) InFlightPackets() int {
 // that have not begun transmission: allocated but not yet injected. The
 // pool-accounting invariant is
 //
-//	pool.Allocs - pool.FreeLen() == InFlightPackets() + CtrlBacklog()
+//	PoolLive() == InFlightPackets() + CtrlBacklog()
 //
-// i.e. every packet ever allocated is either free, inside the fabric, or
+// i.e. every packet the pools own is either free, inside the fabric, or
 // awaiting its first transmission.
 func (net *Network) CtrlBacklog() int {
 	n := 0

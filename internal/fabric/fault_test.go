@@ -20,7 +20,7 @@ func checkCensus(t *testing.T, net *Network) {
 		t.Errorf("census: injected %d != exits %d + in-flight %d (%+v)",
 			c.Injected, c.Exits(), inFlight, *c)
 	}
-	live := net.Pool().Allocs - uint64(net.Pool().FreeLen())
+	live := uint64(net.PoolLive())
 	want := inFlight + uint64(net.CtrlBacklog())
 	if live != want {
 		t.Errorf("pool: %d live packets, want %d (in-flight + ctrl backlog)", live, want)

@@ -326,7 +326,8 @@ func (net *Network) wire(from, to packet.NodeID, idx, peerPort int, flt *fault.L
 // performs, so a reset run is bit-identical to a freshly constructed one.
 // The caller must Engine.Reset() every shard engine first (Reset
 // schedules fault events on clean queues). The packet pools keep their
-// free lists warm across runs; only their counters restart.
+// chunks and reclaim every packet in them, the ones the previous run left
+// in flight included.
 //
 // This is the zero-rebuild trial path: the fleet runner reuses one
 // fabric per worker across the trials of a scenario instead of
@@ -340,7 +341,7 @@ func (net *Network) Reset(seed uint64, faults *fault.Model) {
 	}
 	net.envClk.Reset()
 	for _, p := range net.parts {
-		p.pool.ResetStats()
+		p.pool.Reset()
 		p.stats = Stats{}
 		p.census = Census{}
 		p.downPorts = 0
@@ -445,6 +446,16 @@ func (net *Network) PoolLive() int {
 	n := 0
 	for _, p := range net.parts {
 		n += p.pool.Live()
+	}
+	return n
+}
+
+// PoolCap sums the packets every partition's pool owns — the fabric's
+// packet memory, which a run on a warm fabric must not grow.
+func (net *Network) PoolCap() int {
+	n := 0
+	for _, p := range net.parts {
+		n += p.pool.Cap()
 	}
 	return n
 }

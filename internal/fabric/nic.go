@@ -24,10 +24,9 @@ type NIC struct {
 	egress outPort
 	ctrl   packet.Queue
 
-	sources   []transport.Source
-	rr        int
-	srcByFlow map[packet.FlowID]transport.Source
-	sinks     map[packet.FlowID]transport.Sink
+	sources []transport.Source
+	rr      int
+	flows   flowTable
 
 	wake *sim.Timer
 
@@ -42,11 +41,13 @@ const nicWake uint8 = 0
 
 func newNIC(id packet.NodeID, net *Network, part *partition) *NIC {
 	n := &NIC{
-		id:        id,
-		net:       net,
-		part:      part,
-		srcByFlow: make(map[packet.FlowID]transport.Source),
-		sinks:     make(map[packet.FlowID]transport.Sink),
+		id:   id,
+		net:  net,
+		part: part,
+		// Room for a handful of concurrent flows, so that on most hosts a
+		// run never grows either; reset keeps whatever they grew to.
+		sources: make([]transport.Source, 0, 8),
+		flows:   flowTable{slots: make([]flowEntry, 16)},
 	}
 	n.wake = sim.NewHandlerTimer(part.eng, &net.clks[id], n, nicWake)
 	return n
@@ -67,8 +68,7 @@ func (n *NIC) reset() {
 	}
 	n.sources = n.sources[:0]
 	n.rr = 0
-	clear(n.srcByFlow)
-	clear(n.sinks)
+	n.flows.clear()
 	n.wake.Reset()
 	n.Stray = 0
 }
@@ -104,17 +104,15 @@ func (n *NIC) Wake() { n.egress.kick() }
 // AttachSource registers a sender on this NIC and kicks the scheduler.
 func (n *NIC) AttachSource(s transport.Source) {
 	n.sources = append(n.sources, s)
-	n.srcByFlow[s.Flow().ID] = s
+	n.flows.attach(s.Flow().ID, s, nil)
 	n.egress.kick()
 }
 
-// AttachSink registers a receiver for a flow.
+// AttachSink registers a receiver for a flow. It stays for the run: a late
+// duplicate must still find the receiver that re-acknowledges it.
 func (n *NIC) AttachSink(id packet.FlowID, s transport.Sink) {
-	n.sinks[id] = s
+	n.flows.attach(id, nil, s)
 }
-
-// DetachSink removes a receiver.
-func (n *NIC) DetachSink(id packet.FlowID) { delete(n.sinks, id) }
 
 // ActiveSources reports how many senders are attached (including ones
 // that finished but have not been reaped yet).
@@ -173,7 +171,7 @@ func (n *NIC) reap() {
 	removed := false
 	for _, s := range n.sources {
 		if s.Done() {
-			delete(n.srcByFlow, s.Flow().ID)
+			n.flows.dropSource(s.Flow().ID)
 			removed = true
 			continue
 		}
@@ -204,15 +202,15 @@ func (n *NIC) receive(pkt *packet.Packet, _ int) {
 	case packet.TypeData:
 		n.part.stats.Delivered++
 		n.part.stats.DataBytes += uint64(pkt.Wire)
-		if sink, ok := n.sinks[pkt.Flow]; ok {
-			sink.HandleData(pkt, now)
+		if e := n.flows.find(pkt.Flow); e != nil && e.sink != nil {
+			e.sink.HandleData(pkt, now)
 		} else {
 			n.Stray++
 		}
 	case packet.TypeAck, packet.TypeNack, packet.TypeCNP:
 		n.part.stats.CtrlDeliv++
-		if src, ok := n.srcByFlow[pkt.Flow]; ok {
-			src.HandleControl(pkt, now)
+		if e := n.flows.find(pkt.Flow); e != nil && e.src != nil {
+			e.src.HandleControl(pkt, now)
 		} else {
 			n.Stray++
 		}
@@ -230,4 +228,106 @@ func (n *NIC) pfcFrame(_ int, pause bool) {
 	} else {
 		n.egress.resume()
 	}
+}
+
+// flowEntry is one flow's transports on a NIC. A slot with neither is
+// empty.
+type flowEntry struct {
+	flow packet.FlowID
+	src  transport.Source
+	sink transport.Sink
+}
+
+func (e *flowEntry) empty() bool { return e.src == nil && e.sink == nil }
+
+// flowTable maps the flows attached to a NIC to their transports: an
+// open-addressed, linearly probed array in place of two Go maps, so the
+// per-packet receive lookup is one multiplicative hash and (nearly always)
+// one slot, and a run on a warm NIC attaches flows without allocating —
+// clear keeps the array. The slot count is a power of two and at most
+// three quarters of the slots are taken.
+type flowTable struct {
+	slots []flowEntry
+	n     int
+}
+
+// home is the slot id's probe run starts at.
+func (t *flowTable) home(id packet.FlowID) int {
+	return int(mix64(uint64(id))) & (len(t.slots) - 1)
+}
+
+// probe returns the slot holding id, or else the empty slot where id's
+// probe run ends.
+func (t *flowTable) probe(id packet.FlowID) int {
+	i := t.home(id)
+	for e := &t.slots[i]; !e.empty() && e.flow != id; e = &t.slots[i] {
+		i = (i + 1) & (len(t.slots) - 1)
+	}
+	return i
+}
+
+// find returns id's entry, or nil. The pointer is valid until the table
+// next changes.
+func (t *flowTable) find(id packet.FlowID) *flowEntry {
+	if e := &t.slots[t.probe(id)]; !e.empty() {
+		return e
+	}
+	return nil
+}
+
+// attach sets the source or the sink (whichever is non-nil) of id's
+// entry, inserting the entry if absent.
+func (t *flowTable) attach(id packet.FlowID, src transport.Source, sink transport.Sink) {
+	e := &t.slots[t.probe(id)]
+	if e.empty() {
+		if t.n++; 4*t.n > 3*len(t.slots) {
+			old := t.slots
+			t.slots = make([]flowEntry, 2*len(old))
+			for i := range old {
+				if !old[i].empty() {
+					t.slots[t.probe(old[i].flow)] = old[i]
+				}
+			}
+			e = &t.slots[t.probe(id)]
+		}
+		e.flow = id
+	}
+	if src != nil {
+		e.src = src
+	} else {
+		e.sink = sink
+	}
+}
+
+// dropSource detaches id's source, and removes the entry if no sink is
+// left on it: the entries after it in its probe run move up over the hole
+// (backward-shift deletion), so lookups need no tombstones and the
+// table's size follows the flows attached now, not all those ever seen.
+func (t *flowTable) dropSource(id packet.FlowID) {
+	hole := t.probe(id)
+	e := &t.slots[hole]
+	if e.src == nil {
+		return // absent
+	}
+	e.src = nil
+	if e.sink != nil {
+		return
+	}
+	t.n--
+	mask := len(t.slots) - 1
+	for i := (hole + 1) & mask; !t.slots[i].empty(); i = (i + 1) & mask {
+		// The entry at i may move into the hole unless its home lies
+		// cyclically in (hole, i]: a probe from home would then miss it.
+		if (i-t.home(t.slots[i].flow))&mask >= (i-hole)&mask {
+			t.slots[hole] = t.slots[i]
+			hole = i
+		}
+	}
+	t.slots[hole] = flowEntry{}
+}
+
+// clear empties the table, keeping its array.
+func (t *flowTable) clear() {
+	clear(t.slots)
+	t.n = 0
 }

@@ -52,11 +52,8 @@ func TestFabricSteadyStateReusesPackets(t *testing.T) {
 	if got := net.Stats().Delivered; got < pkts {
 		t.Fatalf("delivered %d, want >= %d", got, pkts)
 	}
-	if pool.Allocs > pkts/4 {
-		t.Fatalf("pool heap-allocated %d packets for %d deliveries; free-list reuse is broken (reuses=%d)",
-			pool.Allocs, net.Stats().Delivered, pool.Reuses)
-	}
-	if pool.Reuses == 0 {
-		t.Fatal("pool never reused a packet")
+	if pool.Cap() > pkts/4 {
+		t.Fatalf("pool grew to %d packets for %d deliveries; free-list reuse is broken",
+			pool.Cap(), net.Stats().Delivered)
 	}
 }

@@ -213,9 +213,8 @@ func (q *Queue) Len() int { return q.n }
 // Empty reports whether the queue holds no packets.
 func (q *Queue) Empty() bool { return q.head == nil }
 
-// Reset empties the queue for a new run. The packets it held belong to the
-// previous run and are abandoned to the GC, still marked queued: a stale
-// pointer to one cannot be pushed or released by mistake.
+// Reset empties the queue for a new run. The packets it held are left as
+// they are, still marked queued, for Pool.Reset to reclaim.
 func (q *Queue) Reset() { *q = Queue{} }
 
 // IsControl reports whether the packet is a transport control packet
@@ -246,8 +245,10 @@ func (p *Packet) String() string {
 
 // Pool is a free-list of Packets owned by one simulation engine. Every
 // constructor (NewData/NewAck/NewNack/NewCNP) draws from it and Release
-// returns dead packets to it, so a warmed-up simulation allocates no
-// packets at all.
+// returns dead packets to it. The pool grows a chunk of packets at a
+// time and keeps every chunk it ever allocated, so a run's heap cost is
+// one allocation per poolChunk packets of peak occupancy and a warmed-up
+// simulation allocates no packets at all.
 //
 // The pool is deliberately NOT a sync.Pool: the simulator is
 // single-threaded per engine (the fleet runner shards whole scenarios, one
@@ -262,32 +263,42 @@ func (p *Packet) String() string {
 // allocation with Release as a no-op, which is what the package-level
 // constructors (unit tests, microbenchmarks, the verbs examples) use.
 type Pool struct {
-	free  *Packet // top of the free stack
-	nfree int
-
-	// Stats.
-	Allocs   uint64 // packets newly heap-allocated
-	Reuses   uint64 // packets served from the free list
-	Releases uint64 // packets returned to the free list
+	free   *Packet // top of the free stack
+	nfree  int
+	chunks [][]Packet // every array the pool owns, in allocation order
 }
+
+// poolChunk is the number of packets per heap allocation (~35 KB).
+const poolChunk = 256
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// get returns a zeroed packet, reusing a released one when possible.
+// thread pushes every packet of c on the free stack, c[0] on top.
+func (p *Pool) thread(c []Packet) {
+	for i := len(c) - 1; i >= 0; i-- {
+		c[i] = Packet{next: p.free, held: heldByPool}
+		p.free = &c[i]
+	}
+	p.nfree += len(c)
+}
+
+// get returns a packet off the free stack, growing the pool by one chunk
+// when the stack is empty.
 func (p *Pool) get() *Packet {
 	if p == nil {
 		return &Packet{}
 	}
-	if pkt := p.free; pkt != nil {
-		p.free = pkt.next
-		p.nfree--
-		p.Reuses++
-		pkt.next, pkt.held = nil, heldByNone
-		return pkt
+	if p.free == nil {
+		c := make([]Packet, poolChunk)
+		p.chunks = append(p.chunks, c)
+		p.thread(c)
 	}
-	p.Allocs++
-	return &Packet{}
+	pkt := p.free
+	p.free = pkt.next
+	p.nfree--
+	pkt.next, pkt.held = nil, heldByNone
+	return pkt
 }
 
 // Release returns a dead packet to the free list. Call it exactly once,
@@ -311,7 +322,6 @@ func (p *Pool) Release(pkt *Packet) {
 	*pkt = Packet{next: p.free, held: heldByPool}
 	p.free = pkt
 	p.nfree++
-	p.Releases++
 }
 
 // FreeLen reports how many packets sit in the free list (diagnostics).
@@ -322,30 +332,43 @@ func (p *Pool) FreeLen() int {
 	return p.nfree
 }
 
-// ResetStats zeroes the pool's counters for a new run while keeping the
-// free list warm: the zero-rebuild trial path reuses one pool per worker,
-// so packets released in one trial are served — without heap allocation —
-// to the next. Packets still checked out when the previous run stopped
-// (in-flight at the deadline) are simply abandoned to the GC; they were
-// never released, so reuse order stays deterministic. Counters restart so
-// Live reflects the current run alone. Nil-safe.
-func (p *Pool) ResetStats() {
+// Cap reports how many packets the pool owns: poolChunk per allocation it
+// has made. It never shrinks; a run on a warm pool leaves it unchanged.
+// Nil-safe.
+func (p *Pool) Cap() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.chunks) * poolChunk
+}
+
+// Reset reclaims every packet the pool owns for a new run: the free stack
+// is rebuilt through all chunks in allocation order, so the next run draws
+// the same packets in the same order whatever the previous one left
+// behind. Packets still checked out when that run stopped (in flight at
+// the deadline) come back with the rest — every queue that held them has
+// been Reset by then — and packets adopted from elsewhere (another shard's
+// pool, the package-level constructors) are dropped. Nil-safe.
+func (p *Pool) Reset() {
 	if p == nil {
 		return
 	}
-	p.Allocs, p.Reuses, p.Releases = 0, 0, 0
+	p.free, p.nfree = nil, 0
+	for i := len(p.chunks) - 1; i >= 0; i-- {
+		p.thread(p.chunks[i])
+	}
 }
 
-// Live reports the packets currently checked out of the pool: every get
-// (fresh or reused) minus every release since the last ResetStats. For a
-// pool used by a single run from empty this equals Allocs - FreeLen();
-// unlike that formula it stays correct when the free list carries warm
-// packets from a previous trial. Nil-safe.
+// Live reports the packets currently checked out: those the pool owns
+// minus those on its free list. Adopting a foreign packet lowers it and a
+// packet that dies in another shard's pool stays counted here, so one
+// pool's Live is signed; summed over a fabric's pools it is the number of
+// packets alive. Nil-safe.
 func (p *Pool) Live() int {
 	if p == nil {
 		return 0
 	}
-	return int(p.Allocs + p.Reuses - p.Releases)
+	return p.Cap() - p.nfree
 }
 
 // NewData builds a data packet with standard RoCEv2 overheads.

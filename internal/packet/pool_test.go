@@ -3,6 +3,7 @@ package packet
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestPoolRoundTripZeroAllocs is the allocation-regression guard for the
@@ -27,8 +28,8 @@ func TestPoolRoundTripZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("pooled send/receive round trip allocates %.1f/op, want 0", allocs)
 	}
-	if p.Allocs != 2 {
-		t.Fatalf("pool heap-allocated %d packets, want only the 2 warm-up ones", p.Allocs)
+	if p.Cap() != poolChunk {
+		t.Fatalf("pool owns %d packets, want the warm-up's one chunk of %d", p.Cap(), poolChunk)
 	}
 }
 
@@ -92,8 +93,8 @@ func TestPoolAbsorbsForeignPackets(t *testing.T) {
 	p := NewPool()
 	d := NewData(1, 0, 1, 0, 100, false)
 	p.Release(d)
-	if p.FreeLen() != 1 || p.Releases != 1 {
-		t.Fatalf("foreign packet not adopted: free=%d releases=%d", p.FreeLen(), p.Releases)
+	if p.FreeLen() != 1 || p.Live() != -1 {
+		t.Fatalf("foreign packet not adopted: free=%d live=%d", p.FreeLen(), p.Live())
 	}
 	if got := p.NewCNP(1, 0, 1); got != d {
 		t.Fatal("adopted packet not reused")
@@ -102,8 +103,8 @@ func TestPoolAbsorbsForeignPackets(t *testing.T) {
 
 // TestPoolFreeListIsLIFO: the free list is a stack threaded through the
 // packets' own link, and its order is part of the determinism contract —
-// which packet a constructor returns decides Allocs/Reuses and the pointer
-// graph of every later run on the pool.
+// which packet a constructor returns decides the pointer graph of every
+// later run on the pool.
 func TestPoolFreeListIsLIFO(t *testing.T) {
 	p := NewPool()
 	var pkts []*Packet
@@ -113,7 +114,7 @@ func TestPoolFreeListIsLIFO(t *testing.T) {
 	for _, pkt := range pkts {
 		p.Release(pkt)
 	}
-	if p.FreeLen() != 5 || p.Live() != 0 {
+	if p.FreeLen() != poolChunk || p.Live() != 0 {
 		t.Fatalf("free=%d live=%d after releasing all 5", p.FreeLen(), p.Live())
 	}
 	for i := 4; i >= 2; i-- {
@@ -128,11 +129,75 @@ func TestPoolFreeListIsLIFO(t *testing.T) {
 			t.Fatal("interleaved release broke LIFO order")
 		}
 	}
-	if p.FreeLen() != 0 || p.Allocs != 5 || p.Reuses != 6 {
-		t.Fatalf("free=%d allocs=%d reuses=%d, want 0/5/6", p.FreeLen(), p.Allocs, p.Reuses)
+	if p.Live() != 5 || p.Cap() != poolChunk {
+		t.Fatalf("live=%d cap=%d, want 5 of one chunk", p.Live(), p.Cap())
 	}
-	if fresh := p.NewCNP(1, 0, 1); fresh == pkts[0] || p.Allocs != 6 {
-		t.Fatal("empty free list did not heap-allocate")
+}
+
+// TestPoolGrowsByChunks: the pool grows one poolChunk-packet array at a
+// time, hands a chunk out in array order, and never invalidates a packet
+// it handed out earlier.
+func TestPoolGrowsByChunks(t *testing.T) {
+	p := NewPool()
+	const n = 2*poolChunk + 3
+	pkts := make([]*Packet, n)
+	for i := range pkts {
+		pkts[i] = p.NewData(1, 0, 1, PSN(i), 100, false)
+	}
+	if p.Cap() != 3*poolChunk || p.Live() != n {
+		t.Fatalf("cap=%d live=%d, want %d/%d", p.Cap(), p.Live(), 3*poolChunk, n)
+	}
+	for i, pkt := range pkts {
+		if pkt.PSN != PSN(i) {
+			t.Fatalf("packet %d was overwritten: psn=%d", i, pkt.PSN)
+		}
+		if i%poolChunk != 0 && uintptr(unsafe.Pointer(pkt)) != uintptr(unsafe.Pointer(pkts[i-1]))+unsafe.Sizeof(Packet{}) {
+			t.Fatalf("packet %d does not follow packet %d in its chunk", i, i-1)
+		}
+	}
+}
+
+// TestPoolResetReclaimsEverything: whatever a run left behind — packets
+// never released, packets stranded in a queue, a foreign packet adopted, a
+// scrambled free list — Reset makes the pool hand out its chunks in
+// allocation order again, without growing.
+func TestPoolResetReclaimsEverything(t *testing.T) {
+	p := NewPool()
+	draw := func(n int) []*Packet {
+		out := make([]*Packet, n)
+		for i := range out {
+			out[i] = p.NewCNP(1, 0, 1)
+		}
+		return out
+	}
+	first := draw(poolChunk + 10)
+
+	var q Queue
+	q.Push(first[3])           // stranded in a queue at the cut-off
+	p.Release(first[7])        // released out of order
+	p.Release(first[200])      //
+	p.Release(NewCNP(1, 0, 1)) // foreign
+	_ = first[5]               // simply leaked
+	mustPanic(t, "release of a queued packet", func() { p.Release(first[3]) })
+	q.Reset()
+
+	p.Reset()
+	if p.Live() != 0 || p.FreeLen() != 2*poolChunk || p.Cap() != 2*poolChunk {
+		t.Fatalf("after Reset live=%d free=%d cap=%d, want 0/%d/%d", p.Live(), p.FreeLen(), p.Cap(), 2*poolChunk, 2*poolChunk)
+	}
+	mustPanic(t, "push of a reclaimed packet", func() { q.Push(first[3]) })
+	mustPanic(t, "release of a reclaimed packet", func() { p.Release(first[5]) })
+	second := draw(2 * poolChunk)
+	for i := range first {
+		if second[i] != first[i] {
+			t.Fatalf("draw %d after Reset is not the packet of draw %d before it", i, i)
+		}
+	}
+	if p.Cap() != 2*poolChunk {
+		t.Fatalf("pool grew to %d packets refilling what it owned", p.Cap())
+	}
+	if second[0].held != heldByNone || second[0].next != nil || second[0].Type != TypeCNP {
+		t.Fatalf("reclaimed packet handed out dirty: %+v", second[0])
 	}
 }
 

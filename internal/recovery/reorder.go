@@ -24,7 +24,7 @@ const (
 // bitmap of out-of-order arrivals beyond it, and the count of distinct
 // packets received.
 type Reorder struct {
-	rcv      *bitmap.Bitmap
+	rcv      bitmap.Bitmap
 	expected uint32
 	received int
 }
@@ -32,7 +32,16 @@ type Reorder struct {
 // NewReorder returns a receive window buffering up to window sequence
 // numbers past the expected one.
 func NewReorder(window int) Reorder {
-	return Reorder{rcv: bitmap.New(window)}
+	var r Reorder
+	r.Init(make([]uint64, bitmap.Words(window)))
+	return r
+}
+
+// Init makes r an empty window whose arrival bitmap lives in words:
+// bitmap.Words(window) zero words that r owns from here on.
+func (r *Reorder) Init(words []uint64) {
+	*r = Reorder{}
+	r.rcv.Init(words)
 }
 
 // Expected returns the next in-order sequence number: the cumulative ack.

@@ -18,20 +18,30 @@ import "github.com/irnsim/irn/internal/bitmap"
 
 // Scoreboard is a sender's view of which sequence numbers the peer holds.
 // Sequence numbers are plain uint32s and compared without wrap-around.
-// Embed it by value; NewScoreboard allocates only the bitmap.
+// Embed it by value and Init it there; NewScoreboard allocates only the
+// bitmap words.
 type Scoreboard struct {
-	sacked      *bitmap.Bitmap // selective acks over [cum, cum+window)
-	cum         uint32         // everything below is acknowledged
-	highSack    uint32         // highest selectively acked PSN + 1; 0 = none
-	recoverySeq uint32         // recovery ends once cum passes this
-	retxNext    uint32         // scan pointer for the next retransmission
+	sacked      bitmap.Bitmap // selective acks over [cum, cum+window)
+	cum         uint32        // everything below is acknowledged
+	highSack    uint32        // highest selectively acked PSN + 1; 0 = none
+	recoverySeq uint32        // recovery ends once cum passes this
+	retxNext    uint32        // scan pointer for the next retransmission
 	inRecovery  bool
 }
 
 // NewScoreboard returns a scoreboard tracking selective acks for up to
 // window sequence numbers past the cumulative point.
 func NewScoreboard(window int) Scoreboard {
-	return Scoreboard{sacked: bitmap.New(window)}
+	var sb Scoreboard
+	sb.Init(make([]uint64, bitmap.Words(window)))
+	return sb
+}
+
+// Init makes sb an empty scoreboard whose SACK bitmap lives in words:
+// bitmap.Words(window) zero words that sb owns from here on.
+func (sb *Scoreboard) Init(words []uint64) {
+	*sb = Scoreboard{}
+	sb.sacked.Init(words)
 }
 
 // Cum returns the cumulative acknowledgement: the lowest unacked PSN.

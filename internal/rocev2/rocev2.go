@@ -66,22 +66,30 @@ type Sender struct {
 	done      bool
 	// probe re-sends the final packet if the completion ACK never
 	// arrives (it can only be lost when PFC is off).
-	probe *sim.Timer
+	probe sim.Timer
 
 	Stats transport.SenderStats
 }
 
 // NewSender builds a RoCE sender; ctrl may be nil.
 func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl transport.Controller) *Sender {
+	s := new(Sender)
+	s.Init(ep, flow, p, ctrl)
+	return s
+}
+
+// Init is NewSender in place: s, probe timer included, is one object, so
+// a launcher that carves it from a slab starts a flow without touching
+// the allocator. s must not be copied afterwards.
+func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl transport.Controller) {
 	if ctrl == nil {
 		ctrl = transport.None{}
 	}
 	if flow.Pkts == 0 {
 		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)
 	}
-	s := &Sender{ep: ep, pool: ep.Pool(), flow: flow, p: p, cc: ctrl, total: flow.Pkts}
-	s.probe = sim.NewHandlerTimer(ep.Engine(), ep.Clock(), s, senderProbe)
-	return s
+	*s = Sender{ep: ep, pool: ep.Pool(), flow: flow, p: p, cc: ctrl, total: flow.Pkts}
+	s.probe.Init(ep.Engine(), ep.Clock(), s, senderProbe)
 }
 
 // senderProbe is the Sender's only sim.Handler event kind: the completion
@@ -216,10 +224,10 @@ type Receiver struct {
 	total    int
 
 	nackedFor packet.PSN // expected value already NACKed this episode (+1; 0 = none)
-	rto       *sim.Timer
+	rto       sim.Timer
 	complete  bool
 	done      transport.Completer
-	cnp       *cc.CNPGenerator
+	cnp       cc.CNPGenerator
 
 	// Stats.
 	Nacks, TimeoutNacks, Discards uint64
@@ -228,23 +236,29 @@ type Receiver struct {
 // NewReceiver builds a RoCE receiver. Its stall timer starts armed (the
 // requester knows the transfer is outstanding).
 func NewReceiver(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer) *Receiver {
+	r := new(Receiver)
+	r.Init(ep, flow, p, done)
+	return r
+}
+
+// Init is NewReceiver in place; see Sender.Init.
+func (r *Receiver) Init(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer) {
 	if flow.Pkts == 0 {
 		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)
 	}
-	r := &Receiver{
+	*r = Receiver{
 		ep:    ep,
 		pool:  ep.Pool(),
 		flow:  flow,
 		p:     p,
 		total: flow.Pkts,
 		done:  done,
-		cnp:   cc.NewCNPGenerator(),
 	}
-	r.rto = sim.NewHandlerTimer(ep.Engine(), ep.Clock(), r, receiverRTO)
+	r.cnp.Init()
+	r.rto.Init(ep.Engine(), ep.Clock(), r, receiverRTO)
 	if !p.DisableTimeout {
 		r.rto.Arm(p.RTOHigh)
 	}
-	return r
 }
 
 // receiverRTO is the Receiver's only sim.Handler event kind: the stall

@@ -459,7 +459,16 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 // owning node's clock, so timer events keep their canonical order under
 // sharded execution. A nil clk falls back to the engine clock.
 func NewHandlerTimer(eng *Engine, clk *Clock, h Handler, kind uint8) *Timer {
-	return &Timer{eng: eng, clk: clk, h: h, kind: kind}
+	t := new(Timer)
+	t.Init(eng, clk, h, kind)
+	return t
+}
+
+// Init is NewHandlerTimer in place, for a Timer embedded by value in the
+// object it fires into. The timer must not be copied afterwards: its
+// pending engine event points at it.
+func (t *Timer) Init(eng *Engine, clk *Clock, h Handler, kind uint8) {
+	*t = Timer{eng: eng, clk: clk, h: h, kind: kind}
 }
 
 // Arm (re)schedules the timer to fire d from now, replacing any previous

@@ -1,0 +1,46 @@
+// Package slab carves objects out of fixed-size arrays: one heap
+// allocation per chunk of elements instead of one per object. Nothing is
+// handed out twice and nothing is ever reset — an object lives exactly as
+// long as a plain heap object would, and the garbage collector frees a
+// chunk once every object carved from it is unreachable — so a slab
+// changes the malloc count and nothing else. The verbs layer carves WQEs
+// and packets from per-QP slabs; the experiment launcher carves each
+// flow's sender, receiver and bitmap words from per-shard slabs that die
+// with the run.
+package slab
+
+// chunk is the number of elements per heap allocation.
+const chunk = 64
+
+// Slab hands out zero-valued Ts. The zero value is an empty slab. Not
+// safe for concurrent use: give each goroutine its own.
+type Slab[T any] struct{ free []T }
+
+// Get returns a pointer to a new zero T. It stays valid, and distinct
+// from every other pointer handed out, for as long as the caller holds it.
+func (s *Slab[T]) Get() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, chunk)
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	return p
+}
+
+// Run returns n contiguous zero Ts with no capacity beyond n, so
+// neighbouring runs cannot grow into each other. A run that does not fit
+// the rest of the current chunk starts a new one (the remainder is left
+// unused); a run longer than a chunk gets an allocation of its own. A nil
+// slab carves from the heap, which is how the package-level transport
+// constructors build a single flow without a launcher.
+func (s *Slab[T]) Run(n int) []T {
+	if s == nil || n > chunk {
+		return make([]T, n)
+	}
+	if len(s.free) < n {
+		s.free = make([]T, chunk)
+	}
+	r := s.free[:n:n]
+	s.free = s.free[n:]
+	return r
+}

@@ -16,9 +16,11 @@
 package tcpstack
 
 import (
+	"github.com/irnsim/irn/internal/bitmap"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/recovery"
 	"github.com/irnsim/irn/internal/sim"
+	"github.com/irnsim/irn/internal/slab"
 	"github.com/irnsim/irn/internal/transport"
 )
 
@@ -77,7 +79,7 @@ type Sender struct {
 	// RTO (RFC 6298).
 	rtt     recovery.RTT
 	backoff uint
-	rto     *sim.Timer
+	rto     sim.Timer
 
 	done bool
 
@@ -86,6 +88,15 @@ type Sender struct {
 
 // NewSender builds a TCP sender for flow.
 func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params) *Sender {
+	s := new(Sender)
+	s.Init(ep, flow, p, nil)
+	return s
+}
+
+// Init is NewSender in place: s is one object — timer, scoreboard and
+// bitmap header included — and only the bitmap words live outside it,
+// carved from words (nil: the heap). s must not be copied afterwards.
+func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, words *slab.Slab[uint64]) {
 	if flow.Pkts == 0 {
 		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)
 	}
@@ -95,7 +106,7 @@ func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params) *Sender {
 	if p.DupAckThreshold < 1 {
 		p.DupAckThreshold = 3
 	}
-	s := &Sender{
+	*s = Sender{
 		ep:       ep,
 		pool:     ep.Pool(),
 		flow:     flow,
@@ -104,9 +115,8 @@ func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params) *Sender {
 		cwnd:     float64(p.InitialWindow),
 		ssthresh: 1 << 30, // slow start until the first loss
 	}
-	s.sb = recovery.NewScoreboard(bitmapWindow(s.total))
-	s.rto = sim.NewHandlerTimer(ep.Engine(), ep.Clock(), s, senderRTO)
-	return s
+	s.sb.Init(words.Run(windowWords(s.total)))
+	s.rto.Init(ep.Engine(), ep.Clock(), s, senderRTO)
 }
 
 // senderRTO is the Sender's only sim.Handler event kind: RTO expiry.
@@ -115,9 +125,9 @@ const senderRTO uint8 = 0
 // HandleEvent implements sim.Handler (the retransmission timer).
 func (s *Sender) HandleEvent(uint8, uint64) { s.onTimeout() }
 
-// bitmapWindow sizes the SACK and reassembly bitmaps: the whole message,
+// windowWords sizes the SACK and reassembly bitmaps: the whole message,
 // up to a 64 Ki-segment socket buffer.
-func bitmapWindow(total int) int { return min(total, 1<<16) + 1 }
+func windowWords(total int) int { return bitmap.Words(min(total, 1<<16) + 1) }
 
 // Flow implements transport.Source.
 func (s *Sender) Flow() *transport.Flow { return s.flow }
@@ -307,10 +317,18 @@ type Receiver struct {
 
 // NewReceiver builds a TCP receiver.
 func NewReceiver(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer) *Receiver {
+	r := new(Receiver)
+	r.Init(ep, flow, p, done, nil)
+	return r
+}
+
+// Init is NewReceiver in place, with the reassembly bitmap's words carved
+// from words (nil: the heap); see Sender.Init.
+func (r *Receiver) Init(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer, words *slab.Slab[uint64]) {
 	if flow.Pkts == 0 {
 		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)
 	}
-	r := &Receiver{
+	*r = Receiver{
 		ep:    ep,
 		pool:  ep.Pool(),
 		flow:  flow,
@@ -318,8 +336,7 @@ func NewReceiver(ep transport.Endpoint, flow *transport.Flow, p Params, done tra
 		total: flow.Pkts,
 		done:  done,
 	}
-	r.win = recovery.NewReorder(bitmapWindow(r.total))
-	return r
+	r.win.Init(words.Run(windowWords(r.total)))
 }
 
 // Received reports distinct segments received.

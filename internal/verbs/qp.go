@@ -7,6 +7,7 @@ import (
 	"github.com/irnsim/irn/internal/fifo"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
+	"github.com/irnsim/irn/internal/slab"
 )
 
 // Config parameterizes a QP.
@@ -165,8 +166,8 @@ type QP struct {
 	// recycled: the wire ferries them by pointer and a retransmitted copy
 	// can still be in flight when the cumulative ack releases the
 	// original, so reuse would hand a receiver a rewritten packet.
-	pkts slab[VPacket]
-	wqes slab[reqWQE]
+	pkts slab.Slab[VPacket]
+	wqes slab.Slab[reqWQE]
 
 	// Stats.
 	Retransmits, Timeouts, RNRNacks, Drops uint64
@@ -294,7 +295,7 @@ func (q *QP) PostSend(req Request) error {
 
 // admit packetizes a request PostSend has validated into the send queue.
 func (q *QP) admit(req Request) {
-	w := q.wqes.get()
+	w := q.wqes.Get()
 	w.req, w.msgIdx, w.pkts = req, q.posted, 1
 	switch req.Op {
 	case OpWrite, OpWriteImm, OpSend, OpSendInv:
@@ -331,7 +332,7 @@ func (q *QP) buildPackets(w *reqWQE) {
 		q.readSSN++
 		q.readsOut[sn] = w
 		q.readsPending++
-		p := q.pkts.get()
+		p := q.pkts.Get()
 		p.BTH.Opcode = packet.OpReadRequest
 		p.RETH = packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: uint32(len(req.Local))}
 		p.Ext.WQESeq = sn
@@ -345,7 +346,7 @@ func (q *QP) buildPackets(w *reqWQE) {
 		if req.Op == OpCmpSwap {
 			op = packet.OpCompareSwap
 		}
-		p := q.pkts.get()
+		p := q.pkts.Get()
 		p.BTH.Opcode = op
 		p.RETH = packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: 8}
 		p.Ext.WQESeq = sn
@@ -379,7 +380,7 @@ func (q *QP) buildSegmented(w *reqWQE, data []byte, isWrite bool) {
 		if lo < len(data) {
 			payload = data[lo:hi]
 		}
-		p := q.pkts.get()
+		p := q.pkts.Get()
 		p.BTH.Opcode = segOpcode(req.Op, i, n)
 		p.Payload = payload
 		if isWrite {

@@ -158,7 +158,7 @@ func (q *QP) sendReadAck(nack bool, sack uint32) {
 	if nack {
 		syn = packet.SyndromeNack
 	}
-	p := q.pkts.get()
+	p := q.pkts.Get()
 	p.BTH = packet.BTH{Opcode: packet.OpReadNack, PSN: q.rrxExp}
 	p.AETH.Syndrome = syn
 	p.SackPSN = sack

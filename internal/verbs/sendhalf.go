@@ -17,23 +17,6 @@ const (
 	psnMask   = psnWindow - 1
 )
 
-// slab carves objects out of 64-element arrays: one allocation per 64
-// objects. Nothing is handed out twice — an object lives exactly as long
-// as a plain heap object would, the garbage collector frees an array once
-// every object in it is unreachable — so a slab changes the malloc count
-// and nothing else.
-type slab[T any] struct{ free []T }
-
-// get returns a new zero T.
-func (s *slab[T]) get() *T {
-	if len(s.free) == 0 {
-		s.free = make([]T, 64)
-	}
-	p := &s.free[0]
-	s.free = s.free[1:]
-	return p
-}
-
 // sendHalf is the reliable transmit side of one PSN space. A QP has two:
 // the requester's request stream (sPSN) and the responder's read-response
 // stream (rPSN, §5.2), with the same loss recovery on both.
