@@ -153,6 +153,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown kv mode %q\n", *kvMode)
 			os.Exit(2)
 		}
+		// A replica group larger than the fabric is a usage error here
+		// rather than a panic from a fleet worker.
+		if err := s.KV.Validate(topo.NewFatTree(*arity).Hosts()); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	s.NoBDPFC = *noBDPFC
 	if *overheads {

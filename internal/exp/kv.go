@@ -4,11 +4,12 @@ package exp
 // replicated key-value service (internal/kv) over the fabric and drives
 // open-loop client load while the scenario's fault schedule executes.
 // The windowed-execution contract is the same as the flow path: issue
-// events are scheduled at setup under the owning hosts' clocks, the Done
-// horizon clamps the run to "last resolution plus window slack", and all
-// per-client state merges in client-index order — so kv runs are
-// bit-identical across shard counts and lookahead widths like every
-// other scenario, and figkv joins the preset-wide determinism sweeps.
+// events fire under ranks reserved at setup on the owning hosts' clocks
+// (each client keeps only its next one queued), the Done horizon clamps
+// the run to "last resolution plus window slack", and all per-client
+// state merges in client-index order — so kv runs are bit-identical
+// across shard counts and lookahead widths like every other scenario, and
+// figkv joins the preset-wide determinism sweeps.
 
 import (
 	"fmt"
@@ -27,6 +28,9 @@ import (
 // Called from Worker.run once the net/engines/faults are in place.
 func (w *Worker) runKV(s Scenario, opts runOpts, net *fabric.Network, engines []*sim.Engine, top topo.Topology, bdpCap int) Result {
 	o := s.KV // normalized by Scenario.normalize
+	if err := o.Validate(top.Hosts()); err != nil {
+		panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
+	}
 	hosts := make([]packet.NodeID, top.Hosts())
 	for i := range hosts {
 		hosts[i] = packet.NodeID(i)

@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/irnsim/irn/internal/kv"
 )
@@ -149,5 +152,33 @@ func TestKVMarginalAllocs(t *testing.T) {
 	}
 	if perReq <= 0 {
 		t.Fatalf("marginal kv allocation cost %.1f/request — the workload did not scale", perReq)
+	}
+}
+
+// TestKVReplicasMustFitFabric: a kv scenario on a fabric with fewer hosts
+// than replicas (arity 2: two hosts, three replicas by default) used to
+// hang in placement; it now fails the way a fault spec that does not fit
+// the topology does — a panic naming the scenario — and the worker runs
+// the next scenario as a fresh one would.
+func TestKVReplicasMustFitFabric(t *testing.T) {
+	bad := Scenario{Name: "kv-on-two-hosts", Arity: 2, KV: kv.Options{Requests: 10}}
+	good := Scenario{Name: "kv-ok", Seed: 3, KV: kv.Options{Requests: 30}}
+	w := NewWorker()
+	result := make(chan any, 1)
+	go func() {
+		defer func() { result <- recover() }()
+		w.Run(bad)
+	}()
+	select {
+	case r := <-result:
+		msg := fmt.Sprint(r)
+		if r == nil || !strings.Contains(msg, `scenario "kv-on-two-hosts"`) || !strings.Contains(msg, "need 3 hosts, the fabric has 2") {
+			t.Fatalf("run on a two-host fabric ended with %v", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run on a two-host fabric did not return")
+	}
+	if got, want := w.Run(good), NewWorker().Run(good); !reflect.DeepEqual(got, want) {
+		t.Fatalf("run after the recovered panic diverged\nfresh: %+v\nafter: %+v", want, got)
 	}
 }

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/irnsim/irn/internal/fault"
@@ -200,4 +202,141 @@ func TestECMPAvoidsDownedLink(t *testing.T) {
 			delivered, flows*pkts, net.Stats().FaultDrops, net.Stats().Drops)
 	}
 	checkCensus(t, net)
+}
+
+// faultFired is one executed fault transition: its position in the
+// engine's order and its payload.
+type faultFired struct {
+	at   sim.Time
+	rank uint64
+	arg  uint64
+}
+
+type faultLog struct {
+	eng *sim.Engine
+	log []faultFired
+}
+
+func (l *faultLog) HandleEvent(_ uint8, arg uint64) {
+	l.log = append(l.log, faultFired{l.eng.Now(), l.eng.Rank(), arg})
+}
+
+// scheduleFaultsUpFront is the fault scheduling the fabric used before
+// transitions were chained, kept as the reference: every transition of
+// every direction drawn from the environment clock and queued before the
+// run, in (direction, index) order.
+func scheduleFaultsUpFront(m *fault.Model, eng *sim.Engine, envClk *sim.Clock, h sim.Handler) {
+	for d, fl := range m.Dirs() {
+		if fl == nil {
+			continue
+		}
+		for ci, ch := range fl.Sched {
+			eng.ScheduleEventFrom(envClk, ch.At, h, 0, uint64(d)<<32|uint64(ci))
+		}
+	}
+}
+
+// TestFaultChainMatchesUpFrontReference holds the chained fault source to
+// the up-front reference on a schedule with equal-time transitions on one
+// direction (touching flaps and bursts, a degrade ending as a flap begins)
+// and across directions (both directions of a link, several links at
+// once): every transition keeps its (time, rank, arg), the environment
+// clock ends on the same sequence number, the engine never holds more than
+// one transition per faulted direction, each instant executes exactly its
+// transitions, and the ports end every instant in the state the static
+// schedule gives.
+func TestFaultChainMatchesUpFrontReference(t *testing.T) {
+	us := func(n int) sim.Time { return sim.Time(n) * sim.Time(sim.Microsecond) }
+	spec := fault.Spec{
+		LossRate: 0.01, // every direction gets a fault link; most have no schedule
+		Flaps: []fault.Flap{
+			{Link: 0, DownAt: us(10), UpAt: us(20)},
+			{Link: 0, DownAt: us(20), UpAt: us(30)}, // touches the first
+			{Link: 1, DownAt: us(10), UpAt: us(30)}, // same instants, other link
+			{Link: 2, DownAt: us(30)},               // never comes up
+		},
+		Degrades: []fault.Degrade{
+			{Link: 0, From: us(5), To: us(20), Factor: 0.5}, // ends as a flap turns over
+			{Link: 3, From: us(10), To: us(10) + 1, Factor: 0.25},
+		},
+		Bursts: []fault.LossBurst{
+			{Link: 1, From: us(10), To: us(15), Rate: 0.2},
+			{Link: 1, From: us(15), To: us(30), Rate: 0.4}, // touching bursts
+			{Link: 3, From: us(30), Rate: 1},
+		},
+	}
+	eng, net := faultNet(t, 5, spec, 3)
+	m := net.Cfg.Faults
+
+	refEng, refClk := sim.NewEngine(), sim.NewClock(0)
+	ref := &faultLog{eng: refEng}
+	scheduleFaultsUpFront(m, refEng, &refClk, ref)
+	total := refEng.Pending()
+	refEng.Run()
+
+	// The chained source's keys, in firing order.
+	var got []faultFired
+	faulted := 0
+	for d, fl := range m.Dirs() {
+		if fl == nil || len(fl.Sched) == 0 {
+			continue
+		}
+		faulted++
+		for ci, ch := range fl.Sched {
+			got = append(got, faultFired{ch.At, net.faultRank[d] + uint64(ci), uint64(d)<<32 | uint64(ci)})
+		}
+	}
+	sort.Slice(got, func(i, j int) bool {
+		if got[i].at != got[j].at {
+			return got[i].at < got[j].at
+		}
+		return got[i].rank < got[j].rank
+	})
+	if total < 20 || !reflect.DeepEqual(got, ref.log) {
+		t.Fatalf("chained transitions differ from the reference's %d:\n got %+v\nwant %+v", total, got, ref.log)
+	}
+	if net.envClk != refClk {
+		t.Fatalf("environment clock ended at %+v, reference %+v", net.envClk, refClk)
+	}
+
+	// And the run itself, instant by instant.
+	if eng.Pending() != faulted {
+		t.Fatalf("%d events parked for %d faulted directions", eng.Pending(), faulted)
+	}
+	next := 0
+	for {
+		at, ok := eng.NextEventTime()
+		if !ok {
+			break
+		}
+		before := eng.Executed()
+		eng.RunUntil(at)
+		want := 0
+		for next < len(ref.log) && ref.log[next].at == at {
+			next, want = next+1, want+1
+		}
+		if n := int(eng.Executed() - before); n != want {
+			t.Fatalf("t=%d: %d transitions executed, reference has %d", at, n, want)
+		}
+		if eng.Pending() > faulted {
+			t.Fatalf("t=%d: %d events queued for %d faulted directions", at, eng.Pending(), faulted)
+		}
+		for d, fl := range m.Dirs() {
+			down, loss := fl.StateAt(at)
+			if p := net.ports[d]; p.down != down || p.curLoss != loss {
+				t.Fatalf("t=%d direction %d: down=%v loss=%v, static schedule says %v %v", at, d, p.down, p.curLoss, down, loss)
+			}
+		}
+	}
+	if next != len(ref.log) {
+		t.Fatalf("run executed %d of %d transitions", next, len(ref.log))
+	}
+
+	// A reset re-reserves the same blocks.
+	ranks := append([]uint64(nil), net.faultRank...)
+	eng.Reset()
+	net.Reset(3, m)
+	if !reflect.DeepEqual(ranks, net.faultRank) || net.envClk != refClk || eng.Pending() != faulted {
+		t.Fatal("Network.Reset did not re-park the schedule as construction did")
+	}
 }

@@ -62,7 +62,10 @@ type Network struct {
 	partOf []int       // node → partition index
 	clks   []sim.Clock // node → rank clock (id = node+1)
 	envClk sim.Clock   // id 0: fault-model transitions, ordered before any node's events
-	chans  []*linkChan // boundary channels (empty when single-shard)
+	// faultRank[d] is the first rank of directed link d's block of fault
+	// transitions on envClk; transition ci fires under faultRank[d]+ci.
+	faultRank []uint64
+	chans     []*linkChan // boundary channels (empty when single-shard)
 
 	nodes    []node // indexed by NodeID
 	nics     []*NIC // indexed by host NodeID
@@ -167,6 +170,7 @@ func NewPartitioned(engs []*sim.Engine, assign []int, t topo.Topology, cfg Confi
 	}
 
 	net.computeLookahead()
+	net.faultRank = make([]uint64, len(net.ports))
 	net.scheduleFaults(cfg.Faults)
 	return net
 }
@@ -248,22 +252,22 @@ func (net *Network) Lookahead() sim.Duration { return net.lookahead }
 // count and every lookahead at or below it.
 func (net *Network) WindowSlack() sim.Duration { return net.slack }
 
-// scheduleFaults queues the fault model's link transitions (flaps,
-// degradations, loss bursts) as typed events on the engine owning each
-// directed link's transmitting port — the shard whose state the
-// transition mutates. They ride the environment clock (rank ID 0, below
-// every node), so at equal timestamps a transition applies before any
-// packet event — deterministically; the ranks are drawn here, serially in
-// a fixed (direction, schedule-index) order, so they are identical for
-// every shard count.
+// scheduleFaults starts the fault model's link transitions (flaps,
+// degradations, loss bursts): typed events on the engine owning each
+// directed link's transmitting port — the shard whose state the transition
+// mutates. They ride the environment clock (rank ID 0, below every node),
+// so at equal timestamps a transition applies before any packet event —
+// deterministically; each direction's rank block is reserved here,
+// serially in direction order, so the ranks are identical for every shard
+// count. A direction's transitions are time-ordered, so only its next one
+// is ever queued: HandleEvent schedules entry ci+1 as it applies ci.
 func (net *Network) scheduleFaults(m *fault.Model) {
 	for d, fl := range m.Dirs() {
-		if fl == nil {
+		if fl == nil || len(fl.Sched) == 0 {
 			continue
 		}
-		for ci, ch := range fl.Sched {
-			net.ports[d].eng.ScheduleEventFrom(&net.envClk, ch.At, net, 0, uint64(d)<<32|uint64(ci))
-		}
+		net.faultRank[d] = net.envClk.Reserve(len(fl.Sched))
+		net.ports[d].eng.ScheduleRanked(fl.Sched[0].At, net.faultRank[d], net, 0, uint64(d)<<32)
 	}
 }
 
@@ -321,9 +325,10 @@ func (net *Network) wire(from, to packet.NodeID, idx, peerPort int, flt *fault.L
 // Reset returns the fabric to its just-built state for a new run on the
 // same engines and topology, under a new seed and fault model: every
 // port, switch and NIC resets, stats and census zero, the per-switch ECN
-// RNG streams reseed, boundary channels empty, and the fault schedule is
-// re-queued as typed events — exactly the sequence NewPartitioned
-// performs, so a reset run is bit-identical to a freshly constructed one.
+// RNG streams reseed, boundary channels empty, and the fault schedule's
+// rank blocks are reserved and its first transitions queued again —
+// exactly the sequence NewPartitioned performs, so a reset run is
+// bit-identical to a freshly constructed one.
 // The caller must Engine.Reset() every shard engine first (Reset
 // schedules fault events on clean queues). The packet pools keep their
 // chunks and reclaim every packet in them, the ones the previous run left
@@ -495,10 +500,16 @@ func (net *Network) Census() Census {
 
 // HandleEvent implements sim.Handler: a scheduled fault-model transition.
 // The payload rides in the argument (directed-link index << 32 | schedule
-// index), so no event object exists per transition.
+// index), so no event object exists per transition. The direction's next
+// transition is queued here under its reserved rank; one due at this same
+// instant lands in the wheel's late heap and still fires in rank order.
 func (net *Network) HandleEvent(_ uint8, arg uint64) {
-	d := int(arg >> 32)
-	net.ports[d].applyChange(net.Cfg.Faults.Dirs()[d].Sched[arg&0xffffffff])
+	d, ci := int(arg>>32), int(arg&0xffffffff)
+	port, sched := net.ports[d], net.Cfg.Faults.Dirs()[d].Sched
+	if next := ci + 1; next < len(sched) {
+		port.eng.ScheduleRanked(sched[next].At, net.faultRank[d]+uint64(next), net, 0, arg+1)
+	}
+	port.applyChange(sched[ci])
 }
 
 // QueuedBytes reports total bytes buffered across all switches — a

@@ -23,6 +23,8 @@
 package kv
 
 import (
+	"fmt"
+
 	"github.com/irnsim/irn/internal/metrics"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
@@ -136,6 +138,17 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
+// Validate reports whether the replica group fits a fabric with the given
+// number of hosts: the leader and every follower take a host of their own
+// (clients share hosts when they outnumber the free ones).
+func (o Options) Validate(hosts int) error {
+	o = o.WithDefaults()
+	if need := 1 + o.Followers; need > hosts {
+		return fmt.Errorf("kv: a leader and %d followers need %d hosts, the fabric has %d", o.Followers, need, hosts)
+	}
+	return nil
+}
+
 // Placement pins the replica group and clients to hosts.
 type Placement struct {
 	Leader    packet.NodeID
@@ -148,8 +161,13 @@ type Placement struct {
 // convention): the leader takes the first host of pod 0, follower j the
 // first host of pod j+1, and clients fill remaining hosts round-robin
 // across pods — so client↔leader and replication traffic crosses the
-// core, where the chaos schedules strike.
+// core, where the chaos schedules strike. The replicas need a host each
+// (Options.Validate is the check for callers that can report an error);
+// clients share hosts once the free ones run out.
 func Place(hosts []packet.NodeID, hostsPerPod, followers, clients int) Placement {
+	if 1+followers > len(hosts) {
+		panic(fmt.Sprintf("kv: Place: %d hosts cannot hold a leader and %d followers", len(hosts), followers))
+	}
 	if hostsPerPod <= 0 {
 		hostsPerPod = 1
 	}

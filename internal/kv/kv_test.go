@@ -2,7 +2,9 @@ package kv
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/irnsim/irn/internal/fabric"
 	"github.com/irnsim/irn/internal/packet"
@@ -53,8 +55,8 @@ func checkHealthy(t *testing.T, svc *Service, rep *Report) {
 	if !svc.Done() {
 		t.Fatalf("service not done: %d/%d resolved", rep.Resolved, rep.Issued)
 	}
-	if rep.Resolved != uint64(len(svc.issues)) {
-		t.Fatalf("resolved %d of %d", rep.Resolved, len(svc.issues))
+	if rep.Resolved != uint64(svc.o.Requests) {
+		t.Fatalf("resolved %d of %d", rep.Resolved, svc.o.Requests)
 	}
 	if rep.Committed == 0 {
 		t.Error("no Puts committed")
@@ -168,5 +170,35 @@ func TestPlaceSpreadsReplicas(t *testing.T) {
 	small := Place(hosts[:4], 4, 2, 6)
 	if len(small.Clients) != 6 {
 		t.Errorf("oversubscribed placement returned %d clients", len(small.Clients))
+	}
+}
+
+// TestPlaceRejectsTooFewHosts: a replica group larger than the host list
+// used to spin forever looking for a free follower host; Place now panics
+// with the counts, and Options.Validate is the same check as an error.
+func TestPlaceRejectsTooFewHosts(t *testing.T) {
+	hosts := []packet.NodeID{0, 1}
+	if err := (Options{}).Validate(len(hosts)); err == nil || !strings.Contains(err.Error(), "need 3 hosts") {
+		t.Errorf("Validate(2 hosts) with the default two followers = %v", err)
+	}
+	if err := (Options{Followers: 1}).Validate(len(hosts)); err != nil {
+		t.Errorf("Validate(2 hosts, 1 follower) = %v", err)
+	}
+	result := make(chan any, 1)
+	go func() {
+		defer func() { result <- recover() }()
+		Place(hosts, 1, 2, 6)
+	}()
+	select {
+	case r := <-result:
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "2 hosts cannot hold a leader and 2 followers") {
+			t.Errorf("Place panicked with %v", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Place did not return: still searching for a free follower host")
+	}
+	// Exactly enough hosts for the replicas: clients share them.
+	if pl := Place(hosts, 1, 1, 3); len(pl.Followers) != 1 || len(pl.Clients) != 3 {
+		t.Errorf("placement on exactly enough hosts: %+v", pl)
 	}
 }

@@ -49,7 +49,9 @@ type Service struct {
 	qcfg verbs.Config
 	seed uint64
 
-	issues     []issue
+	// cursors[i] is client i's arrival stream: what is left of the request
+	// schedule is the state of its generator, never a table of requests.
+	cursors    []cursor
 	phaseNames []string
 	// windows is Options.Phases with each name resolved to its bucket;
 	// sorted records that they are ordered by From and pairwise disjoint
@@ -97,7 +99,7 @@ func (s *Service) Widen(shard int) bool {
 			s.shard[k].target = 0
 		}
 	}
-	s.shard[shard].target = uint64(len(s.issues)) - others
+	s.shard[shard].target = uint64(s.o.Requests) - others
 	return true
 }
 
@@ -107,12 +109,56 @@ type phaseWindow struct {
 	bucket   int
 }
 
-// issue is one precomputed request: who issues it, when, and what.
+// issue is one request: its index in the run-wide schedule (the wire
+// sequence number), when it is due, and what it asks.
 type issue struct {
-	client int
-	at     sim.Time
-	put    bool
-	key    uint64
+	r   int
+	at  sim.Time
+	put bool
+	key uint64
+}
+
+// cursor generates one client's open-loop arrivals in order — exponential
+// gaps, op mix and keys from the client's own "kv/arrivals" stream — and
+// holds the one it has generated and not yet handed over. Request r
+// belongs to client r % Clients, so the client's k-th request is index
+// k·Clients + i and fires under rank first + k·stride of its host's clock.
+type cursor struct {
+	rng    *sim.RNG
+	next   issue
+	left   int    // requests not yet generated
+	first  uint64 // rank of the client's request 0
+	stride uint64 // clients sharing the host: their requests interleave
+}
+
+// newCursor starts client i's arrival stream with nothing generated.
+func (s *Service) newCursor(i int) cursor {
+	n := s.o.Requests / s.o.Clients
+	if i < s.o.Requests%s.o.Clients {
+		n++
+	}
+	return cursor{
+		rng:  sim.NewRNG(sim.DeriveSeed(s.seed, "kv/arrivals", i)),
+		next: issue{r: i - s.o.Clients, at: s.o.IssueStart},
+		left: n,
+	}
+}
+
+// advance generates the client's next request into c.next; false once the
+// stream is exhausted.
+func (c *cursor) advance(o *Options) bool {
+	if c.left == 0 {
+		return false
+	}
+	c.left--
+	gap := sim.Duration(float64(o.IssueGap) * c.rng.ExpFloat64())
+	c.next = issue{
+		r:   c.next.r + o.Clients,
+		at:  c.next.at.Add(gap),
+		put: c.rng.Float64() < o.PutFraction,
+		key: uint64(c.rng.Intn(o.KeySpace)),
+	}
+	return true
 }
 
 // Service event kinds.
@@ -126,8 +172,8 @@ const (
 // New builds a service over net with the given placement. qcfg is the
 // verbs transport configuration every QP uses (MaxRetries is forced to
 // zero: the retry budget lives in the client policy, not the transport).
-// The request schedule — arrival times, op mix, keys — is derived here,
-// deterministically, from seed.
+// The request schedule — arrival times, op mix, keys — is a deterministic
+// function of seed, generated as the run consumes it (see cursor).
 func New(net *fabric.Network, pl Placement, qcfg verbs.Config, o Options, seed uint64) *Service {
 	o = o.WithDefaults()
 	if len(pl.Followers) != o.Followers || len(pl.Clients) != o.Clients {
@@ -145,24 +191,6 @@ func New(net *fabric.Network, pl Placement, qcfg verbs.Config, o Options, seed u
 		shard:     make([]kvShard, net.Shards()),
 	}
 	s.phaseNames, s.windows, s.sorted = resolvePhases(o.Phases)
-	s.issues = make([]issue, o.Requests)
-	rngs := make([]*sim.RNG, o.Clients)
-	ts := make([]sim.Time, o.Clients)
-	for i := range rngs {
-		rngs[i] = sim.NewRNG(sim.DeriveSeed(seed, "kv/arrivals", i))
-		ts[i] = o.IssueStart
-	}
-	for r := range s.issues {
-		i := r % o.Clients
-		gap := sim.Duration(float64(o.IssueGap) * rngs[i].ExpFloat64())
-		ts[i] = ts[i].Add(gap)
-		s.issues[r] = issue{
-			client: i,
-			at:     ts[i],
-			put:    rngs[i].Float64() < o.PutFraction,
-			key:    uint64(rngs[i].Intn(o.KeySpace)),
-		}
-	}
 	return s
 }
 
@@ -212,8 +240,16 @@ func (s *Service) bucketOf(t sim.Time) int {
 }
 
 // Start schedules the attach events (t=0, one per host, under the
-// host's clock) and every request issue event, and returns the last
-// scheduled issue time (the deadline anchor).
+// host's clock) and each client's first request, and returns the last
+// issue time of the whole schedule (the deadline anchor). A client's
+// arrivals are time-ordered, so only its next one is ever queued: the
+// evIssue handler schedules request k+1 as it hands over k.
+//
+// The ranks are the ones a loop over every request in index order would
+// draw from the host clocks: hosts that serve several clients see those
+// clients' requests interleaved, so each host's block is reserved whole
+// and client number j of the stride sharing it takes ranks first+j,
+// first+j+stride, and so on.
 func (s *Service) Start() (lastIssue sim.Time) {
 	net := s.net
 	lh := s.pl.Leader
@@ -224,15 +260,50 @@ func (s *Service) Start() (lastIssue sim.Time) {
 	for i, h := range s.pl.Clients {
 		net.EngineOf(h).ScheduleEventFrom(net.Clock(h), 0, s, evAttachClient, uint64(i))
 	}
-	for r := range s.issues {
-		is := &s.issues[r]
-		h := s.pl.Clients[is.client]
-		net.EngineOf(h).ScheduleEventFrom(net.Clock(h), is.at, s, evIssue, uint64(r))
-		if is.at > lastIssue {
-			lastIssue = is.at
+
+	s.cursors = make([]cursor, s.o.Clients)
+	for i := range s.cursors {
+		// A dry pass over a throwaway copy of the stream finds the client's
+		// last issue time without storing the schedule.
+		for dry := s.newCursor(i); dry.advance(&s.o); {
+			lastIssue = max(lastIssue, dry.next.at)
+		}
+		s.cursors[i] = s.newCursor(i)
+	}
+	for i, h := range s.pl.Clients {
+		if s.cursors[i].stride != 0 {
+			continue // an earlier client's host: block already reserved
+		}
+		var sharing []int
+		total := 0
+		for i2 := i; i2 < len(s.pl.Clients); i2++ {
+			if s.pl.Clients[i2] == h {
+				sharing = append(sharing, i2)
+				total += s.cursors[i2].left
+			}
+		}
+		first := net.Clock(h).Reserve(total)
+		for j, i2 := range sharing {
+			s.cursors[i2].first = first + uint64(j)
+			s.cursors[i2].stride = uint64(len(sharing))
 		}
 	}
+	for i := range s.cursors {
+		s.scheduleIssue(i)
+	}
 	return lastIssue
+}
+
+// scheduleIssue generates client i's next request — its k-th, index
+// k·Clients + i — and queues the evIssue; a no-op once the client's stream
+// is exhausted.
+func (s *Service) scheduleIssue(i int) {
+	c := &s.cursors[i]
+	if !c.advance(&s.o) {
+		return
+	}
+	h, k := s.pl.Clients[i], uint64(c.next.r/s.o.Clients)
+	s.net.EngineOf(h).ScheduleRanked(c.next.at, c.first+k*c.stride, s, evIssue, uint64(i))
 }
 
 // HandleEvent implements sim.Handler; each event runs on the shard
@@ -246,8 +317,10 @@ func (s *Service) HandleEvent(kind uint8, arg uint64) {
 	case evAttachClient:
 		s.attachClient(int(arg))
 	case evIssue:
-		r := int(arg)
-		s.clients[s.issues[r].client].enqueue(r)
+		i := int(arg)
+		is := s.cursors[i].next
+		s.scheduleIssue(i)
+		s.clients[i].enqueue(is)
 	}
 }
 
@@ -271,7 +344,7 @@ func (s *Service) Done() bool {
 		}
 		n += c.st.Resolved
 	}
-	return n == uint64(len(s.issues))
+	return n == uint64(s.o.Requests)
 }
 
 // LastResolve returns the time the final request resolved; with the
@@ -693,8 +766,9 @@ type client struct {
 	recvBufs [][]byte // posted response buffers (ModeSend)
 	val      []byte   // Put-payload scratch, rewritten per send
 
-	queue     fifo.Queue[int]
-	cur       int // outstanding request index; -1 when idle
+	queue     fifo.Queue[issue]
+	cur       issue // outstanding request; valid while busy
+	busy      bool
 	attempt   int
 	inBackoff bool
 	seq       uint32 // wire sequence for request-ring slots
@@ -719,7 +793,6 @@ func (s *Service) attachClient(i int) {
 		nic:   nic,
 		mem:   verbs.NewMemory(),
 		rng:   sim.NewRNG(sim.DeriveSeed(s.seed, "kv/backoff", i)),
-		cur:   -1,
 		phase: make([]phaseCount, len(s.phaseNames)),
 	}
 	slot := s.slotBytes()
@@ -744,18 +817,18 @@ func (s *Service) attachClient(i int) {
 }
 
 // enqueue hands the client a scheduled request (the evIssue event).
-func (c *client) enqueue(r int) {
+func (c *client) enqueue(is issue) {
 	c.st.Issued++
-	c.queue.Push(r)
-	if c.cur < 0 && !c.inBackoff {
+	c.queue.Push(is)
+	if !c.busy && !c.inBackoff {
 		c.startNext(c.nic.Now())
 	}
 }
 
 // startNext pops the backlog and transmits.
 func (c *client) startNext(now sim.Time) {
-	if c.queue.Len() == 0 {
-		c.cur = -1
+	c.busy = c.queue.Len() > 0
+	if !c.busy {
 		return
 	}
 	c.cur = c.queue.Pop()
@@ -780,8 +853,8 @@ func (c *client) valueFor(r int) []byte {
 // send transmits the current request (attempt c.attempt) and arms the
 // per-attempt timeout.
 func (c *client) send(now sim.Time) {
-	r := c.cur
-	is := &c.s.issues[r]
+	is := &c.cur
+	r := is.r
 	req := Request{Client: uint32(c.idx), Seq: uint64(r), Key: is.key}
 	if is.put {
 		req.Op = OpPut
@@ -812,7 +885,7 @@ func (c *client) send(now sim.Time) {
 // backoff expiry (resend now) or a per-attempt timeout.
 func (c *client) HandleEvent(kind uint8, arg uint64) {
 	now := c.nic.Now()
-	if c.cur < 0 {
+	if !c.busy {
 		return
 	}
 	if c.inBackoff {
@@ -857,7 +930,7 @@ func (c *client) onCQE(e verbs.CQE) {
 	if err != nil {
 		return
 	}
-	if c.cur < 0 || resp.Seq != uint64(c.cur) {
+	if !c.busy || resp.Seq != uint64(c.cur.r) {
 		return // late response for a request we already moved past
 	}
 	c.resolve(resp.Status, e.At)
@@ -865,10 +938,9 @@ func (c *client) onCQE(e verbs.CQE) {
 
 // resolve finishes the outstanding request with a response outcome.
 func (c *client) resolve(status RespStatus, now sim.Time) {
-	r := c.cur
 	c.timer.Cancel()
 	c.inBackoff = false
-	is := &c.s.issues[r]
+	is := &c.cur
 	lat := now.Sub(is.at) // measured from the *scheduled* issue time
 	c.st.Resolved++
 	c.noteResolved()
@@ -893,7 +965,6 @@ func (c *client) resolve(status RespStatus, now sim.Time) {
 	if now > c.lastResolve {
 		c.lastResolve = now
 	}
-	c.cur = -1
 	c.startNext(now)
 }
 
@@ -911,10 +982,9 @@ func (c *client) noteResolved() {
 
 // giveUp abandons the outstanding request after the retry budget.
 func (c *client) giveUp(now sim.Time) {
-	r := c.cur
 	c.timer.Cancel()
 	c.inBackoff = false
-	is := &c.s.issues[r]
+	is := &c.cur
 	c.st.Resolved++
 	c.noteResolved()
 	c.st.GiveUps++
@@ -922,6 +992,5 @@ func (c *client) giveUp(now sim.Time) {
 	if now > c.lastResolve {
 		c.lastResolve = now
 	}
-	c.cur = -1
 	c.startNext(now)
 }

@@ -63,6 +63,19 @@ func (c *Clock) Next() uint64 {
 	return c.base | c.seq&rankSeqMask
 }
 
+// Reserve draws n consecutive ranks at once and returns the first; the
+// k-th is first+k. A source whose events are time-ordered (a link's fault
+// transitions, a client's request arrivals) reserves its block where the
+// up-front loop would have drawn it and then keeps one event parked,
+// scheduling the next with ScheduleRanked as each fires: every event
+// keeps the (at, rank) key it would have had, and the queue holds one per
+// source instead of one per occurrence. Reserve(0) draws nothing.
+func (c *Clock) Reserve(n int) (first uint64) {
+	first = c.base | (c.seq+1)&rankSeqMask
+	c.seq += uint64(n)
+	return first
+}
+
 // Reset rewinds the clock's sequence for a new run.
 func (c *Clock) Reset() { c.seq = 0 }
 

@@ -71,9 +71,10 @@ type reqWQE struct {
 	pkts     int
 	// done tracks read/atomic data arrival.
 	dataRemaining int
-	expired       bool   // request acknowledged via MSN
-	completed     bool   // CQE generated
-	atomicVal     uint64 // original value returned by an atomic
+	expired       bool    // request acknowledged via MSN
+	completed     bool    // CQE generated
+	atomicVal     uint64  // original value returned by an atomic
+	next          *reqWQE // free-list link (QP.wqeFree)
 }
 
 // atomicResult records the original remote value.
@@ -165,9 +166,13 @@ type QP struct {
 	// Per-message objects are carved from slabs. VPackets are never
 	// recycled: the wire ferries them by pointer and a retransmitted copy
 	// can still be in flight when the cumulative ack releases the
-	// original, so reuse would hand a receiver a rewritten packet.
-	pkts slab.Slab[VPacket]
-	wqes slab.Slab[reqWQE]
+	// original, so reuse would hand a receiver a rewritten packet. A
+	// Request WQE never leaves the QP, so it goes back on wqeFree once its
+	// CQE is delivered and it has expired (recycleWQE), and the slab is
+	// carved only while the number of WQEs in flight is still growing.
+	pkts    slab.Slab[VPacket]
+	wqes    slab.Slab[reqWQE]
+	wqeFree *reqWQE
 
 	// Stats.
 	Retransmits, Timeouts, RNRNacks, Drops uint64
@@ -293,9 +298,32 @@ func (q *QP) PostSend(req Request) error {
 	return nil
 }
 
+// newWQE takes a zeroed Request WQE off the free list, carving a new one
+// only when the list is empty.
+func (q *QP) newWQE() *reqWQE {
+	w := q.wqeFree
+	if w == nil {
+		return q.wqes.Get()
+	}
+	q.wqeFree, w.next = w.next, nil
+	return w
+}
+
+// recycleWQE returns w to the free list once nothing refers to it: popped
+// from reqWQEs (expired) and its CQE delivered (completed), which for a
+// Read or Atomic also means gone from readsOut. Callers invoke it only
+// after cq.push has returned — the completion callback may PostSend, and
+// must not be handed the WQE whose completion it is still consuming.
+func (q *QP) recycleWQE(w *reqWQE) {
+	if w.expired && w.completed {
+		*w = reqWQE{next: q.wqeFree}
+		q.wqeFree = w
+	}
+}
+
 // admit packetizes a request PostSend has validated into the send queue.
 func (q *QP) admit(req Request) {
-	w := q.wqes.Get()
+	w := q.newWQE()
 	w.req, w.msgIdx, w.pkts = req, q.posted, 1
 	switch req.Op {
 	case OpWrite, OpWriteImm, OpSend, OpSendInv:

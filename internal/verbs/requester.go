@@ -66,6 +66,7 @@ func (q *QP) expireRequests(msn uint32, now sim.Time) {
 				q.cq.push(CQE{WQEID: w.req.ID, Op: w.req.Op, Len: len(w.req.Data), At: now})
 			}
 		}
+		q.recycleWQE(w) // a Read whose data is still arriving stays out
 	}
 	q.releaseFence()
 }
@@ -136,6 +137,7 @@ func (q *QP) completeReads(now sim.Time) {
 		if !ok || w.dataRemaining > 0 {
 			break
 		}
+		delete(q.readsOut, q.readCQ)
 		q.readCQ++
 		if !w.completed {
 			w.completed = true
@@ -147,6 +149,7 @@ func (q *QP) completeReads(now sim.Time) {
 				At:     now,
 			})
 		}
+		q.recycleWQE(w) // one not yet acknowledged via MSN stays out
 	}
 	q.releaseFence()
 }

@@ -359,3 +359,143 @@ func ringWrap(t *testing.T, goBackN bool) {
 		t.Error("no retransmissions: the link was not adversarial")
 	}
 }
+
+// freeWQEs counts the QP's recycled Request WQEs; with nothing in flight
+// it is every WQE the QP ever carved.
+func freeWQEs(q *QP) int {
+	n := 0
+	for w := q.wqeFree; w != nil; w = w.next {
+		n++
+	}
+	return n
+}
+
+// TestReadsOutDrainedAtCompletion: 10 000 sequential Reads and Atomics
+// leave nothing behind in readsOut — at every CQE the map holds no more
+// than the requests still outstanding — and every one of them ran on the
+// same few recycled WQEs.
+func TestReadsOutDrainedAtCompletion(t *testing.T) {
+	eng := sim.NewEngine()
+	ab, ba := &loopWire{eng: eng}, &loopWire{eng: eng}
+	memB := NewMemory()
+	cqA, cqB := &CQ{}, &CQ{}
+	a := NewQP("a", eng, DefaultConfig(), ab, NewMemory(), cqA)
+	b := NewQP("b", eng, DefaultConfig(), ba, memB, cqB)
+	ab.peer, ba.peer = b, a
+	src := fill(2500, 3)
+	memB.Register(1, src)
+	memB.Register(2, make([]byte, 8))
+
+	posted, done, worst := 0, 0, 0
+	cqA.OnComplete(func(e CQE) {
+		if e.Status != StatusOK {
+			t.Fatalf("CQE %+v", e)
+		}
+		done++
+		worst = max(worst, len(a.readsOut)-(posted-done))
+	})
+	dst := make([]byte, len(src))
+	for i := 0; i < 10_000; i++ {
+		// Mostly one at a time; every so often a burst, so completions
+		// arrive with later reads still outstanding.
+		burst := 1
+		if i%100 == 0 {
+			burst = 5
+		}
+		for k := 0; k < burst; k++ {
+			req := Request{ID: uint64(i), Op: OpRead, RKey: 1, Local: dst}
+			if (i+k)%3 == 0 {
+				req = Request{ID: uint64(i), Op: OpFetchAdd, RKey: 2, Add: 1}
+			}
+			if err := a.PostSend(req); err != nil {
+				t.Fatal(err)
+			}
+			posted++
+		}
+		eng.Run()
+		if len(a.readsOut) != 0 {
+			t.Fatalf("after request %d: %d entries left in readsOut", i, len(a.readsOut))
+		}
+	}
+	if done != posted || worst > 0 {
+		t.Fatalf("%d of %d completed; readsOut exceeded the outstanding count by %d", done, posted, worst)
+	}
+	if !bytes.Equal(dst, src) {
+		t.Fatal("read data mismatch")
+	}
+	if n := freeWQEs(a); n > 8 {
+		t.Errorf("%d requests carved %d WQEs", posted, n)
+	}
+}
+
+// TestRequestWQEsRecycled: the number of Request WQEs a QP carves stops
+// growing once its in-flight depth has been reached — 300 requests and
+// 10 000 carve the same handful — across Writes, Sends, Reads, Atomics and
+// fenced requests, on a lossy link, with the completion callback posting
+// the next request from inside the CQE (which must not be handed the WQE
+// whose completion it is consuming).
+func TestRequestWQEsRecycled(t *testing.T) {
+	carved := func(total int) int {
+		pp, a, b, cqA, cqB, _, memB := newPipe(t)
+		n := 0
+		pp.intercept = func(*VPacket) (bool, sim.Duration) {
+			n++
+			return n%13 == 0, 0
+		}
+		memB.Register(1, make([]byte, 4096))
+		memB.Register(2, make([]byte, 8))
+		cqB.OnComplete(func(CQE) { b.PostRecv(0, make([]byte, 4096)) })
+		for i := 0; i < 16; i++ {
+			b.PostRecv(0, make([]byte, 4096))
+		}
+		payload, dst := fill(2500, 9), make([]byte, 2500)
+		next, done := 0, 0
+		seen := make([]bool, total)
+		post := func() {
+			if next == total {
+				return
+			}
+			req := Request{ID: uint64(next), Data: payload, RKey: 1, Imm: uint32(next)}
+			switch next % 5 {
+			case 0:
+				req.Op = OpWrite
+			case 1:
+				req.Op = OpSend
+			case 2:
+				req.Op, req.Data, req.Local = OpRead, nil, dst
+			case 3:
+				req.Op, req.Data, req.RKey, req.Add = OpFetchAdd, nil, 2, 1
+			case 4:
+				req.Op, req.Fence = OpWriteImm, next%10 == 4
+			}
+			next++
+			if err := a.PostSend(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cqA.OnComplete(func(e CQE) {
+			if e.Status != StatusOK || seen[e.WQEID] || e.Op != []OpType{OpWrite, OpSend, OpRead, OpFetchAdd, OpWriteImm}[e.WQEID%5] {
+				t.Fatalf("bad or repeated completion %+v", e)
+			}
+			seen[e.WQEID] = true
+			done++
+			post() // re-entrant: admits while the completing WQE is still in use
+		})
+		for i := 0; i < 4; i++ {
+			post() // four requests in flight throughout
+		}
+		pp.run()
+		if done != total {
+			t.Fatalf("%d of %d requests completed", done, total)
+		}
+		if a.reqWQEs.Len() != 0 || len(a.readsOut) != 0 {
+			t.Fatalf("left over: %d WQEs queued, %d reads out", a.reqWQEs.Len(), len(a.readsOut))
+		}
+		return freeWQEs(a)
+	}
+	few, many := carved(300), carved(10_000)
+	t.Logf("WQEs carved: %d for 300 requests, %d for 10 000", few, many)
+	if many != few || many > 16 {
+		t.Errorf("WQEs carved grew with the request count: %d for 300, %d for 10 000", few, many)
+	}
+}
