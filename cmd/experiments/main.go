@@ -7,7 +7,8 @@
 //	experiments -run fig1,fig7         # selected experiments
 //	experiments -parallel 8 -trials 5  # 5 seeds per scenario, 8 workers
 //	experiments -seed 42 -out r.json   # reseeded sweep persisted as JSON
-//	experiments -diff old.json         # compare against a previous run
+//	experiments -diff old.json         # compare against a previous run;
+//	                                   # exits 1 on any difference
 //	experiments -flows 10000           # closer to paper-scale (slower)
 //	experiments -run figloss,figflap   # fault-injection robustness sweeps
 //	experiments -run figchaos          # chaos-suite robustness preset
@@ -209,6 +210,7 @@ func main() {
 			for _, d := range diffs {
 				fmt.Println("  " + d)
 			}
+			os.Exit(1)
 		}
 	}
 }

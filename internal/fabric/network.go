@@ -512,16 +512,6 @@ func (net *Network) HandleEvent(_ uint8, arg uint64) {
 	port.applyChange(sched[ci])
 }
 
-// QueuedBytes reports total bytes buffered across all switches — a
-// diagnostic for congestion-spreading experiments.
-func (net *Network) QueuedBytes() int {
-	total := 0
-	for _, sw := range net.switches {
-		total += sw.queuedBytes()
-	}
-	return total
-}
-
 // BDPCap returns IRN's BDP-FC cap in packets for this fabric: the
 // longest-path BDP in bytes divided by the wire MTU (§3.2). For the
 // default 40 Gbps / 2 µs / 6-hop fabric with a 1000 B MTU this is ~113

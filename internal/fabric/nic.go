@@ -114,10 +114,6 @@ func (n *NIC) AttachSink(id packet.FlowID, s transport.Sink) {
 	n.flows.attach(id, nil, s)
 }
 
-// ActiveSources reports how many senders are attached (including ones
-// that finished but have not been reaped yet).
-func (n *NIC) ActiveSources() int { return len(n.sources) }
-
 // nextPacket supplies the egress port's next packet.
 func (n *NIC) nextPacket() *packet.Packet {
 	if pkt := n.ctrl.Pop(); pkt != nil {

@@ -340,15 +340,6 @@ func (s *Switch) markECN(queued int) bool {
 	return s.rng.Float64() < p
 }
 
-// queuedBytes reports the total bytes buffered at the switch (all inputs).
-func (s *Switch) queuedBytes() int {
-	total := 0
-	for i := range s.in {
-		total += s.in[i].bytes
-	}
-	return total
-}
-
 // mix64 is splitmix64's finalizer, used for ECMP hashing.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30

@@ -133,47 +133,3 @@ func TestHistJSONRoundTrip(t *testing.T) {
 		t.Fatal("want error for unknown bucket scheme")
 	}
 }
-
-func TestWelford(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != 8 || w.Mean() != 5 {
-		t.Fatalf("mean = %v (n=%d), want 5", w.Mean(), w.N())
-	}
-	if v := w.Variance(); math.Abs(v-4) > 1e-12 {
-		t.Errorf("variance = %v, want 4", v)
-	}
-	if s := w.Stddev(); math.Abs(s-2) > 1e-12 {
-		t.Errorf("stddev = %v, want 2", s)
-	}
-	if v := w.SampleVariance(); math.Abs(v-32.0/7) > 1e-12 {
-		t.Errorf("sample variance = %v, want 32/7", v)
-	}
-
-	// Merge of halves matches the whole.
-	var a, b Welford
-	for i, x := range xs {
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != w.N() || math.Abs(a.Mean()-w.Mean()) > 1e-12 || math.Abs(a.Variance()-w.Variance()) > 1e-12 {
-		t.Errorf("merged stats %+v diverge from single %+v", a, w)
-	}
-
-	// Empty edge cases.
-	var e Welford
-	if e.Mean() != 0 || e.Variance() != 0 || e.SampleVariance() != 0 {
-		t.Error("empty Welford must report zeros")
-	}
-	e.Merge(w)
-	if e.Mean() != w.Mean() || e.N() != w.N() {
-		t.Error("merge into empty must copy")
-	}
-}

@@ -5,13 +5,12 @@
 // 90–99.9%ile single-packet-message latency CDF of Figure 8 and the incast
 // request completion time of Figure 9.
 //
-// The collector is streaming: O(1) state per metric — integer sums, two
-// fixed-size log-scale histograms (hist.go), and Welford accumulators —
-// regardless of flow count, so datacenter-scale presets (figdc: 10⁵+
-// flows) don't hold a per-flow record slice alive. Collectors merge
-// deterministically: every aggregate that lands in an exp.Result is an
-// integer (or derived from integers by a fixed arithmetic sequence), so
-// folding per-shard collectors in any grouping reproduces the serial
+// The collector is streaming: O(1) state per metric — integer sums and two
+// fixed-size log-scale histograms (hist.go) — regardless of flow count,
+// so datacenter-scale presets (figdc: 10⁵+ flows) don't hold a per-flow
+// record slice alive. Collectors merge deterministically: every aggregate
+// is an integer (or derived from integers by a fixed arithmetic sequence),
+// so folding per-shard collectors in any grouping reproduces the serial
 // run bit for bit. An exact mode (NewExact) additionally retains raw
 // records and exposes the old sort-based reference computations; the
 // differential harness in internal/exp runs both side by side and pins
@@ -56,11 +55,6 @@ type Collector struct {
 	fct    Histogram // all completed flows' FCTs
 	onePkt Histogram // single-packet-message FCTs (Figure 8)
 
-	// Diagnostic spread statistics (not part of the deterministic
-	// Result surface — see Welford's doc comment).
-	slowStats Welford
-	fctStats  Welford
-
 	exact   bool
 	records []FlowRecord // exact mode only
 }
@@ -86,8 +80,6 @@ func (c *Collector) Add(r FlowRecord) {
 	if r.SinglePacket {
 		c.onePkt.Observe(int64(r.FCT))
 	}
-	c.slowStats.Add(r.Slowdown)
-	c.fctStats.Add(float64(r.FCT))
 	if c.exact {
 		c.records = append(c.records, r)
 	}
@@ -106,8 +98,6 @@ func (c *Collector) Merge(o *Collector) {
 	c.slowMicro += o.slowMicro
 	c.fct.Merge(&o.fct)
 	c.onePkt.Merge(&o.onePkt)
-	c.slowStats.Merge(o.slowStats)
-	c.fctStats.Merge(o.fctStats)
 	if c.exact && o.exact {
 		c.records = append(c.records, o.records...)
 	}
@@ -161,15 +151,6 @@ func (c *Collector) PercentileFCT(p float64) sim.Duration {
 
 // FCTHistogram exposes the FCT sketch (persisted by the exp store).
 func (c *Collector) FCTHistogram() *Histogram { return &c.fct }
-
-// SinglePacketHistogram exposes the single-packet latency sketch.
-func (c *Collector) SinglePacketHistogram() *Histogram { return &c.onePkt }
-
-// SlowdownStats returns the online slowdown spread statistics.
-func (c *Collector) SlowdownStats() Welford { return c.slowStats }
-
-// FCTStats returns the online FCT spread statistics (picoseconds).
-func (c *Collector) FCTStats() Welford { return c.fctStats }
 
 // SinglePacketTail returns the latency CDF points for single-packet
 // messages at the given percentiles — the Figure 8 series.

@@ -138,9 +138,6 @@ func (s *Sender) Done() bool { return s.done }
 // Cwnd exposes the congestion window for tests.
 func (s *Sender) Cwnd() float64 { return s.cwnd }
 
-// InSlowStart reports whether the sender is below ssthresh.
-func (s *Sender) InSlowStart() bool { return s.cwnd < s.ssthresh }
-
 func (s *Sender) window() int {
 	w := int(s.cwnd)
 	if w < 1 {
