@@ -6,7 +6,7 @@ package irn
 // minutes, not hours — see internal/exp.BenchScale), logs the same
 // rows/series the paper reports, and exposes the headline numbers as
 // benchmark metrics. cmd/experiments runs the same presets at larger
-// scale; EXPERIMENTS.md records paper-vs-measured values.
+// scale.
 //
 // Absolute numbers are not expected to match the paper (the substrate is
 // a reimplemented simulator, not the authors' vendor simulator); the

@@ -114,21 +114,18 @@ func TestFigKVIRNBeatsRoCEUnderFlap(t *testing.T) {
 // TestKVMarginalAllocs pins the steady-state allocation cost of the kv
 // datapath. Fabric and service construction dominate any single run, so
 // the assertion is on the *marginal* cost: the allocation difference
-// between a 2R-request run and an R-request run, divided by R. What a
-// request allocates is its frames — the client's request frame, the
-// leader's one owning copy of a Put (log entry, store value and
-// replication payload at once) and the response frame — because a frame
-// is retained by its QP for retransmission and aliased from then on, so
-// frames are not pooled. Everything else is amortised: every ring
-// consumer decodes in place (verbs.Memory.View), the Put payload comes
-// from a per-client scratch, Receive WQEs and staged CQEs live by value
-// in rings, the queues keep their arrays, and Request WQEs and VPackets
-// are carved from per-QP slabs, one allocation per 64. VPackets are
-// slab-carved rather than pooled because they are never reused: the
-// fabric ferries them by pointer and a retransmitted copy can still be in
-// flight when the cumulative ack releases the original. A regression that
-// copies per delivery, allocates per packet or reallocates per queue head
-// multiplies the count.
+// between a 2R-request run and an R-request run, divided by R. A request
+// in steady state allocates nothing: its frames — the client's request,
+// the leader's copy of a Put, the response — come from per-actor pools
+// and go back at the send CQE, VPackets and Request WQEs come off per-QP
+// free lists (masters return at the cumulative ack, wire copies at the
+// receiving QP), every ring consumer decodes in place
+// (verbs.Memory.View), the stores overwrite values in place, Receive WQEs
+// and staged CQEs live by value in rings and the queues keep their
+// arrays. What is left at this size is the pools, free lists and queues
+// still growing to the longer run's high-water mark. A regression that
+// copies per delivery, allocates per packet or frame, or reallocates per
+// queue head multiplies the count.
 func TestKVMarginalAllocs(t *testing.T) {
 	measure := func(requests int) float64 {
 		s := Scenario{
@@ -144,11 +141,11 @@ func TestKVMarginalAllocs(t *testing.T) {
 	double := measure(2 * r)
 	perReq := (double - base) / r
 	t.Logf("allocs: %.0f @ %d requests, %.0f @ %d, marginal %.1f/request", base, r, double, 2*r, perReq)
-	// Measured 4.8 allocs/request (the frames plus a slab refill or two
-	// at this size); one more allocation per packet or per delivery adds
-	// ten or more.
-	if perReq > 12 {
-		t.Fatalf("marginal kv allocation cost %.1f allocs/request exceeds the 12 budget", perReq)
+	// Measured 1.4 allocs/request (free-list and pool growth at this
+	// size); one allocation per frame adds three, one per packet or per
+	// delivery ten or more.
+	if perReq > 2 {
+		t.Fatalf("marginal kv allocation cost %.1f allocs/request exceeds the 2 budget", perReq)
 	}
 	if perReq <= 0 {
 		t.Fatalf("marginal kv allocation cost %.1f/request — the workload did not scale", perReq)

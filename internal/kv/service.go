@@ -433,23 +433,24 @@ func (s *Service) Report() *Report {
 // ---------------------------------------------------------------------
 // Leader.
 
-// logEntry is one uncommitted Put in the leader's log. val is a sub-slice
-// of the leader's owning copy of the request frame.
+// logEntry is one uncommitted Put in the leader's log. It holds one
+// reference on the leader's copy of the request frame, the replication
+// payload, whose value bytes commit copies into the store.
 type logEntry struct {
 	client int
 	seq    uint64
 	key    uint64
-	val    []byte
+	frame  *frame
 	at     sim.Time // append time; ages against QuorumTimeout
 	acks   int
 }
 
 // cached is the per-client dedup record: the last answered request and
-// its response frame, resent verbatim on duplicate arrivals.
+// its response frame (one reference; nil before the first answer), resent
+// verbatim on duplicate arrivals.
 type cached struct {
-	seq   uint64
-	resp  []byte
-	valid bool
+	seq  uint64
+	resp *frame
 }
 
 // server is the leader: RPC endpoint, replication driver, and the
@@ -461,14 +462,15 @@ type server struct {
 
 	srq     *verbs.SRQ
 	srqBufs [][]byte
+	pool    framePool
 
 	chalves  []*endpoint // client-facing QPs, by client index
 	fhalves  []*endpoint // follower-facing QPs, by follower index
 	respSeq  []uint32    // per-client response ring sequence (ModeWriteImm)
 	lastDone []cached
 
-	// store values are replaced, never mutated: each is a sub-slice of a
-	// request frame that replication writes still in flight may alias.
+	// store owns its values: commit copies a Put's bytes in (apply), so
+	// nothing else aliases them.
 	store map[uint64][]byte
 	// log is the uncommitted suffix of the replicated log: entry k has the
 	// absolute index commit+k, the number followers see on the wire. An
@@ -489,6 +491,7 @@ func (s *Service) attachLeader() {
 		s:        s,
 		nic:      nic,
 		mem:      verbs.NewMemory(),
+		pool:     framePool{size: s.slotBytes()},
 		chalves:  make([]*endpoint, s.o.Clients),
 		fhalves:  make([]*endpoint, s.o.Followers),
 		respSeq:  make([]uint32, s.o.Clients),
@@ -537,9 +540,10 @@ func (s *Service) attachLeader() {
 }
 
 // onClientCQE consumes one completion on client i's QP: requests in,
-// plus our own response-send completions (ignored).
+// plus our own response-send completions.
 func (srv *server) onClientCQE(i int, e verbs.CQE) {
 	if !e.Receive {
+		srv.chalves[i].sent(&srv.pool, e)
 		return
 	}
 	// The frame is handled in place and its buffer handed back after:
@@ -565,11 +569,11 @@ func (srv *server) handle(i int, buf []byte, now sim.Time) {
 		return
 	}
 	ld := &srv.lastDone[i]
-	if ld.valid && req.Seq == ld.seq {
+	if ld.resp != nil && req.Seq == ld.seq {
 		srv.sendResp(i, ld.resp) // duplicate of the answered request
 		return
 	}
-	if ld.valid && req.Seq < ld.seq {
+	if ld.resp != nil && req.Seq < ld.seq {
 		return // stale retry the client already abandoned
 	}
 	if req.Op == OpGet {
@@ -595,16 +599,17 @@ func (srv *server) handle(i int, buf []byte, now sim.Time) {
 		return
 	}
 	// The leader's one copy of the request. The encoding is canonical, so
-	// the frame the client sent is the frame the followers are sent, and
-	// its value bytes are the log entry's and, once committed, the
-	// store's.
-	frame := bytes.Clone(buf[:n])
+	// the frame the client sent is the frame the followers are sent; the
+	// log entry holds it until commit, each follower send until its CQE.
+	f := srv.pool.get()
+	f.buf = append(f.buf[:0], buf[:n]...)
+	f.refs++
 	idx := srv.commit + srv.log.Len()
 	srv.log.Push(logEntry{
 		client: i,
 		seq:    req.Seq,
 		key:    req.Key,
-		val:    frame[reqHeaderLen:],
+		frame:  f,
 		at:     now,
 	})
 	if srv.need == 0 {
@@ -613,10 +618,9 @@ func (srv *server) handle(i int, buf []byte, now sim.Time) {
 	}
 	slot := uint64(idx%logSlots) * uint64(srv.s.slotBytes())
 	for j := range srv.fhalves {
-		_ = srv.fhalves[j].qp.PostSend(verbs.Request{
+		srv.fhalves[j].post(f, verbs.Request{
 			ID:   uint64(idx),
 			Op:   verbs.OpWriteImm,
-			Data: frame,
 			RKey: rkLog,
 			VA:   slot,
 			Imm:  uint32(idx),
@@ -644,6 +648,7 @@ func (srv *server) refreshDegraded(now sim.Time) {
 // ignored.
 func (srv *server) onFollowerCQE(j int, e verbs.CQE) {
 	if !e.Receive {
+		srv.fhalves[j].sent(&srv.pool, e)
 		return
 	}
 	srv.fhalves[j].qp.PostRecv(0, nil)
@@ -660,7 +665,8 @@ func (srv *server) onFollowerCQE(j int, e verbs.CQE) {
 func (srv *server) advanceCommit(now sim.Time) {
 	for srv.log.Len() > 0 && srv.log.At(0).acks >= srv.need {
 		en := srv.log.Pop()
-		srv.store[en.key] = en.val
+		apply(srv.store, en.key, en.frame.buf[reqHeaderLen:])
+		srv.pool.unref(en.frame)
 		srv.commit++
 		srv.reply(en.client, Response{Client: uint32(en.client), Seq: en.seq, Status: RespOK})
 	}
@@ -669,28 +675,43 @@ func (srv *server) advanceCommit(now sim.Time) {
 	}
 }
 
-// reply caches the response for duplicate suppression and transmits it.
+// reply caches the response for duplicate suppression, in place of the
+// client's previous one, and transmits it.
 func (srv *server) reply(i int, resp Response) {
-	frame := MarshalResponse(nil, resp)
-	srv.lastDone[i] = cached{seq: resp.Seq, resp: frame, valid: true}
-	srv.sendResp(i, frame)
+	f := srv.pool.get()
+	f.buf = MarshalResponse(f.buf[:0], resp)
+	f.refs++
+	if old := srv.lastDone[i].resp; old != nil {
+		srv.pool.unref(old)
+	}
+	srv.lastDone[i] = cached{seq: resp.Seq, resp: f}
+	srv.sendResp(i, f)
 }
 
 // sendResp transmits a response frame on the chosen wire variant.
-func (srv *server) sendResp(i int, frame []byte) {
+func (srv *server) sendResp(i int, f *frame) {
 	switch srv.s.o.Mode {
 	case ModeSend:
-		_ = srv.chalves[i].qp.PostSend(verbs.Request{Op: verbs.OpSend, Data: frame})
+		srv.chalves[i].post(f, verbs.Request{Op: verbs.OpSend})
 	default: // ModeWriteImm
 		srv.respSeq[i]++
 		sq := srv.respSeq[i]
-		_ = srv.chalves[i].qp.PostSend(verbs.Request{
+		srv.chalves[i].post(f, verbs.Request{
 			Op:   verbs.OpWriteImm,
-			Data: frame,
 			RKey: rkResp,
 			VA:   uint64(sq%respSlots) * uint64(srv.s.slotBytes()),
 			Imm:  sq,
 		})
+	}
+}
+
+// apply copies a Put's value into a replica's store. Nothing aliases a
+// store's values, so one of the same length is overwritten in place.
+func apply(store map[uint64][]byte, key uint64, val []byte) {
+	if old, ok := store[key]; ok && len(old) == len(val) {
+		copy(old, val)
+	} else {
+		store[key] = bytes.Clone(val)
 	}
 }
 
@@ -730,13 +751,7 @@ func (f *follower) onCQE(e verbs.CQE) {
 	slot := uint64(idx%logSlots) * uint64(f.s.slotBytes())
 	ring, _ := f.mem.View(rkLog, slot, f.s.slotBytes())
 	if en, _, err := viewRequest(ring); err == nil {
-		// Nothing aliases the follower's store, so an entry of the same
-		// length is overwritten in place.
-		if old, ok := f.store[en.Key]; ok && len(old) == len(en.Value) {
-			copy(old, en.Value)
-		} else {
-			f.store[en.Key] = bytes.Clone(en.Value)
-		}
+		apply(f.store, en.Key, en.Value)
 	}
 	_ = f.ep.qp.PostSend(verbs.Request{ID: uint64(idx), Op: verbs.OpWriteImm, Imm: uint32(idx)})
 }
@@ -765,6 +780,7 @@ type client struct {
 
 	recvBufs [][]byte // posted response buffers (ModeSend)
 	val      []byte   // Put-payload scratch, rewritten per send
+	pool     framePool
 
 	queue     fifo.Queue[issue]
 	cur       issue // outstanding request; valid while busy
@@ -794,6 +810,7 @@ func (s *Service) attachClient(i int) {
 		mem:   verbs.NewMemory(),
 		rng:   sim.NewRNG(sim.DeriveSeed(s.seed, "kv/backoff", i)),
 		phase: make([]phaseCount, len(s.phaseNames)),
+		pool:  framePool{size: s.slotBytes()},
 	}
 	slot := s.slotBytes()
 	cq := &verbs.CQ{}
@@ -863,16 +880,16 @@ func (c *client) send(now sim.Time) {
 	if c.attempt > 0 {
 		c.st.Retries++
 	}
-	frame := MarshalRequest(nil, req)
+	f := c.pool.get()
+	f.buf = MarshalRequest(f.buf[:0], req)
 	switch c.s.o.Mode {
 	case ModeSend:
-		_ = c.ep.qp.PostSend(verbs.Request{ID: uint64(r), Op: verbs.OpSend, Data: frame})
+		c.ep.post(f, verbs.Request{ID: uint64(r), Op: verbs.OpSend})
 	default: // ModeWriteImm
 		c.seq++
-		_ = c.ep.qp.PostSend(verbs.Request{
+		c.ep.post(f, verbs.Request{
 			ID:   uint64(r),
 			Op:   verbs.OpWriteImm,
-			Data: frame,
 			RKey: rkReq + uint32(c.idx),
 			VA:   uint64(c.seq%reqSlots) * uint64(c.s.slotBytes()),
 			Imm:  c.seq,
@@ -905,10 +922,11 @@ func (c *client) HandleEvent(kind uint8, arg uint64) {
 	c.timer.Arm(d/2 + jitter) // delay in [d/2, 3d/2)
 }
 
-// onCQE consumes completions on the client QP; only Receive completions
-// (responses) matter.
+// onCQE consumes completions on the client QP: responses, plus our own
+// request-send completions.
 func (c *client) onCQE(e verbs.CQE) {
 	if !e.Receive {
+		c.ep.sent(&c.pool, e)
 		return
 	}
 	// Only the status and sequence number are read, in place: a Get's

@@ -12,15 +12,16 @@ package kv
 // SendControl, so the peer's NIC routes them back to the peer's source
 // half — exactly how the native transports receive their ACKs.
 //
-// Packet-pool ownership contract: the fabric packet only ferries a
-// pointer to the verbs packet (Packet.Verbs). The VPacket itself is
-// owned by the sending QP — carved from that QP's slab, retained for
-// retransmission, never recycled — and is immutable after construction,
-// so the same pointer can cross a shard boundary or be resent safely,
-// and a copy still in flight when its original is acknowledged reads
-// what was sent. Receivers must extract the pointer inside
-// HandleData/HandleControl: the NIC releases the fabric packet — wiping
-// Verbs — the moment the handler returns.
+// Packet ownership contract: the fabric packet only ferries a pointer to
+// the verbs packet (Packet.Verbs), and each fabric packet wraps a verbs
+// packet of its own — verbs.Wire.Send hands over a fresh copy per
+// transmission and the sending QP never touches it again, so the pointer
+// can cross a shard boundary with the fabric packet's barrier hand-off.
+// The receiving side extracts it inside HandleData/HandleControl (the
+// NIC releases the fabric packet — wiping Verbs — the moment the handler
+// returns), delivers it once and gives it to the receiving QP's free
+// list (QP.Release), on the receiver's shard. A copy the fabric drops is
+// left to the GC.
 
 import (
 	"github.com/irnsim/irn/internal/fabric"
@@ -31,10 +32,12 @@ import (
 	"github.com/irnsim/irn/internal/verbs"
 )
 
-// endpoint is one host's end of a bridged QP pair.
+// endpoint is one host's end of a bridged QP pair. posted is the frames
+// handed to the QP and not yet completed, oldest first.
 type endpoint struct {
-	src *vsource
-	qp  *verbs.QP
+	src    *vsource
+	qp     *verbs.QP
+	posted fifo.Queue[*frame]
 }
 
 // attachEndpoint builds this host's half of a QP pair: the QP itself
@@ -119,6 +122,7 @@ func (s *vsource) NextPacket(now sim.Time) *packet.Packet {
 func (s *vsource) HandleControl(pk *packet.Packet, now sim.Time) {
 	if vp, ok := pk.Verbs.(*verbs.VPacket); ok {
 		s.qp.Receive(vp, now)
+		s.qp.Release(vp)
 	}
 }
 
@@ -134,5 +138,6 @@ type vsink struct {
 func (k *vsink) HandleData(pk *packet.Packet, now sim.Time) {
 	if vp, ok := pk.Verbs.(*verbs.VPacket); ok {
 		k.qp.Receive(vp, now)
+		k.qp.Release(vp)
 	}
 }

@@ -140,10 +140,11 @@ type Packet struct {
 
 	// Verbs optionally carries a verbs-layer packet (*verbs.VPacket)
 	// through the fabric, so the RDMA semantics layer can run end-to-end
-	// over the simulated network. The referenced value is owned by the
-	// sending QP and is immutable after construction; receivers must
-	// extract the pointer before returning (the NIC releases the fabric
-	// packet — clearing this field — as soon as the handler returns).
+	// over the simulated network. The referenced value is this packet's
+	// own copy — its sender never touches it again — and becomes the
+	// receiver's; receivers must extract the pointer before returning
+	// (the NIC releases the fabric packet — clearing this field — as soon
+	// as the handler returns).
 	Verbs any
 
 	// next is the packet's one intrusive link, and held names what is

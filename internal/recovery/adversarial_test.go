@@ -3,6 +3,7 @@ package recovery_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/irnsim/irn/internal/core"
@@ -258,104 +259,155 @@ func isReadResp(op packet.Opcode) bool {
 	return op >= packet.OpReadRespFirst && op <= packet.OpReadRespOnly
 }
 
-// verbsRow posts n messages of op on one QP pair and checks requester
-// completions (order, exactly once) and the bytes that moved.
+// verbsRow runs verbsTrial twice on the same link decisions — over a wire
+// that gives every delivered packet to the receiving QP's free list and
+// over one that never does — and, on top of the trial's own checks,
+// requires the two to transmit and complete identically: recycling
+// packets changes where they live and nothing else.
 func verbsRow(op verbs.OpType, goBackN bool) func(*advLink) {
 	return func(l *advLink) {
-		cfg := verbs.DefaultConfig()
-		cfg.MTU, cfg.BDPCap, cfg.GoBackN = advMTU, advCap, goBackN
-		cfg.RTOLow, cfg.RTOHigh = advRTOLow, advRTOHigh
-		var a, b *verbs.QP
-		cqA, cqB := &verbs.CQ{}, &verbs.CQ{}
-		memB := verbs.NewMemory()
-		reqCum := uint32(0) // highest request-stream cumulative ack delivered to a
-		wire := func(to **verbs.QP, fromA bool) verbs.Wire {
-			return verbs.WireFunc(func(p *verbs.VPacket) {
-				op := p.BTH.Opcode
-				if !isVerbsAck(op) {
-					l.data()
-				}
-				if fromA && !isVerbsAck(op) && int(p.BTH.PSN-reqCum) >= advCap {
-					l.t.Fatalf("request PSN %d sent with cumulative ack %d: beyond the cap %d", p.BTH.PSN, reqCum, advCap)
-				}
-				l.carry(func() {
-					if !fromA && (op == packet.OpAcknowledge || op == packet.OpAtomicAcknowledge) && p.BTH.PSN > reqCum {
-						reqCum = p.BTH.PSN
-					}
-					(*to).Receive(p, l.eng.Now())
-				})
-			})
-		}
-		a = verbs.NewQP("a", l.eng, cfg, wire(&b, true), verbs.NewMemory(), cqA)
-		b = verbs.NewQP("b", l.eng, cfg, wire(&a, false), memB, cqB)
-
-		const n = 40
-		const slot = 24 * 1024
-		region := make([]byte, n*slot)
-		memB.Register(7, region)
-		want := make([][]byte, n)
-		local := make([][]byte, n)
-		imms := 0
-		for i := 0; i < n; i++ {
-			size := 1 + (i*7919)%(20*advMTU)
-			want[i] = make([]byte, size)
-			for j := range want[i] {
-				want[i][j] = byte(i*31 + j)
-			}
-			req := verbs.Request{ID: uint64(i), Op: op, RKey: 7, VA: uint64(i * slot)}
-			switch op {
-			case verbs.OpRead:
-				copy(region[i*slot:], want[i])
-				local[i] = make([]byte, size)
-				req.Local = local[i]
-			default:
-				req.Data = want[i]
-				if i%4 == 3 { // every fourth write also completes at the responder
-					req.Op, req.Imm = verbs.OpWriteImm, uint32(i)
-					b.PostRecv(uint64(1000+i), nil)
-					imms++
-				}
-			}
-			if err := a.PostSend(req); err != nil {
-				l.t.Fatal(err)
-			}
-		}
-		var got, gotB []verbs.CQE
-		l.run(func() bool {
-			got = append(got, cqA.Poll()...)
-			gotB = append(gotB, cqB.Poll()...)
-			return len(got) >= n && len(gotB) >= imms
-		})
-		got = append(got, cqA.Poll()...)
-		gotB = append(gotB, cqB.Poll()...)
-
-		if len(got) != n {
-			l.t.Fatalf("%d requester completions, want %d", len(got), n)
-		}
-		for i, c := range got {
-			if c.WQEID != uint64(i) || c.Status != verbs.StatusOK {
-				l.t.Fatalf("completion %d is for WQE %d with status %v: out of order or failed", i, c.WQEID, c.Status)
-			}
-			if op == verbs.OpRead {
-				if !bytes.Equal(local[i], want[i]) {
-					l.t.Errorf("read %d returned the wrong bytes", i)
-				}
-			} else if !bytes.Equal(region[i*slot:i*slot+len(want[i])], want[i]) {
-				l.t.Errorf("write %d landed the wrong bytes", i)
-			}
-		}
-		if len(gotB) != imms {
-			l.t.Fatalf("%d responder completions, want %d", len(gotB), imms)
-		}
-		for k, c := range gotB {
-			if wantID := uint64(1000 + 4*k + 3); c.WQEID != wantID || c.Imm != uint32(4*k+3) {
-				l.t.Errorf("responder completion %d: WQE %d imm %d, want WQE %d", k, c.WQEID, c.Imm, wantID)
-			}
-		}
-		if a.Retransmits+b.Retransmits == 0 {
-			l.t.Error("no retransmissions: the link was not adversarial")
+		rng := *l.rng
+		twin := &advLink{eng: sim.NewEngine(), rng: &rng, t: l.t}
+		released, kept := verbsTrial(l, op, goBackN, true), verbsTrial(twin, op, goBackN, false)
+		if !reflect.DeepEqual(released, kept) {
+			l.t.Errorf("releasing and non-releasing wires diverged: %d vs %d transmissions, %d vs %d completions, retransmits %v vs %v, timeouts %v vs %v",
+				len(released.sends), len(kept.sends), len(released.cqes), len(kept.cqes),
+				released.retransmits, kept.retransmits, released.timeouts, kept.timeouts)
 		}
 	}
+}
+
+// verbsSend is one packet handed to the link.
+type verbsSend struct {
+	at    sim.Time
+	fromA bool
+	op    packet.Opcode
+	psn   uint32
+}
+
+// verbsTrace is everything a verbs trial did that a peer or an
+// application could observe.
+type verbsTrace struct {
+	sends                 []verbsSend
+	cqes                  []verbs.CQE // requester's, then responder's
+	retransmits, timeouts [2]uint64
+}
+
+// verbsTrial posts n messages of op on one QP pair and checks requester
+// completions (order, exactly once) and the bytes that moved. The link
+// delivers the pointer it was handed at most once — a duplicate is the
+// link's own by-value copy — and, with release set, then gives it to the
+// receiving QP, as verbs.Wire allows.
+func verbsTrial(l *advLink, op verbs.OpType, goBackN, release bool) verbsTrace {
+	var tr verbsTrace
+	cfg := verbs.DefaultConfig()
+	cfg.MTU, cfg.BDPCap, cfg.GoBackN = advMTU, advCap, goBackN
+	cfg.RTOLow, cfg.RTOHigh = advRTOLow, advRTOHigh
+	var a, b *verbs.QP
+	cqA, cqB := &verbs.CQ{}, &verbs.CQ{}
+	memB := verbs.NewMemory()
+	reqCum := uint32(0) // highest request-stream cumulative ack delivered to a
+	wire := func(to **verbs.QP, fromA bool) verbs.Wire {
+		return verbs.WireFunc(func(p *verbs.VPacket) {
+			op := p.BTH.Opcode
+			if !isVerbsAck(op) {
+				l.data()
+			}
+			if fromA && !isVerbsAck(op) && int(p.BTH.PSN-reqCum) >= advCap {
+				l.t.Fatalf("request PSN %d sent with cumulative ack %d: beyond the cap %d", p.BTH.PSN, reqCum, advCap)
+			}
+			tr.sends = append(tr.sends, verbsSend{l.eng.Now(), fromA, op, p.BTH.PSN})
+			sent, first := *p, true
+			l.carry(func() {
+				d := p
+				if !first {
+					d = new(verbs.VPacket)
+					*d = sent
+				}
+				if !fromA && (op == packet.OpAcknowledge || op == packet.OpAtomicAcknowledge) && d.BTH.PSN > reqCum {
+					reqCum = d.BTH.PSN
+				}
+				(*to).Receive(d, l.eng.Now())
+				if release && first {
+					(*to).Release(p)
+				}
+				first = false
+			})
+		})
+	}
+	a = verbs.NewQP("a", l.eng, cfg, wire(&b, true), verbs.NewMemory(), cqA)
+	b = verbs.NewQP("b", l.eng, cfg, wire(&a, false), memB, cqB)
+
+	const n = 40
+	const slot = 24 * 1024
+	region := make([]byte, n*slot)
+	memB.Register(7, region)
+	want := make([][]byte, n)
+	local := make([][]byte, n)
+	imms := 0
+	for i := 0; i < n; i++ {
+		size := 1 + (i*7919)%(20*advMTU)
+		want[i] = make([]byte, size)
+		for j := range want[i] {
+			want[i][j] = byte(i*31 + j)
+		}
+		req := verbs.Request{ID: uint64(i), Op: op, RKey: 7, VA: uint64(i * slot)}
+		switch op {
+		case verbs.OpRead:
+			copy(region[i*slot:], want[i])
+			local[i] = make([]byte, size)
+			req.Local = local[i]
+		default:
+			req.Data = want[i]
+			if i%4 == 3 { // every fourth write also completes at the responder
+				req.Op, req.Imm = verbs.OpWriteImm, uint32(i)
+				b.PostRecv(uint64(1000+i), nil)
+				imms++
+			}
+		}
+		if err := a.PostSend(req); err != nil {
+			l.t.Fatal(err)
+		}
+	}
+	var got, gotB []verbs.CQE
+	l.run(func() bool {
+		got = append(got, cqA.Poll()...)
+		gotB = append(gotB, cqB.Poll()...)
+		return len(got) >= n && len(gotB) >= imms
+	})
+	got = append(got, cqA.Poll()...)
+	gotB = append(gotB, cqB.Poll()...)
+
+	if len(got) != n {
+		l.t.Fatalf("%d requester completions, want %d", len(got), n)
+	}
+	for i, c := range got {
+		if c.WQEID != uint64(i) || c.Status != verbs.StatusOK {
+			l.t.Fatalf("completion %d is for WQE %d with status %v: out of order or failed", i, c.WQEID, c.Status)
+		}
+		if op == verbs.OpRead {
+			if !bytes.Equal(local[i], want[i]) {
+				l.t.Errorf("read %d returned the wrong bytes", i)
+			}
+		} else if !bytes.Equal(region[i*slot:i*slot+len(want[i])], want[i]) {
+			l.t.Errorf("write %d landed the wrong bytes", i)
+		}
+	}
+	if len(gotB) != imms {
+		l.t.Fatalf("%d responder completions, want %d", len(gotB), imms)
+	}
+	for k, c := range gotB {
+		if wantID := uint64(1000 + 4*k + 3); c.WQEID != wantID || c.Imm != uint32(4*k+3) {
+			l.t.Errorf("responder completion %d: WQE %d imm %d, want WQE %d", k, c.WQEID, c.Imm, wantID)
+		}
+	}
+	if a.Retransmits+b.Retransmits == 0 {
+		l.t.Error("no retransmissions: the link was not adversarial")
+	}
+	tr.cqes = append(got, gotB...)
+	tr.retransmits = [2]uint64{a.Retransmits, b.Retransmits}
+	tr.timeouts = [2]uint64{a.Timeouts, b.Timeouts}
+	return tr
 }
 
 func TestAdversarialLink(t *testing.T) {

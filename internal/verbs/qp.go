@@ -163,14 +163,14 @@ type QP struct {
 	// ---- Responder: read/atomic response transmission (rPSN space) ----
 	rtx sendHalf
 
-	// Per-message objects are carved from slabs. VPackets are never
-	// recycled: the wire ferries them by pointer and a retransmitted copy
-	// can still be in flight when the cumulative ack releases the
-	// original, so reuse would hand a receiver a rewritten packet. A
-	// Request WQE never leaves the QP, so it goes back on wqeFree once its
-	// CQE is delivered and it has expired (recycleWQE), and the slab is
-	// carved only while the number of WQEs in flight is still growing.
+	// Per-message objects come off free lists; the slabs are carved only
+	// when a list is empty. A packet retained in a sendHalf is a master
+	// that never leaves the QP: the wire is handed a copy per transmission
+	// (sendCopy) and the cumulative ack frees the master (ack). A Request
+	// WQE goes back on wqeFree once its CQE is delivered and it has
+	// expired (recycleWQE).
 	pkts    slab.Slab[VPacket]
+	pktFree *VPacket
 	wqes    slab.Slab[reqWQE]
 	wqeFree *reqWQE
 
@@ -309,6 +309,28 @@ func (q *QP) newWQE() *reqWQE {
 	return w
 }
 
+// newPkt takes a packet off the free list, carving a new one only when
+// the list is empty. Its contents are stale: every caller overwrites the
+// whole struct.
+func (q *QP) newPkt() *VPacket {
+	p := q.pktFree
+	if p == nil {
+		return q.pkts.Get()
+	}
+	q.pktFree = p.next
+	return p
+}
+
+// Release puts p on q's free list, to be overwritten by one of q's own
+// transmissions. A wire calls it with a packet the peer handed to Send,
+// after q.Receive(p, now) has returned — exactly once, and only if it
+// delivered that pointer once (Wire); ack calls it with q's own masters.
+// Nothing is zeroed here: newPkt's callers overwrite the whole struct.
+func (q *QP) Release(p *VPacket) {
+	p.next = q.pktFree
+	q.pktFree = p
+}
+
 // recycleWQE returns w to the free list once nothing refers to it: popped
 // from reqWQEs (expired) and its CQE delivered (completed), which for a
 // Read or Atomic also means gone from readsOut. Callers invoke it only
@@ -360,10 +382,12 @@ func (q *QP) buildPackets(w *reqWQE) {
 		q.readSSN++
 		q.readsOut[sn] = w
 		q.readsPending++
-		p := q.pkts.Get()
-		p.BTH.Opcode = packet.OpReadRequest
-		p.RETH = packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: uint32(len(req.Local))}
-		p.Ext.WQESeq = sn
+		p := q.newPkt()
+		*p = VPacket{
+			BTH:  packet.BTH{Opcode: packet.OpReadRequest},
+			RETH: packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: uint32(len(req.Local))},
+			Ext:  packet.IRNExt{WQESeq: sn},
+		}
 		q.tx.enqueue(p)
 	case OpFetchAdd, OpCmpSwap:
 		sn := q.readSSN
@@ -374,11 +398,13 @@ func (q *QP) buildPackets(w *reqWQE) {
 		if req.Op == OpCmpSwap {
 			op = packet.OpCompareSwap
 		}
-		p := q.pkts.Get()
-		p.BTH.Opcode = op
-		p.RETH = packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: 8}
-		p.Ext.WQESeq = sn
-		p.AtomicCmp, p.AtomicSwap = req.Cmp, req.Swap
+		p := q.newPkt()
+		*p = VPacket{
+			BTH:       packet.BTH{Opcode: op},
+			RETH:      packet.RETH{VA: req.VA, RKey: req.RKey, DMALen: 8},
+			Ext:       packet.IRNExt{WQESeq: sn},
+			AtomicCmp: req.Cmp, AtomicSwap: req.Swap,
+		}
 		if req.Op == OpFetchAdd {
 			p.AtomicCmp = req.Add // add operand rides in the cmp slot
 		}
@@ -408,9 +434,8 @@ func (q *QP) buildSegmented(w *reqWQE, data []byte, isWrite bool) {
 		if lo < len(data) {
 			payload = data[lo:hi]
 		}
-		p := q.pkts.Get()
-		p.BTH.Opcode = segOpcode(req.Op, i, n)
-		p.Payload = payload
+		p := q.newPkt()
+		*p = VPacket{BTH: packet.BTH{Opcode: segOpcode(req.Op, i, n)}, Payload: payload}
 		if isWrite {
 			p.RETH = packet.RETH{VA: req.VA + uint64(lo), RKey: req.RKey, DMALen: uint32(len(data))}
 		}

@@ -161,9 +161,11 @@ func (q *QP) sendReadAck(nack bool, sack uint32) {
 	if nack {
 		syn = packet.SyndromeNack
 	}
-	p := q.pkts.Get()
-	p.BTH = packet.BTH{Opcode: packet.OpReadNack, PSN: q.rrxExp}
-	p.AETH.Syndrome = syn
-	p.SackPSN = sack
+	p := q.newPkt()
+	*p = VPacket{
+		BTH:     packet.BTH{Opcode: packet.OpReadNack, PSN: q.rrxExp},
+		AETH:    packet.AETH{Syndrome: syn},
+		SackPSN: sack,
+	}
 	q.wire.Send(p)
 }

@@ -220,10 +220,12 @@ func (q *QP) executeRead(r *pendingRead) {
 			if hi > len(data) {
 				hi = len(data)
 			}
-			p := q.pkts.Get()
-			p.BTH.Opcode = readRespOpcode(i, n)
-			p.Ext = packet.IRNExt{WQESeq: r.sn, RelOffset: uint32(i)}
-			p.Payload = data[lo:hi]
+			p := q.newPkt()
+			*p = VPacket{
+				BTH:     packet.BTH{Opcode: readRespOpcode(i, n)},
+				Ext:     packet.IRNExt{WQESeq: r.sn, RelOffset: uint32(i)},
+				Payload: data[lo:hi],
+			}
 			q.sendReadResp(p)
 		}
 	case OpFetchAdd, OpCmpSwap:
@@ -236,10 +238,12 @@ func (q *QP) executeRead(r *pendingRead) {
 				q.mem.WriteWord(r.rkey, r.va, r.swap)
 			}
 		}
-		p := q.pkts.Get()
-		p.BTH.Opcode = packet.OpReadRespOnly
-		p.Ext.WQESeq = r.sn
-		p.AtomicCmp = orig // original value rides back to the requester
+		p := q.newPkt()
+		*p = VPacket{
+			BTH:       packet.BTH{Opcode: packet.OpReadRespOnly},
+			Ext:       packet.IRNExt{WQESeq: r.sn},
+			AtomicCmp: orig, // original value rides back to the requester
+		}
 		q.sendReadResp(p)
 	}
 }
@@ -275,9 +279,11 @@ func (q *QP) sendRNR() {
 // sendAckFamily emits one (N)ACK on the sPSN space: the cumulative point
 // and the MSN, plus the triggering PSN on an IRN NACK.
 func (q *QP) sendAckFamily(op packet.Opcode, syndrome uint8, sack uint32) {
-	p := q.pkts.Get()
-	p.BTH = packet.BTH{Opcode: op, PSN: q.rxExp}
-	p.AETH = packet.AETH{Syndrome: syndrome, MSN: q.msn}
-	p.SackPSN = sack
+	p := q.newPkt()
+	*p = VPacket{
+		BTH:     packet.BTH{Opcode: op, PSN: q.rxExp},
+		AETH:    packet.AETH{Syndrome: syndrome, MSN: q.msn},
+		SackPSN: sack,
+	}
 	q.wire.Send(p)
 }

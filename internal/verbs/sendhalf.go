@@ -24,7 +24,7 @@ type sendHalf struct {
 	sb    recovery.Scoreboard
 	next  uint32               // next PSN to assign
 	sendQ fifo.Queue[*VPacket] // built, not yet transmitted: PSNs [sent(), next)
-	pend  [psnWindow]*VPacket  // transmitted, awaiting the cumulative ack; by psn&psnMask
+	pend  [psnWindow]*VPacket  // transmitted masters, awaiting the cumulative ack; by psn&psnMask
 	limit int                  // most PSNs outstanding: BDP-FC on requests, the window on responses
 	timer *sim.Timer
 }
@@ -46,6 +46,14 @@ func (h *sendHalf) enqueue(p *VPacket) {
 	h.sendQ.Push(p)
 }
 
+// sendCopy hands the wire a fresh copy of a retained master; the copy is
+// the wire's from here on (Release).
+func (q *QP) sendCopy(master *VPacket) {
+	c := q.newPkt()
+	*c = *master
+	q.wire.Send(c)
+}
+
 // transmit sends h's queued packets while fewer than limit PSNs are
 // outstanding, retaining each for retransmission, and re-arms the timer.
 func (q *QP) transmit(h *sendHalf) {
@@ -56,7 +64,7 @@ func (q *QP) transmit(h *sendHalf) {
 		}
 		h.sendQ.Pop()
 		h.pend[p.BTH.PSN&psnMask] = p
-		q.wire.Send(p)
+		q.sendCopy(p)
 	}
 	q.arm(h)
 }
@@ -71,10 +79,12 @@ func (q *QP) arm(h *sendHalf) {
 	h.timer.Arm(recovery.DualRTO(int(h.next-h.sb.Cum()), q.cfg.RTOLowN, q.cfg.RTOLow, q.cfg.RTOHigh))
 }
 
-// ack applies a cumulative acknowledgement to h, releasing the retained
-// packets below it, and reports whether it made progress.
+// ack applies a cumulative acknowledgement to h, putting the retained
+// masters below it back on the free list, and reports whether it made
+// progress.
 func (q *QP) ack(h *sendHalf, cum uint32) bool {
 	for psn, end := h.sb.Cum(), min(cum, h.sent()); psn < end; psn++ {
+		q.Release(h.pend[psn&psnMask])
 		h.pend[psn&psnMask] = nil
 	}
 	if newly, _ := h.sb.Ack(cum); newly == 0 {
@@ -89,7 +99,7 @@ func (q *QP) ack(h *sendHalf, cum uint32) bool {
 func (q *QP) resend(h *sendHalf, psn uint32) {
 	if cum := h.sb.Cum(); psn-cum < h.sent()-cum {
 		q.Retransmits++
-		q.wire.Send(h.pend[psn&psnMask])
+		q.sendCopy(h.pend[psn&psnMask])
 	}
 }
 

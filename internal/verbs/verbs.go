@@ -21,13 +21,14 @@
 //
 // Per-message state is fixed-size, as §6's NIC budget assumes: retained
 // packets and staged CQEs sit in rings indexed by PSN, Receive WQEs in a
-// ring indexed by recv_WQE_SN, WQEs and packets are carved from per-QP
-// slabs and the queues keep their arrays, so a message in steady state
-// costs a fraction of a heap allocation (ARCHITECTURE.md, "verbs/kv
+// ring indexed by recv_WQE_SN, WQEs and packets are recycled through
+// per-QP free lists and the queues keep their arrays, so a message in
+// steady state costs no heap allocation (ARCHITECTURE.md, "verbs/kv
 // message path").
 package verbs
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/irnsim/irn/internal/packet"
@@ -203,30 +204,30 @@ func (m *Memory) View(rkey uint32, va uint64, length int) ([]byte, bool) {
 	return buf[va : va+uint64(length)], true
 }
 
-// ReadWord fetches the 8-byte word atomics operate on.
+// ReadWord fetches the 8-byte word atomics operate on, in place.
 func (m *Memory) ReadWord(rkey uint32, va uint64) (uint64, bool) {
-	b, ok := m.Read(rkey, va, 8)
+	b, ok := m.View(rkey, va, 8)
 	if !ok {
 		return 0, false
 	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, true
+	return binary.LittleEndian.Uint64(b), true
 }
 
-// WriteWord stores the 8-byte word.
+// WriteWord stores the 8-byte word, in place.
 func (m *Memory) WriteWord(rkey uint32, va uint64, v uint64) bool {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+	b, ok := m.View(rkey, va, 8)
+	if ok {
+		binary.LittleEndian.PutUint64(b, v)
 	}
-	return m.Write(rkey, va, b)
+	return ok
 }
 
 // Wire carries verbs packets between two QPs. Implementations may delay,
-// reorder or drop.
+// reorder, duplicate or drop. Send takes ownership of p: the sending QP
+// never touches it again, so a wire may hold it as long as it likes.
+// After delivering p — the peer's Receive(p, now) has returned — a wire
+// that delivered that pointer exactly once may hand it to the receiving
+// QP with Release; one that does not leaves it to the GC.
 type Wire interface {
 	Send(p *VPacket)
 }
@@ -257,6 +258,8 @@ type VPacket struct {
 	AtomicCmp, AtomicSwap uint64
 
 	Payload []byte
+
+	next *VPacket // free-list link (QP.pktFree)
 }
 
 // Marshal encodes the packet's headers plus payload to bytes (big-endian
