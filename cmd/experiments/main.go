@@ -20,7 +20,8 @@
 //	experiments -run figscale          # k=10 fat-tree scale-up (1024 flows)
 //	experiments -run figscale -shards 4
 //	                                   # shard that one run across 4 cores
-//	experiments -run figdc             # datacenter scale: k=16, 100k flows
+//	experiments -run figdc -flows 100000
+//	                                   # datacenter scale: k=16, 100k flows
 //	                                   # (streaming collectors keep metric
 //	                                   # memory O(hosts), not O(flows))
 //	experiments -cpuprofile cpu.prof   # pprof the suite (go tool pprof)

@@ -18,6 +18,7 @@
 //	irnsim -kv 200                                # replicated KV service load
 //	irnsim -kv 200 -kv-mode writeimm -chaos flap-storm
 //	                                              # KV availability under chaos
+//	irnsim -kv 200 -flows 200 -load 0.5           # KV next to background flows
 //	irnsim -cpuprofile cpu.prof -memprofile mem.prof
 //	                                              # pprof the run (go tool pprof)
 package main
@@ -52,7 +53,7 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "random seed (base seed when -trials > 1)")
 		workload  = flag.String("workload", "heavy", "workload: heavy | uniform | websearch | hadoop")
 		incast    = flag.Int("incast", 0, "incast fan-in M (0 = Poisson workload)")
-		kvReqs    = flag.Int("kv", 0, "run the replicated KV service with this many requests (0 = flow workload)")
+		kvReqs    = flag.Int("kv", 0, "run the replicated KV service with this many requests (0 = none); flows run next to it only if -flows is given")
 		kvMode    = flag.String("kv-mode", "send", "KV RPC wire variant: send | writeimm")
 		recovery  = flag.String("recovery", "sack", "IRN loss recovery: sack | gbn | nosack")
 		noBDPFC   = flag.Bool("no-bdpfc", false, "disable IRN's BDP-FC")
@@ -143,7 +144,13 @@ func main() {
 	}
 	if *kvReqs > 0 {
 		s.KV.Requests = *kvReqs
-		s.NumFlows = 0
+		// Background flows join the service only when asked for by name:
+		// -flows' default is the flow workload's size, not a load for KV.
+		flowsSet := false
+		flag.Visit(func(f *flag.Flag) { flowsSet = flowsSet || f.Name == "flows" })
+		if !flowsSet {
+			s.NumFlows = 0
+		}
 		switch *kvMode {
 		case "send":
 			s.KV.Mode = kv.ModeSend

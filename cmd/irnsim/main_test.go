@@ -11,11 +11,9 @@ import (
 	"time"
 )
 
-// TestKVOnTooSmallFabricIsAUsageError builds the command and runs
-// `irnsim -arity 2 -kv 10` — two hosts for a leader and two followers,
-// which used to hang in placement: it must exit 2 with the counts on
-// stderr, promptly.
-func TestKVOnTooSmallFabricIsAUsageError(t *testing.T) {
+// build compiles the command into a temporary directory.
+func build(t *testing.T) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds the command")
 	}
@@ -23,6 +21,15 @@ func TestKVOnTooSmallFabricIsAUsageError(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// TestKVOnTooSmallFabricIsAUsageError builds the command and runs
+// `irnsim -arity 2 -kv 10` — two hosts for a leader and two followers,
+// which used to hang in placement: it must exit 2 with the counts on
+// stderr, promptly.
+func TestKVOnTooSmallFabricIsAUsageError(t *testing.T) {
+	bin := build(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	var stderr bytes.Buffer
@@ -42,5 +49,28 @@ func TestKVOnTooSmallFabricIsAUsageError(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("took %v to reject the flags", d)
+	}
+}
+
+// TestKVWithExplicitFlows: `-kv` runs the service alone unless `-flows`
+// is given on the command line, in which case those flows run next to it
+// in the same simulation.
+func TestKVWithExplicitFlows(t *testing.T) {
+	bin := build(t)
+	out, err := exec.Command(bin, "-arity", "4", "-kv", "100", "-flows", "50").CombinedOutput()
+	if err != nil {
+		t.Fatalf("irnsim: %v\n%s", err, out)
+	}
+	lines := map[string]string{}
+	for _, l := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(l); len(f) > 0 {
+			lines[f[0]] = l
+		}
+	}
+	if l := lines["flows"]; !strings.Contains(l, "50 completed") {
+		t.Errorf("flows line %q, want 50 completed\n%s", l, out)
+	}
+	if l := lines["kv"]; !strings.Contains(l, "100/100 resolved") {
+		t.Errorf("kv line %q, want 100/100 resolved\n%s", l, out)
 	}
 }

@@ -97,9 +97,8 @@ func TestSketchMatchesExact(t *testing.T) {
 }
 
 // TestFigDCPreset pins the datacenter preset's shape: k=16 (1024 hosts),
-// the empirical Hadoop workload, and the flow multiplier that turns the
-// CLI default scale into a 10⁵-flow run without slowing test-scale
-// sweeps.
+// the empirical Hadoop workload at 60% load, and one flow-count rule at
+// every scale — the scale's flows, floored at 64.
 func TestFigDCPreset(t *testing.T) {
 	e, ok := ByID("figdc", DefaultScale())
 	if !ok {
@@ -115,18 +114,17 @@ func TestFigDCPreset(t *testing.T) {
 		if s.Workload != WorkloadHadoop {
 			t.Errorf("%s: workload %d, want hadoop", s.Name, s.Workload)
 		}
-		if s.NumFlows != 100_000 {
-			t.Errorf("%s: %d flows at default scale, want 100000", s.Name, s.NumFlows)
-		}
 		if s.Load != 0.6 {
 			t.Errorf("%s: load %v, want 0.6", s.Name, s.Load)
 		}
 	}
-	// Reduced scales run their raw flow count (floored), so the preset
-	// can ride every fig* sweep.
-	small, _ := ByID("figdc", Scale{Flows: 40, IncastBytes: 1, IncastReps: 1})
-	if got := small.Scenarios[0].NumFlows; got != 64 {
-		t.Errorf("small-scale flows = %d, want floor 64", got)
+	for _, c := range []struct{ flows, want int }{{4000, 4000}, {3999, 3999}, {40, 64}} {
+		e, _ := ByID("figdc", Scale{Flows: c.flows, IncastBytes: 1, IncastReps: 1})
+		for _, s := range e.Scenarios {
+			if s.NumFlows != c.want {
+				t.Errorf("%s at -flows %d runs %d flows, want %d", s.Name, c.flows, s.NumFlows, c.want)
+			}
+		}
 	}
 }
 
@@ -166,7 +164,7 @@ func TestFigDCFullScale(t *testing.T) {
 	if os.Getenv("IRNSIM_FIGDC_FULL") == "" {
 		t.Skip("set IRNSIM_FIGDC_FULL=1 to run the full 100k-flow scenario")
 	}
-	e, _ := ByID("figdc", DefaultScale())
+	e, _ := ByID("figdc", Scale{Flows: 100_000})
 	s := e.Scenarios[1] // IRN side
 	var before, after runtime.MemStats
 	runtime.GC()

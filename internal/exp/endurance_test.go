@@ -89,8 +89,8 @@ func TestFaultedShardedScenario(t *testing.T) {
 	base := Scenario{Name: "faulted-sharded", NumFlows: 150, Seed: 9, Faults: spec, RoCETimeouts: true}
 
 	serial := Run(base)
-	if serial.ShardsUsed != 1 {
-		t.Fatalf("serial run reports ShardsUsed=%d", serial.ShardsUsed)
+	if len(serial.ShardStats.Shards) != 1 {
+		t.Fatalf("serial run spans %d shards", len(serial.ShardStats.Shards))
 	}
 	if serial.Census.FaultDrops == 0 {
 		t.Fatal("fault schedule injected no drops; the regression scenario is inert")
@@ -99,8 +99,8 @@ func TestFaultedShardedScenario(t *testing.T) {
 		s := base
 		s.Shards = shards
 		got := Run(s)
-		if got.ShardsUsed != shards {
-			t.Errorf("requested %d shards, run spanned %d — faulted scenarios must shard", shards, got.ShardsUsed)
+		if len(got.ShardStats.Shards) != shards {
+			t.Errorf("requested %d shards, run spanned %d — faulted scenarios must shard", shards, len(got.ShardStats.Shards))
 		}
 		if Fingerprint(s) != Fingerprint(base) {
 			t.Errorf("fingerprint at %d shards differs from serial; sharded reruns would miss the baseline row", shards)

@@ -1,15 +1,15 @@
 package exp
 
-// The kv scenario path: instead of a flow workload, the run deploys the
-// replicated key-value service (internal/kv) over the fabric and drives
-// open-loop client load while the scenario's fault schedule executes.
-// The windowed-execution contract is the same as the flow path: issue
-// events fire under ranks reserved at setup on the owning hosts' clocks
-// (each client keeps only its next one queued), the Done horizon clamps
-// the run to "last resolution plus window slack", and all per-client
-// state merges in client-index order — so kv runs are bit-identical
-// across shard counts and lookahead widths like every other scenario, and
-// figkv joins the preset-wide determinism sweeps.
+// The kv workload: when a scenario sets KV.Requests, the run deploys the
+// replicated key-value service (internal/kv) over the fabric next to any
+// flows and drives open-loop client load while the scenario's fault
+// schedule executes. It follows the flows' windowed-execution contract:
+// issue events fire under ranks reserved at setup on the owning hosts'
+// clocks (each client keeps only its next one queued), resolutions count
+// into a sim.Completion whose horizon joins the flows', and all
+// per-client state merges in client-index order — so kv runs are
+// bit-identical across shard counts and lookahead widths like every other
+// scenario, and figkv joins the preset-wide determinism sweeps.
 
 import (
 	"fmt"
@@ -24,9 +24,10 @@ import (
 	"github.com/irnsim/irn/internal/verbs"
 )
 
-// runKV executes the replicated-KV workload on an already-built fabric.
-// Called from Worker.run once the net/engines/faults are in place.
-func (w *Worker) runKV(s Scenario, opts runOpts, net *fabric.Network, engines []*sim.Engine, top topo.Topology, bdpCap int) Result {
+// newKV builds the scenario's kv service on net; Start schedules it. Its
+// QPs take flow IDs 1…idBase — two per client and two per follower, kv's
+// layout — so the run numbers its flows after them.
+func newKV(s Scenario, net *fabric.Network, top topo.Topology, bdpCap int) (svc *kv.Service, idBase int) {
 	o := s.KV // normalized by Scenario.normalize
 	if err := o.Validate(top.Hosts()); err != nil {
 		panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
@@ -52,58 +53,7 @@ func (w *Worker) runKV(s Scenario, opts runOpts, net *fabric.Network, engines []
 	if qcfg.GoBackN {
 		qcfg.RTOLow = s.RTOHigh
 	}
-
-	svc := kv.New(net, pl, qcfg, o, s.Seed)
-	lastIssue := svc.Start()
-
-	lookahead := opts.lookahead(net)
-	var wstats sim.WindowStats
-	sim.RunWindows(sim.WindowConfig{
-		Engines:   engines,
-		Lookahead: lookahead,
-		Deadline:  lastIssue.Add(s.Grace),
-		Drain:     net.DrainAll,
-		Done:      svc.Done,
-		Horizon: func() sim.Time {
-			return svc.LastResolve().Add(net.WindowSlack())
-		},
-		Widen:        svc.Widen,
-		FixedWindows: opts.fixedWindows,
-		Stats:        &wstats,
-	})
-
-	res := Result{
-		Name:        s.Name,
-		Scenario:    s,
-		Net:         net.Stats(),
-		Census:      net.Census(),
-		InFlight:    net.InFlightPackets(),
-		PoolLive:    net.PoolLive(),
-		CtrlBacklog: net.CtrlBacklog(),
-		ShardsUsed:  net.Shards(),
-	}
-	for _, e := range engines {
-		res.Events += e.Executed()
-		if t := e.Now(); t > res.SimTime {
-			res.SimTime = t
-		}
-	}
-	res.ShardStats = buildShardStats(net, lookahead, &wstats)
-	// The FCT collector surface stays wired (empty — no flows ran) so the
-	// differential and store paths treat kv results uniformly.
-	agg := opts.collector()
-	res.MetricsBytes = agg.MemFootprint()
-	res.Summary = agg.Summarize()
-	res.SinglePktCDF = agg.SinglePacketTail([]float64{90, 95, 99, 99.9})
-	res.FCTSketch = agg.FCTHistogram()
-	if opts.exact {
-		res.ExactCollector = agg
-	}
-	retx, tos, _, _ := svc.TransportStats()
-	res.Retransmits = retx
-	res.Timeouts = tos
-	res.KV = svc.Report()
-	return res
+	return kv.New(net, pl, qcfg, o, s.Seed), 2 * (o.Clients + o.Followers)
 }
 
 // kvChaosSeed fixes the chaos-suite link sampling across the FigureKV

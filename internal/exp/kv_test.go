@@ -32,8 +32,8 @@ func TestFigKVShardDeterminismUnderChaos(t *testing.T) {
 	base := figkvScenario(t, Scale{Flows: 40}, "IRN kv flap-leader send")
 
 	serial := Run(base)
-	if serial.ShardsUsed != 1 {
-		t.Fatalf("serial run reports ShardsUsed=%d", serial.ShardsUsed)
+	if len(serial.ShardStats.Shards) != 1 {
+		t.Fatalf("serial run spans %d shards", len(serial.ShardStats.Shards))
 	}
 	if serial.KV == nil {
 		t.Fatal("kv scenario produced no KV report")
@@ -49,8 +49,8 @@ func TestFigKVShardDeterminismUnderChaos(t *testing.T) {
 		s := base
 		s.Shards = shards
 		got := Run(s)
-		if got.ShardsUsed != shards {
-			t.Errorf("requested %d shards, run spanned %d", shards, got.ShardsUsed)
+		if len(got.ShardStats.Shards) != shards {
+			t.Errorf("requested %d shards, run spanned %d", shards, len(got.ShardStats.Shards))
 		}
 		if Fingerprint(s) != Fingerprint(base) {
 			t.Errorf("fingerprint at %d shards differs from serial", shards)
@@ -177,5 +177,39 @@ func TestKVReplicasMustFitFabric(t *testing.T) {
 	}
 	if got, want := w.Run(good), NewWorker().Run(good); !reflect.DeepEqual(got, want) {
 		t.Fatalf("run after the recovered panic diverged\nfresh: %+v\nafter: %+v", want, got)
+	}
+}
+
+// TestOneRunCarriesFlowsAndKV: one scenario carries the kv service and a
+// Poisson background load together — figkv's leader flap storm plus 300
+// flows at half load. Every flow is accounted for, every request
+// resolves, and the run is bit-identical at every shard count. Flows are
+// numbered after the kv QPs: numbered from 1, a few of them would share a
+// host and a flow ID with a QP here, which the NIC refuses with a panic.
+func TestOneRunCarriesFlowsAndKV(t *testing.T) {
+	kvOnly := figkvScenario(t, Scale{Flows: 40}, "IRN kv flap-leader send")
+	mixed := kvOnly
+	mixed.NumFlows = 300
+	mixed.Load = 0.5
+
+	serial := Run(mixed)
+	if serial.KV == nil {
+		t.Fatal("mixed run produced no KV report")
+	}
+	if n := serial.Summary.Flows + serial.Summary.Incomplete; n != 300 {
+		t.Fatalf("mixed run accounted for %d flows, want 300", n)
+	}
+	if k := serial.KV; k.Resolved != k.Issued || k.Issued != uint64(mixed.KV.Requests) {
+		t.Fatalf("mixed run resolved %d of %d requests (%d scheduled)", k.Resolved, k.Issued, mixed.KV.Requests)
+	}
+	alone := Run(kvOnly)
+	t.Logf("flows %d completed, %d incomplete; kv availability %.3f with the flows, %.3f without",
+		serial.Summary.Flows, serial.Summary.Incomplete, serial.KV.Availability, alone.KV.Availability)
+	for _, shards := range []int{2, 4} {
+		s := mixed
+		s.Shards = shards
+		if got := Run(s); !reflect.DeepEqual(stripShards(got), stripShards(serial)) {
+			t.Errorf("mixed run at %d shards diverged from serial", shards)
+		}
 	}
 }

@@ -20,21 +20,13 @@ const (
 	launchDst
 )
 
-// launcherShard is one shard's slice of the launcher: completion
-// bookkeeping, written only by that shard's goroutine during windows and
-// read by the coordinator at barriers, and the slabs that shard carves
+// launcherShard is one shard's slice of the launcher: the latest incast
+// completion, written only by that shard's goroutine during windows and
+// read by the coordinator after the run, and the slabs that shard carves
 // per-flow transport state from. Padded so two shards' fields never share
 // a cache line.
 type launcherShard struct {
-	done       int      // flows whose destination lives on this shard
 	incastDone sim.Time // latest incast completion seen on this shard
-	lastDone   sim.Time // latest completion of any flow on this shard
-	// stopTarget, when positive, is the done count at which this shard
-	// self-stops its engine: the widen grant's promise that the shard
-	// halts no later than the run's Done condition turning true. Written
-	// by the coordinator at barriers (widen), read by the shard during
-	// windows (FlowDone) — barrier ordering covers both.
-	stopTarget int
 
 	// A sender is carved on its source host's shard, a receiver on its
 	// destination's. The slabs belong to the run — nothing is recycled,
@@ -49,7 +41,7 @@ type launcherShard struct {
 	tcpRcv  slab.Slab[tcpstack.Receiver]
 	words   slab.Slab[uint64] // SACK and arrival bitmap words
 
-	_ [7]uint64 // to 256 bytes
+	_ [2]uint64 // to 192 bytes
 }
 
 // launcher wires each flow's transports at the flow's arrival time and
@@ -62,6 +54,9 @@ type launcher struct {
 	net    *fabric.Network
 	bdpCap int
 	minRTT sim.Duration
+	// idBase is the flow ID below flow 0's: the kv service's QPs, when the
+	// run carries it, take flow IDs 1…idBase, so flow i is idBase+i+1.
+	idBase int
 
 	specs []workload.Spec
 	flows []transport.Flow
@@ -79,6 +74,8 @@ type launcher struct {
 	cols        []*metrics.Collector
 	shard       []launcherShard
 	incastFlows int
+	// done counts finished flows, each on its destination's shard.
+	done sim.Completion
 }
 
 // HandleEvent implements sim.Handler: flow arg arrives.
@@ -90,21 +87,11 @@ func (l *launcher) HandleEvent(kind uint8, arg uint64) {
 	}
 }
 
-// allDone reports whether every flow completed — the windowed run's stop
-// condition, polled at barriers where all shards are quiescent.
-func (l *launcher) allDone() bool {
-	done := 0
-	for i := range l.shard {
-		done += l.shard[i].done
-	}
-	return done == len(l.specs)
-}
-
 // FlowDone implements transport.Completer: flow fl's last packet arrived.
 // Runs on the shard owning the flow's destination host; every slot it
 // writes is owned by that shard.
 func (l *launcher) FlowDone(fl *transport.Flow, now sim.Time) {
-	i := int(fl.ID) - 1
+	i := int(fl.ID) - l.idBase - 1
 	spec := l.specs[i]
 	k := l.net.ShardOf(fl.Dst)
 	l.cols[k].Add(metrics.FlowRecord{
@@ -114,61 +101,10 @@ func (l *launcher) FlowDone(fl *transport.Flow, now sim.Time) {
 		Ideal:        l.net.IdealFCT(spec.Src, spec.Dst, spec.Size),
 		SinglePacket: fl.Pkts == 1,
 	})
-	sh := &l.shard[k]
-	if i < l.incastFlows && now > sh.incastDone {
+	if sh := &l.shard[k]; i < l.incastFlows && now > sh.incastDone {
 		sh.incastDone = now
 	}
-	if now > sh.lastDone {
-		sh.lastDone = now
-	}
-	sh.done++
-	if sh.stopTarget > 0 && sh.done >= sh.stopTarget {
-		// An adaptively widened window is in force and this shard just
-		// hit the flow count that makes the run's Done condition true:
-		// stop the engine so the barrier can evaluate it. The engine may
-		// resume in later windows if the snapshot was stale.
-		l.net.EngineOf(fl.Dst).Stop()
-	}
-}
-
-// widen is the sim.WindowConfig.Widen hook: consulted at a barrier when
-// shard is the unique minimum-holding shard and the run could extend its
-// window past the uniform lookahead bound. The grant's obligation is a
-// self-stop firing no later than allDone turning true, so the extension
-// cannot run past the completion the Done horizon would clamp to: allDone
-// is a pure flow count, so the hook arms shard's stopTarget at "every
-// flow not yet done elsewhere" — exactly the count at which this shard's
-// completions make allDone true. Stale snapshots are safe: if other
-// shards complete flows during the widened window, the global last
-// completion only moves later, and the horizon still covers the window.
-func (l *launcher) widen(shard int) bool {
-	others := 0
-	for i := range l.shard {
-		if i != shard {
-			others += l.shard[i].done
-			l.shard[i].stopTarget = 0
-		}
-	}
-	l.shard[shard].stopTarget = len(l.specs) - others
-	return true
-}
-
-// horizon is the sim.WindowConfig.Horizon hook: once every flow has
-// completed, the run is clamped to the last completion time plus the
-// canonical window slack — the latest instant any window containing that
-// completion could reach, for any shard count and any lookahead at or
-// below the slack. Clamping to a canonical instant (rather than stopping
-// at whatever barrier noticed completion) is what keeps Events, SimTime
-// and the trailing census identical across partitionings and lookahead
-// widths. Called at a barrier, so reading the shard slots is ordered.
-func (l *launcher) horizon() sim.Time {
-	var last sim.Time
-	for i := range l.shard {
-		if t := l.shard[i].lastDone; t > last {
-			last = t
-		}
-	}
-	return last.Add(l.net.WindowSlack())
+	l.done.Add(k, l.net.EngineOf(fl.Dst), now)
 }
 
 // startSender attaches flow i's sender (and its congestion controller) to

@@ -269,16 +269,12 @@ func FigureScale(sc Scale) Experiment {
 // FigureDC is the datacenter-scale preset the streaming collectors make
 // possible: a k=16 fat-tree (1024 hosts) under an open-loop Poisson
 // arrival process with the empirical Hadoop flow-size distribution at
-// 60% load — 100,000 flows at the default CLI scale, where the old
-// record-retaining collector would hold every flow alive and the
-// streaming one holds two fixed sketches per shard. At reduced test
-// scales the preset runs the raw configured flow count, so the fig*
-// sweeps (shard determinism, invariants, differential) stay fast.
+// 60% load. It runs exactly the scale's flow count, floored at 64; the
+// datacenter run is `-flows 100000`, where a record-retaining collector
+// would hold every flow alive and the streaming one holds two fixed
+// sketches per shard.
 func FigureDC(sc Scale) Experiment {
 	flows := sc.Flows
-	if flows >= DefaultScale().Flows {
-		flows *= 25 // 4000 → 100k at the CLI default
-	}
 	if flows < 64 {
 		flows = 64
 	}

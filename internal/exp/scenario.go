@@ -152,17 +152,18 @@ type Scenario struct {
 	// only the fault axis, never the transport configuration.
 	RoCETimeouts bool
 
-	// KV replaces the flow workload with the replicated key-value
-	// service (internal/kv) when KV.Requests > 0: a leader, KV.Followers
-	// replicas and KV.Clients RPC clients are placed across the
-	// fat-tree's pods and driven open-loop while this scenario's fault
-	// schedule runs, measuring per-phase availability and commit latency
-	// instead of FCTs. The verbs transport follows Transport: IRN runs
-	// selective retransmission, RoCE go-back-N.
+	// KV deploys the replicated key-value service (internal/kv) when
+	// KV.Requests > 0: a leader, KV.Followers replicas and KV.Clients RPC
+	// clients are placed across the fat-tree's pods and driven open-loop
+	// while this scenario's fault schedule runs, measuring per-phase
+	// availability and commit latency. Flows and incast run next to it
+	// when NumFlows or IncastM is set (NumFlows has no default then). The
+	// verbs transport follows Transport: IRN runs selective
+	// retransmission, RoCE go-back-N.
 	KV kv.Options
 
-	// Grace is how long past the last flow arrival the simulation may
-	// run before unfinished flows are declared incomplete.
+	// Grace is how long past the last flow arrival or request issue the
+	// simulation may run before unfinished flows are declared incomplete.
 	Grace sim.Duration
 }
 
@@ -247,12 +248,6 @@ type Result struct {
 	Events uint64
 	// SimTime is the simulated time at which the run ended.
 	SimTime sim.Time
-	// ShardsUsed is the number of shard engines the run actually spanned
-	// (the partitioner may use fewer than requested on small topologies).
-	// A wall-clock fact like MetricsBytes, zeroed by the shard-determinism
-	// tests; the regression test for the former faults-force-serial
-	// downgrade asserts on it.
-	ShardsUsed int
 	// FCTSketch is the merged FCT histogram of all completed flows —
 	// exact integer bucket counts, so it is bit-identical for every shard
 	// count and persists losslessly through the store (schema v2).
@@ -268,7 +263,7 @@ type Result struct {
 	// reads its Exact* reference statistics; nil otherwise.
 	ExactCollector *metrics.Collector
 	// KV is the replicated key-value service report, set only when the
-	// scenario ran the kv workload (Scenario.KV.Requests > 0).
+	// scenario ran the kv service (Scenario.KV.Requests > 0).
 	KV *kv.Report
 	// ShardStats is the shard-runtime report for the run: the lookahead
 	// in force, barrier counts and per-shard window/event/drain

@@ -5,6 +5,7 @@ import (
 
 	"github.com/irnsim/irn/internal/fabric"
 	"github.com/irnsim/irn/internal/fault"
+	"github.com/irnsim/irn/internal/kv"
 	"github.com/irnsim/irn/internal/metrics"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/rocev2"
@@ -233,8 +234,10 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 		bdpCap = 1
 	}
 
+	var svc *kv.Service
+	idBase := 0
 	if s.KV.Requests > 0 {
-		return w.runKV(s, o, net, engines, top, bdpCap)
+		svc, idBase = newKV(s, net, top, bdpCap)
 	}
 
 	// Build the flow list.
@@ -272,6 +275,7 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 		net:         net,
 		bdpCap:      bdpCap,
 		minRTT:      sim.Duration(2*top.LongestPathHops()) * (s.Prop + rate.Serialize(s.MTU+packet.DataHeader)),
+		idBase:      idBase,
 		specs:       specs,
 		flows:       make([]transport.Flow, len(specs)),
 		stats:       make([]*transport.SenderStats, len(specs)),
@@ -283,6 +287,7 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	for i := range l.cols {
 		l.cols[i] = o.collector()
 	}
+	l.done.Init(net.Shards(), len(specs), net.WindowSlack())
 
 	// Each flow arrives as two typed events: the sender attaches on the
 	// shard owning the source host, the receiver on the shard owning the
@@ -294,7 +299,7 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	var lastArrival sim.Time
 	for i, spec := range specs {
 		l.flows[i] = transport.Flow{
-			ID:    packet.FlowID(i + 1),
+			ID:    packet.FlowID(idBase + i + 1),
 			Src:   spec.Src,
 			Dst:   spec.Dst,
 			Size:  spec.Size,
@@ -308,6 +313,19 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 		net.EngineOf(spec.Dst).ScheduleEventFrom(net.Clock(spec.Dst), spec.Start, l, launchDst, uint64(i))
 	}
 
+	// The kv service is deployed after the flows: they draw their clock
+	// ranks first, so a flow ranks the same with or without kv in the run.
+	// A run carrying both is done when both are, on the later horizon, and
+	// a grant arms both self-stops (Completion.Widen always grants).
+	var lastIssue sim.Time
+	done, horizon, widen := l.done.Done, l.done.Horizon, l.done.Widen
+	if svc != nil {
+		lastIssue = svc.Start()
+		done = func() bool { return l.done.Done() && svc.Done() }
+		horizon = func() sim.Time { return max(l.done.Horizon(), svc.LastResolve().Add(net.WindowSlack())) }
+		widen = func(shard int) bool { return l.done.Widen(shard) && svc.Widen(shard) }
+	}
+
 	// Conservative windowed execution, serial included: the run always
 	// advances through lookahead-bounded safe windows with completion
 	// checked at barriers. The Done horizon clamps the run to "last
@@ -315,16 +333,15 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	// events — and with it every counter below — is identical for every
 	// shard count AND every lookahead width up to the slack.
 	lookahead := o.lookahead(net)
-	deadline := lastArrival.Add(s.Grace)
 	var wstats sim.WindowStats
 	sim.RunWindows(sim.WindowConfig{
 		Engines:      engines,
 		Lookahead:    lookahead,
-		Deadline:     deadline,
+		Deadline:     max(lastArrival, lastIssue).Add(s.Grace),
 		Drain:        net.DrainAll,
-		Done:         l.allDone,
-		Horizon:      l.horizon,
-		Widen:        l.widen,
+		Done:         done,
+		Horizon:      horizon,
+		Widen:        widen,
 		FixedWindows: o.fixedWindows,
 		Stats:        &wstats,
 	})
@@ -337,7 +354,6 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 		InFlight:    net.InFlightPackets(),
 		PoolLive:    net.PoolLive(),
 		CtrlBacklog: net.CtrlBacklog(),
-		ShardsUsed:  net.Shards(),
 	}
 	for _, e := range engines {
 		res.Events += e.Executed()
@@ -380,6 +396,12 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	res.FCTSketch = agg.FCTHistogram()
 	if o.exact {
 		res.ExactCollector = agg
+	}
+	if svc != nil {
+		retx, tos, _, _ := svc.TransportStats()
+		res.Retransmits += retx
+		res.Timeouts += tos
+		res.KV = svc.Report()
 	}
 	return res
 }

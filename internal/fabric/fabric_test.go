@@ -66,9 +66,6 @@ func TestGbpsConversions(t *testing.T) {
 			t.Errorf("Gbps(%v) = %d, want %d", c.g, got, c.want)
 		}
 	}
-	if v := Gbps(40).GbpsValue(); v != 40 {
-		t.Errorf("GbpsValue = %v", v)
-	}
 	if d := Gbps(40).Serialize(1000); d != 200_000 {
 		t.Errorf("Serialize = %v ps, want 200000", int64(d))
 	}

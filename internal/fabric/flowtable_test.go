@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/irnsim/irn/internal/packet"
+	"github.com/irnsim/irn/internal/sim"
+	"github.com/irnsim/irn/internal/topo"
 	"github.com/irnsim/irn/internal/transport"
 )
 
@@ -80,5 +82,29 @@ func TestFlowTableMatchesMaps(t *testing.T) {
 	check(20000)
 	if removed < 1000 {
 		t.Fatalf("only %d entries were removed; the stream does not exercise deletion", removed)
+	}
+}
+
+// TestNICRefusesSecondAttach: a second sink, or a second live source, for
+// one flow ID on one host means two workloads share the ID; the NIC panics
+// rather than overwrite the first transport and misdeliver its packets.
+func TestNICRefusesSecondAttach(t *testing.T) {
+	cfg := DefaultConfig()
+	nic := New(sim.NewEngine(), topo.NewStar(2), cfg).NIC(0)
+	discard := sinkFunc(func(*packet.Packet, sim.Time) {})
+	nic.AttachSink(1, discard)
+	nic.AttachSource(newBlaster(1, 0, 1, 100, cfg.MTU)) // the other side of flow 1
+	for side, again := range map[string]func(){
+		"sink":   func() { nic.AttachSink(1, discard) },
+		"source": func() { nic.AttachSource(newBlaster(1, 0, 1, 100, cfg.MTU)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a second %s for flow 1 was accepted", side)
+				}
+			}()
+			again()
+		}()
 	}
 }

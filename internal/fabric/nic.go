@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/transport"
@@ -104,14 +106,24 @@ func (n *NIC) Wake() { n.egress.kick() }
 // AttachSource registers a sender on this NIC and kicks the scheduler.
 func (n *NIC) AttachSource(s transport.Source) {
 	n.sources = append(n.sources, s)
-	n.flows.attach(s.Flow().ID, s, nil)
+	n.attach(s.Flow().ID, s, nil)
 	n.egress.kick()
 }
 
 // AttachSink registers a receiver for a flow. It stays for the run: a late
 // duplicate must still find the receiver that re-acknowledges it.
 func (n *NIC) AttachSink(id packet.FlowID, s transport.Sink) {
-	n.flows.attach(id, nil, s)
+	n.attach(id, nil, s)
+}
+
+// attach enters a source or a sink in the flow table. Two workloads
+// numbering their flows from the same base would overwrite each other's
+// transports here and misdeliver in silence, so a taken slot is a model
+// bug and panics.
+func (n *NIC) attach(id packet.FlowID, src transport.Source, sink transport.Sink) {
+	if n.flows.attach(id, src, sink) {
+		panic(fmt.Sprintf("fabric: host %d: flow %d attached twice", n.id, id))
+	}
 }
 
 // nextPacket supplies the egress port's next packet.
@@ -272,8 +284,9 @@ func (t *flowTable) find(id packet.FlowID) *flowEntry {
 }
 
 // attach sets the source or the sink (whichever is non-nil) of id's
-// entry, inserting the entry if absent.
-func (t *flowTable) attach(id packet.FlowID, src transport.Source, sink transport.Sink) {
+// entry, inserting the entry if absent, and reports whether that side was
+// already set.
+func (t *flowTable) attach(id packet.FlowID, src transport.Source, sink transport.Sink) (taken bool) {
 	e := &t.slots[t.probe(id)]
 	if e.empty() {
 		if t.n++; 4*t.n > 3*len(t.slots) {
@@ -289,10 +302,11 @@ func (t *flowTable) attach(id packet.FlowID, src transport.Source, sink transpor
 		e.flow = id
 	}
 	if src != nil {
-		e.src = src
+		taken, e.src = e.src != nil, src
 	} else {
-		e.sink = sink
+		taken, e.sink = e.sink != nil, sink
 	}
+	return taken
 }
 
 // dropSource detaches id's source, and removes the entry if no sink is

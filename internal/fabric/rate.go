@@ -27,9 +27,6 @@ func Gbps(g float64) Rate {
 	return Rate(8000.0/g + 0.5)
 }
 
-// GbpsValue converts back to gigabits per second for reporting.
-func (r Rate) GbpsValue() float64 { return 8000.0 / float64(r) }
-
 // Serialize returns the time to place wire bytes on a link at this rate.
 func (r Rate) Serialize(wire int) sim.Duration {
 	return sim.Duration(int64(wire) * int64(r))

@@ -63,45 +63,14 @@ type Service struct {
 	leader    *server
 	followers []*follower
 	clients   []*client
-	// shard[k] is shard k's resolution bookkeeping, written by that
-	// shard's clients during windows and read (and armed) by the
-	// coordinator at barriers — the same split-ownership discipline as
-	// the flow launcher's per-shard slots.
-	shard []kvShard
+	// resolved counts the requests that reached a terminal outcome, each
+	// on its client's shard: the run's completion (see Done).
+	resolved sim.Completion
 }
 
-// kvShard is one shard's completion counters for the windowed runtime's
-// adaptive extension. target, when positive, is the shard-local resolved
-// count at which the shard self-stops its engine — the Widen grant's
-// promise that the shard halts no later than Done turning true. Padded
-// so two shards' counters never share a cache line.
-type kvShard struct {
-	resolved uint64
-	target   uint64
-	_        [6]uint64
-}
-
-// Widen is the sim.WindowConfig.Widen hook: consulted at a barrier when
-// shard uniquely holds the minimum pending event and its window could
-// extend past the uniform lookahead bound. Done is a pure resolved
-// count, so the grant arms shard's target at "every request not yet
-// resolved elsewhere" — exactly the count at which this shard's
-// resolutions make Done true — and clears every other shard's target.
-// If shard hosts no clients the target is unreachable and the run falls
-// back to the deadline exit, identical to fixed windows; if other
-// shards resolve requests during the widened window, the global last
-// resolve only moves later and the horizon still covers the window.
-func (s *Service) Widen(shard int) bool {
-	var others uint64
-	for k := range s.shard {
-		if k != shard {
-			others += s.shard[k].resolved
-			s.shard[k].target = 0
-		}
-	}
-	s.shard[shard].target = uint64(s.o.Requests) - others
-	return true
-}
+// Widen is the sim.WindowConfig.Widen hook of a kv run (see
+// sim.Completion.Widen).
+func (s *Service) Widen(shard int) bool { return s.resolved.Widen(shard) }
 
 // phaseWindow is one Options.Phases entry with its bucket resolved.
 type phaseWindow struct {
@@ -188,8 +157,8 @@ func New(net *fabric.Network, pl Placement, qcfg verbs.Config, o Options, seed u
 		seed:      seed,
 		followers: make([]*follower, o.Followers),
 		clients:   make([]*client, o.Clients),
-		shard:     make([]kvShard, net.Shards()),
 	}
+	s.resolved.Init(net.Shards(), o.Requests, net.WindowSlack())
 	s.phaseNames, s.windows, s.sorted = resolvePhases(o.Phases)
 	return s
 }
@@ -336,28 +305,11 @@ func (s *Service) followerFlows(j int) (l2f, f2l packet.FlowID) {
 
 // Done reports whether every request reached a terminal outcome; polled
 // at window barriers.
-func (s *Service) Done() bool {
-	var n uint64
-	for _, c := range s.clients {
-		if c == nil {
-			return false
-		}
-		n += c.st.Resolved
-	}
-	return n == uint64(s.o.Requests)
-}
+func (s *Service) Done() bool { return s.resolved.Done() }
 
 // LastResolve returns the time the final request resolved; with the
 // fabric's window slack added it is the canonical run horizon.
-func (s *Service) LastResolve() sim.Time {
-	var last sim.Time
-	for _, c := range s.clients {
-		if c != nil && c.lastResolve > last {
-			last = c.lastResolve
-		}
-	}
-	return last
-}
+func (s *Service) LastResolve() sim.Time { return s.resolved.Last() }
 
 // TransportStats sums the verbs-level counters over every QP, in
 // deterministic order (clients, then the leader's client- and
@@ -771,7 +723,7 @@ type phaseCount struct {
 type client struct {
 	s     *Service
 	idx   int
-	shard int // owning shard: index into Service.shard
+	shard int // owning shard: its slot in Service.resolved
 	nic   *fabric.NIC
 	ep    *endpoint
 	mem   *verbs.Memory
@@ -789,11 +741,10 @@ type client struct {
 	inBackoff bool
 	seq       uint32 // wire sequence for request-ring slots
 
-	st          Stats
-	phase       []phaseCount
-	commitHist  metrics.Histogram
-	rpcHist     metrics.Histogram
-	lastResolve sim.Time
+	st         Stats
+	phase      []phaseCount
+	commitHist metrics.Histogram
+	rpcHist    metrics.Histogram
 }
 
 // ckTimer is the client's only event kind: per-attempt timeout, or
@@ -961,7 +912,7 @@ func (c *client) resolve(status RespStatus, now sim.Time) {
 	is := &c.cur
 	lat := now.Sub(is.at) // measured from the *scheduled* issue time
 	c.st.Resolved++
-	c.noteResolved()
+	c.s.resolved.Add(c.shard, c.nic.Engine(), now)
 	b := c.s.bucketOf(is.at)
 	c.phase[b].Issued++
 	switch status {
@@ -980,22 +931,7 @@ func (c *client) resolve(status RespStatus, now sim.Time) {
 	case RespReadOnly:
 		c.st.ReadOnly++
 	}
-	if now > c.lastResolve {
-		c.lastResolve = now
-	}
 	c.startNext(now)
-}
-
-// noteResolved folds a terminal outcome into the owning shard's counter
-// and, when a Widen grant armed a target, self-stops the engine once
-// this shard's resolutions make the global Done condition true. The
-// engine resumes in later windows if the armed snapshot was stale.
-func (c *client) noteResolved() {
-	sh := &c.s.shard[c.shard]
-	sh.resolved++
-	if sh.target > 0 && sh.resolved >= sh.target {
-		c.nic.Engine().Stop()
-	}
 }
 
 // giveUp abandons the outstanding request after the retry budget.
@@ -1004,11 +940,8 @@ func (c *client) giveUp(now sim.Time) {
 	c.inBackoff = false
 	is := &c.cur
 	c.st.Resolved++
-	c.noteResolved()
+	c.s.resolved.Add(c.shard, c.nic.Engine(), now)
 	c.st.GiveUps++
 	c.phase[c.s.bucketOf(is.at)].Issued++
-	if now > c.lastResolve {
-		c.lastResolve = now
-	}
 	c.startNext(now)
 }

@@ -29,11 +29,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Fork derives an independent generator from this one. Used to give each
-// host / flow source its own stream so that changing one scenario knob
-// does not perturb unrelated random choices.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }
-
 // DeriveSeed maps (base seed, label, trial) to a scenario seed. The fleet
 // runner uses it to give every scenario/trial pair of an experiment sweep
 // its own deterministic stream: the derivation depends only on the inputs

@@ -113,21 +113,6 @@ func TestRNGPerm(t *testing.T) {
 	}
 }
 
-func TestRNGForkIndependence(t *testing.T) {
-	r := NewRNG(23)
-	f1 := r.Fork()
-	f2 := r.Fork()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if f1.Uint64() == f2.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Errorf("forked streams collide: %d/1000", same)
-	}
-}
-
 func TestDeriveSeedStableAndDistinct(t *testing.T) {
 	// Stable: pure function of its inputs.
 	if DeriveSeed(1, "fig1/IRN", 0) != DeriveSeed(1, "fig1/IRN", 0) {
