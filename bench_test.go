@@ -197,11 +197,8 @@ func BenchmarkFigDCShards(b *testing.B) {
 }
 
 // reportKV exposes the figkv headline: mean availability per transport
-// across the three chaos schedules (scenarios are RoCE/IRN pairs), the
-// flap-storm commit-p99 ratio, and — for sharded runs — the mean
-// barrier and widened-window counts from the shard-runtime report, so
-// the recorded baselines track barrier-cadence regressions alongside
-// wall-clock ones.
+// across the three chaos schedules (scenarios are RoCE/IRN pairs) and the
+// flap-storm commit-p99 ratio.
 func reportKV(b *testing.B, rs []exp.Result) {
 	var roceA, irnA float64
 	pairs := 0
@@ -221,40 +218,12 @@ func reportKV(b *testing.B, rs []exp.Result) {
 		b.ReportMetric(metrics.Ratio(rs[0].KV.CommitP99.Millis(), rs[1].KV.CommitP99.Millis()),
 			"flap_commit_p99_roce_over_irn")
 	}
-	var barriers, wide uint64
-	shardRuns := 0
-	for _, r := range rs {
-		if r.ShardStats == nil || len(r.ShardStats.Shards) < 2 {
-			continue
-		}
-		barriers += r.ShardStats.Barriers
-		wide += r.ShardStats.WideWindows
-		shardRuns++
-	}
-	if shardRuns > 0 {
-		b.ReportMetric(float64(barriers)/float64(shardRuns), "barriers_per_run")
-		b.ReportMetric(float64(wide)/float64(shardRuns), "wide_windows_per_run")
-	}
 }
 
 // BenchmarkFigKV runs the replicated-KV chaos preset (leader flap storm,
-// rolling drain, pod blackout; IRN vs RoCE+PFC). Its phases are sparse —
-// blackout stretches, client backoff — which makes it the preset where
-// the adaptive safe windows pay off most.
+// rolling drain, pod blackout; IRN vs RoCE+PFC), serial like every KV run.
 func BenchmarkFigKV(b *testing.B) {
 	benchExperiment(b, exp.FigureKV(exp.BenchScale()), reportKV)
-}
-
-// BenchmarkFigKVShards is BenchmarkFigKV sharded across up to four
-// cores. FigKV ÷ FigKVShards ns/op is the intra-run speedup (like
-// FigDC), and the barriers_per_run / wide_windows_per_run metrics here
-// show the adaptive-window collapse on the sparse preset.
-func BenchmarkFigKVShards(b *testing.B) {
-	e := exp.FigureKV(exp.BenchScale())
-	for i := range e.Scenarios {
-		e.Scenarios[i].Shards = 4
-	}
-	benchExperiment(b, e, reportKV)
 }
 
 func BenchmarkIncastCrossTraffic(b *testing.B) {

@@ -12,8 +12,7 @@
 //	experiments -flows 10000           # closer to paper-scale (slower)
 //	experiments -run figloss,figflap   # fault-injection robustness sweeps
 //	experiments -run figchaos          # chaos-suite robustness preset
-//	experiments -run endurance -shards 4
-//	                                   # minutes-long chaos soak with
+//	experiments -run endurance         # minutes-long chaos soak with
 //	                                   # invariant checks each segment
 //	experiments -run fig1 -fault-loss 0.001
 //	                                   # overlay 0.1% random loss on fig1
@@ -55,7 +54,7 @@ func main() {
 		reps     = flag.Int("incast-reps", 3, "incast repetitions per fan-in")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent scenario workers")
 		trials   = flag.Int("trials", 1, "trials per scenario (derived seeds; >1 reports mean±stddev)")
-		shards   = flag.Int("shards", 1, "shard each run across this many cores (fleet caps workers x shards at GOMAXPROCS; results bit-identical)")
+		shards   = flag.Int("shards", 1, "shard each fault-free flow run across this many cores (faulted and KV scenarios run serial; fleet caps workers x shards at GOMAXPROCS; results bit-identical)")
 		seed     = flag.Uint64("seed", 0, "base seed for derived trial seeds (0 = preset seeds when -trials=1)")
 		out      = flag.String("out", "", "persist results as JSON (merging into an existing file)")
 		diffPath = flag.String("diff", "", "diff results against a previously saved JSON file")
@@ -131,9 +130,9 @@ func main() {
 		}
 	}
 
-	// Overlay intra-run sharding on every scenario — fault-injection
-	// presets included, which shard like any other. RunFleet arbitrates
-	// the two parallelism axes (workers x shards <= GOMAXPROCS).
+	// Overlay intra-run sharding on every scenario; faulted and KV ones
+	// normalize back to serial. RunFleet arbitrates the two parallelism
+	// axes (workers x shards <= GOMAXPROCS).
 	if *shards > 1 {
 		for ei := range selected {
 			for si := range selected[ei].Scenarios {
@@ -166,7 +165,6 @@ func main() {
 			Horizon:  sim.Duration(*horizonMs) * sim.Millisecond,
 			Suite:    *chaosSuite,
 			Seed:     *seed,
-			Shards:   *shards,
 			Log:      func(line string) { fmt.Println("  " + line) },
 		}
 		fmt.Printf("endurance soak: k=%d suite=%s %d segments x %dms\n",

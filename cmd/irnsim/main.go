@@ -14,7 +14,8 @@
 //	irnsim -fault-loss 0.001                      # 0.1% random per-link loss
 //	irnsim -flap-links 8 -flap-down-us 400        # transient link failures
 //	irnsim -degrade-links 8 -degrade-factor 0.25  # links at quarter speed
-//	irnsim -chaos rolling -shards 4               # chaos suite, sharded
+//	irnsim -chaos rolling                         # chaos suite
+//	irnsim -arity 10 -flows 1024 -shards 4        # one fault-free run, 4 cores
 //	irnsim -kv 200                                # replicated KV service load
 //	irnsim -kv 200 -kv-mode writeimm -chaos flap-storm
 //	                                              # KV availability under chaos
@@ -59,7 +60,7 @@ func main() {
 		noBDPFC   = flag.Bool("no-bdpfc", false, "disable IRN's BDP-FC")
 		overheads = flag.Bool("worst-overheads", false, "model the §6.3 worst-case overheads")
 		trials    = flag.Int("trials", 1, "repeat the scenario under derived seeds")
-		shards    = flag.Int("shards", 1, "split the single run across this many cores (bit-identical results)")
+		shards    = flag.Int("shards", 1, "split a fault-free flow run across this many cores (bit-identical results; faulted and KV runs are serial)")
 		shardInfo = flag.Bool("shard-stats", false, "print the windowed runtime's shard report (barriers, windows, wait time)")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent trial workers")
 		out       = flag.String("out", "", "persist results as JSON (merging into an existing file)")
@@ -227,6 +228,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if *shards > 1 && (s.KV.Requests > 0 || s.Faults.Enabled()) {
+		fmt.Fprintln(os.Stderr, "-shards > 1 applies only to fault-free flow runs: KV and fault-injected runs are serial")
+		os.Exit(2)
+	}
 
 	// Persisted rows are keyed partly by name; describe the scenario
 	// rather than labelling every run "cli".
@@ -263,7 +268,7 @@ func main() {
 	stopProfiles()
 
 	fmt.Printf("transport=%s cc=%s pfc=%v arity=%d gbps=%.0f load=%.2f flows=%d seed=%d trials=%d\n",
-		*transport, *ccName, *pfc, *arity, *gbps, *load, *flows, *seed, fr.Config.Trials)
+		*transport, *ccName, *pfc, *arity, *gbps, *load, s.NumFlows, *seed, fr.Config.Trials)
 
 	r := fr.Trials[0][0]
 	if *trials > 1 {

@@ -52,14 +52,13 @@ func TestKVOnTooSmallFabricIsAUsageError(t *testing.T) {
 	}
 }
 
-// TestKVWithExplicitFlows: `-kv` runs the service alone unless `-flows`
-// is given on the command line, in which case those flows run next to it
-// in the same simulation.
-func TestKVWithExplicitFlows(t *testing.T) {
-	bin := build(t)
-	out, err := exec.Command(bin, "-arity", "4", "-kv", "100", "-flows", "50").CombinedOutput()
+// run executes the command and keys its output lines by their first
+// field; the header line of a default run is "transport=irn".
+func run(t *testing.T, bin string, args ...string) map[string]string {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
 	if err != nil {
-		t.Fatalf("irnsim: %v\n%s", err, out)
+		t.Fatalf("irnsim %v: %v\n%s", args, err, out)
 	}
 	lines := map[string]string{}
 	for _, l := range strings.Split(string(out), "\n") {
@@ -67,10 +66,45 @@ func TestKVWithExplicitFlows(t *testing.T) {
 			lines[f[0]] = l
 		}
 	}
+	return lines
+}
+
+// TestKVWithExplicitFlows: `-kv` runs the service alone unless `-flows`
+// is given on the command line, in which case those flows run next to it
+// in the same simulation. The header reports the flows actually run.
+func TestKVWithExplicitFlows(t *testing.T) {
+	bin := build(t)
+	lines := run(t, bin, "-arity", "4", "-kv", "100", "-flows", "50")
+	if l := lines["transport=irn"]; !strings.Contains(l, " flows=50 ") {
+		t.Errorf("header %q, want flows=50", l)
+	}
 	if l := lines["flows"]; !strings.Contains(l, "50 completed") {
-		t.Errorf("flows line %q, want 50 completed\n%s", l, out)
+		t.Errorf("flows line %q, want 50 completed", l)
 	}
 	if l := lines["kv"]; !strings.Contains(l, "100/100 resolved") {
-		t.Errorf("kv line %q, want 100/100 resolved\n%s", l, out)
+		t.Errorf("kv line %q, want 100/100 resolved", l)
+	}
+	if l := run(t, bin, "-arity", "4", "-kv", "20")["transport=irn"]; !strings.Contains(l, " flows=0 ") {
+		t.Errorf("header of a KV-only run %q, want flows=0", l)
+	}
+}
+
+// TestShardedFaultOrKVIsAUsageError: KV and fault-injected runs are
+// serial, so asking for more than one shard with them exits 2.
+func TestShardedFaultOrKVIsAUsageError(t *testing.T) {
+	bin := build(t)
+	for _, args := range [][]string{
+		{"-arity", "4", "-shards", "2", "-kv", "20"},
+		{"-arity", "4", "-shards", "2", "-chaos", "rolling"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stderr = &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("irnsim %v: exit = %v, want status 2 (stderr %q)", args, err, stderr.String())
+		} else if !strings.Contains(stderr.String(), "-shards") {
+			t.Errorf("irnsim %v: stderr %q does not name -shards", args, stderr.String())
+		}
 	}
 }

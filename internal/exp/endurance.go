@@ -26,7 +26,6 @@ type EnduranceConfig struct {
 	Cycles    int          // chaos cycles per segment; default 6
 	Suite     string       // chaos suite name; default "rolling"
 	Seed      uint64       // default 1
-	Shards    int          // intra-run sharding; default 1
 	Transport Transport    // default IRN
 	PFC       bool
 	// Log, when set, receives one progress line per segment.
@@ -136,7 +135,6 @@ func RunEndurance(cfg EnduranceConfig) (EnduranceReport, error) {
 			NumFlows:  cfg.Flows,
 			Load:      load,
 			Seed:      segSeed,
-			Shards:    cfg.Shards,
 			Transport: cfg.Transport,
 			PFC:       cfg.PFC,
 			Faults:    spec,

@@ -21,7 +21,6 @@ func soakConfig() EnduranceConfig {
 		Cycles:   4,
 		Suite:    "rolling",
 		Seed:     42,
-		Shards:   2,
 	}
 }
 
@@ -56,9 +55,8 @@ func TestEnduranceSoak(t *testing.T) {
 			t.Errorf("segment %d live heap %d exceeds budget %d (first segment: %d) — memory is growing",
 				i, seg.HeapLive, budget, first)
 		}
-		// A segment moves packets between the shards' pools and may strand
-		// some at its cut-off; the reset reclaims them all, so two segments
-		// size the pools for good.
+		// A segment may strand packets at its cut-off; the reset reclaims
+		// them all, so two segments size the pool for good.
 		if i >= 2 && seg.PoolCap != rep.Segments[1].PoolCap {
 			t.Errorf("segment %d grew the packet pools from %d to %d packets", i, rep.Segments[1].PoolCap, seg.PoolCap)
 		}
@@ -74,11 +72,10 @@ func TestEnduranceUnknownSuite(t *testing.T) {
 	}
 }
 
-// TestFaultedShardedScenario is the regression test for the former
-// faults-force-serial downgrade: a fault-injection scenario requesting N
-// shards must actually span N shard engines, produce results bit-identical
-// to serial, and land on the same store row (Fingerprint ignores Shards,
-// so the sharded rerun compares against the serial baseline).
+// TestFaultedShardedScenario is the regression test for the serial rule:
+// a fault-injected flow scenario, and figkv's leader flap storm, asked to
+// run on 2 or 4 shards run on one engine, bit-identical to serial, and
+// land on the serial run's store row (Fingerprint ignores Shards).
 func TestFaultedShardedScenario(t *testing.T) {
 	tree := topo.NewFatTree(6)
 	spec := fault.NewSchedule("regression").
@@ -86,27 +83,35 @@ func TestFaultedShardedScenario(t *testing.T) {
 		Phase("cut", 96*sim.Microsecond, fault.Down(fault.Uplinks(0))).
 		Phase("flap", 96*sim.Microsecond, fault.Blink(fault.Fabric(), 2, 8*sim.Microsecond)).
 		MustCompile(tree)
-	base := Scenario{Name: "faulted-sharded", NumFlows: 150, Seed: 9, Faults: spec, RoCETimeouts: true}
-
-	serial := Run(base)
-	if len(serial.ShardStats.Shards) != 1 {
-		t.Fatalf("serial run spans %d shards", len(serial.ShardStats.Shards))
-	}
-	if serial.Census.FaultDrops == 0 {
-		t.Fatal("fault schedule injected no drops; the regression scenario is inert")
-	}
-	for _, shards := range []int{2, 4} {
-		s := base
-		s.Shards = shards
-		got := Run(s)
-		if len(got.ShardStats.Shards) != shards {
-			t.Errorf("requested %d shards, run spanned %d — faulted scenarios must shard", shards, len(got.ShardStats.Shards))
-		}
-		if Fingerprint(s) != Fingerprint(base) {
-			t.Errorf("fingerprint at %d shards differs from serial; sharded reruns would miss the baseline row", shards)
-		}
-		if !reflect.DeepEqual(stripShards(got), stripShards(serial)) {
-			t.Errorf("faulted run at %d shards diverged from serial", shards)
-		}
+	for _, tc := range []struct {
+		name string
+		base Scenario
+	}{
+		{"flows", Scenario{Name: "faulted-sharded", NumFlows: 150, Seed: 9, Faults: spec, RoCETimeouts: true}},
+		{"kv", figkvScenario(t, Scale{Flows: 40}, "IRN kv flap-leader send")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := Run(tc.base)
+			if serial.Census.FaultDrops == 0 {
+				t.Fatal("fault schedule injected no drops; the regression scenario is inert")
+			}
+			if k := serial.KV; k != nil && k.Resolved != k.Issued {
+				t.Fatalf("kv run incomplete: %d/%d resolved", k.Resolved, k.Issued)
+			}
+			for _, shards := range []int{2, 4} {
+				s := tc.base
+				s.Shards = shards
+				got := Run(s)
+				if n := len(got.ShardStats.Shards); n != 1 {
+					t.Errorf("requested %d shards, run spanned %d engines; faulted and KV runs are serial", shards, n)
+				}
+				if Fingerprint(s) != Fingerprint(tc.base) {
+					t.Errorf("fingerprint at %d shards differs from serial; the rerun would miss the baseline row", shards)
+				}
+				if !reflect.DeepEqual(stripShards(got), stripShards(serial)) {
+					t.Errorf("run requested at %d shards diverged from serial", shards)
+				}
+			}
+		})
 	}
 }

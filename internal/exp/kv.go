@@ -8,8 +8,8 @@ package exp
 // clocks (each client keeps only its next one queued), resolutions count
 // into a sim.Completion whose horizon joins the flows', and all
 // per-client state merges in client-index order — so kv runs are
-// bit-identical across shard counts and lookahead widths like every other
-// scenario, and figkv joins the preset-wide determinism sweeps.
+// bit-identical across lookahead widths like every other scenario. They
+// run serial: Scenario.normalize sets Shards to 1 for them.
 
 import (
 	"fmt"

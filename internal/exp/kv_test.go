@@ -23,48 +23,6 @@ func figkvScenario(t *testing.T, sc Scale, name string) Scenario {
 	return Scenario{}
 }
 
-// TestFigKVShardDeterminismUnderChaos is the kv determinism regression:
-// the figkv flap-storm point (chaos schedule active, faults dropping
-// packets) must be bit-identical across shard counts — including the
-// full KV report — and a sharded rerun must land on the serial run's
-// store row (Fingerprint ignores Shards).
-func TestFigKVShardDeterminismUnderChaos(t *testing.T) {
-	base := figkvScenario(t, Scale{Flows: 40}, "IRN kv flap-leader send")
-
-	serial := Run(base)
-	if len(serial.ShardStats.Shards) != 1 {
-		t.Fatalf("serial run spans %d shards", len(serial.ShardStats.Shards))
-	}
-	if serial.KV == nil {
-		t.Fatal("kv scenario produced no KV report")
-	}
-	if serial.KV.Resolved != serial.KV.Issued {
-		t.Fatalf("kv run incomplete: %d/%d resolved", serial.KV.Resolved, serial.KV.Issued)
-	}
-	if serial.Census.FaultDrops == 0 {
-		t.Fatal("chaos schedule injected no drops; the scenario is inert")
-	}
-	serialRow := RowFromResult("figkv", 0, serial)
-	for _, shards := range []int{2, 4} {
-		s := base
-		s.Shards = shards
-		got := Run(s)
-		if len(got.ShardStats.Shards) != shards {
-			t.Errorf("requested %d shards, run spanned %d", shards, len(got.ShardStats.Shards))
-		}
-		if Fingerprint(s) != Fingerprint(base) {
-			t.Errorf("fingerprint at %d shards differs from serial", shards)
-		}
-		row := RowFromResult("figkv", 0, got)
-		if row.Key() != serialRow.Key() {
-			t.Errorf("sharded rerun row key %q misses serial row %q", row.Key(), serialRow.Key())
-		}
-		if !reflect.DeepEqual(stripShards(got), stripShards(serial)) {
-			t.Errorf("kv run at %d shards diverged from serial", shards)
-		}
-	}
-}
-
 // TestFigKVBlackoutDegrades pins the graceful-degradation point of the
 // preset: under the sustained leader-uplink blackout the leader must
 // enter read-only mode and reject Puts, clients must exhaust their
@@ -183,33 +141,31 @@ func TestKVReplicasMustFitFabric(t *testing.T) {
 // TestOneRunCarriesFlowsAndKV: one scenario carries the kv service and a
 // Poisson background load together — figkv's leader flap storm plus 300
 // flows at half load. Every flow is accounted for, every request
-// resolves, and the run is bit-identical at every shard count. Flows are
-// numbered after the kv QPs: numbered from 1, a few of them would share a
-// host and a flow ID with a QP here, which the NIC refuses with a panic.
+// resolves, and the run stays on one engine though it asks for four.
+// Flows are numbered after the kv QPs: numbered from 1, a few of them
+// would share a host and a flow ID with a QP here, which the NIC refuses
+// with a panic.
 func TestOneRunCarriesFlowsAndKV(t *testing.T) {
 	kvOnly := figkvScenario(t, Scale{Flows: 40}, "IRN kv flap-leader send")
 	mixed := kvOnly
 	mixed.NumFlows = 300
 	mixed.Load = 0.5
+	mixed.Shards = 4
 
-	serial := Run(mixed)
-	if serial.KV == nil {
+	res := Run(mixed)
+	if res.KV == nil {
 		t.Fatal("mixed run produced no KV report")
 	}
-	if n := serial.Summary.Flows + serial.Summary.Incomplete; n != 300 {
+	if n := len(res.ShardStats.Shards); n != 1 {
+		t.Fatalf("mixed run spanned %d shard engines, want 1", n)
+	}
+	if n := res.Summary.Flows + res.Summary.Incomplete; n != 300 {
 		t.Fatalf("mixed run accounted for %d flows, want 300", n)
 	}
-	if k := serial.KV; k.Resolved != k.Issued || k.Issued != uint64(mixed.KV.Requests) {
+	if k := res.KV; k.Resolved != k.Issued || k.Issued != uint64(mixed.KV.Requests) {
 		t.Fatalf("mixed run resolved %d of %d requests (%d scheduled)", k.Resolved, k.Issued, mixed.KV.Requests)
 	}
 	alone := Run(kvOnly)
 	t.Logf("flows %d completed, %d incomplete; kv availability %.3f with the flows, %.3f without",
-		serial.Summary.Flows, serial.Summary.Incomplete, serial.KV.Availability, alone.KV.Availability)
-	for _, shards := range []int{2, 4} {
-		s := mixed
-		s.Shards = shards
-		if got := Run(s); !reflect.DeepEqual(stripShards(got), stripShards(serial)) {
-			t.Errorf("mixed run at %d shards diverged from serial", shards)
-		}
-	}
+		res.Summary.Flows, res.Summary.Incomplete, res.KV.Availability, alone.KV.Availability)
 }

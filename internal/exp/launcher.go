@@ -10,7 +10,6 @@ import (
 	"github.com/irnsim/irn/internal/slab"
 	"github.com/irnsim/irn/internal/tcpstack"
 	"github.com/irnsim/irn/internal/transport"
-	"github.com/irnsim/irn/internal/workload"
 )
 
 // launcher event kinds: attach flow arg's sender (on the source host's
@@ -58,7 +57,6 @@ type launcher struct {
 	// run carries it, take flow IDs 1…idBase, so flow i is idBase+i+1.
 	idBase int
 
-	specs []workload.Spec
 	flows []transport.Flow
 	stats []*transport.SenderStats // [i] written by the shard of flow i's source
 	// rcvs[i] is written by the shard of flow i's destination: RoCE's
@@ -92,13 +90,12 @@ func (l *launcher) HandleEvent(kind uint8, arg uint64) {
 // writes is owned by that shard.
 func (l *launcher) FlowDone(fl *transport.Flow, now sim.Time) {
 	i := int(fl.ID) - l.idBase - 1
-	spec := l.specs[i]
 	k := l.net.ShardOf(fl.Dst)
 	l.cols[k].Add(metrics.FlowRecord{
-		Size:         spec.Size,
+		Size:         fl.Size,
 		Pkts:         fl.Pkts,
-		FCT:          now.Sub(spec.Start),
-		Ideal:        l.net.IdealFCT(spec.Src, spec.Dst, spec.Size),
+		FCT:          now.Sub(fl.Start),
+		Ideal:        l.net.IdealFCT(fl.Src, fl.Dst, fl.Size),
 		SinglePacket: fl.Pkts == 1,
 	})
 	if sh := &l.shard[k]; i < l.incastFlows && now > sh.incastDone {

@@ -8,7 +8,8 @@ import (
 
 // TestLookaheadDifferentialAcrossPresets pins the widened-lookahead
 // safety argument end to end: for every fig* preset and every shard
-// count, forcing the windows back to the bare link-propagation width
+// count its scenarios run at, forcing the windows back to the bare
+// link-propagation width
 // (runOpts.bareLookahead) produces Results bit-identical to the widened runs —
 // metrics, event counts, census, pool accounting, everything. Wider
 // windows may only change how the executed events are grouped into
@@ -24,6 +25,9 @@ func TestLookaheadDifferentialAcrossPresets(t *testing.T) {
 			t.Parallel()
 			for _, s := range e.Scenarios {
 				for _, shards := range []int{1, 2, 4} {
+					if shards > 1 && serialOnly(s) {
+						continue
+					}
 					wide := s
 					wide.Shards = shards
 					ref := stripShards(Run(wide))

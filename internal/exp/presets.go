@@ -386,15 +386,11 @@ const chaosSeed = 3141
 // static knobs: pods drain, sampled fabric links flap, core uplinks brown
 // out with loss bursts, with recovery gaps between cycles.
 //
-// The timing is chosen to pin the sharded fault machinery's hardest
-// cases: the cycle length is a multiple of the 2 µs link propagation (the
-// conservative lookahead), so with the suite's 1/8, 1/3, 1/2 and 2/3
-// cycle subdivisions every transition lands exactly on a safe-window
-// boundary; and the drain/brownout phases target agg-core uplinks — the
-// links a pod-aware partitioner cuts — so transitions, flap-killed
-// packets and loss bursts all hit boundary linkChans. The preset joins
-// TestShardDeterminismAcrossPresets like every fig*, which asserts all of
-// it bit-identical across shard counts 1/2/4/8.
+// The cycle length is a multiple of the 2 µs link propagation (the
+// lookahead), so with the suite's 1/8, 1/3, 1/2 and 2/3 cycle
+// subdivisions every transition lands exactly on a safe-window boundary,
+// and the drain/brownout phases target agg-core uplinks. Like every
+// faulted scenario it runs serial (see Scenario.Shards).
 func FigureChaos(sc Scale) Experiment {
 	// Chaos-suite link samples are compiled against this topology, so the
 	// scenarios pin Arity explicitly, like figflap.

@@ -117,9 +117,9 @@ type Scenario struct {
 	// propagation under PFC — see fabric.Network.Lookahead). Results are
 	// bit-identical for every value — including 1 and 0 (serial) — by the
 	// (time, rank) event-ordering contract; shards only buy wall-clock
-	// time on multi-core machines. Fault-injection scenarios shard like
-	// any other: transitions fire on the shard owning each directed link
-	// and boundary links resolve faults on the consumer side.
+	// time on multi-core machines. Fault-injected and KV scenarios run
+	// serial whatever is asked: normalize sets 1 for them, because
+	// sharding was only ever measured to pay on large fault-free flow runs.
 	Shards int
 
 	// IRN knobs (§3, §4.3 ablations, §6.3 overheads).
@@ -211,7 +211,7 @@ func (s Scenario) normalize() Scenario {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.Shards <= 0 {
+	if s.Shards <= 0 || s.Faults.Enabled() || s.KV.Requests > 0 {
 		s.Shards = 1
 	}
 	return s

@@ -276,7 +276,6 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 		bdpCap:      bdpCap,
 		minRTT:      sim.Duration(2*top.LongestPathHops()) * (s.Prop + rate.Serialize(s.MTU+packet.DataHeader)),
 		idBase:      idBase,
-		specs:       specs,
 		flows:       make([]transport.Flow, len(specs)),
 		stats:       make([]*transport.SenderStats, len(specs)),
 		rcvs:        make([]*rocev2.Receiver, len(specs)),
@@ -315,15 +314,15 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 
 	// The kv service is deployed after the flows: they draw their clock
 	// ranks first, so a flow ranks the same with or without kv in the run.
-	// A run carrying both is done when both are, on the later horizon, and
-	// a grant arms both self-stops (Completion.Widen always grants).
+	// A run carrying both is done when both are, on the later horizon. It
+	// is serial, and a single engine never widens a window, so Widen stays
+	// the flows' own.
 	var lastIssue sim.Time
-	done, horizon, widen := l.done.Done, l.done.Horizon, l.done.Widen
+	done, horizon := l.done.Done, l.done.Horizon
 	if svc != nil {
 		lastIssue = svc.Start()
 		done = func() bool { return l.done.Done() && svc.Done() }
 		horizon = func() sim.Time { return max(l.done.Horizon(), svc.LastResolve().Add(net.WindowSlack())) }
-		widen = func(shard int) bool { return l.done.Widen(shard) && svc.Widen(shard) }
 	}
 
 	// Conservative windowed execution, serial included: the run always
@@ -341,7 +340,7 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 		Drain:        net.DrainAll,
 		Done:         done,
 		Horizon:      horizon,
-		Widen:        widen,
+		Widen:        l.done.Widen,
 		FixedWindows: o.fixedWindows,
 		Stats:        &wstats,
 	})

@@ -1,8 +1,10 @@
 package fabric
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/irnsim/irn/internal/fault"
@@ -42,6 +44,36 @@ func faultNet(t *testing.T, hosts int, spec fault.Spec, seed uint64) (*sim.Engin
 	}
 	cfg.Faults = m
 	return eng, New(eng, top, cfg)
+}
+
+// TestFaultModelRequiresSingleShard: boundary channels carry no fault
+// logic, so a fault model over two engines panics both at construction
+// and when a reset would attach one to a partitioned fabric.
+func TestFaultModelRequiresSingleShard(t *testing.T) {
+	tree := topo.NewFatTree(4)
+	assign, used := topo.PartitionNodes(tree, 2)
+	if used != 2 {
+		t.Fatalf("partitioner used %d shards, want 2", used)
+	}
+	m := fault.MustNew(fault.Spec{LossRate: 0.01}, len(tree.Links()), 1)
+	engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), "single-shard") {
+				t.Errorf("%s: recovered %v, want the single-shard panic", what, r)
+			}
+		}()
+		f()
+	}
+
+	cfg := testConfig()
+	cfg.Faults = m
+	mustPanic("NewPartitioned", func() { NewPartitioned(engs, assign, tree, cfg) })
+
+	net := NewPartitioned(engs, assign, tree, testConfig())
+	net.Reset(2, nil) // fault-free resets stay legal
+	mustPanic("Reset", func() { net.Reset(3, m) })
 }
 
 // newPooledBlaster builds a pooledBlaster (see perf_test.go) — fault

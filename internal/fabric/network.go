@@ -92,12 +92,9 @@ func New(eng *sim.Engine, t topo.Topology, cfg Config) *Network {
 // channels, drained by DrainAll at the window barriers of sim.RunWindows
 // under the lookahead this partitioning supports (see computeLookahead).
 //
-// The fault model is shard-safe: each direction's scheduled transitions
-// fire on the shard owning the transmitting port, and boundary links
-// resolve arrival-side faults on the consumer shard from the static
-// schedule (see linkChan). The LossInject test hook is not — it mutates
-// arbitrary link state from outside the engines — so it still requires a
-// single-shard fabric.
+// A fault model and the LossInject test hook both require a single-shard
+// fabric: boundary channels carry packets and PFC frames only, and
+// faulted runs are serial (exp.Scenario.Shards).
 func NewPartitioned(engs []*sim.Engine, assign []int, t topo.Topology, cfg Config) *Network {
 	if cfg.MTU <= 0 {
 		panic("fabric: config MTU must be positive")
@@ -107,6 +104,9 @@ func NewPartitioned(engs []*sim.Engine, assign []int, t topo.Topology, cfg Confi
 	}
 	if len(engs) > 1 && cfg.LossInject != nil {
 		panic("fabric: the LossInject hook requires a single-shard fabric")
+	}
+	if len(engs) > 1 && cfg.Faults != nil {
+		panic("fabric: a fault model requires a single-shard fabric")
 	}
 	nodes := t.Nodes()
 	if assign == nil {
@@ -300,7 +300,6 @@ func (net *Network) wire(from, to packet.NodeID, idx, peerPort int, flt *fault.L
 			net:    net,
 			part:   consumer,
 			prod:   owner,
-			flt:    flt,
 		}
 		consumer.inbox = append(consumer.inbox, port.xchan)
 		net.chans = append(net.chans, port.xchan)
@@ -339,6 +338,9 @@ func (net *Network) wire(from, to packet.NodeID, idx, peerPort int, flt *fault.L
 // reconstructing topology, routing tables, VOQ matrices and port arrays
 // per trial.
 func (net *Network) Reset(seed uint64, faults *fault.Model) {
+	if len(net.parts) > 1 && faults != nil {
+		panic("fabric: a fault model requires a single-shard fabric")
+	}
 	net.Cfg.Seed = seed
 	net.Cfg.Faults = faults
 	for i := range net.clks {
@@ -364,14 +366,6 @@ func (net *Network) Reset(seed uint64, faults *fault.Model) {
 	for i, l := 0, len(net.ports)/2; i < l; i++ {
 		net.ports[2*i].flt = faults.Dir(i, false)
 		net.ports[2*i+1].flt = faults.Dir(i, true)
-		// Boundary channels resolve consumer-side faults from the same
-		// per-direction state.
-		if x := net.ports[2*i].xchan; x != nil {
-			x.flt = net.ports[2*i].flt
-		}
-		if x := net.ports[2*i+1].xchan; x != nil {
-			x.flt = net.ports[2*i+1].flt
-		}
 	}
 	for _, nic := range net.nics {
 		if nic != nil {

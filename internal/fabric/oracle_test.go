@@ -304,8 +304,8 @@ func portOracle(t *testing.T, nicOwner, boundary bool, seed uint64) {
 					a.kind = actPause
 				}
 			case r < 98:
-				// A boundary link resolves down-state at the consumer from
-				// the static fault schedule, which this test does not build.
+				// A boundary link carries no fault logic: a fault model
+				// requires a single-shard fabric.
 				if a.kind = actUp; r == 95 && !boundary {
 					a.kind = actDown
 				}

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"github.com/irnsim/irn/internal/fault"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 )
@@ -47,20 +46,10 @@ type linkChan struct {
 	clk    *sim.Clock  // producing node's clock
 	net    *Network    // owning fabric, for the producer window clamp
 
-	// part is the consumer partition: boundary fault deaths count in its
-	// stats/census and release into its pool, the same side an interior
-	// link's portDeliver would use after the handoff.
+	// part is the consumer partition, whose drain count the channel
+	// advances. A channel never kills a packet: a fault model requires a
+	// single-shard fabric, which has no boundary channels.
 	part *partition
-	// flt is this direction's fault state, nil on healthy links. The
-	// consumer resolves faults from the *static* schedule (fault.StateAt)
-	// rather than the producer port's event-mutated down/curLoss fields,
-	// which live on the other shard. An arrival at exactly a transition's
-	// timestamp sees the post-transition state either way: the environment
-	// clock's rank (id 0) orders fault events before any same-instant
-	// packet event, and StateAt applies entries with At <= t. The RNG
-	// draws are consumer-exclusive and happen in FIFO arrival order — the
-	// per-link serial order — so the stream stays bit-identical.
-	flt *fault.Link
 
 	// prod is the producer partition; the first push of a window
 	// registers the channel on its dirty list so the barrier drain
@@ -88,7 +77,6 @@ type linkChan struct {
 
 	sent      int // data packets pushed (producer-owned)
 	delivered int // data packets handed to dst (consumer-owned)
-	killed    int // data packets dead to faults on arrival (consumer-owned)
 }
 
 // chanEntry is one cross-shard occurrence. A zero entry marks a consumed
@@ -186,45 +174,16 @@ func (c *linkChan) HandleEvent(_ uint8, arg uint64) {
 		c.dst.pfcFrame(c.inPort, e.pause)
 		return
 	}
-	// Fault resolution at the receiving end, mirroring portDeliver: a
-	// downed link kills the packets in flight when it failed, then the
-	// in-flight loss draw, then the CRC check.
-	if c.flt != nil {
-		down, loss := c.flt.StateAt(c.eng.Now())
-		if down {
-			c.die(e.pkt, &c.part.stats.FaultDrops, &c.part.census.FaultDrops)
-			return
-		}
-		if c.flt.Drop(loss) {
-			c.die(e.pkt, &c.part.stats.FaultDrops, &c.part.census.FaultDrops)
-			return
-		}
-		if c.flt.DropCorrupt() {
-			c.die(e.pkt, &c.part.stats.Corrupted, &c.part.census.Corrupted)
-			return
-		}
-	}
 	c.delivered++
 	c.dst.receive(e.pkt, c.inPort)
 }
 
-// die is the boundary-link fault death site: stat + census stay paired
-// and the packet releases into the consumer pool, exactly like
-// outPort.die.
-func (c *linkChan) die(pkt *packet.Packet, stat, census *uint64) {
-	*stat++
-	*census++
-	c.killed++
-	c.part.pool.Release(pkt)
-}
-
 // resident counts the data packets inside the channel — pushed (at
-// serialization start) but not yet handed to the receiving node or killed
-// by a fault on arrival. They are in flight for conservation purposes,
-// exactly like packets riding an interior port's in-flight queue: a
-// boundary packet lives here from kick to arrival instead. Only
-// meaningful at quiescence.
-func (c *linkChan) resident() int { return c.sent - c.delivered - c.killed }
+// serialization start) but not yet handed to the receiving node. They are
+// in flight for conservation purposes, exactly like packets riding an
+// interior port's in-flight queue: a boundary packet lives here from kick
+// to arrival instead. Only meaningful at quiescence.
+func (c *linkChan) resident() int { return c.sent - c.delivered }
 
 // reset empties the channel for a new run, dropping packet references but
 // keeping the arrays warm.
@@ -237,5 +196,5 @@ func (c *linkChan) reset() {
 	}
 	c.inbox, c.drained = c.inbox[:0], c.drained[:0]
 	c.base, c.prefix, c.pending, c.queued = 0, 0, 0, false
-	c.sent, c.delivered, c.killed = 0, 0, 0
+	c.sent, c.delivered = 0, 0
 }

@@ -232,8 +232,8 @@ func (l *Link) DropCorrupt() bool {
 
 // StateAt evaluates the link's scheduled transitions statically: the down
 // state and effective loss rate after every Sched entry with At <= t has
-// applied. Boundary (cross-shard) links resolve faults with this instead
-// of event-mutated port state — an arrival at exactly a transition's
+// applied. The fabric's tests check its event-driven port state against
+// this reference: an arrival at exactly a transition's
 // timestamp sees the post-transition state, matching the event path where
 // the environment clock's rank orders fault transitions before any
 // same-instant packet event.

@@ -18,8 +18,8 @@
 // Everything is deterministic: request arrivals, keys, and backoff
 // jitter derive from sim.DeriveSeed streams; all cross-host interaction
 // rides the fabric's canonical (time, rank) event order; and per-client
-// state merges in client-index order — so serial and sharded runs are
-// bit-identical.
+// state merges in client-index order — so a rerun under one seed is
+// bit-identical. The service runs serially, on a single-shard fabric.
 package kv
 
 import (

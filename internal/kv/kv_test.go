@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,6 +42,29 @@ func newStarService(o Options, lossFn func(*packet.Packet) bool) (*Service, *sim
 	}
 
 	return New(net, pl, verbs.DefaultConfig(), o, 7), eng
+}
+
+// TestNewRequiresSingleShardFabric: the service runs serial, so building
+// it over a fabric split across two engines panics.
+func TestNewRequiresSingleShardFabric(t *testing.T) {
+	tree := topo.NewFatTree(4)
+	assign, used := topo.PartitionNodes(tree, 2)
+	if used != 2 {
+		t.Fatalf("partitioner used %d shards, want 2", used)
+	}
+	net := fabric.NewPartitioned([]*sim.Engine{sim.NewEngine(), sim.NewEngine()}, assign, tree, fabric.DefaultConfig())
+	hosts := make([]packet.NodeID, tree.Hosts())
+	for i := range hosts {
+		hosts[i] = packet.NodeID(i)
+	}
+	o := testOptions(ModeSend).WithDefaults()
+	pl := Place(hosts, 4, o.Followers, o.Clients)
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "single-shard") {
+			t.Fatalf("New on a two-shard fabric: recovered %v, want the single-shard panic", r)
+		}
+	}()
+	New(net, pl, verbs.DefaultConfig(), o, 7)
 }
 
 func testOptions(mode Mode) Options {

@@ -4,12 +4,10 @@ package kv
 // driver + failover state machine), the followers (apply + ack), and the
 // clients (open-loop issue queue + timeout/backoff/give-up policy).
 //
-// Construction discipline for sharded determinism: every host-owned
-// object (QP, ring, timer) is built inside an attach event scheduled at
-// t=0 under the owning host's clock, so the owning shard creates and
-// exclusively drives it. The coordinator only reads client/leader state
-// at window barriers (Done/Horizon/Report), which the windowed runner
-// orders against all shard execution.
+// The service runs on a single-engine fabric. Every host-owned object
+// (QP, ring, timer) is built inside an attach event scheduled at t=0
+// under the owning host's clock, so its construction ranks are a constant
+// of the scenario.
 
 import (
 	"bytes"
@@ -63,13 +61,15 @@ type Service struct {
 	leader    *server
 	followers []*follower
 	clients   []*client
-	// resolved counts the requests that reached a terminal outcome, each
-	// on its client's shard: the run's completion (see Done).
+	// resolved counts the requests that reached a terminal outcome: the
+	// run's completion (see Done).
 	resolved sim.Completion
 }
 
 // Widen is the sim.WindowConfig.Widen hook of a kv run (see
-// sim.Completion.Widen).
+// sim.Completion.Widen). A single-engine run never calls it, so the
+// simulator does not either; it stays because benchmark/probe.go compiles
+// against it.
 func (s *Service) Widen(shard int) bool { return s.resolved.Widen(shard) }
 
 // phaseWindow is one Options.Phases entry with its bucket resolved.
@@ -142,8 +142,12 @@ const (
 // verbs transport configuration every QP uses (MaxRetries is forced to
 // zero: the retry budget lives in the client policy, not the transport).
 // The request schedule — arrival times, op mix, keys — is a deterministic
-// function of seed, generated as the run consumes it (see cursor).
+// function of seed, generated as the run consumes it (see cursor). net
+// must be a single-shard fabric.
 func New(net *fabric.Network, pl Placement, qcfg verbs.Config, o Options, seed uint64) *Service {
+	if net.Shards() > 1 {
+		panic("kv: the service requires a single-shard fabric")
+	}
 	o = o.WithDefaults()
 	if len(pl.Followers) != o.Followers || len(pl.Clients) != o.Clients {
 		panic("kv: placement does not match options")
@@ -158,7 +162,7 @@ func New(net *fabric.Network, pl Placement, qcfg verbs.Config, o Options, seed u
 		followers: make([]*follower, o.Followers),
 		clients:   make([]*client, o.Clients),
 	}
-	s.resolved.Init(net.Shards(), o.Requests, net.WindowSlack())
+	s.resolved.Init(1, o.Requests, net.WindowSlack())
 	s.phaseNames, s.windows, s.sorted = resolvePhases(o.Phases)
 	return s
 }
@@ -275,8 +279,7 @@ func (s *Service) scheduleIssue(i int) {
 	s.net.EngineOf(h).ScheduleRanked(c.next.at, c.first+k*c.stride, s, evIssue, uint64(i))
 }
 
-// HandleEvent implements sim.Handler; each event runs on the shard
-// owning the host it addresses.
+// HandleEvent implements sim.Handler; each event addresses one host.
 func (s *Service) HandleEvent(kind uint8, arg uint64) {
 	switch kind {
 	case evAttachLeader:
@@ -723,7 +726,6 @@ type phaseCount struct {
 type client struct {
 	s     *Service
 	idx   int
-	shard int // owning shard: its slot in Service.resolved
 	nic   *fabric.NIC
 	ep    *endpoint
 	mem   *verbs.Memory
@@ -756,7 +758,6 @@ func (s *Service) attachClient(i int) {
 	c := &client{
 		s:     s,
 		idx:   i,
-		shard: s.net.ShardOf(s.pl.Clients[i]),
 		nic:   nic,
 		mem:   verbs.NewMemory(),
 		rng:   sim.NewRNG(sim.DeriveSeed(s.seed, "kv/backoff", i)),
@@ -912,7 +913,7 @@ func (c *client) resolve(status RespStatus, now sim.Time) {
 	is := &c.cur
 	lat := now.Sub(is.at) // measured from the *scheduled* issue time
 	c.st.Resolved++
-	c.s.resolved.Add(c.shard, c.nic.Engine(), now)
+	c.s.resolved.Add(0, c.nic.Engine(), now)
 	b := c.s.bucketOf(is.at)
 	c.phase[b].Issued++
 	switch status {
@@ -940,7 +941,7 @@ func (c *client) giveUp(now sim.Time) {
 	c.inBackoff = false
 	is := &c.cur
 	c.st.Resolved++
-	c.s.resolved.Add(c.shard, c.nic.Engine(), now)
+	c.s.resolved.Add(0, c.nic.Engine(), now)
 	c.st.GiveUps++
 	c.phase[c.s.bucketOf(is.at)].Issued++
 	c.startNext(now)

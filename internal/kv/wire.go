@@ -15,13 +15,11 @@ package kv
 // Packet ownership contract: the fabric packet only ferries a pointer to
 // the verbs packet (Packet.Verbs), and each fabric packet wraps a verbs
 // packet of its own — verbs.Wire.Send hands over a fresh copy per
-// transmission and the sending QP never touches it again, so the pointer
-// can cross a shard boundary with the fabric packet's barrier hand-off.
-// The receiving side extracts it inside HandleData/HandleControl (the
-// NIC releases the fabric packet — wiping Verbs — the moment the handler
-// returns), delivers it once and gives it to the receiving QP's free
-// list (QP.Release), on the receiver's shard. A copy the fabric drops is
-// left to the GC.
+// transmission and the sending QP never touches it again. The receiving
+// side extracts it inside HandleData/HandleControl (the NIC releases the
+// fabric packet — wiping Verbs — the moment the handler returns),
+// delivers it once and gives it to the receiving QP's free list
+// (QP.Release). A copy the fabric drops is left to the GC.
 
 import (
 	"github.com/irnsim/irn/internal/fabric"
@@ -41,10 +39,9 @@ type endpoint struct {
 }
 
 // attachEndpoint builds this host's half of a QP pair: the QP itself
-// (clocked by the owning NIC so sharded runs stay canonical), the egress
-// source carrying its data flow `out`, and the sink receiving the peer's
-// data flow `in`. Must run on the host's owning shard (inside an attach
-// event), like every NIC mutation.
+// (clocked by the owning NIC), the egress source carrying its data flow
+// `out`, and the sink receiving the peer's data flow `in`. Runs inside an
+// attach event, like every NIC mutation.
 func attachEndpoint(nic *fabric.NIC, peer packet.NodeID, out, in packet.FlowID,
 	cfg verbs.Config, mem *verbs.Memory, cq *verbs.CQ, name string) *endpoint {
 	src := &vsource{
