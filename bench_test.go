@@ -386,6 +386,6 @@ func (e *nullEndpoint) Wake()                      {}
 // ackFor builds the cumulative ACK completing pkt.
 func ackFor(pkt *packet.Packet) *packet.Packet {
 	ack := packet.NewAck(pkt.Flow, pkt.Dst, pkt.Src, pkt.PSN+1)
-	ack.AckedSentAt = 1
+	ack.SentAt = 1
 	return ack
 }

@@ -82,6 +82,18 @@ func main() {
 	)
 	flag.Parse()
 
+	// Reject impossible fabric shapes before anything is built: an odd
+	// arity would panic in a fleet worker, and a negative buffer would
+	// run to completion with every packet dropped.
+	if *arity < 2 || *arity%2 != 0 {
+		fmt.Fprintf(os.Stderr, "-arity %d: fat-tree arity must be even and >= 2\n", *arity)
+		os.Exit(2)
+	}
+	if *buffer < 0 {
+		fmt.Fprintf(os.Stderr, "-buffer %d: per-port buffer bytes must be >= 0 (0 = 2xBDP)\n", *buffer)
+		os.Exit(2)
+	}
+
 	s := exp.Scenario{
 		Arity:       *arity,
 		Shards:      *shards,

@@ -89,22 +89,36 @@ func TestKVWithExplicitFlows(t *testing.T) {
 	}
 }
 
+// wantUsageError runs the command with args and wants exit status 2
+// with a stderr that names flag — and no panic, which exits 2 as well.
+func wantUsageError(t *testing.T, bin, flag string, args ...string) {
+	t.Helper()
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("irnsim %v: exit = %v, want status 2 (stderr %q)", args, err, stderr.String())
+	} else if !strings.Contains(stderr.String(), flag) || strings.Contains(stderr.String(), "panic") {
+		t.Errorf("irnsim %v: stderr %q does not name %s", args, stderr.String(), flag)
+	}
+}
+
+// TestBadFabricShapeIsAUsageError: an odd arity (alone or with -kv,
+// which sizes the fabric early) and a negative buffer exit 2 before
+// anything runs, naming the flag.
+func TestBadFabricShapeIsAUsageError(t *testing.T) {
+	bin := build(t)
+	wantUsageError(t, bin, "-arity", "-arity", "5")
+	wantUsageError(t, bin, "-arity", "-arity", "5", "-kv", "10")
+	wantUsageError(t, bin, "-arity", "-arity", "0")
+	wantUsageError(t, bin, "-buffer", "-arity", "4", "-buffer", "-1")
+}
+
 // TestShardedFaultOrKVIsAUsageError: KV and fault-injected runs are
 // serial, so asking for more than one shard with them exits 2.
 func TestShardedFaultOrKVIsAUsageError(t *testing.T) {
 	bin := build(t)
-	for _, args := range [][]string{
-		{"-arity", "4", "-shards", "2", "-kv", "20"},
-		{"-arity", "4", "-shards", "2", "-chaos", "rolling"},
-	} {
-		var stderr bytes.Buffer
-		cmd := exec.Command(bin, args...)
-		cmd.Stderr = &stderr
-		var exit *exec.ExitError
-		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("irnsim %v: exit = %v, want status 2 (stderr %q)", args, err, stderr.String())
-		} else if !strings.Contains(stderr.String(), "-shards") {
-			t.Errorf("irnsim %v: stderr %q does not name -shards", args, stderr.String())
-		}
-	}
+	wantUsageError(t, bin, "-shards", "-arity", "4", "-shards", "2", "-kv", "20")
+	wantUsageError(t, bin, "-shards", "-arity", "4", "-shards", "2", "-chaos", "rolling")
 }

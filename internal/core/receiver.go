@@ -113,7 +113,7 @@ func (r *Receiver) HandleData(pkt *packet.Packet, now sim.Time) {
 // timestamp and congestion marking.
 func (r *Receiver) sendAck(trigger *packet.Packet) {
 	ack := r.pool.NewAck(r.flow.ID, r.flow.Dst, r.flow.Src, r.win.Expected())
-	ack.AckedSentAt = trigger.SentAt
+	ack.SentAt = trigger.SentAt
 	ack.ECNEcho = trigger.CE
 	r.Acks++
 	r.ep.SendControl(ack)
@@ -123,7 +123,7 @@ func (r *Receiver) sendAck(trigger *packet.Packet) {
 // it (the simplified SACK).
 func (r *Receiver) sendNack(trigger *packet.Packet) {
 	n := r.pool.NewNack(r.flow.ID, r.flow.Dst, r.flow.Src, r.win.Expected(), trigger.PSN)
-	n.AckedSentAt = trigger.SentAt
+	n.SentAt = trigger.SentAt
 	n.ECNEcho = trigger.CE
 	r.Nacks++
 	r.ep.SendControl(n)

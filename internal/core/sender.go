@@ -174,12 +174,12 @@ func (s *Sender) NextPacket(now sim.Time) *packet.Packet {
 
 	payload := transport.PayloadOf(s.flow.Size, s.p.MTU, int(psn))
 	pkt := s.pool.NewData(s.flow.ID, s.flow.Src, s.flow.Dst, psn, payload, int(psn) == s.total-1)
-	pkt.Wire += s.p.ExtraHeaderBytes
+	pkt.Wire += int32(s.p.ExtraHeaderBytes)
 	pkt.ECT = s.p.ECT
 	pkt.SentAt = now
 	s.Stats.Sent++
 
-	if d := s.cc.SendDelay(pkt.Wire); d > 0 {
+	if d := s.cc.SendDelay(int(pkt.Wire)); d > 0 {
 		s.paceUntil = now.Add(d)
 	}
 	s.armRTO()
@@ -276,8 +276,8 @@ func (s *Sender) handleAck(pkt *packet.Packet, now sim.Time, nack bool) {
 	}
 	newly, _ := s.sb.Ack(pkt.CumAck)
 	// RTT sample from the echoed transmit timestamp.
-	if pkt.AckedSentAt > 0 {
-		rtt := now.Sub(pkt.AckedSentAt)
+	if pkt.SentAt > 0 {
+		rtt := now.Sub(pkt.SentAt)
 		s.rtt.Sample(rtt)
 		if newly > 0 || !nack {
 			s.cc.OnAck(now, rtt, newly, pkt.ECNEcho)

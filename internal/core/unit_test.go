@@ -61,7 +61,7 @@ func TestSenderRespectsBDPFC(t *testing.T) {
 	}
 	// An ack for 4 packets opens exactly 4 slots.
 	ack := packet.NewAck(1, 1, 0, 4)
-	ack.AckedSentAt = 1
+	ack.SentAt = 1
 	s.HandleControl(ack, sim.Time(10*sim.Microsecond))
 	pkts = drain(s, sim.Time(10*sim.Microsecond))
 	if len(pkts) != 4 {
@@ -143,7 +143,7 @@ func TestSenderSelectiveRetransmitOrder(t *testing.T) {
 	// Receiver got 0,1 then 3,4 (NACK sack=3, then 4), then 6,7 (sack 6,7).
 	nack := func(cum, sack packet.PSN, at sim.Time) {
 		n := packet.NewNack(1, 1, 0, cum, sack)
-		n.AckedSentAt = 1
+		n.SentAt = 1
 		s.HandleControl(n, at)
 	}
 	nack(2, 3, 100)
@@ -184,7 +184,7 @@ func TestSenderExitsRecoveryPastRecoverySeq(t *testing.T) {
 	drain(s, 0) // 0..9 in flight; recoverySeq will be 9
 
 	nack := packet.NewNack(1, 1, 0, 3, 5)
-	nack.AckedSentAt = 1
+	nack.SentAt = 1
 	s.HandleControl(nack, 100)
 	if !s.sb.InRecovery() || s.sb.RecoverySeq() != 9 {
 		t.Fatalf("recovery state: in=%v seq=%d", s.sb.InRecovery(), s.sb.RecoverySeq())
@@ -192,13 +192,13 @@ func TestSenderExitsRecoveryPastRecoverySeq(t *testing.T) {
 	// Cumulative ack up to 9 (== recoverySeq) keeps recovery; must
 	// exceed it.
 	ack := packet.NewAck(1, 1, 0, 9)
-	ack.AckedSentAt = 1
+	ack.SentAt = 1
 	s.HandleControl(ack, 200)
 	if !s.sb.InRecovery() {
 		t.Fatal("cum == recoverySeq must not exit recovery")
 	}
 	ack2 := packet.NewAck(1, 1, 0, 10)
-	ack2.AckedSentAt = 1
+	ack2.SentAt = 1
 	s.HandleControl(ack2, 300)
 	if s.sb.InRecovery() {
 		t.Fatal("cum > recoverySeq must exit recovery")
@@ -216,7 +216,7 @@ func TestSenderGoBackNRewinds(t *testing.T) {
 		t.Fatalf("initial burst %d", len(first))
 	}
 	nack := packet.NewNack(1, 1, 0, 4, 0)
-	nack.AckedSentAt = 1
+	nack.SentAt = 1
 	s.HandleControl(nack, 100)
 	pkts := drain(s, 100)
 	if len(pkts) == 0 || pkts[0].PSN != 4 {
@@ -239,7 +239,7 @@ func TestSenderNoSACKRetransmitsOnlyCumAck(t *testing.T) {
 	drain(s, 0)
 
 	nack := packet.NewNack(1, 1, 0, 2, 7)
-	nack.AckedSentAt = 1
+	nack.SentAt = 1
 	s.HandleControl(nack, 100)
 	pkts := drain(s, 100)
 	if len(pkts) == 0 || pkts[0].PSN != 2 {
@@ -260,7 +260,7 @@ func TestSenderNoSACKRetransmitsOnlyCumAck(t *testing.T) {
 	}
 	// But advancing the cum ack to the next hole does.
 	n2 := packet.NewNack(1, 1, 0, 5, 9)
-	n2.AckedSentAt = 1
+	n2.SentAt = 1
 	s.HandleControl(n2, 300)
 	pkts = drain(s, 300)
 	if len(pkts) == 0 || pkts[0].PSN != 5 {
@@ -278,7 +278,7 @@ func TestSenderNackThreshold(t *testing.T) {
 
 	nack := func(at sim.Time, sack packet.PSN) {
 		n := packet.NewNack(1, 1, 0, 2, sack)
-		n.AckedSentAt = 1
+		n.SentAt = 1
 		s.HandleControl(n, at)
 	}
 	nack(100, 3)
@@ -361,7 +361,7 @@ func TestSenderDoneAfterFullAck(t *testing.T) {
 	s := NewSender(ep, mkFlow(3), testParams(), nil)
 	drain(s, 0)
 	ack := packet.NewAck(1, 1, 0, 3)
-	ack.AckedSentAt = 1
+	ack.SentAt = 1
 	s.HandleControl(ack, 100)
 	if !s.Done() {
 		t.Fatal("sender not done after full ack")
@@ -383,11 +383,11 @@ func TestSenderStaleAckIgnored(t *testing.T) {
 	s := NewSender(ep, mkFlow(50), testParams(), nil)
 	drain(s, 0)
 	a1 := packet.NewAck(1, 1, 0, 10)
-	a1.AckedSentAt = 1
+	a1.SentAt = 1
 	s.HandleControl(a1, 100)
 	// A reordered, stale cumulative ack must not move anything backwards.
 	a2 := packet.NewAck(1, 1, 0, 4)
-	a2.AckedSentAt = 1
+	a2.SentAt = 1
 	s.HandleControl(a2, 200)
 	if s.sb.Cum() != 10 {
 		t.Errorf("cumAck = %d, want 10", s.sb.Cum())
@@ -504,7 +504,7 @@ func TestSenderGBNRewindsOnEveryNackInRecovery(t *testing.T) {
 	drain(s, 0) // 0..9
 	nack := func(cum packet.PSN, at sim.Time) {
 		n := packet.NewNack(1, 1, 0, cum, cum+1)
-		n.AckedSentAt = 1
+		n.SentAt = 1
 		s.HandleControl(n, at)
 	}
 	nack(4, 100)
@@ -579,8 +579,8 @@ func TestReceiverEchoesECNOnAcks(t *testing.T) {
 	if ack == nil || !ack.ECNEcho {
 		t.Fatalf("ACK must echo CE: %v", out)
 	}
-	if ack.AckedSentAt != 5 {
-		t.Errorf("ACK must echo SentAt for RTT: %v", ack.AckedSentAt)
+	if ack.SentAt != 5 {
+		t.Errorf("ACK must echo SentAt for RTT: %v", ack.SentAt)
 	}
 }
 

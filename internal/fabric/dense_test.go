@@ -23,7 +23,7 @@ type voqModel struct {
 
 func (m *voqModel) push(in int, pkt *packet.Packet, pfcOn int) {
 	m.q[in] = append(m.q[in], pkt)
-	m.bytes[in] += pkt.Wire
+	m.bytes[in] += int(pkt.Wire)
 	if !m.paused[in] && m.bytes[in] > pfcOn {
 		m.paused[in] = true
 		m.pauses++
@@ -41,7 +41,7 @@ func (m *voqModel) next(pfcOff int) *packet.Packet {
 			pkt := m.q[idx][0]
 			m.q[idx] = m.q[idx][1:]
 			m.rr = idx + 1
-			m.bytes[idx] -= pkt.Wire
+			m.bytes[idx] -= int(pkt.Wire)
 			if m.paused[idx] && m.bytes[idx] <= pfcOff {
 				m.paused[idx] = false
 				m.resume++

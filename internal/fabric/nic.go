@@ -95,7 +95,6 @@ func (n *NIC) Pool() *packet.Pool { return n.part.pool }
 // SendControl implements transport.Endpoint: queues a control packet with
 // strict priority on the egress port.
 func (n *NIC) SendControl(pkt *packet.Packet) {
-	pkt.Hash = uint32(mix64(uint64(pkt.Flow)))
 	n.ctrl.Push(pkt)
 	n.egress.kick()
 }
@@ -158,7 +157,6 @@ func (n *NIC) nextPacket() *packet.Packet {
 			if pkt == nil {
 				continue
 			}
-			pkt.Hash = uint32(mix64(uint64(pkt.Flow)))
 			n.reap()
 			return pkt
 		}

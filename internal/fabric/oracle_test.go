@@ -62,7 +62,7 @@ func (e *eagerPort) kick() {
 	}
 	e.serRank = e.clk.Next()
 	e.inflight = append(e.inflight, pkt)
-	e.eng.AfterEventFrom(e.clk, e.rate.Serialize(pkt.Wire), e, portTxDone, 0)
+	e.eng.AfterEventFrom(e.clk, e.rate.Serialize(int(pkt.Wire)), e, portTxDone, 0)
 }
 
 func (e *eagerPort) HandleEvent(kind uint8, _ uint64) {

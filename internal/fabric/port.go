@@ -149,7 +149,7 @@ func (o *outPort) kick() {
 		// event, so reap and pacing-timer instants do not move.
 		backlog = !o.nic.ctrl.Empty() || len(o.nic.sources) > 0
 	}
-	o.busyUntil = o.eng.Now().Add(o.curRate.Serialize(pkt.Wire))
+	o.busyUntil = o.eng.Now().Add(o.curRate.Serialize(int(pkt.Wire)))
 	// The packet keeps this timing whatever happens next: a rate change
 	// applies from the next kick (see applyChange), a PFC pause lets the
 	// current serialization complete, and a link death resolves at

@@ -188,11 +188,11 @@ func (s *Switch) receive(pkt *packet.Packet, inIdx int) {
 	// must recover from. In shared-buffer mode the pool spans all input
 	// ports (total = ports × BufferBytes).
 	in := &s.in[inIdx]
-	used := in.bytes
+	used, wire := in.bytes, int(pkt.Wire)
 	if s.sharedBuf {
 		used = s.shared
 	}
-	if used+pkt.Wire > s.bufCap {
+	if used+wire > s.bufCap {
 		s.drop(pkt, &s.part.census.OverflowDrops)
 		return
 	}
@@ -207,9 +207,9 @@ func (s *Switch) receive(pkt *packet.Packet, inIdx int) {
 
 	o.voq[inIdx].Push(pkt)
 	o.occ[inIdx>>6] |= 1 << (inIdx & 63)
-	o.queued += pkt.Wire
-	in.bytes += pkt.Wire
-	s.shared += pkt.Wire
+	o.queued += wire
+	in.bytes += wire
+	s.shared += wire
 
 	// PFC: assert X-OFF upstream when this input crosses the threshold.
 	if s.pfc && !in.paused && in.bytes > s.pfcOn {
@@ -235,7 +235,9 @@ func (s *Switch) pickOutput(pkt *packet.Packet) int {
 	if n == 1 {
 		return int(ports[0])
 	}
-	h := uint64(pkt.Hash)
+	// The flow hash, recomputed per hop: Flow shares the packet's one
+	// cache line, so this costs a few ALU ops and no memory.
+	h := uint64(uint32(mix64(uint64(pkt.Flow))))
 	if s.spray {
 		s.sprayCtr++
 		h ^= s.sprayCtr * 0x9e3779b97f4a7c15
@@ -298,7 +300,7 @@ func (o *swOut) nextPacket() *packet.Packet {
 		o.occ[idx>>6] &^= 1 << (idx & 63)
 	}
 	o.rr = idx + 1
-	o.queued -= pkt.Wire
+	o.queued -= int(pkt.Wire)
 	o.sw.dequeued(idx, pkt)
 	return pkt
 }
@@ -306,9 +308,9 @@ func (o *swOut) nextPacket() *packet.Packet {
 // dequeued updates input accounting after a packet leaves input inIdx's
 // buffer, releasing PFC if the buffer drained far enough.
 func (s *Switch) dequeued(inIdx int, pkt *packet.Packet) {
-	in := &s.in[inIdx]
-	in.bytes -= pkt.Wire
-	s.shared -= pkt.Wire
+	in, wire := &s.in[inIdx], int(pkt.Wire)
+	in.bytes -= wire
+	s.shared -= wire
 	if in.paused && in.bytes <= s.pfcOff {
 		in.paused = false
 		s.part.stats.ResumeFrames++

@@ -13,13 +13,14 @@ package kv
 // half — exactly how the native transports receive their ACKs.
 //
 // Packet ownership contract: the fabric packet only ferries a pointer to
-// the verbs packet (Packet.Verbs), and each fabric packet wraps a verbs
-// packet of its own — verbs.Wire.Send hands over a fresh copy per
-// transmission and the sending QP never touches it again. The receiving
-// side extracts it inside HandleData/HandleControl (the NIC releases the
-// fabric packet — wiping Verbs — the moment the handler returns),
-// delivers it once and gives it to the receiving QP's free list
-// (QP.Release). A copy the fabric drops is left to the GC.
+// the verbs packet (Packet.Verbs, a typed *VPacket that is nil on every
+// other packet), and each fabric packet wraps a verbs packet of its own
+// — verbs.Wire.Send hands over a fresh copy per transmission and the
+// sending QP never touches it again. The receiving side extracts it
+// inside HandleData/HandleControl (the NIC releases the fabric packet —
+// wiping Verbs — the moment the handler returns), delivers it once and
+// gives it to the receiving QP's free list (QP.Release). A copy the
+// fabric drops is left to the GC.
 
 import (
 	"github.com/irnsim/irn/internal/fabric"
@@ -109,7 +110,7 @@ func (s *vsource) NextPacket(now sim.Time) *packet.Packet {
 	vp := s.q.Pop()
 	pk := s.nic.Pool().NewData(s.fl.ID, s.fl.Src, s.fl.Dst, vp.BTH.PSN,
 		len(vp.Payload), vp.BTH.Opcode.IsLast())
-	pk.Wire = len(vp.Payload) + packet.DataHeader + packet.RETHSize + packet.IRNExtSize
+	pk.Wire = int32(len(vp.Payload) + packet.DataHeader + packet.RETHSize + packet.IRNExtSize)
 	pk.Verbs = vp
 	return pk
 }
@@ -117,7 +118,7 @@ func (s *vsource) NextPacket(now sim.Time) *packet.Packet {
 // HandleControl implements transport.Source: ack-family packets for our
 // data flow carry the peer's verbs (N)ACK.
 func (s *vsource) HandleControl(pk *packet.Packet, now sim.Time) {
-	if vp, ok := pk.Verbs.(*verbs.VPacket); ok {
+	if vp := pk.Verbs; vp != nil {
 		s.qp.Receive(vp, now)
 		s.qp.Release(vp)
 	}
@@ -133,7 +134,7 @@ type vsink struct {
 
 // HandleData implements transport.Sink.
 func (k *vsink) HandleData(pk *packet.Packet, now sim.Time) {
-	if vp, ok := pk.Verbs.(*verbs.VPacket); ok {
+	if vp := pk.Verbs; vp != nil {
 		k.qp.Receive(vp, now)
 		k.qp.Release(vp)
 	}

@@ -89,24 +89,48 @@ const (
 // (delivery at the destination NIC, a switch drop); they are never mutated
 // after send, except for the CE (ECN congestion-experienced) bit which
 // switches set in flight.
+//
+// The struct is exactly 64 bytes on 64-bit platforms and pooled packets
+// are 64-byte aligned, so each packet is one cache line: the 8-byte
+// fields first, then the 4-byte ones, then the one-byte flags, with no
+// interior padding. TestPacketLayout holds the size.
 type Packet struct {
-	Type Type
+	// next is the packet's one intrusive link, and held (below) names
+	// what is currently using it. A packet sits in at most one place at a
+	// time — a Pool's free list, then hop by hop a Queue (NIC control
+	// queue or switch VOQ) followed by a port's in-flight Queue, then the
+	// pool again — so one link serves them all and no holder needs a
+	// backing array. held exists only to catch lifecycle bugs (double
+	// release, release or re-queue of a packet still queued)
+	// deterministically instead of as silent state corruption.
+	next *Packet
+
 	Flow FlowID
-	Src  NodeID // originating host
-	Dst  NodeID // destination host
+
+	// SentAt is the data packet's transmission timestamp. On an ACK or
+	// NACK it is the echoed SentAt of the data packet that triggered it,
+	// so the sender can compute RTTs (Timely, dynamic RTO).
+	SentAt sim.Time
+
+	// Verbs optionally carries a verbs-layer packet through the fabric,
+	// so the RDMA semantics layer can run end-to-end over the simulated
+	// network. The referenced value is this packet's own copy — its
+	// sender never touches it again — and becomes the receiver's;
+	// receivers must take the pointer before returning (the NIC releases
+	// the fabric packet — clearing this field — as soon as the handler
+	// returns).
+	Verbs *VPacket
+
+	// Wire is the total size on the wire in bytes, including all
+	// headers; this is what consumes link capacity and buffer space.
+	Wire int32
+
+	Src NodeID // originating host
+	Dst NodeID // destination host
 
 	// PSN is the packet sequence number for data packets, or for ACK
 	// family packets the PSN being (n)acked (see CumAck/SackPSN).
 	PSN PSN
-
-	// Payload is the number of payload bytes carried (data packets).
-	Payload int
-	// Wire is the total size on the wire in bytes, including all
-	// headers; this is what consumes link capacity and buffer space.
-	Wire int
-
-	// Last marks the final packet of a message.
-	Last bool
 
 	// CumAck is the receiver's expected sequence number (cumulative
 	// acknowledgement) carried by ACK and NACK packets.
@@ -114,6 +138,11 @@ type Packet struct {
 	// SackPSN is the out-of-order PSN that triggered an IRN NACK
 	// (the simplified selective acknowledgement of §3.1).
 	SackPSN PSN
+
+	Type Type
+
+	// Last marks the final packet of a message.
+	Last bool
 
 	// ECN bits: ECT is set by senders whose congestion control
 	// understands marking; CE is set by a switch when the packet
@@ -125,37 +154,6 @@ type Packet struct {
 	// back to the sender (window-based ECN schemes).
 	ECNEcho bool
 
-	// SentAt is the transmission timestamp echoed back in ACKs so the
-	// sender can compute RTTs (Timely, dynamic RTO).
-	SentAt sim.Time
-	// AckedSentAt echoes the SentAt of the packet being acknowledged.
-	AckedSentAt sim.Time
-
-	// Hash is the ECMP flow hash, computed once at the source NIC.
-	Hash uint32
-
-	// PauseClass is reserved for PFC frames; this model pauses the
-	// whole link (a single priority class), as does the paper.
-	PauseClass uint8
-
-	// Verbs optionally carries a verbs-layer packet (*verbs.VPacket)
-	// through the fabric, so the RDMA semantics layer can run end-to-end
-	// over the simulated network. The referenced value is this packet's
-	// own copy — its sender never touches it again — and becomes the
-	// receiver's; receivers must extract the pointer before returning
-	// (the NIC releases the fabric packet — clearing this field — as soon
-	// as the handler returns).
-	Verbs any
-
-	// next is the packet's one intrusive link, and held names what is
-	// currently using it. A packet sits in at most one place at a time — a
-	// Pool's free list, then hop by hop a Queue (NIC control queue or
-	// switch VOQ) followed by a port's in-flight Queue, then the pool
-	// again — so one link serves them all and no holder needs a backing
-	// array. held exists only to catch lifecycle bugs (double release,
-	// release or re-queue of a packet still queued) deterministically
-	// instead of as silent state corruption.
-	next *Packet
 	held holder
 }
 
@@ -232,7 +230,7 @@ func (p *Packet) String() string {
 		if p.Last {
 			last = " last"
 		}
-		return fmt.Sprintf("DATA flow=%d psn=%d payload=%d%s", p.Flow, p.PSN, p.Payload, last)
+		return fmt.Sprintf("DATA flow=%d psn=%d wire=%d%s", p.Flow, p.PSN, p.Wire, last)
 	case TypeAck:
 		return fmt.Sprintf("ACK flow=%d cum=%d", p.Flow, p.CumAck)
 	case TypeNack:
@@ -269,8 +267,13 @@ type Pool struct {
 	chunks [][]Packet // every array the pool owns, in allocation order
 }
 
-// poolChunk is the number of packets per heap allocation (~35 KB).
-const poolChunk = 256
+// poolChunk is the number of packets per heap allocation: 512 × 64 B =
+// 32 KB, which the Go allocator serves as a large object — page-aligned
+// and without a header — so every pooled packet starts a cache line
+// (TestPacketLayout checks it). A smaller chunk would be a small object,
+// which carries an 8-byte malloc header in front of it because packets
+// hold pointers, and every packet would straddle two lines.
+const poolChunk = 512
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
@@ -376,14 +379,13 @@ func (p *Pool) Live() int {
 func (p *Pool) NewData(flow FlowID, src, dst NodeID, psn PSN, payload int, last bool) *Packet {
 	pkt := p.get()
 	*pkt = Packet{
-		Type:    TypeData,
-		Flow:    flow,
-		Src:     src,
-		Dst:     dst,
-		PSN:     psn,
-		Payload: payload,
-		Wire:    payload + DataHeader,
-		Last:    last,
+		Type: TypeData,
+		Flow: flow,
+		Src:  src,
+		Dst:  dst,
+		PSN:  psn,
+		Wire: int32(payload + DataHeader),
+		Last: last,
 	}
 	return pkt
 }

@@ -33,6 +33,24 @@ func TestPoolRoundTripZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPacketLayout holds a packet to one cache line: 64 bytes on 64-bit
+// platforms, and every pooled packet 64-byte aligned, so a chunk size
+// whose allocation is not line-aligned fails here.
+func TestPacketLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout is pinned on 64-bit platforms only")
+	}
+	if got := unsafe.Sizeof(Packet{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 64", got)
+	}
+	p := NewPool()
+	for i := 0; i < 3*poolChunk; i++ {
+		if a := uintptr(unsafe.Pointer(p.NewAck(1, 0, 1, 0))); a%64 != 0 {
+			t.Fatalf("pooled packet %d at %#x is not 64-byte aligned", i, a)
+		}
+	}
+}
+
 // TestPoolReuseIsClean: a recycled packet must carry no state from its
 // previous life.
 func TestPoolReuseIsClean(t *testing.T) {
@@ -41,13 +59,14 @@ func TestPoolReuseIsClean(t *testing.T) {
 	d.CE = true
 	d.ECT = true
 	d.SentAt = 12345
+	d.Verbs = &VPacket{}
 	p.Release(d)
 
 	a := p.NewAck(2, 4, 3, 5)
 	if a != d {
 		t.Fatal("expected LIFO reuse of the released packet")
 	}
-	if a.Type != TypeAck || a.CE || a.ECT || a.SentAt != 0 || a.PSN != 0 || a.Payload != 0 || a.Last {
+	if a.Type != TypeAck || a.CE || a.ECT || a.SentAt != 0 || a.PSN != 0 || a.Verbs != nil || a.Last {
 		t.Fatalf("recycled packet carries stale state: %+v", a)
 	}
 	if a.CumAck != 5 || a.Flow != 2 || a.Wire != ControlFrame {

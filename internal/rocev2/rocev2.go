@@ -154,7 +154,7 @@ func (s *Sender) NextPacket(now sim.Time) *packet.Packet {
 	pkt.ECT = s.p.ECT
 	pkt.SentAt = now
 	s.Stats.Sent++
-	if d := s.cc.SendDelay(pkt.Wire); d > 0 {
+	if d := s.cc.SendDelay(int(pkt.Wire)); d > 0 {
 		s.paceUntil = now.Add(d)
 	}
 	if s.nextPSN >= packet.PSN(s.total) && !s.p.DisableTimeout {
@@ -170,12 +170,12 @@ func (s *Sender) HandleControl(pkt *packet.Packet, now sim.Time) {
 		s.cc.OnCNP(now)
 		return
 	case packet.TypeAck:
-		if pkt.AckedSentAt > 0 {
+		if pkt.SentAt > 0 {
 			newly := 0
 			if pkt.CumAck > s.cumAck {
 				newly = int(pkt.CumAck - s.cumAck)
 			}
-			s.cc.OnAck(now, now.Sub(pkt.AckedSentAt), newly, pkt.ECNEcho)
+			s.cc.OnAck(now, now.Sub(pkt.SentAt), newly, pkt.ECNEcho)
 		}
 		if pkt.CumAck > s.cumAck {
 			s.cumAck = pkt.CumAck
@@ -293,7 +293,7 @@ func (r *Receiver) HandleData(pkt *packet.Packet, now sim.Time) {
 		r.nackedFor = 0
 		if r.p.PerPacketAck && !r.complete && r.expected < packet.PSN(r.total) {
 			ack := r.pool.NewAck(r.flow.ID, r.flow.Dst, r.flow.Src, r.expected)
-			ack.AckedSentAt = pkt.SentAt
+			ack.SentAt = pkt.SentAt
 			ack.ECNEcho = pkt.CE
 			r.ep.SendControl(ack)
 		}
@@ -308,7 +308,7 @@ func (r *Receiver) HandleData(pkt *packet.Packet, now sim.Time) {
 			r.nackedFor = r.expected + 1
 			r.Nacks++
 			n := r.pool.NewNack(r.flow.ID, r.flow.Dst, r.flow.Src, r.expected, pkt.PSN)
-			n.AckedSentAt = pkt.SentAt
+			n.SentAt = pkt.SentAt
 			r.ep.SendControl(n)
 		}
 	}
@@ -341,7 +341,7 @@ func (r *Receiver) finish(last *packet.Packet, now sim.Time) {
 // sendCompletion acknowledges the whole message.
 func (r *Receiver) sendCompletion(trigger *packet.Packet) {
 	ack := r.pool.NewAck(r.flow.ID, r.flow.Dst, r.flow.Src, packet.PSN(r.total))
-	ack.AckedSentAt = trigger.SentAt
+	ack.SentAt = trigger.SentAt
 	ack.ECNEcho = trigger.CE
 	r.ep.SendControl(ack)
 }

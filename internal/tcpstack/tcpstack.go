@@ -252,8 +252,8 @@ func (s *Sender) HandleControl(pkt *packet.Packet, now sim.Time) {
 		newly, exited := s.sb.Ack(pkt.CumAck)
 		s.dupAcks = 0
 		s.backoff = 0
-		if pkt.AckedSentAt > 0 {
-			s.rtt.Sample(now.Sub(pkt.AckedSentAt))
+		if pkt.SentAt > 0 {
+			s.rtt.Sample(now.Sub(pkt.SentAt))
 		}
 		if exited {
 			s.cwnd = s.ssthresh // deflate to ssthresh on exit
@@ -365,7 +365,7 @@ func (r *Receiver) HandleData(pkt *packet.Packet, now sim.Time) {
 func (r *Receiver) ack(trigger *packet.Packet, sack packet.PSN) {
 	a := r.pool.NewAck(r.flow.ID, r.flow.Dst, r.flow.Src, r.win.Expected())
 	a.SackPSN = sack
-	a.AckedSentAt = trigger.SentAt
+	a.SentAt = trigger.SentAt
 	a.ECNEcho = trigger.CE
 	r.Acks++
 	r.ep.SendControl(a)

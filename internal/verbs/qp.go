@@ -170,7 +170,7 @@ type QP struct {
 	// WQE goes back on wqeFree once its CQE is delivered and it has
 	// expired (recycleWQE).
 	pkts    slab.Slab[VPacket]
-	pktFree *VPacket
+	pktFree packet.VPacketStack
 	wqes    slab.Slab[reqWQE]
 	wqeFree *reqWQE
 
@@ -313,12 +313,10 @@ func (q *QP) newWQE() *reqWQE {
 // the list is empty. Its contents are stale: every caller overwrites the
 // whole struct.
 func (q *QP) newPkt() *VPacket {
-	p := q.pktFree
-	if p == nil {
-		return q.pkts.Get()
+	if p := q.pktFree.Pop(); p != nil {
+		return p
 	}
-	q.pktFree = p.next
-	return p
+	return q.pkts.Get()
 }
 
 // Release puts p on q's free list, to be overwritten by one of q's own
@@ -327,8 +325,7 @@ func (q *QP) newPkt() *VPacket {
 // delivered that pointer once (Wire); ack calls it with q's own masters.
 // Nothing is zeroed here: newPkt's callers overwrite the whole struct.
 func (q *QP) Release(p *VPacket) {
-	p.next = q.pktFree
-	q.pktFree = p
+	q.pktFree.Push(p)
 }
 
 // recycleWQE returns w to the free list once nothing refers to it: popped

@@ -67,14 +67,21 @@ func (w *staleWire) deliver(p, snap *VPacket, release bool) {
 	}
 }
 
-// scribble overwrites every packet on q's free list, keeping the links:
-// whatever still reads a freed packet reads garbage. A list longer than
-// everything the test could have carved is a cycle.
+// scribble overwrites every packet on q's free list, keeping the list:
+// whatever still reads a freed packet reads garbage. A packet that comes
+// off the list twice was released twice.
 func scribble(t *testing.T, q *QP, poison []byte) (n int) {
-	for p := q.pktFree; p != nil; p = p.next {
-		if n > 1<<20 {
-			t.Fatal("free list has a cycle: a packet was released twice")
+	var free []*VPacket
+	seen := map[*VPacket]bool{}
+	for p := q.pktFree.Pop(); p != nil; p = q.pktFree.Pop() {
+		if seen[p] {
+			t.Fatal("a packet was released twice")
 		}
+		seen[p] = true
+		free = append(free, p)
+	}
+	for i := len(free) - 1; i >= 0; i-- {
+		p := free[i]
 		*p = VPacket{
 			BTH:     packet.BTH{Opcode: packet.OpWriteOnlyImm, PSN: 0xdeadbeef},
 			RETH:    packet.RETH{VA: 1 << 40, RKey: 0xbad, DMALen: 1 << 30},
@@ -82,8 +89,8 @@ func scribble(t *testing.T, q *QP, poison []byte) (n int) {
 			AETH:    packet.AETH{Syndrome: packet.SyndromeNack, MSN: 0xdeadbeef},
 			SackPSN: 0xdeadbeef, Imm: 0xdeadbeef, InvKey: 0xbad,
 			Payload: poison,
-			next:    p.next,
 		}
+		q.pktFree.Push(p)
 		n++
 	}
 	return n

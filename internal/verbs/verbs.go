@@ -238,65 +238,7 @@ type WireFunc func(*VPacket)
 // Send implements Wire.
 func (f WireFunc) Send(p *VPacket) { f(p) }
 
-// VPacket is a verbs-layer packet: the BTH plus IRN's extensions. IRN
-// carries the RETH in every packet of a Write (§5.3.1) and the WQE
-// sequence number + relative offset in Sends and Read/Atomic requests
-// (§5.3.2).
-type VPacket struct {
-	BTH  packet.BTH
-	RETH packet.RETH   // remote placement (writes; reads carry the source)
-	Ext  packet.IRNExt // recv_WQE_SN / read_WQE_SN + relative offset
-	AETH packet.AETH   // acks: syndrome + MSN
-
-	// SackPSN is the out-of-order PSN carried by IRN NACKs.
-	SackPSN uint32
-	// Imm is immediate data (last packet of Write-with-Imm, Sends).
-	Imm uint32
-	// InvKey is the rkey invalidated by Send-with-Invalidate.
-	InvKey uint32
-	// Atomic operands (single-packet Atomic requests).
-	AtomicCmp, AtomicSwap uint64
-
-	Payload []byte
-
-	next *VPacket // free-list link (QP.pktFree)
-}
-
-// Marshal encodes the packet's headers plus payload to bytes (big-endian
-// wire layout); used by tests to verify the header arithmetic the
-// hardware would perform.
-func (p *VPacket) Marshal() []byte {
-	b := p.BTH.Marshal(nil)
-	b = p.RETH.Marshal(b)
-	b = p.Ext.Marshal(b)
-	b = p.AETH.Marshal(b)
-	return append(b, p.Payload...)
-}
-
-// UnmarshalVPacket decodes a packet produced by Marshal. SackPSN and the
-// atomic operands ride in payload position for simplicity of the test
-// codec (the real design assigns them dedicated extension headers).
-func UnmarshalVPacket(b []byte) (*VPacket, error) {
-	var p VPacket
-	var err error
-	if p.BTH, err = packet.UnmarshalBTH(b); err != nil {
-		return nil, err
-	}
-	b = b[packet.BTHSize:]
-	if p.RETH, err = packet.UnmarshalRETH(b); err != nil {
-		return nil, err
-	}
-	b = b[packet.RETHSize:]
-	if p.Ext, err = packet.UnmarshalIRNExt(b); err != nil {
-		return nil, err
-	}
-	b = b[packet.IRNExtSize:]
-	if p.AETH, err = packet.UnmarshalAETH(b); err != nil {
-		return nil, err
-	}
-	b = b[packet.AETHSize:]
-	if len(b) > 0 {
-		p.Payload = append([]byte(nil), b...)
-	}
-	return &p, nil
-}
+// VPacket is a verbs-layer packet: the BTH plus IRN's extensions. It is
+// defined in package packet so a fabric packet can carry one as a typed
+// pointer.
+type VPacket = packet.VPacket

@@ -473,7 +473,7 @@ func TestVPacketMarshalRoundTrip(t *testing.T) {
 		AETH:    packet.AETH{Syndrome: packet.SyndromeAck, MSN: 9},
 		Payload: fill(100, 1),
 	}
-	got, err := UnmarshalVPacket(p.Marshal())
+	got, err := packet.UnmarshalVPacket(p.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestWireCodecSurvivesTransit(t *testing.T) {
 	memB.Register(7, dst)
 	pp.intercept = func(p *VPacket) (bool, sim.Duration) {
 		enc := p.Marshal()
-		dec, err := UnmarshalVPacket(enc)
+		dec, err := packet.UnmarshalVPacket(enc)
 		if err != nil {
 			t.Fatalf("codec: %v", err)
 		}
