@@ -56,7 +56,9 @@ func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl trans
 // bitmap header included — and only the bitmap words live outside it,
 // carved from words (nil: the heap). A launcher that carves s itself from
 // a slab starts a flow without touching the allocator. s must not be
-// copied afterwards.
+// copied afterwards. Init overwrites every field, so a finished sender
+// the NIC has reaped may be Init-ed again for another flow (see
+// sim.Timer on its queued timer events).
 func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl transport.Controller, words *slab.Slab[uint64]) {
 	if ctrl == nil {
 		ctrl = transport.None{}

@@ -1,10 +1,13 @@
 package exp
 
 import (
+	"fmt"
+
 	"github.com/irnsim/irn/internal/cc"
 	"github.com/irnsim/irn/internal/core"
 	"github.com/irnsim/irn/internal/fabric"
 	"github.com/irnsim/irn/internal/metrics"
+	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/rocev2"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/slab"
@@ -12,42 +15,76 @@ import (
 	"github.com/irnsim/irn/internal/transport"
 )
 
-// launcher event kinds: attach flow arg's sender (on the source host's
-// shard) or its receiver (on the destination host's shard).
+// A launch is one entry of the launcher's flat table: flow index << 1 |
+// side, where the side says which end of the flow the host attaches.
 const (
-	launchSrc uint8 = iota
-	launchDst
+	launchSrc = 0 // the sender, on the source host
+	launchDst = 1 // the receiver, on the destination host
 )
 
-// launcherShard is one shard's slice of the launcher: the latest incast
-// completion, written only by that shard's goroutine during windows and
-// read by the coordinator after the run, and the slabs that shard carves
-// per-flow transport state from. Padded so two shards' fields never share
-// a cache line.
-type launcherShard struct {
-	incastDone sim.Time // latest incast completion seen on this shard
+// hostLaunches is one host's stream of launches: entries
+// launches[next:end] of the launcher's table, in flow order, the first of
+// which is parked on the host's engine under rank.
+type hostLaunches struct {
+	next, end uint32
+	rank      uint64
+}
 
-	// A sender is carved on its source host's shard, a receiver on its
-	// destination's. The slabs belong to the run — nothing is recycled,
-	// and the chunks die with the launcher as separately allocated objects
-	// would — so starting a flow costs a fraction of a heap allocation.
-	// Only the slabs of the scenario's transport ever fill.
-	irnSnd  slab.Slab[core.Sender]
+// senders is a shard's supply of one transport's senders: reaped ones on a
+// LIFO free list, carved from the slab when that is empty.
+type senders[T any] struct {
+	slab slab.Slab[T]
+	free []*T
+}
+
+// get returns a sender to Init: the last one reaped, or a new one.
+func (s *senders[T]) get() *T {
+	if n := len(s.free); n > 0 {
+		p := s.free[n-1]
+		s.free = s.free[:n-1]
+		return p
+	}
+	return s.slab.Get()
+}
+
+// put takes back a sender the NIC has reaped.
+func (s *senders[T]) put(p *T) { s.free = append(s.free, p) }
+
+// launcherShard is one shard's slice of the launcher, written only by that
+// shard's goroutine during windows and read by the coordinator after the
+// run: the latest incast completion, the loss counters of the senders
+// reaped so far, and the stores that shard's per-flow transport state
+// comes from. Padded so two shards' fields never share a cache line.
+type launcherShard struct {
+	incastDone  sim.Time // latest incast completion seen on this shard
+	retransmits uint64   // of the senders reaped on this shard
+	timeouts    uint64
+
+	// A sender is carved on its source host's shard and goes back to that
+	// shard's free list once the NIC has reaped it, so it is reused only
+	// on the engine its timer belongs to; the flows in progress, not all
+	// flows of the run, set how many exist. A receiver is carved on its
+	// destination's shard and lives for the run: a late duplicate must
+	// find it (see fabric.NIC.AttachSink). The slabs' chunks die with the
+	// launcher as separately allocated objects would, so starting a flow
+	// costs a fraction of a heap allocation. Only the stores of the
+	// scenario's transport ever fill.
+	irnSnd  senders[core.Sender]
 	irnRcv  slab.Slab[core.Receiver]
-	roceSnd slab.Slab[rocev2.Sender]
+	roceSnd senders[rocev2.Sender]
 	roceRcv slab.Slab[rocev2.Receiver]
-	tcpSnd  slab.Slab[tcpstack.Sender]
+	tcpSnd  senders[tcpstack.Sender]
 	tcpRcv  slab.Slab[tcpstack.Receiver]
 	words   slab.Slab[uint64] // SACK and arrival bitmap words
 
-	_ [2]uint64 // to 192 bytes
+	_ [7]uint64 // to 320 bytes
 }
 
 // launcher wires each flow's transports at the flow's arrival time and
-// collects completions. It is a sim.Handler (arg = flow index) and the
-// flows' transport.Completer, so launching and completing a thousand
-// flows schedules no closures; per-flow state lives in index-addressed
-// slices whose slots are each written by exactly one shard.
+// collects completions. It is a sim.Handler (arg = host) and the flows'
+// transport.Completer, so launching and completing a thousand flows
+// schedules no closures; per-flow state lives in index-addressed slices
+// whose slots are each written by exactly one shard.
 type launcher struct {
 	s      Scenario
 	net    *fabric.Network
@@ -58,11 +95,18 @@ type launcher struct {
 	idBase int
 
 	flows []transport.Flow
-	stats []*transport.SenderStats // [i] written by the shard of flow i's source
+	// stats[i] is flow i's sender's counters until the NIC reaps it (the
+	// shard then folds them into its totals), written by the shard of
+	// flow i's source.
+	stats []*transport.SenderStats
 	// rcvs[i] is written by the shard of flow i's destination: RoCE's
 	// timeout count lives on the receiver, which a different shard than
 	// the sender's may own, so each slice has one writing shard per slot.
 	rcvs []*rocev2.Receiver
+	// hosts[h] is host h's launch stream, advanced by h's shard; launches
+	// holds every host's entries, host after host.
+	hosts    []hostLaunches
+	launches []uint32
 	// cols[k] is shard k's streaming collector: each completion folds
 	// into the collector of the shard owning the flow's destination as it
 	// happens, so a run holds O(shards) metric state instead of a
@@ -76,13 +120,106 @@ type launcher struct {
 	done sim.Completion
 }
 
-// HandleEvent implements sim.Handler: flow arg arrives.
-func (l *launcher) HandleEvent(kind uint8, arg uint64) {
-	if kind == launchSrc {
-		l.startSender(int(arg))
-	} else {
-		l.startReceiver(int(arg))
+// stream parks one launch event per host: the host's ends of all flows
+// form a stream in flow order, of which only the next is queued. The
+// table is built by counting and then filling, in two allocations and
+// 8 bytes per flow. Each host reserves one rank per launch from its clock
+// here, before the kv service draws any, so every launch keeps the
+// (at, rank) key it would have if queued on its own at setup, flow by
+// flow. The stream needs each host's entries in nondecreasing Start
+// order — incast flows start at 0 and come first, Poisson arrivals are
+// cumulative — and stream panics naming the host and the flow where that
+// does not hold. It returns the last arrival.
+func (l *launcher) stream(hosts int) (last sim.Time) {
+	l.hosts = make([]hostLaunches, hosts)
+	for i := range l.flows {
+		l.hosts[l.flows[i].Src].end++
+		l.hosts[l.flows[i].Dst].end++
 	}
+	var off uint32
+	for h := range l.hosts {
+		hl := &l.hosts[h]
+		n := hl.end
+		hl.next, hl.end = off, off
+		off += n
+	}
+	l.launches = make([]uint32, off)
+	for i := range l.flows {
+		fl := &l.flows[i]
+		l.push(fl.Src, i, launchSrc)
+		l.push(fl.Dst, i, launchDst)
+		last = max(last, fl.Start)
+	}
+	for h := range l.hosts {
+		hl := &l.hosts[h]
+		hl.rank = l.net.Clock(packet.NodeID(h)).Reserve(int(hl.end - hl.next))
+		l.park(packet.NodeID(h))
+	}
+	return last
+}
+
+// push appends flow i's side to host h's stream.
+func (l *launcher) push(h packet.NodeID, i int, side uint32) {
+	hl := &l.hosts[h]
+	if hl.end > hl.next {
+		prev := &l.flows[l.launches[hl.end-1]>>1]
+		if l.flows[i].Start < prev.Start {
+			panic(fmt.Sprintf("exp: scenario %q: host %d: flow %d starts at %v, before the host's previous flow %d at %v",
+				l.s.Name, h, l.flows[i].ID, l.flows[i].Start, prev.ID, prev.Start))
+		}
+	}
+	l.launches[hl.end] = uint32(i)<<1 | side
+	hl.end++
+}
+
+// park queues host h's next launch, if any.
+func (l *launcher) park(h packet.NodeID) {
+	hl := &l.hosts[h]
+	if hl.next == hl.end {
+		return
+	}
+	at := l.flows[l.launches[hl.next]>>1].Start
+	l.net.EngineOf(h).ScheduleRanked(at, hl.rank, l, 0, uint64(h))
+}
+
+// HandleEvent implements sim.Handler: host arg's next launch is due.
+func (l *launcher) HandleEvent(_ uint8, arg uint64) {
+	h := packet.NodeID(arg)
+	hl := &l.hosts[h]
+	e := l.launches[hl.next]
+	hl.next++
+	hl.rank++
+	if e&1 == launchSrc {
+		l.startSender(int(e >> 1))
+	} else {
+		l.startReceiver(int(e >> 1))
+	}
+	l.park(h)
+}
+
+// reaped is the fabric's reap callback: a finished sender's counters fold
+// into its shard's totals and the sender goes back on the shard's free
+// list. Runs on the shard of the sender's source host. Any other source
+// is not the launcher's and is left alone.
+func (l *launcher) reaped(src transport.Source) {
+	sh := &l.shard[l.net.ShardOf(src.Flow().Src)]
+	var st *transport.SenderStats
+	switch snd := src.(type) {
+	case *core.Sender:
+		st = &snd.Stats
+		sh.irnSnd.put(snd)
+	case *rocev2.Sender:
+		st = &snd.Stats
+		sh.roceSnd.put(snd)
+	case *tcpstack.Sender:
+		st = &snd.Stats
+		sh.tcpSnd.put(snd)
+	default:
+		return
+	}
+	sh.retransmits += st.Retransmits
+	sh.timeouts += st.Timeouts
+	l.stats[int(src.Flow().ID)-l.idBase-1] = nil
 }
 
 // FlowDone implements transport.Completer: flow fl's last packet arrived.
@@ -115,17 +252,17 @@ func (l *launcher) startSender(i int) {
 	ctrl := buildCC(src, s, l.bdpCap, l.minRTT)
 	switch s.Transport {
 	case TransportIRN:
-		snd := sh.irnSnd.Get()
+		snd := sh.irnSnd.get()
 		snd.Init(src, fl, l.irnParams(), ctrl, &sh.words)
 		src.AttachSource(snd)
 		l.stats[i] = &snd.Stats
 	case TransportRoCE:
-		snd := sh.roceSnd.Get()
+		snd := sh.roceSnd.get()
 		snd.Init(src, fl, l.roceParams(), ctrl)
 		src.AttachSource(snd)
 		l.stats[i] = &snd.Stats
 	case TransportTCP:
-		snd := sh.tcpSnd.Get()
+		snd := sh.tcpSnd.get()
 		snd.Init(src, fl, tcpstack.DefaultParams(s.MTU), &sh.words)
 		src.AttachSource(snd)
 		l.stats[i] = &snd.Stats

@@ -217,6 +217,20 @@ func (s Scenario) normalize() Scenario {
 	return s
 }
 
+// checkFabric rejects a fabric no fat-tree can take: an odd arity or one
+// below 2, which topo.NewFatTree would panic on deep in construction, and
+// a negative per-port buffer, which would drop every packet. cmd/irnsim
+// checks its flags the same way; this catches a Scenario built in code.
+func (s Scenario) checkFabric() error {
+	if s.Arity < 2 || s.Arity%2 != 0 {
+		return fmt.Errorf("fat-tree arity %d must be even and >= 2", s.Arity)
+	}
+	if s.BufferBytes < 0 {
+		return fmt.Errorf("per-port buffer %d bytes must be >= 0 (0 = 2xBDP)", s.BufferBytes)
+	}
+	return nil
+}
+
 // Result is the outcome of one scenario run.
 type Result struct {
 	Name     string

@@ -144,6 +144,9 @@ func (w *Worker) Run(s Scenario) Result { return w.run(s, runOpts{}) }
 // run is Run under the given test-harness switches.
 func (w *Worker) run(s Scenario, o runOpts) Result {
 	s = s.normalize()
+	if err := s.checkFabric(); err != nil {
+		panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
+	}
 
 	rate := fabric.Gbps(s.Gbps)
 	bdp := fabric.BDPBytes(rate, s.Prop, topo.FatTreeLongestPathHops)
@@ -288,14 +291,6 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	}
 	l.done.Init(net.Shards(), len(specs), net.WindowSlack())
 
-	// Each flow arrives as two typed events: the sender attaches on the
-	// shard owning the source host, the receiver on the shard owning the
-	// destination. Both are ranked under the touched node's clock at
-	// setup time, so arrival order is a constant of the scenario, not of
-	// the partitioning. (The receiver is in place well before the first
-	// data packet: data needs at least one propagation delay — the
-	// lookahead — to reach the destination.)
-	var lastArrival sim.Time
 	for i, spec := range specs {
 		l.flows[i] = transport.Flow{
 			ID:    packet.FlowID(idBase + i + 1),
@@ -305,12 +300,14 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 			Pkts:  transport.NumPackets(spec.Size, s.MTU),
 			Start: spec.Start,
 		}
-		if spec.Start > lastArrival {
-			lastArrival = spec.Start
-		}
-		net.EngineOf(spec.Src).ScheduleEventFrom(net.Clock(spec.Src), spec.Start, l, launchSrc, uint64(i))
-		net.EngineOf(spec.Dst).ScheduleEventFrom(net.Clock(spec.Dst), spec.Start, l, launchDst, uint64(i))
 	}
+	// Each flow arrives as two launches: the sender attaches on the shard
+	// owning the source host, the receiver on the shard owning the
+	// destination, each from its host's stream. (The receiver is in place
+	// well before the first data packet: data needs at least one
+	// propagation delay — the lookahead — to reach the destination.)
+	lastArrival := l.stream(top.Hosts())
+	net.OnReap(l.reaped)
 
 	// The kv service is deployed after the flows: they draw their clock
 	// ranks first, so a flow ranks the same with or without kv in the run.
@@ -363,9 +360,12 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	res.ShardStats = buildShardStats(net, lookahead, &wstats)
 	var incastDone sim.Time
 	for i := range l.shard {
-		if t := l.shard[i].incastDone; t > incastDone {
-			incastDone = t
+		sh := &l.shard[i]
+		if sh.incastDone > incastDone {
+			incastDone = sh.incastDone
 		}
+		res.Retransmits += sh.retransmits
+		res.Timeouts += sh.timeouts
 	}
 	res.RCT = sim.Duration(incastDone)
 	// Completions streamed into per-shard collectors during the run

@@ -108,3 +108,34 @@ func TestNICRefusesSecondAttach(t *testing.T) {
 		}()
 	}
 }
+
+// TestReapCallback: the reap callback receives each finished source once,
+// after the NIC dropped it from its flow table, and Network.Reset removes
+// it, so the next run on the fabric never calls the previous run's owner.
+func TestReapCallback(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := testConfig()
+	net := New(eng, topo.NewStar(3), cfg)
+	var reaped []transport.Source
+	net.OnReap(func(s transport.Source) {
+		if e := net.NIC(0).flows.find(s.Flow().ID); e != nil && e.src != nil {
+			t.Errorf("flow %d reaped while still in the flow table", s.Flow().ID)
+		}
+		reaped = append(reaped, s)
+	})
+	a, b := newBlaster(1, 0, 1, 20, cfg.MTU), newBlaster(2, 0, 2, 40, cfg.MTU)
+	net.NIC(0).AttachSource(a)
+	net.NIC(0).AttachSource(b)
+	eng.Run()
+	if len(reaped) != 2 || reaped[0] != a || reaped[1] != b {
+		t.Fatalf("reaped %v, want the 20-packet source then the 40-packet one", reaped)
+	}
+
+	eng.Reset()
+	net.Reset(2, nil)
+	net.NIC(0).AttachSource(newBlaster(3, 0, 1, 5, cfg.MTU))
+	eng.Run()
+	if len(reaped) != 2 {
+		t.Fatalf("the callback survived Reset: %d sources reaped", len(reaped))
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/topo"
+	"github.com/irnsim/irn/internal/transport"
 )
 
 // node is anything attached to links: a Switch or a NIC.
@@ -78,6 +79,9 @@ type Network struct {
 	// config could support (used as the Done-horizon slack).
 	lookahead sim.Duration
 	slack     sim.Duration
+
+	// reaped, when set, receives every source a NIC reaps (see OnReap).
+	reaped func(transport.Source)
 }
 
 // New builds a single-shard fabric: one NIC per host, one Switch per
@@ -324,7 +328,8 @@ func (net *Network) wire(from, to packet.NodeID, idx, peerPort int, flt *fault.L
 // Reset returns the fabric to its just-built state for a new run on the
 // same engines and topology, under a new seed and fault model: every
 // port, switch and NIC resets, stats and census zero, the per-switch ECN
-// RNG streams reseed, boundary channels empty, and the fault schedule's
+// RNG streams reseed, boundary channels empty, the reap callback goes
+// (the next run's owner installs its own), and the fault schedule's
 // rank blocks are reserved and its first transitions queued again —
 // exactly the sequence NewPartitioned performs, so a reset run is
 // bit-identical to a freshly constructed one.
@@ -343,6 +348,7 @@ func (net *Network) Reset(seed uint64, faults *fault.Model) {
 	}
 	net.Cfg.Seed = seed
 	net.Cfg.Faults = faults
+	net.reaped = nil
 	for i := range net.clks {
 		net.clks[i].Reset()
 	}
@@ -386,6 +392,13 @@ func (net *Network) Reset(seed uint64, faults *fault.Model) {
 func ecnRNG(seed uint64, id packet.NodeID) *sim.RNG {
 	return sim.NewRNG(sim.DeriveSeed(seed^0xfab51c, "ecn", int(id)))
 }
+
+// OnReap installs fn to receive every source a NIC reaps from now on. A
+// NIC reaps a source once it is Done, and from then on the fabric holds no
+// reference to it: a late control packet for its flow counts as Stray. So
+// fn may hand the source to a new flow. fn runs on the goroutine of the
+// shard owning the NIC. Reset removes it; there is one per fabric.
+func (net *Network) OnReap(fn func(transport.Source)) { net.reaped = fn }
 
 // Shards reports the number of partitions the fabric runs across.
 func (net *Network) Shards() int { return len(net.parts) }

@@ -171,13 +171,17 @@ func (n *NIC) nextPacket() *packet.Packet {
 	return nil
 }
 
-// reap removes completed sources. Called outside the arbitration scan.
+// reap removes completed sources and hands each to the network's reap
+// callback, if any. Called outside the arbitration scan.
 func (n *NIC) reap() {
 	keep := n.sources[:0]
 	removed := false
 	for _, s := range n.sources {
 		if s.Done() {
 			n.flows.dropSource(s.Flow().ID)
+			if f := n.net.reaped; f != nil {
+				f(s)
+			}
 			removed = true
 			continue
 		}

@@ -80,7 +80,9 @@ func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl trans
 
 // Init is NewSender in place: s, probe timer included, is one object, so
 // a launcher that carves it from a slab starts a flow without touching
-// the allocator. s must not be copied afterwards.
+// the allocator. s must not be copied afterwards. Init overwrites every
+// field, so a finished sender the NIC has reaped may be Init-ed again for
+// another flow (see sim.Timer on its queued timer events).
 func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl transport.Controller) {
 	if ctrl == nil {
 		ctrl = transport.None{}

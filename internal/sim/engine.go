@@ -173,6 +173,11 @@ type Engine struct {
 	// this engine's own execution, so it needs no synchronization.
 	windowEnd Time
 
+	// timerGen is the last generation a Timer on this engine drew (see
+	// Timer.scheduleAt). It only grows, so no two timer events the engine
+	// ever queues carry the same generation.
+	timerGen uint64
+
 	// Stats.
 	executed uint64
 }
@@ -443,7 +448,11 @@ func (e *Engine) LimitWindow(end Time) {
 //
 // The timer's engine event rides the typed-handler path (the Timer is its
 // own Handler, with the generation counter as the event argument), so
-// arming and re-arming never allocate. The fire target is either a typed
+// arming and re-arming never allocate. Generations are drawn per engine,
+// not per timer: an event carries a generation no other event on its
+// engine ever had, so re-Init of a timer whose earlier events are still
+// queued — an object recycled for a new flow — is safe: those events can
+// never match the new life's generation, and lapse. The fire target is either a typed
 // (Handler, kind) pair — NewHandlerTimer, the allocation-free form — or a
 // plain func() for convenience.
 type Timer struct {
@@ -456,7 +465,7 @@ type Timer struct {
 	armed    bool
 	pending  bool   // an engine event is queued for this timer
 	pendAt   Time   // when that event fires
-	pendGen  uint64 // invalidates superseded events (re-arm to earlier)
+	pendGen  uint64 // the queued event's generation; any other lapses
 }
 
 // NewTimer creates a timer that invokes fn when it fires. The timer starts
@@ -479,7 +488,8 @@ func NewHandlerTimer(eng *Engine, clk *Clock, h Handler, kind uint8) *Timer {
 
 // Init is NewHandlerTimer in place, for a Timer embedded by value in the
 // object it fires into. The timer must not be copied afterwards: its
-// pending engine event points at it.
+// pending engine event points at it. Init may run again while events of
+// the timer's previous life are queued — they lapse (see Timer).
 func (t *Timer) Init(eng *Engine, clk *Clock, h Handler, kind uint8) {
 	*t = Timer{eng: eng, clk: clk, h: h, kind: kind}
 }
@@ -499,10 +509,13 @@ func (t *Timer) ArmAt(at Time) {
 }
 
 // scheduleAt queues the pending engine event, superseding any earlier one.
+// The generation comes from the engine, so it is new to this timer's
+// current life and to every earlier life of the same memory.
 func (t *Timer) scheduleAt(at Time) {
 	t.pending = true
 	t.pendAt = at
-	t.pendGen++
+	t.eng.timerGen++
+	t.pendGen = t.eng.timerGen
 	t.eng.ScheduleEventFrom(t.clk, at, t, 0, t.pendGen)
 }
 

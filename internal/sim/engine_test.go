@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -159,6 +160,62 @@ func TestTimerRearmFromCallback(t *testing.T) {
 	e.Run()
 	if count != 5 {
 		t.Errorf("count = %d, want 5", count)
+	}
+}
+
+// fireLog is a Handler that records when it fires.
+type fireLog struct {
+	eng   *Engine
+	fires []Time
+}
+
+func (f *fireLog) HandleEvent(uint8, uint64) { f.fires = append(f.fires, f.eng.Now()) }
+
+// TestTimerReinitIgnoresStaleEvents: a timer re-Init-ed while events of its
+// previous life are still queued — one superseded by a re-arm to an
+// earlier deadline, one live but cancelled — must behave in its new life
+// exactly like a fresh timer next to the old one: same fire times, same
+// number of executed events. This is what lets a finished sender, whose
+// timer is embedded by value, be recycled for the next flow. With
+// generations counted per timer, Init restarts the count and a stale
+// event matches the new life's generation.
+func TestTimerReinitIgnoresStaleEvents(t *testing.T) {
+	const us = Time(Microsecond)
+	for _, at := range []Time{30 * us, 75 * us, 100 * us, 200 * us} {
+		// run arms a timer to 100, re-arms it to 50 (superseding the first
+		// event), cancels it, and then arms a second life to at: on the
+		// same Timer after Init when reinit is set, on a fresh one
+		// otherwise.
+		run := func(reinit bool) ([]Time, uint64) {
+			e := NewEngine()
+			old := &fireLog{eng: e}
+			var tm Timer
+			tm.Init(e, nil, old, 0)
+			tm.ArmAt(100 * us)
+			tm.ArmAt(50 * us)
+			tm.Cancel()
+			life := &fireLog{eng: e}
+			next := &tm
+			if !reinit {
+				next = new(Timer)
+			}
+			next.Init(e, nil, life, 0)
+			next.ArmAt(at)
+			e.Run()
+			if len(old.fires) != 0 {
+				t.Fatalf("cancelled first life fired at %v", old.fires)
+			}
+			return life.fires, e.Executed()
+		}
+		wantFires, wantEvents := run(false)
+		gotFires, gotEvents := run(true)
+		if len(wantFires) != 1 || wantFires[0] != at {
+			t.Fatalf("arm at %v: fresh timer fired at %v", at, wantFires)
+		}
+		if !slices.Equal(gotFires, wantFires) || gotEvents != wantEvents {
+			t.Errorf("arm at %v: re-Init timer fired at %v over %d events, a fresh one at %v over %d",
+				at, gotFires, gotEvents, wantFires, wantEvents)
+		}
 	}
 }
 

@@ -3,10 +3,11 @@
 // handed out twice and nothing is ever reset — an object lives exactly as
 // long as a plain heap object would, and the garbage collector frees a
 // chunk once every object carved from it is unreachable — so a slab
-// changes the malloc count and nothing else. The verbs layer carves WQEs
-// and packets from per-QP slabs; the experiment launcher carves each
-// flow's sender, receiver and bitmap words from per-shard slabs that die
-// with the run.
+// changes the malloc count and nothing else. Reuse is the owner's: the
+// verbs layer carves WQEs and packets from per-QP slabs and recycles them
+// through its own free lists; the experiment launcher carves senders,
+// receivers and bitmap words from per-shard slabs that die with the run,
+// and reuses a sender the NIC has reaped before it carves another.
 package slab
 
 // chunk is the number of elements per heap allocation.

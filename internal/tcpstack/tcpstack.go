@@ -96,6 +96,9 @@ func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params) *Sender {
 // Init is NewSender in place: s is one object — timer, scoreboard and
 // bitmap header included — and only the bitmap words live outside it,
 // carved from words (nil: the heap). s must not be copied afterwards.
+// Init overwrites every field, so a finished sender the NIC has reaped may
+// be Init-ed again for another flow (see sim.Timer on its queued timer
+// events).
 func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, words *slab.Slab[uint64]) {
 	if flow.Pkts == 0 {
 		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)

@@ -244,3 +244,28 @@ func TestEmpiricalRejectsBadCDF(t *testing.T) {
 		}()
 	}
 }
+
+// TestIncastThenGenerateStartsInOrder pins the order the experiment
+// launcher relies on: it streams each host's flows in the order incast
+// specs, then Poisson specs, and parks only the next one, so Start must be
+// nondecreasing along that sequence — incast flows start at 0 and Poisson
+// arrivals are cumulative — for every distribution a preset uses.
+func TestIncastThenGenerateStartsInOrder(t *testing.T) {
+	for _, d := range []SizeDist{NewHeavyTailed(), NewUniform(), NewWebSearch(), NewHadoop(), Fixed(1000)} {
+		for _, load := range []float64{0.1, 0.7, 0.99} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				specs := Incast(54, 10, 4_000_000, seed)
+				specs = append(specs, Generate(PoissonConfig{
+					Hosts: 54, Load: load, RatePsPerByte: 200, MTU: 1000, HeaderBytes: 60,
+					NumFlows: 2000, Dist: d, Seed: seed,
+				})...)
+				for i := 1; i < len(specs); i++ {
+					if specs[i].Start < specs[i-1].Start {
+						t.Fatalf("%s load %.2f seed %d: flow %d starts at %v, before flow %d at %v",
+							d.Name(), load, seed, i, specs[i].Start, i-1, specs[i-1].Start)
+					}
+				}
+			}
+		}
+	}
+}
