@@ -82,15 +82,24 @@ func main() {
 	)
 	flag.Parse()
 
-	// Reject impossible fabric shapes before anything is built: an odd
-	// arity would panic in a fleet worker, and a negative buffer would
-	// run to completion with every packet dropped.
+	// Reject impossible fabric shapes and rates before anything is built:
+	// an odd arity or a negative load would panic in a fleet worker, a
+	// negative link rate in the launcher, and a negative buffer would run
+	// to completion with every packet dropped.
 	if *arity < 2 || *arity%2 != 0 {
 		fmt.Fprintf(os.Stderr, "-arity %d: fat-tree arity must be even and >= 2\n", *arity)
 		os.Exit(2)
 	}
 	if *buffer < 0 {
 		fmt.Fprintf(os.Stderr, "-buffer %d: per-port buffer bytes must be >= 0 (0 = 2xBDP)\n", *buffer)
+		os.Exit(2)
+	}
+	if !(*gbps >= 0) {
+		fmt.Fprintf(os.Stderr, "-gbps %v: link bandwidth must be >= 0 (0 = 40)\n", *gbps)
+		os.Exit(2)
+	}
+	if !(*load >= 0) {
+		fmt.Fprintf(os.Stderr, "-load %v: target link utilization must be >= 0 (0 = 0.7)\n", *load)
 		os.Exit(2)
 	}
 

@@ -105,14 +105,17 @@ func wantUsageError(t *testing.T, bin, flag string, args ...string) {
 }
 
 // TestBadFabricShapeIsAUsageError: an odd arity (alone or with -kv,
-// which sizes the fabric early) and a negative buffer exit 2 before
-// anything runs, naming the flag.
+// which sizes the fabric early), a negative buffer, link rate or load
+// exit 2 before anything runs, naming the flag. (A negative load used to
+// panic in a fleet worker, a negative rate in the launcher.)
 func TestBadFabricShapeIsAUsageError(t *testing.T) {
 	bin := build(t)
 	wantUsageError(t, bin, "-arity", "-arity", "5")
 	wantUsageError(t, bin, "-arity", "-arity", "5", "-kv", "10")
 	wantUsageError(t, bin, "-arity", "-arity", "0")
 	wantUsageError(t, bin, "-buffer", "-arity", "4", "-buffer", "-1")
+	wantUsageError(t, bin, "-load", "-arity", "4", "-load", "-1")
+	wantUsageError(t, bin, "-gbps", "-arity", "4", "-gbps", "-5")
 }
 
 // TestShardedFaultOrKVIsAUsageError: KV and fault-injected runs are

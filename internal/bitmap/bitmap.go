@@ -59,6 +59,10 @@ func (b *Bitmap) Init(words []uint64) {
 	*b = Bitmap{words: words, mask: size - 1, size: size}
 }
 
+// Words returns the words b lives in, as passed to Init: an owner that
+// re-Inits b for a new life can hand them back (see slab.Slab.Reuse).
+func (b *Bitmap) Words() []uint64 { return b.words }
+
 // Cap returns the bitmap capacity in bits.
 func (b *Bitmap) Cap() int { return b.size }
 

@@ -12,6 +12,7 @@ package cc
 
 import (
 	"github.com/irnsim/irn/internal/sim"
+	"github.com/irnsim/irn/internal/transport"
 )
 
 // rateToDelay converts a rate in Gbps to the pacing delay for wire bytes.
@@ -33,33 +34,9 @@ func clamp(r, min, max float64) float64 {
 	return r
 }
 
-// CNPGenerator implements the receiver half of DCQCN: when CE-marked data
-// packets arrive, it emits at most one congestion notification packet per
-// flow per MinInterval (50 µs on ConnectX-4).
-type CNPGenerator struct {
-	MinInterval sim.Duration
-	last        sim.Time
-	armed       bool
-}
+// CNPGenerator is the receiver half of DCQCN; see transport.CNPGenerator.
+type CNPGenerator = transport.CNPGenerator
 
 // NewCNPGenerator returns a generator with the ConnectX-4 default 50 µs
-// interval.
-func NewCNPGenerator() *CNPGenerator {
-	g := new(CNPGenerator)
-	g.Init()
-	return g
-}
-
-// Init is NewCNPGenerator in place, for a generator embedded by value.
-func (g *CNPGenerator) Init() { *g = CNPGenerator{MinInterval: 50 * sim.Microsecond} }
-
-// OnMarked reports whether a CNP should be sent for a CE-marked arrival
-// at time now.
-func (g *CNPGenerator) OnMarked(now sim.Time) bool {
-	if g.armed && now.Sub(g.last) < g.MinInterval {
-		return false
-	}
-	g.last = now
-	g.armed = true
-	return true
-}
+// interval (transport.CNPInterval).
+func NewCNPGenerator() *CNPGenerator { return new(CNPGenerator) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"github.com/irnsim/irn/internal/cc"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/recovery"
 	"github.com/irnsim/irn/internal/sim"
@@ -31,7 +30,7 @@ type Receiver struct {
 	win   recovery.Reorder
 	total int
 
-	cnp cc.CNPGenerator
+	cnp transport.CNPGenerator
 
 	done transport.Completer
 
@@ -50,11 +49,16 @@ func NewReceiver(ep transport.Endpoint, flow *transport.Flow, p Params, done tra
 }
 
 // Init is NewReceiver in place, with the arrival bitmap's words carved
-// from words (nil: the heap); see Sender.Init.
+// from words (nil: the heap); see Sender.Init. Init overwrites every
+// field, so a receiver may be Init-ed again for another flow once done
+// has been told its flow completed: nothing touches the receiver after
+// FlowDone returns, and Retired then answers the old flow's late
+// duplicates in its place.
 func (r *Receiver) Init(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer, words *slab.Slab[uint64]) {
 	if flow.Pkts == 0 {
 		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)
 	}
+	run := words.Reuse(r.win.Words(), windowWords(flow.Pkts, p))
 	*r = Receiver{
 		ep:    ep,
 		pool:  ep.Pool(),
@@ -63,9 +67,11 @@ func (r *Receiver) Init(ep transport.Endpoint, flow *transport.Flow, p Params, d
 		total: flow.Pkts,
 		done:  done,
 	}
-	r.cnp.Init()
-	r.win.Init(words.Run(windowWords(flow.Pkts, p)))
+	r.win.Init(run)
 }
+
+// Retired implements transport.Retirer.
+func (r *Receiver) Retired() transport.Retired { return transport.NewRetired(r.flow, &r.cnp) }
 
 // Received reports distinct data packets received so far.
 func (r *Receiver) Received() int { return r.win.Received() }

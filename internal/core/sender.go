@@ -58,7 +58,8 @@ func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl trans
 // a slab starts a flow without touching the allocator. s must not be
 // copied afterwards. Init overwrites every field, so a finished sender
 // the NIC has reaped may be Init-ed again for another flow (see
-// sim.Timer on its queued timer events).
+// sim.Timer on its queued timer events); it then keeps its bitmap words
+// if they are enough for the new flow (slab.Slab.Reuse).
 func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, ctrl transport.Controller, words *slab.Slab[uint64]) {
 	if ctrl == nil {
 		ctrl = transport.None{}
@@ -69,6 +70,7 @@ func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, ctr
 	if p.NackThreshold < 1 {
 		p.NackThreshold = 1
 	}
+	run := words.Reuse(s.sb.Words(), windowWords(flow.Pkts, p))
 	*s = Sender{
 		ep:    ep,
 		pool:  ep.Pool(),
@@ -77,7 +79,7 @@ func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, ctr
 		cc:    ctrl,
 		total: flow.Pkts,
 	}
-	s.sb.Init(words.Run(windowWords(flow.Pkts, p)))
+	s.sb.Init(run)
 	s.rto.Init(ep.Engine(), ep.Clock(), s, senderRTO)
 }
 

@@ -30,15 +30,17 @@ type hostLaunches struct {
 	rank      uint64
 }
 
-// senders is a shard's supply of one transport's senders: reaped ones on a
-// LIFO free list, carved from the slab when that is empty.
-type senders[T any] struct {
+// supply is a shard's supply of one transport's senders or receivers:
+// recycled ones on a LIFO free list, carved from the slab when that is
+// empty.
+type supply[T any] struct {
 	slab slab.Slab[T]
 	free []*T
 }
 
-// get returns a sender to Init: the last one reaped, or a new one.
-func (s *senders[T]) get() *T {
+// get returns a sender or receiver to Init: the last one recycled, or a
+// new one.
+func (s *supply[T]) get() *T {
 	if n := len(s.free); n > 0 {
 		p := s.free[n-1]
 		s.free = s.free[:n-1]
@@ -47,37 +49,40 @@ func (s *senders[T]) get() *T {
 	return s.slab.Get()
 }
 
-// put takes back a sender the NIC has reaped.
-func (s *senders[T]) put(p *T) { s.free = append(s.free, p) }
+// put takes back a sender the NIC has reaped or a receiver it has
+// retired.
+func (s *supply[T]) put(p *T) { s.free = append(s.free, p) }
 
 // launcherShard is one shard's slice of the launcher, written only by that
 // shard's goroutine during windows and read by the coordinator after the
 // run: the latest incast completion, the loss counters of the senders
-// reaped so far, and the stores that shard's per-flow transport state
-// comes from. Padded so two shards' fields never share a cache line.
+// reaped and the receivers retired so far, and the stores that shard's
+// per-flow transport state comes from. Padded so two shards' fields never
+// share a cache line.
 type launcherShard struct {
 	incastDone  sim.Time // latest incast completion seen on this shard
 	retransmits uint64   // of the senders reaped on this shard
-	timeouts    uint64
+	timeouts    uint64   // of those senders and of the RoCE receivers retired here
 
 	// A sender is carved on its source host's shard and goes back to that
-	// shard's free list once the NIC has reaped it, so it is reused only
-	// on the engine its timer belongs to; the flows in progress, not all
-	// flows of the run, set how many exist. A receiver is carved on its
-	// destination's shard and lives for the run: a late duplicate must
-	// find it (see fabric.NIC.AttachSink). The slabs' chunks die with the
-	// launcher as separately allocated objects would, so starting a flow
-	// costs a fraction of a heap allocation. Only the stores of the
+	// shard's free list once the NIC has reaped it; a receiver is carved
+	// on its destination's shard and goes back to that shard's free list
+	// once its flow has completed, the NIC keeping a transport.Retired
+	// record in its place for late duplicates. So each is reused only on
+	// the engine its timer belongs to, and the flows in progress, not all
+	// flows of the run, set how many exist. The slabs' chunks die with
+	// the launcher as separately allocated objects would, so starting a
+	// flow costs a fraction of a heap allocation. Only the stores of the
 	// scenario's transport ever fill.
-	irnSnd  senders[core.Sender]
-	irnRcv  slab.Slab[core.Receiver]
-	roceSnd senders[rocev2.Sender]
-	roceRcv slab.Slab[rocev2.Receiver]
-	tcpSnd  senders[tcpstack.Sender]
-	tcpRcv  slab.Slab[tcpstack.Receiver]
+	irnSnd  supply[core.Sender]
+	irnRcv  supply[core.Receiver]
+	roceSnd supply[rocev2.Sender]
+	roceRcv supply[rocev2.Receiver]
+	tcpSnd  supply[tcpstack.Sender]
+	tcpRcv  supply[tcpstack.Receiver]
 	words   slab.Slab[uint64] // SACK and arrival bitmap words
 
-	_ [7]uint64 // to 320 bytes
+	_ [6]uint64 // to 384 bytes
 }
 
 // launcher wires each flow's transports at the flow's arrival time and
@@ -99,9 +104,11 @@ type launcher struct {
 	// shard then folds them into its totals), written by the shard of
 	// flow i's source.
 	stats []*transport.SenderStats
-	// rcvs[i] is written by the shard of flow i's destination: RoCE's
-	// timeout count lives on the receiver, which a different shard than
-	// the sender's may own, so each slice has one writing shard per slot.
+	// rcvs[i] is flow i's RoCE receiver until its flow completes (the
+	// shard then folds its timeout count into its totals), written by the
+	// shard of flow i's destination: that count lives on the receiver,
+	// which a different shard than the sender's may own, so each slice
+	// has one writing shard per slot.
 	rcvs []*rocev2.Receiver
 	// hosts[h] is host h's launch stream, advanced by h's shard; launches
 	// holds every host's entries, host after host.
@@ -224,10 +231,13 @@ func (l *launcher) reaped(src transport.Source) {
 
 // FlowDone implements transport.Completer: flow fl's last packet arrived.
 // Runs on the shard owning the flow's destination host; every slot it
-// writes is owned by that shard.
+// writes is owned by that shard. The destination NIC retires the flow's
+// receiver into a record, and the receiver goes back on the shard's free
+// list: it is not touched again before its next Init.
 func (l *launcher) FlowDone(fl *transport.Flow, now sim.Time) {
 	i := int(fl.ID) - l.idBase - 1
 	k := l.net.ShardOf(fl.Dst)
+	sh := &l.shard[k]
 	l.cols[k].Add(metrics.FlowRecord{
 		Size:         fl.Size,
 		Pkts:         fl.Pkts,
@@ -235,10 +245,20 @@ func (l *launcher) FlowDone(fl *transport.Flow, now sim.Time) {
 		Ideal:        l.net.IdealFCT(fl.Src, fl.Dst, fl.Size),
 		SinglePacket: fl.Pkts == 1,
 	})
-	if sh := &l.shard[k]; i < l.incastFlows && now > sh.incastDone {
+	if i < l.incastFlows && now > sh.incastDone {
 		sh.incastDone = now
 	}
 	l.done.Add(k, l.net.EngineOf(fl.Dst), now)
+	switch rcv := l.net.NIC(fl.Dst).Retire(fl.ID).(type) {
+	case *core.Receiver:
+		sh.irnRcv.put(rcv)
+	case *rocev2.Receiver:
+		sh.timeouts += rcv.TimeoutNacks
+		l.rcvs[i] = nil
+		sh.roceRcv.put(rcv)
+	case *tcpstack.Receiver:
+		sh.tcpRcv.put(rcv)
+	}
 }
 
 // startSender attaches flow i's sender (and its congestion controller) to
@@ -280,16 +300,16 @@ func (l *launcher) startReceiver(i int) {
 
 	switch s.Transport {
 	case TransportIRN:
-		rcv := sh.irnRcv.Get()
+		rcv := sh.irnRcv.get()
 		rcv.Init(dst, fl, l.irnParams(), l, &sh.words)
 		dst.AttachSink(fl.ID, rcv)
 	case TransportRoCE:
-		rcv := sh.roceRcv.Get()
+		rcv := sh.roceRcv.get()
 		rcv.Init(dst, fl, l.roceParams(), l)
 		dst.AttachSink(fl.ID, rcv)
 		l.rcvs[i] = rcv
 	case TransportTCP:
-		rcv := sh.tcpRcv.Get()
+		rcv := sh.tcpRcv.get()
 		rcv.Init(dst, fl, tcpstack.DefaultParams(s.MTU), l, &sh.words)
 		dst.AttachSink(fl.ID, rcv)
 	}

@@ -217,16 +217,25 @@ func (s Scenario) normalize() Scenario {
 	return s
 }
 
-// checkFabric rejects a fabric no fat-tree can take: an odd arity or one
-// below 2, which topo.NewFatTree would panic on deep in construction, and
-// a negative per-port buffer, which would drop every packet. cmd/irnsim
-// checks its flags the same way; this catches a Scenario built in code.
-func (s Scenario) checkFabric() error {
+// check rejects a normalized scenario no run can take: an odd fat-tree
+// arity or one below 2, which topo.NewFatTree would panic on deep in
+// construction; a negative per-port buffer, which would drop every
+// packet; and a negative (or NaN) link rate or load, on which the
+// workload generator panics or draws flow starts before time zero.
+// cmd/irnsim checks its flags the same way; this catches a Scenario built
+// in code.
+func (s Scenario) check() error {
 	if s.Arity < 2 || s.Arity%2 != 0 {
 		return fmt.Errorf("fat-tree arity %d must be even and >= 2", s.Arity)
 	}
 	if s.BufferBytes < 0 {
 		return fmt.Errorf("per-port buffer %d bytes must be >= 0 (0 = 2xBDP)", s.BufferBytes)
+	}
+	if !(s.Gbps >= 0) {
+		return fmt.Errorf("link rate Gbps %v must be >= 0 (0 = 40)", s.Gbps)
+	}
+	if !(s.Load >= 0) {
+		return fmt.Errorf("Load %v must be >= 0 (0 = 0.7)", s.Load)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/irnsim/irn/internal/fault"
+	"github.com/irnsim/irn/internal/sim"
 )
 
 // shardMatrix is the determinism matrix of the sharded engine: every
@@ -83,7 +84,10 @@ func TestShardDeterminismAcrossPresets(t *testing.T) {
 
 // TestShardWorkerReuse: the zero-rebuild path must hold for sharded
 // fabrics too — a worker alternating shard counts (rebuild) and
-// repeating one (reset) stays bit-identical to fresh construction.
+// repeating one (reset) stays bit-identical to fresh construction. The
+// last three rows recycle receivers of every transport, and late
+// duplicates reach the records of retired ones: CE-marked under DCQCN,
+// with RoCE stall timers still queued under loss.
 func TestShardWorkerReuse(t *testing.T) {
 	seq := []Scenario{
 		{Name: "s2", NumFlows: 100, Seed: 11, Shards: 2},
@@ -95,11 +99,22 @@ func TestShardWorkerReuse(t *testing.T) {
 		// shard count changes the key, so it rebuilds onto one engine.
 		{Name: "fault", NumFlows: 100, Seed: 7, Shards: 2, PFC: true, Transport: TransportRoCE,
 			Faults: fault.Spec{LossRate: 0.001}},
+		// Short RTOs fire spuriously: retransmissions, CE-marked ones
+		// among them, cross their flow's final ACK.
+		{Name: "dcqcn2", NumFlows: 300, Seed: 5, Shards: 2, CC: CCDCQCN,
+			RTOLow: 20 * sim.Microsecond, RTOHigh: 50 * sim.Microsecond},
+		{Name: "roce-lossy", NumFlows: 300, Seed: 5, Shards: 2, Transport: TransportRoCE,
+			Faults: fault.Spec{LossRate: 0.001}}, // serial by rule
+		{Name: "tcp2", NumFlows: 300, Seed: 15, Shards: 2, Transport: TransportTCP},
 	}
+	late := map[string]bool{"dcqcn2": true, "roce-lossy": true, "tcp2": true}
 	w := NewWorker()
 	for i, s := range seq {
 		fresh := Run(s)
 		reused := w.Run(s)
+		if late[s.Name] && w.net.LateDuplicates() == 0 {
+			t.Fatalf("step %d (%s): no late duplicate reached a retired receiver's record", i, s.Name)
+		}
 		// Barrier wait times are wall-clock; every other shard-runtime
 		// counter (barriers, windows, events, drains) must reproduce.
 		for _, r := range []*Result{&fresh, &reused} {

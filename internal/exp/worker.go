@@ -144,7 +144,7 @@ func (w *Worker) Run(s Scenario) Result { return w.run(s, runOpts{}) }
 // run is Run under the given test-harness switches.
 func (w *Worker) run(s Scenario, o runOpts) Result {
 	s = s.normalize()
-	if err := s.checkFabric(); err != nil {
+	if err := s.check(); err != nil {
 		panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
 	}
 

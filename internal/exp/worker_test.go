@@ -74,10 +74,10 @@ func TestWorkerPoolWarmReuse(t *testing.T) {
 // (a 2N run went first) and the per-run arrays are counted once on both
 // sides, so what is left is per-flow state — and that is carved from the
 // launcher's slabs, 64 objects or bitmap words per heap allocation: a
-// receiver, the words of the two bitmaps for IRN and TCP, and a sender
-// only when no reaped one is free for reuse. TCP's bitmaps cover the
-// whole message, so a flow past 64×64 segments takes its words straight
-// from the heap. A transport that goes back to one object per flow, or a
+// sender or a receiver only when no recycled one is free for reuse, and
+// bitmap words for IRN and TCP only when the recycled object's own are
+// too short. TCP's bitmaps cover the whole message, so a flow past 64×64
+// segments takes longer words straight from the heap. A transport that goes back to one object per flow, or a
 // launcher that allocates per flow again, costs 1 or more.
 func TestFlowMarginalAllocs(t *testing.T) {
 	const n = 400
@@ -116,13 +116,16 @@ func TestFlowMarginalAllocs(t *testing.T) {
 // TestFlowMarginalBytes pins what one more flow costs in bytes on a warm
 // worker, measured the way TestFlowMarginalAllocs counts allocations:
 // TotalAlloc of a 2N-flow run minus an N-flow run, divided by N. What a run
-// keeps per flow is its transport.Flow, its receiver with the receiver's
-// bitmap words, its sender's bitmap words and 8 bytes in each of the
-// stats, receiver and launch tables. Senders are reused once the NIC
-// reaps them, so their number follows the flows in progress. The budgets
-// sit between that and a launcher carving one sender per flow (about
-// 1010, 680 and 950 B at this size), which exceeds them. (Parked launch
-// events do not show here: the warm worker's wheel kept its arrays.)
+// keeps per flow is its transport.Flow, 8 bytes in each of the stats,
+// receiver and launch tables, and a 32-byte transport.Retired record in
+// its destination NIC's retired table. Senders are reused once the NIC
+// reaps them and receivers once their flow completes, each keeping its
+// bitmap words when they are long enough for the next flow, so their
+// number and their words follow the flows in progress. The budgets sit
+// between that (about 290, 260 and 390 B) and a launcher keeping every
+// receiver with its words for the run (about 570, 490 and 580 B at this
+// size), which exceeds them. (Parked launch events do not show here: the
+// warm worker's wheel kept its arrays.)
 func TestFlowMarginalBytes(t *testing.T) {
 	const n = 500
 	for _, tc := range []struct {
@@ -130,9 +133,9 @@ func TestFlowMarginalBytes(t *testing.T) {
 		s      Scenario
 		budget float64
 	}{
-		{"IRN", Scenario{Transport: TransportIRN}, 760},
-		{"RoCE+PFC", Scenario{Transport: TransportRoCE, PFC: true}, 590},
-		{"iWARP/TCP", Scenario{Transport: TransportTCP}, 760},
+		{"IRN", Scenario{Transport: TransportIRN}, 420},
+		{"RoCE+PFC", Scenario{Transport: TransportRoCE, PFC: true}, 370},
+		{"iWARP/TCP", Scenario{Transport: TransportTCP}, 480},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.s
@@ -191,10 +194,12 @@ func TestWorkerSurvivesFaultModelPanic(t *testing.T) {
 }
 
 // TestWorkerRejectsBadFabricShape: a Scenario built in code with a fabric
-// no fat-tree can take panics with a message naming the scenario before
-// the worker builds anything — an odd or too-small arity used to panic
-// inside topo.NewFatTree, and a negative buffer ran with every packet
-// dropped — and the worker's cache is left as it was.
+// no fat-tree can take, or a negative link rate or load, panics with a
+// message naming the scenario and the field before the worker builds
+// anything — an odd or too-small arity used to panic inside
+// topo.NewFatTree, a negative buffer ran with every packet dropped, a
+// negative load panicked in the workload generator and a negative rate
+// in the launcher — and the worker's cache is left as it was.
 func TestWorkerRejectsBadFabricShape(t *testing.T) {
 	good := Scenario{Name: "k6", NumFlows: 120, Seed: 11}
 	w := NewWorker()
@@ -208,6 +213,8 @@ func TestWorkerRejectsBadFabricShape(t *testing.T) {
 		{"arity 1", Scenario{Arity: 1}, "arity 1 must be even"},
 		{"negative arity", Scenario{Arity: -4}, "arity -4 must be even"},
 		{"negative buffer", Scenario{BufferBytes: -1}, "buffer -1 bytes must be >= 0"},
+		{"negative rate", Scenario{Gbps: -5}, "Gbps -5 must be >= 0"},
+		{"negative load", Scenario{Load: -1}, "Load -1 must be >= 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.s

@@ -86,3 +86,18 @@ func (net *Network) CtrlBacklog() int {
 	}
 	return n
 }
+
+// LateDuplicates counts the data packets that reached a flow after its
+// receiver retired (NIC.Retire), each answered by the flow's record.
+// Unlike Stray they are accounted for: the record re-acknowledges them.
+func (net *Network) LateDuplicates() uint64 {
+	var n uint64
+	for _, nic := range net.nics {
+		if nic != nil {
+			for i := range nic.retired.slots {
+				n += nic.retired.slots[i].rec.Answers()
+			}
+		}
+	}
+	return n
+}

@@ -28,7 +28,8 @@ type NIC struct {
 
 	sources []transport.Source
 	rr      int
-	flows   flowTable
+	flows   flowTable    // the flows attached now
+	retired retiredTable // the flows whose receivers retired here
 
 	wake *sim.Timer
 
@@ -46,10 +47,12 @@ func newNIC(id packet.NodeID, net *Network, part *partition) *NIC {
 		id:   id,
 		net:  net,
 		part: part,
-		// Room for a handful of concurrent flows, so that on most hosts a
-		// run never grows either; reset keeps whatever they grew to.
+		// Room for a handful of concurrent flows and a dozen retired
+		// ones, so that on most hosts of a large fabric a run never grows
+		// any of them; reset keeps whatever they grew to.
 		sources: make([]transport.Source, 0, 8),
-		flows:   flowTable{slots: make([]flowEntry, 16)},
+		flows:   flowTable{slots: make([]flowEntry, 8)},
+		retired: retiredTable{slots: make([]retiredEntry, 16)},
 	}
 	n.wake = sim.NewHandlerTimer(part.eng, &net.clks[id], n, nicWake)
 	return n
@@ -71,6 +74,7 @@ func (n *NIC) reset() {
 	n.sources = n.sources[:0]
 	n.rr = 0
 	n.flows.clear()
+	n.retired.clear()
 	n.wake.Reset()
 	n.Stray = 0
 }
@@ -109,10 +113,31 @@ func (n *NIC) AttachSource(s transport.Source) {
 	n.egress.kick()
 }
 
-// AttachSink registers a receiver for a flow. It stays for the run: a late
-// duplicate must still find the receiver that re-acknowledges it.
+// AttachSink registers a receiver for a flow. It stays until Retire, or
+// for the run: a late duplicate must find either the receiver or its
+// record, which re-acknowledge it alike.
 func (n *NIC) AttachSink(id packet.FlowID, s transport.Sink) {
 	n.attach(id, nil, s)
+}
+
+// Retire replaces the sink of flow id, a transport.Retirer whose flow has
+// completed, with its transport.Retired record and returns the sink. The
+// record, kept in the NIC's retired table for the rest of the run,
+// answers the flow's late duplicates from here on, and the NIC holds no
+// reference to the sink: the caller may Init it for another flow. A missing sink, or one that cannot retire, is
+// a model bug and panics.
+func (n *NIC) Retire(id packet.FlowID) transport.Sink {
+	e := n.flows.find(id)
+	if e == nil || e.sink == nil {
+		panic(fmt.Sprintf("fabric: host %d: flow %d retired without a sink", n.id, id))
+	}
+	r, ok := e.sink.(transport.Retirer)
+	if !ok {
+		panic(fmt.Sprintf("fabric: host %d: flow %d: sink %T cannot retire", n.id, id, e.sink))
+	}
+	n.flows.drop(id, false)
+	n.retired.insert(id, r.Retired())
+	return r
 }
 
 // attach enters a source or a sink in the flow table. Two workloads
@@ -178,7 +203,7 @@ func (n *NIC) reap() {
 	removed := false
 	for _, s := range n.sources {
 		if s.Done() {
-			n.flows.dropSource(s.Flow().ID)
+			n.flows.drop(s.Flow().ID, true)
 			if f := n.net.reaped; f != nil {
 				f(s)
 			}
@@ -214,6 +239,8 @@ func (n *NIC) receive(pkt *packet.Packet, _ int) {
 		n.part.stats.DataBytes += uint64(pkt.Wire)
 		if e := n.flows.find(pkt.Flow); e != nil && e.sink != nil {
 			e.sink.HandleData(pkt, now)
+		} else if rec := n.retired.find(pkt.Flow); rec != nil {
+			rec.Answer(n, n.id, pkt, now)
 		} else {
 			n.Stray++
 		}
@@ -311,18 +338,26 @@ func (t *flowTable) attach(id packet.FlowID, src transport.Source, sink transpor
 	return taken
 }
 
-// dropSource detaches id's source, and removes the entry if no sink is
-// left on it: the entries after it in its probe run move up over the hole
-// (backward-shift deletion), so lookups need no tombstones and the
-// table's size follows the flows attached now, not all those ever seen.
-func (t *flowTable) dropSource(id packet.FlowID) {
+// drop detaches id's source (src) or sink, and removes the entry if
+// neither is left on it: the entries after it in its probe run move up
+// over the hole (backward-shift deletion), so lookups need no tombstones
+// and the table's size follows the flows attached now, not all those ever
+// seen.
+func (t *flowTable) drop(id packet.FlowID, src bool) {
 	hole := t.probe(id)
 	e := &t.slots[hole]
-	if e.src == nil {
-		return // absent
+	if src {
+		if e.src == nil {
+			return // absent
+		}
+		e.src = nil
+	} else {
+		if e.sink == nil {
+			return // absent
+		}
+		e.sink = nil
 	}
-	e.src = nil
-	if e.sink != nil {
+	if !e.empty() {
 		return
 	}
 	t.n--
@@ -340,6 +375,66 @@ func (t *flowTable) dropSource(id packet.FlowID) {
 
 // clear empties the table, keeping its array.
 func (t *flowTable) clear() {
+	clear(t.slots)
+	t.n = 0
+}
+
+// retiredEntry is one retired flow's record on a NIC. A slot with an
+// empty record is free. 32 bytes, two to a cache line.
+type retiredEntry struct {
+	flow packet.FlowID
+	rec  transport.Retired
+}
+
+// retiredTable maps the flows retired on a NIC to their records: open
+// addressed and linearly probed like flowTable, but a record stays for
+// the run, so entries are only ever inserted, and clear keeps the array
+// for the next run. The slot count is a power of two and at most three
+// quarters of the slots are taken.
+type retiredTable struct {
+	slots []retiredEntry
+	n     int
+}
+
+// find returns id's record, or nil. The pointer is valid until the next
+// insert.
+func (t *retiredTable) find(id packet.FlowID) *transport.Retired {
+	mask := len(t.slots) - 1
+	for i := int(mix64(uint64(id))) & mask; !t.slots[i].rec.Empty(); i = (i + 1) & mask {
+		if t.slots[i].flow == id {
+			return &t.slots[i].rec
+		}
+	}
+	return nil
+}
+
+// insert enters id's record, which must not be empty. A flow retires
+// once, so id is not in the table yet.
+func (t *retiredTable) insert(id packet.FlowID, rec transport.Retired) {
+	if t.n++; 4*t.n > 3*len(t.slots) {
+		old := t.slots
+		t.slots = make([]retiredEntry, 2*len(old))
+		for i := range old {
+			if !old[i].rec.Empty() {
+				t.put(old[i])
+			}
+		}
+	}
+	t.put(retiredEntry{flow: id, rec: rec})
+}
+
+// put stores e in the first free slot of its probe run.
+func (t *retiredTable) put(e retiredEntry) {
+	mask := len(t.slots) - 1
+	i := int(mix64(uint64(e.flow))) & mask
+	for !t.slots[i].rec.Empty() {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = e
+}
+
+// clear empties the table, keeping its array.
+func (t *retiredTable) clear() {
 	clear(t.slots)
 	t.n = 0
 }

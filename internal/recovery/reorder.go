@@ -44,6 +44,9 @@ func (r *Reorder) Init(words []uint64) {
 	r.rcv.Init(words)
 }
 
+// Words returns the words r's arrival bitmap lives in (see Bitmap.Words).
+func (r *Reorder) Words() []uint64 { return r.rcv.Words() }
+
 // Expected returns the next in-order sequence number: the cumulative ack.
 func (r *Reorder) Expected() uint32 { return r.expected }
 

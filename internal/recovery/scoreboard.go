@@ -44,6 +44,9 @@ func (sb *Scoreboard) Init(words []uint64) {
 	sb.sacked.Init(words)
 }
 
+// Words returns the words sb's SACK bitmap lives in (see Bitmap.Words).
+func (sb *Scoreboard) Words() []uint64 { return sb.sacked.Words() }
+
 // Cum returns the cumulative acknowledgement: the lowest unacked PSN.
 func (sb *Scoreboard) Cum() uint32 { return sb.cum }
 

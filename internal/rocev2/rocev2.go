@@ -19,7 +19,6 @@
 package rocev2
 
 import (
-	"github.com/irnsim/irn/internal/cc"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/transport"
@@ -229,7 +228,7 @@ type Receiver struct {
 	rto       sim.Timer
 	complete  bool
 	done      transport.Completer
-	cnp       cc.CNPGenerator
+	cnp       transport.CNPGenerator
 
 	// Stats.
 	Nacks, TimeoutNacks, Discards uint64
@@ -243,7 +242,12 @@ func NewReceiver(ep transport.Endpoint, flow *transport.Flow, p Params, done tra
 	return r
 }
 
-// Init is NewReceiver in place; see Sender.Init.
+// Init is NewReceiver in place; see Sender.Init. Init overwrites every
+// field, so a receiver may be Init-ed again for another flow once done
+// has been told its flow completed: nothing touches the receiver after
+// FlowDone returns, and Retired then answers the old flow's late
+// duplicates in its place. The stall timer's event may still be queued
+// then; it lapses, as a reaped sender's do.
 func (r *Receiver) Init(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer) {
 	if flow.Pkts == 0 {
 		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)
@@ -256,7 +260,6 @@ func (r *Receiver) Init(ep transport.Endpoint, flow *transport.Flow, p Params, d
 		total: flow.Pkts,
 		done:  done,
 	}
-	r.cnp.Init()
 	r.rto.Init(ep.Engine(), ep.Clock(), r, receiverRTO)
 	if !p.DisableTimeout {
 		r.rto.Arm(p.RTOHigh)
@@ -339,6 +342,9 @@ func (r *Receiver) finish(last *packet.Packet, now sim.Time) {
 		r.done.FlowDone(r.flow, now)
 	}
 }
+
+// Retired implements transport.Retirer.
+func (r *Receiver) Retired() transport.Retired { return transport.NewRetired(r.flow, &r.cnp) }
 
 // sendCompletion acknowledges the whole message.
 func (r *Receiver) sendCompletion(trigger *packet.Packet) {

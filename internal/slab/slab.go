@@ -7,7 +7,9 @@
 // verbs layer carves WQEs and packets from per-QP slabs and recycles them
 // through its own free lists; the experiment launcher carves senders,
 // receivers and bitmap words from per-shard slabs that die with the run,
-// and reuses a sender the NIC has reaped before it carves another.
+// reuses a sender the NIC has reaped and a receiver whose flow has
+// completed before it carves another, and a recycled object keeps its
+// bitmap words (Slab.Reuse) when they are enough for its next flow.
 package slab
 
 // chunk is the number of elements per heap allocation.
@@ -26,6 +28,19 @@ func (s *Slab[T]) Get() *T {
 	p := &s.free[0]
 	s.free = s.free[1:]
 	return p
+}
+
+// Reuse returns n zero Ts for an object starting a new life: the first n
+// of old, the run its last life used, cleared, when old has room for
+// them, and Run(n) otherwise. So a recycled object keeps its run as long
+// as that is long enough, and carves only when it needs a longer one.
+func (s *Slab[T]) Reuse(old []T, n int) []T {
+	if cap(old) >= n {
+		r := old[:n]
+		clear(r)
+		return r
+	}
+	return s.Run(n)
 }
 
 // Run returns n contiguous zero Ts with no capacity beyond n, so

@@ -113,3 +113,37 @@ func TestRunsAreDisjoint(t *testing.T) {
 		t.Fatalf("nil slab run: len=%d cap=%d", len(r), cap(r))
 	}
 }
+
+// TestReuseKeepsALongEnoughRun: Reuse hands an object back its own run,
+// zeroed, for any length up to the run's capacity — a shorter life first
+// keeps the longer capacity for the next — and carves a fresh run only
+// when the old one is too short.
+func TestReuseKeepsALongEnoughRun(t *testing.T) {
+	var s Slab[uint64]
+	old := s.Run(8)
+	for i := range old {
+		old[i] = 7
+	}
+	short := s.Reuse(old, 2)
+	if len(short) != 2 || &short[0] != &old[0] || short[0] != 0 || short[1] != 0 {
+		t.Fatalf("shorter life got %v, want old's first 2 words zeroed", short)
+	}
+	short[0], short[1] = 5, 5
+	full := s.Reuse(short, 8)
+	if len(full) != 8 || &full[0] != &old[0] {
+		t.Fatal("a run shortened by one life was not handed back whole to the next")
+	}
+	for i, w := range full {
+		if w != 0 {
+			t.Fatalf("word %d handed back dirty: %d", i, w)
+		}
+	}
+	longer := s.Reuse(full, 16)
+	if len(longer) != 16 || cap(longer) != 16 || &longer[0] == &old[0] {
+		t.Fatal("a run too short for the next life was reused")
+	}
+	var none *Slab[uint64]
+	if r := none.Reuse(nil, 3); len(r) != 3 {
+		t.Fatalf("nil slab, no old run: len %d", len(r))
+	}
+}

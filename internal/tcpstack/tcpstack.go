@@ -98,7 +98,8 @@ func NewSender(ep transport.Endpoint, flow *transport.Flow, p Params) *Sender {
 // carved from words (nil: the heap). s must not be copied afterwards.
 // Init overwrites every field, so a finished sender the NIC has reaped may
 // be Init-ed again for another flow (see sim.Timer on its queued timer
-// events).
+// events); it then keeps its bitmap words if they are enough for the new
+// flow (slab.Slab.Reuse).
 func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, words *slab.Slab[uint64]) {
 	if flow.Pkts == 0 {
 		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)
@@ -109,6 +110,7 @@ func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, wor
 	if p.DupAckThreshold < 1 {
 		p.DupAckThreshold = 3
 	}
+	run := words.Reuse(s.sb.Words(), windowWords(flow.Pkts))
 	*s = Sender{
 		ep:       ep,
 		pool:     ep.Pool(),
@@ -118,7 +120,7 @@ func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, wor
 		cwnd:     float64(p.InitialWindow),
 		ssthresh: 1 << 30, // slow start until the first loss
 	}
-	s.sb.Init(words.Run(windowWords(s.total)))
+	s.sb.Init(run)
 	s.rto.Init(ep.Engine(), ep.Clock(), s, senderRTO)
 }
 
@@ -323,11 +325,16 @@ func NewReceiver(ep transport.Endpoint, flow *transport.Flow, p Params, done tra
 }
 
 // Init is NewReceiver in place, with the reassembly bitmap's words carved
-// from words (nil: the heap); see Sender.Init.
+// from words (nil: the heap); see Sender.Init. Init overwrites every
+// field, so a receiver may be Init-ed again for another flow once done
+// has been told its flow completed: nothing touches the receiver after
+// FlowDone returns, and Retired then answers the old flow's late
+// duplicates in its place.
 func (r *Receiver) Init(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer, words *slab.Slab[uint64]) {
 	if flow.Pkts == 0 {
 		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)
 	}
+	run := words.Reuse(r.win.Words(), windowWords(flow.Pkts))
 	*r = Receiver{
 		ep:    ep,
 		pool:  ep.Pool(),
@@ -336,8 +343,11 @@ func (r *Receiver) Init(ep transport.Endpoint, flow *transport.Flow, p Params, d
 		total: flow.Pkts,
 		done:  done,
 	}
-	r.win.Init(words.Run(windowWords(r.total)))
+	r.win.Init(run)
 }
+
+// Retired implements transport.Retirer. TCP sends no CNPs.
+func (r *Receiver) Retired() transport.Retired { return transport.NewRetired(r.flow, nil) }
 
 // Received reports distinct segments received.
 func (r *Receiver) Received() int { return r.win.Received() }
