@@ -82,12 +82,27 @@ func main() {
 	)
 	flag.Parse()
 
-	// Reject impossible fabric shapes and rates before anything is built:
-	// an odd arity or a negative load would panic in a fleet worker, a
-	// negative link rate in the launcher, and a negative buffer would run
-	// to completion with every packet dropped.
+	// Reject impossible fabric shapes, rates and counts before anything
+	// is built: an odd arity, a negative load or an incast fan-in of the
+	// whole fabric would panic in a fleet worker, a negative link rate in
+	// the launcher; a negative buffer would run to completion with every
+	// packet dropped, and a negative flow or request count would run
+	// nothing and exit 0.
 	if *arity < 2 || *arity%2 != 0 {
 		fmt.Fprintf(os.Stderr, "-arity %d: fat-tree arity must be even and >= 2\n", *arity)
+		os.Exit(2)
+	}
+	hosts := (&topo.FatTree{K: *arity}).Hosts()
+	if *incast < 0 || *incast >= hosts {
+		fmt.Fprintf(os.Stderr, "-incast %d: incast fan-in must be in [0, %d) on the %d-host fabric\n", *incast, hosts, hosts)
+		os.Exit(2)
+	}
+	if *flows < 0 {
+		fmt.Fprintf(os.Stderr, "-flows %d: flow count must be >= 0\n", *flows)
+		os.Exit(2)
+	}
+	if *kvReqs < 0 {
+		fmt.Fprintf(os.Stderr, "-kv %d: KV request count must be >= 0\n", *kvReqs)
 		os.Exit(2)
 	}
 	if *buffer < 0 {
@@ -184,7 +199,7 @@ func main() {
 		}
 		// A replica group larger than the fabric is a usage error here
 		// rather than a panic from a fleet worker.
-		if err := s.KV.Validate(topo.NewFatTree(*arity).Hosts()); err != nil {
+		if err := s.KV.Validate(hosts); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}

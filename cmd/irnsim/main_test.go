@@ -105,9 +105,11 @@ func wantUsageError(t *testing.T, bin, flag string, args ...string) {
 }
 
 // TestBadFabricShapeIsAUsageError: an odd arity (alone or with -kv,
-// which sizes the fabric early), a negative buffer, link rate or load
-// exit 2 before anything runs, naming the flag. (A negative load used to
-// panic in a fleet worker, a negative rate in the launcher.)
+// which sizes the fabric early), a negative buffer, link rate or load, an
+// incast fan-in outside [0, hosts) and a negative flow or KV request
+// count exit 2 before anything runs, naming the flag. (A negative load or
+// a 16-way incast on a 16-host fabric used to panic in a fleet worker, a
+// negative rate in the launcher; -flows -1 ran nothing and exited 0.)
 func TestBadFabricShapeIsAUsageError(t *testing.T) {
 	bin := build(t)
 	wantUsageError(t, bin, "-arity", "-arity", "5")
@@ -116,6 +118,10 @@ func TestBadFabricShapeIsAUsageError(t *testing.T) {
 	wantUsageError(t, bin, "-buffer", "-arity", "4", "-buffer", "-1")
 	wantUsageError(t, bin, "-load", "-arity", "4", "-load", "-1")
 	wantUsageError(t, bin, "-gbps", "-arity", "4", "-gbps", "-5")
+	wantUsageError(t, bin, "-incast", "-arity", "4", "-incast", "16")
+	wantUsageError(t, bin, "-incast", "-arity", "4", "-incast", "-1")
+	wantUsageError(t, bin, "-flows", "-arity", "4", "-flows", "-1")
+	wantUsageError(t, bin, "-kv", "-arity", "4", "-kv", "-1")
 }
 
 // TestShardedFaultOrKVIsAUsageError: KV and fault-injected runs are

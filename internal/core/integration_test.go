@@ -8,6 +8,7 @@ import (
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/topo"
 	"github.com/irnsim/irn/internal/transport"
+	"github.com/irnsim/irn/internal/transport/transporttest"
 )
 
 // runOverFabric wires one IRN flow across a 2-host star and runs to
@@ -16,16 +17,14 @@ func runOverFabric(t *testing.T, p Params, ctrl transport.Controller, pkts int,
 	lossFn func(*packet.Packet) bool) (*Sender, *Receiver, *fabric.Network, sim.Time) {
 	t.Helper()
 	eng := sim.NewEngine()
-	cfg := fabric.DefaultConfig()
-	cfg.LossInject = lossFn
-	net := fabric.New(eng, topo.NewStar(2), cfg)
+	net := fabric.New(eng, topo.NewStar(2), fabric.DefaultConfig())
 
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: pkts * p.MTU, Pkts: pkts}
 	snd := NewSender(net.NIC(0), flow, p, ctrl)
 	var doneAt sim.Time
 	rcv := NewReceiver(net.NIC(1), flow, p, doneFn(func(now sim.Time) { doneAt = now }))
-	net.NIC(1).AttachSink(flow.ID, rcv)
-	net.NIC(0).AttachSource(snd)
+	net.NIC(1).AttachSink(flow.ID, transporttest.Sink(rcv, lossFn))
+	net.NIC(0).AttachSource(transporttest.Source(snd, lossFn))
 
 	eng.RunUntil(sim.Time(100 * sim.Millisecond))
 	return snd, rcv, net, doneAt
@@ -255,14 +254,12 @@ func TestBDPFCBoundsReceiverBuffering(t *testing.T) {
 		return false
 	}
 	eng := sim.NewEngine()
-	cfg := fabric.DefaultConfig()
-	cfg.LossInject = lossFn
-	net := fabric.New(eng, topo.NewStar(2), cfg)
+	net := fabric.New(eng, topo.NewStar(2), fabric.DefaultConfig())
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 500 * 1000, Pkts: 500}
 	snd := NewSender(net.NIC(0), flow, p, nil)
 	rcv := NewReceiver(net.NIC(1), flow, p, nil)
 	probe := sinkProbe{rcv: rcv, maxOOO: &maxOOO}
-	net.NIC(1).AttachSink(flow.ID, probe)
+	net.NIC(1).AttachSink(flow.ID, transporttest.Sink(probe, lossFn))
 	net.NIC(0).AttachSource(snd)
 	eng.RunUntil(sim.Time(100 * sim.Millisecond))
 

@@ -143,7 +143,7 @@ func RunEndurance(cfg EnduranceConfig) (EnduranceReport, error) {
 			RoCETimeouts: true,
 		}
 		r := w.Run(s)
-		if err := checkSoakInvariants(r); err != nil {
+		if err := r.CheckConservation(); err != nil {
 			return rep, fmt.Errorf("segment %d: %w", seg, err)
 		}
 		runtime.GC()
@@ -160,23 +160,4 @@ func RunEndurance(cfg EnduranceConfig) (EnduranceReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// checkSoakInvariants verifies one segment's packet-conservation census
-// and pool accounting — the equations internal/sim/invariant_test.go
-// asserts across presets, here enforced mid-soak.
-func checkSoakInvariants(r Result) error {
-	c := r.Census
-	if c.Injected == 0 {
-		return fmt.Errorf("%s: no packets injected — segment ran nothing", r.Name)
-	}
-	if want := c.Exits() + uint64(r.InFlight); c.Injected != want {
-		return fmt.Errorf("%s: conservation violated: injected %d != delivered %d + overflow %d + inject %d + fault %d + corrupted %d + in-flight %d",
-			r.Name, c.Injected, c.Delivered, c.OverflowDrops, c.InjectDrops, c.FaultDrops, c.Corrupted, r.InFlight)
-	}
-	if r.PoolLive != r.InFlight+r.CtrlBacklog {
-		return fmt.Errorf("%s: pool accounting violated: %d live packets != %d in-flight + %d ctrl backlog",
-			r.Name, r.PoolLive, r.InFlight, r.CtrlBacklog)
-	}
-	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"github.com/irnsim/irn/internal/kv"
 	"github.com/irnsim/irn/internal/metrics"
 	"github.com/irnsim/irn/internal/sim"
+	"github.com/irnsim/irn/internal/topo"
 )
 
 // Transport selects the NIC transport under test.
@@ -219,14 +220,25 @@ func (s Scenario) normalize() Scenario {
 
 // check rejects a normalized scenario no run can take: an odd fat-tree
 // arity or one below 2, which topo.NewFatTree would panic on deep in
-// construction; a negative per-port buffer, which would drop every
-// packet; and a negative (or NaN) link rate or load, on which the
-// workload generator panics or draws flow starts before time zero.
+// construction; an incast fan-in outside [0, hosts), on which the
+// workload generator panics; a negative flow or KV request count, which
+// would run nothing in silence; a negative per-port buffer, which would
+// drop every packet; and a negative (or NaN) link rate or load, on which
+// the workload generator panics or draws flow starts before time zero.
 // cmd/irnsim checks its flags the same way; this catches a Scenario built
 // in code.
 func (s Scenario) check() error {
 	if s.Arity < 2 || s.Arity%2 != 0 {
 		return fmt.Errorf("fat-tree arity %d must be even and >= 2", s.Arity)
+	}
+	if hosts := (&topo.FatTree{K: s.Arity}).Hosts(); s.IncastM < 0 || s.IncastM >= hosts {
+		return fmt.Errorf("incast fan-in %d must be in [0, %d) on the %d-host fabric", s.IncastM, hosts, hosts)
+	}
+	if s.NumFlows < 0 {
+		return fmt.Errorf("flow count %d must be >= 0", s.NumFlows)
+	}
+	if s.KV.Requests < 0 {
+		return fmt.Errorf("KV request count %d must be >= 0", s.KV.Requests)
 	}
 	if s.BufferBytes < 0 {
 		return fmt.Errorf("per-port buffer %d bytes must be >= 0 (0 = 2xBDP)", s.BufferBytes)
@@ -294,6 +306,32 @@ type Result struct {
 	// varies run to run, so the determinism tests strip the whole
 	// report. Not persisted by the store.
 	ShardStats *ShardStats
+}
+
+// CheckConservation verifies the run's packet-conservation census and pool
+// accounting: something was injected, every injected packet exited the
+// fabric or is still in flight,
+//
+//	Injected == Delivered + OverflowDrops + FaultDrops + Corrupted + InFlight
+//
+// and every packet the pools own is in flight or awaiting its first
+// transmission (PoolLive == InFlight + CtrlBacklog). A census miss means a
+// packet died unaccounted (low) or was counted twice (high); a pool miss
+// means a leak or a double release.
+func (r *Result) CheckConservation() error {
+	c := &r.Census
+	if c.Injected == 0 {
+		return fmt.Errorf("%s: no packets injected — the run ran nothing", r.Name)
+	}
+	if want := c.Exits() + uint64(r.InFlight); c.Injected != want {
+		return fmt.Errorf("%s: conservation violated: injected %d != delivered %d + overflow %d + fault %d + corrupted %d + in-flight %d",
+			r.Name, c.Injected, c.Delivered, c.OverflowDrops, c.FaultDrops, c.Corrupted, r.InFlight)
+	}
+	if r.PoolLive != r.InFlight+r.CtrlBacklog {
+		return fmt.Errorf("%s: pool accounting violated: %d live packets != %d in-flight + %d ctrl backlog (leak or double release)",
+			r.Name, r.PoolLive, r.InFlight, r.CtrlBacklog)
+	}
+	return nil
 }
 
 // ShardStats reports how the conservative windowed runtime behaved for

@@ -95,40 +95,16 @@ func (w *Worker) engines(n int) []*sim.Engine {
 // fabricKey is the structural identity of a fabric: every input to its
 // construction except the seed and the fault model, which Network.Reset
 // re-applies per run. Two scenarios with equal keys run on identical
-// topologies and configs. (It mirrors fabric.Config field by field rather
-// than embedding it because Config's LossInject hook makes the struct
-// non-comparable; scenarios never set that hook.)
+// topologies and configs.
 type fabricKey struct {
-	arity         int
-	shards        int
-	rate          fabric.Rate
-	prop          sim.Duration
-	bufferBytes   int
-	pfc           bool
-	pfcHeadroom   int
-	pfcHysteresis int
-	ecn           fabric.ECNConfig
-	mtu           int
-	spray         bool
-	sharedBuffer  bool
+	arity, shards int
+	cfg           fabric.Config
 }
 
 // keyOf extracts the structural identity of a scenario's fabric.
 func keyOf(arity, shards int, cfg fabric.Config) fabricKey {
-	return fabricKey{
-		arity:         arity,
-		shards:        shards,
-		rate:          cfg.Rate,
-		prop:          cfg.Prop,
-		bufferBytes:   cfg.BufferBytes,
-		pfc:           cfg.PFC,
-		pfcHeadroom:   cfg.PFCHeadroom,
-		pfcHysteresis: cfg.PFCHysteresis,
-		ecn:           cfg.ECN,
-		mtu:           cfg.MTU,
-		spray:         cfg.Spray,
-		sharedBuffer:  cfg.SharedBuffer,
-	}
+	cfg.Seed, cfg.Faults = 0, nil
+	return fabricKey{arity: arity, shards: shards, cfg: cfg}
 }
 
 // Run executes a scenario to completion (all flows finished or grace
@@ -148,29 +124,10 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 		panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
 	}
 
-	rate := fabric.Gbps(s.Gbps)
-	bdp := fabric.BDPBytes(rate, s.Prop, topo.FatTreeLongestPathHops)
-	linkBDP := fabric.BDPBytes(rate, s.Prop, 1)
-
-	// Headroom must absorb everything in flight when X-OFF takes hold:
-	// one link RTT of data (the paper's "upstream link's bandwidth-delay
-	// product") plus the packet serializing at the pause instant and the
-	// packet that may overshoot the threshold check.
-	wire := s.MTU + packet.DataHeader + s.ExtraHeader
-	cfg := fabric.Config{
-		Rate:          rate,
-		Prop:          s.Prop,
-		BufferBytes:   s.BufferBytes,
-		PFC:           s.PFC,
-		PFCHeadroom:   linkBDP + 3*wire,
-		PFCHysteresis: 2 * wire,
-		MTU:           s.MTU,
-		Seed:          s.Seed,
-		Spray:         s.Spray,
-		SharedBuffer:  s.SharedBuffer,
-	}
-	if cfg.BufferBytes == 0 {
-		cfg.BufferBytes = 2 * bdp
+	cfg := fabric.Sized(fabric.Gbps(s.Gbps), s.Prop, s.MTU, s.ExtraHeader)
+	cfg.PFC, cfg.Seed, cfg.Spray, cfg.SharedBuffer = s.PFC, s.Seed, s.Spray, s.SharedBuffer
+	if s.BufferBytes != 0 {
+		cfg.BufferBytes = s.BufferBytes
 	}
 	if cfg.PFCHeadroom >= cfg.BufferBytes {
 		// Tiny-buffer sweeps: keep a sane threshold at half the buffer.
@@ -264,7 +221,7 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 		specs = append(specs, workload.Generate(workload.PoissonConfig{
 			Hosts:         top.Hosts(),
 			Load:          s.Load,
-			RatePsPerByte: int64(rate),
+			RatePsPerByte: int64(cfg.Rate),
 			MTU:           s.MTU,
 			HeaderBytes:   packet.DataHeader + s.ExtraHeader,
 			NumFlows:      s.NumFlows,
@@ -277,7 +234,7 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 		s:           s,
 		net:         net,
 		bdpCap:      bdpCap,
-		minRTT:      sim.Duration(2*top.LongestPathHops()) * (s.Prop + rate.Serialize(s.MTU+packet.DataHeader)),
+		minRTT:      sim.Duration(2*top.LongestPathHops()) * (s.Prop + cfg.Rate.Serialize(s.MTU+packet.DataHeader)),
 		idBase:      idBase,
 		flows:       make([]transport.Flow, len(specs)),
 		stats:       make([]*transport.SenderStats, len(specs)),

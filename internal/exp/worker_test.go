@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/irnsim/irn/internal/fault"
+	"github.com/irnsim/irn/internal/kv"
 	"github.com/irnsim/irn/internal/sim"
 )
 
@@ -45,6 +46,55 @@ func TestWorkerReuseBitIdentical(t *testing.T) {
 	b := w.Run(seq[0])
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("repeated run of one scenario on a reused worker diverged")
+	}
+}
+
+// TestWorkerRebuildsOnStructuralChange: the fabric cache reuses the fabric
+// across a new seed or fault model only, and rebuilds on a change to any
+// other input of its construction. Each variant differs from the base in
+// one field and runs between two base runs, so each transition changes
+// exactly that field; every result equals a fresh run.
+func TestWorkerRebuildsOnStructuralChange(t *testing.T) {
+	base := Scenario{Name: "base", Arity: 4, NumFlows: 60, Seed: 3}
+	w := NewWorker()
+	run := func(s Scenario, rebuilds int) {
+		t.Helper()
+		before := w.Rebuilds()
+		if got := w.Run(s); !reflect.DeepEqual(got, Run(s)) {
+			t.Fatalf("%s: worker run diverged from a fresh run", s.Name)
+		}
+		if got := w.Rebuilds() - before; got != rebuilds {
+			t.Fatalf("%s: worker built %d fabrics, want %d", s.Name, got, rebuilds)
+		}
+	}
+	run(base, 1)
+	reseeded := base
+	reseeded.Name, reseeded.Seed = "new seed", 4
+	run(reseeded, 0)
+	faulted := base
+	faulted.Name, faulted.Faults = "new faults", fault.Spec{LossRate: 0.002}
+	run(faulted, 0)
+
+	for _, v := range []struct {
+		name string
+		set  func(*Scenario)
+	}{
+		{"Gbps", func(s *Scenario) { s.Gbps = 100 }},
+		{"Prop", func(s *Scenario) { s.Prop = sim.Microsecond }},
+		{"BufferBytes", func(s *Scenario) { s.BufferBytes = 100_000 }},
+		{"PFC", func(s *Scenario) { s.PFC = true }},
+		{"MTU", func(s *Scenario) { s.MTU = 2000 }},
+		{"ExtraHeader", func(s *Scenario) { s.ExtraHeader = 16 }},
+		{"CC DCQCN", func(s *Scenario) { s.CC = CCDCQCN }},
+		{"Spray", func(s *Scenario) { s.Spray = true }},
+		{"SharedBuffer", func(s *Scenario) { s.SharedBuffer = true }},
+		{"Arity", func(s *Scenario) { s.Arity = 6 }},
+	} {
+		s := base
+		s.Name = v.name
+		v.set(&s)
+		run(s, 1)
+		run(base, 1)
 	}
 }
 
@@ -194,12 +244,14 @@ func TestWorkerSurvivesFaultModelPanic(t *testing.T) {
 }
 
 // TestWorkerRejectsBadFabricShape: a Scenario built in code with a fabric
-// no fat-tree can take, or a negative link rate or load, panics with a
+// no fat-tree can take, a negative link rate or load, an incast fan-in
+// outside [0, hosts) or a negative flow or KV request count panics with a
 // message naming the scenario and the field before the worker builds
 // anything — an odd or too-small arity used to panic inside
 // topo.NewFatTree, a negative buffer ran with every packet dropped, a
-// negative load panicked in the workload generator and a negative rate
-// in the launcher — and the worker's cache is left as it was.
+// negative load or an oversized fan-in panicked in the workload generator,
+// a negative rate in the launcher, and a negative count ran nothing — and
+// the worker's cache is left as it was.
 func TestWorkerRejectsBadFabricShape(t *testing.T) {
 	good := Scenario{Name: "k6", NumFlows: 120, Seed: 11}
 	w := NewWorker()
@@ -215,10 +267,17 @@ func TestWorkerRejectsBadFabricShape(t *testing.T) {
 		{"negative buffer", Scenario{BufferBytes: -1}, "buffer -1 bytes must be >= 0"},
 		{"negative rate", Scenario{Gbps: -5}, "Gbps -5 must be >= 0"},
 		{"negative load", Scenario{Load: -1}, "Load -1 must be >= 0"},
+		{"incast of every host", Scenario{Arity: 4, IncastM: 16}, "fan-in 16 must be in [0, 16)"},
+		{"negative incast", Scenario{IncastM: -1}, "fan-in -1 must be in [0, 54)"},
+		{"negative flows", Scenario{NumFlows: -1}, "flow count -1 must be >= 0"},
+		{"negative kv", Scenario{KV: kv.Options{Requests: -1}}, "KV request count -1 must be >= 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.s
-			s.Name, s.NumFlows = "bad-"+tc.name, 120
+			s.Name = "bad-" + tc.name
+			if s.NumFlows == 0 {
+				s.NumFlows = 120
+			}
 			defer func() {
 				msg, _ := recover().(string)
 				if !strings.Contains(msg, fmt.Sprintf("scenario %q", s.Name)) || !strings.Contains(msg, tc.want) {
@@ -256,9 +315,8 @@ func TestWorkerReclaimsCutOffPackets(t *testing.T) {
 			t.Fatalf("run %d (%s): %d packets in flight, %d flows incomplete — the cut-off stranded nothing",
 				i, s.Name, got.InFlight, got.Summary.Incomplete)
 		}
-		if got.PoolLive != got.InFlight+got.CtrlBacklog {
-			t.Fatalf("run %d (%s): pool has %d live packets, want %d in flight + %d ctrl backlog",
-				i, s.Name, got.PoolLive, got.InFlight, got.CtrlBacklog)
+		if err := got.CheckConservation(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
 		if want := Run(s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d (%s) on the reused worker diverged from a fresh one", i, s.Name)

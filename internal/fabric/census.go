@@ -4,8 +4,8 @@ package fabric
 // enters the fabric must end in exactly one of the exit counters or still
 // be inside it when the run stops. The invariant harness asserts
 //
-//	Injected == Delivered + OverflowDrops + InjectDrops +
-//	            FaultDrops + Corrupted + InFlightPackets()
+//	Injected == Delivered + OverflowDrops + FaultDrops +
+//	            Corrupted + InFlightPackets()
 //
 // after every run. A miss on the low side means a packet died without
 // being accounted (and, with the pool, usually leaked); a miss on the high
@@ -24,8 +24,6 @@ type Census struct {
 	Delivered uint64
 	// OverflowDrops counts drop-tail deaths at full switch buffers.
 	OverflowDrops uint64
-	// InjectDrops counts deaths via the Config.LossInject test hook.
-	InjectDrops uint64
 	// FaultDrops counts deaths from the fault model's random in-flight
 	// loss and from links that went down with packets in flight.
 	FaultDrops uint64
@@ -36,7 +34,7 @@ type Census struct {
 
 // Exits sums every death counter: the packets that left the fabric.
 func (c *Census) Exits() uint64 {
-	return c.Delivered + c.OverflowDrops + c.InjectDrops + c.FaultDrops + c.Corrupted
+	return c.Delivered + c.OverflowDrops + c.FaultDrops + c.Corrupted
 }
 
 // InFlightPackets counts the packets currently inside the fabric:

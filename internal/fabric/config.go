@@ -4,6 +4,7 @@ import (
 	"github.com/irnsim/irn/internal/fault"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
+	"github.com/irnsim/irn/internal/topo"
 )
 
 // ECNConfig is RED-style marking at switch egress queues, the signal DCQCN
@@ -16,11 +17,11 @@ type ECNConfig struct {
 	PMax    float64
 }
 
-// Config sets the fabric-wide parameters of a simulation. The defaults
-// (see DefaultConfig) correspond to the paper's default case scenario:
-// 40 Gbps links, 2 µs propagation delay, per-port buffers of twice the
-// 120 KB longest-path BDP, and a PFC threshold leaving headroom for one
-// upstream-link BDP.
+// Config sets the fabric-wide parameters of a simulation. Sized derives
+// the §4.1 buffer and PFC sizing from the link parameters, and
+// DefaultConfig is the paper's default case. Config is plain comparable
+// data: a fabric's structure is a function of its topology and its Config
+// less Seed and Faults, which Network.Reset re-applies per run.
 type Config struct {
 	// Rate is the link rate for every link in the fabric.
 	Rate Rate
@@ -44,11 +45,6 @@ type Config struct {
 	MTU int
 	// Seed drives ECN marking randomness.
 	Seed uint64
-	// LossInject, when non-nil, is consulted for every packet arriving
-	// at a switch; returning true discards the packet (counted as a
-	// drop). Tests and failure-injection experiments use it to create
-	// deterministic or random losses independent of buffer pressure.
-	LossInject func(pkt *packet.Packet) bool
 	// Faults, when non-nil, is the compiled fault model for this run:
 	// per-link random loss and corruption rates plus the link flap and
 	// degradation schedule. Faults resolve at the arrival end of each
@@ -69,29 +65,32 @@ type Config struct {
 	SharedBuffer bool
 }
 
-// DefaultConfig returns the paper's default-case fabric: 40 Gbps, 2 µs
-// links; 6-hop BDP 120 KB; buffer 2×BDP = 240 KB; PFC threshold ≈ 217 KB.
-// The headroom is the paper's "upstream link's bandwidth-delay product"
-// (one link RTT of in-flight data, 20 KB) plus serialization slack: the
-// packet in flight when X-OFF is generated and the packet that may
-// overshoot the threshold check.
-func DefaultConfig() Config {
-	rate := Gbps(40)
-	prop := 2 * sim.Microsecond
-	bdp := BDPBytes(rate, prop, 6) // 120 KB
-	linkBDP := BDPBytes(rate, prop, 1)
-	const mtu = 1000
-	wire := mtu + packet.DataHeader
+// Sized returns the §4.1 fabric for the given link rate and propagation
+// delay, and for mtu-byte payloads carrying extraHeader bytes beyond
+// packet.DataHeader. Buffers are twice the fat-tree's longest-path BDP.
+// PFC headroom is the paper's "upstream link's bandwidth-delay product"
+// plus three wire packets of slack for the packet in flight when X-OFF is
+// generated and the packet that may overshoot the threshold check; resume
+// hysteresis is two wire packets. Every other field is off or zero.
+func Sized(rate Rate, prop sim.Duration, mtu, extraHeader int) Config {
+	wire := mtu + packet.DataHeader + extraHeader
 	return Config{
 		Rate:          rate,
 		Prop:          prop,
-		BufferBytes:   2 * bdp,
-		PFC:           false,
-		PFCHeadroom:   linkBDP + 3*wire,
+		BufferBytes:   2 * BDPBytes(rate, prop, topo.FatTreeLongestPathHops),
+		PFCHeadroom:   BDPBytes(rate, prop, 1) + 3*wire,
 		PFCHysteresis: 2 * wire,
 		MTU:           mtu,
-		Seed:          1,
 	}
+}
+
+// DefaultConfig returns the paper's default-case fabric, Sized for 40 Gbps,
+// 2 µs links and 1000-byte payloads with Seed 1: 6-hop BDP 120 KB, buffer
+// 2×BDP = 240 KB, link BDP 20 KB, PFC threshold ≈ 217 KB.
+func DefaultConfig() Config {
+	cfg := Sized(Gbps(40), 2*sim.Microsecond, 1000, 0)
+	cfg.Seed = 1
+	return cfg
 }
 
 // PFCThreshold returns the input-buffer occupancy above which a switch

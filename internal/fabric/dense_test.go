@@ -220,12 +220,11 @@ func TestSwitchHopZeroAllocs(t *testing.T) {
 	for _, pfc := range []bool{false, true} {
 		cfg := testConfig()
 		if pfc {
-			// A 2:1 incast into a buffer of a few packets: the last edge
-			// switch pauses and resumes its uplinks throughout.
-			wire := cfg.MTU + packet.DataHeader
+			// A 2:1 incast into a buffer of a few packets past the §4.1
+			// headroom: the last edge switch pauses and resumes its
+			// uplinks throughout.
 			cfg.PFC = true
-			cfg.PFCHeadroom = BDPBytes(cfg.Rate, cfg.Prop, 1) + 3*wire
-			cfg.BufferBytes = cfg.PFCHeadroom + 6*wire
+			cfg.BufferBytes = cfg.PFCHeadroom + 6*(cfg.MTU+packet.DataHeader)
 		}
 		eng := sim.NewEngine()
 		net := New(eng, topo.NewFatTree(4), cfg)

@@ -96,18 +96,15 @@ func New(eng *sim.Engine, t topo.Topology, cfg Config) *Network {
 // channels, drained by DrainAll at the window barriers of sim.RunWindows
 // under the lookahead this partitioning supports (see computeLookahead).
 //
-// A fault model and the LossInject test hook both require a single-shard
-// fabric: boundary channels carry packets and PFC frames only, and
-// faulted runs are serial (exp.Scenario.Shards).
+// A fault model requires a single-shard fabric: boundary channels carry
+// packets and PFC frames only, and faulted runs are serial
+// (exp.Scenario.Shards).
 func NewPartitioned(engs []*sim.Engine, assign []int, t topo.Topology, cfg Config) *Network {
 	if cfg.MTU <= 0 {
 		panic("fabric: config MTU must be positive")
 	}
 	if len(engs) == 0 {
 		panic("fabric: need at least one engine")
-	}
-	if len(engs) > 1 && cfg.LossInject != nil {
-		panic("fabric: the LossInject hook requires a single-shard fabric")
 	}
 	if len(engs) > 1 && cfg.Faults != nil {
 		panic("fabric: a fault model requires a single-shard fabric")
@@ -498,7 +495,6 @@ func (net *Network) Census() Census {
 		t.Injected += c.Injected
 		t.Delivered += c.Delivered
 		t.OverflowDrops += c.OverflowDrops
-		t.InjectDrops += c.InjectDrops
 		t.FaultDrops += c.FaultDrops
 		t.Corrupted += c.Corrupted
 	}

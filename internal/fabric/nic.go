@@ -124,8 +124,8 @@ func (n *NIC) AttachSink(id packet.FlowID, s transport.Sink) {
 // completed, with its transport.Retired record and returns the sink. The
 // record, kept in the NIC's retired table for the rest of the run,
 // answers the flow's late duplicates from here on, and the NIC holds no
-// reference to the sink: the caller may Init it for another flow. A missing sink, or one that cannot retire, is
-// a model bug and panics.
+// reference to the sink: the caller may Init it for another flow. A
+// missing sink, or one that cannot retire, is a model bug and panics.
 func (n *NIC) Retire(id packet.FlowID) transport.Sink {
 	e := n.flows.find(id)
 	if e == nil || e.sink == nil {

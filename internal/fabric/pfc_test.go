@@ -124,14 +124,13 @@ func TestFabricDeterminism(t *testing.T) {
 	}
 }
 
-// TestPFCThresholdRespectsHeadroom floods one port and confirms the
-// buffer never exceeds its configured size (the headroom absorbs all
-// in-flight data after X-OFF).
+// TestPFCHeadroomSufficient floods one port and confirms the buffer
+// never exceeds its configured size (the §4.1 headroom Sized sets absorbs
+// all in-flight data after X-OFF).
 func TestPFCHeadroomSufficient(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.PFC = true
-	cfg.PFCHeadroom = BDPBytes(cfg.Rate, cfg.Prop, 1) + 3*(cfg.MTU+packet.DataHeader)
 	net := New(eng, topo.NewStar(5), cfg)
 
 	for f := packet.FlowID(1); f <= 4; f++ {

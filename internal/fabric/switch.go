@@ -45,14 +45,13 @@ type Switch struct {
 
 	// Per-packet configuration, copied out of net.Cfg by loadConfig so the
 	// datapath reads the switch's own cache lines.
-	lossInject func(*packet.Packet) bool
-	bufCap     int  // drop-tail limit: per input, or the pool when shared
-	pfcOn      int  // input occupancy above which X-OFF is sent
-	pfcOff     int  // input occupancy at or below which X-ON is sent
-	sharedBuf  bool // bufCap applies to the switch-wide pool
-	pfc        bool
-	ecn        bool
-	spray      bool
+	bufCap    int  // drop-tail limit: per input, or the pool when shared
+	pfcOn     int  // input occupancy above which X-OFF is sent
+	pfcOff    int  // input occupancy at or below which X-ON is sent
+	sharedBuf bool // bufCap applies to the switch-wide pool
+	pfc       bool
+	ecn       bool
+	spray     bool
 }
 
 type inState struct {
@@ -132,7 +131,6 @@ func (s *Switch) internSet(ports []uint16) uint16 {
 // loadConfig copies the per-packet parameters out of the fabric config.
 func (s *Switch) loadConfig() {
 	cfg := &s.net.Cfg
-	s.lossInject = cfg.LossInject
 	s.sharedBuf = cfg.SharedBuffer
 	s.bufCap = cfg.BufferBytes
 	if s.sharedBuf {
@@ -167,22 +165,17 @@ func (s *Switch) reset() {
 	s.loadConfig()
 }
 
-// drop is a switch death site: the packet is counted (stat and census stay
-// paired, or the conservation invariant breaks) and returns to the pool.
-func (s *Switch) drop(pkt *packet.Packet, census *uint64) {
+// drop is the switch death site, drop-tail at a full buffer: the packet
+// is counted (stat and census stay paired, or the conservation invariant
+// breaks) and returns to the pool.
+func (s *Switch) drop(pkt *packet.Packet) {
 	s.part.stats.Drops++
-	*census++
+	s.part.census.OverflowDrops++
 	s.part.pool.Release(pkt)
 }
 
 // receive handles a packet arriving on input port inIdx.
 func (s *Switch) receive(pkt *packet.Packet, inIdx int) {
-	// Injected losses (tests, failure-injection experiments).
-	if s.lossInject != nil && s.lossInject(pkt) {
-		s.drop(pkt, &s.part.census.InjectDrops)
-		return
-	}
-
 	// Drop-tail on a full buffer. With PFC configured correctly this
 	// should not trigger; without PFC it is the loss the transports
 	// must recover from. In shared-buffer mode the pool spans all input
@@ -193,7 +186,7 @@ func (s *Switch) receive(pkt *packet.Packet, inIdx int) {
 		used = s.shared
 	}
 	if used+wire > s.bufCap {
-		s.drop(pkt, &s.part.census.OverflowDrops)
+		s.drop(pkt)
 		return
 	}
 

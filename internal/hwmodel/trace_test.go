@@ -21,6 +21,7 @@ import (
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/topo"
 	"github.com/irnsim/irn/internal/transport"
+	"github.com/irnsim/irn/internal/transport/transporttest"
 )
 
 // ctrlEvent is one output event of the simulated receiver.
@@ -66,12 +67,11 @@ func (t tapSink) HandleData(p *packet.Packet, now sim.Time) {
 func TestReceiveDataMatchesSimulatorTrace(t *testing.T) {
 	// 1. Run the §4-style simulation: one IRN flow over a lossy fabric.
 	eng := sim.NewEngine()
-	cfg := fabric.DefaultConfig()
+	net := fabric.New(eng, topo.NewStar(2), fabric.DefaultConfig())
 	rng := sim.NewRNG(2024)
-	cfg.LossInject = func(pkt *packet.Packet) bool {
+	lossFn := func(pkt *packet.Packet) bool {
 		return pkt.Type == packet.TypeData && rng.Float64() < 0.04
 	}
-	net := fabric.New(eng, topo.NewStar(2), cfg)
 
 	p := core.DefaultParams(1000, 113)
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 600 * 1000, Pkts: 600}
@@ -80,7 +80,7 @@ func TestReceiveDataMatchesSimulatorTrace(t *testing.T) {
 	var outputs []ctrlEvent
 	var inputs []arrival
 	rcv := core.NewReceiver(recordingEP{net.NIC(1), &outputs}, flow, p, nil)
-	net.NIC(1).AttachSink(flow.ID, tapSink{rcv, &inputs})
+	net.NIC(1).AttachSink(flow.ID, transporttest.Sink(tapSink{rcv, &inputs}, lossFn))
 	net.NIC(0).AttachSource(snd)
 	eng.RunUntil(sim.Time(200 * sim.Millisecond))
 
@@ -127,12 +127,11 @@ func TestReceiveAckMatchesSenderTrace(t *testing.T) {
 	// control trace through receiveAck + txFree and require the same
 	// retransmission PSNs.
 	eng := sim.NewEngine()
-	cfg := fabric.DefaultConfig()
+	net := fabric.New(eng, topo.NewStar(2), fabric.DefaultConfig())
 	rng := sim.NewRNG(5150)
-	cfg.LossInject = func(pkt *packet.Packet) bool {
+	lossFn := func(pkt *packet.Packet) bool {
 		return pkt.Type == packet.TypeData && rng.Float64() < 0.03
 	}
-	net := fabric.New(eng, topo.NewStar(2), cfg)
 
 	p := core.DefaultParams(1000, 113)
 	// Disable timeouts from interfering: timeouts are rare in this run
@@ -146,7 +145,7 @@ func TestReceiveAckMatchesSenderTrace(t *testing.T) {
 
 	snd := core.NewSender(net.NIC(0), flow, p, nil)
 	rcv := core.NewReceiver(net.NIC(1), flow, p, nil)
-	net.NIC(1).AttachSink(flow.ID, rcv)
+	net.NIC(1).AttachSink(flow.ID, transporttest.Sink(rcv, lossFn))
 	// Wrap the sender to tape the merged stream of control arrivals and
 	// transmissions — the exact interleaving the NIC executed.
 	net.NIC(0).AttachSource(senderTap{snd, &tape})

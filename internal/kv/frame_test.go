@@ -149,7 +149,7 @@ func replicasConverge(t *testing.T, suite string, mode Mode, goBackN bool) {
 func TestRoundTripAllocatesNothing(t *testing.T) {
 	for _, mode := range []Mode{ModeSend, ModeWriteImm} {
 		o := Options{Requests: 600, Mode: mode}.WithDefaults()
-		svc, eng := newStarService(o, nil)
+		svc, eng := newStarService(o, fault.Spec{})
 		svc.Start()
 		eng.Run()
 		if !svc.Done() {

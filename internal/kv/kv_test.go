@@ -8,30 +8,39 @@ import (
 	"time"
 
 	"github.com/irnsim/irn/internal/fabric"
+	"github.com/irnsim/irn/internal/fault"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/topo"
 	"github.com/irnsim/irn/internal/verbs"
 )
 
-// runKV spins up a service on a single-switch star and runs it to
-// completion (or the deadline). lossFn may be nil.
-func runKV(t *testing.T, o Options, lossFn func(*packet.Packet) bool) (*Service, *Report) {
+// runKV spins up a service on a single-switch star under the given
+// faults and runs it to completion (or the deadline).
+func runKV(t *testing.T, o Options, faults fault.Spec) (*Service, *Report) {
 	t.Helper()
-	svc, eng := newStarService(o.WithDefaults(), lossFn)
+	svc, eng := newStarService(o.WithDefaults(), faults)
 	svc.Start()
 	eng.RunUntil(sim.Time(200 * sim.Millisecond))
 	return svc, svc.Report()
 }
 
-// newStarService builds the service on a single-switch star: leader on
-// host 0, then followers, then clients.
-func newStarService(o Options, lossFn func(*packet.Packet) bool) (*Service, *sim.Engine) {
+// newStarService builds the service on a single-switch star under the
+// given faults: leader on host 0, then followers, then clients. Link j of
+// the star joins host j to the switch.
+func newStarService(o Options, faults fault.Spec) (*Service, *sim.Engine) {
 	eng := sim.NewEngine()
 	cfg := fabric.DefaultConfig()
-	cfg.LossInject = lossFn
 	hosts := 1 + o.Followers + o.Clients
-	net := fabric.New(eng, topo.NewStar(hosts), cfg)
+	star := topo.NewStar(hosts)
+	if faults.Enabled() {
+		m, err := fault.New(faults, len(star.Links()), cfg.Seed)
+		if err != nil {
+			panic(err)
+		}
+		cfg.Faults = m
+	}
+	net := fabric.New(eng, star, cfg)
 
 	pl := Placement{Leader: 0}
 	for j := 0; j < o.Followers; j++ {
@@ -116,28 +125,29 @@ func checkHealthy(t *testing.T, svc *Service, rep *Report) {
 }
 
 func TestKVEndToEndSend(t *testing.T) {
-	svc, rep := runKV(t, testOptions(ModeSend), nil)
+	svc, rep := runKV(t, testOptions(ModeSend), fault.Spec{})
 	checkHealthy(t, svc, rep)
 }
 
 func TestKVEndToEndWriteImm(t *testing.T) {
-	svc, rep := runKV(t, testOptions(ModeWriteImm), nil)
+	svc, rep := runKV(t, testOptions(ModeWriteImm), fault.Spec{})
 	checkHealthy(t, svc, rep)
 }
 
-// TestKVDegradesToReadOnly severs replication (drops every data packet
-// on the leader→follower flows) and checks the failover state machine:
-// the leader must degrade, reject Puts read-only, keep serving Gets, and
-// the client whose Put is stuck in the log must exhaust its retries and
-// give up — all without hanging the run.
+// TestKVDegradesToReadOnly severs replication (takes every follower's
+// link down; on the star only replication crosses those links) and
+// checks the failover state machine: the leader must degrade, reject
+// Puts read-only, keep serving Gets, and the client whose Put is stuck in
+// the log must exhaust its retries and give up — all without hanging the
+// run.
 func TestKVDegradesToReadOnly(t *testing.T) {
 	o := testOptions(ModeSend)
 	o = o.WithDefaults()
-	repBase := packet.FlowID(2 * o.Clients)
-	lossFn := func(pk *packet.Packet) bool {
-		return pk.Type == packet.TypeData && pk.Flow > repBase && pk.Flow%2 == 1
+	var sever fault.Spec
+	for j := 1; j <= o.Followers; j++ {
+		sever.Flaps = append(sever.Flaps, fault.Flap{Link: j, DownAt: 1})
 	}
-	svc, rep := runKV(t, o, lossFn)
+	svc, rep := runKV(t, o, sever)
 	if !svc.Done() {
 		t.Fatalf("service hung: %d/%d resolved", rep.Resolved, rep.Issued)
 	}
@@ -159,8 +169,8 @@ func TestKVDegradesToReadOnly(t *testing.T) {
 // bit-identical report, for both wire variants.
 func TestKVDeterministic(t *testing.T) {
 	for _, mode := range []Mode{ModeSend, ModeWriteImm} {
-		_, a := runKV(t, testOptions(mode), nil)
-		_, b := runKV(t, testOptions(mode), nil)
+		_, a := runKV(t, testOptions(mode), fault.Spec{})
+		_, b := runKV(t, testOptions(mode), fault.Spec{})
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("mode %s: reports differ across identical runs", mode)
 		}

@@ -22,7 +22,7 @@ import (
 // like one for an index never appended.
 func TestLeaderLogBounded(t *testing.T) {
 	o := Options{Requests: 3000, Mode: ModeWriteImm, PutFraction: 0.9}.WithDefaults()
-	svc, eng := newStarService(o, nil)
+	svc, eng := newStarService(o, fault.Spec{})
 	svc.Start()
 	maxRetained := 0
 	for !svc.Done() {

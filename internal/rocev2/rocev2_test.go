@@ -8,6 +8,7 @@ import (
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/topo"
 	"github.com/irnsim/irn/internal/transport"
+	"github.com/irnsim/irn/internal/transport/transporttest"
 )
 
 func runOverFabric(t *testing.T, p Params, pfc bool, pkts int,
@@ -16,15 +17,14 @@ func runOverFabric(t *testing.T, p Params, pfc bool, pkts int,
 	eng := sim.NewEngine()
 	cfg := fabric.DefaultConfig()
 	cfg.PFC = pfc
-	cfg.LossInject = lossFn
 	net := fabric.New(eng, topo.NewStar(2), cfg)
 
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: pkts * p.MTU, Pkts: pkts}
 	snd := NewSender(net.NIC(0), flow, p, nil)
 	var doneAt sim.Time
 	rcv := NewReceiver(net.NIC(1), flow, p, doneFn(func(now sim.Time) { doneAt = now }))
-	net.NIC(1).AttachSink(flow.ID, rcv)
-	net.NIC(0).AttachSource(snd)
+	net.NIC(1).AttachSink(flow.ID, transporttest.Sink(rcv, lossFn))
+	net.NIC(0).AttachSource(transporttest.Source(snd, lossFn))
 
 	eng.RunUntil(sim.Time(200 * sim.Millisecond))
 	return snd, rcv, net, doneAt

@@ -3,8 +3,8 @@ package sim_test
 // Packet-conservation invariant harness: every figure preset runs at small
 // scale and must balance the fabric census —
 //
-//	injected == delivered + dropped(overflow) + dropped(inject-hook) +
-//	            dropped(fault) + corrupted + in-flight-at-end
+//	injected == delivered + dropped(overflow) + dropped(fault) +
+//	            corrupted + in-flight-at-end
 //
 // — and the pool accounting: every packet ever allocated is free, inside
 // the fabric, or awaiting first transmission. A census miss means a packet
@@ -33,18 +33,8 @@ func invariantScale() exp.Scale {
 
 func checkConservation(t *testing.T, expID string, r exp.Result) {
 	t.Helper()
-	c := r.Census
-	if c.Injected == 0 {
-		t.Errorf("%s / %s: no packets injected — scenario ran nothing", expID, r.Name)
-		return
-	}
-	if want := c.Exits() + uint64(r.InFlight); c.Injected != want {
-		t.Errorf("%s / %s: conservation violated: injected %d != delivered %d + overflow %d + inject %d + fault %d + corrupted %d + in-flight %d",
-			expID, r.Name, c.Injected, c.Delivered, c.OverflowDrops, c.InjectDrops, c.FaultDrops, c.Corrupted, r.InFlight)
-	}
-	if r.PoolLive != r.InFlight+r.CtrlBacklog {
-		t.Errorf("%s / %s: pool accounting violated: %d live packets != %d in-flight + %d ctrl backlog (leak or double release)",
-			expID, r.Name, r.PoolLive, r.InFlight, r.CtrlBacklog)
+	if err := r.CheckConservation(); err != nil {
+		t.Errorf("%s / %v", expID, err)
 	}
 }
 
