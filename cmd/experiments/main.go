@@ -33,6 +33,8 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -107,36 +109,21 @@ func main() {
 		}
 	}
 
-	overlay := fault.Spec{LossRate: *faultLoss, CorruptRate: *faultCorrupt}
-	if err := overlay.Validate(0); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	// Overlay CLI fault rates on every selected scenario: ad-hoc
-	// robustness runs of any figure without a dedicated preset. Scenarios
-	// that already set an axis (the figloss sweep) keep their own values —
-	// overwriting them would run a different sweep than the labels claim.
-	if *faultLoss > 0 || *faultCorrupt > 0 {
-		for ei := range selected {
-			for si := range selected[ei].Scenarios {
-				s := &selected[ei].Scenarios[si]
-				if s.Faults.LossRate == 0 {
-					s.Faults.LossRate = *faultLoss
-				}
-				if s.Faults.CorruptRate == 0 {
-					s.Faults.CorruptRate = *faultCorrupt
-				}
+	// Overlay the CLI's fault rates (ad-hoc robustness runs of any figure)
+	// and sharding on every selected scenario, then check it as it will
+	// run, before any runs. A scenario that sets a fault axis itself (the
+	// figloss sweep) keeps it; faulted and KV ones normalize to one shard.
+	for _, e := range selected {
+		for si := range e.Scenarios {
+			s := &e.Scenarios[si]
+			s.Faults.LossRate = cmp.Or(s.Faults.LossRate, *faultLoss)
+			s.Faults.CorruptRate = cmp.Or(s.Faults.CorruptRate, *faultCorrupt)
+			if *shards > 1 {
+				s.Shards = *shards
 			}
-		}
-	}
-
-	// Overlay intra-run sharding on every scenario; faulted and KV ones
-	// normalize back to serial. RunFleet arbitrates the two parallelism
-	// axes (workers x shards <= GOMAXPROCS).
-	if *shards > 1 {
-		for ei := range selected {
-			for si := range selected[ei].Scenarios {
-				selected[ei].Scenarios[si].Shards = *shards
+			if err := s.Validate(); err != nil {
+				fmt.Fprintf(os.Stderr, "experiment %s, scenario %q: %v\n", e.ID, s.Name, err)
+				os.Exit(2)
 			}
 		}
 	}
@@ -173,6 +160,9 @@ func main() {
 		rep, err := exp.RunEndurance(ecfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "endurance soak failed: %v\n", err)
+			if errors.As(err, new(*exp.FieldError)) {
+				os.Exit(2) // a bad flag, found before the soak built anything
+			}
 			os.Exit(1)
 		}
 		fmt.Printf("soak held: %.1fs of simulated time, %d segments, %d fabric build(s), invariants clean (%v)\n\n",

@@ -65,3 +65,37 @@ func TestDiffExitCode(t *testing.T) {
 		t.Errorf("edited store: output does not name the edited metric\n%s", out)
 	}
 }
+
+// TestBadFlagIsAUsageError: a flag no run can take exits 2 before
+// anything runs, naming what is wrong and without a panic. (-flows -1
+// used to panic in a fleet worker, -endurance-arity 5 in the topology
+// builder, and -segments -1 reported a soak of zero segments as held.)
+func TestBadFlagIsAUsageError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the command")
+	}
+	bin := filepath.Join(t.TempDir(), "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-run", "fig1", "-flows", "-1"}, "flow count -1 must be >= 0"},
+		{[]string{"-run", "fig1", "-fault-loss", "-0.1"}, "loss rate -0.1 outside [0,1]"},
+		{[]string{"-run", "endurance", "-endurance-arity", "5"}, "arity 5 must be even"},
+		{[]string{"-run", "endurance", "-segments", "-1"}, "segment count -1 must be >= 0"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, tc.args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 2 {
+			t.Errorf("experiments %v: exit %d (%v), want 2", tc.args, code, err)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.want) || strings.Contains(msg, "panic") {
+			t.Errorf("experiments %v: stderr %q, want one saying %q", tc.args, msg, tc.want)
+		}
+	}
+}

@@ -25,6 +25,8 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -82,42 +84,6 @@ func main() {
 	)
 	flag.Parse()
 
-	// Reject impossible fabric shapes, rates and counts before anything
-	// is built: an odd arity, a negative load or an incast fan-in of the
-	// whole fabric would panic in a fleet worker, a negative link rate in
-	// the launcher; a negative buffer would run to completion with every
-	// packet dropped, and a negative flow or request count would run
-	// nothing and exit 0.
-	if *arity < 2 || *arity%2 != 0 {
-		fmt.Fprintf(os.Stderr, "-arity %d: fat-tree arity must be even and >= 2\n", *arity)
-		os.Exit(2)
-	}
-	hosts := (&topo.FatTree{K: *arity}).Hosts()
-	if *incast < 0 || *incast >= hosts {
-		fmt.Fprintf(os.Stderr, "-incast %d: incast fan-in must be in [0, %d) on the %d-host fabric\n", *incast, hosts, hosts)
-		os.Exit(2)
-	}
-	if *flows < 0 {
-		fmt.Fprintf(os.Stderr, "-flows %d: flow count must be >= 0\n", *flows)
-		os.Exit(2)
-	}
-	if *kvReqs < 0 {
-		fmt.Fprintf(os.Stderr, "-kv %d: KV request count must be >= 0\n", *kvReqs)
-		os.Exit(2)
-	}
-	if *buffer < 0 {
-		fmt.Fprintf(os.Stderr, "-buffer %d: per-port buffer bytes must be >= 0 (0 = 2xBDP)\n", *buffer)
-		os.Exit(2)
-	}
-	if !(*gbps >= 0) {
-		fmt.Fprintf(os.Stderr, "-gbps %v: link bandwidth must be >= 0 (0 = 40)\n", *gbps)
-		os.Exit(2)
-	}
-	if !(*load >= 0) {
-		fmt.Fprintf(os.Stderr, "-load %v: target link utilization must be >= 0 (0 = 0.7)\n", *load)
-		os.Exit(2)
-	}
-
 	s := exp.Scenario{
 		Arity:       *arity,
 		Shards:      *shards,
@@ -128,58 +94,18 @@ func main() {
 		PFC:         *pfc,
 		Seed:        *seed,
 		IncastM:     *incast,
+		Faults:      fault.Spec{LossRate: *faultLoss, CorruptRate: *faultCorrupt},
+		NoBDPFC:     *noBDPFC,
 	}
-	if *incast > 0 {
-		s.IncastBytes = 15_000_000
-	}
-	switch *transport {
-	case "irn":
-		s.Transport = exp.TransportIRN
-	case "roce":
-		s.Transport = exp.TransportRoCE
-	case "iwarp", "tcp":
-		s.Transport = exp.TransportTCP
-	default:
-		fmt.Fprintf(os.Stderr, "unknown transport %q\n", *transport)
-		os.Exit(2)
-	}
-	switch *ccName {
-	case "none":
-	case "timely":
-		s.CC = exp.CCTimely
-	case "dcqcn":
-		s.CC = exp.CCDCQCN
-	case "aimd":
-		s.CC = exp.CCAIMD
-	case "dctcp":
-		s.CC = exp.CCDCTCP
-	default:
-		fmt.Fprintf(os.Stderr, "unknown cc %q\n", *ccName)
-		os.Exit(2)
-	}
-	switch *workload {
-	case "heavy":
-	case "uniform":
-		s.Workload = exp.WorkloadUniform
-	case "websearch":
-		s.Workload = exp.WorkloadWebSearch
-	case "hadoop":
-		s.Workload = exp.WorkloadHadoop
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
-		os.Exit(2)
-	}
-	switch *recovery {
-	case "sack":
-	case "gbn":
-		s.Recovery = core.RecoveryGoBackN
-	case "nosack":
-		s.Recovery = core.RecoveryNoSACK
-	default:
-		fmt.Fprintf(os.Stderr, "unknown recovery %q\n", *recovery)
-		os.Exit(2)
-	}
-	if *kvReqs > 0 {
+	s.Transport = choose("transport", *transport, map[string]exp.Transport{
+		"irn": exp.TransportIRN, "roce": exp.TransportRoCE, "iwarp": exp.TransportTCP, "tcp": exp.TransportTCP})
+	s.CC = choose("cc", *ccName, map[string]exp.CCKind{
+		"none": exp.CCNone, "timely": exp.CCTimely, "dcqcn": exp.CCDCQCN, "aimd": exp.CCAIMD, "dctcp": exp.CCDCTCP})
+	s.Workload = choose("workload", *workload, map[string]exp.WorkloadKind{"heavy": exp.WorkloadHeavyTailed,
+		"uniform": exp.WorkloadUniform, "websearch": exp.WorkloadWebSearch, "hadoop": exp.WorkloadHadoop})
+	s.Recovery = choose("recovery", *recovery, map[string]core.RecoveryMode{
+		"sack": core.RecoverySACK, "gbn": core.RecoveryGoBackN, "nosack": core.RecoveryNoSACK})
+	if *kvReqs != 0 {
 		s.KV.Requests = *kvReqs
 		// Background flows join the service only when asked for by name:
 		// -flows' default is the flow workload's size, not a load for KV.
@@ -188,65 +114,54 @@ func main() {
 		if !flowsSet {
 			s.NumFlows = 0
 		}
-		switch *kvMode {
-		case "send":
-			s.KV.Mode = kv.ModeSend
-		case "writeimm":
-			s.KV.Mode = kv.ModeWriteImm
-		default:
-			fmt.Fprintf(os.Stderr, "unknown kv mode %q\n", *kvMode)
-			os.Exit(2)
-		}
-		// A replica group larger than the fabric is a usage error here
-		// rather than a panic from a fleet worker.
-		if err := s.KV.Validate(hosts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		s.KV.Mode = choose("kv-mode", *kvMode, map[string]kv.Mode{"send": kv.ModeSend, "writeimm": kv.ModeWriteImm})
 	}
-	s.NoBDPFC = *noBDPFC
 	if *overheads {
 		s.RetxFetchDelay = 2 * sim.Microsecond
 		s.ExtraHeader = 16
 	}
 
-	// Reject malformed fault flags as usage errors rather than panics
-	// from a fleet worker. Rates are validated before anything else —
-	// Spec.Enabled would treat a negative (sign-typo) rate as "no
-	// faults" and silently ignore it.
-	s.Faults.LossRate = *faultLoss
-	s.Faults.CorruptRate = *faultCorrupt
-	if err := s.Faults.Validate(0); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	// Flag values the scenario would silently read as something else: a
+	// Scenario takes arity 0 for its default, and a fault flag that builds
+	// no fault would run fault-free under a name that says otherwise.
+	switch {
+	case *arity == 0:
+		usage("-arity 0: would run on the default arity-6 fabric")
+	case *flapLinks < 0 || *degradeLinks < 0:
+		usage("-flap-links %d, -degrade-links %d: a negative link count builds no fault", *flapLinks, *degradeLinks)
+	case *flapLinks > 0 && *flapCount < 1:
+		usage("-flap-count %d: builds no flap", *flapCount)
+	case *chaos != "" && *chaosCycles < 1:
+		usage("-chaos-cycles %d: builds no chaos cycle", *chaosCycles)
 	}
-	if *chaos != "" {
-		suite, ok := fault.SuiteByName(*chaos)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown chaos suite %q (have %s)\n", *chaos, strings.Join(fault.SuiteNames(), ", "))
-			os.Exit(2)
-		}
+
+	// The link-fault flags sample links from the fabric, so its shape is
+	// checked before they build one, and the whole scenario after.
+	if *chaos != "" || *flapLinks > 0 || *degradeLinks > 0 {
+		validate(s)
 		t := topo.NewFatTree(*arity)
-		sched := suite.Build(t, sim.Time(100*sim.Microsecond),
-			sim.Duration(*chaosCycleUs)*sim.Microsecond, *chaosCycles, *seed)
-		spec, err := sched.Compile(t)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		// Keep any -fault-loss/-fault-corrupt base rates underneath the
-		// suite's phases.
-		spec.LossRate, spec.CorruptRate = s.Faults.LossRate, s.Faults.CorruptRate
-		s.Faults = spec
-		// KV runs report per-phase availability against the suite's windows.
-		if *kvReqs > 0 {
-			for _, w := range sched.Windows() {
-				s.KV.Phases = append(s.KV.Phases, kv.Phase{Name: w.Name, From: w.From, To: w.To})
+		if *chaos != "" {
+			suite, ok := fault.SuiteByName(*chaos)
+			if !ok {
+				usage("unknown chaos suite %q (have %s)", *chaos, strings.Join(fault.SuiteNames(), ", "))
+			}
+			sched := suite.Build(t, sim.Time(100*sim.Microsecond),
+				sim.Duration(*chaosCycleUs)*sim.Microsecond, *chaosCycles, *seed)
+			spec, err := sched.Compile(t)
+			if err != nil {
+				usage("-chaos %s: %v", *chaos, err)
+			}
+			// Keep any -fault-loss/-fault-corrupt base rates underneath the
+			// suite's phases.
+			spec.LossRate, spec.CorruptRate = s.Faults.LossRate, s.Faults.CorruptRate
+			s.Faults = spec
+			// KV runs report per-phase availability against the suite's windows.
+			if s.KV.Requests > 0 {
+				for _, w := range sched.Windows() {
+					s.KV.Phases = append(s.KV.Phases, kv.Phase(w))
+				}
 			}
 		}
-	}
-	if *flapLinks > 0 || *degradeLinks > 0 {
-		t := topo.NewFatTree(*arity)
 		if *flapLinks > 0 {
 			s.Faults.Flaps = fault.PeriodicFlaps(t, *flapLinks,
 				sim.Time(100*sim.Microsecond),
@@ -257,16 +172,10 @@ func main() {
 		if *degradeLinks > 0 {
 			s.Faults.Degrades = fault.DegradeLinks(t, *degradeLinks, 0, 0, *degradeFactor, *seed)
 		}
-		// Catches a zero degrade factor and overlapping flap windows
-		// (e.g. -flap-down-us longer than -flap-every-us).
-		if err := s.Faults.Validate(len(t.Links())); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 	}
+	validate(s)
 	if *shards > 1 && (s.KV.Requests > 0 || s.Faults.Enabled()) {
-		fmt.Fprintln(os.Stderr, "-shards > 1 applies only to fault-free flow runs: KV and fault-injected runs are serial")
-		os.Exit(2)
+		usage("-shards > 1 applies only to fault-free flow runs: KV and fault-injected runs are serial")
 	}
 
 	// Persisted rows are keyed partly by name; describe the scenario
@@ -382,5 +291,38 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("persisted %d rows to %s\n", n, *out)
+	}
+}
+
+// usage reports a bad flag value and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
+}
+
+// choose returns the table entry a flag's value selects.
+func choose[T any](flag, value string, table map[string]T) T {
+	v, ok := table[value]
+	if !ok {
+		usage("unknown -%s %q", flag, value)
+	}
+	return v
+}
+
+// flagOf names the flag that sets each Scenario field Validate can reject.
+var flagOf = map[string]string{
+	"Arity": "-arity", "IncastM": "-incast", "NumFlows": "-flows", "BufferBytes": "-buffer",
+	"Gbps": "-gbps", "Load": "-load", "KV": "-kv", "KV.Requests": "-kv",
+	"Faults": "-fault-*/-flap-*/-degrade-*/-chaos",
+}
+
+// validate exits 2 naming the flag behind the first field of s that no
+// run can take.
+func validate(s exp.Scenario) {
+	if err := s.Validate(); err != nil {
+		if fe := (*exp.FieldError)(nil); errors.As(err, &fe) {
+			err = fmt.Errorf("%s: %w", cmp.Or(flagOf[fe.Field], fe.Field), fe.Err)
+		}
+		usage("%v", err)
 	}
 }

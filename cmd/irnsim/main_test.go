@@ -109,7 +109,9 @@ func wantUsageError(t *testing.T, bin, flag string, args ...string) {
 // incast fan-in outside [0, hosts) and a negative flow or KV request
 // count exit 2 before anything runs, naming the flag. (A negative load or
 // a 16-way incast on a 16-host fabric used to panic in a fleet worker, a
-// negative rate in the launcher; -flows -1 ran nothing and exited 0.)
+// negative rate in the launcher; -flows -1 ran nothing and exited 0.) So
+// do fault flags that would build no fault — zero chaos cycles or flaps
+// per link, a negative link count — which used to run fault-free.
 func TestBadFabricShapeIsAUsageError(t *testing.T) {
 	bin := build(t)
 	wantUsageError(t, bin, "-arity", "-arity", "5")
@@ -122,6 +124,12 @@ func TestBadFabricShapeIsAUsageError(t *testing.T) {
 	wantUsageError(t, bin, "-incast", "-arity", "4", "-incast", "-1")
 	wantUsageError(t, bin, "-flows", "-arity", "4", "-flows", "-1")
 	wantUsageError(t, bin, "-kv", "-arity", "4", "-kv", "-1")
+	// Fault flags that would build no fault and run fault-free.
+	wantUsageError(t, bin, "-chaos-cycles", "-arity", "4", "-chaos", "rolling", "-chaos-cycles", "0")
+	wantUsageError(t, bin, "-chaos-cycles", "-arity", "4", "-chaos", "rolling", "-chaos-cycles", "-1")
+	wantUsageError(t, bin, "-flap-count", "-arity", "4", "-flap-links", "2", "-flap-count", "0")
+	wantUsageError(t, bin, "-flap-links", "-arity", "4", "-flap-links", "-2")
+	wantUsageError(t, bin, "-degrade-links", "-arity", "4", "-degrade-links", "-1")
 }
 
 // TestShardedFaultOrKVIsAUsageError: KV and fault-injected runs are

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"github.com/irnsim/irn"
 )
@@ -13,14 +14,21 @@ func main() {
 	fmt.Println("Incast: striping 15MB across M senders toward one host (no cross-traffic)")
 	fmt.Printf("%6s %18s %18s %12s\n", "M", "IRN RCT (ms)", "RoCE+PFC RCT (ms)", "ratio")
 
+	run := func(cfg irn.Config) irn.Result {
+		r, err := irn.Run(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
+	}
 	for _, m := range []int{10, 20, 30, 40, 50} {
-		irnRes := irn.Run(irn.Config{
+		irnRes := run(irn.Config{
 			Transport:   irn.TransportIRN,
 			IncastFanIn: m,
 			IncastBytes: 15_000_000,
 			Seed:        uint64(m),
 		})
-		roce := irn.Run(irn.Config{
+		roce := run(irn.Config{
 			Transport:   irn.TransportRoCE,
 			PFC:         true,
 			IncastFanIn: m,

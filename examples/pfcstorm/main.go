@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"github.com/irnsim/irn"
 )
@@ -20,7 +21,10 @@ func main() {
 		cfg.IncastBytes = 15_000_000
 		cfg.Flows = 1200 // background flows sharing the fabric
 		cfg.Load = 0.5
-		r := irn.Run(cfg)
+		r, err := irn.Run(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-16s incast_rct=%8.3fms  victim_avg_slowdown=%6.2f  victim_p99_fct=%8.4fms  pauses=%d\n",
 			name, r.IncastRCTms, r.AvgSlowdown, r.P99FCTms, r.PauseFrames)
 		return r

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"github.com/irnsim/irn"
 )
@@ -15,7 +16,10 @@ func main() {
 
 	run := func(name string, cfg irn.Config) irn.Result {
 		cfg.Flows = 1500
-		r := irn.Run(cfg)
+		r, err := irn.Run(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-22s avg_slowdown=%6.2f  avg_fct=%8.4fms  p99_fct=%8.4fms  drops=%d\n",
 			name, r.AvgSlowdown, r.AvgFCTms, r.P99FCTms, r.Drops)
 		return r

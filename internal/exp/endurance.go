@@ -79,7 +79,9 @@ type EnduranceReport struct {
 // the invariant harness asserts — failing fast with a descriptive error
 // on the first violation. Memory stays bounded by construction (streaming
 // collectors, pooled packets, zero-rebuild fabric reuse); the per-segment
-// HeapLive series in the report is what tests assert a budget over.
+// HeapLive series in the report is what tests assert a budget over. A
+// configuration it cannot run is a *FieldError, returned before anything
+// is built.
 //
 // The chaos schedule of segment i is the configured suite with link
 // samples drawn from DeriveSeed(seed, "endurance/segment", i), compiled
@@ -90,11 +92,17 @@ type EnduranceReport struct {
 func RunEndurance(cfg EnduranceConfig) (EnduranceReport, error) {
 	cfg = cfg.normalize()
 	var rep EnduranceReport
+	if cfg.Segments < 0 {
+		return rep, &FieldError{Field: "Segments", Err: fmt.Errorf("segment count %d must be >= 0 (0 = 6)", cfg.Segments)}
+	}
+	if err := (Scenario{Arity: cfg.Arity, NumFlows: cfg.Flows, Transport: cfg.Transport}).Validate(); err != nil {
+		return rep, err
+	}
 
 	t := topo.NewFatTree(cfg.Arity)
 	suite, ok := fault.SuiteByName(cfg.Suite)
 	if !ok {
-		return rep, fmt.Errorf("exp: unknown chaos suite %q (have %v)", cfg.Suite, fault.SuiteNames())
+		return rep, &FieldError{Field: "Suite", Err: fmt.Errorf("unknown chaos suite %q (have %v)", cfg.Suite, fault.SuiteNames())}
 	}
 
 	// Invert the Poisson arrival math: span scales as 1/Load, so the load
@@ -111,9 +119,9 @@ func RunEndurance(cfg EnduranceConfig) (EnduranceReport, error) {
 		NumFlows:      cfg.Flows,
 		Dist:          workload.NewHeavyTailed(),
 	}
-	load := float64(pc.ExpectedSpan()) / float64(cfg.Horizon)
+	load := pc.ExpectedSpan() / float64(cfg.Horizon)
 	if load > 0.9 {
-		return rep, fmt.Errorf("exp: endurance horizon %v needs load %.2f > 0.9; raise Horizon or lower Flows", cfg.Horizon, load)
+		return rep, &FieldError{Field: "Horizon", Err: fmt.Errorf("%v needs load %.2f > 0.9; raise Horizon or lower Flows", cfg.Horizon, load)}
 	}
 
 	// Chaos cycles tile the horizon, truncated to the 2 µs lookahead grid
@@ -122,7 +130,7 @@ func RunEndurance(cfg EnduranceConfig) (EnduranceReport, error) {
 	lookahead := 2 * sim.Microsecond
 	cycle := cfg.Horizon / sim.Duration(cfg.Cycles) / lookahead * lookahead
 	if cycle < 24*lookahead {
-		return rep, fmt.Errorf("exp: endurance cycle %v too short for the suite's subdivisions; raise Horizon or lower Cycles", cycle)
+		return rep, &FieldError{Field: "Cycles", Err: fmt.Errorf("cycle %v too short for the suite's subdivisions; raise Horizon or lower Cycles", cycle)}
 	}
 
 	w := NewWorker()

@@ -28,10 +28,7 @@ import (
 // QPs take flow IDs 1…idBase — two per client and two per follower, kv's
 // layout — so the run numbers its flows after them.
 func newKV(s Scenario, net *fabric.Network, top topo.Topology, bdpCap int) (svc *kv.Service, idBase int) {
-	o := s.KV // normalized by Scenario.normalize
-	if err := o.Validate(top.Hosts()); err != nil {
-		panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
-	}
+	o := s.KV // normalized by Scenario.normalize, checked by Scenario.Validate
 	hosts := make([]packet.NodeID, top.Hosts())
 	for i := range hosts {
 		hosts[i] = packet.NodeID(i)

@@ -7,14 +7,18 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/irnsim/irn/internal/core"
 	"github.com/irnsim/irn/internal/fabric"
 	"github.com/irnsim/irn/internal/fault"
 	"github.com/irnsim/irn/internal/kv"
 	"github.com/irnsim/irn/internal/metrics"
+	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/topo"
+	"github.com/irnsim/irn/internal/verbs"
+	"github.com/irnsim/irn/internal/workload"
 )
 
 // Transport selects the NIC transport under test.
@@ -109,7 +113,7 @@ type Scenario struct {
 	// replaced with IncastBytes striped over M senders; cross-traffic
 	// can be layered on top with NumFlows > 0 and Load > 0.
 	IncastM     int
-	IncastBytes int
+	IncastBytes int // default 15 MB when IncastM > 0
 
 	// Shards splits this single run across that many engines, one shard
 	// goroutine each, partitioned pod-wise along inter-pod links under
@@ -188,6 +192,9 @@ func (s Scenario) normalize() Scenario {
 	if s.NumFlows == 0 && s.IncastM == 0 && s.KV.Requests == 0 {
 		s.NumFlows = 1000
 	}
+	if s.IncastM > 0 && s.IncastBytes == 0 {
+		s.IncastBytes = 15_000_000
+	}
 	if s.KV.Requests > 0 {
 		s.KV = s.KV.WithDefaults()
 	}
@@ -218,36 +225,120 @@ func (s Scenario) normalize() Scenario {
 	return s
 }
 
-// check rejects a normalized scenario no run can take: an odd fat-tree
-// arity or one below 2, which topo.NewFatTree would panic on deep in
-// construction; an incast fan-in outside [0, hosts), on which the
-// workload generator panics; a negative flow or KV request count, which
-// would run nothing in silence; a negative per-port buffer, which would
-// drop every packet; and a negative (or NaN) link rate or load, on which
-// the workload generator panics or draws flow starts before time zero.
-// cmd/irnsim checks its flags the same way; this catches a Scenario built
-// in code.
-func (s Scenario) check() error {
+// bdpCap is a normalized run's BDP-FC cap in packets: its fat-tree's
+// fabric.BDPCap scaled by BDPCapScale, in [1, MaxInt32] so a huge scale
+// saturates rather than wraps.
+func (s Scenario) bdpCap() int {
+	c := fabric.BDPCap(fabric.Gbps(s.Gbps), s.Prop, topo.FatTreeLongestPathHops, s.MTU)
+	return max(1, int(min(float64(c)*s.BDPCapScale, math.MaxInt32)))
+}
+
+// poisson is the normalized scenario's Poisson flow workload on a fabric
+// of the given host count.
+func (s Scenario) poisson(hosts int) workload.PoissonConfig {
+	var dist workload.SizeDist
+	switch s.Workload {
+	case WorkloadUniform:
+		dist = workload.NewUniform()
+	case WorkloadWebSearch:
+		dist = workload.NewWebSearch()
+	case WorkloadHadoop:
+		dist = workload.NewHadoop()
+	default:
+		dist = workload.NewHeavyTailed()
+	}
+	return workload.PoissonConfig{
+		Hosts:         hosts,
+		Load:          s.Load,
+		RatePsPerByte: int64(fabric.Gbps(s.Gbps)),
+		MTU:           s.MTU,
+		HeaderBytes:   packet.DataHeader + s.ExtraHeader,
+		NumFlows:      s.NumFlows,
+		Dist:          dist,
+		Seed:          s.Seed,
+	}
+}
+
+// FieldError is a Scenario input no run can take: the field it names
+// ("KV.Requests" for a nested one) and what is wrong with its value.
+type FieldError struct {
+	Field string
+	Err   error
+}
+
+func (e *FieldError) Error() string { return e.Field + ": " + e.Err.Error() }
+
+// Validate is the one gate on a scenario's inputs: it reports the first
+// field of the normalized scenario no run can take — one that would panic
+// deep in a run, run silently wrong or run nothing — as a *FieldError, or
+// nil. It builds nothing: the fat-tree's host and link counts follow from
+// its arity. It applies kv.Options.Validate and fault.Spec.Validate too.
+func (s Scenario) Validate() error {
+	s = s.normalize()
+	bad := func(field, format string, args ...any) error {
+		return &FieldError{Field: field, Err: fmt.Errorf(format, args...)}
+	}
 	if s.Arity < 2 || s.Arity%2 != 0 {
-		return fmt.Errorf("fat-tree arity %d must be even and >= 2", s.Arity)
+		return bad("Arity", "fat-tree arity %d must be even and >= 2", s.Arity)
 	}
-	if hosts := (&topo.FatTree{K: s.Arity}).Hosts(); s.IncastM < 0 || s.IncastM >= hosts {
-		return fmt.Errorf("incast fan-in %d must be in [0, %d) on the %d-host fabric", s.IncastM, hosts, hosts)
+	hosts := (&topo.FatTree{K: s.Arity}).Hosts()
+	// Delays and timeouts stay below a 64th of the simulator's clock
+	// (about 40 hours), so the sums a run forms from them cannot wrap.
+	const longest = int64(sim.MaxTime / 64)
+	for _, n := range []struct {
+		field, what string
+		v, max      int64
+	}{
+		{"NumFlows", "flow count %d", int64(s.NumFlows), math.MaxInt64},
+		{"KV.Requests", "KV request count %d", int64(s.KV.Requests), math.MaxInt64},
+		{"BufferBytes", "per-port buffer %d bytes", int64(s.BufferBytes), math.MaxInt64},
+		{"MTU", "MTU %d", int64(s.MTU), math.MaxInt64},
+		{"ExtraHeader", "extra header %d bytes", int64(s.ExtraHeader), math.MaxInt64},
+		{"RTOLowN", "RTOLowN %d", int64(s.RTOLowN), math.MaxInt64},
+		{"NackThreshold", "NACK threshold %d", int64(s.NackThreshold), math.MaxInt64},
+		{"Prop", "propagation delay %dps", int64(s.Prop), longest},
+		{"RTOLow", "RTOLow %dps", int64(s.RTOLow), longest},
+		{"RTOHigh", "RTOHigh %dps", int64(s.RTOHigh), longest},
+		{"RetxFetchDelay", "retransmission fetch delay %dps", int64(s.RetxFetchDelay), longest},
+		{"Grace", "grace period %dps", int64(s.Grace), longest},
+	} {
+		switch {
+		case n.v < 0:
+			return bad(n.field, n.what+" must be >= 0", n.v)
+		case n.v > n.max:
+			return bad(n.field, n.what+" must be at most %d", n.v, n.max)
+		}
 	}
-	if s.NumFlows < 0 {
-		return fmt.Errorf("flow count %d must be >= 0", s.NumFlows)
+	switch {
+	case s.IncastM < 0 || s.IncastM >= hosts:
+		return bad("IncastM", "incast fan-in %d must be in [0, %d) on the %d-host fabric", s.IncastM, hosts, hosts)
+	case s.IncastBytes < s.IncastM:
+		return bad("IncastBytes", "incast size %d bytes must be >= 0 and a byte at least for each of %d senders", s.IncastBytes, s.IncastM)
+	case !(s.Gbps >= 0.001 && s.Gbps <= 8000):
+		return bad("Gbps", "link rate Gbps %v must be >= 0 (0 = 40), and a set rate in [0.001, 8000]", s.Gbps)
+	case !(s.Load >= 0) || s.NumFlows > 0 && !(64*s.poisson(hosts).ExpectedSpan() < float64(sim.MaxTime)):
+		return bad("Load", "Load %v must be >= 0 (0 = 0.7) and keep %d flows' arrivals within the simulator's clock", s.Load, s.NumFlows)
+	case !(s.BDPCapScale > 0):
+		return bad("BDPCapScale", "BDP cap scale %v must be > 0 (0 = 1)", s.BDPCapScale)
+	case s.Transport > TransportTCP:
+		return bad("Transport", "unknown transport %d", s.Transport)
+	case s.CC > CCDCTCP:
+		return bad("CC", "unknown congestion control %d", s.CC)
+	case s.Workload > WorkloadHadoop:
+		return bad("Workload", "unknown workload %d", s.Workload)
+	case s.Recovery > core.RecoveryNoSACK:
+		return bad("Recovery", "unknown IRN recovery mode %d", s.Recovery)
 	}
-	if s.KV.Requests < 0 {
-		return fmt.Errorf("KV request count %d must be >= 0", s.KV.Requests)
+	if s.KV.Requests > 0 {
+		if err := s.KV.Validate(hosts); err != nil {
+			return &FieldError{Field: "KV", Err: err}
+		}
+		if c := s.bdpCap(); c > verbs.PSNWindow {
+			return bad("BDPCapScale", "KV QPs take a BDP cap of at most %d packets, the PSN window; this fabric's is %d", verbs.PSNWindow, c)
+		}
 	}
-	if s.BufferBytes < 0 {
-		return fmt.Errorf("per-port buffer %d bytes must be >= 0 (0 = 2xBDP)", s.BufferBytes)
-	}
-	if !(s.Gbps >= 0) {
-		return fmt.Errorf("link rate Gbps %v must be >= 0 (0 = 40)", s.Gbps)
-	}
-	if !(s.Load >= 0) {
-		return fmt.Errorf("Load %v must be >= 0 (0 = 0.7)", s.Load)
+	if err := s.Faults.Validate(3 * hosts); err != nil { // k³/4 links in each of three tiers
+		return &FieldError{Field: "Faults", Err: err}
 	}
 	return nil
 }

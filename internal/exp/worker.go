@@ -119,10 +119,10 @@ func (w *Worker) Run(s Scenario) Result { return w.run(s, runOpts{}) }
 
 // run is Run under the given test-harness switches.
 func (w *Worker) run(s Scenario, o runOpts) Result {
-	s = s.normalize()
-	if err := s.check(); err != nil {
+	if err := s.Validate(); err != nil {
 		panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
 	}
+	s = s.normalize()
 
 	cfg := fabric.Sized(fabric.Gbps(s.Gbps), s.Prop, s.MTU, s.ExtraHeader)
 	cfg.PFC, cfg.Seed, cfg.Spray, cfg.SharedBuffer = s.PFC, s.Seed, s.Spray, s.SharedBuffer
@@ -152,10 +152,6 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	// the new seed and fault model when the structure matches, rebuild it
 	// otherwise. The requested shard count is part of the structure: a
 	// different partitioning is a different port/channel wiring.
-	//
-	// The cache is replaced whole, and only once nothing can fail any
-	// more: a caller that recovers the fault-model panic below must find
-	// the previous topology still paired with the previous fabric.
 	shards := s.Shards
 	key := keyOf(s.Arity, shards, cfg)
 	reuse := w.built && w.key == key
@@ -165,11 +161,7 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	}
 	var faults *fault.Model
 	if s.Faults.Enabled() {
-		m, err := fault.New(s.Faults, len(top.Links()), s.Seed)
-		if err != nil {
-			panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
-		}
-		faults = m
+		faults = fault.MustNew(s.Faults, len(top.Links()), s.Seed)
 	}
 	if reuse {
 		for _, e := range w.engs[:w.used] {
@@ -189,10 +181,7 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	}
 	net := w.net
 	engines := w.engs[:w.used]
-	bdpCap := int(float64(net.BDPCap()) * s.BDPCapScale)
-	if bdpCap < 1 {
-		bdpCap = 1
-	}
+	bdpCap := s.bdpCap()
 
 	var svc *kv.Service
 	idBase := 0
@@ -207,27 +196,7 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	}
 	incastFlows := len(specs)
 	if s.NumFlows > 0 {
-		var dist workload.SizeDist
-		switch s.Workload {
-		case WorkloadUniform:
-			dist = workload.NewUniform()
-		case WorkloadWebSearch:
-			dist = workload.NewWebSearch()
-		case WorkloadHadoop:
-			dist = workload.NewHadoop()
-		default:
-			dist = workload.NewHeavyTailed()
-		}
-		specs = append(specs, workload.Generate(workload.PoissonConfig{
-			Hosts:         top.Hosts(),
-			Load:          s.Load,
-			RatePsPerByte: int64(cfg.Rate),
-			MTU:           s.MTU,
-			HeaderBytes:   packet.DataHeader + s.ExtraHeader,
-			NumFlows:      s.NumFlows,
-			Dist:          dist,
-			Seed:          s.Seed,
-		})...)
+		specs = append(specs, workload.Generate(s.poisson(top.Hosts()))...)
 	}
 
 	l := &launcher{

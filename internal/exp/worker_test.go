@@ -251,7 +251,10 @@ func TestWorkerSurvivesFaultModelPanic(t *testing.T) {
 // topo.NewFatTree, a negative buffer ran with every packet dropped, a
 // negative load or an oversized fan-in panicked in the workload generator,
 // a negative rate in the launcher, and a negative count ran nothing — and
-// the worker's cache is left as it was.
+// the worker's cache is left as it was. So does each rule Validate added
+// since: a rate or load the picosecond clock cannot hold, a negative
+// delay, an unknown enum, a fault window before time zero, and a kv BDP
+// cap the verbs PSN window cannot hold.
 func TestWorkerRejectsBadFabricShape(t *testing.T) {
 	good := Scenario{Name: "k6", NumFlows: 120, Seed: 11}
 	w := NewWorker()
@@ -271,6 +274,12 @@ func TestWorkerRejectsBadFabricShape(t *testing.T) {
 		{"negative incast", Scenario{IncastM: -1}, "fan-in -1 must be in [0, 54)"},
 		{"negative flows", Scenario{NumFlows: -1}, "flow count -1 must be >= 0"},
 		{"negative kv", Scenario{KV: kv.Options{Requests: -1}}, "KV request count -1 must be >= 0"},
+		{"rate past a byte per ps", Scenario{Gbps: 50000}, "Gbps 50000 must be"},
+		{"negative grace", Scenario{Grace: -1}, "grace period -1ps must be >= 0"},
+		{"arrivals past the clock", Scenario{Load: 1e-300}, "arrivals within the simulator's clock"},
+		{"unknown cc", Scenario{CC: 9}, "unknown congestion control 9"},
+		{"flap before time zero", Scenario{Faults: fault.Spec{Flaps: []fault.Flap{{Link: 1, DownAt: -5}}}}, "not a window from time 0 on"},
+		{"kv cap past the PSN window", Scenario{BDPCapScale: 1000, KV: kv.Options{Requests: 10}}, "PSN window"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.s

@@ -520,12 +520,12 @@ func (net *Network) HandleEvent(_ uint8, arg uint64) {
 // default 40 Gbps / 2 µs / 6-hop fabric with a 1000 B MTU this is ~113
 // packets, matching the paper's "∼110 MTU-sized packets".
 func (net *Network) BDPCap() int {
-	bdp := BDPBytes(net.Cfg.Rate, net.Cfg.Prop, net.Topo.LongestPathHops())
-	cap := bdp / (net.Cfg.MTU + packet.DataHeader)
-	if cap < 1 {
-		cap = 1
-	}
-	return cap
+	return BDPCap(net.Cfg.Rate, net.Cfg.Prop, net.Topo.LongestPathHops(), net.Cfg.MTU)
+}
+
+// BDPCap is Network.BDPCap computed before the fabric is built.
+func BDPCap(r Rate, prop sim.Duration, hops, mtu int) int {
+	return max(1, BDPBytes(r, prop, hops)/(mtu+packet.DataHeader))
 }
 
 // IdealFCT returns the empty-network completion time for a message of

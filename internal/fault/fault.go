@@ -85,20 +85,14 @@ func (s *Spec) Enabled() bool {
 // the number of full-duplex links in the topology. Each kind of window is
 // checked element by element first, then for overlaps on a link.
 func (s *Spec) Validate(numLinks int) error {
-	if s.LossRate < 0 || s.LossRate > 1 {
+	if !(s.LossRate >= 0 && s.LossRate <= 1) {
 		return fmt.Errorf("fault: loss rate %v outside [0,1]", s.LossRate)
 	}
-	if s.CorruptRate < 0 || s.CorruptRate > 1 {
+	if !(s.CorruptRate >= 0 && s.CorruptRate <= 1) {
 		return fmt.Errorf("fault: corrupt rate %v outside [0,1]", s.CorruptRate)
 	}
-	var ws []window // one kind's windows, for the overlap check
+	var ws []window // one kind's windows
 	for _, f := range s.Flaps {
-		if f.Link < 0 || f.Link >= numLinks {
-			return fmt.Errorf("fault: flap link %d outside [0,%d)", f.Link, numLinks)
-		}
-		if f.UpAt != 0 && f.UpAt <= f.DownAt {
-			return fmt.Errorf("fault: flap on link %d comes up at %d before going down at %d", f.Link, f.UpAt, f.DownAt)
-		}
 		ws = append(ws, window{f.Link, f.DownAt, f.UpAt})
 	}
 	// Windows on the same link must not overlap: the compiled down state
@@ -106,57 +100,53 @@ func (s *Spec) Validate(numLinks int) error {
 	// raise a link a later flap still holds down. Touching windows (UpAt
 	// == next DownAt) are fine — the schedule orders restoring transitions
 	// before failing ones at a shared instant.
-	if err := checkDisjoint("flaps", ws); err != nil {
+	if err := checkWindows("flap", ws, numLinks); err != nil {
 		return err
 	}
 	ws = ws[:0]
 	for _, d := range s.Degrades {
-		if d.Link < 0 || d.Link >= numLinks {
-			return fmt.Errorf("fault: degrade link %d outside [0,%d)", d.Link, numLinks)
-		}
-		if d.Factor <= 0 || d.Factor > 1 {
+		if !(d.Factor > 0 && d.Factor <= 1) {
 			return fmt.Errorf("fault: degrade factor %v outside (0,1]", d.Factor)
-		}
-		if d.To != 0 && d.To <= d.From {
-			return fmt.Errorf("fault: degrade on link %d ends at %d before starting at %d", d.Link, d.To, d.From)
 		}
 		ws = append(ws, window{d.Link, d.From, d.To})
 	}
 	// Same single-value argument as for flaps: the effective rate is one
 	// scalar per direction.
-	if err := checkDisjoint("degrades", ws); err != nil {
+	if err := checkWindows("degrade", ws, numLinks); err != nil {
 		return err
 	}
 	ws = ws[:0]
 	for _, b := range s.Bursts {
-		if b.Link < 0 || b.Link >= numLinks {
-			return fmt.Errorf("fault: loss burst link %d outside [0,%d)", b.Link, numLinks)
-		}
-		if b.Rate < 0 || b.Rate > 1 {
+		if !(b.Rate >= 0 && b.Rate <= 1) {
 			return fmt.Errorf("fault: loss burst rate %v outside [0,1]", b.Rate)
-		}
-		if b.To != 0 && b.To <= b.From {
-			return fmt.Errorf("fault: loss burst on link %d ends at %d before starting at %d", b.Link, b.To, b.From)
 		}
 		ws = append(ws, window{b.Link, b.From, b.To})
 	}
 	// The effective loss rate is one scalar per direction, like the
 	// degrade factor.
-	return checkDisjoint("loss bursts", ws)
+	return checkWindows("loss burst", ws, numLinks)
 }
 
-// window is one flap, degrade or loss burst as the overlap check sees it:
-// [from, to) on a link, to == 0 meaning the rest of the run.
+// window is one flap, degrade or loss burst as the checks see it: [from,
+// to) on a link, to == 0 meaning the rest of the run.
 type window struct {
 	link     int
 	from, to sim.Time
 }
 
-// checkDisjoint sorts ws by (link, start) and reports an error if two
-// windows on one link overlap. Every window is non-empty (to == 0 or to >
-// from, checked by the caller), so once sorted some pair overlaps exactly
-// when some pair of neighbours does.
-func checkDisjoint(kind string, ws []window) error {
+// checkWindows reports a window of one kind on a link outside [0,
+// numLinks), before time zero or ending before it begins; then it sorts ws
+// by (link, start) and reports two windows on one link that overlap, which
+// some pair of neighbours does exactly when some pair does.
+func checkWindows(kind string, ws []window, numLinks int) error {
+	for _, w := range ws {
+		switch {
+		case w.link < 0 || w.link >= numLinks:
+			return fmt.Errorf("fault: %s link %d outside [0,%d)", kind, w.link, numLinks)
+		case w.from < 0 || w.to < 0 || w.to != 0 && w.to <= w.from:
+			return fmt.Errorf("fault: %s on link %d spans [%d,%d), not a window from time 0 on", kind, w.link, w.from, w.to)
+		}
+	}
 	sort.Slice(ws, func(a, b int) bool {
 		if ws[a].link != ws[b].link {
 			return ws[a].link < ws[b].link
@@ -165,7 +155,7 @@ func checkDisjoint(kind string, ws []window) error {
 	})
 	for k := 1; k < len(ws); k++ {
 		if p, w := ws[k-1], ws[k]; p.link == w.link && overlaps(p.from, p.to, w.from, w.to) {
-			return fmt.Errorf("fault: overlapping %s on link %d ([%d,%d) and [%d,%d))", kind, w.link, p.from, p.to, w.from, w.to)
+			return fmt.Errorf("fault: overlapping %ss on link %d ([%d,%d) and [%d,%d))", kind, w.link, p.from, p.to, w.from, w.to)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -39,6 +40,12 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{Degrades: []Degrade{{Link: 0, Factor: 1.5}}},
 		{Degrades: []Degrade{{Link: 12, Factor: 0.5}}},
 		{Degrades: []Degrade{{Link: 0, Factor: 0.5, From: 100, To: 50}}},
+		// NaN slips past a pair of < and > tests; a window before time
+		// zero would schedule a transition in the past.
+		{LossRate: math.NaN()},
+		{Degrades: []Degrade{{Link: 0, Factor: math.NaN()}}},
+		{Flaps: []Flap{{Link: 0, DownAt: -5}}},
+		{Bursts: []LossBurst{{Link: 0, Rate: 0.5, From: -10, To: 10}}},
 		// Overlapping windows on one link: the compiled down state and
 		// rate are single values per direction, so overlaps would corrupt
 		// them (an earlier Up raising a link a later flap holds down).

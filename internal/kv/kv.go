@@ -138,13 +138,24 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// Validate reports whether the replica group fits a fabric with the given
-// number of hosts: the leader and every follower take a host of their own
-// (clients share hosts when they outnumber the free ones).
+// Validate reports options no run can take — a negative count, size or
+// time, a Put fraction outside [0, 1], an unknown Mode — or a replica
+// group whose leader and followers outnumber the fabric's hosts.
 func (o Options) Validate(hosts int) error {
 	o = o.WithDefaults()
-	if need := 1 + o.Followers; need > hosts {
-		return fmt.Errorf("kv: a leader and %d followers need %d hosts, the fabric has %d", o.Followers, need, hosts)
+	switch {
+	case min(o.Requests, o.Clients, o.Followers, o.ValueBytes, o.KeySpace, o.MaxRetries) < 0:
+		return fmt.Errorf("kv: a count or size is negative in %+v", o)
+	case min(o.SLO, o.RequestTimeout, o.BackoffBase, o.QuorumTimeout, o.IssueGap, sim.Duration(o.IssueStart)) < 0,
+		max(o.SLO, o.RequestTimeout, o.BackoffBase, o.QuorumTimeout) > sim.Duration(sim.MaxTime/64),
+		float64(o.IssueStart)+64*float64(o.Requests)*float64(o.IssueGap) > float64(sim.MaxTime):
+		return fmt.Errorf("kv: a time is negative or past the simulator's clock in %+v", o)
+	case !(o.PutFraction >= 0 && o.PutFraction <= 1):
+		return fmt.Errorf("kv: Put fraction %v outside [0,1]", o.PutFraction)
+	case o.Mode > ModeWriteImm:
+		return fmt.Errorf("kv: unknown mode %d", o.Mode)
+	case 1+o.Followers > hosts:
+		return fmt.Errorf("kv: a leader and %d followers need %d hosts, the fabric has %d", o.Followers, 1+o.Followers, hosts)
 	}
 	return nil
 }

@@ -210,6 +210,8 @@ func TestPlaceSpreadsReplicas(t *testing.T) {
 // TestPlaceRejectsTooFewHosts: a replica group larger than the host list
 // used to spin forever looking for a free follower host; Place now panics
 // with the counts, and Options.Validate is the same check as an error.
+// Validate also rejects a negative count or time, a Put fraction outside
+// [0, 1], an unknown mode and an issue schedule past the clock.
 func TestPlaceRejectsTooFewHosts(t *testing.T) {
 	hosts := []packet.NodeID{0, 1}
 	if err := (Options{}).Validate(len(hosts)); err == nil || !strings.Contains(err.Error(), "need 3 hosts") {
@@ -217,6 +219,11 @@ func TestPlaceRejectsTooFewHosts(t *testing.T) {
 	}
 	if err := (Options{Followers: 1}).Validate(len(hosts)); err != nil {
 		t.Errorf("Validate(2 hosts, 1 follower) = %v", err)
+	}
+	for _, o := range []Options{{Followers: -1}, {PutFraction: 2}, {Mode: 7}, {IssueGap: -1}, {Requests: 1 << 40, IssueGap: sim.Second}} {
+		if err := o.Validate(64); err == nil {
+			t.Errorf("Validate(%+v) accepted options no run can take", o)
+		}
 	}
 	result := make(chan any, 1)
 	go func() {

@@ -155,7 +155,7 @@ type QP struct {
 	rx       *bitmap.TwoBitmap
 	rxExp    uint32
 	msn      uint32
-	staged   [psnWindow]stagedCQE // by sPSN&psnMask of the last packet
+	staged   [PSNWindow]stagedCQE // by sPSN&psnMask of the last packet
 	recvQ    recvProvider
 	readBuf  map[uint32]*pendingRead // keyed by sPSN of the request packet
 	readSNAt map[uint32]uint32       // read_WQE_SN → sPSN (dedupe)
@@ -206,10 +206,10 @@ func NewQPOn(name string, eng *sim.Engine, clk *sim.Clock, cfg Config, wire Wire
 	if cfg.MTU <= 0 || cfg.BDPCap <= 0 {
 		panic("verbs: bad config")
 	}
-	if cfg.BDPCap > psnWindow {
-		// The PSN-indexed rings and the SACK scoreboard cover psnWindow
+	if cfg.BDPCap > PSNWindow {
+		// The PSN-indexed rings and the SACK scoreboard cover PSNWindow
 		// sequence numbers past the cumulative point.
-		panic(fmt.Sprintf("verbs: BDPCap %d exceeds the %d-PSN window", cfg.BDPCap, psnWindow))
+		panic(fmt.Sprintf("verbs: BDPCap %d exceeds the %d-PSN window", cfg.BDPCap, PSNWindow))
 	}
 	q := &QP{
 		name:     name,
@@ -221,11 +221,11 @@ func NewQPOn(name string, eng *sim.Engine, clk *sim.Clock, cfg Config, wire Wire
 		cq:       cq,
 		tx:       newSendHalf(cfg.BDPCap),
 		readsOut: make(map[uint32]*reqWQE),
-		rrx:      bitmap.NewTwo(psnWindow),
-		rx:       bitmap.NewTwo(psnWindow),
+		rrx:      bitmap.NewTwo(PSNWindow),
+		rx:       bitmap.NewTwo(PSNWindow),
 		readBuf:  make(map[uint32]*pendingRead),
 		readSNAt: make(map[uint32]uint32),
-		rtx:      newSendHalf(psnWindow),
+		rtx:      newSendHalf(PSNWindow),
 		recvQ:    &wqeRing{},
 	}
 	q.tx.timer = sim.NewHandlerTimer(eng, clk, q, qpTimer)

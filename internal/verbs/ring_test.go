@@ -95,12 +95,12 @@ func TestNewQPRejectsBDPCapBeyondWindow(t *testing.T) {
 		NewQP("q", sim.NewEngine(), cfg, WireFunc(func(*VPacket) {}), NewMemory(), &CQ{})
 		return nil
 	}
-	if err := mk(psnWindow); err != nil {
-		t.Errorf("BDPCap == psnWindow rejected: %v", err)
+	if err := mk(PSNWindow); err != nil {
+		t.Errorf("BDPCap == PSNWindow rejected: %v", err)
 	}
-	err := mk(psnWindow + 1)
+	err := mk(PSNWindow + 1)
 	if msg, _ := err.(string); !strings.Contains(msg, "BDPCap") {
-		t.Errorf("BDPCap > psnWindow: got %v, want a panic naming BDPCap", err)
+		t.Errorf("BDPCap > PSNWindow: got %v, want a panic naming BDPCap", err)
 	}
 }
 
@@ -191,7 +191,7 @@ func ringWrap(t *testing.T, goBackN bool) {
 	const (
 		mtu      = 1000
 		bdpCap   = 32
-		triples  = 3*psnWindow/8 + 1 // each SEND+WRITE_IMM+READ triple is 8 sPSNs and 8 rPSNs
+		triples  = 3*PSNWindow/8 + 1 // each SEND+WRITE_IMM+READ triple is 8 sPSNs and 8 rPSNs
 		messages = 3 * triples
 		inFlight = 12 // messages outstanding
 		recvs    = 16 // Receive WQEs posted
@@ -333,7 +333,7 @@ func ringWrap(t *testing.T, goBackN bool) {
 		}
 		eng.RunUntil(at)
 		// The kept packet is a full window behind: replay it.
-		if stale != nil && b.Expected() >= stale.BTH.PSN+psnWindow {
+		if stale != nil && b.Expected() >= stale.BTH.PSN+PSNWindow {
 			before := append([]byte(nil), region...)
 			acks, recvDone, msn, drops := acksFromB, nextRecv, b.MSN(), b.Drops
 			b.Receive(stale, eng.Now())
@@ -354,7 +354,7 @@ func ringWrap(t *testing.T, goBackN bool) {
 	if completed != messages || nextRecv != 2*triples {
 		t.Errorf("%d requester and %d responder completions, want %d and %d", completed, nextRecv, messages, 2*triples)
 	}
-	if a.tx.next < 3*psnWindow || b.rtx.next < 3*psnWindow {
+	if a.tx.next < 3*PSNWindow || b.rtx.next < 3*PSNWindow {
 		t.Errorf("only %d sPSNs and %d rPSNs used; the rings did not wrap three times", a.tx.next, b.rtx.next)
 	}
 	if replays < 2 {

@@ -7,14 +7,14 @@ import (
 	"github.com/irnsim/irn/internal/sim"
 )
 
-// psnWindow is how far past the cumulative point each PSN space tracks
+// PSNWindow is how far past the cumulative point each PSN space tracks
 // selective acks and arrivals, and the size of every PSN-indexed ring: a
-// sender keeps fewer than psnWindow PSNs outstanding (NewQPOn refuses a
-// larger BDPCap) and a receiver refuses arrivals psnWindow or more past
+// sender keeps fewer than PSNWindow PSNs outstanding (NewQPOn refuses a
+// larger BDPCap) and a receiver refuses arrivals PSNWindow or more past
 // its cumulative point, so psn&psnMask never aliases two live PSNs.
 const (
-	psnWindow = 4096
-	psnMask   = psnWindow - 1
+	PSNWindow = 4096
+	psnMask   = PSNWindow - 1
 )
 
 // sendHalf is the reliable transmit side of one PSN space. A QP has two:
@@ -24,13 +24,13 @@ type sendHalf struct {
 	sb    recovery.Scoreboard
 	next  uint32               // next PSN to assign
 	sendQ fifo.Queue[*VPacket] // built, not yet transmitted: PSNs [sent(), next)
-	pend  [psnWindow]*VPacket  // transmitted masters, awaiting the cumulative ack; by psn&psnMask
+	pend  [PSNWindow]*VPacket  // transmitted masters, awaiting the cumulative ack; by psn&psnMask
 	limit int                  // most PSNs outstanding: BDP-FC on requests, the window on responses
 	timer *sim.Timer
 }
 
 func newSendHalf(limit int) sendHalf {
-	return sendHalf{sb: recovery.NewScoreboard(psnWindow), limit: limit}
+	return sendHalf{sb: recovery.NewScoreboard(PSNWindow), limit: limit}
 }
 
 // idle reports whether every assigned PSN has been acknowledged.

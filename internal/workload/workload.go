@@ -242,12 +242,12 @@ func (c *PoissonConfig) meanWireBytes() float64 {
 	return mean + pkts*float64(c.HeaderBytes)
 }
 
-// ExpectedSpan returns the expected arrival span of the generated flow
-// sequence: NumFlows times the mean Poisson inter-arrival gap. The span
-// scales as 1/Load, which is the lever the endurance harness inverts to
-// stretch a fixed flow budget across a target simulated horizon.
-func (c *PoissonConfig) ExpectedSpan() sim.Duration {
-	return sim.Duration(float64(c.NumFlows) * float64(c.RatePsPerByte) * c.meanWireBytes() / (float64(c.Hosts) * c.Load))
+// ExpectedSpan returns NumFlows times the mean Poisson inter-arrival gap,
+// in picoseconds as a float that cannot wrap. The span scales as 1/Load,
+// the lever the endurance harness inverts to stretch a fixed flow budget
+// across a target simulated horizon.
+func (c PoissonConfig) ExpectedSpan() float64 {
+	return float64(c.NumFlows) * float64(c.RatePsPerByte) * c.meanWireBytes() / (float64(c.Hosts) * c.Load)
 }
 
 // Generate produces flows with Poisson inter-arrival times at the

@@ -9,10 +9,13 @@
 //
 // The top-level API runs simulation scenarios:
 //
-//	result := irn.Run(irn.Config{
+//	result, err := irn.Run(irn.Config{
 //	    Transport: irn.TransportIRN,
 //	    Flows:     2000,
 //	})
+//	if err != nil {
+//	    log.Fatal(err) // a Config no run can take
+//	}
 //	fmt.Println(result.AvgSlowdown, result.AvgFCTms, result.P99FCTms)
 //
 // Every figure and table of the paper has a named experiment preset; see
@@ -24,6 +27,7 @@ package irn
 import (
 	"time"
 
+	"github.com/irnsim/irn/internal/core"
 	"github.com/irnsim/irn/internal/exp"
 	"github.com/irnsim/irn/internal/sim"
 )
@@ -159,8 +163,9 @@ type Result struct {
 	Events uint64
 }
 
-// Run executes a configuration and returns its metrics.
-func Run(cfg Config) Result {
+// Run executes a configuration and returns its metrics, or, without
+// running, an error naming the first setting no run can take.
+func Run(cfg Config) (Result, error) {
 	s := exp.Scenario{
 		Name:           "api",
 		Arity:          cfg.FatTreeArity,
@@ -178,7 +183,7 @@ func Run(cfg Config) Result {
 		Shards:         cfg.Shards,
 		IncastM:        cfg.IncastFanIn,
 		IncastBytes:    cfg.IncastBytes,
-		Recovery:       toRecovery(cfg.Recovery),
+		Recovery:       core.RecoveryMode(cfg.Recovery),
 		NoBDPFC:        cfg.DisableBDPFC,
 		RTOLow:         sim.Duration(cfg.RTOLow.Nanoseconds()) * sim.Nanosecond,
 		RTOHigh:        sim.Duration(cfg.RTOHigh.Nanoseconds()) * sim.Nanosecond,
@@ -188,8 +193,8 @@ func Run(cfg Config) Result {
 		RetxFetchDelay: sim.Duration(cfg.RetxFetchDelay.Nanoseconds()) * sim.Nanosecond,
 		ExtraHeader:    cfg.ExtraHeaderBytes,
 	}
-	if cfg.IncastFanIn > 0 && cfg.IncastBytes == 0 {
-		s.IncastBytes = 15_000_000
+	if err := s.Validate(); err != nil {
+		return Result{}, err
 	}
 	r := exp.Run(s)
 
@@ -210,9 +215,5 @@ func Run(cfg Config) Result {
 	for _, pt := range r.SinglePktCDF {
 		out.SinglePacketTailMs = append(out.SinglePacketTailMs, pt.Latency.Millis())
 	}
-	return out
-}
-
-func toRecovery(m RecoveryMode) coreRecovery {
-	return coreRecovery(m)
+	return out, nil
 }

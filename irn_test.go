@@ -2,13 +2,25 @@ package irn_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/irnsim/irn"
 )
 
+// run runs cfg and fails the test on an error.
+func run(t *testing.T, cfg irn.Config) irn.Result {
+	t.Helper()
+	r, err := irn.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestRunDefaultsProduceMetrics(t *testing.T) {
-	r := irn.Run(irn.Config{Flows: 300})
+	r := run(t, irn.Config{Flows: 300})
 	if r.Completed != 300 || r.Incomplete != 0 {
 		t.Fatalf("completed=%d incomplete=%d", r.Completed, r.Incomplete)
 	}
@@ -27,8 +39,8 @@ func TestRunDefaultsProduceMetrics(t *testing.T) {
 }
 
 func TestRunHeadlineComparison(t *testing.T) {
-	irnRes := irn.Run(irn.Config{Transport: irn.TransportIRN, Flows: 500})
-	roce := irn.Run(irn.Config{Transport: irn.TransportRoCE, PFC: true, Flows: 500})
+	irnRes := run(t, irn.Config{Transport: irn.TransportIRN, Flows: 500})
+	roce := run(t, irn.Config{Transport: irn.TransportRoCE, PFC: true, Flows: 500})
 	if irnRes.AvgSlowdown >= roce.AvgSlowdown {
 		t.Errorf("IRN slowdown %.2f !< RoCE+PFC %.2f", irnRes.AvgSlowdown, roce.AvgSlowdown)
 	}
@@ -41,7 +53,7 @@ func TestRunHeadlineComparison(t *testing.T) {
 }
 
 func TestRunIncastMode(t *testing.T) {
-	r := irn.Run(irn.Config{IncastFanIn: 10, Seed: 2})
+	r := run(t, irn.Config{IncastFanIn: 10, Seed: 2})
 	if r.IncastRCTms <= 0 {
 		t.Fatalf("RCT = %v", r.IncastRCTms)
 	}
@@ -53,17 +65,43 @@ func TestRunIncastMode(t *testing.T) {
 func TestRunAblationKnobs(t *testing.T) {
 	// 800 flows at the default load: enough congestion for losses, so
 	// the recovery ablations separate.
-	gbn := irn.Run(irn.Config{Recovery: irn.RecoveryGoBackN, Flows: 800, Seed: 11})
-	sack := irn.Run(irn.Config{Flows: 800, Seed: 11})
+	gbn := run(t, irn.Config{Recovery: irn.RecoveryGoBackN, Flows: 800, Seed: 11})
+	sack := run(t, irn.Config{Flows: 800, Seed: 11})
 	if sack.Drops == 0 {
 		t.Fatal("expected drops at this scale; ablation comparison void")
 	}
 	if gbn.AvgFCTms <= sack.AvgFCTms {
 		t.Errorf("go-back-N FCT %.4f !> SACK %.4f", gbn.AvgFCTms, sack.AvgFCTms)
 	}
-	noFC := irn.Run(irn.Config{DisableBDPFC: true, Flows: 800, Seed: 11})
+	noFC := run(t, irn.Config{DisableBDPFC: true, Flows: 800, Seed: 11})
 	if noFC.Drops <= sack.Drops {
 		t.Errorf("no-BDPFC drops %d !> default %d", noFC.Drops, sack.Drops)
+	}
+}
+
+// TestRunRejectsBadConfig: a Config no run can take is an error from Run,
+// naming the setting, not a panic deep in the simulator (odd arity,
+// negative MTU, delays or header bytes) or a run that reports every flow
+// incomplete (an unknown transport).
+func TestRunRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  irn.Config
+		want string
+	}{
+		{"odd arity", irn.Config{FatTreeArity: 5}, "Arity"},
+		{"negative MTU", irn.Config{MTU: -1}, "MTU"},
+		{"negative propagation delay", irn.Config{PropDelay: -time.Microsecond}, "Prop"},
+		{"negative RTOLow", irn.Config{RTOLow: -time.Microsecond}, "RTOLow"},
+		{"negative extra header", irn.Config{ExtraHeaderBytes: -1000}, "ExtraHeader"},
+		{"unknown transport", irn.Config{Transport: 7}, "Transport"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Flows = 10
+			if _, err := irn.Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run error %v, want one naming %s", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -1,14 +1,9 @@
 package irn
 
 import (
-	"github.com/irnsim/irn/internal/core"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/verbs"
 )
-
-// coreRecovery aliases the internal recovery-mode enum for Config
-// conversion.
-type coreRecovery = core.RecoveryMode
 
 // The verbs layer (§5) is exported through aliases so applications can
 // exercise RDMA semantics — queue pairs, WQEs/CQEs, Write/Read/Send/
