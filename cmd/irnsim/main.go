@@ -157,9 +157,7 @@ func main() {
 			s.Faults = spec
 			// KV runs report per-phase availability against the suite's windows.
 			if s.KV.Requests > 0 {
-				for _, w := range sched.Windows() {
-					s.KV.Phases = append(s.KV.Phases, kv.Phase(w))
-				}
+				s.KV.Phases = sched.Windows()
 			}
 		}
 		if *flapLinks > 0 {

@@ -24,19 +24,19 @@ func main() {
 	for _, m := range []int{10, 20, 30, 40, 50} {
 		irnRes := run(irn.Config{
 			Transport:   irn.TransportIRN,
-			IncastFanIn: m,
+			IncastM:     m,
 			IncastBytes: 15_000_000,
 			Seed:        uint64(m),
 		})
 		roce := run(irn.Config{
 			Transport:   irn.TransportRoCE,
 			PFC:         true,
-			IncastFanIn: m,
+			IncastM:     m,
 			IncastBytes: 15_000_000,
 			Seed:        uint64(m),
 		})
 		fmt.Printf("%6d %18.3f %18.3f %12.3f\n",
-			m, irnRes.IncastRCTms, roce.IncastRCTms, irnRes.IncastRCTms/roce.IncastRCTms)
+			m, irnRes.RCT.Millis(), roce.RCT.Millis(), irnRes.RCT.Millis()/roce.RCT.Millis())
 	}
 	fmt.Println("\npaper: the RCT ratio stays within 2.5% of 1.0 (Figure 9)")
 }

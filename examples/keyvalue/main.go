@@ -58,7 +58,7 @@ func run(mode kv.Mode) {
 	for i := range hosts {
 		hosts[i] = packet.NodeID(i)
 	}
-	opts := kv.Options{Requests: 60, Mode: mode, Phases: windows(sched)}.WithDefaults()
+	opts := kv.Options{Requests: 60, Mode: mode, Phases: sched.Windows()}.WithDefaults()
 	pl := kv.Place(hosts, 4, opts.Followers, opts.Clients)
 
 	svc := kv.New(net, pl, verbs.DefaultConfig(), opts, 7)
@@ -85,15 +85,4 @@ func run(mode kv.Mode) {
 		fmt.Printf(" %s=%.2f", p.Name, float64(p.WithinSLO)/float64(p.Issued))
 	}
 	fmt.Print("\n\n")
-}
-
-// windows converts the schedule's phase windows into the service's
-// availability buckets.
-func windows(sched *fault.Schedule) []kv.Phase {
-	ws := sched.Windows()
-	out := make([]kv.Phase, len(ws))
-	for i, w := range ws {
-		out[i] = kv.Phase{Name: w.Name, From: w.From, To: w.To}
-	}
-	return out
 }

@@ -17,16 +17,16 @@ func main() {
 	fmt.Println()
 
 	run := func(name string, cfg irn.Config) irn.Result {
-		cfg.IncastFanIn = 30
+		cfg.IncastM = 30
 		cfg.IncastBytes = 15_000_000
-		cfg.Flows = 1200 // background flows sharing the fabric
+		cfg.NumFlows = 1200 // background flows sharing the fabric
 		cfg.Load = 0.5
 		r, err := irn.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-16s incast_rct=%8.3fms  victim_avg_slowdown=%6.2f  victim_p99_fct=%8.4fms  pauses=%d\n",
-			name, r.IncastRCTms, r.AvgSlowdown, r.P99FCTms, r.PauseFrames)
+			name, r.RCT.Millis(), r.AvgSlowdown, r.TailFCT.Millis(), r.Net.PauseFrames)
 		return r
 	}
 
@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("background traffic slowdown, IRN vs RoCE+PFC: %.2fx better\n",
 		pfc.AvgSlowdown/clean.AvgSlowdown)
 	fmt.Printf("pause frames emitted under PFC: %d (RoCE), %d (IRN+PFC); zero without PFC\n",
-		pfc.PauseFrames, both.PauseFrames)
+		pfc.Net.PauseFrames, both.Net.PauseFrames)
 	fmt.Println("\npaper §4.4.3: background traffic improves 32-87% with IRN; pauses cascade")
 	fmt.Println("to links nowhere near the incast destination (head-of-line blocking).")
 }

@@ -26,9 +26,12 @@ const (
 	// and NACKs carry (cumulative ack, triggering PSN); the sender
 	// selectively retransmits using a bitmap (§3.1).
 	RecoverySACK RecoveryMode = iota
-	// RecoveryGoBackN discards out-of-order arrivals at the receiver and
-	// rewinds the sender to the cumulative ack — the loss recovery of
-	// current RoCE NICs, used for the Figure 7 ablation.
+	// RecoveryGoBackN rewinds the sender to the cumulative ack on every
+	// NACK and timeout, ignoring the SACK — the loss recovery of current
+	// RoCE NICs, used for the Figure 7 ablation. Only the sender changes:
+	// the receiver still keeps out-of-order packets, so a cumulative ack
+	// that overtakes a rewind moves the sender past what was already
+	// delivered.
 	RecoveryGoBackN
 	// RecoveryNoSACK is selective retransmission without the SACK
 	// bitmap: only the packet at the cumulative ack is ever

@@ -39,8 +39,7 @@ func TestSketchMatchesExact(t *testing.T) {
 			s := s
 			t.Run(e.ID+"/"+s.Name, func(t *testing.T) {
 				ran++
-				res := NewWorker().run(s, runOpts{exact: true})
-				ex := res.ExactCollector
+				res, ex := NewWorker().run(s, runOpts{exact: true})
 				if ex == nil || !ex.Exact() {
 					t.Fatal("exact run must carry the exact collector")
 				}
@@ -152,7 +151,7 @@ func TestFigDCCollectorMemoryBounded(t *testing.T) {
 	}
 	// Exact mode is the deliberate exception: it retains records.
 	e, _ := ByID("figdc", Scale{Flows: 200, IncastBytes: 1, IncastReps: 1})
-	if ex := NewWorker().run(e.Scenarios[1], runOpts{exact: true}); ex.MetricsBytes <= b.MetricsBytes {
+	if ex, _ := NewWorker().run(e.Scenarios[1], runOpts{exact: true}); ex.MetricsBytes <= b.MetricsBytes {
 		t.Errorf("exact mode footprint %d should exceed streaming %d", ex.MetricsBytes, b.MetricsBytes)
 	}
 }

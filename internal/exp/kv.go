@@ -57,17 +57,6 @@ func newKV(s Scenario, net *fabric.Network, top topo.Topology, bdpCap int) (svc 
 // pairs so both transports see the same failure sequence.
 const kvChaosSeed = 9001
 
-// kvPhases converts a chaos schedule's phase windows into the kv
-// service's availability buckets.
-func kvPhases(sched *fault.Schedule) []kv.Phase {
-	ws := sched.Windows()
-	out := make([]kv.Phase, len(ws))
-	for i, w := range ws {
-		out[i] = kv.Phase{Name: w.Name, From: w.From, To: w.To}
-	}
-	return out
-}
-
 // FigureKV is the replicated-KV availability experiment: a leader, two
 // followers and six clients run the RPC+replication service over the
 // fault fabric while chaos hits the leader's pod, IRN against RoCE+PFC
@@ -133,7 +122,7 @@ func FigureKV(sc Scale) Experiment {
 			KV: kv.Options{
 				Requests: requests,
 				Mode:     mode,
-				Phases:   kvPhases(sched),
+				Phases:   sched.Windows(),
 			},
 			Faults: sched.MustCompile(t),
 			// Identical transport config across each pair (see FigureFlap).

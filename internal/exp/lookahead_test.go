@@ -31,7 +31,8 @@ func TestLookaheadDifferentialAcrossPresets(t *testing.T) {
 					wide := s
 					wide.Shards = shards
 					ref := stripShards(Run(wide))
-					got := stripShards(NewWorker().run(wide, runOpts{bareLookahead: true}))
+					bare, _ := NewWorker().run(wide, runOpts{bareLookahead: true})
+					got := stripShards(bare)
 					if !reflect.DeepEqual(got, ref) {
 						t.Fatalf("%s at %d shards: bare lookahead diverged from widened:\nwidened: %+v\nbare:    %+v",
 							s.Name, shards, ref, got)

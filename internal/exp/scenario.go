@@ -384,10 +384,6 @@ type Result struct {
 	// memory-bound tests assert on it. It varies with the shard count, so
 	// the shard-determinism tests zero it alongside Scenario.Shards.
 	MetricsBytes int
-	// ExactCollector is the merged exact-mode collector (records
-	// retained), set only by the in-package differential harness, which
-	// reads its Exact* reference statistics; nil otherwise.
-	ExactCollector *metrics.Collector
 	// KV is the replicated key-value service report, set only when the
 	// scenario ran the kv service (Scenario.KV.Requests > 0).
 	KV *kv.Report

@@ -21,9 +21,9 @@ import (
 // part of a Scenario, its store fingerprint, or any public surface;
 // Worker.Run always passes the zero value.
 type runOpts struct {
-	// exact keeps every flow record (O(flows) memory) and returns the
-	// merged record-retaining collector as Result.ExactCollector, so the
-	// sort-based reference statistics sit next to the streaming ones.
+	// exact keeps every flow record (O(flows) memory), so the merged
+	// collector run returns carries the sort-based reference statistics
+	// next to the streaming ones.
 	exact bool
 	// bareLookahead narrows the conservative windows to the bare
 	// link-propagation lookahead instead of the widened propagation +
@@ -115,10 +115,14 @@ func Run(s Scenario) Result { return NewWorker().Run(s) }
 // Run executes a scenario on this worker, reusing the engine always and
 // the fabric when the scenario is structurally identical to the previous
 // run's.
-func (w *Worker) Run(s Scenario) Result { return w.run(s, runOpts{}) }
+func (w *Worker) Run(s Scenario) Result {
+	res, _ := w.run(s, runOpts{})
+	return res
+}
 
-// run is Run under the given test-harness switches.
-func (w *Worker) run(s Scenario, o runOpts) Result {
+// run is Run under the given test-harness switches; it also returns the
+// run's merged collector, which retains every record when o.exact is set.
+func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 	if err := s.Validate(); err != nil {
 		panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
 	}
@@ -319,14 +323,11 @@ func (w *Worker) run(s Scenario, o runOpts) Result {
 	res.Summary = agg.Summarize()
 	res.SinglePktCDF = agg.SinglePacketTail([]float64{90, 95, 99, 99.9})
 	res.FCTSketch = agg.FCTHistogram()
-	if o.exact {
-		res.ExactCollector = agg
-	}
 	if svc != nil {
 		retx, tos, _, _ := svc.TransportStats()
 		res.Retransmits += retx
 		res.Timeouts += tos
 		res.KV = svc.Report()
 	}
-	return res
+	return res, agg
 }

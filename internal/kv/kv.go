@@ -25,6 +25,7 @@ package kv
 import (
 	"fmt"
 
+	"github.com/irnsim/irn/internal/fault"
 	"github.com/irnsim/irn/internal/metrics"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
@@ -53,15 +54,11 @@ func (m Mode) String() string {
 	return "send"
 }
 
-// Phase is a named absolute time window, mirrored from the chaos
-// schedule (fault.Schedule.Windows): requests bucket into the phase
-// their *scheduled issue time* falls in, so availability can be reported
-// per chaos phase. A zero To is open-ended.
-type Phase struct {
-	Name string
-	From sim.Time
-	To   sim.Time
-}
+// Phase is a named absolute time window of the chaos schedule
+// (fault.Schedule.Windows): requests bucket into the phase their
+// *scheduled issue time* falls in, so availability can be reported per
+// chaos phase. A zero To is open-ended.
+type Phase = fault.PhaseWindow
 
 // Options parameterizes one kv run. The zero value is not runnable;
 // WithDefaults fills every unset knob.
@@ -93,7 +90,8 @@ type Options struct {
 	IssueStart sim.Time
 	IssueGap   sim.Duration
 
-	// Phases labels time windows for per-phase availability reporting.
+	// Phases labels time windows for per-phase availability reporting,
+	// in order and disjoint; only the last may be open-ended.
 	Phases []Phase
 }
 
@@ -156,6 +154,14 @@ func (o Options) Validate(hosts int) error {
 		return fmt.Errorf("kv: unknown mode %d", o.Mode)
 	case 1+o.Followers > hosts:
 		return fmt.Errorf("kv: a leader and %d followers need %d hosts, the fabric has %d", o.Followers, 1+o.Followers, hosts)
+	}
+	for k, w := range o.Phases {
+		switch {
+		case w.To != 0 && w.To < w.From:
+			return fmt.Errorf("kv: phase %d %q ends at %d, before it starts at %d", k, w.Name, w.To, w.From)
+		case k > 0 && (o.Phases[k-1].To == 0 || o.Phases[k-1].To > w.From):
+			return fmt.Errorf("kv: phase %d %q starts at %d, before phase %d ends: phases run in order, and only the last may be open-ended", k, w.Name, w.From, k-1)
+		}
 	}
 	return nil
 }

@@ -211,7 +211,9 @@ func TestPlaceSpreadsReplicas(t *testing.T) {
 // used to spin forever looking for a free follower host; Place now panics
 // with the counts, and Options.Validate is the same check as an error.
 // Validate also rejects a negative count or time, a Put fraction outside
-// [0, 1], an unknown mode and an issue schedule past the clock.
+// [0, 1], an unknown mode, an issue schedule past the clock, and phases
+// that are out of order, overlap, or leave a phase before the last
+// open-ended.
 func TestPlaceRejectsTooFewHosts(t *testing.T) {
 	hosts := []packet.NodeID{0, 1}
 	if err := (Options{}).Validate(len(hosts)); err == nil || !strings.Contains(err.Error(), "need 3 hosts") {
@@ -220,7 +222,12 @@ func TestPlaceRejectsTooFewHosts(t *testing.T) {
 	if err := (Options{Followers: 1}).Validate(len(hosts)); err != nil {
 		t.Errorf("Validate(2 hosts, 1 follower) = %v", err)
 	}
-	for _, o := range []Options{{Followers: -1}, {PutFraction: 2}, {Mode: 7}, {IssueGap: -1}, {Requests: 1 << 40, IssueGap: sim.Second}} {
+	for _, o := range []Options{{Followers: -1}, {PutFraction: 2}, {Mode: 7}, {IssueGap: -1}, {Requests: 1 << 40, IssueGap: sim.Second},
+		{Phases: []Phase{{Name: "a", From: 10, To: 20}, {Name: "b", From: 5, To: 8}}},   // out of order
+		{Phases: []Phase{{Name: "a", From: 10, To: 20}, {Name: "b", From: 15, To: 30}}}, // overlapping
+		{Phases: []Phase{{Name: "a", From: 10}, {Name: "b", From: 20, To: 30}}},         // open-ended, not last
+		{Phases: []Phase{{Name: "a", From: 10, To: 5}}},                                 // ends before it starts
+	} {
 		if err := o.Validate(64); err == nil {
 			t.Errorf("Validate(%+v) accepted options no run can take", o)
 		}

@@ -51,12 +51,11 @@ type Service struct {
 	// schedule is the state of its generator, never a table of requests.
 	cursors    []cursor
 	phaseNames []string
-	// windows is Options.Phases with each name resolved to its bucket;
-	// sorted records that they are ordered by From and pairwise disjoint
-	// (every fault.Schedule.Windows output is), so at most one window —
-	// the last starting at or before t — can hold a time t.
+	// windows is Options.Phases with each name resolved to its bucket.
+	// Validate keeps them ordered by From and pairwise disjoint, so at
+	// most one window — the last starting at or before t — can hold a
+	// time t.
 	windows []phaseWindow
-	sorted  bool
 
 	leader    *server
 	followers []*follower
@@ -143,7 +142,8 @@ const (
 // zero: the retry budget lives in the client policy, not the transport).
 // The request schedule — arrival times, op mix, keys — is a deterministic
 // function of seed, generated as the run consumes it (see cursor). net
-// must be a single-shard fabric.
+// must be a single-shard fabric, and o's phases in the order Validate
+// accepts.
 func New(net *fabric.Network, pl Placement, qcfg verbs.Config, o Options, seed uint64) *Service {
 	if net.Shards() > 1 {
 		panic("kv: the service requires a single-shard fabric")
@@ -163,18 +163,17 @@ func New(net *fabric.Network, pl Placement, qcfg verbs.Config, o Options, seed u
 		clients:   make([]*client, o.Clients),
 	}
 	s.resolved.Init(1, o.Requests, net.WindowSlack())
-	s.phaseNames, s.windows, s.sorted = resolvePhases(o.Phases)
+	s.phaseNames, s.windows = resolvePhases(o.Phases)
 	return s
 }
 
 // resolvePhases names the buckets — "steady" first, then each phase name
 // in order of first appearance — and resolves every window to its bucket
 // once, so bucketing a request compares no strings.
-func resolvePhases(phases []Phase) (names []string, windows []phaseWindow, sorted bool) {
+func resolvePhases(phases []Phase) (names []string, windows []phaseWindow) {
 	names = []string{"steady"}
 	bucket := map[string]int{"steady": 0}
 	windows = make([]phaseWindow, len(phases))
-	sorted = true
 	for k, w := range phases {
 		b, known := bucket[w.Name]
 		if !known {
@@ -183,29 +182,19 @@ func resolvePhases(phases []Phase) (names []string, windows []phaseWindow, sorte
 			names = append(names, w.Name)
 		}
 		windows[k] = phaseWindow{from: w.From, to: w.To, bucket: b}
-		if k > 0 {
-			prev := phases[k-1]
-			sorted = sorted && prev.From <= w.From && prev.To != 0 && prev.To <= w.From
-		}
 	}
-	return names, windows, sorted
+	return names, windows
 }
 
 // slotBytes is the ring-slot size: the largest frame plus header slack.
 func (s *Service) slotBytes() int { return 32 + s.o.ValueBytes }
 
 // bucketOf maps a scheduled issue time to its phase bucket: that of the
-// first window holding t, found by binary search when the windows are
-// sorted and disjoint and by scanning them in order otherwise
-// (overlapping or open-ended user-supplied phases).
+// window holding t, found by binary search.
 func (s *Service) bucketOf(t sim.Time) int {
-	ws := s.windows
-	if s.sorted {
-		k := sort.Search(len(ws), func(k int) bool { return ws[k].from > t })
-		ws = ws[max(k-1, 0):k]
-	}
-	for _, w := range ws {
-		if t >= w.from && (w.to == 0 || t < w.to) {
+	k := sort.Search(len(s.windows), func(k int) bool { return s.windows[k].from > t })
+	if k > 0 {
+		if w := s.windows[k-1]; w.to == 0 || t < w.to {
 			return w.bucket
 		}
 	}

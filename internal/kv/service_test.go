@@ -103,55 +103,39 @@ func bucketOfReference(phases []Phase, names []string, t sim.Time) int {
 }
 
 // TestBucketOfMatchesReference compares the resolved lookup with the
-// reference on random window sets — sorted and disjoint ones (the binary
-// search), and ones with overlaps, repeated names, empty windows,
-// unsorted starts and open-ended tails (the scan) — at every boundary
-// and its neighbours.
+// reference on random window sets Options.Validate accepts — ordered and
+// disjoint, with repeated names, empty windows and open-ended tails — at
+// every boundary and its neighbours.
 func TestBucketOfMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	names := []string{"steady", "flap", "drain", "flap", "blackout", "recover"}
-	searched := 0
 	for trial := 0; trial < 2000; trial++ {
 		n := rng.Intn(8)
 		phases := make([]Phase, n)
-		disjoint := trial%2 == 0
 		at := sim.Time(rng.Intn(5))
 		for k := range phases {
 			w := Phase{Name: names[rng.Intn(len(names))]}
-			if disjoint {
-				w.From = at + sim.Time(rng.Intn(4))
-				w.To = w.From + sim.Time(rng.Intn(5)) // may be empty
-				if w.To == 0 {
-					w.To = 1
-				}
-				at = w.To
-				if k == n-1 && rng.Intn(2) == 0 {
-					w.To = 0 // open-ended tail
-				}
-			} else {
-				w.From = sim.Time(rng.Intn(30))
-				if w.To = sim.Time(rng.Intn(30)); rng.Intn(4) == 0 {
-					w.To = 0
-				}
+			w.From = at + sim.Time(rng.Intn(4))
+			w.To = w.From + sim.Time(rng.Intn(5)) // may be empty
+			if w.To == 0 {
+				w.To = 1
+			}
+			at = w.To
+			if k == n-1 && rng.Intn(2) == 0 {
+				w.To = 0 // open-ended tail
 			}
 			phases[k] = w
 		}
+		if err := (Options{Followers: 1, Phases: phases}).Validate(2); err != nil {
+			t.Fatalf("Validate rejected ordered disjoint windows: %v", err)
+		}
 		s := &Service{}
-		s.phaseNames, s.windows, s.sorted = resolvePhases(phases)
-		if disjoint && !s.sorted {
-			t.Fatalf("sorted disjoint windows not recognised: %+v", phases)
-		}
-		if s.sorted {
-			searched++
-		}
+		s.phaseNames, s.windows = resolvePhases(phases)
 		for tm := sim.Time(0); tm < 40; tm++ {
 			if got, want := s.bucketOf(tm), bucketOfReference(phases, s.phaseNames, tm); got != want {
-				t.Fatalf("bucketOf(%d) = %d, reference %d (sorted=%v) for %+v", tm, got, want, s.sorted, phases)
+				t.Fatalf("bucketOf(%d) = %d, reference %d for %+v", tm, got, want, phases)
 			}
 		}
-	}
-	if searched < 1000 {
-		t.Errorf("only %d trials took the binary search", searched)
 	}
 }
 

@@ -2,9 +2,9 @@ package irn_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/irnsim/irn"
 )
@@ -20,18 +20,18 @@ func run(t *testing.T, cfg irn.Config) irn.Result {
 }
 
 func TestRunDefaultsProduceMetrics(t *testing.T) {
-	r := run(t, irn.Config{Flows: 300})
-	if r.Completed != 300 || r.Incomplete != 0 {
-		t.Fatalf("completed=%d incomplete=%d", r.Completed, r.Incomplete)
+	r := run(t, irn.Config{NumFlows: 300})
+	if r.Summary.Flows != 300 || r.Summary.Incomplete != 0 {
+		t.Fatalf("completed=%d incomplete=%d", r.Summary.Flows, r.Summary.Incomplete)
 	}
 	if r.AvgSlowdown < 1 {
 		t.Errorf("slowdown %v below 1 is impossible", r.AvgSlowdown)
 	}
-	if r.AvgFCTms <= 0 || r.P99FCTms < r.AvgFCTms {
-		t.Errorf("FCTs: avg=%v p99=%v", r.AvgFCTms, r.P99FCTms)
+	if r.AvgFCT.Millis() <= 0 || r.TailFCT < r.AvgFCT {
+		t.Errorf("FCTs: avg=%v p99=%v", r.AvgFCT.Millis(), r.TailFCT.Millis())
 	}
-	if len(r.SinglePacketTailMs) != 4 {
-		t.Errorf("tail points = %d", len(r.SinglePacketTailMs))
+	if len(r.SinglePktCDF) != 4 {
+		t.Errorf("tail points = %d", len(r.SinglePktCDF))
 	}
 	if r.Events == 0 {
 		t.Error("no events executed")
@@ -39,65 +39,68 @@ func TestRunDefaultsProduceMetrics(t *testing.T) {
 }
 
 func TestRunHeadlineComparison(t *testing.T) {
-	irnRes := run(t, irn.Config{Transport: irn.TransportIRN, Flows: 500})
-	roce := run(t, irn.Config{Transport: irn.TransportRoCE, PFC: true, Flows: 500})
+	irnRes := run(t, irn.Config{Transport: irn.TransportIRN, NumFlows: 500})
+	roce := run(t, irn.Config{Transport: irn.TransportRoCE, PFC: true, NumFlows: 500})
 	if irnRes.AvgSlowdown >= roce.AvgSlowdown {
 		t.Errorf("IRN slowdown %.2f !< RoCE+PFC %.2f", irnRes.AvgSlowdown, roce.AvgSlowdown)
 	}
-	if roce.Drops != 0 {
-		t.Errorf("RoCE+PFC dropped %d packets", roce.Drops)
+	if roce.Net.Drops != 0 {
+		t.Errorf("RoCE+PFC dropped %d packets", roce.Net.Drops)
 	}
-	if roce.PauseFrames == 0 {
+	if roce.Net.PauseFrames == 0 {
 		t.Error("PFC run generated no pauses at 70% load")
 	}
 }
 
 func TestRunIncastMode(t *testing.T) {
-	r := run(t, irn.Config{IncastFanIn: 10, Seed: 2})
-	if r.IncastRCTms <= 0 {
-		t.Fatalf("RCT = %v", r.IncastRCTms)
+	r := run(t, irn.Config{IncastM: 10, Seed: 2})
+	if r.RCT <= 0 {
+		t.Fatalf("RCT = %v", r.RCT.Millis())
 	}
-	if r.Completed != 10 {
-		t.Errorf("completed = %d, want 10 incast flows", r.Completed)
+	if r.Summary.Flows != 10 {
+		t.Errorf("completed = %d, want 10 incast flows", r.Summary.Flows)
 	}
 }
 
 func TestRunAblationKnobs(t *testing.T) {
 	// 800 flows at the default load: enough congestion for losses, so
 	// the recovery ablations separate.
-	gbn := run(t, irn.Config{Recovery: irn.RecoveryGoBackN, Flows: 800, Seed: 11})
-	sack := run(t, irn.Config{Flows: 800, Seed: 11})
-	if sack.Drops == 0 {
+	gbn := run(t, irn.Config{Recovery: irn.RecoveryGoBackN, NumFlows: 800, Seed: 11})
+	sack := run(t, irn.Config{NumFlows: 800, Seed: 11})
+	if sack.Net.Drops == 0 {
 		t.Fatal("expected drops at this scale; ablation comparison void")
 	}
-	if gbn.AvgFCTms <= sack.AvgFCTms {
-		t.Errorf("go-back-N FCT %.4f !> SACK %.4f", gbn.AvgFCTms, sack.AvgFCTms)
+	if gbn.AvgFCT <= sack.AvgFCT {
+		t.Errorf("go-back-N FCT %.4f !> SACK %.4f", gbn.AvgFCT.Millis(), sack.AvgFCT.Millis())
 	}
-	noFC := run(t, irn.Config{DisableBDPFC: true, Flows: 800, Seed: 11})
-	if noFC.Drops <= sack.Drops {
-		t.Errorf("no-BDPFC drops %d !> default %d", noFC.Drops, sack.Drops)
+	noFC := run(t, irn.Config{NoBDPFC: true, NumFlows: 800, Seed: 11})
+	if noFC.Net.Drops <= sack.Net.Drops {
+		t.Errorf("no-BDPFC drops %d !> default %d", noFC.Net.Drops, sack.Net.Drops)
 	}
 }
 
 // TestRunRejectsBadConfig: a Config no run can take is an error from Run,
-// naming the setting, not a panic deep in the simulator (odd arity,
-// negative MTU, delays or header bytes) or a run that reports every flow
-// incomplete (an unknown transport).
+// naming the field, not a panic deep in the simulator (odd arity,
+// negative MTU, delays or header bytes), a run that reports every flow
+// incomplete (an unknown transport) or one that runs silently wrong (a
+// delay past a 64th of the clock, where the sums a run forms wrap).
 func TestRunRejectsBadConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  irn.Config
 		want string
 	}{
-		{"odd arity", irn.Config{FatTreeArity: 5}, "Arity"},
+		{"odd arity", irn.Config{Arity: 5}, "Arity"},
 		{"negative MTU", irn.Config{MTU: -1}, "MTU"},
-		{"negative propagation delay", irn.Config{PropDelay: -time.Microsecond}, "Prop"},
-		{"negative RTOLow", irn.Config{RTOLow: -time.Microsecond}, "RTOLow"},
-		{"negative extra header", irn.Config{ExtraHeaderBytes: -1000}, "ExtraHeader"},
+		{"negative propagation delay", irn.Config{Prop: -irn.Microseconds(1)}, "Prop"},
+		{"negative RTOLow", irn.Config{RTOLow: -irn.Microseconds(1)}, "RTOLow"},
+		{"negative extra header", irn.Config{ExtraHeader: -1000}, "ExtraHeader"},
 		{"unknown transport", irn.Config{Transport: 7}, "Transport"},
+		{"propagation delay past the clock bound", irn.Config{Prop: irn.Microseconds(41 * 3600 * 1e6)}, "Prop"},
+		{"RTOLow past the clock bound", irn.Config{RTOLow: math.MaxInt64}, "RTOLow"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Flows = 10
+			tc.cfg.NumFlows = 10
 			if _, err := irn.Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Run error %v, want one naming %s", err, tc.want)
 			}
