@@ -140,15 +140,18 @@ func TestVOQBitmapMatchesLinearScan(t *testing.T) {
 }
 
 // TestDenseTablesMatchTopology pins the two build-time resolutions against
-// what they replaced: the compact route table must decode, for every
-// (switch, destination), to exactly topo.NextHops mapped to ports, in
-// order; and every port's resolved (peer, peerPort) must be the node a
-// neighbor→port map lookup on the far side would have found.
+// what they replaced: the route runs must decode, for every (switch,
+// destination), to exactly topo.NextHops mapped to ports, in order, and
+// stay within k+2 runs per fat-tree switch, so the table grows with ports
+// and not hosts; and every port's resolved (peer, peerPort) must be the
+// node a neighbor→port map lookup on the far side would have found.
 func TestDenseTablesMatchTopology(t *testing.T) {
 	topos := map[string]topo.Topology{
+		"fattree2":  topo.NewFatTree(2),
 		"fattree4":  topo.NewFatTree(4),
 		"fattree6":  topo.NewFatTree(6),
 		"fattree16": topo.NewFatTree(16),
+		"fattree24": topo.NewFatTree(24),
 		"star":      topo.NewStar(70),
 		"dumbbell":  topo.NewDumbbell(5),
 	}
@@ -168,11 +171,10 @@ func TestDenseTablesMatchTopology(t *testing.T) {
 				portOf[nic.id] = map[packet.NodeID]int{nic.egress.peer.(*Switch).id: 0}
 			}
 
-			maxSets := 0
+			maxSets, maxRuns := 0, 0
 			for _, sw := range net.switches {
 				for dst := 0; dst < tp.Hosts(); dst++ {
-					off := int(sw.routeOf[dst])
-					got := sw.sets[off+1 : off+1+int(sw.sets[off])]
+					got := sw.route(packet.NodeID(dst))
 					hops := tp.NextHops(sw.id, packet.NodeID(dst))
 					if len(got) != len(hops) {
 						t.Fatalf("switch %d dst %d: %d candidate ports, want %d", sw.id, dst, len(got), len(hops))
@@ -188,11 +190,27 @@ func TestDenseTablesMatchTopology(t *testing.T) {
 					sets++
 				}
 				maxSets = max(maxSets, sets)
+				if sw.runs[0].first != 0 {
+					t.Fatalf("switch %d: first run starts at host %d, want 0", sw.id, sw.runs[0].first)
+				}
+				for i := 1; i < len(sw.runs); i++ {
+					if sw.runs[i].first <= sw.runs[i-1].first {
+						t.Fatalf("switch %d: run starts %d, %d out of order", sw.id, sw.runs[i-1].first, sw.runs[i].first)
+					}
+				}
+				maxRuns = max(maxRuns, len(sw.runs))
 			}
 			// An edge or aggregation switch has k/2 down ports plus the
-			// shared uplink set, a core switch one port per pod.
-			if ft, ok := tp.(*topo.FatTree); ok && maxSets > ft.K {
-				t.Errorf("a switch holds %d distinct port sets, want <= k = %d", maxSets, ft.K)
+			// shared uplink set, a core switch one port per pod; an edge
+			// or aggregation switch's runs are the uplink set on either
+			// side of its k/2 down ports.
+			if ft, ok := tp.(*topo.FatTree); ok {
+				if maxSets > ft.K {
+					t.Errorf("a switch holds %d distinct port sets, want <= k = %d", maxSets, ft.K)
+				}
+				if maxRuns > ft.K+2 {
+					t.Errorf("a switch holds %d route runs, want <= k+2 = %d", maxRuns, ft.K+2)
+				}
 			}
 
 			checkPeer := func(from packet.NodeID, p *outPort, to packet.NodeID) {

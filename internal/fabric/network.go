@@ -166,8 +166,9 @@ func NewPartitioned(engs []*sim.Engine, assign []int, t topo.Topology, cfg Confi
 			net.wire(l.A, l.B, a, b, cfg.Faults.Dir(i, false)),
 			net.wire(l.B, l.A, b, a, cfg.Faults.Dir(i, true)))
 	}
+	portOf := make([]uint16, len(nodes))
 	for _, sw := range net.switches {
-		sw.buildRoutes()
+		sw.buildRoutes(portOf)
 	}
 
 	net.computeLookahead()

@@ -57,3 +57,15 @@ func TestFabricSteadyStateReusesPackets(t *testing.T) {
 			pool.Cap(), net.Stats().Delivered)
 	}
 }
+
+// TestBuildK16Allocs: building a k=16 fat-tree fabric costs allocations in
+// proportion to its ports, not to switches × hosts. One allocation per
+// (switch, host) pair alone is 327 680.
+func TestBuildK16Allocs(t *testing.T) {
+	ft := topo.NewFatTree(16)
+	cfg := testConfig()
+	allocs := testing.AllocsPerRun(1, func() { New(sim.NewEngine(), ft, cfg) })
+	if allocs >= 20_000 {
+		t.Errorf("New(k=16) made %.0f allocations, want < 20000", allocs)
+	}
+}

@@ -215,3 +215,81 @@ func TestSharedBufferAbsorbsBursts(t *testing.T) {
 		t.Errorf("shared buffer drops %d !< partitioned %d", shared, part)
 	}
 }
+
+// pfcRec stands in for the upstream node of a switch input: it records
+// every PFC frame it is sent, with the frame's position in the engine's
+// total order.
+type pfcRec struct {
+	eng    *sim.Engine
+	frames []pfcAt
+}
+
+type pfcAt struct {
+	at    sim.Time
+	rank  uint64
+	pause bool
+}
+
+func (r *pfcRec) receive(*packet.Packet, int) { panic("pfcRec: data on a PFC-only port") }
+func (r *pfcRec) pfcFrame(_ int, pause bool) {
+	r.frames = append(r.frames, pfcAt{r.eng.Now(), r.eng.Rank(), pause})
+}
+
+// TestCutThroughKeepsPFCOrder: an arrival at an idle output that lifts its
+// input past the X-OFF threshold — the bytes above it wait at the input's
+// other output — is passed straight through, and must still send X-OFF,
+// then X-ON at the same instant as its own departure drains the input
+// back below the threshold, then start serializing: the order the push,
+// pop and kick it skips would have produced.
+func TestCutThroughKeepsPFCOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := testConfig()
+	cfg.PFC = true
+	wire := cfg.MTU + packet.DataHeader
+	// Four queued packets sit at X-ON level; a fifth crosses X-OFF.
+	cfg.BufferBytes = 20 * wire
+	cfg.PFCHeadroom = cfg.BufferBytes - (4*wire + wire/2)
+	cfg.PFCHysteresis = wire / 4
+	net := New(eng, topo.NewStar(3), cfg)
+	sw := net.switches[0] // port i faces host i
+	upstream := &pfcRec{eng: eng}
+	sw.out[0].port.peer = upstream
+	down := &peerRec{eng: eng}
+	sw.out[2].port.peer = down
+
+	// Input 0's bytes wait at output 1, held by a pause.
+	sw.out[1].port.paused = true
+	for psn := 0; psn < 4; psn++ {
+		sw.receive(packet.NewData(1, 0, 1, packet.PSN(psn), cfg.MTU, false), 0)
+	}
+	if st := net.Stats(); st.PauseFrames != 0 || sw.in[0].bytes != 4*wire {
+		t.Fatalf("set-up: %d pause frames, input holds %d bytes, want 0 and %d", st.PauseFrames, sw.in[0].bytes, 4*wire)
+	}
+
+	sw.receive(packet.NewData(2, 0, 2, 0, cfg.MTU, true), 0)
+	o := &sw.out[2]
+	if st := net.Stats(); st.PauseFrames != 1 || st.ResumeFrames != 1 {
+		t.Fatalf("pause/resume frames = %d/%d, want 1/1", st.PauseFrames, st.ResumeFrames)
+	}
+	if sw.in[0].paused || sw.in[0].bytes != 4*wire {
+		t.Fatalf("input 0: paused=%v with %d bytes, want resumed with %d", sw.in[0].paused, sw.in[0].bytes, 4*wire)
+	}
+	if !o.port.serializing() || o.queued != 0 || !o.voq[0].Empty() || o.occ[0] != 0 || o.rr != 1 {
+		t.Fatalf("output 2: serializing=%v queued=%d occ=%#x rr=%d, want serializing, empty, rr 1",
+			o.port.serializing(), o.queued, o.occ[0], o.rr)
+	}
+
+	eng.Run()
+	f := upstream.frames
+	if len(f) != 2 || !f[0].pause || f[1].pause || f[0].at != f[1].at || f[0].rank >= f[1].rank {
+		t.Fatalf("upstream saw %+v, want X-OFF then X-ON at one instant", f)
+	}
+	if len(down.arrivals) != 1 || down.arrivals[0].flow != 2 {
+		t.Fatalf("host 2's port delivered %+v, want flow 2's one packet", down.arrivals)
+	}
+	// Ranks are drawn in scheduling order: the packet's arrival was
+	// scheduled after both frames.
+	if a := down.arrivals[0]; a.rank <= f[1].rank {
+		t.Fatalf("data arrival rank %d not after X-ON rank %d: serialization started before the resume", a.rank, f[1].rank)
+	}
+}

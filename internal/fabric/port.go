@@ -149,6 +149,13 @@ func (o *outPort) kick() {
 		// event, so reap and pacing-timer instants do not move.
 		backlog = !o.nic.ctrl.Empty() || len(o.nic.sources) > 0
 	}
+	o.start(pkt, backlog)
+}
+
+// start begins serializing pkt on the idle, unpaused, up port; backlog
+// reports whether the owner has more to send, which makes the
+// serialization end an event.
+func (o *outPort) start(pkt *packet.Packet, backlog bool) {
 	o.busyUntil = o.eng.Now().Add(o.curRate.Serialize(int(pkt.Wire)))
 	// The packet keeps this timing whatever happens next: a rate change
 	// applies from the next kick (see applyChange), a PFC pause lets the

@@ -13,11 +13,12 @@ import (
 // accounting, optional PFC generation, and RED/ECN marking — the switch
 // model of §4.1.
 //
-// Layout: everything one packet-hop reads is a dense slice indexed by
-// port or destination, resolved once at build time. Port i's input state,
-// output queue and link all face the same neighbor, and the link's far
-// end knows this switch's index for it (outPort.peerPort), so a hop never
-// maps a node ID back to a port.
+// Layout: everything one packet-hop reads is resolved once at build time
+// into dense slices sized by the switch's ports, not by the number of
+// hosts: per-port state, the VOQ matrix and the route runs. Port i's
+// input state, output queue and link all face the same neighbor, and the
+// link's far end knows this switch's index for it (outPort.peerPort), so
+// a hop never maps a node ID back to a port.
 type Switch struct {
 	id   packet.NodeID
 	net  *Network
@@ -28,16 +29,19 @@ type Switch struct {
 	in        []inState       // per input port
 	out       []swOut         // per output port
 
-	// Routing: routeOf maps a destination host to one of the switch's few
-	// distinct equal-cost port sets (a fat-tree edge or aggregation switch
-	// has k/2+1 — one per down port plus the shared uplink set — and a
-	// core switch k), so the table is two bytes per host instead of a
-	// slice per host. The sets sit back to back in one array, each as its
-	// length followed by its candidate output ports in topo.NextHops
-	// order (at most 32 entries, one cache line, at k=16); routeOf holds
-	// the offset of the set's length.
-	routeOf []uint16
-	sets    []uint16
+	// Routing: the destination hosts fall into runs of consecutive IDs
+	// that share one equal-cost port set. A fat-tree edge or aggregation
+	// switch has k/2+2 runs — the uplink set before and after its own
+	// subtree, one down port per subtree member between — and a core
+	// switch k, one per pod; runs holds each run's first host in
+	// ascending order, and pickOutput binary-searches it. The switch's
+	// few distinct sets (k/2+1 at an edge or aggregation switch, k at a
+	// core switch) sit back to back in sets, each as its length followed
+	// by its candidate output ports in topo.NextHops order (at most 32
+	// entries, one cache line, at k=16); a run holds the offset of its
+	// set's length.
+	runs []routeRun
+	sets []uint16
 
 	salt     uint64 // per-switch ECMP salt
 	sprayCtr uint64 // per-packet path counter (Spray mode)
@@ -52,6 +56,13 @@ type Switch struct {
 	pfc       bool
 	ecn       bool
 	spray     bool
+}
+
+// routeRun is one run of the routing table: destinations from first up to
+// the next run's first use the port set at sets[set].
+type routeRun struct {
+	first packet.NodeID
+	set   uint16
 }
 
 type inState struct {
@@ -95,21 +106,44 @@ func newSwitch(id packet.NodeID, net *Network, part *partition, ports int) *Swit
 	return s
 }
 
-// buildRoutes fills the routing table once every port is wired.
-func (s *Switch) buildRoutes() {
-	portOf := make(map[packet.NodeID]uint16, len(s.neighbors))
+// buildRoutes fills the routing table once every port is wired: one pass
+// over the destinations, opening a run wherever the port set changes.
+// portOf is scratch indexed by node ID, shared by every switch's build;
+// only this switch's neighbors are read back, and those are set here.
+func (s *Switch) buildRoutes(portOf []uint16) {
 	for i, nb := range s.neighbors {
 		portOf[nb] = uint16(i)
 	}
-	s.routeOf = make([]uint16, s.net.Topo.Hosts())
 	var ports []uint16
-	for dst := range s.routeOf {
+	for dst := range s.net.Topo.Hosts() {
 		ports = ports[:0]
 		for _, h := range s.net.Topo.NextHops(s.id, packet.NodeID(dst)) {
 			ports = append(ports, portOf[h])
 		}
-		s.routeOf[dst] = s.internSet(ports)
+		if len(s.runs) > 0 && slices.Equal(ports, s.set(s.runs[len(s.runs)-1].set)) {
+			continue
+		}
+		s.runs = append(s.runs, routeRun{first: packet.NodeID(dst), set: s.internSet(ports)})
 	}
+}
+
+// set returns the port set at offset off in s.sets.
+func (s *Switch) set(off uint16) []uint16 {
+	n := int(s.sets[off])
+	return s.sets[int(off)+1 : int(off)+1+n]
+}
+
+// route returns the candidate output ports toward dst: the set of the last
+// run that starts at or before it.
+func (s *Switch) route(dst packet.NodeID) []uint16 {
+	runs := s.runs
+	i := 0
+	for n := uint(len(runs)); n > 1; n -= n / 2 {
+		if mid := i + int(n/2); runs[mid].first <= dst {
+			i = mid
+		}
+	}
+	return s.set(runs[i].set)
 }
 
 // internSet returns the offset in s.sets of the port set equal to ports,
@@ -198,9 +232,16 @@ func (s *Switch) receive(pkt *packet.Packet, inIdx int) {
 		s.part.stats.ECNMarked++
 	}
 
-	o.voq[inIdx].Push(pkt)
-	o.occ[inIdx>>6] |= 1 << (inIdx & 63)
-	o.queued += wire
+	// Cut-through at an idle output: with nothing queued here and the
+	// transmitter free, the push, the round-robin scan and the pop would
+	// hand this very packet straight back, so skip them and take every
+	// other step of that path in the same order.
+	cut := o.queued == 0 && !o.port.paused && !o.port.down && !o.port.serializing()
+	if !cut {
+		o.voq[inIdx].Push(pkt)
+		o.occ[inIdx>>6] |= 1 << (inIdx & 63)
+		o.queued += wire
+	}
 	in.bytes += wire
 	s.shared += wire
 
@@ -211,6 +252,12 @@ func (s *Switch) receive(pkt *packet.Packet, inIdx int) {
 		s.out[inIdx].port.sendPFC(true)
 	}
 
+	if cut {
+		o.rr = inIdx + 1
+		s.dequeued(inIdx, pkt)
+		o.port.start(pkt, false)
+		return
+	}
 	o.port.kick()
 }
 
@@ -222,9 +269,8 @@ func (s *Switch) receive(pkt *packet.Packet, inIdx int) {
 // hashed pick stands — the packet queues at the dead port and its loss is
 // recovered like any other.
 func (s *Switch) pickOutput(pkt *packet.Packet) int {
-	off := int(s.routeOf[pkt.Dst])
-	n := int(s.sets[off])
-	ports := s.sets[off+1 : off+1+n]
+	ports := s.route(pkt.Dst)
+	n := len(ports)
 	if n == 1 {
 		return int(ports[0])
 	}

@@ -167,14 +167,14 @@ const (
 )
 
 // Queue is an intrusive FIFO of packets, linked through the packets
-// themselves: a 24-byte header with no backing array, so an empty queue
-// costs nothing, a deep one pins nothing once drained, and push and pop
-// touch only the header and the packets involved. A packet can be in at
-// most one Queue at a time (Push panics otherwise). The zero value is an
-// empty queue.
+// themselves: a 16-byte header of two pointers with no backing array, so
+// an empty queue costs nothing, a deep one pins nothing once drained, and
+// push and pop touch only the header and the packets involved. It keeps
+// no count: Len walks the list, which only the end-of-run census does. A
+// packet can be in at most one Queue at a time (Push panics otherwise).
+// The zero value is an empty queue.
 type Queue struct {
 	head, tail *Packet
-	n          int
 }
 
 // Push appends p.
@@ -189,7 +189,6 @@ func (q *Queue) Push(p *Packet) {
 		q.tail.next = p
 	}
 	q.tail = p
-	q.n++
 }
 
 // Pop removes and returns the head, or nil if the queue is empty.
@@ -202,12 +201,18 @@ func (q *Queue) Pop() *Packet {
 		q.tail = nil
 	}
 	p.next, p.held = nil, heldByNone
-	q.n--
 	return p
 }
 
-// Len returns the number of queued packets.
-func (q *Queue) Len() int { return q.n }
+// Len returns the number of queued packets, walking the list: it is for
+// censuses and tests, not the datapath.
+func (q *Queue) Len() int {
+	n := 0
+	for p := q.head; p != nil; p = p.next {
+		n++
+	}
+	return n
+}
 
 // Empty reports whether the queue holds no packets.
 func (q *Queue) Empty() bool { return q.head == nil }

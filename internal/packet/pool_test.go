@@ -43,6 +43,9 @@ func TestPacketLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Packet{}); got != 64 {
 		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 64", got)
 	}
+	if got := unsafe.Sizeof(Queue{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Queue{}) = %d, want 16 (head and tail only)", got)
+	}
 	p := NewPool()
 	for i := 0; i < 3*poolChunk; i++ {
 		if a := uintptr(unsafe.Pointer(p.NewAck(1, 0, 1, 0))); a%64 != 0 {

@@ -65,7 +65,9 @@ type Topology interface {
 	Links() []Link
 	// NextHops returns the equal-cost neighbor choices at node from for
 	// traffic destined to host dst. Panics if from is a host other than
-	// dst's attachment path start (hosts have exactly one uplink).
+	// dst's attachment path start (hosts have exactly one uplink). The
+	// result may be shared with the topology and with other calls:
+	// callers must not modify it.
 	NextHops(from, dst packet.NodeID) []packet.NodeID
 	// LongestPathHops returns the maximum number of links on any
 	// host-to-host shortest path (6 for a three-tier fat-tree).
@@ -85,6 +87,12 @@ type FatTree struct {
 	K     int
 	nodes []Node
 	links []Link
+	// adj holds every node's neighbors in NextHops order: a host's one
+	// edge switch at adj[h], then each switch's k neighbors from
+	// hosts+(id-hosts)·k — an edge or aggregation switch's k/2 up
+	// neighbors then its k/2 down neighbors, a core switch's one
+	// aggregation switch per pod.
+	adj []packet.NodeID
 }
 
 // NewFatTree constructs the fat-tree. The paper's default scenario uses
@@ -118,6 +126,34 @@ func NewFatTree(k int) *FatTree {
 	// Core switches.
 	for c := 0; c < cores; c++ {
 		t.nodes = append(t.nodes, Node{ID: t.coreID(c), Kind: CoreSwitch, Pod: -1, Idx: c})
+	}
+
+	t.adj = make([]packet.NodeID, 0, hosts+(edges+aggs+cores)*k)
+	for h := 0; h < hosts; h++ {
+		t.adj = append(t.adj, t.edgeID(t.hostPod(packet.NodeID(h)), t.hostEdge(packet.NodeID(h))))
+	}
+	for e := 0; e < edges; e++ {
+		pod, idx := e/half, e%half
+		for a := 0; a < half; a++ {
+			t.adj = append(t.adj, t.aggID(pod, a))
+		}
+		for h := 0; h < half; h++ {
+			t.adj = append(t.adj, packet.NodeID((pod*half+idx)*half+h))
+		}
+	}
+	for a := 0; a < aggs; a++ {
+		pod, idx := a/half, a%half
+		for i := 0; i < half; i++ {
+			t.adj = append(t.adj, t.coreID(idx*half+i))
+		}
+		for e := 0; e < half; e++ {
+			t.adj = append(t.adj, t.edgeID(pod, e))
+		}
+	}
+	for c := 0; c < cores; c++ {
+		for pod := 0; pod < k; pod++ {
+			t.adj = append(t.adj, t.aggID(pod, c/half))
+		}
 	}
 
 	// Host ↔ edge links.
@@ -201,50 +237,41 @@ func (t *FatTree) PathHops(src, dst packet.NodeID) int {
 }
 
 // NextHops implements Topology. The relation is computed arithmetically —
-// fat-trees are regular, so no routing tables are needed.
+// fat-trees are regular, so no routing tables are needed — and answered
+// from the node's neighbor list: up neighbors first, then down neighbors,
+// each in the order NextHops returns them. Every set it returns is a
+// subslice of that list, so a call allocates nothing.
 func (t *FatTree) NextHops(from, dst packet.NodeID) []packet.NodeID {
 	hosts := packet.NodeID(t.hosts())
-	half := t.half()
-	dstPod := t.hostPod(dst)
-	dstEdge := t.hostEdge(dst)
-
-	switch {
-	case from < hosts:
+	if from < hosts {
 		// Host: single uplink.
-		return []packet.NodeID{t.edgeID(t.hostPod(from), t.hostEdge(from))}
-
-	case from < hosts+packet.NodeID(t.K*half):
-		// Edge switch.
-		e := int(from - hosts)
-		pod, idx := e/half, e%half
-		if pod == dstPod && idx == dstEdge {
-			return []packet.NodeID{dst} // directly attached
+		return t.adj[from : from+1 : from+1]
+	}
+	half := t.half()
+	s := int(from - hosts)
+	nb := t.adj[int(hosts)+s*t.K : int(hosts)+(s+1)*t.K]
+	dstPod := t.hostPod(dst)
+	var down int
+	switch {
+	case s < t.K*half:
+		// Edge switch: directly attached hosts below, aggregation above.
+		if s != int(dst)/half {
+			return nb[:half:half]
 		}
-		ups := make([]packet.NodeID, half)
-		for a := 0; a < half; a++ {
-			ups[a] = t.aggID(pod, a)
+		down = int(dst) % half
+	case s < 2*t.K*half:
+		// Aggregation switch: the pod's edge switches below, its core
+		// group above.
+		if (s-t.K*half)/half != dstPod {
+			return nb[:half:half]
 		}
-		return ups
-
-	case from < hosts+packet.NodeID(2*t.K*half):
-		// Aggregation switch.
-		a := int(from-hosts) - t.K*half
-		pod, idx := a/half, a%half
-		if pod == dstPod {
-			return []packet.NodeID{t.edgeID(pod, dstEdge)}
-		}
-		ups := make([]packet.NodeID, half)
-		for i := 0; i < half; i++ {
-			ups[i] = t.coreID(idx*half + i)
-		}
-		return ups
-
+		down = t.hostEdge(dst)
 	default:
 		// Core switch c connects to agg with in-pod index c/half in
-		// every pod.
-		c := int(from-hosts) - 2*t.K*half
-		return []packet.NodeID{t.aggID(dstPod, c/half)}
+		// every pod; it has no up neighbors.
+		return nb[dstPod : dstPod+1 : dstPod+1]
 	}
+	return nb[half+down : half+down+1 : half+down+1]
 }
 
 var _ Topology = (*FatTree)(nil)

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/irnsim/irn/internal/packet"
@@ -186,5 +187,79 @@ func TestDumbbell(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if Host.String() != "host" || CoreSwitch.String() != "core" {
 		t.Error("Kind.String broken")
+	}
+}
+
+// refNextHops is the arithmetic FatTree.NextHops once computed, one fresh
+// slice per call: the reference the neighbor-list lookup must reproduce.
+func refNextHops(t *FatTree, from, dst packet.NodeID) []packet.NodeID {
+	hosts := packet.NodeID(t.hosts())
+	half := t.half()
+	dstPod := t.hostPod(dst)
+	dstEdge := t.hostEdge(dst)
+	switch {
+	case from < hosts:
+		return []packet.NodeID{t.edgeID(t.hostPod(from), t.hostEdge(from))}
+	case from < hosts+packet.NodeID(t.K*half):
+		e := int(from - hosts)
+		pod, idx := e/half, e%half
+		if pod == dstPod && idx == dstEdge {
+			return []packet.NodeID{dst}
+		}
+		ups := make([]packet.NodeID, half)
+		for a := 0; a < half; a++ {
+			ups[a] = t.aggID(pod, a)
+		}
+		return ups
+	case from < hosts+packet.NodeID(2*t.K*half):
+		a := int(from-hosts) - t.K*half
+		pod, idx := a/half, a%half
+		if pod == dstPod {
+			return []packet.NodeID{t.edgeID(pod, dstEdge)}
+		}
+		ups := make([]packet.NodeID, half)
+		for i := 0; i < half; i++ {
+			ups[i] = t.coreID(idx*half + i)
+		}
+		return ups
+	default:
+		c := int(from-hosts) - 2*t.K*half
+		return []packet.NodeID{t.aggID(dstPod, c/half)}
+	}
+}
+
+// TestFatTreeNextHopsMatchesArithmetic: for every (node, destination)
+// pair, the neighbor-list answer is the arithmetic one, element for
+// element and in order.
+func TestFatTreeNextHopsMatchesArithmetic(t *testing.T) {
+	for _, k := range []int{2, 4, 6, 8} {
+		ft := NewFatTree(k)
+		for _, n := range ft.Nodes() {
+			for dst := packet.NodeID(0); dst < packet.NodeID(ft.Hosts()); dst++ {
+				got, want := ft.NextHops(n.ID, dst), refNextHops(ft, n.ID, dst)
+				if !slices.Equal(got, want) {
+					t.Fatalf("k=%d NextHops(%d, %d) = %v, want %v", k, n.ID, dst, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFatTreeNextHopsZeroAllocs: NextHops answers from the topology's own
+// neighbor lists, from every kind of node and for near and far
+// destinations alike.
+func TestFatTreeNextHopsZeroAllocs(t *testing.T) {
+	ft := NewFatTree(8)
+	nodes := packet.NodeID(len(ft.Nodes()))
+	hosts := packet.NodeID(ft.Hosts())
+	allocs := testing.AllocsPerRun(10, func() {
+		for from := packet.NodeID(0); from < nodes; from++ {
+			for dst := packet.NodeID(0); dst < hosts; dst += 7 {
+				_ = ft.NextHops(from, dst)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("NextHops allocated %.0f times per sweep, want 0", allocs)
 	}
 }
