@@ -20,8 +20,9 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/irnsim/irn/internal/sim"
 )
@@ -91,7 +92,9 @@ func (s *Spec) Validate(numLinks int) error {
 	if !(s.CorruptRate >= 0 && s.CorruptRate <= 1) {
 		return fmt.Errorf("fault: corrupt rate %v outside [0,1]", s.CorruptRate)
 	}
-	var ws []window // one kind's windows
+	// One buffer, sized for the largest kind, holds each kind's windows in
+	// turn.
+	ws := make([]window, 0, max(len(s.Flaps), len(s.Degrades), len(s.Bursts)))
 	for _, f := range s.Flaps {
 		ws = append(ws, window{f.Link, f.DownAt, f.UpAt})
 	}
@@ -147,11 +150,11 @@ func checkWindows(kind string, ws []window, numLinks int) error {
 			return fmt.Errorf("fault: %s on link %d spans [%d,%d), not a window from time 0 on", kind, w.link, w.from, w.to)
 		}
 	}
-	sort.Slice(ws, func(a, b int) bool {
-		if ws[a].link != ws[b].link {
-			return ws[a].link < ws[b].link
+	slices.SortFunc(ws, func(a, b window) int {
+		if a.link != b.link {
+			return cmp.Compare(a.link, b.link)
 		}
-		return ws[a].from < ws[b].from
+		return cmp.Compare(a.from, b.from)
 	})
 	for k := 1; k < len(ws); k++ {
 		if p, w := ws[k-1], ws[k]; p.link == w.link && overlaps(p.from, p.to, w.from, w.to) {
@@ -193,8 +196,10 @@ type Change struct {
 type Link struct {
 	Loss    float64
 	Corrupt float64
-	// Sched is the time-ordered transition list for this direction. Equal
-	// times preserve spec order (flaps before degrades).
+	// Sched is the time-ordered transition list of the full-duplex link,
+	// shared by both its directions and read-only. Equal times put
+	// restoring transitions first (changeRank), then keep spec order
+	// (flaps before degrades before bursts).
 	Sched []Change
 
 	rng *sim.RNG
@@ -256,69 +261,84 @@ type Model struct {
 // New compiles a spec for a topology with numLinks full-duplex links. Each
 // faulted direction gets an independent RNG stream derived from (seed,
 // "fault/dir", direction index), so fault randomness is independent of
-// execution order and of every other random stream in the run.
+// execution order and of every other random stream in the run. The two
+// directions of a link differ only in that stream: they share one
+// transition list, and every link's list is carved, exactly sized, from
+// one array.
 func New(spec Spec, numLinks int, seed uint64) (*Model, error) {
 	if err := spec.Validate(numLinks); err != nil {
 		return nil, err
 	}
+	// Every transition, in spec order (flaps, degrades, bursts), handed to
+	// put with its link: once to count each link's, once to fill them in.
+	each := func(put func(link int, c Change)) {
+		for _, f := range spec.Flaps {
+			put(f.Link, Change{At: f.DownAt, Kind: ChangeDown})
+			if f.UpAt != 0 {
+				put(f.Link, Change{At: f.UpAt, Kind: ChangeUp})
+			}
+		}
+		for _, dg := range spec.Degrades {
+			put(dg.Link, Change{At: dg.From, Kind: ChangeRate, Factor: dg.Factor})
+			if dg.To != 0 {
+				put(dg.Link, Change{At: dg.To, Kind: ChangeRate, Factor: 1})
+			}
+		}
+		for _, b := range spec.Bursts {
+			put(b.Link, Change{At: b.From, Kind: ChangeLoss, Factor: b.Rate})
+			if b.To != 0 {
+				put(b.Link, Change{At: b.To, Kind: ChangeLoss, Factor: spec.LossRate})
+			}
+		}
+	}
+	// end[l] first counts link l's transitions, then holds where its list
+	// starts and advances as the list fills, ending one past its last
+	// entry.
+	end := make([]int, numLinks)
+	each(func(link int, _ Change) { end[link]++ })
+	total := 0
+	for l, n := range end {
+		end[l] = total
+		total += n
+	}
+	all := make([]Change, total)
+	each(func(link int, c Change) {
+		all[end[link]] = c
+		end[link]++
+	})
+
+	// Time order, and at a shared instant restoring transitions (Up,
+	// rate-restore, loss-restore) before failing ones (Down, degrade,
+	// burst): touching windows then compose correctly — the outgoing
+	// window closes before the incoming one opens — regardless of the
+	// order the spec listed them in.
+	base := spec.LossRate
+	order := func(a, b Change) int {
+		if a.At != b.At {
+			return cmp.Compare(a.At, b.At)
+		}
+		return changeRank(a, base) - changeRank(b, base)
+	}
+	rated := spec.LossRate > 0 || spec.CorruptRate > 0
 	m := &Model{dirs: make([]*Link, 2*numLinks)}
-	dir := func(d int) *Link {
-		if m.dirs[d] == nil {
+	start := 0
+	for l, e := range end {
+		sched := all[start:e:e]
+		start = e
+		if len(sched) == 0 {
+			if !rated {
+				continue
+			}
+			sched = nil
+		}
+		slices.SortStableFunc(sched, order)
+		for d := 2 * l; d < 2*l+2; d++ {
 			m.dirs[d] = &Link{
 				Loss:    spec.LossRate,
 				Corrupt: spec.CorruptRate,
+				Sched:   sched,
 				rng:     sim.NewRNG(sim.DeriveSeed(seed, "fault/dir", d)),
 			}
-		}
-		return m.dirs[d]
-	}
-	if spec.LossRate > 0 || spec.CorruptRate > 0 {
-		for d := range m.dirs {
-			dir(d)
-		}
-	}
-	for _, f := range spec.Flaps {
-		for _, d := range []int{2 * f.Link, 2*f.Link + 1} {
-			l := dir(d)
-			l.Sched = append(l.Sched, Change{At: f.DownAt, Kind: ChangeDown})
-			if f.UpAt != 0 {
-				l.Sched = append(l.Sched, Change{At: f.UpAt, Kind: ChangeUp})
-			}
-		}
-	}
-	for _, dg := range spec.Degrades {
-		for _, d := range []int{2 * dg.Link, 2*dg.Link + 1} {
-			l := dir(d)
-			l.Sched = append(l.Sched, Change{At: dg.From, Kind: ChangeRate, Factor: dg.Factor})
-			if dg.To != 0 {
-				l.Sched = append(l.Sched, Change{At: dg.To, Kind: ChangeRate, Factor: 1})
-			}
-		}
-	}
-	for _, b := range spec.Bursts {
-		for _, d := range []int{2 * b.Link, 2*b.Link + 1} {
-			l := dir(d)
-			l.Sched = append(l.Sched, Change{At: b.From, Kind: ChangeLoss, Factor: b.Rate})
-			if b.To != 0 {
-				l.Sched = append(l.Sched, Change{At: b.To, Kind: ChangeLoss, Factor: spec.LossRate})
-			}
-		}
-	}
-	for _, l := range m.dirs {
-		if l != nil && len(l.Sched) > 1 {
-			// Time order, and at a shared instant restoring transitions
-			// (Up, rate-restore, loss-restore) before failing ones (Down,
-			// degrade, burst): touching windows then compose correctly —
-			// the outgoing window closes before the incoming one opens —
-			// regardless of the order the spec listed them in.
-			base := spec.LossRate
-			sort.SliceStable(l.Sched, func(i, j int) bool {
-				a, b := l.Sched[i], l.Sched[j]
-				if a.At != b.At {
-					return a.At < b.At
-				}
-				return changeRank(a, base) < changeRank(b, base)
-			})
 		}
 	}
 	return m, nil

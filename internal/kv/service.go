@@ -797,15 +797,21 @@ func (c *client) startNext(now sim.Time) {
 // valueFor generates the deterministic Put payload for request r into
 // the client's scratch buffer — safe to reuse across sends because
 // MarshalRequest copies it into the wire frame and nothing else retains
-// it.
+// it. Byte i is byte(r*31 + i), a pattern that repeats every 256 bytes:
+// one period is written byte by byte, then doubled by copy.
 func (c *client) valueFor(r int) []byte {
 	if c.val == nil {
 		c.val = make([]byte, c.s.o.ValueBytes)
 	}
-	for i := range c.val {
-		c.val[i] = byte(r*31 + i)
+	v, first := c.val, byte(r*31)
+	n := min(256, len(v))
+	for i := range v[:n] {
+		v[i] = first + byte(i)
 	}
-	return c.val
+	for n < len(v) {
+		n += copy(v[n:], v[:n])
+	}
+	return v
 }
 
 // send transmits the current request (attempt c.attempt) and arms the

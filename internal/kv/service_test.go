@@ -392,3 +392,23 @@ func TestKVHeapFlatInRequests(t *testing.T) {
 		t.Errorf("live heap grew %.0f%% from 20k to 80k requests (%d → %d B)", 100*diff/float64(small), small, large)
 	}
 }
+
+// TestValueForMatchesByteLoop checks the doubling fill of Put payloads
+// against the byte-at-a-time loop it replaced, across sizes below, at and
+// past the 256-byte period, including the scratch buffer's reuse from one
+// request to the next.
+func TestValueForMatchesByteLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 257, 2000, 4097} {
+		c := &client{s: &Service{o: Options{ValueBytes: n}}}
+		for _, r := range []int{0, 1, 7, 8, 255, 256, 99_999, -3} {
+			got := c.valueFor(r)
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = byte(r*31 + i)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ValueBytes %d, request %d: valueFor differs from the byte loop", n, r)
+			}
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 // Config parameterizes a QP.
 type Config struct {
 	MTU      int
-	BDPCap   int          // request packets in flight (BDP-FC); at most 4096, the PSN window
+	BDPCap   int          // request packets in flight (BDP-FC), at most PSNWindow; rounded up to a power of two, the request space's window
 	RTOLow   sim.Duration // short timeout (few packets in flight)
 	RTOHigh  sim.Duration
 	RTOLowN  int
@@ -148,20 +148,21 @@ type QP struct {
 	readsOut     map[uint32]*reqWQE // read_WQE_SN → WQE awaiting data
 	readsPending int                // reads/atomics whose data has not all arrived
 	readCQ       uint32             // next read_WQE_SN due a CQE (posted order)
-	rrx          *bitmap.TwoBitmap
+	rrx          *bitmap.TwoBitmap  // nil until the first read response arrives
 	rrxExp       uint32
 
 	// ---- Responder: request reception (sPSN space) ----
 	rx       *bitmap.TwoBitmap
 	rxExp    uint32
+	rxMask   uint32 // W-1: arrivals W or more past rxExp are refused
 	msn      uint32
-	staged   [PSNWindow]stagedCQE // by sPSN&psnMask of the last packet
+	staged   []stagedCQE // W entries, by sPSN&rxMask of the last packet
 	recvQ    recvProvider
 	readBuf  map[uint32]*pendingRead // keyed by sPSN of the request packet
 	readSNAt map[uint32]uint32       // read_WQE_SN → sPSN (dedupe)
 
 	// ---- Responder: read/atomic response transmission (rPSN space) ----
-	rtx sendHalf
+	rtx sendHalf // rings made for the first response (sendReadResp)
 
 	// Per-message objects come off free lists; the slabs are carved only
 	// when a list is empty. A packet retained in a sendHalf is a master
@@ -207,10 +208,12 @@ func NewQPOn(name string, eng *sim.Engine, clk *sim.Clock, cfg Config, wire Wire
 		panic("verbs: bad config")
 	}
 	if cfg.BDPCap > PSNWindow {
-		// The PSN-indexed rings and the SACK scoreboard cover PSNWindow
-		// sequence numbers past the cumulative point.
 		panic(fmt.Sprintf("verbs: BDPCap %d exceeds the %d-PSN window", cfg.BDPCap, PSNWindow))
 	}
+	// The request space's rings are sized by the cap, as §6's NIC sizes
+	// per-QP state by BDP-FC: the sender's retained packets and SACK
+	// scoreboard, the receiver's 2-bitmap and staged CQEs.
+	w := psnWindow(cfg.BDPCap)
 	q := &QP{
 		name:     name,
 		eng:      eng,
@@ -219,15 +222,15 @@ func NewQPOn(name string, eng *sim.Engine, clk *sim.Clock, cfg Config, wire Wire
 		wire:     wire,
 		mem:      mem,
 		cq:       cq,
-		tx:       newSendHalf(cfg.BDPCap),
 		readsOut: make(map[uint32]*reqWQE),
-		rrx:      bitmap.NewTwo(PSNWindow),
-		rx:       bitmap.NewTwo(PSNWindow),
+		rx:       bitmap.NewTwo(w),
+		rxMask:   uint32(w - 1),
+		staged:   make([]stagedCQE, w),
 		readBuf:  make(map[uint32]*pendingRead),
 		readSNAt: make(map[uint32]uint32),
-		rtx:      newSendHalf(PSNWindow),
 		recvQ:    &wqeRing{},
 	}
+	q.tx.init(w, cfg.BDPCap)
 	q.tx.timer = sim.NewHandlerTimer(eng, clk, q, qpTimer)
 	q.rtx.timer = sim.NewHandlerTimer(eng, clk, q, qpReadTimer)
 	return q

@@ -1,6 +1,7 @@
 package verbs
 
 import (
+	"github.com/irnsim/irn/internal/bitmap"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 )
@@ -87,6 +88,9 @@ func (q *QP) releaseFence() {
 // the new opcode (§5.2), and complete the read when all packets landed.
 func (q *QP) onReadResponse(p *VPacket, now sim.Time) {
 	psn := p.BTH.PSN
+	if q.rrx == nil {
+		q.rrx = bitmap.NewTwo(PSNWindow)
+	}
 	if psn < q.rrxExp {
 		q.sendReadAck(false, 0) // duplicate: re-ack
 		return

@@ -18,8 +18,8 @@ func (q *QP) onRequest(p *VPacket, now sim.Time) {
 		// Duplicate below the window: re-ACK so the requester advances.
 		q.sendAck()
 		return
-	case int(psn-q.rxExp) >= q.rx.Cap():
-		q.Drops++ // far beyond the window: BDP-FC violation; drop
+	case psn-q.rxExp > q.rxMask:
+		q.Drops++ // W or more past the cumulative point: BDP-FC violation; drop
 		return
 	}
 
@@ -97,7 +97,7 @@ func (q *QP) placeData(p *VPacket) {
 				st.hasRecv = true
 				st.recvSN = p.Ext.WQESeq
 			}
-			q.staged[p.BTH.PSN&psnMask] = st
+			q.staged[p.BTH.PSN&q.rxMask] = st
 		}
 
 	case isSendOpcode(op):
@@ -119,7 +119,7 @@ func (q *QP) placeData(p *VPacket) {
 			if op == packet.OpSendLastInv || op == packet.OpSendOnlyInv {
 				st.invKey = p.InvKey
 			}
-			q.staged[p.BTH.PSN&psnMask] = st
+			q.staged[p.BTH.PSN&q.rxMask] = st
 		}
 
 	case op == packet.OpReadRequest:
@@ -167,7 +167,7 @@ func (q *QP) advanceCumulative(now sim.Time) {
 	}
 	q.rxExp += uint32(pkts)
 	for psn := base; psn != q.rxExp; psn++ {
-		if st := &q.staged[psn&psnMask]; st.valid {
+		if st := &q.staged[psn&q.rxMask]; st.valid {
 			st.valid = false
 			q.msn++
 			q.emitRecvCQE(*st, now)

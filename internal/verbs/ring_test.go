@@ -3,8 +3,10 @@ package verbs
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/irnsim/irn/internal/fifo"
 	"github.com/irnsim/irn/internal/packet"
@@ -104,6 +106,156 @@ func TestNewQPRejectsBDPCapBeyondWindow(t *testing.T) {
 	}
 }
 
+// TestNewQPFootprint pins what a QP costs to build at kv's BDP cap on
+// k=6 (113 packets, W = 128): its request-space rings are sized by W and
+// its read-response rings are not made at all, so a ring of PSNWindow
+// slots coming back (≈ 176 KB per QP) fails.
+func TestNewQPFootprint(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BDPCap = 113
+	eng, wire := sim.NewEngine(), WireFunc(func(*VPacket) {})
+	const n = 32
+	qps := make([]*QP, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range qps {
+		qps[i] = NewQPOn("q", eng, nil, cfg, wire, NewMemory(), &CQ{})
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("NewQPOn at BDPCap %d: %d bytes; QP by value: %d bytes", cfg.BDPCap, per, unsafe.Sizeof(QP{}))
+	if per >= 16<<10 {
+		t.Errorf("NewQPOn at BDPCap %d allocates %d bytes, budget 16 KB", cfg.BDPCap, per)
+	}
+	if q := qps[0]; len(q.tx.pend) != 128 || len(q.staged) != 128 || q.rx.Cap() != 128 {
+		t.Errorf("request rings of %d, %d and %d slots, want 128", len(q.tx.pend), len(q.staged), q.rx.Cap())
+	}
+}
+
+// TestArrivalWPastCumulativeDropped: the responder accepts a request
+// packet W-1 past its cumulative point and refuses, and counts, one W
+// past, without placing or answering it. W is 32, below the 64 bits a
+// bitmap holds at least, so the refusal is the window's, not the
+// bitmap's.
+func TestArrivalWPastCumulativeDropped(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BDPCap = 20 // W = 32
+	var answers int
+	mem := NewMemory()
+	region := make([]byte, 8)
+	mem.Register(1, region)
+	b := NewQP("b", sim.NewEngine(), cfg, WireFunc(func(*VPacket) { answers++ }), mem, &CQ{})
+	write := func(psn uint32, v byte) *VPacket {
+		return &VPacket{
+			BTH:     packet.BTH{Opcode: packet.OpWriteOnly, PSN: psn},
+			RETH:    packet.RETH{VA: uint64(v), RKey: 1, DMALen: 1},
+			Payload: []byte{v},
+		}
+	}
+	b.Receive(write(32, 1), 0)
+	if b.Drops != 1 || answers != 0 || region[1] != 0 {
+		t.Fatalf("PSN W past the cumulative point: %d drops, %d answers, placed %v", b.Drops, answers, region[1] != 0)
+	}
+	b.Receive(write(31, 2), 0)
+	if b.Drops != 1 || answers != 1 || region[2] != 2 {
+		t.Fatalf("PSN W-1 past the cumulative point: %d drops, %d answers, placed %v", b.Drops, answers, region[2] != 0)
+	}
+	if b.Expected() != 0 {
+		t.Fatalf("expected PSN %d after out-of-order arrivals, want 0", b.Expected())
+	}
+}
+
+// TestMismatchedBDPCapsComplete runs Writes both ways between a QP whose
+// cap (200, W = 256) exceeds its peer's window (cap 20, W = 32) over an
+// adversarial link: the peer refuses what lands past its window, and
+// recovery still completes every Write exactly once, in order, with its
+// bytes in place.
+func TestMismatchedBDPCapsComplete(t *testing.T) {
+	eng := sim.NewEngine()
+	rng := sim.NewRNG(sim.DeriveSeed(5, "mismatch", 0))
+	var a, b *QP
+	cfgA, cfgB := DefaultConfig(), DefaultConfig()
+	cfgA.BDPCap, cfgB.BDPCap = 200, 20
+	memA, memB := NewMemory(), NewMemory()
+	cqA, cqB := &CQ{}, &CQ{}
+	a = NewQP("a", eng, cfgA, &chaosWire{eng: eng, rng: rng, to: &b}, memA, cqA)
+	b = NewQP("b", eng, cfgB, &chaosWire{eng: eng, rng: rng, to: &a}, memB, cqB)
+	const (
+		writes   = 200
+		size     = 16 * 1000 // 16 packets
+		inFlight = 8
+	)
+	for _, dir := range []struct {
+		name     string
+		src, dst *QP
+		cq       *CQ
+		mem      *Memory
+	}{{"a→b", a, b, cqA, memB}, {"b→a", b, a, cqB, memA}} {
+		region := make([]byte, inFlight*size)
+		dir.mem.Register(9, region)
+		posted, done := 0, 0
+		post := func() {
+			i := posted
+			posted++
+			req := Request{ID: uint64(i), Op: OpWrite, Data: fill(size, byte(i)), RKey: 9, VA: uint64(i%inFlight) * size}
+			if err := dir.src.PostSend(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir.cq.OnComplete(func(e CQE) {
+			if e.Status != StatusOK || int(e.WQEID) != done {
+				t.Fatalf("%s: completion %+v, want WQE %d", dir.name, e, done)
+			}
+			at := done % inFlight * size
+			if !bytes.Equal(region[at:at+size], fill(size, byte(done))) {
+				t.Fatalf("%s: Write %d landed the wrong bytes", dir.name, done)
+			}
+			done++
+			if posted < writes {
+				post()
+			}
+		})
+		for posted < inFlight {
+			post()
+		}
+		eng.RunUntil(eng.Now().Add(10 * sim.Second))
+		if done != writes {
+			t.Fatalf("%s: %d of %d Writes completed", dir.name, done, writes)
+		}
+	}
+	if b.Drops == 0 {
+		t.Error("the small-window responder refused nothing: the caps never mismatched")
+	}
+}
+
+// TestReadStateMadeOnFirstRead: a QP pair exchanging only Writes and
+// Sends holds no read-response rings; the first Read makes the
+// requester's arrival bitmap and the responder's retained-packet ring.
+func TestReadStateMadeOnFirstRead(t *testing.T) {
+	pp, a, b, _, _, _, memB := newPipe(t)
+	memB.Register(1, fill(4096, 3))
+	b.PostRecv(0, make([]byte, 64))
+	if err := a.PostSend(Request{Op: OpWrite, Data: fill(3000, 1), RKey: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.PostSend(Request{Op: OpSend, Data: fill(64, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	pp.run()
+	for _, q := range []*QP{a, b} {
+		if q.rrx != nil || q.rtx.pend != nil {
+			t.Fatalf("%s holds read-response state without a Read", q.name)
+		}
+	}
+	if err := a.PostSend(Request{Op: OpRead, RKey: 1, Local: make([]byte, 2000)}); err != nil {
+		t.Fatal(err)
+	}
+	pp.run()
+	if a.rrx == nil || b.rtx.pend == nil || a.rtx.pend != nil || b.rrx != nil {
+		t.Fatal("after one Read, want exactly the requester's arrival bitmap and the responder's ring")
+	}
+}
+
 // TestRecvRingGrowsAndWraps drives the Receive WQE ring through growth
 // with a non-zero base and through out-of-order consumption.
 func TestRecvRingGrowsAndWraps(t *testing.T) {
@@ -177,20 +329,26 @@ func (w *chaosWire) Send(p *VPacket) {
 // TestRingsWrapUnderAdversarialLink pushes three windows' worth of PSNs
 // on both PSN spaces through one QP pair over a link that drops,
 // duplicates, delays and reorders, so every slot of the retained-packet,
-// staged-CQE and Receive-WQE rings is reused at least twice. Every
-// message completes exactly once and in order with its bytes intact, no
-// request goes out beyond BDP-FC, and a copy of a request packet replayed
-// a full window after it was acknowledged is re-ACKed and never placed.
+// staged-CQE and Receive-WQE rings is reused at least twice: the request
+// space's window W is the BDP cap rounded up to a power of two, the
+// read-response space's PSNWindow. Every message completes exactly once
+// and in order with its bytes intact, no request goes out beyond BDP-FC,
+// and a copy of a request packet replayed W PSNs after it was
+// acknowledged is re-ACKed and never placed. The caps give a W of 32, of
+// 1, and one (113) the window rounds up.
 func TestRingsWrapUnderAdversarialLink(t *testing.T) {
 	for _, gbn := range []bool{false, true} {
-		t.Run(fmt.Sprintf("GoBackN=%v", gbn), func(t *testing.T) { ringWrap(t, gbn) })
+		t.Run(fmt.Sprintf("GoBackN=%v", gbn), func(t *testing.T) {
+			for _, bdpCap := range []int{32, 1, 113} {
+				t.Run(fmt.Sprintf("BDPCap=%d", bdpCap), func(t *testing.T) { ringWrap(t, gbn, bdpCap) })
+			}
+		})
 	}
 }
 
-func ringWrap(t *testing.T, goBackN bool) {
+func ringWrap(t *testing.T, goBackN bool, bdpCap int) {
 	const (
 		mtu      = 1000
-		bdpCap   = 32
 		triples  = 3*PSNWindow/8 + 1 // each SEND+WRITE_IMM+READ triple is 8 sPSNs and 8 rPSNs
 		messages = 3 * triples
 		inFlight = 12 // messages outstanding
@@ -203,6 +361,7 @@ func ringWrap(t *testing.T, goBackN bool) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.MTU, cfg.BDPCap, cfg.GoBackN = mtu, bdpCap, goBackN
+	w := uint32(psnWindow(bdpCap))
 	var a, b *QP
 	cqA, cqB := &CQ{}, &CQ{}
 	memB := NewMemory()
@@ -333,7 +492,7 @@ func ringWrap(t *testing.T, goBackN bool) {
 		}
 		eng.RunUntil(at)
 		// The kept packet is a full window behind: replay it.
-		if stale != nil && b.Expected() >= stale.BTH.PSN+PSNWindow {
+		if stale != nil && b.Expected() >= stale.BTH.PSN+w {
 			before := append([]byte(nil), region...)
 			acks, recvDone, msn, drops := acksFromB, nextRecv, b.MSN(), b.Drops
 			b.Receive(stale, eng.Now())
@@ -354,7 +513,11 @@ func ringWrap(t *testing.T, goBackN bool) {
 	if completed != messages || nextRecv != 2*triples {
 		t.Errorf("%d requester and %d responder completions, want %d and %d", completed, nextRecv, messages, 2*triples)
 	}
-	if a.tx.next < 3*PSNWindow || b.rtx.next < 3*PSNWindow {
+	if len(a.tx.pend) != int(w) || len(b.staged) != int(w) || len(b.rtx.pend) != PSNWindow {
+		t.Errorf("rings of %d, %d and %d slots, want W = %d on requests and %d on responses",
+			len(a.tx.pend), len(b.staged), len(b.rtx.pend), w, PSNWindow)
+	}
+	if a.tx.next < 3*w || b.rtx.next < 3*PSNWindow {
 		t.Errorf("only %d sPSNs and %d rPSNs used; the rings did not wrap three times", a.tx.next, b.rtx.next)
 	}
 	if replays < 2 {

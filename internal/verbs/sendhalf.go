@@ -7,15 +7,27 @@ import (
 	"github.com/irnsim/irn/internal/sim"
 )
 
-// PSNWindow is how far past the cumulative point each PSN space tracks
-// selective acks and arrivals, and the size of every PSN-indexed ring: a
-// sender keeps fewer than PSNWindow PSNs outstanding (NewQPOn refuses a
-// larger BDPCap) and a receiver refuses arrivals PSNWindow or more past
-// its cumulative point, so psn&psnMask never aliases two live PSNs.
-const (
-	PSNWindow = 4096
-	psnMask   = PSNWindow - 1
-)
+// PSNWindow bounds a QP's BDP cap (NewQPOn refuses a larger one) and is
+// the window of the read-response (rPSN) space, whose sender is the
+// responder with no BDP cap of its own.
+//
+// Each PSN space tracks selective acks and arrivals, and indexes its
+// rings, over a window of W PSNs past its cumulative point: W is the
+// smallest power of two at or above Config.BDPCap on the request (sPSN)
+// space (psnWindow) and PSNWindow on the rPSN space. A sender keeps fewer
+// than its cap PSNs outstanding and a receiver refuses arrivals W or more
+// past its cumulative point, so psn&(W-1) never aliases two live PSNs.
+const PSNWindow = 4096
+
+// psnWindow returns the request space's W for a BDP cap: the smallest
+// power of two at or above it.
+func psnWindow(bdpCap int) int {
+	w := 1
+	for w < bdpCap {
+		w <<= 1
+	}
+	return w
+}
 
 // sendHalf is the reliable transmit side of one PSN space. A QP has two:
 // the requester's request stream (sPSN) and the responder's read-response
@@ -24,13 +36,19 @@ type sendHalf struct {
 	sb    recovery.Scoreboard
 	next  uint32               // next PSN to assign
 	sendQ fifo.Queue[*VPacket] // built, not yet transmitted: PSNs [sent(), next)
-	pend  [PSNWindow]*VPacket  // transmitted masters, awaiting the cumulative ack; by psn&psnMask
+	pend  []*VPacket           // transmitted masters, awaiting the cumulative ack; by psn&mask
+	mask  uint32               // W-1: len(pend) is the space's window W
 	limit int                  // most PSNs outstanding: BDP-FC on requests, the window on responses
 	timer *sim.Timer
 }
 
-func newSendHalf(limit int) sendHalf {
-	return sendHalf{sb: recovery.NewScoreboard(PSNWindow), limit: limit}
+// init sizes h for a window of w PSNs, a power of two, of which at most
+// limit are outstanding. It leaves the timer alone.
+func (h *sendHalf) init(w, limit int) {
+	h.sb = recovery.NewScoreboard(w)
+	h.pend = make([]*VPacket, w)
+	h.mask = uint32(w - 1)
+	h.limit = limit
 }
 
 // idle reports whether every assigned PSN has been acknowledged.
@@ -63,7 +81,7 @@ func (q *QP) transmit(h *sendHalf) {
 			break
 		}
 		h.sendQ.Pop()
-		h.pend[p.BTH.PSN&psnMask] = p
+		h.pend[p.BTH.PSN&h.mask] = p
 		q.sendCopy(p)
 	}
 	q.arm(h)
@@ -84,8 +102,8 @@ func (q *QP) arm(h *sendHalf) {
 // progress.
 func (q *QP) ack(h *sendHalf, cum uint32) bool {
 	for psn, end := h.sb.Cum(), min(cum, h.sent()); psn < end; psn++ {
-		q.Release(h.pend[psn&psnMask])
-		h.pend[psn&psnMask] = nil
+		q.Release(h.pend[psn&h.mask])
+		h.pend[psn&h.mask] = nil
 	}
 	if newly, _ := h.sb.Ack(cum); newly == 0 {
 		return false
@@ -99,7 +117,7 @@ func (q *QP) ack(h *sendHalf, cum uint32) bool {
 func (q *QP) resend(h *sendHalf, psn uint32) {
 	if cum := h.sb.Cum(); psn-cum < h.sent()-cum {
 		q.Retransmits++
-		q.sendCopy(h.pend[psn&psnMask])
+		q.sendCopy(h.pend[psn&h.mask])
 	}
 }
 
@@ -118,8 +136,12 @@ func (q *QP) resendLost(h *sendHalf) {
 // ---- Read-response stream (rPSN space) ----
 
 // sendReadResp assigns the next rPSN and transmits. The Read responder
-// implements timeouts (§5.2).
+// implements timeouts (§5.2). The space's rings are made for the first
+// response: a QP that executes no Read or Atomic never holds them.
 func (q *QP) sendReadResp(p *VPacket) {
+	if q.rtx.pend == nil {
+		q.rtx.init(PSNWindow, PSNWindow)
+	}
 	q.rtx.enqueue(p)
 	q.transmit(&q.rtx)
 }

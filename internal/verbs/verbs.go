@@ -23,7 +23,10 @@
 // packets and staged CQEs sit in rings indexed by PSN, Receive WQEs in a
 // ring indexed by recv_WQE_SN, WQEs and packets are recycled through
 // per-QP free lists and the queues keep their arrays, so a message in
-// steady state costs no heap allocation (ARCHITECTURE.md, "verbs/kv
+// steady state costs no heap allocation. The request space's rings are
+// sized by the QP's BDP cap, rounded up to a power of two; the
+// read-response space's rings hold PSNWindow entries and are made only
+// once a Read or Atomic response flows (ARCHITECTURE.md, "verbs/kv
 // message path").
 package verbs
 
