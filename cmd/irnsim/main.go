@@ -244,7 +244,7 @@ func main() {
 		fmt.Printf("transport      retransmits=%d timeouts=%d\n", r.Retransmits, r.Timeouts)
 		if k := r.KV; k != nil {
 			fmt.Printf("kv             %d/%d resolved, availability=%.4f (SLO %v)\n",
-				k.Resolved, k.Issued, k.Availability, r.Scenario.KV.SLO)
+				k.Resolved, k.Issued, k.Availability, kv.SLO)
 			fmt.Printf("kv_commit      p50=%v p99=%v (%d Puts committed, %d Gets)\n",
 				k.CommitP50, k.CommitP99, k.Committed, k.GetsOK)
 			fmt.Printf("kv_robustness  retries=%d timeouts=%d giveups=%d readonly=%d degraded=%d\n",

@@ -72,7 +72,7 @@ func run(mode kv.Mode) {
 	fmt.Printf("requests: %d issued, %d resolved (%d committed Puts, %d Gets)\n",
 		rep.Issued, rep.Resolved, rep.Committed, rep.GetsOK)
 	fmt.Printf("availability: %.3f within the %v SLO; commit p50 %v, p99 %v\n",
-		rep.Availability, opts.SLO, rep.CommitP50, rep.CommitP99)
+		rep.Availability, kv.SLO, rep.CommitP50, rep.CommitP99)
 	fmt.Printf("robustness: %d client retries, %d timeouts, %d give-ups, %d read-only rejections\n",
 		rep.Retries, rep.Timeouts, rep.GiveUps, rep.ReadOnly)
 	fmt.Printf("transport: %d retransmits, %d RTOs, %d RNR NACKs — storm losses repaired selectively\n",

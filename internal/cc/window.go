@@ -11,9 +11,8 @@ import (
 // starts at line rate — the initial window is the BDP cap, with BDP-FC
 // still bounding the total (IRN's cap is the stricter of the two).
 type AIMD struct {
-	cwnd    float64
-	initial float64
-	minW    float64
+	cwnd float64
+	minW float64
 
 	// Losses counts multiplicative decreases (diagnostics).
 	Losses uint64
@@ -24,7 +23,7 @@ func NewAIMD(initialPackets int) *AIMD {
 	if initialPackets < 1 {
 		initialPackets = 1
 	}
-	return &AIMD{cwnd: float64(initialPackets), initial: float64(initialPackets), minW: 1}
+	return &AIMD{cwnd: float64(initialPackets), minW: 1}
 }
 
 // OnAck implements transport.Controller: +1 packet per RTT, approximated

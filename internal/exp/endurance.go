@@ -4,30 +4,26 @@ import (
 	"fmt"
 	"runtime"
 
-	"github.com/irnsim/irn/internal/fabric"
 	"github.com/irnsim/irn/internal/fault"
-	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/topo"
-	"github.com/irnsim/irn/internal/workload"
 )
 
 // EnduranceConfig drives a long-horizon soak: segments of simulated time
 // on one large fat-tree, each under a freshly sampled cycle of a named
 // chaos suite, run back to back on a single Worker so the zero-rebuild
-// reuse path carries the whole soak. The zero value (after normalization)
-// soaks a k=10 fat-tree for six 20-second segments — two minutes of
-// simulated time — under the "rolling" suite.
+// reuse path carries the whole soak. The soak runs IRN without PFC. The
+// zero value (after normalization) soaks a k=10 fat-tree for six
+// 20-second segments — two minutes of simulated time — under the
+// "rolling" suite.
 type EnduranceConfig struct {
-	Arity     int          // fat-tree arity; default 10 (250 hosts)
-	Segments  int          // default 6
-	Flows     int          // flows per segment; default 3000
-	Horizon   sim.Duration // target simulated time per segment; default 20 s
-	Cycles    int          // chaos cycles per segment; default 6
-	Suite     string       // chaos suite name; default "rolling"
-	Seed      uint64       // default 1
-	Transport Transport    // default IRN
-	PFC       bool
+	Arity    int          // fat-tree arity; default 10 (250 hosts)
+	Segments int          // default 6
+	Flows    int          // flows per segment; default 3000
+	Horizon  sim.Duration // target simulated time per segment; default 20 s
+	Cycles   int          // chaos cycles per segment; default 6
+	Suite    string       // chaos suite name; default "rolling"
+	Seed     uint64       // default 1
 	// Log, when set, receives one progress line per segment.
 	Log func(string)
 }
@@ -95,7 +91,8 @@ func RunEndurance(cfg EnduranceConfig) (EnduranceReport, error) {
 	if cfg.Segments < 0 {
 		return rep, &FieldError{Field: "Segments", Err: fmt.Errorf("segment count %d must be >= 0 (0 = 6)", cfg.Segments)}
 	}
-	if err := (Scenario{Arity: cfg.Arity, NumFlows: cfg.Flows, Transport: cfg.Transport}).Validate(); err != nil {
+	base := Scenario{Arity: cfg.Arity, NumFlows: cfg.Flows}
+	if err := base.Validate(); err != nil {
 		return rep, err
 	}
 
@@ -107,49 +104,28 @@ func RunEndurance(cfg EnduranceConfig) (EnduranceReport, error) {
 
 	// Invert the Poisson arrival math: span scales as 1/Load, so the load
 	// that stretches the flow budget across the horizon is span(load=1)
-	// divided by the horizon. The scenario's fabric defaults (40 Gbps,
-	// 1000 B MTU, heavy-tailed sizes) are fixed here so the computation
-	// matches what Run generates.
-	pc := workload.PoissonConfig{
-		Hosts:         t.Hosts(),
-		Load:          1,
-		RatePsPerByte: int64(fabric.Gbps(40)),
-		MTU:           1000,
-		HeaderBytes:   packet.DataHeader,
-		NumFlows:      cfg.Flows,
-		Dist:          workload.NewHeavyTailed(),
-	}
-	load := pc.ExpectedSpan() / float64(cfg.Horizon)
+	// divided by the horizon.
+	base.Load = 1
+	load := base.normalize().poisson(t.Hosts()).ExpectedSpan() / float64(cfg.Horizon)
 	if load > 0.9 {
 		return rep, &FieldError{Field: "Horizon", Err: fmt.Errorf("%v needs load %.2f > 0.9; raise Horizon or lower Flows", cfg.Horizon, load)}
 	}
 
-	// Chaos cycles tile the horizon, truncated to the 2 µs lookahead grid
-	// so transitions land on safe-window boundaries; the first cycle
+	// Chaos cycles tile the horizon, truncated to the propagation-delay
+	// grid so transitions land on safe-window boundaries; the first cycle
 	// starts one grid step in.
-	lookahead := 2 * sim.Microsecond
-	cycle := cfg.Horizon / sim.Duration(cfg.Cycles) / lookahead * lookahead
-	if cycle < 24*lookahead {
+	cycle := cfg.Horizon / sim.Duration(cfg.Cycles) / prop * prop
+	if cycle < 24*prop {
 		return rep, &FieldError{Field: "Cycles", Err: fmt.Errorf("cycle %v too short for the suite's subdivisions; raise Horizon or lower Cycles", cycle)}
 	}
 
 	w := NewWorker()
 	for seg := 0; seg < cfg.Segments; seg++ {
 		segSeed := sim.DeriveSeed(cfg.Seed, "endurance/segment", seg)
-		spec := suite.Build(t, sim.Time(lookahead), cycle, cfg.Cycles, segSeed).MustCompile(t)
-		s := Scenario{
-			Name:      fmt.Sprintf("endurance %s seg=%d", cfg.Suite, seg),
-			Arity:     cfg.Arity,
-			NumFlows:  cfg.Flows,
-			Load:      load,
-			Seed:      segSeed,
-			Transport: cfg.Transport,
-			PFC:       cfg.PFC,
-			Faults:    spec,
-			// Pin the transport config across suites and segment counts,
-			// like the fault sweeps do.
-			RoCETimeouts: true,
-		}
+		s := base
+		s.Name = fmt.Sprintf("endurance %s seg=%d", cfg.Suite, seg)
+		s.Load, s.Seed = load, segSeed
+		s.Faults = suite.Build(t, sim.Time(prop), cycle, cfg.Cycles, segSeed).MustCompile(t)
 		r := w.Run(s)
 		if err := r.CheckConservation(); err != nil {
 			return rep, fmt.Errorf("segment %d: %w", seg, err)

@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/irnsim/irn/internal/core"
+	"github.com/irnsim/irn/internal/hwmodel"
 )
 
 // Trend tests: the paper's headline findings must hold even at small
@@ -162,11 +164,45 @@ func TestScenarioDeterminism(t *testing.T) {
 
 func TestNormalizeDefaults(t *testing.T) {
 	s := Scenario{}.normalize()
-	if s.Arity != 6 || s.Gbps != 40 || s.MTU != 1000 || s.Load != 0.7 {
+	if s.Arity != 6 || s.Gbps != 40 || s.Load != 0.7 {
 		t.Errorf("defaults wrong: %+v", s)
 	}
-	if s.RTOLow == 0 || s.RTOHigh == 0 || s.RTOLowN != 3 || s.NackThreshold != 1 {
+	if s.RTOHigh == 0 || s.RTOLowN != 3 || s.NackThreshold != 1 {
 		t.Errorf("IRN defaults wrong: %+v", s)
+	}
+}
+
+// TestBDPCapFitsHardwareBitmap ties §6.1's sizing to the simulated
+// default: the NIC keeps BDP-sized recovery bitmaps of hwmodel.Bits, so the
+// default scenario's BDP cap must fit them at every fat-tree size. With
+// the propagation delay and MTU constant, only Gbps and BDPCapScale move
+// the cap; the IRN preset points that raise it past the bitmap are listed
+// with the width each would need, in 32-bit chunks as §6.1 builds it.
+// RoCE and iWARP keep no such bitmap, and the -no-bdpfc ablation (§4.3)
+// is exempt: it sends without the cap, so no bitmap bounds its window.
+func TestBDPCapFitsHardwareBitmap(t *testing.T) {
+	for k := 4; k <= 16; k += 2 {
+		if c := (Scenario{Arity: k}).normalize().bdpCap(); c > hwmodel.Bits {
+			t.Errorf("k=%d: default BDP cap %d packets does not fit the %d-bit bitmap", k, c, hwmodel.Bits)
+		}
+	}
+	want := map[string]int{"ablations: BDP cap x2": 224, "ablations: BDP cap x4": 448}
+	for _, v := range []string{"IRN", "IRN+PFC", "IRN+Timely", "IRN+Timely+PFC", "IRN+DCQCN", "IRN+DCQCN+PFC"} {
+		want["tableA4: "+v+" [bw=100Gbps]"] = 288
+	}
+	got := map[string]int{}
+	for _, e := range All(BenchScale()) {
+		for _, s := range e.Scenarios {
+			if s.Transport != TransportIRN || s.NoBDPFC {
+				continue
+			}
+			if c := s.normalize().bdpCap(); c > hwmodel.Bits {
+				got[e.ID+": "+s.Name] = (c + 31) / 32 * 32
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("preset points past the %d-bit bitmap, with the width each needs:\n got %v\nwant %v", hwmodel.Bits, got, want)
 	}
 }
 

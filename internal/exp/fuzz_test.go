@@ -25,29 +25,28 @@ const (
 )
 
 // FuzzScenario pins the validation contract: for any scenario, either
-// Validate rejects it, or Run finishes with the packet-conservation census
-// and pool accounting holding — never a panic, never a run of nothing.
-// The size fields stay small (arity <= 6, flows and KV requests <= 32, KV
-// replicas and clients int8); every other field ranges freely through
-// Validate, and a valid scenario runs unless it is slow to simulate. The
-// seed corpus in testdata/fuzz/FuzzScenario holds one defect each that
-// used to panic or run silently wrong: an odd arity, a negative MTU,
-// propagation delay, RTOLow or extra header, and an unknown transport.
+// Validate rejects it, or a run finishes with the packet-conservation
+// census and pool accounting holding — never a panic, never a run of
+// nothing. The size fields stay small (arity <= 6, flows and KV requests
+// <= 32, KV replicas and clients int8); every other field ranges freely
+// through Validate, and a valid scenario runs, cut off 10 ms past its last
+// arrival, unless it is slow to simulate. The seed corpus in
+// testdata/fuzz/FuzzScenario holds one defect each that used to panic or
+// run silently wrong: an odd arity, a negative extra header, and an
+// unknown transport.
 func FuzzScenario(f *testing.F) {
 	f.Fuzz(func(t *testing.T, arity, flows, kvRequests int8,
 		gbps, load, bdpCapScale, lossRate, corruptRate, degradeFactor float64,
-		prop, rtoLow, rtoHigh, retxFetchDelay, grace, flapDown, flapUp, degradeFrom, degradeTo int64,
-		mtu, buffer, extraHeader, incastM, incastBytes, rtoLowN, nackThreshold,
+		rtoHigh, retxFetchDelay, flapDown, flapUp, degradeFrom, degradeTo int64,
+		buffer, extraHeader, incastM, incastBytes, rtoLowN, nackThreshold,
 		shards, flapLink, degradeLink int, kvFollowers, kvClients int8,
 		transport, cc, workload, recovery, kvMode uint8, flags uint16, seed uint64) {
 		s := Scenario{
 			Name:           "fuzz",
 			Arity:          int(min(arity, 6)),
 			Gbps:           gbps,
-			Prop:           sim.Duration(prop),
 			BufferBytes:    buffer,
 			PFC:            flags&fzPFC != 0,
-			MTU:            mtu,
 			Transport:      Transport(transport),
 			CC:             CCKind(cc),
 			Load:           load,
@@ -59,7 +58,6 @@ func FuzzScenario(f *testing.F) {
 			Shards:         shards,
 			Recovery:       core.RecoveryMode(recovery),
 			NoBDPFC:        flags&fzNoBDPFC != 0,
-			RTOLow:         sim.Duration(rtoLow),
 			RTOHigh:        sim.Duration(rtoHigh),
 			RTOLowN:        rtoLowN,
 			NackThreshold:  nackThreshold,
@@ -78,7 +76,6 @@ func FuzzScenario(f *testing.F) {
 				Clients:   int(kvClients),
 				Mode:      kv.Mode(kvMode),
 			},
-			Grace: sim.Duration(grace),
 		}
 		if flags&fzFlap != 0 {
 			s.Faults.Flaps = []fault.Flap{{Link: flapLink, DownAt: sim.Time(flapDown), UpAt: sim.Time(flapUp)}}
@@ -95,7 +92,7 @@ func FuzzScenario(f *testing.F) {
 		if slow(s.normalize()) {
 			return
 		}
-		r := Run(s)
+		r, _ := NewWorker().run(s, runOpts{grace: 10 * sim.Millisecond})
 		if err := r.CheckConservation(); err != nil {
 			t.Fatal(err)
 		}
@@ -103,12 +100,10 @@ func FuzzScenario(f *testing.F) {
 }
 
 // slow reports a valid normalized scenario that would take seconds to
-// simulate rather than milliseconds: a grace period or incast transfer
-// beyond what 32 flows need, packets so small that flows take millions of
-// them, or a retransmission timeout below the fabric's round trip, which
-// fires again and again before any acknowledgement can arrive.
+// simulate rather than milliseconds: an incast transfer beyond what 32
+// flows need, or a retransmission timeout below the fabric's round trip,
+// which fires again and again before any acknowledgement can arrive.
 func slow(s Scenario) bool {
-	rtt := 12 * (s.Prop + fabric.Gbps(s.Gbps).Serialize(s.MTU+packet.DataHeader+s.ExtraHeader))
-	return s.Grace > 10*sim.Millisecond || s.IncastBytes > 1<<20 || s.MTU < 64 ||
-		min(s.RTOLow, s.RTOHigh) < rtt
+	rtt := 12 * (prop + fabric.Gbps(s.Gbps).Serialize(mtu+packet.DataHeader+s.ExtraHeader))
+	return s.IncastBytes > 1<<20 || min(rtoLow, s.RTOHigh) < rtt
 }

@@ -37,9 +37,9 @@ func newKV(s Scenario, net *fabric.Network, top topo.Topology, bdpCap int) (svc 
 	pl := kv.Place(hosts, hostsPerPod, o.Followers, o.Clients)
 
 	qcfg := verbs.Config{
-		MTU:      s.MTU,
+		MTU:      mtu,
 		BDPCap:   bdpCap,
-		RTOLow:   s.RTOLow,
+		RTOLow:   rtoLow,
 		RTOHigh:  s.RTOHigh,
 		RTOLowN:  s.RTOLowN,
 		RNRDelay: 20 * sim.Microsecond,
@@ -125,8 +125,6 @@ func FigureKV(sc Scale) Experiment {
 				Phases:   sched.Windows(),
 			},
 			Faults: sched.MustCompile(t),
-			// Identical transport config across each pair (see FigureFlap).
-			RoCETimeouts: true,
 		}, name, mut)
 	}
 	roce := func(s *Scenario) { s.Transport = TransportRoCE; s.PFC = true }

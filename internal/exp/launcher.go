@@ -283,7 +283,7 @@ func (l *launcher) startSender(i int) {
 		l.stats[i] = &snd.Stats
 	case TransportTCP:
 		snd := sh.tcpSnd.get()
-		snd.Init(src, fl, tcpstack.DefaultParams(s.MTU), &sh.words)
+		snd.Init(src, fl, tcpstack.DefaultParams(mtu), &sh.words)
 		src.AttachSource(snd)
 		l.stats[i] = &snd.Stats
 	}
@@ -310,7 +310,7 @@ func (l *launcher) startReceiver(i int) {
 		l.rcvs[i] = rcv
 	case TransportTCP:
 		rcv := sh.tcpRcv.get()
-		rcv.Init(dst, fl, tcpstack.DefaultParams(s.MTU), l, &sh.words)
+		rcv.Init(dst, fl, tcpstack.DefaultParams(mtu), l, &sh.words)
 		dst.AttachSink(fl.ID, rcv)
 	}
 }
@@ -319,10 +319,10 @@ func (l *launcher) startReceiver(i int) {
 func (l *launcher) irnParams() core.Params {
 	s := l.s
 	p := core.Params{
-		MTU:              s.MTU,
+		MTU:              mtu,
 		BDPCap:           l.bdpCap,
 		Recovery:         s.Recovery,
-		RTOLow:           s.RTOLow,
+		RTOLow:           rtoLow,
 		RTOHigh:          s.RTOHigh,
 		RTOLowThreshold:  s.RTOLowN,
 		DynamicRTO:       s.DynamicRTO,
@@ -342,7 +342,7 @@ func (l *launcher) irnParams() core.Params {
 func (l *launcher) roceParams() rocev2.Params {
 	s := l.s
 	return rocev2.Params{
-		MTU:     s.MTU,
+		MTU:     mtu,
 		RTOHigh: s.RTOHigh,
 		// The paper disables RoCE timeouts when PFC guarantees
 		// losslessness (§4.1); injected faults break that guarantee,

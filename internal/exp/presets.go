@@ -409,8 +409,6 @@ func FigureChaos(sc Scale) Experiment {
 			Arity:    chaosArity,
 			NumFlows: sc.Flows,
 			Faults:   spec,
-			// Identical transport config across the pair (see FigureFlap).
-			RoCETimeouts: true,
 		}, name, mut)
 	}
 	return Experiment{

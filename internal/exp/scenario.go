@@ -86,18 +86,27 @@ const (
 	WorkloadHadoop                          // empirical Hadoop CDF (FB-style); figdc default
 )
 
+// The values every run uses and no scenario varies: the paper fixes the
+// first three in §4.1, and its appendix sweeps never move them.
+const (
+	prop   = 2 * sim.Microsecond   // per-link propagation delay (§4.1)
+	mtu    = 1000                  // bytes of payload per packet (§4.1)
+	rtoLow = 100 * sim.Microsecond // IRN's RTO_low (§4.1)
+	// grace is how long past the last flow arrival or kv request issue a
+	// run may go on before unfinished flows are declared incomplete.
+	grace = 500 * sim.Millisecond
+)
+
 // Scenario fully describes one simulation run. Zero values select the
 // paper's defaults (filled in by normalize).
 type Scenario struct {
 	Name string
 
 	// Fabric.
-	Arity       int          // fat-tree arity; default 6 (54 hosts)
-	Gbps        float64      // link rate; default 40
-	Prop        sim.Duration // per-link propagation; default 2 µs
-	BufferBytes int          // per-input-port buffer; default 2×BDP
+	Arity       int     // fat-tree arity; default 6 (54 hosts)
+	Gbps        float64 // link rate; default 40
+	BufferBytes int     // per-input-port buffer; default 2×BDP
 	PFC         bool
-	MTU         int // default 1000
 
 	// Transport and congestion control.
 	Transport Transport
@@ -130,7 +139,6 @@ type Scenario struct {
 	// IRN knobs (§3, §4.3 ablations, §6.3 overheads).
 	Recovery       core.RecoveryMode
 	NoBDPFC        bool
-	RTOLow         sim.Duration // default 100 µs
 	RTOHigh        sim.Duration // default 320 µs
 	RTOLowN        int          // default 3
 	NackThreshold  int          // default 1
@@ -166,10 +174,6 @@ type Scenario struct {
 	// verbs transport follows Transport: IRN runs selective
 	// retransmission, RoCE go-back-N.
 	KV kv.Options
-
-	// Grace is how long past the last flow arrival or request issue the
-	// simulation may run before unfinished flows are declared incomplete.
-	Grace sim.Duration
 }
 
 // normalize fills defaults.
@@ -179,12 +183,6 @@ func (s Scenario) normalize() Scenario {
 	}
 	if s.Gbps == 0 {
 		s.Gbps = 40
-	}
-	if s.Prop == 0 {
-		s.Prop = 2 * sim.Microsecond
-	}
-	if s.MTU == 0 {
-		s.MTU = 1000
 	}
 	if s.Load == 0 {
 		s.Load = 0.7
@@ -198,9 +196,6 @@ func (s Scenario) normalize() Scenario {
 	if s.KV.Requests > 0 {
 		s.KV = s.KV.WithDefaults()
 	}
-	if s.RTOLow == 0 {
-		s.RTOLow = 100 * sim.Microsecond
-	}
 	if s.RTOHigh == 0 {
 		s.RTOHigh = 320 * sim.Microsecond
 	}
@@ -212,9 +207,6 @@ func (s Scenario) normalize() Scenario {
 	}
 	if s.BDPCapScale == 0 {
 		s.BDPCapScale = 1
-	}
-	if s.Grace == 0 {
-		s.Grace = 500 * sim.Millisecond
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -229,7 +221,7 @@ func (s Scenario) normalize() Scenario {
 // fabric.BDPCap scaled by BDPCapScale, in [1, MaxInt32] so a huge scale
 // saturates rather than wraps.
 func (s Scenario) bdpCap() int {
-	c := fabric.BDPCap(fabric.Gbps(s.Gbps), s.Prop, topo.FatTreeLongestPathHops, s.MTU)
+	c := fabric.BDPCap(fabric.Gbps(s.Gbps), prop, topo.FatTreeLongestPathHops, mtu)
 	return max(1, int(min(float64(c)*s.BDPCapScale, math.MaxInt32)))
 }
 
@@ -251,7 +243,7 @@ func (s Scenario) poisson(hosts int) workload.PoissonConfig {
 		Hosts:         hosts,
 		Load:          s.Load,
 		RatePsPerByte: int64(fabric.Gbps(s.Gbps)),
-		MTU:           s.MTU,
+		MTU:           mtu,
 		HeaderBytes:   packet.DataHeader + s.ExtraHeader,
 		NumFlows:      s.NumFlows,
 		Dist:          dist,
@@ -292,15 +284,11 @@ func (s Scenario) Validate() error {
 		{"NumFlows", "flow count %d", int64(s.NumFlows), math.MaxInt64},
 		{"KV.Requests", "KV request count %d", int64(s.KV.Requests), math.MaxInt64},
 		{"BufferBytes", "per-port buffer %d bytes", int64(s.BufferBytes), math.MaxInt64},
-		{"MTU", "MTU %d", int64(s.MTU), math.MaxInt64},
 		{"ExtraHeader", "extra header %d bytes", int64(s.ExtraHeader), math.MaxInt64},
 		{"RTOLowN", "RTOLowN %d", int64(s.RTOLowN), math.MaxInt64},
 		{"NackThreshold", "NACK threshold %d", int64(s.NackThreshold), math.MaxInt64},
-		{"Prop", "propagation delay %dps", int64(s.Prop), longest},
-		{"RTOLow", "RTOLow %dps", int64(s.RTOLow), longest},
 		{"RTOHigh", "RTOHigh %dps", int64(s.RTOHigh), longest},
 		{"RetxFetchDelay", "retransmission fetch delay %dps", int64(s.RetxFetchDelay), longest},
-		{"Grace", "grace period %dps", int64(s.Grace), longest},
 	} {
 		switch {
 		case n.v < 0:

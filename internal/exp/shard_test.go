@@ -99,10 +99,11 @@ func TestShardWorkerReuse(t *testing.T) {
 		// shard count changes the key, so it rebuilds onto one engine.
 		{Name: "fault", NumFlows: 100, Seed: 7, Shards: 2, PFC: true, Transport: TransportRoCE,
 			Faults: fault.Spec{LossRate: 0.001}},
-		// Short RTOs fire spuriously: retransmissions, CE-marked ones
-		// among them, cross their flow's final ACK.
+		// A short RTO fires spuriously: retransmissions, CE-marked ones
+		// among them, cross their flow's final ACK. RTOLowN 1 puts every
+		// timer on RTOHigh, never RTO_low.
 		{Name: "dcqcn2", NumFlows: 300, Seed: 5, Shards: 2, CC: CCDCQCN,
-			RTOLow: 20 * sim.Microsecond, RTOHigh: 50 * sim.Microsecond},
+			RTOHigh: 20 * sim.Microsecond, RTOLowN: 1},
 		{Name: "roce-lossy", NumFlows: 300, Seed: 5, Shards: 2, Transport: TransportRoCE,
 			Faults: fault.Spec{LossRate: 0.001}}, // serial by rule
 		{Name: "tcp2", NumFlows: 300, Seed: 15, Shards: 2, Transport: TransportTCP},

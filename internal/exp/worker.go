@@ -15,12 +15,16 @@ import (
 	"github.com/irnsim/irn/internal/workload"
 )
 
-// runOpts are the test-harness switches of a run. None of them can change
-// a streaming aggregate or the executed-event set — the differential,
-// lookahead and barrier-count tests pin exactly that — so they are not
-// part of a Scenario, its store fingerprint, or any public surface;
-// Worker.Run always passes the zero value.
+// runOpts are the test-harness switches of a run. They are not part of a
+// Scenario, its store fingerprint, or any public surface; Worker.Run
+// always passes the zero value. Only grace changes results: none of the
+// others can change a streaming aggregate or the executed-event set — the
+// differential, lookahead and barrier-count tests pin exactly that.
 type runOpts struct {
+	// grace, when set, replaces the grace constant as the run's cut-off
+	// past the last flow arrival or kv issue, so a test can strand flows
+	// mid-flight.
+	grace sim.Duration
 	// exact keeps every flow record (O(flows) memory), so the merged
 	// collector run returns carries the sort-based reference statistics
 	// next to the streaming ones.
@@ -41,6 +45,14 @@ func (o runOpts) collector() *metrics.Collector {
 		return metrics.NewExact()
 	}
 	return &metrics.Collector{}
+}
+
+// cutoff returns how long past the last arrival or issue the run may go.
+func (o runOpts) cutoff() sim.Duration {
+	if o.grace != 0 {
+		return o.grace
+	}
+	return grace
 }
 
 // lookahead returns the safe-window width for a run on net.
@@ -128,7 +140,7 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 	}
 	s = s.normalize()
 
-	cfg := fabric.Sized(fabric.Gbps(s.Gbps), s.Prop, s.MTU, s.ExtraHeader)
+	cfg := fabric.Sized(fabric.Gbps(s.Gbps), prop, mtu, s.ExtraHeader)
 	cfg.PFC, cfg.Seed, cfg.Spray, cfg.SharedBuffer = s.PFC, s.Seed, s.Spray, s.SharedBuffer
 	if s.BufferBytes != 0 {
 		cfg.BufferBytes = s.BufferBytes
@@ -207,7 +219,7 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 		s:           s,
 		net:         net,
 		bdpCap:      bdpCap,
-		minRTT:      sim.Duration(2*top.LongestPathHops()) * (s.Prop + cfg.Rate.Serialize(s.MTU+packet.DataHeader)),
+		minRTT:      sim.Duration(2*top.LongestPathHops()) * (prop + cfg.Rate.Serialize(mtu+packet.DataHeader)),
 		idBase:      idBase,
 		flows:       make([]transport.Flow, len(specs)),
 		stats:       make([]*transport.SenderStats, len(specs)),
@@ -227,7 +239,7 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 			Src:   spec.Src,
 			Dst:   spec.Dst,
 			Size:  spec.Size,
-			Pkts:  transport.NumPackets(spec.Size, s.MTU),
+			Pkts:  transport.NumPackets(spec.Size, mtu),
 			Start: spec.Start,
 		}
 	}
@@ -263,7 +275,7 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 	sim.RunWindows(sim.WindowConfig{
 		Engines:      engines,
 		Lookahead:    lookahead,
-		Deadline:     max(lastArrival, lastIssue).Add(s.Grace),
+		Deadline:     max(lastArrival, lastIssue).Add(o.cutoff()),
 		Drain:        net.DrainAll,
 		Done:         done,
 		Horizon:      horizon,

@@ -80,10 +80,8 @@ func TestWorkerRebuildsOnStructuralChange(t *testing.T) {
 		set  func(*Scenario)
 	}{
 		{"Gbps", func(s *Scenario) { s.Gbps = 100 }},
-		{"Prop", func(s *Scenario) { s.Prop = sim.Microsecond }},
 		{"BufferBytes", func(s *Scenario) { s.BufferBytes = 100_000 }},
 		{"PFC", func(s *Scenario) { s.PFC = true }},
-		{"MTU", func(s *Scenario) { s.MTU = 2000 }},
 		{"ExtraHeader", func(s *Scenario) { s.ExtraHeader = 16 }},
 		{"CC DCQCN", func(s *Scenario) { s.CC = CCDCQCN }},
 		{"Spray", func(s *Scenario) { s.Spray = true }},
@@ -275,7 +273,6 @@ func TestWorkerRejectsBadFabricShape(t *testing.T) {
 		{"negative flows", Scenario{NumFlows: -1}, "flow count -1 must be >= 0"},
 		{"negative kv", Scenario{KV: kv.Options{Requests: -1}}, "KV request count -1 must be >= 0"},
 		{"rate past a byte per ps", Scenario{Gbps: 50000}, "Gbps 50000 must be"},
-		{"negative grace", Scenario{Grace: -1}, "grace period -1ps must be >= 0"},
 		{"arrivals past the clock", Scenario{Load: 1e-300}, "arrivals within the simulator's clock"},
 		{"unknown cc", Scenario{CC: 9}, "unknown congestion control 9"},
 		{"flap before time zero", Scenario{Faults: fault.Spec{Flaps: []fault.Flap{{Link: 1, DownAt: -5}}}}, "not a window from time 0 on"},
@@ -304,22 +301,22 @@ func TestWorkerRejectsBadFabricShape(t *testing.T) {
 	}
 }
 
-// TestWorkerReclaimsCutOffPackets: a lossy run cut off at a short Grace
+// TestWorkerReclaimsCutOffPackets: a lossy run cut off at a short grace
 // leaves packets in flight and retransmission timers armed; the next runs
 // on the worker — another transport on the same fabric, then the first
 // again — must each equal a fresh worker's, close the pool equation, and
 // after the first round draw every packet from the chunks the pool
 // already owns, the stranded ones included.
 func TestWorkerReclaimsCutOffPackets(t *testing.T) {
-	irn := Scenario{Name: "cut-irn", NumFlows: 300, Seed: 9, Grace: 20 * sim.Microsecond,
-		Faults: fault.Spec{LossRate: 0.01}}
+	irn := Scenario{Name: "cut-irn", NumFlows: 300, Seed: 9, Faults: fault.Spec{LossRate: 0.01}}
 	roce := irn
 	roce.Name, roce.Transport = "cut-roce", TransportRoCE
+	cut := runOpts{grace: 20 * sim.Microsecond}
 
 	w := NewWorker()
 	var caps []int
 	for i, s := range []Scenario{irn, roce, irn, roce} {
-		got := w.Run(s)
+		got, _ := w.run(s, cut)
 		if got.InFlight == 0 || got.Summary.Incomplete == 0 {
 			t.Fatalf("run %d (%s): %d packets in flight, %d flows incomplete — the cut-off stranded nothing",
 				i, s.Name, got.InFlight, got.Summary.Incomplete)
@@ -327,7 +324,7 @@ func TestWorkerReclaimsCutOffPackets(t *testing.T) {
 		if err := got.CheckConservation(); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		if want := Run(s); !reflect.DeepEqual(got, want) {
+		if want, _ := NewWorker().run(s, cut); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d (%s) on the reused worker diverged from a fresh one", i, s.Name)
 		}
 		caps = append(caps, w.net.PoolCap())

@@ -32,7 +32,7 @@ func chaosFatTree(t *testing.T, suite string, o Options, goBackN bool) (*Service
 		t.Fatalf("no chaos suite %q", suite)
 	}
 	const cycle = 400 * sim.Microsecond
-	span := sim.Duration(o.Requests/o.Clients) * o.IssueGap
+	span := sim.Duration(o.Requests/o.Clients) * defaultMix.issueGap
 	sched := su.Build(top, sim.Time(100*sim.Microsecond), cycle, int(span/cycle), 9)
 	m, err := fault.New(sched.MustCompile(top), len(top.Links()), 9)
 	if err != nil {
@@ -75,8 +75,9 @@ func replicasConverge(t *testing.T, suite string, mode Mode, goBackN bool) {
 	// A wide key space: most keys are written once or twice, so a corrupted
 	// replication write is usually its key's last and shows in the final
 	// state; the rest exercise the in-place overwrite.
-	o := Options{Requests: 3000, Mode: mode, PutFraction: 0.7, KeySpace: 1024}.WithDefaults()
+	o := Options{Requests: 3000, Mode: mode}.WithDefaults()
 	svc, eng := chaosFatTree(t, suite, o, goBackN)
+	svc.mix.putFraction, svc.mix.keySpace = 0.7, 1024
 	svc.Start()
 	eng.Run()
 	rep := svc.Report()
@@ -98,8 +99,8 @@ func replicasConverge(t *testing.T, suite string, mode Mode, goBackN bool) {
 		t.Errorf("leader committed %d Puts, clients saw %d acknowledged and gave up on %d requests", c, rep.Committed, rep.GiveUps)
 	}
 	for k, v := range srv.store {
-		if len(v) != o.ValueBytes {
-			t.Fatalf("key %d: %d-byte value, want %d", k, len(v), o.ValueBytes)
+		if len(v) != svc.mix.valueBytes {
+			t.Fatalf("key %d: %d-byte value, want %d", k, len(v), svc.mix.valueBytes)
 		}
 		for i := range v {
 			if v[i] != v[0]+byte(i) {

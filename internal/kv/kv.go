@@ -15,6 +15,12 @@
 // commit-latency histograms, and retry/timeout/give-up counts for IRN
 // versus RoCE+PFC go-back-N transports.
 //
+// The client policy and the request mix are constants of the KV model,
+// not options: a 150 µs SLO, a 100 µs per-attempt timeout, backoff from
+// 40 µs, 3 retries and a 150 µs quorum timeout; open-loop issue from
+// 20 µs at a mean gap of 50 µs per client, half the requests Puts of
+// 2000 B, on 64 keys. Options holds what a run chooses.
+//
 // Everything is deterministic: request arrivals, keys, and backoff
 // jitter derive from sim.DeriveSeed streams; all cross-host interaction
 // rides the fabric's canonical (time, rank) event order; and per-client
@@ -60,6 +66,40 @@ func (m Mode) String() string {
 // chaos phase. A zero To is open-ended.
 type Phase = fault.PhaseWindow
 
+// The client robustness policy every run uses (the KV model's values; no
+// run varies them).
+const (
+	// SLO is the latency within which an answered request is "available".
+	SLO = 150 * sim.Microsecond
+	// requestTimeout is the per-attempt timeout.
+	requestTimeout = 100 * sim.Microsecond
+	// backoffBase sets the backoff after attempt k to base·2^k, jittered
+	// ±50%.
+	backoffBase = 40 * sim.Microsecond
+	// maxRetries is how many attempts beyond the first a client makes
+	// before giving up.
+	maxRetries = 3
+	// quorumTimeout is how long the oldest uncommitted entry may age
+	// before the leader degrades to read-only service.
+	quorumTimeout = 150 * sim.Microsecond
+	// issueStart is when the open-loop arrivals begin.
+	issueStart = sim.Time(20 * sim.Microsecond)
+)
+
+// mix is the open-loop request mix: per-client exponential interarrivals
+// with mean issueGap, each request a Put of valueBytes with probability
+// putFraction, else a Get, on a key drawn uniformly from [0, keySpace).
+type mix struct {
+	valueBytes  int
+	keySpace    int
+	putFraction float64
+	issueGap    sim.Duration
+}
+
+// defaultMix is the request mix of every run (the KV model's values); New
+// gives each Service a copy, which only this package's tests vary.
+var defaultMix = mix{valueBytes: 2000, keySpace: 64, putFraction: 0.5, issueGap: 50 * sim.Microsecond}
+
 // Options parameterizes one kv run. The zero value is not runnable;
 // WithDefaults fills every unset knob.
 type Options struct {
@@ -70,25 +110,6 @@ type Options struct {
 	Clients   int
 	Followers int
 	Mode      Mode
-
-	ValueBytes  int     // Put payload size
-	KeySpace    int     // keys drawn uniformly from [0, KeySpace)
-	PutFraction float64 // fraction of requests that are Puts
-
-	// Client robustness policy.
-	SLO            sim.Duration // a request answered within this is "available"
-	RequestTimeout sim.Duration // per-attempt timeout
-	BackoffBase    sim.Duration // backoff after attempt k is base·2^k, jittered ±50%
-	MaxRetries     int          // attempts beyond the first before giving up
-
-	// QuorumTimeout is how long the oldest uncommitted entry may age
-	// before the leader degrades to read-only service.
-	QuorumTimeout sim.Duration
-
-	// Open-loop arrival process: per-client exponential interarrivals
-	// with mean IssueGap, starting at IssueStart.
-	IssueStart sim.Time
-	IssueGap   sim.Duration
 
 	// Phases labels time windows for per-phase availability reporting,
 	// in order and disjoint; only the last may be open-ended.
@@ -103,53 +124,19 @@ func (o Options) WithDefaults() Options {
 	if o.Followers == 0 {
 		o.Followers = 2
 	}
-	if o.ValueBytes == 0 {
-		o.ValueBytes = 2000
-	}
-	if o.KeySpace == 0 {
-		o.KeySpace = 64
-	}
-	if o.PutFraction == 0 {
-		o.PutFraction = 0.5
-	}
-	if o.SLO == 0 {
-		o.SLO = 150 * sim.Microsecond
-	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 100 * sim.Microsecond
-	}
-	if o.BackoffBase == 0 {
-		o.BackoffBase = 40 * sim.Microsecond
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.QuorumTimeout == 0 {
-		o.QuorumTimeout = 150 * sim.Microsecond
-	}
-	if o.IssueStart == 0 {
-		o.IssueStart = sim.Time(20 * sim.Microsecond)
-	}
-	if o.IssueGap == 0 {
-		o.IssueGap = 50 * sim.Microsecond
-	}
 	return o
 }
 
-// Validate reports options no run can take — a negative count, size or
-// time, a Put fraction outside [0, 1], an unknown Mode — or a replica
-// group whose leader and followers outnumber the fabric's hosts.
+// Validate reports options no run can take — a negative count, more
+// requests than the simulator's clock can issue, an unknown Mode — or a
+// replica group whose leader and followers outnumber the fabric's hosts.
 func (o Options) Validate(hosts int) error {
 	o = o.WithDefaults()
 	switch {
-	case min(o.Requests, o.Clients, o.Followers, o.ValueBytes, o.KeySpace, o.MaxRetries) < 0:
-		return fmt.Errorf("kv: a count or size is negative in %+v", o)
-	case min(o.SLO, o.RequestTimeout, o.BackoffBase, o.QuorumTimeout, o.IssueGap, sim.Duration(o.IssueStart)) < 0,
-		max(o.SLO, o.RequestTimeout, o.BackoffBase, o.QuorumTimeout) > sim.Duration(sim.MaxTime/64),
-		float64(o.IssueStart)+64*float64(o.Requests)*float64(o.IssueGap) > float64(sim.MaxTime):
-		return fmt.Errorf("kv: a time is negative or past the simulator's clock in %+v", o)
-	case !(o.PutFraction >= 0 && o.PutFraction <= 1):
-		return fmt.Errorf("kv: Put fraction %v outside [0,1]", o.PutFraction)
+	case min(o.Requests, o.Clients, o.Followers) < 0:
+		return fmt.Errorf("kv: a count is negative in %+v", o)
+	case float64(issueStart)+64*float64(o.Requests)*float64(defaultMix.issueGap) > float64(sim.MaxTime):
+		return fmt.Errorf("kv: %d requests issue past the simulator's clock", o.Requests)
 	case o.Mode > ModeWriteImm:
 		return fmt.Errorf("kv: unknown mode %d", o.Mode)
 	case 1+o.Followers > hosts:
@@ -233,7 +220,7 @@ type Stats struct {
 	WithinSLO uint64 // successful requests answered within the SLO
 	Retries   uint64 // resends after a per-attempt timeout
 	Timeouts  uint64 // per-attempt timeouts observed
-	GiveUps   uint64 // requests abandoned after MaxRetries
+	GiveUps   uint64 // requests abandoned after maxRetries
 	ReadOnly  uint64 // Puts rejected by a degraded (quorum-less) leader
 }
 

@@ -222,7 +222,7 @@ func TestPlaceRejectsTooFewHosts(t *testing.T) {
 	if err := (Options{Followers: 1}).Validate(len(hosts)); err != nil {
 		t.Errorf("Validate(2 hosts, 1 follower) = %v", err)
 	}
-	for _, o := range []Options{{Followers: -1}, {PutFraction: 2}, {Mode: 7}, {IssueGap: -1}, {Requests: 1 << 40, IssueGap: sim.Second},
+	for _, o := range []Options{{Followers: -1}, {Mode: 7}, {Requests: 1 << 40},
 		{Phases: []Phase{{Name: "a", From: 10, To: 20}, {Name: "b", From: 5, To: 8}}},   // out of order
 		{Phases: []Phase{{Name: "a", From: 10, To: 20}, {Name: "b", From: 15, To: 30}}}, // overlapping
 		{Phases: []Phase{{Name: "a", From: 10}, {Name: "b", From: 20, To: 30}}},         // open-ended, not last

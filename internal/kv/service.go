@@ -44,6 +44,7 @@ type Service struct {
 	net  *fabric.Network
 	pl   Placement
 	o    Options
+	mix  mix
 	qcfg verbs.Config
 	seed uint64
 
@@ -107,24 +108,24 @@ func (s *Service) newCursor(i int) cursor {
 	}
 	return cursor{
 		rng:  sim.NewRNG(sim.DeriveSeed(s.seed, "kv/arrivals", i)),
-		next: issue{r: i - s.o.Clients, at: s.o.IssueStart},
+		next: issue{r: i - s.o.Clients, at: issueStart},
 		left: n,
 	}
 }
 
-// advance generates the client's next request into c.next; false once the
-// stream is exhausted.
-func (c *cursor) advance(o *Options) bool {
+// advance generates the client's next request of s's mix into c.next;
+// false once the stream is exhausted.
+func (c *cursor) advance(s *Service) bool {
 	if c.left == 0 {
 		return false
 	}
 	c.left--
-	gap := sim.Duration(float64(o.IssueGap) * c.rng.ExpFloat64())
+	gap := sim.Duration(float64(s.mix.issueGap) * c.rng.ExpFloat64())
 	c.next = issue{
-		r:   c.next.r + o.Clients,
+		r:   c.next.r + s.o.Clients,
 		at:  c.next.at.Add(gap),
-		put: c.rng.Float64() < o.PutFraction,
-		key: uint64(c.rng.Intn(o.KeySpace)),
+		put: c.rng.Float64() < s.mix.putFraction,
+		key: uint64(c.rng.Intn(s.mix.keySpace)),
 	}
 	return true
 }
@@ -157,6 +158,7 @@ func New(net *fabric.Network, pl Placement, qcfg verbs.Config, o Options, seed u
 		net:       net,
 		pl:        pl,
 		o:         o,
+		mix:       defaultMix,
 		qcfg:      qcfg,
 		seed:      seed,
 		followers: make([]*follower, o.Followers),
@@ -187,7 +189,7 @@ func resolvePhases(phases []Phase) (names []string, windows []phaseWindow) {
 }
 
 // slotBytes is the ring-slot size: the largest frame plus header slack.
-func (s *Service) slotBytes() int { return 32 + s.o.ValueBytes }
+func (s *Service) slotBytes() int { return 32 + s.mix.valueBytes }
 
 // bucketOf maps a scheduled issue time to its phase bucket: that of the
 // window holding t, found by binary search.
@@ -227,7 +229,7 @@ func (s *Service) Start() (lastIssue sim.Time) {
 	for i := range s.cursors {
 		// A dry pass over a throwaway copy of the stream finds the client's
 		// last issue time without storing the schedule.
-		for dry := s.newCursor(i); dry.advance(&s.o); {
+		for dry := s.newCursor(i); dry.advance(s); {
 			lastIssue = max(lastIssue, dry.next.at)
 		}
 		s.cursors[i] = s.newCursor(i)
@@ -261,7 +263,7 @@ func (s *Service) Start() (lastIssue sim.Time) {
 // is exhausted.
 func (s *Service) scheduleIssue(i int) {
 	c := &s.cursors[i]
-	if !c.advance(&s.o) {
+	if !c.advance(s) {
 		return
 	}
 	h, k := s.pl.Clients[i], uint64(c.next.r/s.o.Clients)
@@ -385,7 +387,7 @@ type logEntry struct {
 	seq    uint64
 	key    uint64
 	frame  *frame
-	at     sim.Time // append time; ages against QuorumTimeout
+	at     sim.Time // append time; ages against quorumTimeout
 	acks   int
 }
 
@@ -580,7 +582,7 @@ func (srv *server) refreshDegraded(now sim.Time) {
 		srv.degraded = false
 		return
 	}
-	if !srv.degraded && now.Sub(srv.log.At(0).at) > srv.s.o.QuorumTimeout {
+	if !srv.degraded && now.Sub(srv.log.At(0).at) > quorumTimeout {
 		srv.degraded = true
 		srv.degradedEnters++
 	}
@@ -801,7 +803,7 @@ func (c *client) startNext(now sim.Time) {
 // one period is written byte by byte, then doubled by copy.
 func (c *client) valueFor(r int) []byte {
 	if c.val == nil {
-		c.val = make([]byte, c.s.o.ValueBytes)
+		c.val = make([]byte, c.s.mix.valueBytes)
 	}
 	v, first := c.val, byte(r*31)
 	n := min(256, len(v))
@@ -842,7 +844,7 @@ func (c *client) send(now sim.Time) {
 			Imm:  c.seq,
 		})
 	}
-	c.timer.Arm(c.s.o.RequestTimeout)
+	c.timer.Arm(requestTimeout)
 }
 
 // HandleEvent implements sim.Handler: the shared timer fires either a
@@ -858,12 +860,12 @@ func (c *client) HandleEvent(kind uint8, arg uint64) {
 		return
 	}
 	c.attempt++
-	if c.attempt > c.s.o.MaxRetries {
+	if c.attempt > maxRetries {
 		c.giveUp(now)
 		return
 	}
 	c.st.Timeouts++
-	d := c.s.o.BackoffBase * sim.Duration(1<<(c.attempt-1))
+	d := backoffBase * sim.Duration(1<<(c.attempt-1))
 	jitter := sim.Duration(c.rng.Uint64() % uint64(d))
 	c.inBackoff = true
 	c.timer.Arm(d/2 + jitter) // delay in [d/2, 3d/2)
@@ -920,7 +922,7 @@ func (c *client) resolve(status RespStatus, now sim.Time) {
 			c.st.GetsOK++
 		}
 		c.rpcHist.Observe(int64(lat))
-		if lat <= c.s.o.SLO {
+		if lat <= SLO {
 			c.st.WithinSLO++
 			c.phase[b].WithinSLO++
 		}

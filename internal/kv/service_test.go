@@ -21,8 +21,9 @@ import (
 // and that a follower ack for an index already dropped is ignored exactly
 // like one for an index never appended.
 func TestLeaderLogBounded(t *testing.T) {
-	o := Options{Requests: 3000, Mode: ModeWriteImm, PutFraction: 0.9}.WithDefaults()
+	o := Options{Requests: 3000, Mode: ModeWriteImm}.WithDefaults()
 	svc, eng := newStarService(o, fault.Spec{})
+	svc.mix.putFraction = 0.9
 	svc.Start()
 	maxRetained := 0
 	for !svc.Done() {
@@ -154,23 +155,23 @@ type issueFired struct {
 // table generated at construction, request r for client r % Clients, then
 // one rank drawn per request in index order from the issuing host's clock.
 // clk maps a host to the clock to draw from.
-func issuesUpFront(o Options, seed uint64, pl Placement, clk func(packet.NodeID) *sim.Clock) []issueFired {
+func issuesUpFront(o Options, m mix, seed uint64, pl Placement, clk func(packet.NodeID) *sim.Clock) []issueFired {
 	rngs := make([]*sim.RNG, o.Clients)
 	ts := make([]sim.Time, o.Clients)
 	for i := range rngs {
 		rngs[i] = sim.NewRNG(sim.DeriveSeed(seed, "kv/arrivals", i))
-		ts[i] = o.IssueStart
+		ts[i] = issueStart
 	}
 	out := make([]issueFired, o.Requests)
 	for r := range out {
 		i := r % o.Clients
-		gap := sim.Duration(float64(o.IssueGap) * rngs[i].ExpFloat64())
+		gap := sim.Duration(float64(m.issueGap) * rngs[i].ExpFloat64())
 		ts[i] = ts[i].Add(gap)
 		out[r] = issueFired{
 			at:  ts[i],
 			r:   r,
-			put: rngs[i].Float64() < o.PutFraction,
-			key: uint64(rngs[i].Intn(o.KeySpace)),
+			put: rngs[i].Float64() < m.putFraction,
+			key: uint64(rngs[i].Intn(m.keySpace)),
 		}
 	}
 	for r := range out {
@@ -191,7 +192,7 @@ func issuesUpFront(o Options, seed uint64, pl Placement, clk func(packet.NodeID)
 // with a host per client, with clients outnumbering the free hosts so that
 // several share a host clock (and one shares the leader's), with a request
 // count that leaves the last round partial, and with fewer requests than
-// clients. IssueGap 1 ps collapses arrivals onto shared instants, where
+// clients. An issue gap of 1 ps collapses arrivals onto shared instants, where
 // only the rank orders them.
 func TestIssueStreamMatchesUpFrontReference(t *testing.T) {
 	spread := func(o Options) Placement {
@@ -206,16 +207,17 @@ func TestIssueStreamMatchesUpFrontReference(t *testing.T) {
 		return Place(hosts, 5, 2, o.Clients) // two free hosts, then round-robin over all five
 	}
 	for _, tc := range []struct {
-		name  string
-		o     Options
-		place func(Options) Placement
+		name     string
+		o        Options
+		issueGap sim.Duration // zero: the default mix's
+		place    func(Options) Placement
 	}{
-		{"host-per-client", Options{Requests: 600, Clients: 6}, spread},
-		{"shared-hosts", Options{Requests: 700, Clients: 7}, shared},
-		{"partial-round", Options{Requests: 603, Clients: 7}, shared},
-		{"partial-round-spread", Options{Requests: 599, Clients: 6}, spread},
-		{"fewer-requests-than-clients", Options{Requests: 3, Clients: 7}, shared},
-		{"same-instant", Options{Requests: 500, Clients: 7, IssueGap: 1}, shared},
+		{"host-per-client", Options{Requests: 600, Clients: 6}, 0, spread},
+		{"shared-hosts", Options{Requests: 700, Clients: 7}, 0, shared},
+		{"partial-round", Options{Requests: 603, Clients: 7}, 0, shared},
+		{"partial-round-spread", Options{Requests: 599, Clients: 6}, 0, spread},
+		{"fewer-requests-than-clients", Options{Requests: 3, Clients: 7}, 0, shared},
+		{"same-instant", Options{Requests: 500, Clients: 7}, 1, shared},
 	} {
 		o := tc.o.WithDefaults()
 		o.Mode = ModeWriteImm
@@ -223,6 +225,9 @@ func TestIssueStreamMatchesUpFrontReference(t *testing.T) {
 		eng := sim.NewEngine()
 		net := fabric.New(eng, topo.NewStar(10), fabric.DefaultConfig())
 		svc := New(net, pl, verbs.DefaultConfig(), o, 11)
+		if tc.issueGap != 0 {
+			svc.mix.issueGap = tc.issueGap
+		}
 
 		// The reference draws from copies of the fabric's clocks: first the
 		// attach events' ranks, as Start draws them, then the requests'.
@@ -241,7 +246,7 @@ func TestIssueStreamMatchesUpFrontReference(t *testing.T) {
 		for _, h := range pl.Clients {
 			clk(h).Next()
 		}
-		want := issuesUpFront(o, 11, pl, clk)
+		want := issuesUpFront(o, svc.mix, 11, pl, clk)
 
 		lastIssue := svc.Start()
 		if eng.Pending() > 1+o.Followers+2*o.Clients {
@@ -260,7 +265,7 @@ func TestIssueStreamMatchesUpFrontReference(t *testing.T) {
 			for k := 0; k < n; k++ {
 				got = append(got, issueFired{c.next.at, c.first + uint64(k)*c.stride, c.next.r, c.next.put, c.next.key})
 				last = max(last, c.next.at)
-				if c.advance(&o) != (k < n-1) {
+				if c.advance(svc) != (k < n-1) {
 					t.Fatalf("%s: client %d stream length is not %d", tc.name, i, n)
 				}
 			}
@@ -303,7 +308,7 @@ func chaosStar(t *testing.T, o Options) (*sim.Engine, *fabric.Network, *fault.Mo
 	t.Helper()
 	hosts := 1 + o.Followers + o.Clients
 	top := topo.NewStar(hosts)
-	span := sim.Duration(o.Requests/o.Clients) * o.IssueGap
+	span := sim.Duration(o.Requests/o.Clients) * defaultMix.issueGap
 	var spec fault.Spec
 	for l := range top.Links() {
 		for at := sim.Time(100 * sim.Microsecond); at < sim.Time(span); at = at.Add(400 * sim.Microsecond) {
@@ -399,7 +404,7 @@ func TestKVHeapFlatInRequests(t *testing.T) {
 // request to the next.
 func TestValueForMatchesByteLoop(t *testing.T) {
 	for _, n := range []int{0, 1, 255, 256, 257, 2000, 4097} {
-		c := &client{s: &Service{o: Options{ValueBytes: n}}}
+		c := &client{s: &Service{mix: mix{valueBytes: n}}}
 		for _, r := range []int{0, 1, 7, 8, 255, 256, 99_999, -3} {
 			got := c.valueFor(r)
 			want := make([]byte, n)
@@ -407,7 +412,7 @@ func TestValueForMatchesByteLoop(t *testing.T) {
 				want[i] = byte(r*31 + i)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("ValueBytes %d, request %d: valueFor differs from the byte loop", n, r)
+				t.Fatalf("valueBytes %d, request %d: valueFor differs from the byte loop", n, r)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/irnsim/irn/internal/core"
 	"github.com/irnsim/irn/internal/packet"
+	"github.com/irnsim/irn/internal/rocev2"
 	"github.com/irnsim/irn/internal/sim"
 	"github.com/irnsim/irn/internal/tcpstack"
 	"github.com/irnsim/irn/internal/transport"
@@ -19,8 +20,8 @@ import (
 // and reorders data and acknowledgements alike — each row several seeded
 // trials. Whatever the link does, every message completes exactly once
 // and in order with its bytes intact, no packet goes out beyond the
-// in-flight cap, and the senders never sit silent on outstanding work for
-// longer than a few RTOHigh.
+// in-flight cap (where the transport has one), and the senders never sit
+// silent on outstanding work for longer than a few RTOHigh.
 
 const (
 	advMTU     = 1000
@@ -166,7 +167,9 @@ func (a ackTap) HandleControl(p *packet.Packet, now sim.Time) {
 
 // flowRow runs flows of the given packet counts, one after another's
 // start but overlapping in time, each on its own sender/receiver pair.
-func flowRow(mk func(snd, rcv transport.Endpoint, fl *transport.Flow, done transport.Completer) (transport.Source, transport.Sink, *transport.SenderStats)) func(*advLink) {
+// With capped set, every packet a sender emits is held to the in-flight
+// cap.
+func flowRow(capped bool, mk func(snd, rcv transport.Endpoint, fl *transport.Flow, done transport.Completer) (transport.Source, transport.Sink, *transport.SenderStats)) func(*advLink) {
 	return func(l *advLink) {
 		sizes := []int{1, 3, 1000, 2, 137}
 		completions := make([]int, len(sizes))
@@ -183,7 +186,10 @@ func flowRow(mk func(snd, rcv transport.Endpoint, fl *transport.Flow, done trans
 				completions[i]++
 			})
 			src, sink, st := mk(se, re, fl, done)
-			se.src = sendTap{src, se} // the in-flight bound, at the moment of transmission
+			se.src = src
+			if capped {
+				se.src = sendTap{src, se} // the in-flight bound, at the moment of transmission
+			}
 			se.sink = sink
 			re.peer = ackTap{src, se}
 			stats = append(stats, st)
@@ -228,7 +234,7 @@ func (s sendTap) NextPacket(now sim.Time) *packet.Packet {
 }
 
 func coreRow(mode core.RecoveryMode) func(*advLink) {
-	return flowRow(func(snd, rcv transport.Endpoint, fl *transport.Flow, done transport.Completer) (transport.Source, transport.Sink, *transport.SenderStats) {
+	return flowRow(true, func(snd, rcv transport.Endpoint, fl *transport.Flow, done transport.Completer) (transport.Source, transport.Sink, *transport.SenderStats) {
 		p := core.DefaultParams(advMTU, advCap)
 		p.Recovery = mode
 		p.RTOLow, p.RTOHigh = advRTOLow, advRTOHigh
@@ -238,7 +244,7 @@ func coreRow(mode core.RecoveryMode) func(*advLink) {
 }
 
 func tcpRow() func(*advLink) {
-	return flowRow(func(snd, rcv transport.Endpoint, fl *transport.Flow, done transport.Completer) (transport.Source, transport.Sink, *transport.SenderStats) {
+	return flowRow(true, func(snd, rcv transport.Endpoint, fl *transport.Flow, done transport.Completer) (transport.Source, transport.Sink, *transport.SenderStats) {
 		p := tcpstack.DefaultParams(advMTU)
 		p.MaxWindow = advCap
 		// No exponential back-off past RTOHigh, so the grid's silence
@@ -247,6 +253,45 @@ func tcpRow() func(*advLink) {
 		s := tcpstack.NewSender(snd, fl, p)
 		return s, tcpstack.NewReceiver(rcv, fl, p, done), &s.Stats
 	})
+}
+
+// roceRow runs RoCE's go-back-N without PFC, its timeouts on. RoCE has no
+// BDP-FC, so the in-flight cap does not apply; instead the receiver must
+// accept every PSN once and in order, and the payloads it accepts must add
+// up to the message.
+func roceRow() func(*advLink) {
+	return flowRow(false, func(snd, rcv transport.Endpoint, fl *transport.Flow, done transport.Completer) (transport.Source, transport.Sink, *transport.SenderStats) {
+		p := rocev2.DefaultParams(advMTU)
+		p.RTOHigh = advRTOHigh
+		s := rocev2.NewSender(snd, fl, p, nil)
+		r := rocev2.NewReceiver(rcv, fl, p, done)
+		return s, &inOrderTap{Receiver: r, t: rcv.(*flowEnd).l.t, fl: fl}, &s.Stats
+	})
+}
+
+// inOrderTap counts the payload a RoCE receiver accepts, packet by packet
+// as its expected PSN advances, and checks the message adds up once the
+// last PSN is in.
+type inOrderTap struct {
+	*rocev2.Receiver
+	t     *testing.T
+	fl    *transport.Flow
+	bytes int
+}
+
+func (a *inOrderTap) HandleData(p *packet.Packet, now sim.Time) {
+	before, psn, payload := a.Expected(), p.PSN, int(p.Wire)-packet.DataHeader
+	a.Receiver.HandleData(p, now)
+	switch after := a.Expected(); {
+	case after == before:
+	case after != before+1 || psn != before:
+		a.t.Fatalf("flow %d: PSN %d moved the expected PSN from %d to %d", a.fl.ID, psn, before, after)
+	default:
+		a.bytes += payload
+		if int(after) == a.fl.Pkts && a.bytes != a.fl.Size {
+			a.t.Errorf("flow %d: accepted %d payload bytes of a %d-byte message", a.fl.ID, a.bytes, a.fl.Size)
+		}
+	}
 }
 
 // ---- verbs ----
@@ -419,6 +464,7 @@ func TestAdversarialLink(t *testing.T) {
 		{"core-NoSACK", coreRow(core.RecoveryNoSACK)},
 		{"core-GBN", coreRow(core.RecoveryGoBackN)},
 		{"tcpstack", tcpRow()},
+		{"rocev2", roceRow()},
 		{"verbs-SACK-write", verbsRow(verbs.OpWrite, false)},
 		{"verbs-GBN-write", verbsRow(verbs.OpWrite, true)},
 		{"verbs-READ", verbsRow(verbs.OpRead, false)},

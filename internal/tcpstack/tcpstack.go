@@ -42,9 +42,6 @@ type Params struct {
 	// MaxWindow bounds the congestion window in segments (the receive
 	// window / socket buffer); zero means unbounded.
 	MaxWindow int
-	// ECT marks segments ECN-capable (for DCTCP-style marking; unused in
-	// the paper's iWARP comparison).
-	ECT bool
 }
 
 // DefaultParams returns a conventional datacenter TCP configuration.
@@ -183,7 +180,6 @@ func (s *Sender) NextPacket(now sim.Time) *packet.Packet {
 	}
 	payload := transport.PayloadOf(s.flow.Size, s.p.MTU, int(psn))
 	pkt := s.pool.NewData(s.flow.ID, s.flow.Src, s.flow.Dst, psn, payload, int(psn) == s.total-1)
-	pkt.ECT = s.p.ECT
 	pkt.SentAt = now
 	s.Stats.Sent++
 	s.armRTO()

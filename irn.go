@@ -36,8 +36,9 @@ import (
 // Config describes one simulation run. The zero value reproduces the
 // paper's default case: a 54-host fat-tree of 40 Gbps links with 2 µs
 // propagation delay, 240 KB per-port buffers, heavy-tailed traffic at 70%
-// load, IRN transport, no PFC, no explicit congestion control. Delays are
-// simulation Durations (see Microseconds).
+// load, IRN transport, no PFC, no explicit congestion control. The
+// propagation delay, the 1000 B MTU and the 100 µs RTO_low are fixed
+// (§4.1), not fields. Delays are simulation Durations (see Microseconds).
 type Config = exp.Scenario
 
 // Result summarizes a run with the paper's metrics (§4.1).

@@ -81,9 +81,9 @@ func TestRunAblationKnobs(t *testing.T) {
 
 // TestRunRejectsBadConfig: a Config no run can take is an error from Run,
 // naming the field, not a panic deep in the simulator (odd arity,
-// negative MTU, delays or header bytes), a run that reports every flow
-// incomplete (an unknown transport) or one that runs silently wrong (a
-// delay past a 64th of the clock, where the sums a run forms wrap).
+// negative header bytes), a run that reports every flow incomplete (an
+// unknown transport) or one that runs silently wrong (a timeout past a
+// 64th of the clock, where the sums a run forms wrap).
 func TestRunRejectsBadConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -91,13 +91,9 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		want string
 	}{
 		{"odd arity", irn.Config{Arity: 5}, "Arity"},
-		{"negative MTU", irn.Config{MTU: -1}, "MTU"},
-		{"negative propagation delay", irn.Config{Prop: -irn.Microseconds(1)}, "Prop"},
-		{"negative RTOLow", irn.Config{RTOLow: -irn.Microseconds(1)}, "RTOLow"},
 		{"negative extra header", irn.Config{ExtraHeader: -1000}, "ExtraHeader"},
 		{"unknown transport", irn.Config{Transport: 7}, "Transport"},
-		{"propagation delay past the clock bound", irn.Config{Prop: irn.Microseconds(41 * 3600 * 1e6)}, "Prop"},
-		{"RTOLow past the clock bound", irn.Config{RTOLow: math.MaxInt64}, "RTOLow"},
+		{"RTOHigh past the clock bound", irn.Config{RTOHigh: math.MaxInt64}, "RTOHigh"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.NumFlows = 10
