@@ -81,11 +81,11 @@ func (c *Clock) Reset() { c.seq = 0 }
 
 // eventHeap is a binary min-heap ordered by (at, rank), hand-rolled rather
 // than built on container/heap to avoid the heap.Interface boxing and
-// indirect calls. It is no longer the engine's main queue — the
-// hierarchical timing wheel (wheel.go) is — but it remains load-bearing in
-// three places: the wheel's execution frontier (`ready`), its far-future
-// overflow, and the reference model the wheel is differentially tested
-// against (FuzzEventOrder).
+// indirect calls. It is not the engine's main queue — the hierarchical
+// timing wheel (wheel.go) is, with a sorted slice (`ready`) as its
+// execution frontier — but it backs three things: the wheel's `late`
+// stragglers, its far-future overflow, and the reference model the wheel
+// is differentially tested against (FuzzEventOrder).
 type eventHeap []event
 
 // less orders events by the canonical (at, rank) key.
@@ -111,11 +111,12 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
-// pop removes and returns the minimum event.
-func (h *eventHeap) pop() event {
+// drop removes the minimum event, which callers read in place at h[0]
+// first; it returns nothing, so the dispatch loop copies no event out of
+// a call (see Engine.run).
+func (h *eventHeap) drop() {
 	q := *h
 	n := len(q) - 1
-	top := q[0]
 	q[0] = q[n]
 	q[n].h = nil // release the handler for GC
 	q = q[:n]
@@ -137,7 +138,6 @@ func (h *eventHeap) pop() event {
 		q[i], q[m] = q[m], q[i]
 		i = m
 	}
-	return top
 }
 
 // Engine is a single-threaded discrete-event scheduler. A sharded
@@ -156,14 +156,14 @@ type Engine struct {
 
 	// nextAt/nextKnown cache the earliest pending event's firing time, so
 	// NextEventTime is an O(1) read at window barriers instead of a
-	// peekAt that may cascade the wheel's refill on an engine that is not
-	// about to run. RunWindow primes the cache on exit with the peek it
-	// already performed (inside the parallel section, on the shard's own
-	// goroutine); pushes can only lower it. Pops invalidate it too, but
-	// to keep the per-event loop free of cache bookkeeping that is done
-	// once at every run-loop entry (Run, RunUntil, RunWindow) rather
-	// than in step() — between those boundaries the cache is only ever
-	// read at barriers, where the last RunWindow exit has re-primed it.
+	// front() that may cascade the wheel's refill on an engine that is
+	// not about to run. RunWindow primes the cache on exit with the front
+	// it already found (inside the parallel section, on the shard's own
+	// goroutine); pushes can only lower it. Dispatch invalidates it too,
+	// but to keep the per-event loop free of cache bookkeeping that is
+	// done once at run-loop entry rather than per event — between runs
+	// the cache is only ever read at barriers, where the last RunWindow
+	// exit has re-primed it.
 	nextAt    Time
 	nextKnown bool
 
@@ -332,35 +332,13 @@ func (e *Engine) Schedule(at Time, fn func()) { e.ScheduleEvent(at, funcHandler(
 func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.now.Add(d), fn) }
 
 // Run executes events until the queue empties or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	e.nextKnown = false
-	for e.queue.size > 0 && !e.stopped {
-		e.step()
-	}
-}
+func (e *Engine) Run() { e.run(MaxTime, false) }
 
 // RunUntil executes events until the queue empties, Stop is called, or the
 // next event would fire after deadline. If the deadline cut the run short,
 // the clock advances to it; if Stop fired or the queue drained, the clock
 // stays at the last executed event.
-func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	e.nextKnown = false
-	for e.queue.size > 0 {
-		// The stop check must precede the deadline check: when Stop()
-		// fired during the previous event, advancing the clock to the
-		// deadline would teleport the caller past events that never ran.
-		if e.stopped {
-			return
-		}
-		if e.queue.peekAt() > deadline {
-			e.AdvanceTo(deadline)
-			return
-		}
-		e.step()
-	}
-}
+func (e *Engine) RunUntil(deadline Time) { e.run(deadline, false) }
 
 // RunWindow executes events with firing time strictly before end, in
 // (at, rank) order, leaving the clock at the last executed event. This is
@@ -370,19 +348,43 @@ func (e *Engine) RunUntil(deadline Time) {
 // symmetry with Run, though windowed runs normally terminate via the
 // coordinator's Done hook.
 func (e *Engine) RunWindow(end Time) {
+	e.windowEnd = end
+	e.run(MaxTime, true)
+}
+
+// run is the one dispatch loop. Each iteration reads the earliest event
+// where it lies in the queue, checks Stop and then the bound, copies the
+// fields out, drops the event and calls the handler. The copy precedes the
+// drop, which for a late event moves another event into the slot; no
+// handler holds a pointer into the queue, so nothing it schedules can
+// alias the event being dispatched. The event never comes back by value
+// from a call that is not inlined: the spill and wider reload that costs
+// fails store-to-load forwarding on every event.
+//
+// Stop precedes the bound: after Stop, advancing the clock to deadline
+// would teleport the caller past events that never ran. RunWindow's bound
+// is windowEnd, re-read every event because LimitWindow may shrink it; on
+// exit the front just found primes the next-event cache, its refill paid
+// on the shard's own goroutine inside the parallel section.
+func (e *Engine) run(deadline Time, window bool) {
 	e.stopped = false
 	e.nextKnown = false
-	e.windowEnd = end
-	for e.queue.size > 0 && !e.stopped {
-		if at := e.queue.peekAt(); at >= e.windowEnd {
-			// Prime the next-event cache with the peek just performed:
-			// the refill cost was paid here, on the shard's own goroutine
-			// inside the parallel section, so the coordinator's barrier
-			// scan reads it for free.
-			e.nextAt, e.nextKnown = at, true
+	q := &e.queue
+	for q.size > 0 && !e.stopped {
+		ev, late := q.front()
+		if window && ev.at >= e.windowEnd {
+			e.nextAt, e.nextKnown = ev.at, true
 			return
 		}
-		e.step()
+		if ev.at > deadline {
+			e.AdvanceTo(deadline)
+			return
+		}
+		at, rank, h, kind, arg := ev.at, ev.rank, ev.h, ev.kind, ev.arg
+		q.drop(late)
+		e.now, e.rank = at, rank
+		e.executed++
+		h.HandleEvent(kind, arg)
 	}
 }
 
@@ -395,7 +397,8 @@ func (e *Engine) NextEventTime() (Time, bool) {
 		return 0, false
 	}
 	if !e.nextKnown {
-		e.nextAt, e.nextKnown = e.queue.peekAt(), true
+		ev, _ := e.queue.front()
+		e.nextAt, e.nextKnown = ev.at, true
 	}
 	return e.nextAt, true
 }
@@ -408,13 +411,6 @@ func (e *Engine) AdvanceTo(t Time) {
 	if t >= e.now {
 		e.now, e.rank = t, ^uint64(0)
 	}
-}
-
-func (e *Engine) step() {
-	ev := e.queue.pop()
-	e.now, e.rank = ev.at, ev.rank
-	e.executed++
-	ev.h.HandleEvent(ev.kind, ev.arg)
 }
 
 // Stop halts Run/RunUntil after the current event completes. Pending events

@@ -34,7 +34,7 @@ import (
 // sliding span, which must cover one propagation plus one serialization
 // delay.
 //
-// Determinism: pop order is exactly the canonical (at, rank) key —
+// Determinism: dispatch order is exactly the canonical (at, rank) key —
 // bit-identical to the reference heap the wheel is differentially tested
 // against. Three facts make this exact rather than approximate: (1) the
 // frontier (`ready` plus the `late` heap) holds every pending event with
@@ -66,8 +66,9 @@ type timingWheel struct {
 	size int
 
 	// ready[head:] is the execution frontier, sorted ascending by
-	// (at, rank): pop reads sequentially and a drained level-0 slot (whose
-	// handful of events share one tick) replaces it as one sorted batch.
+	// (at, rank): dispatch reads it in place, front to back, and a
+	// drained level-0 slot (whose handful of events share one tick)
+	// replaces it as one sorted batch.
 	// Consumed entries before head are not zeroed — the next drain
 	// overwrites them, and the handlers they pin outlive the engine's
 	// queue anyway (reset clears everything for the cross-run case).
@@ -77,7 +78,7 @@ type timingWheel struct {
 	// late holds stragglers: events scheduled at a tick the cursor has
 	// already reached or passed (~0.4% of traffic in a loaded fabric).
 	// They cannot join ready without a mid-run memmove, so they sit in a
-	// small (at, rank) heap that pop/peek merge against the frontier; on
+	// small (at, rank) heap that front merges against the frontier; on
 	// pathological all-same-tick schedules this degrades to exactly the
 	// old global heap's O(log n), never worse.
 	late eventHeap
@@ -174,37 +175,34 @@ func (w *timingWheel) place(ev event) {
 	w.occ[lvl][idx>>6] |= 1 << (idx & 63)
 }
 
-// pop removes and returns the earliest pending event. Caller guarantees
-// size > 0. Late events hold ticks at or before the cursor and wheel
-// events ticks after it, so merging the two orderings is a single
-// comparison — and the branch is free whenever late is empty.
-func (w *timingWheel) pop() event {
+// front returns the earliest pending event where it lies — late[0] or
+// ready[head] — and whether it is late's, refilling the frontier first
+// when it is empty. Caller guarantees size > 0; the pointer is valid
+// until the next push or drop. Late events hold ticks at or before the
+// cursor and wheel events ticks after it, so merging the two orderings is
+// a single comparison — and the branch is free whenever late is empty.
+// Refilling may advance the cursor, which is safe: events scheduled
+// afterwards at a tick the cursor already passed are placed into late,
+// not a stale bucket.
+func (w *timingWheel) front() (*event, bool) {
 	if w.head == len(w.ready) && len(w.late) == 0 {
 		w.refill()
 	}
-	w.size--
 	if len(w.late) > 0 &&
 		(w.head == len(w.ready) || eventBefore(&w.late[0], &w.ready[w.head])) {
-		return w.late.pop()
+		return &w.late[0], true
 	}
-	ev := w.ready[w.head]
-	w.head++
-	return ev
+	return &w.ready[w.head], false
 }
 
-// peekAt returns the earliest pending event's firing time without
-// removing it. Caller guarantees size > 0. Peeking may advance the
-// cursor, which is safe: events scheduled afterwards at a tick the cursor
-// already passed are placed into late, not a stale bucket.
-func (w *timingWheel) peekAt() Time {
-	if w.head == len(w.ready) && len(w.late) == 0 {
-		w.refill()
+// drop removes the event front just returned; late says where it lay.
+func (w *timingWheel) drop(late bool) {
+	w.size--
+	if late {
+		w.late.drop()
+		return
 	}
-	if len(w.late) > 0 &&
-		(w.head == len(w.ready) || eventBefore(&w.late[0], &w.ready[w.head])) {
-		return w.late[0].at
-	}
-	return w.ready[w.head].at
+	w.head++
 }
 
 // refill advances the cursor until an event is executable.
@@ -275,7 +273,8 @@ func (w *timingWheel) advanceOnce() bool {
 	}
 	w.cur = tickOf(w.overflow[0].at) &^ (1<<wheelSpanBits - 1)
 	for len(w.overflow) > 0 && tickOf(w.overflow[0].at)^w.cur < 1<<wheelSpanBits {
-		w.place(w.overflow.pop())
+		w.place(w.overflow[0])
+		w.overflow.drop()
 	}
 	w.drainCurSlot()
 	return true

@@ -26,8 +26,9 @@ func (m *wheelModel) push(at Time) {
 	m.ref.push(ev)
 }
 
-// pop pops one event from both structures and compares. Returns false
-// when empty.
+// pop dispatches one event from both structures the way the engine's run
+// loop does — the wheel through its front/drop pair, the heap by reading
+// its root and dropping it — and compares. Returns false when empty.
 func (m *wheelModel) pop(t *testing.T) bool {
 	t.Helper()
 	if len(m.ref) == 0 {
@@ -36,13 +37,13 @@ func (m *wheelModel) pop(t *testing.T) bool {
 		}
 		return false
 	}
-	want := m.ref.pop()
-	if got := m.wheel.peekAt(); got != want.at {
-		t.Fatalf("peekAt = %d, want %d", got, want.at)
-	}
-	got := m.wheel.pop()
+	want := m.ref[0]
+	m.ref.drop()
+	ev, late := m.wheel.front()
+	got := *ev
+	m.wheel.drop(late)
 	if got.at != want.at || got.rank != want.rank {
-		t.Fatalf("pop order diverged: wheel (at=%d rank=%d), heap (at=%d rank=%d)",
+		t.Fatalf("dispatch order diverged: wheel (at=%d rank=%d), heap (at=%d rank=%d)",
 			got.at, got.rank, want.at, want.rank)
 	}
 	m.now = got.at
