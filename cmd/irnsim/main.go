@@ -310,7 +310,7 @@ func choose[T any](flag, value string, table map[string]T) T {
 // flagOf names the flag that sets each Scenario field Validate can reject.
 var flagOf = map[string]string{
 	"Arity": "-arity", "IncastM": "-incast", "NumFlows": "-flows", "BufferBytes": "-buffer",
-	"Gbps": "-gbps", "Load": "-load", "KV": "-kv", "KV.Requests": "-kv",
+	"Gbps": "-gbps", "Load": "-load", "KV": "-kv", "KV.Requests": "-kv", "CC": "-cc",
 	"Faults": "-fault-*/-flap-*/-degrade-*/-chaos",
 }
 

@@ -111,7 +111,8 @@ func wantUsageError(t *testing.T, bin, flag string, args ...string) {
 // a 16-way incast on a 16-host fabric used to panic in a fleet worker, a
 // negative rate in the launcher; -flows -1 ran nothing and exited 0.) So
 // do fault flags that would build no fault — zero chaos cycles or flaps
-// per link, a negative link count — which used to run fault-free.
+// per link, a negative link count — which used to run fault-free, and a
+// congestion control on iWARP, which used to run without it.
 func TestBadFabricShapeIsAUsageError(t *testing.T) {
 	bin := build(t)
 	wantUsageError(t, bin, "-arity", "-arity", "5")
@@ -130,6 +131,8 @@ func TestBadFabricShapeIsAUsageError(t *testing.T) {
 	wantUsageError(t, bin, "-flap-count", "-arity", "4", "-flap-links", "2", "-flap-count", "0")
 	wantUsageError(t, bin, "-flap-links", "-arity", "4", "-flap-links", "-2")
 	wantUsageError(t, bin, "-degrade-links", "-arity", "4", "-degrade-links", "-1")
+	// iWARP's TCP stack has its own congestion control and takes no other.
+	wantUsageError(t, bin, "-cc", "-arity", "4", "-transport", "iwarp", "-cc", "dcqcn")
 }
 
 // TestShardedFaultOrKVIsAUsageError: KV and fault-injected runs are

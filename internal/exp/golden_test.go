@@ -9,8 +9,8 @@ import (
 )
 
 // Golden-metrics regression fixtures: small-scale summary outputs for
-// Figures 1, 7 and 9 are checked in under testdata/, and this test diffs
-// fresh runs against them field by field. The simulator is deterministic
+// Figures 1, 7, 9 and 11 (iWARP) are checked in under testdata/, and this
+// test diffs fresh runs against them field by field. The simulator is deterministic
 // to the picosecond, so any divergence — one event, one drop, one
 // retransmission — is a behavior change, and datapath refactors cannot
 // silently alter results.
@@ -80,7 +80,7 @@ func goldenPath(id string) string {
 
 func TestGoldenMetrics(t *testing.T) {
 	sc := goldenScale()
-	for _, id := range []string{"fig1", "fig7", "fig9"} {
+	for _, id := range []string{"fig1", "fig7", "fig9", "fig11"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

@@ -75,14 +75,13 @@ type launcherShard struct {
 	// flow costs a fraction of a heap allocation. Only the stores of the
 	// scenario's transport ever fill.
 	irnSnd  supply[core.Sender]
-	irnRcv  supply[core.Receiver]
+	irnRcv  supply[core.Receiver] // IRN's receivers, and iWARP's
 	roceSnd supply[rocev2.Sender]
 	roceRcv supply[rocev2.Receiver]
 	tcpSnd  supply[tcpstack.Sender]
-	tcpRcv  supply[tcpstack.Receiver]
 	words   slab.Slab[uint64] // SACK and arrival bitmap words
 
-	_ [6]uint64 // to 384 bytes
+	_ [4]uint64 // to 320 bytes
 }
 
 // launcher wires each flow's transports at the flow's arrival time and
@@ -100,16 +99,6 @@ type launcher struct {
 	idBase int
 
 	flows []transport.Flow
-	// stats[i] is flow i's sender's counters until the NIC reaps it (the
-	// shard then folds them into its totals), written by the shard of
-	// flow i's source.
-	stats []*transport.SenderStats
-	// rcvs[i] is flow i's RoCE receiver until its flow completes (the
-	// shard then folds its timeout count into its totals), written by the
-	// shard of flow i's destination: that count lives on the receiver,
-	// which a different shard than the sender's may own, so each slice
-	// has one writing shard per slot.
-	rcvs []*rocev2.Receiver
 	// hosts[h] is host h's launch stream, advanced by h's shard; launches
 	// holds every host's entries, host after host.
 	hosts    []hostLaunches
@@ -210,23 +199,33 @@ func (l *launcher) HandleEvent(_ uint8, arg uint64) {
 // is not the launcher's and is left alone.
 func (l *launcher) reaped(src transport.Source) {
 	sh := &l.shard[l.net.ShardOf(src.Flow().Src)]
-	var st *transport.SenderStats
 	switch snd := src.(type) {
 	case *core.Sender:
-		st = &snd.Stats
 		sh.irnSnd.put(snd)
 	case *rocev2.Sender:
-		st = &snd.Stats
 		sh.roceSnd.put(snd)
 	case *tcpstack.Sender:
-		st = &snd.Stats
 		sh.tcpSnd.put(snd)
 	default:
 		return
 	}
+	st := senderStats(src)
 	sh.retransmits += st.Retransmits
 	sh.timeouts += st.Timeouts
-	l.stats[int(src.Flow().ID)-l.idBase-1] = nil
+}
+
+// senderStats returns the counters of src, one of the launcher's
+// senders, or nil for any other source.
+func senderStats(src transport.Source) *transport.SenderStats {
+	switch snd := src.(type) {
+	case *core.Sender:
+		return &snd.Stats
+	case *rocev2.Sender:
+		return &snd.Stats
+	case *tcpstack.Sender:
+		return &snd.Stats
+	}
+	return nil
 }
 
 // FlowDone implements transport.Completer: flow fl's last packet arrived.
@@ -254,10 +253,7 @@ func (l *launcher) FlowDone(fl *transport.Flow, now sim.Time) {
 		sh.irnRcv.put(rcv)
 	case *rocev2.Receiver:
 		sh.timeouts += rcv.TimeoutNacks
-		l.rcvs[i] = nil
 		sh.roceRcv.put(rcv)
-	case *tcpstack.Receiver:
-		sh.tcpRcv.put(rcv)
 	}
 }
 
@@ -275,17 +271,14 @@ func (l *launcher) startSender(i int) {
 		snd := sh.irnSnd.get()
 		snd.Init(src, fl, l.irnParams(), ctrl, &sh.words)
 		src.AttachSource(snd)
-		l.stats[i] = &snd.Stats
 	case TransportRoCE:
 		snd := sh.roceSnd.get()
 		snd.Init(src, fl, l.roceParams(), ctrl)
 		src.AttachSource(snd)
-		l.stats[i] = &snd.Stats
 	case TransportTCP:
 		snd := sh.tcpSnd.get()
 		snd.Init(src, fl, tcpstack.DefaultParams(mtu), &sh.words)
 		src.AttachSource(snd)
-		l.stats[i] = &snd.Stats
 	}
 }
 
@@ -299,18 +292,17 @@ func (l *launcher) startReceiver(i int) {
 	sh := &l.shard[l.net.ShardOf(fl.Dst)]
 
 	switch s.Transport {
-	case TransportIRN:
+	case TransportIRN, TransportTCP:
+		p := l.irnParams()
+		if s.Transport == TransportTCP {
+			p = tcpstack.ReceiverParams(mtu)
+		}
 		rcv := sh.irnRcv.get()
-		rcv.Init(dst, fl, l.irnParams(), l, &sh.words)
+		rcv.Init(dst, fl, p, l, &sh.words)
 		dst.AttachSink(fl.ID, rcv)
 	case TransportRoCE:
 		rcv := sh.roceRcv.get()
 		rcv.Init(dst, fl, l.roceParams(), l)
-		dst.AttachSink(fl.ID, rcv)
-		l.rcvs[i] = rcv
-	case TransportTCP:
-		rcv := sh.tcpRcv.get()
-		rcv.Init(dst, fl, tcpstack.DefaultParams(mtu), l, &sh.words)
 		dst.AttachSink(fl.ID, rcv)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
@@ -98,4 +99,13 @@ func TestLaunchStreamRejectsOutOfOrderStarts(t *testing.T) {
 		}
 	}()
 	l.stream(w.top.Hosts())
+}
+
+// TestLauncherShardFillsCacheLines: launcherShard is padded to whole
+// 64-byte cache lines, so the shards' slices of the launcher, side by side
+// in one array, never share a line.
+func TestLauncherShardFillsCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(launcherShard{}); n%64 != 0 {
+		t.Fatalf("launcherShard is %d bytes, not a whole number of cache lines: recompute its padding", n)
+	}
 }

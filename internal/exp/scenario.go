@@ -108,7 +108,8 @@ type Scenario struct {
 	BufferBytes int     // per-input-port buffer; default 2×BDP
 	PFC         bool
 
-	// Transport and congestion control.
+	// Transport and congestion control. iWARP (TransportTCP) runs its
+	// TCP stack's own congestion control and takes CCNone only.
 	Transport Transport
 	CC        CCKind
 
@@ -312,6 +313,8 @@ func (s Scenario) Validate() error {
 		return bad("Transport", "unknown transport %d", s.Transport)
 	case s.CC > CCDCTCP:
 		return bad("CC", "unknown congestion control %d", s.CC)
+	case s.Transport == TransportTCP && s.CC != CCNone:
+		return bad("CC", "congestion control %v on iWARP, whose TCP stack has its own: only none runs", s.CC)
 	case s.Workload > WorkloadHadoop:
 		return bad("Workload", "unknown workload %d", s.Workload)
 	case s.Recovery > core.RecoveryNoSACK:

@@ -222,8 +222,6 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 		minRTT:      sim.Duration(2*top.LongestPathHops()) * (prop + cfg.Rate.Serialize(mtu+packet.DataHeader)),
 		idBase:      idBase,
 		flows:       make([]transport.Flow, len(specs)),
-		stats:       make([]*transport.SenderStats, len(specs)),
-		rcvs:        make([]*rocev2.Receiver, len(specs)),
 		cols:        make([]*metrics.Collector, net.Shards()),
 		shard:       make([]launcherShard, net.Shards()),
 		incastFlows: incastFlows,
@@ -319,15 +317,20 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 		res.MetricsBytes += c.MemFootprint()
 		agg.Merge(c)
 	}
+	// Senders the NICs have not reaped and receivers they have not
+	// retired hold counters no shard total has folded yet.
 	for i := range l.flows {
-		if !l.flows[i].Finished {
+		fl := &l.flows[i]
+		if !fl.Finished {
 			agg.AddIncomplete()
 		}
-		if st := l.stats[i]; st != nil {
+		src, _ := net.NIC(fl.Src).Attached(fl.ID)
+		if st := senderStats(src); st != nil {
 			res.Retransmits += st.Retransmits
 			res.Timeouts += st.Timeouts
 		}
-		if rcv := l.rcvs[i]; rcv != nil {
+		_, sink := net.NIC(fl.Dst).Attached(fl.ID)
+		if rcv, ok := sink.(*rocev2.Receiver); ok {
 			res.Timeouts += rcv.TimeoutNacks
 		}
 	}

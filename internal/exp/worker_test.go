@@ -251,8 +251,9 @@ func TestWorkerSurvivesFaultModelPanic(t *testing.T) {
 // a negative rate in the launcher, and a negative count ran nothing — and
 // the worker's cache is left as it was. So does each rule Validate added
 // since: a rate or load the picosecond clock cannot hold, a negative
-// delay, an unknown enum, a fault window before time zero, and a kv BDP
-// cap the verbs PSN window cannot hold.
+// delay, an unknown enum, a congestion control on iWARP (which has its
+// own), a fault window before time zero, and a kv BDP cap the verbs PSN
+// window cannot hold.
 func TestWorkerRejectsBadFabricShape(t *testing.T) {
 	good := Scenario{Name: "k6", NumFlows: 120, Seed: 11}
 	w := NewWorker()
@@ -275,6 +276,7 @@ func TestWorkerRejectsBadFabricShape(t *testing.T) {
 		{"rate past a byte per ps", Scenario{Gbps: 50000}, "Gbps 50000 must be"},
 		{"arrivals past the clock", Scenario{Load: 1e-300}, "arrivals within the simulator's clock"},
 		{"unknown cc", Scenario{CC: 9}, "unknown congestion control 9"},
+		{"cc on iwarp", Scenario{Transport: TransportTCP, CC: CCDCQCN}, "congestion control DCQCN on iWARP"},
 		{"flap before time zero", Scenario{Faults: fault.Spec{Flaps: []fault.Flap{{Link: 1, DownAt: -5}}}}, "not a window from time 0 on"},
 		{"kv cap past the PSN window", Scenario{BDPCapScale: 1000, KV: kv.Options{Requests: 10}}, "PSN window"},
 	} {

@@ -120,6 +120,15 @@ func (n *NIC) AttachSink(id packet.FlowID, s transport.Sink) {
 	n.attach(id, nil, s)
 }
 
+// Attached returns flow id's source and sink on this NIC: nil for a side
+// never attached here, or reaped or retired since.
+func (n *NIC) Attached(id packet.FlowID) (transport.Source, transport.Sink) {
+	if e := n.flows.find(id); e != nil {
+		return e.src, e.sink
+	}
+	return nil, nil
+}
+
 // Retire replaces the sink of flow id, a transport.Retirer whose flow has
 // completed, with its transport.Retired record and returns the sink. The
 // record, kept in the NIC's retired table for the rest of the run,

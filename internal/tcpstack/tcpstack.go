@@ -4,8 +4,17 @@
 // stack keeps the parts IRN deliberately dropped: slow start, ssthresh,
 // AIMD congestion avoidance, duplicate-ACK fast retransmit, NewReno-style
 // fast recovery, and a dynamically computed RTO with exponential backoff
-// (RFC 6298). The SACK scoreboard, the RTT estimator and the receiver's
-// reassembly window are the ones IRN kept: internal/recovery.
+// (RFC 6298). The SACK scoreboard and the RTT estimator are the ones IRN
+// kept: internal/recovery.
+//
+// The package holds only the sender. IRN's receiver (§3.1) is TCP's SACK
+// receiver cut down to one block, so an iWARP flow's receiver is
+// core.Receiver with the socket buffer, Window, as its reassembly window,
+// and Sender reads its NACKs as the duplicate ACKs with SACK information
+// they are. Unlike a TCP receiver it NACKs a segment beyond its window
+// instead of dropping it; only a flow of more than Window segments
+// (65.5 MB at a 1 KB MTU) can send one, and the sender's scoreboard
+// ignores that SACK.
 //
 // Segments are modelled at MTU granularity (one PSN = one segment). The
 // byte-stream reassembly and the RDMA-message translation layers that make
@@ -17,6 +26,7 @@ package tcpstack
 
 import (
 	"github.com/irnsim/irn/internal/bitmap"
+	"github.com/irnsim/irn/internal/core"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/recovery"
 	"github.com/irnsim/irn/internal/sim"
@@ -24,7 +34,11 @@ import (
 	"github.com/irnsim/irn/internal/transport"
 )
 
-// Params configures a TCP sender/receiver pair.
+// Window is the socket buffer in segments: the reach of the sender's SACK
+// scoreboard and of the receiver's reassembly window.
+const Window = 1 << 16
+
+// Params configures a TCP sender. Its receiver takes only the MTU.
 type Params struct {
 	// MTU is the segment payload size.
 	MTU int
@@ -127,9 +141,9 @@ const senderRTO uint8 = 0
 // HandleEvent implements sim.Handler (the retransmission timer).
 func (s *Sender) HandleEvent(uint8, uint64) { s.onTimeout() }
 
-// windowWords sizes the SACK and reassembly bitmaps: the whole message,
-// up to a 64 Ki-segment socket buffer.
-func windowWords(total int) int { return bitmap.Words(min(total, 1<<16) + 1) }
+// windowWords sizes the SACK bitmap: the whole message, up to the socket
+// buffer.
+func windowWords(total int) int { return bitmap.Words(min(total, Window) + 1) }
 
 // Flow implements transport.Source.
 func (s *Sender) Flow() *transport.Flow { return s.flow }
@@ -237,9 +251,10 @@ func (s *Sender) onTimeout() {
 }
 
 // HandleControl implements transport.Source: TCP ACK processing with
-// duplicate-ACK fast retransmit.
+// duplicate-ACK fast retransmit. The receiver's NACKs are duplicate ACKs
+// carrying SACK information, and are processed as such; CNPs are ignored.
 func (s *Sender) HandleControl(pkt *packet.Packet, now sim.Time) {
-	if s.done || pkt.Type != packet.TypeAck {
+	if s.done || pkt.Type == packet.TypeCNP {
 		return
 	}
 	// SACK information rides along on duplicate ACKs (zero = none).
@@ -295,98 +310,11 @@ func (s *Sender) growWindow(newly int) {
 	}
 }
 
-// Receiver is the TCP receiver: it buffers out-of-order segments and acks
-// every arrival — cumulative ACKs for in-order data, duplicate ACKs
-// carrying SACK information for gaps. It implements transport.Sink.
-type Receiver struct {
-	ep   transport.Endpoint
-	pool *packet.Pool
-	flow *transport.Flow
-	p    Params
+// ReceiverParams configures the receiver of an iWARP flow: IRN's, with
+// the socket buffer as its reassembly window.
+func ReceiverParams(mtu int) core.Params { return core.Params{MTU: mtu, BDPCap: Window} }
 
-	win   recovery.Reorder
-	total int
-
-	done transport.Completer
-
-	// Stats.
-	Acks, DupAcks uint64
-}
-
-// NewReceiver builds a TCP receiver.
-func NewReceiver(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer) *Receiver {
-	r := new(Receiver)
-	r.Init(ep, flow, p, done, nil)
-	return r
-}
-
-// Init is NewReceiver in place, with the reassembly bitmap's words carved
-// from words (nil: the heap); see Sender.Init. Init overwrites every
-// field, so a receiver may be Init-ed again for another flow once done
-// has been told its flow completed: nothing touches the receiver after
-// FlowDone returns, and Retired then answers the old flow's late
-// duplicates in its place.
-func (r *Receiver) Init(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer, words *slab.Slab[uint64]) {
-	if flow.Pkts == 0 {
-		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)
-	}
-	run := words.Reuse(r.win.Words(), windowWords(flow.Pkts))
-	*r = Receiver{
-		ep:    ep,
-		pool:  ep.Pool(),
-		flow:  flow,
-		p:     p,
-		total: flow.Pkts,
-		done:  done,
-	}
-	r.win.Init(run)
-}
-
-// Retired implements transport.Retirer. TCP sends no CNPs.
-func (r *Receiver) Retired() transport.Retired { return transport.NewRetired(r.flow, nil) }
-
-// Received reports distinct segments received.
-func (r *Receiver) Received() int { return r.win.Received() }
-
-// HandleData implements transport.Sink.
-func (r *Receiver) HandleData(pkt *packet.Packet, now sim.Time) {
-	switch kind, _ := r.win.Arrive(pkt.PSN); kind {
-	case recovery.Duplicate:
-		r.ack(pkt, 0) // duplicate data: re-ack current position
-
-	case recovery.InOrder:
-		r.ack(pkt, 0)
-		r.maybeComplete(now)
-
-	case recovery.OutOfOrder:
-		r.DupAcks++
-		r.ack(pkt, pkt.PSN) // duplicate ACK with SACK info
-		r.maybeComplete(now)
-
-	case recovery.Outside:
-		// Outside the reassembly window: drop; the sender will
-		// retransmit once the window drains.
-	}
-}
-
-// ack emits a cumulative ACK; sack != 0 marks it as a duplicate ACK
-// carrying selective-acknowledgement information.
-func (r *Receiver) ack(trigger *packet.Packet, sack packet.PSN) {
-	a := r.pool.NewAck(r.flow.ID, r.flow.Dst, r.flow.Src, r.win.Expected())
-	a.SackPSN = sack
-	a.SentAt = trigger.SentAt
-	a.ECNEcho = trigger.CE
-	r.Acks++
-	r.ep.SendControl(a)
-}
-
-func (r *Receiver) maybeComplete(now sim.Time) {
-	if r.flow.Finished || r.win.Received() < r.total {
-		return
-	}
-	r.flow.Finished = true
-	r.flow.Finish = now
-	if r.done != nil {
-		r.done.FlowDone(r.flow, now)
-	}
+// NewReceiver builds the receiver of an iWARP flow (see the package doc).
+func NewReceiver(ep transport.Endpoint, flow *transport.Flow, p Params, done transport.Completer) *core.Receiver {
+	return core.NewReceiver(ep, flow, ReceiverParams(p.MTU), done)
 }

@@ -3,6 +3,7 @@ package tcpstack
 import (
 	"testing"
 
+	"github.com/irnsim/irn/internal/core"
 	"github.com/irnsim/irn/internal/fabric"
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
@@ -12,7 +13,7 @@ import (
 )
 
 func runOverFabric(t *testing.T, p Params, pkts int,
-	lossFn func(*packet.Packet) bool) (*Sender, *Receiver, sim.Time) {
+	lossFn func(*packet.Packet) bool) (*Sender, *core.Receiver, sim.Time) {
 	t.Helper()
 	eng := sim.NewEngine()
 	net := fabric.New(eng, topo.NewStar(2), fabric.DefaultConfig())
@@ -145,6 +146,37 @@ func TestCwndHalvesOnFastRetransmit(t *testing.T) {
 	}
 }
 
+// TestNacksAreDuplicateAcks: the receiver answers an out-of-order segment
+// with a NACK carrying the cumulative ACK and the segment's PSN, and the
+// sender takes it for the duplicate ACK with SACK information it is:
+// three of them with the cumulative ACK unchanged trigger a fast
+// retransmit of the hole, and a CNP changes nothing.
+func TestNacksAreDuplicateAcks(t *testing.T) {
+	ep := &stubEP{eng: sim.NewEngine()}
+	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 20 * 1000, Pkts: 20}
+	s := NewSender(ep, flow, DefaultParams(1000))
+	s.cwnd = 10
+	for {
+		if ready, _ := s.HasData(0); !ready {
+			break
+		}
+		s.NextPacket(0)
+	}
+	s.HandleControl(packet.NewCNP(1, 1, 0), 50)
+	for psn := packet.PSN(1); psn <= 3; psn++ {
+		if s.sb.InRecovery() {
+			t.Fatalf("in fast recovery after %d NACKs, want 3", psn-1)
+		}
+		s.HandleControl(packet.NewNack(1, 1, 0, 0, psn), 100)
+	}
+	if !s.sb.InRecovery() || s.Stats.FastRetransmits != 1 {
+		t.Fatalf("3 NACKs: in recovery %v, %d fast retransmits, want a fast retransmit", s.sb.InRecovery(), s.Stats.FastRetransmits)
+	}
+	if pkt := s.NextPacket(200); pkt == nil || pkt.PSN != 0 {
+		t.Fatalf("fast retransmit = %v, want the hole, PSN 0", pkt)
+	}
+}
+
 type stubEP struct {
 	eng  *sim.Engine
 	sent []*packet.Packet
@@ -178,6 +210,8 @@ func TestRTOEstimator(t *testing.T) {
 	}
 }
 
+// TestReceiverSACKDupAcks: each out-of-order segment is answered with the
+// cumulative ACK and its own PSN as the SACK.
 func TestReceiverSACKDupAcks(t *testing.T) {
 	ep := &stubEP{eng: sim.NewEngine()}
 	p := DefaultParams(1000)

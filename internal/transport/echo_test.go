@@ -57,10 +57,12 @@ func TestReceiversEchoSentAt(t *testing.T) {
 			p.PerPacketAck = true
 			return rocev2.NewReceiver(ep, fl, p, nil)
 		}, inOrderGapFill(packet.TypeNack)},
-		// TCP answers a gap with a duplicate ACK carrying the SACK.
+		// iWARP's receiver is IRN's, with the socket buffer as its
+		// window: it answers a gap with a NACK, which the TCP sender
+		// takes for a duplicate ACK carrying the SACK.
 		{"tcpstack", func(ep transport.Endpoint, fl *transport.Flow) transport.Sink {
 			return tcpstack.NewReceiver(ep, fl, tcpstack.DefaultParams(1000), nil)
-		}, inOrderGapFill(packet.TypeAck)},
+		}, inOrderGapFill(packet.TypeNack)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
