@@ -17,19 +17,6 @@ func TestRateToDelay(t *testing.T) {
 	}
 }
 
-func TestCNPGeneratorRateLimit(t *testing.T) {
-	g := NewCNPGenerator()
-	if !g.OnMarked(0) {
-		t.Fatal("first mark must emit a CNP")
-	}
-	if g.OnMarked(sim.Time(10 * sim.Microsecond)) {
-		t.Error("CNP within 50us must be suppressed")
-	}
-	if !g.OnMarked(sim.Time(60 * sim.Microsecond)) {
-		t.Error("CNP after 50us must be emitted")
-	}
-}
-
 func TestTimelyStartsAtLineRate(t *testing.T) {
 	cfg := DefaultTimelyConfig(40, 24*sim.Microsecond)
 	tm := NewTimely(cfg)
@@ -78,14 +65,14 @@ func TestTimelyIncreasesOnLowRTT(t *testing.T) {
 
 func TestTimelyHAIKicksIn(t *testing.T) {
 	cfg := DefaultTimelyConfig(40, 24*sim.Microsecond)
-	cfg.AddStepGbps = 0.1
+	step := cfg.LineRateGbps / 1000 // δ
 	tm := NewTimely(cfg)
 	for i := 0; i < 40; i++ {
 		tm.OnAck(0, sim.Duration(100+i*30)*sim.Microsecond, 1, false)
 	}
 	start := tm.RateGbps()
 	// Flat RTT in the stable band → non-positive gradient. After
-	// HAIAfter events, each step should be 5×AddStep.
+	// timelyHAIAfter events, each step should be 5δ.
 	for i := 0; i < 4; i++ {
 		tm.OnAck(0, 100*sim.Microsecond, 1, false)
 	}
@@ -94,7 +81,7 @@ func TestTimelyHAIKicksIn(t *testing.T) {
 		tm.OnAck(0, 100*sim.Microsecond, 1, false)
 	}
 	haiGain := tm.RateGbps() - base
-	if haiGain < 10*cfg.AddStepGbps*0.9 {
+	if haiGain < 10*5*step*0.99 {
 		t.Errorf("HAI gain %v over 10 events too small (start %v)", haiGain, start)
 	}
 }
@@ -119,7 +106,8 @@ func TestTimelyLossBackoff(t *testing.T) {
 	if tm.RateGbps() != 40 {
 		t.Error("backoff disabled: loss must not cut rate")
 	}
-	tm.LossBackoff = true
+	cfg.LossBackoff = true
+	tm = NewTimely(cfg)
 	tm.OnLoss(0)
 	if tm.RateGbps() != 20 {
 		t.Errorf("backoff enabled: rate = %v, want 20", tm.RateGbps())
@@ -145,12 +133,11 @@ func TestDCQCNDecreaseOnCNP(t *testing.T) {
 
 func TestDCQCNAlphaDecays(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultDCQCNConfig(40)
-	d := NewDCQCN(eng, nil, cfg)
+	d := NewDCQCN(eng, nil, DefaultDCQCNConfig(40))
 	d.OnCNP(0)
 	a0 := d.Alpha()
 	// Run the engine forward ~10 alpha periods with no CNPs.
-	eng.RunUntil(sim.Time(10 * cfg.AlphaTimer))
+	eng.RunUntil(sim.Time(10 * dcqcnAlphaTimer))
 	if d.Alpha() >= a0 {
 		t.Errorf("alpha did not decay: %v >= %v", d.Alpha(), a0)
 	}
@@ -159,13 +146,12 @@ func TestDCQCNAlphaDecays(t *testing.T) {
 
 func TestDCQCNRecoversViaTimer(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultDCQCNConfig(40)
-	d := NewDCQCN(eng, nil, cfg)
+	d := NewDCQCN(eng, nil, DefaultDCQCNConfig(40))
 	d.OnCNP(0)
 	cut := d.RateGbps()
 	// Timer-driven fast recovery should move rc halfway back to rt
 	// repeatedly: after a few periods the rate approaches the target.
-	eng.RunUntil(sim.Time(4 * cfg.IncreaseTimer))
+	eng.RunUntil(sim.Time(4 * dcqcnIncreaseTimer))
 	if d.RateGbps() <= cut {
 		t.Errorf("rate did not recover: %v <= %v", d.RateGbps(), cut)
 	}
@@ -174,13 +160,11 @@ func TestDCQCNRecoversViaTimer(t *testing.T) {
 
 func TestDCQCNByteCounterIncrease(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultDCQCNConfig(40)
-	cfg.ByteCounter = 10_000
-	d := NewDCQCN(eng, nil, cfg)
+	d := NewDCQCN(eng, nil, DefaultDCQCNConfig(40))
 	d.OnCNP(0)
 	cut := d.RateGbps()
-	for i := 0; i < 20; i++ {
-		d.OnSendBytes(1000)
+	for i := 0; i < 2; i++ {
+		d.OnSendBytes(dcqcnByteCounter)
 	}
 	if d.RateGbps() <= cut {
 		t.Errorf("byte counter did not drive recovery: %v", d.RateGbps())
@@ -190,18 +174,16 @@ func TestDCQCNByteCounterIncrease(t *testing.T) {
 
 func TestDCQCNHyperIncreaseEngages(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultDCQCNConfig(40)
-	cfg.ByteCounter = 1000
-	d := NewDCQCN(eng, nil, cfg)
+	d := NewDCQCN(eng, nil, DefaultDCQCNConfig(40))
 	d.OnCNP(0)
 	// Drive both byte and timer stages past F.
-	for i := 0; i < cfg.F+3; i++ {
-		d.OnSendBytes(1000)
+	for i := 0; i < dcqcnF+3; i++ {
+		d.OnSendBytes(dcqcnByteCounter)
 	}
-	eng.RunUntil(sim.Time(sim.Duration(cfg.F+3) * cfg.IncreaseTimer))
+	eng.RunUntil(sim.Time(sim.Duration(dcqcnF+3) * dcqcnIncreaseTimer))
 	r := d.RateGbps()
 	for i := 0; i < 5; i++ {
-		d.OnSendBytes(1000)
+		d.OnSendBytes(dcqcnByteCounter)
 	}
 	gain := d.RateGbps() - r
 	if gain <= 0 {

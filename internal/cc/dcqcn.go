@@ -5,42 +5,32 @@ import (
 	"github.com/irnsim/irn/internal/transport"
 )
 
-// DCQCNConfig holds the DCQCN reaction-point parameters (Zhu et al.,
-// SIGCOMM 2015), with ConnectX-4-style defaults. The simulator in the IRN
-// paper "implements DCQCN as implemented in the Mellanox ConnectX-4 RoCE
-// NIC".
+// DCQCNConfig configures a DCQCN reaction point (Zhu et al., SIGCOMM
+// 2015). The simulator in the IRN paper "implements DCQCN as implemented
+// in the Mellanox ConnectX-4 RoCE NIC"; every other parameter is one of
+// the ConnectX-4-style constants below, and the increase steps scale with
+// the line rate.
 type DCQCNConfig struct {
 	LineRateGbps float64
-	MinRateGbps  float64
-	// G is the α EWMA gain g (1/256).
-	G float64
-	// AlphaTimer is the α update period when no CNP arrives (55 µs).
-	AlphaTimer sim.Duration
-	// IncreaseTimer is the rate-increase timer period.
-	IncreaseTimer sim.Duration
-	// ByteCounter is the rate-increase byte threshold (10 MB).
-	ByteCounter int
-	// F is the number of fast-recovery stages (5).
-	F int
-	// RAIGbps is the additive-increase step.
-	RAIGbps float64
-	// RHAIGbps is the hyper-increase step.
-	RHAIGbps float64
 }
 
-// DefaultDCQCNConfig returns defaults scaled to the line rate.
+// The DCQCN reaction-point constants (ConnectX-4-style defaults).
+const (
+	// dcqcnG is the α EWMA gain g.
+	dcqcnG = 1.0 / 256.0
+	// dcqcnAlphaTimer is the α update period when no CNP arrives.
+	dcqcnAlphaTimer = 55 * sim.Microsecond
+	// dcqcnIncreaseTimer is the rate-increase timer period.
+	dcqcnIncreaseTimer = 300 * sim.Microsecond
+	// dcqcnByteCounter is the rate-increase byte threshold (10 MiB).
+	dcqcnByteCounter = 10 << 20
+	// dcqcnF is the number of fast-recovery stages.
+	dcqcnF = 5
+)
+
+// DefaultDCQCNConfig returns the configuration for the line rate.
 func DefaultDCQCNConfig(lineGbps float64) DCQCNConfig {
-	return DCQCNConfig{
-		LineRateGbps:  lineGbps,
-		MinRateGbps:   0.01,
-		G:             1.0 / 256.0,
-		AlphaTimer:    55 * sim.Microsecond,
-		IncreaseTimer: 300 * sim.Microsecond,
-		ByteCounter:   10 << 20,
-		F:             5,
-		RAIGbps:       lineGbps / 1000, // 40 Mbps at 40G
-		RHAIGbps:      lineGbps / 100,  // 400 Mbps at 40G
-	}
+	return DCQCNConfig{LineRateGbps: lineGbps}
 }
 
 // DCQCN is the reaction-point state machine: multiplicative decrease on
@@ -86,8 +76,8 @@ func NewDCQCN(eng *sim.Engine, clk *sim.Clock, cfg DCQCNConfig) *DCQCN {
 	}
 	d.alphaTimer = sim.NewHandlerTimer(eng, clk, d, dcqcnAlpha)
 	d.incTimer = sim.NewHandlerTimer(eng, clk, d, dcqcnIncrease)
-	d.alphaTimer.Arm(cfg.AlphaTimer)
-	d.incTimer.Arm(cfg.IncreaseTimer)
+	d.alphaTimer.Arm(dcqcnAlphaTimer)
+	d.incTimer.Arm(dcqcnIncreaseTimer)
 	return d
 }
 
@@ -110,35 +100,35 @@ func (d *DCQCN) Alpha() float64 { return d.alpha }
 // reaction point.
 func (d *DCQCN) OnCNP(sim.Time) {
 	d.rt = d.rc
-	d.rc = clamp(d.rc*(1-d.alpha/2), d.cfg.MinRateGbps, d.cfg.LineRateGbps)
-	d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G
+	d.rc = clamp(d.rc*(1-d.alpha/2), minRateGbps, d.cfg.LineRateGbps)
+	d.alpha = (1-dcqcnG)*d.alpha + dcqcnG
 	d.timerStage = 0
 	d.byteStage = 0
 	d.bytesSinceUp = 0
 	d.Decreases++
-	d.alphaTimer.Arm(d.cfg.AlphaTimer)
-	d.incTimer.Arm(d.cfg.IncreaseTimer)
+	d.alphaTimer.Arm(dcqcnAlphaTimer)
+	d.incTimer.Arm(dcqcnIncreaseTimer)
 }
 
-// alphaDecay runs when AlphaTimer elapses with no CNP.
+// alphaDecay runs when the α timer elapses with no CNP.
 func (d *DCQCN) alphaDecay() {
-	d.alpha = (1 - d.cfg.G) * d.alpha
-	d.alphaTimer.Arm(d.cfg.AlphaTimer)
+	d.alpha = (1 - dcqcnG) * d.alpha
+	d.alphaTimer.Arm(dcqcnAlphaTimer)
 }
 
-// timerIncrease runs on each IncreaseTimer expiry.
+// timerIncrease runs on each rate-increase timer expiry.
 func (d *DCQCN) timerIncrease() {
 	d.timerStage++
 	d.increase()
-	d.incTimer.Arm(d.cfg.IncreaseTimer)
+	d.incTimer.Arm(dcqcnIncreaseTimer)
 }
 
 // OnSendBytes advances the byte counter; senders call it per transmitted
 // packet.
 func (d *DCQCN) OnSendBytes(n int) {
 	d.bytesSinceUp += n
-	for d.bytesSinceUp >= d.cfg.ByteCounter {
-		d.bytesSinceUp -= d.cfg.ByteCounter
+	for d.bytesSinceUp >= dcqcnByteCounter {
+		d.bytesSinceUp -= dcqcnByteCounter
 		d.byteStage++
 		d.increase()
 	}
@@ -156,15 +146,15 @@ func (d *DCQCN) increase() {
 		minStage = d.byteStage
 	}
 	switch {
-	case maxStage <= d.cfg.F: // fast recovery
+	case maxStage <= dcqcnF: // fast recovery
 		// rc moves halfway back to rt; rt unchanged.
-	case minStage > d.cfg.F: // hyper increase
-		d.rt += d.cfg.RHAIGbps
+	case minStage > dcqcnF: // hyper increase
+		d.rt += d.cfg.LineRateGbps / 100 // RHAI: 400 Mbps at 40G
 	default: // additive increase
-		d.rt += d.cfg.RAIGbps
+		d.rt += d.cfg.LineRateGbps / 1000 // RAI: 40 Mbps at 40G
 	}
-	d.rt = clamp(d.rt, d.cfg.MinRateGbps, d.cfg.LineRateGbps)
-	d.rc = clamp((d.rt+d.rc)/2, d.cfg.MinRateGbps, d.cfg.LineRateGbps)
+	d.rt = clamp(d.rt, minRateGbps, d.cfg.LineRateGbps)
+	d.rc = clamp((d.rt+d.rc)/2, minRateGbps, d.cfg.LineRateGbps)
 }
 
 // OnAck implements transport.Controller. DCQCN ignores ACKs; the byte
@@ -173,7 +163,7 @@ func (d *DCQCN) OnAck(sim.Time, sim.Duration, int, bool) {}
 
 // OnLoss implements transport.Controller. Losses are not a DCQCN signal;
 // the go-back-N-with-backoff ablation (§4.3) found backoff did not help
-// DCQCN, so this is a no-op.
+// DCQCN, so it ignores every loss its sender reports.
 func (d *DCQCN) OnLoss(sim.Time) {}
 
 // SendDelay implements transport.Controller and drives the byte counter.

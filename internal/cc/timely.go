@@ -5,65 +5,57 @@ import (
 	"github.com/irnsim/irn/internal/transport"
 )
 
-// TimelyConfig holds the TIMELY parameters (Mittal et al., SIGCOMM 2015).
-// The IRN paper uses "the same congestion control parameters as specified
-// in [29]".
+// TimelyConfig configures a TIMELY controller (Mittal et al., SIGCOMM
+// 2015). The IRN paper uses "the same congestion control parameters as
+// specified in [29]": those are the constants below, and the additive
+// step δ scales with the line rate.
 type TimelyConfig struct {
 	LineRateGbps float64
-	MinRateGbps  float64
-	// EWMA is the gradient filter weight α.
-	EWMA float64
-	// Beta is the multiplicative decrease factor β.
-	Beta float64
-	// AddStepGbps is the additive increase step δ.
-	AddStepGbps float64
-	// TLow: below this RTT, increase aggressively regardless of gradient.
-	TLow sim.Duration
-	// THigh: above this RTT, decrease regardless of gradient.
-	THigh sim.Duration
 	// MinRTT normalizes the gradient.
 	MinRTT sim.Duration
-	// HAIAfter is the number of consecutive non-positive gradients
-	// before hyperactive increase engages (5 in the paper).
-	HAIAfter int
+	// LossBackoff halves the rate on every loss the sender reports: the
+	// §4.3 go-back-N-with-backoff ablation.
+	LossBackoff bool
 }
 
-// DefaultTimelyConfig returns the TIMELY paper's parameters scaled to the
-// given line rate.
+// The TIMELY paper's parameters.
+const (
+	// timelyEWMA is the gradient filter weight α.
+	timelyEWMA = 0.875
+	// timelyBeta is the multiplicative decrease factor β.
+	timelyBeta = 0.8
+	// timelyTLow: below this RTT, increase regardless of gradient.
+	timelyTLow = 50 * sim.Microsecond
+	// timelyTHigh: above this RTT, decrease regardless of gradient.
+	timelyTHigh = 500 * sim.Microsecond
+	// timelyHAIAfter is the number of consecutive non-positive
+	// gradients before hyperactive increase engages.
+	timelyHAIAfter = 5
+)
+
+// DefaultTimelyConfig returns the configuration for the line rate and
+// base RTT, without loss backoff.
 func DefaultTimelyConfig(lineGbps float64, minRTT sim.Duration) TimelyConfig {
-	return TimelyConfig{
-		LineRateGbps: lineGbps,
-		MinRateGbps:  0.01,
-		EWMA:         0.875,
-		Beta:         0.8,
-		AddStepGbps:  lineGbps / 1000, // δ = 10 Mbps at 10 Gbps, scaled
-		TLow:         50 * sim.Microsecond,
-		THigh:        500 * sim.Microsecond,
-		MinRTT:       minRTT,
-		HAIAfter:     5,
-	}
+	return TimelyConfig{LineRateGbps: lineGbps, MinRTT: minRTT}
 }
 
 // Timely is the RTT-gradient rate controller. It reacts to per-ACK RTT
-// samples only — no ECN, no loss signal (losses surface indirectly via
-// RTT inflation and, for go-back-N-with-backoff ablations, OnLoss).
+// samples only — no ECN; losses surface through RTT inflation and, with
+// LossBackoff, through OnLoss.
 type Timely struct {
 	cfg TimelyConfig
 
 	rate       float64 // Gbps
+	step       float64 // additive increase δ, Gbps: 10 Mbps at 10 Gbps, scaled
 	prevRTT    sim.Duration
 	rttDiff    float64 // EWMA of RTT differences, in ps
 	negStreak  int     // consecutive completion events with gradient <= 0
 	haveSample bool
-
-	// LossBackoff, when true, halves the rate on loss events. Used by
-	// the §4.3 go-back-N-with-backoff ablation.
-	LossBackoff bool
 }
 
 // NewTimely returns a Timely controller starting at line rate.
 func NewTimely(cfg TimelyConfig) *Timely {
-	return &Timely{cfg: cfg, rate: cfg.LineRateGbps}
+	return &Timely{cfg: cfg, rate: cfg.LineRateGbps, step: cfg.LineRateGbps / 1000}
 }
 
 // RateGbps exposes the current rate for tests and diagnostics.
@@ -81,37 +73,38 @@ func (t *Timely) OnAck(_ sim.Time, rtt sim.Duration, _ int, _ bool) {
 	}
 	newDiff := float64(rtt - t.prevRTT)
 	t.prevRTT = rtt
-	t.rttDiff = (1-t.cfg.EWMA)*t.rttDiff + t.cfg.EWMA*newDiff
+	t.rttDiff = (1-timelyEWMA)*t.rttDiff + timelyEWMA*newDiff
 	normGrad := t.rttDiff / float64(t.cfg.MinRTT)
 
 	switch {
-	case rtt < t.cfg.TLow:
+	case rtt < timelyTLow:
 		t.negStreak = 0
-		t.rate += t.cfg.AddStepGbps
-	case rtt > t.cfg.THigh:
+		t.rate += t.step
+	case rtt > timelyTHigh:
 		t.negStreak = 0
-		t.rate *= 1 - t.cfg.Beta*(1-float64(t.cfg.THigh)/float64(rtt))
+		t.rate *= 1 - timelyBeta*(1-float64(timelyTHigh)/float64(rtt))
 	case normGrad <= 0:
 		t.negStreak++
 		n := 1.0
-		if t.negStreak >= t.cfg.HAIAfter {
+		if t.negStreak >= timelyHAIAfter {
 			n = 5.0 // hyperactive increase
 		}
-		t.rate += n * t.cfg.AddStepGbps
+		t.rate += n * t.step
 	default:
 		t.negStreak = 0
-		t.rate *= 1 - t.cfg.Beta*normGrad
+		t.rate *= 1 - timelyBeta*normGrad
 	}
-	t.rate = clamp(t.rate, t.cfg.MinRateGbps, t.cfg.LineRateGbps)
+	t.rate = clamp(t.rate, minRateGbps, t.cfg.LineRateGbps)
 }
 
 // OnCNP implements transport.Controller (ignored: Timely is RTT-based).
 func (t *Timely) OnCNP(sim.Time) {}
 
-// OnLoss implements transport.Controller.
+// OnLoss implements transport.Controller: with LossBackoff, halve the
+// rate.
 func (t *Timely) OnLoss(sim.Time) {
-	if t.LossBackoff {
-		t.rate = clamp(t.rate/2, t.cfg.MinRateGbps, t.cfg.LineRateGbps)
+	if t.cfg.LossBackoff {
+		t.rate = clamp(t.rate/2, minRateGbps, t.cfg.LineRateGbps)
 	}
 }
 

@@ -5,12 +5,17 @@
 // incremental changes that together eliminate the need for PFC.
 //
 // The package also implements the design-space ablations of §4.3 (pure
-// go-back-N, selective retransmit without SACKs, go-back-N with loss
-// backoff, dynamically computed timeouts), the reordering-robustness NACK
-// threshold sketched in §7, and the worst-case implementation overheads of
-// §6.3 (retransmission fetch delay, per-packet header growth), each behind
-// a Params knob so the experiment harness can reproduce the corresponding
-// figures.
+// go-back-N, selective retransmit without SACKs, dynamically computed
+// timeouts), the reordering-robustness NACK threshold sketched in §7, and
+// the worst-case implementation overheads of §6.3 (retransmission fetch
+// delay, per-packet header growth), each behind a Params knob so the
+// experiment harness can reproduce the corresponding figures.
+//
+// The sender reports every loss — each recovery entry and each timeout —
+// to its congestion controller through OnLoss, and the controller alone
+// decides whether to back off: §4.3's go-back-N with loss backoff is
+// go-back-N recovery under a controller that backs off on loss (Timely
+// with cc.TimelyConfig.LossBackoff), not a knob of this package.
 package core
 
 import (
@@ -78,10 +83,6 @@ type Params struct {
 	// engages; values above 1 tolerate reordering from packet-spraying
 	// load balancers (§7). Default 1.
 	NackThreshold int
-	// BackoffOnLoss reports NACK/timeout loss events to the congestion
-	// controller (the go-back-N-with-backoff ablation of §4.3, and the
-	// natural setting for AIMD/DCTCP window control).
-	BackoffOnLoss bool
 	// RetxFetchDelay models the worst-case PCIe fetch of a
 	// retransmission: a retransmitted packet may leave no earlier than
 	// this long after it was identified as lost (2 µs in §6.3).

@@ -77,7 +77,7 @@ func (r *Receiver) Init(ep transport.Endpoint, flow *transport.Flow, p Params, d
 }
 
 // Retired implements transport.Retirer.
-func (r *Receiver) Retired() transport.Retired { return transport.NewRetired(r.flow, &r.cnp) }
+func (r *Receiver) Retired() transport.Retired { return transport.NewRetired(r.flow, r.cnp) }
 
 // Received reports distinct data packets received so far.
 func (r *Receiver) Received() int { return r.win.Received() }

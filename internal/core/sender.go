@@ -236,9 +236,7 @@ func (s *Sender) onTimeout() {
 	if !s.selective() {
 		s.goBackTo(s.sb.Cum())
 	}
-	if s.p.BackoffOnLoss {
-		s.cc.OnLoss(s.ep.Now())
-	}
+	s.cc.OnLoss(s.ep.Now())
 	s.armRTO()
 	s.ep.Wake()
 }
@@ -311,9 +309,7 @@ func (s *Sender) handleAck(pkt *packet.Packet, now sim.Time, nack bool) {
 				if s.p.RetxFetchDelay > 0 {
 					s.retxEligAt = now.Add(s.p.RetxFetchDelay)
 				}
-				if s.p.BackoffOnLoss {
-					s.cc.OnLoss(now)
-				}
+				s.cc.OnLoss(now)
 			}
 		}
 		// Go-back-N ablation (§4.3): the sender ignores the selective

@@ -311,6 +311,79 @@ func TestSenderTimeoutEntersRecovery(t *testing.T) {
 	}
 }
 
+// lossSpy is a Controller that counts the losses its sender reports.
+type lossSpy struct {
+	transport.None
+	losses uint64
+}
+
+func (c *lossSpy) OnLoss(sim.Time) { c.losses++ }
+
+// TestSenderReportsEveryLoss: in every recovery mode the sender reports a
+// loss to its controller on each NACK-triggered recovery entry and on each
+// timeout, and on nothing else — NACKs below the threshold or inside an
+// episode are not new losses. The controller alone decides what a loss
+// is worth.
+func TestSenderReportsEveryLoss(t *testing.T) {
+	for _, mode := range []RecoveryMode{RecoverySACK, RecoveryGoBackN, RecoveryNoSACK} {
+		t.Run(mode.String(), func(t *testing.T) {
+			ep := newStubEP()
+			p := testParams()
+			p.Recovery = mode
+			p.BDPCap = 10
+			p.NackThreshold = 2
+			spy := new(lossSpy)
+			s := NewSender(ep, mkFlow(100), p, spy)
+			drain(s, 0) // 0..9
+
+			var want uint64
+			check := func(what string) {
+				t.Helper()
+				if spy.losses != want {
+					t.Fatalf("after %s: controller saw %d losses, want %d", what, spy.losses, want)
+				}
+			}
+			nack := func(cum, sack packet.PSN, at sim.Time) {
+				n := packet.NewNack(1, 1, 0, cum, sack)
+				n.SentAt = 1
+				s.HandleControl(n, at)
+			}
+			nack(2, 3, 100)
+			check("a NACK below the threshold")
+			nack(2, 4, 200)
+			want++
+			check("the NACK that enters recovery")
+			nack(2, 5, 300)
+			check("a NACK inside the episode")
+
+			ack := packet.NewAck(1, 1, 0, 10)
+			ack.SentAt = 1
+			s.HandleControl(ack, 400)
+			if s.sb.InRecovery() {
+				t.Fatal("cumulative ack past the recovery sequence must end the episode")
+			}
+			check("the ACK that ends the episode")
+			drain(s, 400) // 10..19
+			nack(12, 13, 500)
+			nack(12, 14, 600)
+			want++
+			check("the NACK that enters the second episode")
+			if s.Stats.Recoveries != 2 {
+				t.Fatalf("Recoveries = %d, want 2", s.Stats.Recoveries)
+			}
+
+			// Nothing acknowledges the flow any more: the RTO fires, and
+			// re-fires, inside the running episode.
+			ep.eng.RunUntil(sim.Time(5 * p.RTOHigh))
+			if s.Stats.Timeouts < 2 {
+				t.Fatalf("Timeouts = %d, want at least 2", s.Stats.Timeouts)
+			}
+			want += s.Stats.Timeouts
+			check("the timeouts")
+		})
+	}
+}
+
 func TestSenderRTOLowForFewPackets(t *testing.T) {
 	ep := newStubEP()
 	p := testParams()

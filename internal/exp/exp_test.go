@@ -266,3 +266,24 @@ func TestRenderFormats(t *testing.T) {
 		t.Errorf("ratios render: %q", ratios)
 	}
 }
+
+// TestAblationBackoffBites: the §4.3 go-back-N-with-backoff row is not a
+// relabelled go-back-N row. At a scale where go-back-N drops packets,
+// Timely's loss backoff must change the run.
+func TestAblationBackoffBites(t *testing.T) {
+	rows := map[string]Result{}
+	for _, s := range Ablations(Scale{Flows: 600}).Scenarios {
+		if s.Name == "GBN+backoff+Timely" || s.Name == "GBN+Timely" {
+			rows[s.Name] = Run(s)
+		}
+	}
+	backoff, plain := rows["GBN+backoff+Timely"], rows["GBN+Timely"]
+	if plain.Net.Drops == 0 {
+		t.Fatal("GBN+Timely dropped nothing: the scale no longer exercises loss")
+	}
+	b, p := toGoldenRow(backoff), toGoldenRow(plain)
+	b.Name, p.Name = "", ""
+	if b == p {
+		t.Errorf("GBN+backoff+Timely ran exactly as GBN+Timely: %+v", p)
+	}
+}

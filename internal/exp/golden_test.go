@@ -9,11 +9,12 @@ import (
 )
 
 // Golden-metrics regression fixtures: small-scale summary outputs for
-// Figures 1, 7, 9 and 11 (iWARP) are checked in under testdata/, and this
-// test diffs fresh runs against them field by field. The simulator is deterministic
-// to the picosecond, so any divergence — one event, one drop, one
-// retransmission — is a behavior change, and datapath refactors cannot
-// silently alter results.
+// Figures 1, 4 (Timely and DCQCN), 7, 9 and 11 (iWARP) and the §4.4.4
+// window-based controllers (windowcc) are checked in under testdata/, and
+// this test diffs fresh runs against them field by field. The simulator
+// is deterministic to the picosecond, so any divergence — one event, one
+// drop, one retransmission — is a behavior change, and datapath
+// refactors cannot silently alter results.
 //
 // After an intentional model change, regenerate with
 //
@@ -80,7 +81,7 @@ func goldenPath(id string) string {
 
 func TestGoldenMetrics(t *testing.T) {
 	sc := goldenScale()
-	for _, id := range []string{"fig1", "fig7", "fig9", "fig11"} {
+	for _, id := range []string{"fig1", "fig4", "fig7", "fig9", "fig11", "windowcc"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

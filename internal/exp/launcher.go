@@ -319,7 +319,6 @@ func (l *launcher) irnParams() core.Params {
 		RTOLowThreshold:  s.RTOLowN,
 		DynamicRTO:       s.DynamicRTO,
 		NackThreshold:    s.NackThreshold,
-		BackoffOnLoss:    s.BackoffOnLoss || s.CC == CCAIMD || s.CC == CCDCTCP,
 		RetxFetchDelay:   s.RetxFetchDelay,
 		ExtraHeaderBytes: s.ExtraHeader,
 		ECT:              s.CC == CCDCQCN || s.CC == CCDCTCP,
@@ -350,7 +349,9 @@ func (l *launcher) roceParams() rocev2.Params {
 func buildCC(ep transport.Endpoint, s Scenario, bdpCap int, minRTT sim.Duration) transport.Controller {
 	switch s.CC {
 	case CCTimely:
-		return cc.NewTimely(cc.DefaultTimelyConfig(s.Gbps, minRTT))
+		cfg := cc.DefaultTimelyConfig(s.Gbps, minRTT)
+		cfg.LossBackoff = s.BackoffOnLoss
+		return cc.NewTimely(cfg)
 	case CCDCQCN:
 		return cc.NewDCQCN(ep.Engine(), ep.Clock(), cc.DefaultDCQCNConfig(s.Gbps))
 	case CCAIMD:

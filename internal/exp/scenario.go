@@ -138,13 +138,17 @@ type Scenario struct {
 	Shards int
 
 	// IRN knobs (§3, §4.3 ablations, §6.3 overheads).
-	Recovery       core.RecoveryMode
-	NoBDPFC        bool
-	RTOHigh        sim.Duration // default 320 µs
-	RTOLowN        int          // default 3
-	NackThreshold  int          // default 1
-	DynamicRTO     bool
-	BackoffOnLoss  bool // forced on for AIMD/DCTCP
+	Recovery      core.RecoveryMode
+	NoBDPFC       bool
+	RTOHigh       sim.Duration // default 320 µs
+	RTOLowN       int          // default 3
+	NackThreshold int          // default 1
+	DynamicRTO    bool
+	// BackoffOnLoss makes Timely halve its rate on every loss its
+	// sender reports (the §4.3 go-back-N-with-backoff ablation). AIMD
+	// and DCTCP back off on loss whether it is set or not, and DCQCN
+	// never does.
+	BackoffOnLoss  bool
 	RetxFetchDelay sim.Duration
 	ExtraHeader    int
 	// BDPCapScale multiplies the computed BDP cap (the §3.2 footnote:

@@ -123,7 +123,7 @@ func TestRetiredTableMatchesMap(t *testing.T) {
 		if _, ok := model[id]; ok {
 			continue // a flow retires once
 		}
-		rec := transport.NewRetired(&transport.Flow{Src: packet.NodeID(step), Pkts: 1 + rng.Intn(100)}, nil)
+		rec := transport.NewRetired(&transport.Flow{Src: packet.NodeID(step), Pkts: 1 + rng.Intn(100)}, transport.CNPGenerator{})
 		tab.insert(id, rec)
 		model[id] = rec
 		if step%97 == 0 {
@@ -213,7 +213,9 @@ func (r *retiring) HandleData(p *packet.Packet, now sim.Time) {
 	}
 }
 
-func (r *retiring) Retired() transport.Retired { return transport.NewRetired(r.fl, nil) }
+func (r *retiring) Retired() transport.Retired {
+	return transport.NewRetired(r.fl, transport.CNPGenerator{})
+}
 
 // TestRetireAnswersLateDuplicates: a sink that retires hands back the
 // sink it replaced and leaves the flow's later data packets to its

@@ -344,7 +344,7 @@ func (r *Receiver) finish(last *packet.Packet, now sim.Time) {
 }
 
 // Retired implements transport.Retirer.
-func (r *Receiver) Retired() transport.Retired { return transport.NewRetired(r.flow, &r.cnp) }
+func (r *Receiver) Retired() transport.Retired { return transport.NewRetired(r.flow, r.cnp) }
 
 // sendCompletion acknowledges the whole message.
 func (r *Receiver) sendCompletion(trigger *packet.Packet) {

@@ -38,21 +38,26 @@ import (
 // scoreboard and of the receiver's reassembly window.
 const Window = 1 << 16
 
+// The sender's fixed TCP parameters.
+const (
+	// initialWindow is the slow-start initial congestion window in
+	// segments (IW).
+	initialWindow = 4
+	// dupAckThreshold is the duplicate-ACK count that triggers fast
+	// retransmit.
+	dupAckThreshold = 3
+)
+
 // Params configures a TCP sender. Its receiver takes only the MTU.
 type Params struct {
 	// MTU is the segment payload size.
 	MTU int
-	// InitialWindow is the slow-start initial congestion window in
-	// segments (IW).
-	InitialWindow int
 	// MinRTO clamps the computed retransmission timeout from below.
 	MinRTO sim.Duration
 	// MaxRTO clamps it from above.
 	MaxRTO sim.Duration
 	// InitialRTO applies before the first RTT sample.
 	InitialRTO sim.Duration
-	// DupAckThreshold triggers fast retransmit (3).
-	DupAckThreshold int
 	// MaxWindow bounds the congestion window in segments (the receive
 	// window / socket buffer); zero means unbounded.
 	MaxWindow int
@@ -61,12 +66,10 @@ type Params struct {
 // DefaultParams returns a conventional datacenter TCP configuration.
 func DefaultParams(mtu int) Params {
 	return Params{
-		MTU:             mtu,
-		InitialWindow:   4,
-		MinRTO:          1 * sim.Millisecond,
-		MaxRTO:          100 * sim.Millisecond,
-		InitialRTO:      3 * sim.Millisecond,
-		DupAckThreshold: 3,
+		MTU:        mtu,
+		MinRTO:     1 * sim.Millisecond,
+		MaxRTO:     100 * sim.Millisecond,
+		InitialRTO: 3 * sim.Millisecond,
 	}
 }
 
@@ -115,12 +118,6 @@ func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, wor
 	if flow.Pkts == 0 {
 		flow.Pkts = transport.NumPackets(flow.Size, p.MTU)
 	}
-	if p.InitialWindow < 1 {
-		p.InitialWindow = 1
-	}
-	if p.DupAckThreshold < 1 {
-		p.DupAckThreshold = 3
-	}
 	run := words.Reuse(s.sb.Words(), windowWords(flow.Pkts))
 	*s = Sender{
 		ep:       ep,
@@ -128,7 +125,7 @@ func (s *Sender) Init(ep transport.Endpoint, flow *transport.Flow, p Params, wor
 		flow:     flow,
 		p:        p,
 		total:    flow.Pkts,
-		cwnd:     float64(p.InitialWindow),
+		cwnd:     initialWindow,
 		ssthresh: 1 << 30, // slow start until the first loss
 	}
 	s.sb.Init(run)
@@ -280,7 +277,7 @@ func (s *Sender) HandleControl(pkt *packet.Packet, now sim.Time) {
 
 	case pkt.CumAck == s.sb.Cum() && pkt.CumAck < packet.PSN(s.total):
 		s.dupAcks++
-		if !s.sb.InRecovery() && s.dupAcks >= s.p.DupAckThreshold {
+		if !s.sb.InRecovery() && s.dupAcks >= dupAckThreshold {
 			// Fast retransmit + fast recovery.
 			s.Stats.FastRetransmits++
 			s.ssthresh = max(float64(s.inflight())/2, 2)

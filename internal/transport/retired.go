@@ -35,26 +35,21 @@ func (g *CNPGenerator) OnMarked(now sim.Time) bool {
 // crossed the final ACK — exactly as the completed receiver would, so the
 // receiver itself can go to another flow. After completion the IRN, RoCE
 // and TCP receivers all give the same answer to any data packet: a CNP if
-// the packet is CE-marked and the flow's CNP generator allows one (IRN and
-// RoCE only), then a cumulative ACK of the whole message echoing the
-// packet's SentAt and CE mark. A Retirer builds the record; the fabric
-// keeps it by value in a table of the receiving NIC, 24 bytes per flow.
+// the packet is CE-marked and the flow's CNP generator allows one, then a
+// cumulative ACK of the whole message echoing the packet's SentAt and CE
+// mark. A Retirer builds the record; the fabric keeps it by value in a
+// table of the receiving NIC, 24 bytes per flow.
 type Retired struct {
 	cnp     CNPGenerator
 	peer    packet.NodeID // the flow's source host
 	pkts    packet.PSN    // message length in packets; 0 only in the zero record
 	answers uint32        // late data packets answered
-	cnps    bool          // whether the flow's receiver sends CNPs
 }
 
-// NewRetired returns the record of completed flow fl. cnp is the
-// receiver's CNP generator, nil for a transport that never sends CNPs.
-func NewRetired(fl *Flow, cnp *CNPGenerator) Retired {
-	r := Retired{peer: fl.Src, pkts: packet.PSN(fl.Pkts)}
-	if cnp != nil {
-		r.cnp, r.cnps = *cnp, true
-	}
-	return r
+// NewRetired returns the record of completed flow fl, whose receiver's
+// CNP generator is cnp.
+func NewRetired(fl *Flow, cnp CNPGenerator) Retired {
+	return Retired{cnp: cnp, peer: fl.Src, pkts: packet.PSN(fl.Pkts)}
 }
 
 // Empty reports whether r is the zero record, which stands for no flow.
@@ -68,7 +63,7 @@ func (r *Retired) Answers() uint64 { return uint64(r.answers) }
 func (r *Retired) Answer(ep Endpoint, self packet.NodeID, pkt *packet.Packet, now sim.Time) {
 	r.answers++
 	pool := ep.Pool()
-	if r.cnps && pkt.CE && r.cnp.OnMarked(now) {
+	if pkt.CE && r.cnp.OnMarked(now) {
 		ep.SendControl(pool.NewCNP(pkt.Flow, self, r.peer))
 	}
 	ack := pool.NewAck(pkt.Flow, self, r.peer, r.pkts)

@@ -12,6 +12,19 @@ import (
 	"github.com/irnsim/irn/internal/transport"
 )
 
+func TestCNPGeneratorRateLimit(t *testing.T) {
+	var g transport.CNPGenerator
+	if !g.OnMarked(0) {
+		t.Fatal("first mark must emit a CNP")
+	}
+	if g.OnMarked(sim.Time(10 * sim.Microsecond)) {
+		t.Error("CNP within 50us must be suppressed")
+	}
+	if !g.OnMarked(sim.Time(60 * sim.Microsecond)) {
+		t.Error("CNP after 50us must be emitted")
+	}
+}
+
 // ctrlFields is what a receiver's control packet says, field by field.
 type ctrlFields struct {
 	typ       packet.Type

@@ -155,7 +155,8 @@ type Controller interface {
 	OnAck(now sim.Time, rtt sim.Duration, acked int, ecnEcho bool)
 	// OnCNP is invoked when a DCQCN congestion notification arrives.
 	OnCNP(now sim.Time)
-	// OnLoss is invoked when the sender detects a loss (NACK or timeout).
+	// OnLoss is invoked when the sender detects a loss (NACK or timeout);
+	// whether and how to back off is the controller's decision.
 	OnLoss(now sim.Time)
 	// SendDelay returns the pacing delay to impose after transmitting
 	// wire bytes (zero = line rate).

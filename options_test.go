@@ -22,13 +22,17 @@ var optionsWithoutSetters = map[string]string{
 }
 
 // TestRunOptionsHaveCallers keeps the run configuration free of knobs
-// nothing turns: every exported field of exp.Scenario and kv.Options must
-// have a setter in the non-test Go of the module or of benchmark/, outside
-// the normalize and WithDefaults functions that fill the defaults. A
-// setter is a keyed (or positional) struct literal, an assignment or
-// increment, or an address taken, matched by the field's types.Var, not
-// by its name. A field that only tests set has one value in every real
-// run and belongs in a constant.
+// nothing turns: every exported field of exp.Scenario, kv.Options, the
+// core and rocev2 transport Params and the DCQCN and Timely configs must
+// have a setter in the non-test Go of the module or of benchmark/,
+// outside the normalize and WithDefaults functions that fill the
+// defaults. A setter is a keyed (or positional) struct literal, an
+// assignment or increment, or an address taken, matched by the field's
+// types.Var, not by its name. Inside a Default* constructor a field
+// counts as set only when its value reads one of the constructor's
+// parameters: a literal there is a default no caller varies. A field that
+// only tests set has one value in every real run and belongs in a
+// constant.
 func TestRunOptionsHaveCallers(t *testing.T) {
 	data, err := os.ReadFile("go.mod")
 	if err != nil {
@@ -44,6 +48,7 @@ func TestRunOptionsHaveCallers(t *testing.T) {
 		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
@@ -81,8 +86,35 @@ func TestRunOptionsHaveCallers(t *testing.T) {
 	}
 	for _, f := range m.files {
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && (fn.Name.Name == "normalize" || fn.Name.Name == "WithDefaults") {
-				continue
+			// params are a Default* constructor's parameters: there a
+			// value sets a field only if it reads one of them, and an
+			// increment or an address taken never does.
+			var params map[types.Object]bool
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if fn.Name.Name == "normalize" || fn.Name.Name == "WithDefaults" {
+					continue
+				}
+				if strings.HasPrefix(fn.Name.Name, "Default") {
+					params = map[types.Object]bool{}
+					for _, field := range fn.Type.Params.List {
+						for _, name := range field.Names {
+							params[m.info.Defs[name]] = true
+						}
+					}
+				}
+			}
+			sets := func(value ast.Expr) bool {
+				if params == nil {
+					return true
+				}
+				reads := false
+				ast.Inspect(value, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && params[m.info.Uses[id]] {
+						reads = true
+					}
+					return !reads
+				})
+				return reads
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -93,21 +125,29 @@ func TestRunOptionsHaveCallers(t *testing.T) {
 					}
 					for i, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if key, ok := kv.Key.(*ast.Ident); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok && sets(kv.Value) {
 								mark(m.info.Uses[key])
 							}
-						} else {
+						} else if sets(elt) {
 							mark(st.Field(i))
 						}
 					}
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						markSelector(lhs)
+					for i, lhs := range n.Lhs {
+						value := n.Rhs[0]
+						if len(n.Rhs) == len(n.Lhs) {
+							value = n.Rhs[i]
+						}
+						if sets(value) {
+							markSelector(lhs)
+						}
 					}
 				case *ast.IncDecStmt:
-					markSelector(n.X)
+					if params == nil {
+						markSelector(n.X)
+					}
 				case *ast.UnaryExpr:
-					if n.Op == token.AND {
+					if n.Op == token.AND && params == nil {
 						markSelector(n.X)
 					}
 				}
@@ -119,6 +159,10 @@ func TestRunOptionsHaveCallers(t *testing.T) {
 	for _, o := range []struct{ pkg, short, typ string }{
 		{module + "/internal/exp", "exp", "Scenario"},
 		{module + "/internal/kv", "kv", "Options"},
+		{module + "/internal/core", "core", "Params"},
+		{module + "/internal/rocev2", "rocev2", "Params"},
+		{module + "/internal/cc", "cc", "DCQCNConfig"},
+		{module + "/internal/cc", "cc", "TimelyConfig"},
 	} {
 		st := m.pkgs[o.pkg].Scope().Lookup(o.typ).Type().Underlying().(*types.Struct)
 		for i := 0; i < st.NumFields(); i++ {
