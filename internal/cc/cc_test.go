@@ -125,9 +125,6 @@ func TestDCQCNDecreaseOnCNP(t *testing.T) {
 	if d.RateGbps() != 20 {
 		t.Errorf("rate after first CNP = %v, want 20", d.RateGbps())
 	}
-	if d.Decreases != 1 {
-		t.Errorf("Decreases = %d", d.Decreases)
-	}
 	d.Stop()
 }
 
@@ -216,14 +213,6 @@ func TestAIMD(t *testing.T) {
 	}
 	if a.SendDelay(1000) != 0 {
 		t.Error("AIMD must not pace")
-	}
-}
-
-func TestAIMDECNEchoActsAsLoss(t *testing.T) {
-	a := NewAIMD(64)
-	a.OnAck(0, 0, 1, true)
-	if w := a.WindowPackets(); w != 32 {
-		t.Errorf("window after ECN echo = %d, want 32", w)
 	}
 }
 

@@ -51,9 +51,6 @@ type DCQCN struct {
 
 	alphaTimer *sim.Timer
 	incTimer   *sim.Timer
-
-	// Decreases counts CNP-triggered rate cuts (diagnostics).
-	Decreases uint64
 }
 
 // DCQCN sim.Handler event kinds: the two reaction-point timers.
@@ -105,7 +102,6 @@ func (d *DCQCN) OnCNP(sim.Time) {
 	d.timerStage = 0
 	d.byteStage = 0
 	d.bytesSinceUp = 0
-	d.Decreases++
 	d.alphaTimer.Arm(dcqcnAlphaTimer)
 	d.incTimer.Arm(dcqcnIncreaseTimer)
 }

@@ -13,9 +13,6 @@ import (
 type AIMD struct {
 	cwnd float64
 	minW float64
-
-	// Losses counts multiplicative decreases (diagnostics).
-	Losses uint64
 }
 
 // NewAIMD returns an AIMD window starting at initialPackets.
@@ -27,15 +24,10 @@ func NewAIMD(initialPackets int) *AIMD {
 }
 
 // OnAck implements transport.Controller: +1 packet per RTT, approximated
-// by cwnd += acked/cwnd.
-func (a *AIMD) OnAck(_ sim.Time, _ sim.Duration, acked int, ecnEcho bool) {
-	if ecnEcho {
-		// Treat ECN echo like loss, once per window at most — callers
-		// using pure AIMD typically run without ECN, so keep it simple
-		// and halve.
-		a.OnLoss(0)
-		return
-	}
+// by cwnd += acked/cwnd. AIMD reacts to loss alone and ignores an ECN
+// echo; the experiment launcher makes packets ECN-capable only for DCQCN
+// and DCTCP.
+func (a *AIMD) OnAck(_ sim.Time, _ sim.Duration, acked int, _ bool) {
 	a.cwnd += float64(acked) / a.cwnd
 }
 
@@ -44,7 +36,6 @@ func (a *AIMD) OnCNP(sim.Time) {}
 
 // OnLoss implements transport.Controller.
 func (a *AIMD) OnLoss(sim.Time) {
-	a.Losses++
 	a.cwnd /= 2
 	if a.cwnd < a.minW {
 		a.cwnd = a.minW

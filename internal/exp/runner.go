@@ -121,7 +121,7 @@ func RunFleet(e Experiment, cfg FleetConfig) FleetResult {
 		go func() {
 			defer wg.Done()
 			// Each goroutine owns one Worker: its engine (and the
-			// timing wheel's bucket arrays), packet pool and — across
+			// timing wheel's block store), packet pool and — across
 			// structurally identical jobs, e.g. the trials of one
 			// scenario — the entire fabric are reused instead of being
 			// rebuilt per job. Reuse is invisible in the results: the

@@ -96,7 +96,7 @@ func NewWorker() *Worker { return &Worker{engs: []*sim.Engine{sim.NewEngine()}} 
 
 // engines returns the worker's first n engines, creating any missing
 // ones. Engines persist across runs like the fabric does: their timing-
-// wheel bucket arrays stay warm.
+// wheel block stores stay warm.
 func (w *Worker) engines(n int) []*sim.Engine {
 	for len(w.engs) < n {
 		w.engs = append(w.engs, sim.NewEngine())

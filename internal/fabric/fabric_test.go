@@ -417,3 +417,22 @@ func TestECMPSpreadsAcrossCorePaths(t *testing.T) {
 		t.Fatalf("only %d/32 flows arrived", len(seen))
 	}
 }
+
+// TestResetAllocatesNothing: the zero-rebuild trial path reuses a built
+// fabric, so Network.Reset must reseed and clear it in place — the
+// per-switch ECN streams included — rather than allocate per switch.
+func TestResetAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := testConfig()
+	net := New(eng, topo.NewFatTree(4), cfg)
+	net.NIC(0).AttachSource(newBlaster(1, 0, 15, 50, cfg.MTU))
+	eng.Run()
+	seed := uint64(1)
+	if allocs := testing.AllocsPerRun(20, func() {
+		seed++
+		eng.Reset()
+		net.Reset(seed, nil)
+	}); allocs != 0 {
+		t.Fatalf("Network.Reset of a k=4 fabric allocates %.1f/op, want 0", allocs)
+	}
+}

@@ -378,17 +378,17 @@ func (net *Network) Reset(seed uint64, faults *fault.Model) {
 	}
 	for _, sw := range net.switches {
 		sw.reset()
-		sw.rng = ecnRNG(seed, sw.id)
+		sw.rng.Seed(ecnSeed(seed, sw.id))
 	}
 	net.scheduleFaults(faults)
 }
 
-// ecnRNG seeds one switch's ECN marking stream. Per-switch streams (not
+// ecnSeed seeds one switch's ECN marking stream. Per-switch streams (not
 // one fabric-wide RNG) keep the marking decisions of each switch a pure
 // function of that switch's own traffic, which is what lets shards run
 // switches concurrently without perturbing results.
-func ecnRNG(seed uint64, id packet.NodeID) *sim.RNG {
-	return sim.NewRNG(sim.DeriveSeed(seed^0xfab51c, "ecn", int(id)))
+func ecnSeed(seed uint64, id packet.NodeID) uint64 {
+	return sim.DeriveSeed(seed^0xfab51c, "ecn", int(id))
 }
 
 // OnReap installs fn to receive every source a NIC reaps from now on. A

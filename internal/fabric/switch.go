@@ -23,7 +23,7 @@ type Switch struct {
 	id   packet.NodeID
 	net  *Network
 	part *partition // the shard slice this switch belongs to
-	rng  *sim.RNG   // per-switch ECN marking stream
+	rng  sim.RNG    // per-switch ECN marking stream
 
 	neighbors []packet.NodeID // port index → neighbor node
 	in        []inState       // per input port
@@ -86,12 +86,12 @@ func newSwitch(id packet.NodeID, net *Network, part *partition, ports int) *Swit
 		id:        id,
 		net:       net,
 		part:      part,
-		rng:       ecnRNG(net.Cfg.Seed, id),
 		salt:      mix64(uint64(id) + 0x5151_7eb5_c0de),
 		neighbors: make([]packet.NodeID, ports),
 		in:        make([]inState, ports),
 		out:       make([]swOut, ports),
 	}
+	s.rng.Seed(ecnSeed(net.Cfg.Seed, id))
 	// One slab each for the VOQ matrix and its occupancy bitmaps, so a
 	// switch's queue state is contiguous.
 	words := (ports + 63) / 64

@@ -160,9 +160,9 @@ func TestScheduleRankedBatchPartialConsumption(t *testing.T) {
 }
 
 // TestScheduleRankedBatchRecycledSlots: repeated batch-drain cycles push
-// each window's events through the wheel's spare-array recycling
-// (drained bucket arrays circulate back to later slots); order must hold
-// across many reuse generations.
+// each window's events through the wheel's block store (a drained slot's
+// blocks go back on the free list and carry later slots' events); order
+// must hold across many reuse generations.
 func TestScheduleRankedBatchRecycledSlots(t *testing.T) {
 	const tick = Time(1) << 14
 	e := NewEngine()

@@ -188,10 +188,11 @@ func NewEngine() *Engine {
 }
 
 // Reset returns the engine to its just-constructed state — clock at zero,
-// empty queue, zeroed counters — while keeping the queue's backing arrays
-// warm. The fleet runner resets one engine per worker between trials
-// instead of constructing a new one; any Timer attached to the engine must
-// be Reset alongside it (its pending event is discarded with the queue).
+// empty queue, zeroed counters — while keeping the queue's block store
+// and frontier warm; no handler of the previous run stays reachable. The
+// fleet runner resets one engine per worker between trials instead of
+// constructing a new one; any Timer attached to the engine must be Reset
+// alongside it (its pending event is discarded with the queue).
 func (e *Engine) Reset() {
 	e.now, e.rank, e.executed = 0, 0, 0
 	e.clk.Reset()
@@ -238,9 +239,9 @@ func (e *Engine) noteSchedule(at Time) {
 
 // ScheduleEventFrom runs h.HandleEvent(kind, arg) at absolute time at,
 // ranking the event under clk — the hot path for everything owned by a
-// topology node. It performs no allocation beyond amortized growth of the
-// timing wheel's bucket arrays, which a warmed-up simulation never
-// touches. A nil clk falls back to the engine's own clock; runs that are
+// topology node. It allocates only when the timing wheel's block store
+// runs out of free blocks, which a warmed-up simulation whose pending
+// events stay within their earlier peak never does. A nil clk falls back to the engine's own clock; runs that are
 // (or may be) sharded must pass the owning node's clock, because the
 // engine clock is engine-local and would order differently across shard
 // counts.

@@ -17,6 +17,13 @@ type RNG struct {
 // acceptable, including zero.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts the generator in place on the stream NewRNG(seed) returns,
+// so a reused owner reseeds without allocating.
+func (r *RNG) Seed(seed uint64) {
 	// splitmix64 to spread the seed across the state.
 	x := seed
 	for i := range r.s {
@@ -26,7 +33,6 @@ func NewRNG(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // DeriveSeed maps (base seed, label, trial) to a scenario seed. The fleet

@@ -26,6 +26,22 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestRNGSeedRestartsStream: reseeding a used generator in place yields
+// exactly NewRNG's stream for the new seed.
+func TestRNGSeedRestartsStream(t *testing.T) {
+	r := NewRNG(1)
+	for i := 0; i < 10; i++ {
+		r.Uint64()
+	}
+	r.Seed(42)
+	want := NewRNG(42)
+	for i := 0; i < 1000; i++ {
+		if got, w := r.Uint64(), want.Uint64(); got != w {
+			t.Fatalf("draw %d after Seed(42) = %#x, NewRNG(42) gives %#x", i, got, w)
+		}
+	}
+}
+
 func TestRNGIntnRange(t *testing.T) {
 	r := NewRNG(7)
 	for _, n := range []int{1, 2, 3, 10, 1000, 1 << 30} {

@@ -34,6 +34,11 @@ import (
 // sliding span, which must cover one propagation plus one serialization
 // delay.
 //
+// Memory: a bucket is a chain of fixed 16-event blocks drawn from one LIFO
+// free list (see blockEvents), so the wheel holds its pending events plus
+// at most one partly filled block per occupied slot, whatever size a
+// slot once reached.
+//
 // Determinism: dispatch order is exactly the canonical (at, rank) key —
 // bit-identical to the reference heap the wheel is differentially tested
 // against. Three facts make this exact rather than approximate: (1) the
@@ -84,30 +89,45 @@ type timingWheel struct {
 	late eventHeap
 
 	// bucket[lvl][idx] holds events whose tick maps to slot idx of level
-	// lvl's current window; occ mirrors non-emptiness as a bitmap so the
-	// cursor skips runs of empty slots in a few word reads.
-	bucket [wheelLevels][wheelSlots][]event
+	// lvl's current window, as a chain of blocks; occ mirrors
+	// non-emptiness as a bitmap so the cursor skips runs of empty slots in
+	// a few word reads.
+	bucket [wheelLevels][wheelSlots]chain
 	occ    [wheelLevels][wheelSlots / 64]uint64
 
-	// spare[lvl] recycles drained bucket arrays. Slot indexes at the
-	// upper levels are visited about once per run (a level-1 slot's
-	// window recurs only every full level-1 rotation), so arrays pinned
-	// per slot would re-grow from nothing at almost every visit — tens of
-	// MB of doubling copies per run. Handing a drained array to the next
-	// slot that activates instead caps the pool at the peak number of
-	// concurrently occupied slots, and growth stops once the circulating
-	// arrays reach the peak slot population.
-	spare [wheelLevels][][]event
+	// free is the block store's LIFO free list, threaded through the
+	// blocks' next links: a drained chain splices onto it whole, and the
+	// next block placement takes the block drained last, still in cache.
+	// chunks remembers every block ever allocated, for reset.
+	free   *eventBlock
+	chunks []*[chunkBlocks]eventBlock
 
 	// overflow holds events beyond the top level's window.
 	overflow eventHeap
 }
 
-// bucketMinCap is the capacity a bucket array is born with: level 0 keeps
-// ~500 arrays circulating (one per tick of a propagation delay), and
-// growing each from one event through append's doubling chain would cost
-// four more allocations apiece.
-const bucketMinCap = 16
+// Block store geometry (see Memory above). A warmed engine whose pending
+// population stays within its earlier peak allocates nothing.
+const (
+	blockEvents = 16 // events per block (768 bytes)
+	chunkBlocks = 64 // blocks per allocation (about 49 KB)
+)
+
+// eventBlock is one block of the store: up to blockEvents events of a
+// bucket, and the link to the next block of the bucket's chain or of the
+// free list.
+type eventBlock struct {
+	evs  [blockEvents]event
+	next *eventBlock
+}
+
+// chain is one bucket: n events filling blocks head … tail in placement
+// order, every block but the tail full. The tail's next link is stale
+// (n, not a nil link, ends a walk).
+type chain struct {
+	head, tail *eventBlock
+	n          int
+}
 
 // tickOf maps an absolute time to its wheel tick.
 func tickOf(at Time) uint64 { return uint64(at) >> wheelTickShift }
@@ -136,8 +156,8 @@ func (w *timingWheel) pushBatch(h Handler, evs []RankedEvent) {
 	}
 }
 
-// place routes ev to ready, a wheel bucket, or the overflow heap. Events
-// at or before the cursor go to ready — that is what keeps late arrivals
+// place routes ev to late, a wheel bucket, or the overflow heap. Events
+// at or before the cursor go to late — that is what keeps late arrivals
 // (scheduled mid-window after the cursor advanced past their tick) ahead
 // of every wheel event, in exact (at, rank) order.
 func (w *timingWheel) place(ev event) {
@@ -165,14 +185,48 @@ func (w *timingWheel) place(ev event) {
 		}
 		idx = (t >> (lvl * wheelLevelBits)) & wheelSlotMask
 	}
-	b := w.bucket[lvl][idx]
-	if b == nil {
-		if b = w.takeSpare(lvl); b == nil {
-			b = make([]event, 0, bucketMinCap)
+	c := &w.bucket[lvl][idx]
+	off := c.n & (blockEvents - 1)
+	if off == 0 {
+		blk := w.takeBlock()
+		if c.n == 0 {
+			c.head = blk
+			w.occ[lvl][idx>>6] |= 1 << (idx & 63)
+		} else {
+			c.tail.next = blk
 		}
+		c.tail = blk
 	}
-	w.bucket[lvl][idx] = append(b, ev)
-	w.occ[lvl][idx>>6] |= 1 << (idx & 63)
+	c.tail.evs[off] = ev
+	c.n++
+}
+
+// takeBlock pops a block off the free list, allocating a chunk when it is
+// empty. The block's contents are stale; place overwrites them.
+func (w *timingWheel) takeBlock() *eventBlock {
+	if w.free == nil {
+		blks := new([chunkBlocks]eventBlock)
+		w.chunks = append(w.chunks, blks)
+		w.thread(blks)
+	}
+	blk := w.free
+	w.free = blk.next
+	return blk
+}
+
+// thread pushes a chunk's blocks onto the free list, so that its first
+// block comes off first.
+func (w *timingWheel) thread(blks *[chunkBlocks]eventBlock) {
+	for i := len(blks) - 1; i >= 0; i-- {
+		blks[i].next = w.free
+		w.free = &blks[i]
+	}
+}
+
+// release splices a drained chain onto the free list whole.
+func (w *timingWheel) release(c chain) {
+	c.tail.next = w.free
+	w.free = c.head
 }
 
 // front returns the earliest pending event where it lies — late[0] or
@@ -287,75 +341,48 @@ func (w *timingWheel) advanceOnce() bool {
 func (w *timingWheel) drainCurSlot() {
 	idx := w.cur & wheelSlotMask
 	if w.occ[0][idx>>6]&(1<<(idx&63)) != 0 {
-		b := w.take(0, idx)
-		for i := range b {
-			w.late.push(b[i])
+		c := w.take(0, idx)
+		for blk, left := c.head, c.n; left > 0; blk, left = blk.next, left-blockEvents {
+			for i := range blk.evs[:min(left, blockEvents)] {
+				w.late.push(blk.evs[i])
+			}
 		}
-		w.giveBack(0, b)
+		w.release(c)
 	}
 }
 
 // drainSlot moves level-0 slot idx — the cursor's own tick — into ready
 // as one sorted batch. The frontier is empty here (refill only advances
-// when it is), so the batch replaces it wholesale. The slot keeps its
-// backing array, and a warmed-up wheel never allocates.
+// when it is), so the batch replaces it wholesale. The slot's blocks go
+// back to the free list, and a warmed-up wheel never allocates.
 func (w *timingWheel) drainSlot(idx uint64) {
-	b := w.take(0, idx)
-	w.ready, w.head = sortSlot(w.ready[:0], b), 0
-	w.giveBack(0, b)
+	c := w.take(0, idx)
+	w.ready, w.head = sortSlot(w.ready[:0], c), 0
+	w.release(c)
 }
 
-// cascade re-places every event of bucket (lvl, idx) one level down.
+// cascade re-places every event of bucket (lvl, idx) one level down. Each
+// block goes back to the free list as soon as its events are placed, so a
+// cascade holds at most one block more than its events fill.
 func (w *timingWheel) cascade(lvl int, idx uint64) {
-	b := w.take(lvl, idx)
-	for i := range b {
-		w.place(b[i])
+	c := w.take(lvl, idx)
+	for blk, left := c.head, c.n; left > 0; left -= blockEvents {
+		next := blk.next
+		for i := range blk.evs[:min(left, blockEvents)] {
+			w.place(blk.evs[i])
+		}
+		blk.next = w.free
+		w.free = blk
+		blk = next
 	}
-	w.giveBack(lvl, b)
 }
 
 // take detaches bucket (lvl, idx) for draining and clears its occupancy.
-func (w *timingWheel) take(lvl int, idx uint64) []event {
+func (w *timingWheel) take(lvl int, idx uint64) chain {
 	w.occ[lvl][idx>>6] &^= 1 << (idx & 63)
-	b := w.bucket[lvl][idx]
-	w.bucket[lvl][idx] = nil
-	return b
-}
-
-// takeSpare pops a spare array of a level. Above level 0 it takes the
-// largest: slot populations there are bimodal (one bulk slot per window
-// plus a scatter of timer slots), and a LIFO pool would keep handing a
-// timer-sized array to the bulk slot, re-growing it through its doubling
-// chain every window, whereas taking the max lets every circulating array
-// ratchet up to the peak population once; those pools hold a few dozen
-// arrays, so the scan is trivial. Level 0 has hundreds of similar arrays
-// and takes the one drained last, which is still in cache.
-func (w *timingWheel) takeSpare(lvl int) []event {
-	s := w.spare[lvl]
-	n := len(s)
-	if n == 0 {
-		return nil
-	}
-	best := n - 1
-	if lvl > 0 {
-		for i := 0; i < n-1; i++ {
-			if cap(s[i]) > cap(s[best]) {
-				best = i
-			}
-		}
-	}
-	b := s[best]
-	s[best] = s[n-1]
-	s[n-1] = nil
-	w.spare[lvl] = s[:n-1]
-	return b
-}
-
-// giveBack returns a drained bucket array to the level's spare pool.
-func (w *timingWheel) giveBack(lvl int, b []event) {
-	if cap(b) > 0 {
-		w.spare[lvl] = append(w.spare[lvl], b[:0])
-	}
+	c := w.bucket[lvl][idx]
+	w.bucket[lvl][idx] = chain{}
+	return c
 }
 
 // scan returns the first occupied slot index >= from at the given level.
@@ -378,33 +405,49 @@ const (
 	subTicks         = 1 << subTickBits
 )
 
-// sortSlot returns dst holding the events of one level-0 slot, src, in
-// (at, rank) order. The slot is copied into the frontier anyway, so a
-// large one (half of a loaded k=16 fabric's events sit in slots of 32–128)
-// is copied as a counting sort on the top subTickBits of the in-tick
-// offset: that leaves subTicks runs, in order relative to each other, of
-// a handful of events each. A same-instant flood lands in one run and
-// costs the heapsort it always did.
-func sortSlot(dst, src []event) []event {
-	if len(src) <= insertionSortMax {
-		dst = append(dst, src...)
-		sortEvents(dst)
+// sortSlot returns dst holding the events of one level-0 slot, the chain
+// c, in (at, rank) order, copying each event out of the chain once. Up to
+// insertionSortMax events are insertion-sorted straight out of the chain.
+// A larger slot (35% of a loaded k=16 fabric's events sit in slots of
+// 33–63) is copied as a counting sort on the top subTickBits of the
+// in-tick offset: that leaves subTicks runs, in order relative to each
+// other, of a handful of events each. A same-instant flood lands in one
+// run and costs the heapsort it always did.
+func sortSlot(dst []event, c chain) []event {
+	dst = slices.Grow(dst, c.n)[:c.n]
+	if c.n <= insertionSortMax {
+		j := 0
+		for blk, left := c.head, c.n; left > 0; blk, left = blk.next, left-blockEvents {
+			for i := range blk.evs[:min(left, blockEvents)] {
+				ev := &blk.evs[i]
+				k := j
+				for k > 0 && eventBefore(ev, &dst[k-1]) {
+					dst[k] = dst[k-1]
+					k--
+				}
+				dst[k] = *ev
+				j++
+			}
+		}
 		return dst
 	}
 	var run [subTicks]int // counts, then run ends, then (after the scatter) run starts
-	for i := range src {
-		run[subTick(src[i].at)]++
+	for blk, left := c.head, c.n; left > 0; blk, left = blk.next, left-blockEvents {
+		for i := range blk.evs[:min(left, blockEvents)] {
+			run[subTick(blk.evs[i].at)]++
+		}
 	}
 	sum := 0
 	for k := range run {
 		sum += run[k]
 		run[k] = sum
 	}
-	dst = slices.Grow(dst, len(src))[:len(src)]
-	for i := range src {
-		k := subTick(src[i].at)
-		run[k]--
-		dst[run[k]] = src[i]
+	for blk, left := c.head, c.n; left > 0; blk, left = blk.next, left-blockEvents {
+		for i := range blk.evs[:min(left, blockEvents)] {
+			k := subTick(blk.evs[i].at)
+			run[k]--
+			dst[run[k]] = blk.evs[i]
+		}
 	}
 	for k, start := range run {
 		end := len(dst)
@@ -469,11 +512,12 @@ func siftDownMax(evs []event, i, n int) {
 	}
 }
 
-// reset empties the wheel while keeping every backing array warm, so a
-// reused engine schedules without re-growing its buckets. Unlike the
-// steady-state paths, reset zeroes stale entries up to each array's
-// capacity: nothing scheduled in the previous run may keep a handler
-// alive across trials.
+// reset empties the wheel while keeping every block chunk and the
+// frontier's array warm, so a reused engine schedules without allocating.
+// Unlike the steady-state paths, reset zeroes stale events — in the
+// frontier up to its capacity and in every block, drained ones included:
+// nothing scheduled in the previous run may keep a handler alive across
+// trials.
 func (w *timingWheel) reset() {
 	w.cur, w.size = 0, 0
 	clearEvents(w.ready[:cap(w.ready)])
@@ -483,19 +527,13 @@ func (w *timingWheel) reset() {
 	clearEvents(w.overflow)
 	w.overflow = w.overflow[:0]
 	for lvl := range w.bucket {
-		for idx := range w.bucket[lvl] {
-			if b := w.bucket[lvl][idx]; cap(b) > 0 {
-				clearEvents(b[:cap(b)])
-				w.bucket[lvl][idx] = nil
-				w.spare[lvl] = append(w.spare[lvl], b[:0])
-			}
-		}
-		for _, b := range w.spare[lvl] {
-			clearEvents(b[:cap(b)])
-		}
-		for i := range w.occ[lvl] {
-			w.occ[lvl][i] = 0
-		}
+		clear(w.bucket[lvl][:])
+		clear(w.occ[lvl][:])
+	}
+	w.free = nil
+	for i := len(w.chunks) - 1; i >= 0; i-- {
+		clear(w.chunks[i][:])
+		w.thread(w.chunks[i])
 	}
 }
 
