@@ -261,7 +261,11 @@ func BenchmarkAblations(b *testing.B)        { benchExperiment(b, exp.Ablations(
 // paper measured raw hardware (iWARP 3.24 Mpps / RoCE 14.7 Mpps on 64 B
 // writes); here the comparable, reproducible quantity is the software
 // instruction cost of each transport's per-message state machine. The
-// shape to preserve: the TCP stack costs several times more per message.
+// shape to preserve: the TCP stack costs many times more per message. On
+// a 2-core x86-64 box (Go 1.24, -count 5) iwarp-tcp reads 0.8–1.3 µs/op
+// with 6 allocations — a sender, its SACK bitmap and NewReno window, and
+// the packets, built for every message — and irn 34–42 ns/op with none:
+// twenty to thirty times less.
 func BenchmarkTable1MessageRate(b *testing.B) {
 	b.Run("iwarp-tcp", func(b *testing.B) {
 		ep := &nullEndpoint{}

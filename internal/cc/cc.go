@@ -1,19 +1,20 @@
 // Package cc implements the congestion-control schemes the paper layers
 // over IRN and RoCE: DCQCN (rate-based, ECN/CNP-driven) and Timely
 // (rate-based, RTT-gradient-driven) from §4.2.4, plus the window-based
-// TCP-AIMD and DCTCP variants of §4.4.4.
+// TCP-AIMD and DCTCP variants of §4.4.4 and iWARP's NewReno (§4.6).
 //
 // All controllers satisfy transport.Controller. Rate-based controllers
 // express their decisions as per-packet pacing delays; window-based ones
-// as an in-flight packet cap. Flows start at line rate in every scheme,
-// matching §4.1: "For fair comparison with PFC-based proposals, the flow
-// starts at line-rate for all cases."
+// as an in-flight packet cap. Flows start at line rate in every scheme but
+// iWARP's, matching §4.1: "For fair comparison with PFC-based proposals,
+// the flow starts at line-rate for all cases."
 //
 // Each controller owns its reaction to loss. Senders report every loss —
 // each recovery entry and each timeout — through OnLoss, and the
 // controller decides: AIMD and DCTCP halve their window, as TCP does;
 // Timely halves its rate only with TimelyConfig.LossBackoff, the §4.3
-// go-back-N-with-backoff ablation; DCQCN ignores losses.
+// go-back-N-with-backoff ablation; DCQCN ignores losses; NewReno reacts to
+// the recovery episodes reported through transport.Recoverer instead.
 //
 // The published parameters are constants, not options: DCQCN's are the
 // ConnectX-4-style values of Zhu et al. (SIGCOMM 2015) — g = 1/256, a

@@ -251,3 +251,70 @@ func TestClamp(t *testing.T) {
 		t.Error("clamp broken")
 	}
 }
+
+// TestNewReno steps iWARP's window through its life: slow start from
+// IW = 4, congestion avoidance past ssthresh, an episode entered at
+// ssthresh = max(in-flight/2, 2) or collapsed to 1 by a timeout, no growth
+// while the episode runs, and deflation to ssthresh when it ends.
+func TestNewReno(t *testing.T) {
+	type step struct {
+		what           string
+		do             func(r *NewReno)
+		cwnd, ssthresh float64
+		window         int
+	}
+	ack := func(n int) func(r *NewReno) { return func(r *NewReno) { r.OnAck(0, 0, n, false) } }
+	enter := func(inflight int, timeout bool) func(r *NewReno) {
+		return func(r *NewReno) { r.EnterRecovery(inflight, timeout) }
+	}
+	exit := func(r *NewReno) { r.ExitRecovery() }
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"slow start", []step{
+			{what: "start", do: func(*NewReno) {}, cwnd: 4, ssthresh: renoNoSsthresh, window: 4},
+			{what: "one ACK of 3 segments", do: ack(3), cwnd: 7, ssthresh: renoNoSsthresh, window: 7},
+			{what: "a duplicate ACK", do: ack(0), cwnd: 7, ssthresh: renoNoSsthresh, window: 7},
+			{what: "losses and CNPs alone", do: func(r *NewReno) { r.OnLoss(0); r.OnCNP(0) }, cwnd: 7, ssthresh: renoNoSsthresh, window: 7},
+		}},
+		{"entry halves in-flight", []step{
+			{what: "grow to 20", do: ack(16), cwnd: 20, ssthresh: renoNoSsthresh, window: 20},
+			{what: "enter with 20 in flight", do: enter(20, false), cwnd: 10, ssthresh: 10, window: 10},
+			{what: "ACKs during the episode", do: ack(5), cwnd: 10, ssthresh: 10, window: 10},
+			{what: "exit", do: exit, cwnd: 10, ssthresh: 10, window: 10},
+			{what: "congestion avoidance", do: ack(1), cwnd: 10.1, ssthresh: 10, window: 10},
+			{what: "more congestion avoidance", do: ack(1), cwnd: 10.1 + 1/10.1, ssthresh: 10, window: 10},
+		}},
+		{"entry floors ssthresh at 2", []step{
+			{what: "enter with 3 in flight", do: enter(3, false), cwnd: 2, ssthresh: 2, window: 2},
+		}},
+		{"timeout collapses to 1", []step{
+			{what: "grow to 16", do: ack(12), cwnd: 16, ssthresh: renoNoSsthresh, window: 16},
+			{what: "timeout with 16 in flight", do: enter(16, true), cwnd: 1, ssthresh: 8, window: 1},
+			{what: "ACKs during the episode", do: ack(4), cwnd: 1, ssthresh: 8, window: 1},
+			{what: "a second timeout mid-episode", do: enter(6, true), cwnd: 1, ssthresh: 3, window: 1},
+			{what: "exit deflates to ssthresh", do: exit, cwnd: 3, ssthresh: 3, window: 3},
+			{what: "congestion avoidance", do: ack(3), cwnd: 3 + 1.0/3 + 1/(3+1.0/3) + 1/(3+1.0/3+1/(3+1.0/3)), ssthresh: 3, window: 3},
+		}},
+		{"timeouts with little in flight", []step{
+			{what: "enter with 12 in flight", do: enter(12, true), cwnd: 1, ssthresh: 6, window: 1},
+			{what: "exit", do: exit, cwnd: 6, ssthresh: 6, window: 6},
+			{what: "timeout from idle", do: enter(2, true), cwnd: 1, ssthresh: 2, window: 1},
+			{what: "exit to the floor", do: exit, cwnd: 2, ssthresh: 2, window: 2},
+			{what: "one ACK: CA from ssthresh", do: ack(1), cwnd: 2.5, ssthresh: 2, window: 2},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewNewReno()
+			for _, s := range c.steps {
+				s.do(r)
+				if r.cwnd != s.cwnd || r.ssthresh != s.ssthresh || r.WindowPackets() != s.window {
+					t.Fatalf("after %s: cwnd %v ssthresh %v window %d, want %v %v %d",
+						s.what, r.cwnd, r.ssthresh, r.WindowPackets(), s.cwnd, s.ssthresh, s.window)
+				}
+			}
+		})
+	}
+}

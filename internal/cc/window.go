@@ -124,3 +124,71 @@ func (d *DCTCP) SendDelay(int) sim.Duration { return 0 }
 func (d *DCTCP) WindowPackets() int { return int(d.cwnd) }
 
 var _ transport.Controller = (*DCTCP)(nil)
+
+// NewReno is TCP's congestion window as iWARP keeps it and IRN drops it
+// (§2.3, §4.6): slow start from IW = 4 segments, then one segment per
+// window of ACKs. At every recovery entry and every timeout, mid-episode
+// ones included, ssthresh becomes max(in-flight/2, 2) and the window
+// ssthresh, or 1 after a timeout; it stays there while the episode runs
+// and is ssthresh when it ends. Episodes arrive through
+// transport.Recoverer, so OnLoss is a no-op; ECN and CNPs are ignored.
+type NewReno struct {
+	cwnd, ssthresh float64
+	recovering     bool
+}
+
+const (
+	renoInitialWindow = 4       // IW, in segments
+	renoNoSsthresh    = 1 << 30 // before the first loss: slow start
+)
+
+// NewNewReno returns a NewReno window in slow start from IW.
+func NewNewReno() *NewReno {
+	r := new(NewReno)
+	r.Init()
+	return r
+}
+
+// Init resets r to slow start from IW, in place.
+func (r *NewReno) Init() { *r = NewReno{cwnd: renoInitialWindow, ssthresh: renoNoSsthresh} }
+
+// OnAck implements transport.Controller.
+func (r *NewReno) OnAck(_ sim.Time, _ sim.Duration, acked int, _ bool) {
+	if r.recovering {
+		return
+	}
+	for i := 0; i < acked; i++ {
+		if r.cwnd < r.ssthresh {
+			r.cwnd++
+		} else {
+			r.cwnd += 1 / r.cwnd
+		}
+	}
+}
+
+// EnterRecovery implements transport.Recoverer.
+func (r *NewReno) EnterRecovery(inflight int, timeout bool) {
+	r.ssthresh = max(float64(inflight)/2, 2)
+	r.cwnd = r.ssthresh
+	if timeout {
+		r.cwnd = 1
+	}
+	r.recovering = true
+}
+
+// ExitRecovery implements transport.Recoverer.
+func (r *NewReno) ExitRecovery() { r.cwnd, r.recovering = r.ssthresh, false }
+
+// OnCNP implements transport.Controller.
+func (r *NewReno) OnCNP(sim.Time) {}
+
+// OnLoss implements transport.Controller.
+func (r *NewReno) OnLoss(sim.Time) {}
+
+// SendDelay implements transport.Controller.
+func (r *NewReno) SendDelay(int) sim.Duration { return 0 }
+
+// WindowPackets implements transport.Controller.
+func (r *NewReno) WindowPackets() int { return max(int(r.cwnd), 1) }
+
+var _ transport.Recoverer = (*NewReno)(nil)

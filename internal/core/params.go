@@ -16,6 +16,8 @@
 // decides whether to back off: §4.3's go-back-N with loss backoff is
 // go-back-N recovery under a controller that backs off on loss (Timely
 // with cc.TimelyConfig.LossBackoff), not a knob of this package.
+// The same sender and receiver run iWARP (§2.3, §4.6), with what IRN
+// drops from TCP put back: see internal/tcpstack.
 package core
 
 import (
@@ -43,6 +45,11 @@ const (
 	// retransmitted, so each additional loss in a window costs a round
 	// trip (§4.3 question 2).
 	RecoveryNoSACK
+	// RecoveryTCP is iWARP's recovery, not a §4.3 ablation: RecoverySACK
+	// entered on duplicate ACKs — ACKs or NACKs that leave the cumulative
+	// ack unchanged — instead of NACKs, and a timeout that restamps a
+	// running episode and keeps the SACK state only as advice.
+	RecoveryTCP
 )
 
 // String implements fmt.Stringer.
@@ -54,6 +61,8 @@ func (m RecoveryMode) String() string {
 		return "go-back-n"
 	case RecoveryNoSACK:
 		return "no-sack"
+	case RecoveryTCP:
+		return "tcp"
 	default:
 		return "unknown"
 	}
@@ -76,12 +85,14 @@ type Params struct {
 	RTOHigh sim.Duration
 	// RTOLowThreshold is N: use RTOLow when in-flight < N (default 3).
 	RTOLowThreshold int
-	// DynamicRTO replaces the two static timeouts with a TCP-style
-	// SRTT + 4·RTTVAR estimate (§4.3 question 3).
+	// DynamicRTO replaces the two static timeouts with TCP's timer
+	// (RFC 6298, §4.3 question 3): SRTT + 4·RTTVAR of advancing ACKs,
+	// at least RTOLow (RTOHigh before a sample), doubled per timeout up
+	// to 2⁶ until the cumulative ack moves, at most 4·RTOHigh.
 	DynamicRTO bool
 	// NackThreshold is how many NACKs must arrive before loss recovery
 	// engages; values above 1 tolerate reordering from packet-spraying
-	// load balancers (§7). Default 1.
+	// load balancers (§7). Default 1. RecoveryTCP counts duplicate ACKs.
 	NackThreshold int
 	// RetxFetchDelay models the worst-case PCIe fetch of a
 	// retransmission: a retransmitted packet may leave no earlier than

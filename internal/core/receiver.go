@@ -22,8 +22,8 @@ import (
 // It is iWARP's receiver too (tcpstack.NewReceiver, with the socket
 // buffer as BDPCap): IRN's receiver is TCP's SACK receiver cut down to one
 // SACK block, and its NACK carries what TCP's duplicate ACK does, the
-// cumulative ACK and the segment that triggered it, so the TCP sender
-// reads it as one.
+// cumulative ACK and the segment that triggered it, so the Sender under
+// RecoveryTCP reads it as one.
 //
 // It also hosts the DCQCN notification point: CE-marked arrivals generate
 // CNPs, rate-limited to one per 50 µs per flow.

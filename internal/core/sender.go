@@ -9,7 +9,8 @@ import (
 	"github.com/irnsim/irn/internal/transport"
 )
 
-// Sender is the IRN sender of §3.1/§3.2. It implements transport.Source.
+// Sender is the IRN sender of §3.1/§3.2, and iWARP's TCP sender under
+// RecoveryTCP and a cc.NewReno controller. It implements transport.Source.
 //
 // Loss recovery is recovery.Scoreboard: entered on a NACK or timeout,
 // first retransmission at the cumulative ack, later packets lost only
@@ -31,13 +32,14 @@ type Sender struct {
 	maxSent packet.PSN // highest PSN ever transmitted + 1, across go-back-N rewinds
 	sb      recovery.Scoreboard
 
-	nackCount int // NACKs since last recovery entry (NackThreshold)
+	nackCount int // NACKs (RecoveryTCP: duplicate ACKs) toward NackThreshold
 
 	paceUntil  sim.Time
 	retxEligAt sim.Time // earliest next retransmission (fetch-delay model)
 
-	rto sim.Timer
-	rtt recovery.RTT // dynamic RTO estimate (§4.3 question 3)
+	rto     sim.Timer
+	rtt     recovery.RTT // dynamic RTO estimate (§4.3 question 3)
+	backoff uint8        // the dynamic RTO's exponent, 0…maxBackoff
 
 	done bool
 
@@ -190,24 +192,25 @@ func (s *Sender) NextPacket(now sim.Time) *packet.Packet {
 	return pkt
 }
 
+// maxBackoff caps the dynamic RTO's exponential back-off at 2⁶ (RFC 6298
+// §5.5).
+const maxBackoff = 6
+
 // rtoDuration picks the timeout per §3.1: RTOLow while few packets are in
 // flight (so single-packet messages recover quickly without spurious
-// retransmissions elsewhere), RTOHigh otherwise; or the dynamic estimate.
+// retransmissions elsewhere), RTOHigh otherwise; or the dynamic RTO of
+// Params.DynamicRTO.
 func (s *Sender) rtoDuration() sim.Duration {
-	if s.p.DynamicRTO {
-		rto, ok := s.rtt.RTO()
-		if !ok {
-			return s.p.RTOHigh
-		}
-		if rto < s.p.RTOLow {
-			rto = s.p.RTOLow
-		}
-		if rto > 4*s.p.RTOHigh {
-			rto = 4 * s.p.RTOHigh
-		}
-		return rto
+	if !s.p.DynamicRTO {
+		return recovery.DualRTO(s.inflight(), s.p.RTOLowThreshold, s.p.RTOLow, s.p.RTOHigh)
 	}
-	return recovery.DualRTO(s.inflight(), s.p.RTOLowThreshold, s.p.RTOLow, s.p.RTOHigh)
+	rto, ok := s.rtt.RTO()
+	if !ok {
+		rto = s.p.RTOHigh
+	} else if rto < s.p.RTOLow {
+		rto = s.p.RTOLow
+	}
+	return min(rto<<s.backoff, 4*s.p.RTOHigh)
 }
 
 // armRTO (re)arms the retransmission timer.
@@ -231,20 +234,35 @@ func (s *Sender) onTimeout() {
 		return
 	}
 	s.Stats.Timeouts++
-	s.enterRecovery()
+	if s.backoff < maxBackoff {
+		s.backoff++
+	}
+	s.loss(s.ep.Now(), true)
+	if s.p.Recovery == RecoveryTCP {
+		// Unlike IRN's, TCP's timeout restamps a running episode, and
+		// the SACK state is advisory after it (RFC 2018 §8): holes
+		// count again only below selective acks not yet recorded.
+		s.sb.Restamp(s.maxSent)
+		s.sb.DropHighSack()
+	}
 	s.sb.Rescan()
 	if !s.selective() {
 		s.goBackTo(s.sb.Cum())
 	}
-	s.cc.OnLoss(s.ep.Now())
 	s.armRTO()
 	s.ep.Wake()
 }
 
-// enterRecovery starts a recovery episode if none is running. The
-// recovery sequence is the highest PSN ever transmitted, which survives
-// go-back-N rewinds of nextNew.
-func (s *Sender) enterRecovery() {
+// loss reports a loss — a recovery entry or a timeout — to the controller,
+// with the packets in flight to one that follows episodes, and starts a
+// recovery episode if none is running. The recovery sequence is the
+// highest PSN ever transmitted, which survives go-back-N rewinds of
+// nextNew.
+func (s *Sender) loss(now sim.Time, timeout bool) {
+	s.cc.OnLoss(now)
+	if r, ok := s.cc.(transport.Recoverer); ok {
+		r.EnterRecovery(s.inflight(), timeout)
+	}
 	if s.sb.Enter(s.maxSent) {
 		s.Stats.Recoveries++
 		s.nackCount = 0
@@ -271,18 +289,19 @@ func (s *Sender) HandleControl(pkt *packet.Packet, now sim.Time) {
 }
 
 // handleAck processes the cumulative portion shared by ACKs and NACKs,
-// then NACK-specific recovery state.
+// then loss detection and NACK-specific recovery state.
 func (s *Sender) handleAck(pkt *packet.Packet, now sim.Time, nack bool) {
 	if s.done {
 		return
 	}
-	newly, _ := s.sb.Ack(pkt.CumAck)
-	// RTT sample from the echoed transmit timestamp.
-	if pkt.SentAt > 0 {
-		rtt := now.Sub(pkt.SentAt)
-		s.rtt.Sample(rtt)
-		if newly > 0 || !nack {
-			s.cc.OnAck(now, rtt, newly, pkt.ECNEcho)
+	newly, exited := s.sb.Ack(pkt.CumAck)
+	rtt := now.Sub(pkt.SentAt) // every ACK and NACK echoes SentAt
+	if newly > 0 || !nack {
+		s.cc.OnAck(now, rtt, newly, pkt.ECNEcho)
+	}
+	if exited {
+		if r, ok := s.cc.(transport.Recoverer); ok {
+			r.ExitRecovery()
 		}
 	}
 
@@ -293,31 +312,37 @@ func (s *Sender) handleAck(pkt *packet.Packet, now sim.Time, nack bool) {
 			// never resend delivered packets.
 			s.nextNew = pkt.CumAck
 		}
+		s.rtt.Sample(rtt)
+		s.backoff = 0
 		s.nackCount = 0
 		s.armRTO()
 	}
 
 	if nack {
 		s.Stats.Nacks++
-		if s.p.Recovery == RecoverySACK {
+		if s.p.Recovery == RecoverySACK || s.p.Recovery == RecoveryTCP {
 			s.sb.Sack(pkt.SackPSN)
 		}
-		if !s.sb.InRecovery() {
-			s.nackCount++
-			if s.nackCount >= s.p.NackThreshold {
-				s.enterRecovery()
-				if s.p.RetxFetchDelay > 0 {
-					s.retxEligAt = now.Add(s.p.RetxFetchDelay)
-				}
-				s.cc.OnLoss(now)
+	}
+	// IRN counts NACKs toward NackThreshold, TCP duplicate ACKs.
+	dup := nack
+	if s.p.Recovery == RecoveryTCP {
+		dup = newly == 0 && pkt.CumAck == s.sb.Cum()
+	}
+	if dup && !s.sb.InRecovery() {
+		s.nackCount++
+		if s.nackCount >= s.p.NackThreshold {
+			s.loss(now, false)
+			if s.p.RetxFetchDelay > 0 {
+				s.retxEligAt = now.Add(s.p.RetxFetchDelay)
 			}
 		}
-		// Go-back-N ablation (§4.3): the sender ignores the selective
-		// acknowledgement and rewinds to the cumulative ack on every
-		// NACK — the redundant-retransmission pathology of §4.2.3.
-		if !s.selective() && s.sb.InRecovery() {
-			s.goBackTo(s.sb.Cum())
-		}
+	}
+	// Go-back-N ablation (§4.3): the sender ignores the selective
+	// acknowledgement and rewinds to the cumulative ack on every NACK —
+	// the redundant-retransmission pathology of §4.2.3.
+	if nack && !s.selective() && s.sb.InRecovery() {
+		s.goBackTo(s.sb.Cum())
 	}
 
 	if s.sb.Cum() >= packet.PSN(s.total) {

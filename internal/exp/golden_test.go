@@ -94,39 +94,60 @@ func TestGoldenMetrics(t *testing.T) {
 				rows = append(rows, toGoldenRow(r))
 			}
 
-			path := goldenPath(id)
-			if *updateGolden {
-				buf, err := json.MarshalIndent(rows, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("rewrote %s (%d rows)", path, len(rows))
-				return
-			}
-
-			buf, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("reading fixture (regenerate with -update-golden): %v", err)
-			}
-			var want []goldenRow
-			if err := json.Unmarshal(buf, &want); err != nil {
-				t.Fatalf("parsing %s: %v", path, err)
-			}
-			if len(want) != len(rows) {
-				t.Fatalf("fixture has %d rows, run produced %d (regenerate with -update-golden)", len(want), len(rows))
-			}
-			for i := range rows {
-				if rows[i] != want[i] {
-					t.Errorf("row %d diverged from golden fixture:\n got: %+v\nwant: %+v\n(intentional model change? regenerate with -update-golden and review the diff)",
-						i, rows[i], want[i])
-				}
-			}
+			checkGolden(t, goldenPath(id), rows)
 		})
+	}
+}
+
+// TestGoldenIWARPTimeouts pins iWARP where its retransmission timer runs.
+// The fig11 fixture's iWARP row sees only 3 timeouts at goldenScale, so
+// the Figure 11 iWARP row at 4 000 flows — 472 timeouts at the default
+// seed, 11.7 M events — has a fixture of its own.
+func TestGoldenIWARPTimeouts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 11.7 M events")
+	}
+	s := Figure11(Scale{Flows: 4000}).Scenarios[0]
+	if s.Transport != TransportTCP {
+		t.Fatalf("Figure 11's first row is %v, want iWARP", s.Transport)
+	}
+	checkGolden(t, goldenPath("fig11_iwarp4k"), []goldenRow{toGoldenRow(Run(s))})
+}
+
+// checkGolden diffs rows against the fixture at path, or rewrites the
+// fixture under -update-golden.
+func checkGolden(t *testing.T, path string, rows []goldenRow) {
+	t.Helper()
+	if *updateGolden {
+		buf, err := json.MarshalIndent(rows, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d rows)", path, len(rows))
+		return
+	}
+
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading fixture (regenerate with -update-golden): %v", err)
+	}
+	var want []goldenRow
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatalf("parsing %s: %v", path, err)
+	}
+	if len(want) != len(rows) {
+		t.Fatalf("fixture has %d rows, run produced %d (regenerate with -update-golden)", len(want), len(rows))
+	}
+	for i := range rows {
+		if rows[i] != want[i] {
+			t.Errorf("row %d diverged from golden fixture:\n got: %+v\nwant: %+v\n(intentional model change? regenerate with -update-golden and review the diff)",
+				i, rows[i], want[i])
+		}
 	}
 }

@@ -74,14 +74,21 @@ type launcherShard struct {
 	// the launcher as separately allocated objects would, so starting a
 	// flow costs a fraction of a heap allocation. Only the stores of the
 	// scenario's transport ever fill.
-	irnSnd  supply[core.Sender]
+	irnSnd  supply[flowSender]    // IRN's senders, and iWARP's
 	irnRcv  supply[core.Receiver] // IRN's receivers, and iWARP's
 	roceSnd supply[rocev2.Sender]
 	roceRcv supply[rocev2.Receiver]
-	tcpSnd  supply[tcpstack.Sender]
 	words   slab.Slab[uint64] // SACK and arrival bitmap words
 
-	_ [4]uint64 // to 320 bytes
+	_ [2]uint64 // to 256 bytes
+}
+
+// flowSender is the sender of an IRN or an iWARP flow. An iWARP flow's
+// NewReno window lives in the same object, so starting one allocates no
+// controller; an IRN flow leaves reno unused.
+type flowSender struct {
+	core.Sender
+	reno cc.NewReno
 }
 
 // launcher wires each flow's transports at the flow's arrival time and
@@ -200,12 +207,10 @@ func (l *launcher) HandleEvent(_ uint8, arg uint64) {
 func (l *launcher) reaped(src transport.Source) {
 	sh := &l.shard[l.net.ShardOf(src.Flow().Src)]
 	switch snd := src.(type) {
-	case *core.Sender:
+	case *flowSender:
 		sh.irnSnd.put(snd)
 	case *rocev2.Sender:
 		sh.roceSnd.put(snd)
-	case *tcpstack.Sender:
-		sh.tcpSnd.put(snd)
 	default:
 		return
 	}
@@ -218,11 +223,9 @@ func (l *launcher) reaped(src transport.Source) {
 // senders, or nil for any other source.
 func senderStats(src transport.Source) *transport.SenderStats {
 	switch snd := src.(type) {
-	case *core.Sender:
+	case *flowSender:
 		return &snd.Stats
 	case *rocev2.Sender:
-		return &snd.Stats
-	case *tcpstack.Sender:
 		return &snd.Stats
 	}
 	return nil
@@ -276,8 +279,9 @@ func (l *launcher) startSender(i int) {
 		snd.Init(src, fl, l.roceParams(), ctrl)
 		src.AttachSource(snd)
 	case TransportTCP:
-		snd := sh.tcpSnd.get()
-		snd.Init(src, fl, tcpstack.DefaultParams(mtu), &sh.words)
+		snd := sh.irnSnd.get()
+		snd.reno.Init()
+		snd.Init(src, fl, tcpstack.DefaultParams(mtu), &snd.reno, &sh.words)
 		src.AttachSource(snd)
 	}
 }
@@ -295,7 +299,7 @@ func (l *launcher) startReceiver(i int) {
 	case TransportIRN, TransportTCP:
 		p := l.irnParams()
 		if s.Transport == TransportTCP {
-			p = tcpstack.ReceiverParams(mtu)
+			p = tcpstack.DefaultParams(mtu)
 		}
 		rcv := sh.irnRcv.get()
 		rcv.Init(dst, fl, p, l, &sh.words)

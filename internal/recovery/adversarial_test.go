@@ -25,7 +25,7 @@ import (
 
 const (
 	advMTU     = 1000
-	advCap     = 32 // BDP-FC / MaxWindow in packets
+	advCap     = 32 // BDP-FC in packets
 	advRTOLow  = 100 * sim.Microsecond
 	advRTOHigh = 320 * sim.Microsecond
 	advTrials  = 5
@@ -97,7 +97,7 @@ func (l *advLink) run(done func() bool) {
 	}
 }
 
-// ---- flow transports (core, tcpstack) ----
+// ---- flow transports (core, and iWARP's through tcpstack) ----
 
 // flowEnd is the transport.Endpoint of one side of a flow. Control packets
 // go over the link to the peer's source; Wake pulls the local source.
@@ -246,10 +246,11 @@ func coreRow(mode core.RecoveryMode) func(*advLink) {
 func tcpRow() func(*advLink) {
 	return flowRow(true, func(snd, rcv transport.Endpoint, fl *transport.Flow, done transport.Completer) (transport.Source, transport.Sink, *transport.SenderStats) {
 		p := tcpstack.DefaultParams(advMTU)
-		p.MaxWindow = advCap
-		// No exponential back-off past RTOHigh, so the grid's silence
-		// bound means the same thing for every row.
-		p.MinRTO, p.InitialRTO, p.MaxRTO = advRTOLow, advRTOHigh, advRTOHigh
+		p.BDPCap = advCap
+		// The RTO's cap, 4·RTOHigh, is advRTOHigh: no exponential
+		// back-off past it, so the grid's silence bound means the same
+		// thing for every row.
+		p.RTOLow, p.RTOHigh = advRTOLow, advRTOHigh/4
 		s := tcpstack.NewSender(snd, fl, p)
 		return s, tcpstack.NewReceiver(rcv, fl, p, done), &s.Stats
 	})

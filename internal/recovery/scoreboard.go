@@ -3,9 +3,9 @@
 // retransmit the cumulative ack, then holes below the highest SACK", a
 // recovery sequence that ends the episode, and the RTOLow/RTOHigh pair.
 // The same mechanism is reused unchanged for Read responses on the rPSN
-// space (§5.2) and is what TCP's scoreboard does (§4.6), so IRN
-// (internal/core), the iWARP stack (internal/tcpstack) and both PSN spaces
-// of a verbs QP (internal/verbs) are all callers of this package. What a
+// space (§5.2) and is what TCP's scoreboard does (§4.6), so IRN's sender
+// (internal/core, which is iWARP's too) and both PSN spaces of a verbs QP
+// (internal/verbs) are all callers of this package. What a
 // caller keeps is only what is its own: the send pointer and window
 // admission, pacing, packet retention, go-back-N rewinds, retry budgets.
 //
@@ -106,8 +106,9 @@ func (sb *Scoreboard) Enter(next uint32) bool {
 
 // Restamp forces recovery on with the recovery sequence at next-1, even
 // when an episode is already running (Enter leaves a running episode's
-// sequence alone). The tcpstack RTO and the verbs read responder's
-// timeout restamp; IRN and the verbs requester do not.
+// sequence alone). The RTO of core's TCP recovery mode (iWARP's) and the
+// verbs read responder's timeout restamp; IRN and the verbs requester do
+// not.
 func (sb *Scoreboard) Restamp(next uint32) {
 	sb.inRecovery = true
 	if next > 0 {
@@ -123,7 +124,8 @@ func (sb *Scoreboard) Rescan() { sb.retxNext = sb.cum }
 
 // DropHighSack forgets the highest-SACK mark while keeping the bitmap, so
 // holes are reported again only below selective acks that arrive from now
-// on and were not already recorded. Only the tcpstack RTO does this.
+// on and were not already recorded. Only the RTO of core's TCP recovery
+// mode does this.
 func (sb *Scoreboard) DropHighSack() { sb.highSack = 0 }
 
 // Peek reports the next PSN to retransmit without consuming it: first the

@@ -171,16 +171,14 @@ func (s *Sender) HandleControl(pkt *packet.Packet, now sim.Time) {
 		s.cc.OnCNP(now)
 		return
 	case packet.TypeAck:
-		if pkt.SentAt > 0 {
-			newly := 0
-			if pkt.CumAck > s.cumAck {
-				newly = int(pkt.CumAck - s.cumAck)
-			}
-			s.cc.OnAck(now, now.Sub(pkt.SentAt), newly, pkt.ECNEcho)
-		}
+		// Every ACK echoes its data packet's transmit time; only the
+		// receiver's timeout NACK carries none.
+		newly := 0
 		if pkt.CumAck > s.cumAck {
+			newly = int(pkt.CumAck - s.cumAck)
 			s.cumAck = pkt.CumAck
 		}
+		s.cc.OnAck(now, now.Sub(pkt.SentAt), newly, pkt.ECNEcho)
 		if s.cumAck >= packet.PSN(s.total) {
 			s.finish()
 		}

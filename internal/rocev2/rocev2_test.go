@@ -199,3 +199,33 @@ func TestDeterminism(t *testing.T) {
 func doneFn(f func(now sim.Time)) transport.Completer {
 	return transport.CompleterFunc(func(_ *transport.Flow, now sim.Time) { f(now) })
 }
+
+// ackSpy is a Controller that records the ACKs reaching it.
+type ackSpy struct {
+	transport.None
+	acks int
+	rtt  sim.Duration
+}
+
+func (c *ackSpy) OnAck(_ sim.Time, rtt sim.Duration, _ int, _ bool) { c.acks++; c.rtt = rtt }
+
+// TestAckOfPacketSentAtZeroReachesController: a send time of 0 is a time,
+// not a missing timestamp. A one-packet flow sent at t = 0 is acknowledged
+// by an ACK echoing SentAt 0, and that ACK reaches the controller.
+func TestAckOfPacketSentAtZeroReachesController(t *testing.T) {
+	eng := sim.NewEngine()
+	net := fabric.New(eng, topo.NewStar(2), fabric.DefaultConfig())
+	p := DefaultParams(1000)
+	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: p.MTU, Pkts: 1}
+	spy := new(ackSpy)
+	snd := NewSender(net.NIC(0), flow, p, spy)
+	net.NIC(1).AttachSink(flow.ID, NewReceiver(net.NIC(1), flow, p, nil))
+	net.NIC(0).AttachSource(snd)
+	eng.RunUntil(sim.Time(sim.Millisecond))
+	if !snd.Done() {
+		t.Fatal("flow did not complete")
+	}
+	if spy.acks != 1 || spy.rtt <= 0 {
+		t.Errorf("controller saw %d ACKs, RTT %v; want the completion ACK with its RTT", spy.acks, spy.rtt)
+	}
+}

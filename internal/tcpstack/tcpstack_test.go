@@ -3,6 +3,7 @@ package tcpstack
 import (
 	"testing"
 
+	"github.com/irnsim/irn/internal/cc"
 	"github.com/irnsim/irn/internal/core"
 	"github.com/irnsim/irn/internal/fabric"
 	"github.com/irnsim/irn/internal/packet"
@@ -12,26 +13,30 @@ import (
 	"github.com/irnsim/irn/internal/transport/transporttest"
 )
 
+// runOverFabric runs one iWARP flow of pkts segments over a two-host star,
+// dropping what lossFn picks, and returns its sender, the sender's window
+// and the flow's completion time.
 func runOverFabric(t *testing.T, p Params, pkts int,
-	lossFn func(*packet.Packet) bool) (*Sender, *core.Receiver, sim.Time) {
+	lossFn func(*packet.Packet) bool) (*core.Sender, *cc.NewReno, sim.Time) {
 	t.Helper()
 	eng := sim.NewEngine()
 	net := fabric.New(eng, topo.NewStar(2), fabric.DefaultConfig())
 
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: pkts * p.MTU, Pkts: pkts}
-	snd := NewSender(net.NIC(0), flow, p)
+	reno := cc.NewNewReno()
+	snd := core.NewSender(net.NIC(0), flow, p, reno)
 	var doneAt sim.Time
 	rcv := NewReceiver(net.NIC(1), flow, p, doneFn(func(now sim.Time) { doneAt = now }))
 	net.NIC(1).AttachSink(flow.ID, transporttest.Sink(rcv, lossFn))
 	net.NIC(0).AttachSource(transporttest.Source(snd, lossFn))
 
 	eng.RunUntil(sim.Time(1 * sim.Second))
-	return snd, rcv, doneAt
+	return snd, reno, doneAt
 }
 
 func TestSlowStartRampUp(t *testing.T) {
 	p := DefaultParams(1000)
-	snd, _, doneAt := runOverFabric(t, p, 500, nil)
+	snd, reno, doneAt := runOverFabric(t, p, 500, nil)
 	if doneAt == 0 {
 		t.Fatal("did not complete")
 	}
@@ -39,8 +44,8 @@ func TestSlowStartRampUp(t *testing.T) {
 		t.Errorf("retransmits = %d on lossless path", snd.Stats.Retransmits)
 	}
 	// Slow start must have grown the window well beyond IW.
-	if snd.Cwnd() < 50 {
-		t.Errorf("cwnd = %v after 500 acked segments", snd.Cwnd())
+	if reno.WindowPackets() < 50 {
+		t.Errorf("cwnd = %v after 500 acked segments", reno.WindowPackets())
 	}
 }
 
@@ -76,7 +81,7 @@ func TestFastRetransmitOnDupAcks(t *testing.T) {
 	if doneAt == 0 {
 		t.Fatal("did not complete")
 	}
-	if snd.Stats.FastRetransmits == 0 {
+	if snd.Stats.Recoveries == 0 {
 		t.Error("expected a fast retransmit")
 	}
 	if snd.Stats.Timeouts != 0 {
@@ -105,9 +110,10 @@ func TestTimeoutCollapsesToSlowStart(t *testing.T) {
 	if snd.Stats.Timeouts == 0 {
 		t.Error("tail loss must recover via RTO")
 	}
-	// RTO is >= MinRTO (1 ms): the recovery is visible in the FCT.
-	if doneAt < sim.Time(p.MinRTO) {
-		t.Errorf("FCT %v below MinRTO", sim.Duration(doneAt))
+	// The RTO is at least RTOLow (1 ms): the recovery is visible in the
+	// FCT.
+	if doneAt < sim.Time(p.RTOLow) {
+		t.Errorf("FCT %v below RTOLow", sim.Duration(doneAt))
 	}
 }
 
@@ -115,10 +121,10 @@ func TestCwndHalvesOnFastRetransmit(t *testing.T) {
 	ep := &stubEP{eng: sim.NewEngine()}
 	p := DefaultParams(1000)
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 1000 * 1000, Pkts: 1000}
-	s := NewSender(ep, flow, p)
-	// Grow past slow start artificially.
-	s.cwnd = 64
-	s.ssthresh = 32
+	reno := cc.NewNewReno()
+	s := core.NewSender(ep, flow, p, reno)
+	// Grow the window to 64 segments artificially.
+	reno.OnAck(0, 0, 60, false)
 	// Fill the window.
 	for {
 		ready, _ := s.HasData(0)
@@ -127,17 +133,15 @@ func TestCwndHalvesOnFastRetransmit(t *testing.T) {
 		}
 		s.NextPacket(0)
 	}
-	// Three duplicate ACKs (cum stays 0) with SACKs.
+	// Three duplicate ACKs with SACKs: NACKs with the cumulative ack at 0.
 	for i := packet.PSN(1); i <= 3; i++ {
-		a := packet.NewAck(1, 1, 0, 0)
-		a.SackPSN = i
-		s.HandleControl(a, 100)
+		s.HandleControl(packet.NewNack(1, 1, 0, 0, i), 100)
 	}
-	if !s.sb.InRecovery() {
+	if s.Stats.Recoveries != 1 {
 		t.Fatal("3 dupacks must enter fast recovery")
 	}
-	if s.Cwnd() > 33 {
-		t.Errorf("cwnd = %v after fast retransmit, want ~inflight/2", s.Cwnd())
+	if reno.WindowPackets() > 33 {
+		t.Errorf("cwnd = %v after fast retransmit, want ~inflight/2", reno.WindowPackets())
 	}
 	// The retransmission must be segment 0.
 	pkt := s.NextPacket(200)
@@ -154,8 +158,9 @@ func TestCwndHalvesOnFastRetransmit(t *testing.T) {
 func TestNacksAreDuplicateAcks(t *testing.T) {
 	ep := &stubEP{eng: sim.NewEngine()}
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 20 * 1000, Pkts: 20}
-	s := NewSender(ep, flow, DefaultParams(1000))
-	s.cwnd = 10
+	reno := cc.NewNewReno()
+	s := core.NewSender(ep, flow, DefaultParams(1000), reno)
+	reno.OnAck(0, 0, 6, false) // a window of 10
 	for {
 		if ready, _ := s.HasData(0); !ready {
 			break
@@ -164,13 +169,13 @@ func TestNacksAreDuplicateAcks(t *testing.T) {
 	}
 	s.HandleControl(packet.NewCNP(1, 1, 0), 50)
 	for psn := packet.PSN(1); psn <= 3; psn++ {
-		if s.sb.InRecovery() {
+		if s.Stats.Recoveries != 0 {
 			t.Fatalf("in fast recovery after %d NACKs, want 3", psn-1)
 		}
 		s.HandleControl(packet.NewNack(1, 1, 0, 0, psn), 100)
 	}
-	if !s.sb.InRecovery() || s.Stats.FastRetransmits != 1 {
-		t.Fatalf("3 NACKs: in recovery %v, %d fast retransmits, want a fast retransmit", s.sb.InRecovery(), s.Stats.FastRetransmits)
+	if s.Stats.Recoveries != 1 {
+		t.Fatalf("3 NACKs: %d fast retransmits, want one", s.Stats.Recoveries)
 	}
 	if pkt := s.NextPacket(200); pkt == nil || pkt.PSN != 0 {
 		t.Fatalf("fast retransmit = %v, want the hole, PSN 0", pkt)
@@ -188,27 +193,6 @@ func (e *stubEP) Pool() *packet.Pool             { return nil }
 func (e *stubEP) Engine() *sim.Engine            { return e.eng }
 func (e *stubEP) SendControl(pkt *packet.Packet) { e.sent = append(e.sent, pkt) }
 func (e *stubEP) Wake()                          {}
-
-func TestRTOEstimator(t *testing.T) {
-	ep := &stubEP{eng: sim.NewEngine()}
-	p := DefaultParams(1000)
-	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 10000, Pkts: 10}
-	s := NewSender(ep, flow, p)
-	if s.rtoDuration() != p.InitialRTO {
-		t.Errorf("pre-sample RTO = %v, want InitialRTO", s.rtoDuration())
-	}
-	for i := 0; i < 20; i++ {
-		s.rtt.Sample(100 * sim.Microsecond)
-	}
-	// Stable RTT of 100 µs → RTO clamps at MinRTO (1 ms).
-	if s.rtoDuration() != p.MinRTO {
-		t.Errorf("RTO = %v, want MinRTO clamp", s.rtoDuration())
-	}
-	s.backoff = 3
-	if s.rtoDuration() != p.MinRTO<<3 {
-		t.Errorf("backoff RTO = %v, want %v", s.rtoDuration(), p.MinRTO<<3)
-	}
-}
 
 // TestReceiverSACKDupAcks: each out-of-order segment is answered with the
 // cumulative ACK and its own PSN as the SACK.
@@ -239,73 +223,7 @@ func TestReceiverSACKDupAcks(t *testing.T) {
 	}
 }
 
-func TestMaxWindowBounds(t *testing.T) {
-	p := DefaultParams(1000)
-	p.MaxWindow = 8
-	snd, _, doneAt := runOverFabric(t, p, 200, nil)
-	if doneAt == 0 {
-		t.Fatal("did not complete")
-	}
-	if snd.Cwnd() > 8 {
-		t.Errorf("cwnd %v exceeded MaxWindow", snd.Cwnd())
-	}
-}
-
 // doneFn adapts a closure to transport.Completer, dropping the flow.
 func doneFn(f func(now sim.Time)) transport.Completer {
 	return transport.CompleterFunc(func(_ *transport.Flow, now sim.Time) { f(now) })
-}
-
-// TestRTORestampsAndForgetsHighSack pins where this stack's timeout
-// departs from IRN's: an RTO during fast recovery moves the recovery
-// sequence up to the newest segment, and drops the highest-SACK mark, so
-// holes the scoreboard already knew about are not retransmitted until
-// selective acks it has not seen arrive. Changing either is a behaviour
-// change that moves the Figure 11 fixtures; do it on purpose.
-func TestRTORestampsAndForgetsHighSack(t *testing.T) {
-	ep := &stubEP{eng: sim.NewEngine()}
-	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 100 * 1000, Pkts: 100}
-	s := NewSender(ep, flow, DefaultParams(1000))
-	s.cwnd, s.ssthresh = 10, 5
-	drain := func() (psns []packet.PSN) {
-		for {
-			if ready, _ := s.HasData(0); !ready {
-				return psns
-			}
-			psns = append(psns, s.NextPacket(0).PSN)
-		}
-	}
-	sack := func(psn packet.PSN) {
-		a := packet.NewAck(1, 1, 0, 0)
-		a.SackPSN = psn
-		s.HandleControl(a, 100)
-	}
-	drain() // segments 0..9
-	for i := 0; i < 3; i++ {
-		sack(6)
-	}
-	if !s.sb.InRecovery() || s.sb.RecoverySeq() != 9 {
-		t.Fatalf("fast recovery: in=%v seq=%d, want recovery up to 9", s.sb.InRecovery(), s.sb.RecoverySeq())
-	}
-	if got := drain(); len(got) != 6 || got[0] != 0 || got[5] != 5 {
-		t.Fatalf("fast recovery retransmitted %v, want holes 0..5 below SACK 6", got)
-	}
-	s.cwnd = 12
-	drain() // segments 10, 11: new data during recovery
-
-	s.onTimeout()
-	if s.sb.RecoverySeq() != 11 {
-		t.Errorf("RTO left the recovery sequence at %d, want it restamped to 11", s.sb.RecoverySeq())
-	}
-	if got := drain(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("after the RTO retransmitted %v, want only the cumulative ack: high SACK forgotten", got)
-	}
-	sack(6) // already recorded: does not bring the mark back
-	if got := drain(); len(got) != 0 {
-		t.Errorf("a repeated SACK retransmitted %v", got)
-	}
-	sack(8) // new information: holes below it count again, skipping 6
-	if got := drain(); len(got) != 6 || got[0] != 1 || got[4] != 5 || got[5] != 7 {
-		t.Errorf("after a fresh SACK retransmitted %v, want 1..5 and 7", got)
-	}
 }

@@ -1,7 +1,8 @@
 // Package transport defines the contracts between the fabric's host NICs
 // and the transport implementations that ride on them (IRN in
-// internal/core, RoCE go-back-N in internal/rocev2, the iWARP TCP stack in
-// internal/tcpstack), plus the flow bookkeeping they all share.
+// internal/core, RoCE go-back-N in internal/rocev2, the iWARP TCP stack as
+// core with internal/tcpstack's parameters), plus the flow bookkeeping
+// they all share.
 //
 // The model follows the paper's simulator (§4.1): "RDMA queue-pairs (QPs)
 // are modelled as UDP applications with either RoCE or IRN transport layer
@@ -109,12 +110,11 @@ type Source interface {
 // one as its Stats field; a transport leaves the counters it has no event
 // for at zero.
 type SenderStats struct {
-	Sent            uint64 // data packets transmitted (including retransmits)
-	Retransmits     uint64
-	Timeouts        uint64
-	Nacks           uint64 // NACKs received
-	Recoveries      uint64 // times loss recovery was entered
-	FastRetransmits uint64 // duplicate-ACK recoveries (tcpstack)
+	Sent        uint64 // data packets transmitted (including retransmits)
+	Retransmits uint64
+	Timeouts    uint64
+	Nacks       uint64 // NACKs received
+	Recoveries  uint64 // times loss recovery was entered
 }
 
 // Completer receives flow-completion notifications from receiving
@@ -168,6 +168,16 @@ type Controller interface {
 // Stopper is implemented by controllers with background timers (DCQCN);
 // a sender stops its controller when the flow completes.
 type Stopper interface{ Stop() }
+
+// Recoverer is implemented by controllers that follow loss-recovery
+// episodes (cc.NewReno). A sender calls EnterRecovery when an episode
+// starts and on every timeout, with the packets in flight at that moment,
+// and ExitRecovery after the OnAck of the acknowledgement that ends the
+// episode.
+type Recoverer interface {
+	EnterRecovery(inflight int, timeout bool)
+	ExitRecovery()
+}
 
 // None is the absence of explicit congestion control: line-rate sending,
 // no window. ("The flow starts at line-rate for all cases", §4.1.)
