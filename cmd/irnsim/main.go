@@ -274,7 +274,7 @@ func main() {
 				st.Lookahead, st.Barriers, st.WideWindows, len(st.Shards))
 			for i, sh := range st.Shards {
 				fmt.Printf("shard %-2d       windows=%d events=%d drained=%d barrier_wait=%v\n",
-					i, sh.Windows, sh.Events, sh.Drained,
+					i, sh.Windows, sh.Events, st.Drained[i],
 					time.Duration(sh.BarrierWaitNs).Round(time.Microsecond))
 			}
 		}

@@ -55,14 +55,12 @@ func (s *supply[T]) put(p *T) { s.free = append(s.free, p) }
 
 // launcherShard is one shard's slice of the launcher, written only by that
 // shard's goroutine during windows and read by the coordinator after the
-// run: the latest incast completion, the loss counters of the senders
-// reaped and the receivers retired so far, and the stores that shard's
-// per-flow transport state comes from. Padded so two shards' fields never
-// share a cache line.
+// run: the loss counters of the senders reaped and the receivers retired
+// so far, and the stores that shard's per-flow transport state comes
+// from. Padded so two shards' fields never share a cache line.
 type launcherShard struct {
-	incastDone  sim.Time // latest incast completion seen on this shard
-	retransmits uint64   // of the senders reaped on this shard
-	timeouts    uint64   // of those senders and of the RoCE receivers retired here
+	retransmits uint64 // of the senders reaped on this shard
+	timeouts    uint64 // of those senders and of the RoCE receivers retired here
 
 	// A sender is carved on its source host's shard and goes back to that
 	// shard's free list once the NIC has reaped it; a receiver is carved
@@ -80,7 +78,7 @@ type launcherShard struct {
 	roceRcv supply[rocev2.Receiver]
 	words   slab.Slab[uint64] // SACK and arrival bitmap words
 
-	_ [2]uint64 // to 256 bytes
+	_ [3]uint64 // to 256 bytes
 }
 
 // flowSender is the sender of an IRN or an iWARP flow. An iWARP flow's
@@ -116,8 +114,9 @@ type launcher struct {
 	// per-flow record slice. The coordinator merges them in shard order
 	// after the run; every merged aggregate is integer-derived, so the
 	// fold is bit-identical for any shard count.
-	cols        []*metrics.Collector
-	shard       []launcherShard
+	cols  []*metrics.Collector
+	shard []launcherShard
+	// incastFlows is how many of flows, from the first, are the incast's.
 	incastFlows int
 	// done counts finished flows, each on its destination's shard.
 	done sim.Completion
@@ -237,7 +236,6 @@ func senderStats(src transport.Source) *transport.SenderStats {
 // receiver into a record, and the receiver goes back on the shard's free
 // list: it is not touched again before its next Init.
 func (l *launcher) FlowDone(fl *transport.Flow, now sim.Time) {
-	i := int(fl.ID) - l.idBase - 1
 	k := l.net.ShardOf(fl.Dst)
 	sh := &l.shard[k]
 	l.cols[k].Add(metrics.FlowRecord{
@@ -247,9 +245,6 @@ func (l *launcher) FlowDone(fl *transport.Flow, now sim.Time) {
 		Ideal:        l.net.IdealFCT(fl.Src, fl.Dst, fl.Size),
 		SinglePacket: fl.Pkts == 1,
 	})
-	if i < l.incastFlows && now > sh.incastDone {
-		sh.incastDone = now
-	}
 	l.done.Add(k, l.net.EngineOf(fl.Dst), now)
 	switch rcv := l.net.NIC(fl.Dst).Retire(fl.ID).(type) {
 	case *core.Receiver:

@@ -417,57 +417,29 @@ func (r *Result) CheckConservation() error {
 }
 
 // ShardStats reports how the conservative windowed runtime behaved for
-// one run: which lookahead was in force, how many barriers the run paid,
-// how many windows the adaptive extension widened, and what each shard
-// did between barriers. Surfaced by `irnsim -shard-stats` and the bench
-// suite's ReportMetric columns.
+// one run: which lookahead was in force, the runtime's own counters
+// (barriers, widened windows, and each shard's windows, events and
+// barrier wait), and what each shard drained from its boundary channels.
+// Surfaced by `irnsim -shard-stats` and the bench suite's ReportMetric
+// columns.
 type ShardStats struct {
 	// Lookahead is the safe-window width in force (the fabric's proven
 	// bound; bare Prop only in the lookahead differential test).
 	Lookahead sim.Duration
-	// Barriers is the number of window barriers the run paid and
-	// WideWindows how many of those adaptively extended a shard's window
-	// past the uniform lookahead bound.
-	Barriers    uint64
-	WideWindows uint64
-	// Shards holds one entry per shard engine, index-aligned with the
-	// partitioning.
-	Shards []ShardStat
+	sim.WindowStats
+	// Drained[i] counts the cross-shard boundary occurrences (packets and
+	// PFC frames) drained into shard i at barriers.
+	Drained []uint64
 }
 
-// buildShardStats folds the windowed runtime's counters and the fabric's
-// per-shard boundary drain counts into the Result's shard-runtime report.
+// buildShardStats pairs the windowed runtime's counters with the fabric's
+// per-shard boundary drain counts.
 func buildShardStats(net *fabric.Network, lookahead sim.Duration, w *sim.WindowStats) *ShardStats {
-	st := &ShardStats{
-		Lookahead:   lookahead,
-		Barriers:    w.Barriers,
-		WideWindows: w.WideWindows,
-		Shards:      make([]ShardStat, len(w.Shards)),
-	}
-	for i, sh := range w.Shards {
-		st.Shards[i] = ShardStat{
-			Windows:       sh.Windows,
-			Events:        sh.Events,
-			BarrierWaitNs: sh.BarrierWaitNs,
-			Drained:       net.DrainedBy(i),
-		}
+	st := &ShardStats{Lookahead: lookahead, WindowStats: *w, Drained: make([]uint64, len(w.Shards))}
+	for i := range st.Drained {
+		st.Drained[i] = net.DrainedBy(i)
 	}
 	return st
-}
-
-// ShardStat is one shard's runtime counters.
-type ShardStat struct {
-	// Windows is the number of non-empty windows the shard ran and
-	// Events how many events those windows executed.
-	Windows uint64
-	Events  uint64
-	// BarrierWaitNs is wall-clock time the shard's goroutine spent
-	// parked at barriers waiting for work — load-imbalance made visible.
-	// Nondeterministic by nature.
-	BarrierWaitNs int64
-	// Drained counts cross-shard boundary occurrences (packets and PFC
-	// frames) drained into this shard at barriers.
-	Drained uint64
 }
 
 // String renders a result line in the paper's units.

@@ -298,16 +298,15 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 		}
 	}
 	res.ShardStats = buildShardStats(net, lookahead, &wstats)
-	var incastDone sim.Time
 	for i := range l.shard {
-		sh := &l.shard[i]
-		if sh.incastDone > incastDone {
-			incastDone = sh.incastDone
-		}
-		res.Retransmits += sh.retransmits
-		res.Timeouts += sh.timeouts
+		res.Retransmits += l.shard[i].retransmits
+		res.Timeouts += l.shard[i].timeouts
 	}
-	res.RCT = sim.Duration(incastDone)
+	// The incast completes when its last flow does; a flow cut off by the
+	// deadline keeps Finish 0.
+	for i := range l.flows[:l.incastFlows] {
+		res.RCT = max(res.RCT, sim.Duration(l.flows[i].Finish))
+	}
 	// Completions streamed into per-shard collectors during the run
 	// (each written only by the shard owning the flow's destination);
 	// merge them in shard order. Every merged aggregate is exact-integer

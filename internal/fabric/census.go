@@ -2,7 +2,9 @@ package fabric
 
 // Census tracks packet conservation across one fabric: every packet that
 // enters the fabric must end in exactly one of the exit counters or still
-// be inside it when the run stops. The invariant harness asserts
+// be inside it when the run stops. Network.Census derives it: Injected is
+// counted where packets enter, and each exit is the Stats counter its
+// death site bumps. The invariant harness asserts
 //
 //	Injected == Delivered + OverflowDrops + FaultDrops +
 //	            Corrupted + InFlightPackets()
@@ -18,11 +20,12 @@ type Census struct {
 	// priority queue at run end were never injected and are excluded —
 	// see CtrlBacklog.)
 	Injected uint64
-	// Delivered counts packets handed to a host: data, control, and
-	// strays alike — delivery is a packet death regardless of whether a
-	// transport claimed it.
+	// Delivered counts packets handed to a host (Stats.Delivered plus
+	// Stats.CtrlDeliv): data, control, and strays alike — delivery is a
+	// packet death regardless of whether a transport claimed it.
 	Delivered uint64
-	// OverflowDrops counts drop-tail deaths at full switch buffers.
+	// OverflowDrops counts drop-tail deaths at full switch buffers
+	// (Stats.Drops).
 	OverflowDrops uint64
 	// FaultDrops counts deaths from the fault model's random in-flight
 	// loss and from links that went down with packets in flight.

@@ -20,7 +20,7 @@ type node interface {
 
 // partition is one shard's slice of the fabric: the nodes assigned to one
 // engine, plus everything those nodes touch on the datapath — packet
-// pool, stats, census, the down-port count gating ECMP rescans — so that
+// pool, stats, the down-port count gating ECMP rescans — so that
 // a shard goroutine never writes state owned by another shard. A
 // single-shard fabric has exactly one partition and runs the exact same
 // code paths.
@@ -28,8 +28,10 @@ type partition struct {
 	eng  *sim.Engine
 	pool *packet.Pool
 
-	stats     Stats
-	census    Census
+	stats Stats
+	// injected counts packets that entered the fabric at this
+	// partition's NIC egress ports; every exit is a Stats counter.
+	injected  uint64
 	downPorts int
 
 	// drained counts boundary occurrences drained into this partition's
@@ -325,7 +327,7 @@ func (net *Network) wire(from, to packet.NodeID, idx, peerPort int, flt *fault.L
 
 // Reset returns the fabric to its just-built state for a new run on the
 // same engines and topology, under a new seed and fault model: every
-// port, switch and NIC resets, stats and census zero, the per-switch ECN
+// port, switch and NIC resets, the counters zero, the per-switch ECN
 // RNG streams reseed, boundary channels empty, the reap callback goes
 // (the next run's owner installs its own), and the fault schedule's
 // rank blocks are reserved and its first transitions queued again —
@@ -354,7 +356,7 @@ func (net *Network) Reset(seed uint64, faults *fault.Model) {
 	for _, p := range net.parts {
 		p.pool.Reset()
 		p.stats = Stats{}
-		p.census = Census{}
+		p.injected = 0
 		p.downPorts = 0
 		p.drained = 0
 	}
@@ -488,18 +490,20 @@ func (net *Network) Stats() Stats {
 	return t
 }
 
-// Census sums the per-partition conservation counters.
+// Census derives the packet-conservation counters: the injections the
+// partitions count, and every exit from its Stats counter.
 func (net *Network) Census() Census {
-	var t Census
-	for _, p := range net.parts {
-		c := &p.census
-		t.Injected += c.Injected
-		t.Delivered += c.Delivered
-		t.OverflowDrops += c.OverflowDrops
-		t.FaultDrops += c.FaultDrops
-		t.Corrupted += c.Corrupted
+	s := net.Stats()
+	c := Census{
+		Delivered:     s.Delivered + s.CtrlDeliv,
+		OverflowDrops: s.Drops,
+		FaultDrops:    s.FaultDrops,
+		Corrupted:     s.Corrupted,
 	}
-	return t
+	for _, p := range net.parts {
+		c.Injected += p.injected
+	}
+	return c
 }
 
 // HandleEvent implements sim.Handler: a scheduled fault-model transition.

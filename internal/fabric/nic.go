@@ -241,9 +241,7 @@ func (n *NIC) reap() {
 // control packets instead, which every transport in this repo does.
 func (n *NIC) receive(pkt *packet.Packet, _ int) {
 	now := n.part.eng.Now()
-	n.part.census.Delivered++
-	switch pkt.Type {
-	case packet.TypeData:
+	if pkt.Type == packet.TypeData {
 		n.part.stats.Delivered++
 		n.part.stats.DataBytes += uint64(pkt.Wire)
 		if e := n.flows.find(pkt.Flow); e != nil && e.sink != nil {
@@ -253,15 +251,13 @@ func (n *NIC) receive(pkt *packet.Packet, _ int) {
 		} else {
 			n.Stray++
 		}
-	case packet.TypeAck, packet.TypeNack, packet.TypeCNP:
+	} else {
 		n.part.stats.CtrlDeliv++
 		if e := n.flows.find(pkt.Flow); e != nil && e.src != nil {
 			e.src.HandleControl(pkt, now)
 		} else {
 			n.Stray++
 		}
-	default:
-		n.Stray++
 	}
 	n.part.pool.Release(pkt)
 }

@@ -52,13 +52,13 @@ const (
 // Fault injection happens at the arrival end of the link: random in-flight
 // loss, the receiving port's CRC check (corruption), and downed links all
 // resolve at portDeliver, where the packet either dies (released to the
-// pool, counted in Stats/Census) or is handed on. Keeping every pushed
+// pool, counted in Stats) or is handed on. Keeping every pushed
 // packet paired with exactly one portDeliver event — even across link
 // flaps — is what keeps the in-flight FIFO and the event queue in sync.
 type outPort struct {
 	eng  *sim.Engine // the owning node's shard engine
 	clk  *sim.Clock  // the owning node's rank clock
-	part *partition  // stats, census, and the pool faults release into
+	part *partition  // stats, injected, and the pool faults release into
 	rate Rate        // configured rate; curRate applies degradation
 	prop sim.Duration
 
@@ -77,7 +77,7 @@ type outPort struct {
 	// Exactly one of sw and nic is set: the switch output or host NIC this
 	// port transmits for, which supplies the next packet (nextPacket) when
 	// the port is idle and unpaused. A NIC port is where packets enter
-	// the fabric and are counted in Census.Injected.
+	// the fabric and are counted in partition.injected.
 	sw  *swOut
 	nic *NIC
 	// peer is the node at the far end of the link and peerPort its port
@@ -141,7 +141,7 @@ func (o *outPort) kick() {
 		if pkt = o.nic.nextPacket(); pkt == nil {
 			return
 		}
-		o.part.census.Injected++
+		o.part.injected++
 		// With no source attached and no control queued, the next
 		// nextPacket would pop, scan, reap and arm nothing; anything that
 		// changes that (SendControl, AttachSource, Wake) kicks. Any
@@ -195,16 +195,16 @@ func (o *outPort) HandleEvent(kind uint8, arg uint64) {
 		// packets that were in flight when it failed; then the in-flight
 		// loss draw; then the CRC check.
 		if o.down {
-			o.die(pkt, &o.part.stats.FaultDrops, &o.part.census.FaultDrops)
+			o.die(pkt, &o.part.stats.FaultDrops)
 			return
 		}
 		if o.flt != nil {
 			if o.flt.Drop(o.curLoss) {
-				o.die(pkt, &o.part.stats.FaultDrops, &o.part.census.FaultDrops)
+				o.die(pkt, &o.part.stats.FaultDrops)
 				return
 			}
 			if o.flt.DropCorrupt() {
-				o.die(pkt, &o.part.stats.Corrupted, &o.part.census.Corrupted)
+				o.die(pkt, &o.part.stats.Corrupted)
 				return
 			}
 		}
@@ -243,12 +243,11 @@ func (o *outPort) sendPFC(pause bool) {
 }
 
 // die is a fault death site: the packet leaves the simulation here, so it
-// is counted (stat + census must stay paired, or the conservation
-// invariant breaks) and released back to the pool — dropping without
-// releasing would leak, releasing twice panics.
-func (o *outPort) die(pkt *packet.Packet, stat, census *uint64) {
+// is counted in its Stats field, which Census reads, and released back to
+// the pool — dropping without releasing would leak, releasing twice
+// panics.
+func (o *outPort) die(pkt *packet.Packet, stat *uint64) {
 	*stat++
-	*census++
 	o.part.pool.Release(pkt)
 }
 

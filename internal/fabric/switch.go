@@ -200,11 +200,10 @@ func (s *Switch) reset() {
 }
 
 // drop is the switch death site, drop-tail at a full buffer: the packet
-// is counted (stat and census stay paired, or the conservation invariant
-// breaks) and returns to the pool.
+// is counted in Stats.Drops, which Census reads as OverflowDrops, and
+// returns to the pool.
 func (s *Switch) drop(pkt *packet.Packet) {
 	s.part.stats.Drops++
-	s.part.census.OverflowDrops++
 	s.part.pool.Release(pkt)
 }
 

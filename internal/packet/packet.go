@@ -28,17 +28,16 @@ type FlowID uint64
 // increasing so window arithmetic never wraps.
 type PSN = uint32
 
-// Type discriminates simulation packets.
+// Type discriminates simulation packets: data, or one of the transport
+// control packets. PFC frames are port events (see fabric), not packets.
 type Type uint8
 
 // Packet types.
 const (
-	TypeData   Type = iota // transport payload segment
-	TypeAck                // cumulative acknowledgement
-	TypeNack               // IRN NACK (cumulative + SACK) or RoCE NACK (expected PSN)
-	TypeCNP                // DCQCN congestion notification packet
-	TypePause              // PFC X-OFF frame (link-local)
-	TypeResume             // PFC X-ON frame (link-local)
+	TypeData Type = iota // transport payload segment
+	TypeAck              // cumulative acknowledgement
+	TypeNack             // IRN NACK (cumulative + SACK) or RoCE NACK (expected PSN)
+	TypeCNP              // DCQCN congestion notification packet
 )
 
 // String implements fmt.Stringer for packet types.
@@ -52,10 +51,6 @@ func (t Type) String() string {
 		return "NACK"
 	case TypeCNP:
 		return "CNP"
-	case TypePause:
-		return "PAUSE"
-	case TypeResume:
-		return "RESUME"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -222,10 +217,8 @@ func (q *Queue) Empty() bool { return q.head == nil }
 func (q *Queue) Reset() { *q = Queue{} }
 
 // IsControl reports whether the packet is a transport control packet
-// (ACK/NACK/CNP). PFC frames are link-local and never routed.
-func (p *Packet) IsControl() bool {
-	return p.Type == TypeAck || p.Type == TypeNack || p.Type == TypeCNP
-}
+// (ACK/NACK/CNP): every packet that is not data.
+func (p *Packet) IsControl() bool { return p.Type != TypeData }
 
 // String renders a compact human-readable description for debugging.
 func (p *Packet) String() string {

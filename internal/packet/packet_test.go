@@ -55,7 +55,7 @@ func TestPacketString(t *testing.T) {
 }
 
 func TestTypeString(t *testing.T) {
-	if TypeData.String() != "DATA" || TypePause.String() != "PAUSE" {
+	if TypeData.String() != "DATA" || TypeCNP.String() != "CNP" {
 		t.Error("Type.String broken")
 	}
 	if !strings.Contains(Type(99).String(), "99") {

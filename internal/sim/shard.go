@@ -81,12 +81,12 @@ type WindowConfig struct {
 	// barrier orders it against all shard execution.
 	Drain func()
 	// Done, when non-nil, is polled at each barrier; returning true ends
-	// the run. This replaces Engine.Stop for windowed runs: a stop
-	// condition raised mid-window takes effect at a barrier, never
-	// mid-window.
+	// the run at Horizon. This replaces Engine.Stop for windowed runs: a
+	// stop condition raised mid-window takes effect at a barrier, never
+	// mid-window. Done requires Horizon.
 	Done func() bool
-	// Horizon, when non-nil, is consulted once — at the first barrier
-	// where Done reports true — and clamps the remaining run to
+	// Horizon is consulted once — at the first barrier where Done
+	// reports true — and clamps the remaining run to
 	// min(Deadline, Horizon()): the run continues through the window
 	// protocol until that final deadline and every engine's clock lands
 	// exactly on it. This makes the executed event set, and every
@@ -96,11 +96,6 @@ type WindowConfig struct {
 	// deadline is the same). Callers derive the horizon from the done
 	// condition itself, e.g. "time the last flow completed plus the
 	// maximum window width ever usable" (fabric.Network.WindowSlack).
-	//
-	// When nil, Done ends the run at its barrier immediately; engines
-	// are aligned to the maximum shard clock so they at least agree,
-	// but the stopping window — and thus the trailing executed-event set
-	// — depends on the configured lookahead.
 	Horizon func() Time
 	// Widen gates the adaptive extension while a Done condition is armed
 	// but not yet seen. Done is only polled at barriers, so letting the
@@ -373,9 +368,8 @@ func (b *windowBarrier) close() {
 // RunWindows executes a group of shard engines to completion under the
 // conservative window protocol. It returns true when the run ended via
 // the Done hook, false when the event population drained or the deadline
-// cut it short; on every exit path the engines' clocks agree (the final
-// deadline, or the maximum shard clock on the legacy nil-Horizon Done
-// path).
+// cut it short; on every exit path every engine's clock lands on the
+// final deadline. It panics when Done is set without Horizon.
 //
 // Coordination is an epoch barrier (see windowBarrier) — one broadcast
 // out, one wake back per round, no spinning — so the runner is correct
@@ -383,6 +377,9 @@ func (b *windowBarrier) close() {
 // is dispatched only to shards whose next pending event falls inside it;
 // idle shards wake, see the zero sentinel, and report straight back.
 func RunWindows(cfg WindowConfig) bool {
+	if cfg.Done != nil && cfg.Horizon == nil {
+		panic("sim: WindowConfig.Done requires WindowConfig.Horizon")
+	}
 	n := len(cfg.Engines)
 	if n == 0 {
 		return false
@@ -417,20 +414,6 @@ func RunWindows(cfg WindowConfig) bool {
 		}
 		if !doneSeen && cfg.Done != nil && cfg.Done() {
 			doneSeen = true
-			if cfg.Horizon == nil {
-				// Legacy immediate stop: align every clock to the
-				// furthest shard so Now() agrees across the group.
-				var m Time
-				for _, e := range cfg.Engines {
-					if e.Now() > m {
-						m = e.Now()
-					}
-				}
-				for _, e := range cfg.Engines {
-					e.AdvanceTo(m)
-				}
-				return true
-			}
 			if h := cfg.Horizon(); h < cfg.Deadline {
 				cfg.Deadline = h
 			}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -151,7 +152,8 @@ func TestRunWindowsDeadline(t *testing.T) {
 
 // TestRunWindowsDoneAtBarrier: Done is evaluated at barriers only, so
 // every event of the window that satisfied it still executes — the
-// property that makes the executed-event set shard-count-invariant.
+// property that makes the executed-event set shard-count-invariant — and
+// the run then ends at the horizon, with the clock on it.
 func TestRunWindowsDoneAtBarrier(t *testing.T) {
 	e := NewEngine()
 	var got []uint64
@@ -160,12 +162,13 @@ func TestRunWindowsDoneAtBarrier(t *testing.T) {
 	fire := handlerFunc(func(_ uint8, arg uint64) { got = append(got, arg); done = true })
 	e.ScheduleEvent(10, fire, 0, 1)
 	e.ScheduleEvent(11, h, 0, 2)  // same window as 1: must still run
-	e.ScheduleEvent(500, h, 0, 3) // next window: must not
+	e.ScheduleEvent(500, h, 0, 3) // past the horizon: must not
 	stopped := RunWindows(WindowConfig{
 		Engines:   []*Engine{e},
 		Lookahead: 50,
 		Deadline:  1 << 20,
 		Done:      func() bool { return done },
+		Horizon:   func() Time { return 10 + 50 },
 	})
 	if !stopped {
 		t.Fatal("Done stop not reported")
@@ -173,6 +176,25 @@ func TestRunWindowsDoneAtBarrier(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("executed %v, want [1 2]", got)
 	}
+	if e.Now() != 60 {
+		t.Fatalf("clock at %d, want horizon 60", e.Now())
+	}
+}
+
+// TestRunWindowsDoneRequiresHorizon: a Done hook without a Horizon has no
+// lookahead-independent place to stop, so RunWindows refuses it by name.
+func TestRunWindowsDoneRequiresHorizon(t *testing.T) {
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "WindowConfig.Horizon") {
+			t.Fatalf("panic %q, want one naming WindowConfig.Horizon", r)
+		}
+	}()
+	RunWindows(WindowConfig{
+		Engines:   []*Engine{NewEngine()},
+		Lookahead: 50,
+		Deadline:  1 << 20,
+		Done:      func() bool { return true },
+	})
 }
 
 // TestRunWindowsMaxDeadline: a Deadline of MaxTime must not wrap the
@@ -200,43 +222,6 @@ func TestRunWindowsMaxDeadline(t *testing.T) {
 	}
 	if a.Now() != MaxTime || b.Now() != MaxTime {
 		t.Fatalf("clocks at %d/%d, want MaxTime", a.Now(), b.Now())
-	}
-}
-
-// TestRunWindowsDoneClockAlignment: on the nil-Horizon Done exit path,
-// every engine's clock must agree. Before the fix, only the drained and
-// deadline paths called AdvanceTo, so a shard that executed nothing in
-// the final window reported a stale Now.
-func TestRunWindowsDoneClockAlignment(t *testing.T) {
-	a, b := NewEngine(), NewEngine()
-	// Events 1 and 2 land in the same first window on different shard
-	// goroutines, so the record is mutex-guarded (only the clocks are
-	// asserted — cross-shard execution order within a window is free).
-	var mu sync.Mutex
-	var done bool
-	record := handlerFunc(func(uint8, uint64) {})
-	fire := handlerFunc(func(uint8, uint64) {
-		mu.Lock()
-		done = true
-		mu.Unlock()
-	})
-	a.ScheduleEvent(40, fire, 0, 1)
-	b.ScheduleEvent(5, record, 0, 2)      // b's clock would otherwise stall at 5
-	b.ScheduleEvent(90_000, record, 0, 3) // never runs
-	stopped := RunWindows(WindowConfig{
-		Engines:   []*Engine{a, b},
-		Lookahead: 50,
-		Deadline:  1 << 20,
-		Done:      func() bool { return done },
-	})
-	if !stopped {
-		t.Fatal("Done stop not reported")
-	}
-	if a.Now() != b.Now() {
-		t.Fatalf("clocks disagree on the Done path: %d vs %d", a.Now(), b.Now())
-	}
-	if a.Now() != 40 {
-		t.Fatalf("clocks at %d, want the max shard clock 40", a.Now())
 	}
 }
 
