@@ -128,31 +128,31 @@ func TestFigDCPreset(t *testing.T) {
 }
 
 // TestFigDCCollectorMemoryBounded is the memory-regression guard: the
-// run's collector footprint must be a constant in the flow count —
-// O(shards) sketches, no per-flow retention. Doubling the flows must not
-// move MetricsBytes at all, and the absolute footprint must stay under a
-// hard byte budget.
+// run's merged collector footprint must be a constant in the flow count —
+// O(1) sketches, no per-flow retention. Doubling the flows must not move
+// MemFootprint at all, and the absolute footprint must stay under a hard
+// byte budget.
 func TestFigDCCollectorMemoryBounded(t *testing.T) {
-	run := func(flows int) Result {
+	run := func(flows int, o runOpts) (Result, int) {
 		e, _ := ByID("figdc", Scale{Flows: flows, IncastBytes: 1, IncastReps: 1})
-		return Run(e.Scenarios[1]) // IRN side
+		res, col := NewWorker().run(e.Scenarios[1], o) // IRN side
+		return res, col.MemFootprint()
 	}
-	a := run(100)
-	b := run(200)
+	a, fa := run(100, runOpts{})
+	b, fb := run(200, runOpts{})
 	if a.Summary.Flows != 100 || b.Summary.Flows != 200 {
 		t.Fatalf("runs completed %d and %d flows", a.Summary.Flows, b.Summary.Flows)
 	}
-	if a.MetricsBytes != b.MetricsBytes {
-		t.Errorf("collector footprint moved with flow count: %d -> %d bytes", a.MetricsBytes, b.MetricsBytes)
+	if fa != fb {
+		t.Errorf("collector footprint moved with flow count: %d -> %d bytes", fa, fb)
 	}
 	const budget = 200 << 10
-	if a.MetricsBytes <= 0 || a.MetricsBytes > budget {
-		t.Errorf("MetricsBytes = %d, want (0, %d]", a.MetricsBytes, budget)
+	if fa <= 0 || fa > budget {
+		t.Errorf("MemFootprint = %d, want (0, %d]", fa, budget)
 	}
 	// Exact mode is the deliberate exception: it retains records.
-	e, _ := ByID("figdc", Scale{Flows: 200, IncastBytes: 1, IncastReps: 1})
-	if ex, _ := NewWorker().run(e.Scenarios[1], runOpts{exact: true}); ex.MetricsBytes <= b.MetricsBytes {
-		t.Errorf("exact mode footprint %d should exceed streaming %d", ex.MetricsBytes, b.MetricsBytes)
+	if _, fx := run(200, runOpts{exact: true}); fx <= fb {
+		t.Errorf("exact mode footprint %d should exceed streaming %d", fx, fb)
 	}
 }
 
@@ -168,15 +168,15 @@ func TestFigDCFullScale(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res := Run(s)
+	res, col := NewWorker().run(s, runOpts{})
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	t.Logf("figdc full scale: %s events=%d heap_delta=%dKB metrics_bytes=%d",
-		res.Summary, res.Events, (int64(after.HeapAlloc)-int64(before.HeapAlloc))>>10, res.MetricsBytes)
+	t.Logf("figdc full scale: %s events=%d heap_delta=%dKB collector_bytes=%d",
+		res.Summary, res.Events, (int64(after.HeapAlloc)-int64(before.HeapAlloc))>>10, col.MemFootprint())
 	if res.Summary.Flows+res.Summary.Incomplete != 100_000 {
 		t.Fatalf("accounted flows = %d, want 100000", res.Summary.Flows+res.Summary.Incomplete)
 	}
-	if res.MetricsBytes > 200<<10 {
-		t.Errorf("collector footprint %d bytes at 100k flows, budget 200KB", res.MetricsBytes)
+	if fp := col.MemFootprint(); fp > 200<<10 {
+		t.Errorf("collector footprint %d bytes at 100k flows, budget 200KB", fp)
 	}
 }

@@ -373,20 +373,14 @@ type Result struct {
 	// exact integer bucket counts, so it is bit-identical for every shard
 	// count and persists losslessly through the store (schema v2).
 	FCTSketch *metrics.Histogram
-	// MetricsBytes is the approximate live-heap footprint of the run's
-	// collectors (per-shard plus the merged aggregate). For streaming
-	// runs it is O(shards), independent of flow count — the figdc
-	// memory-bound tests assert on it. It varies with the shard count, so
-	// the shard-determinism tests zero it alongside Scenario.Shards.
-	MetricsBytes int
 	// KV is the replicated key-value service report, set only when the
 	// scenario ran the kv service (Scenario.KV.Requests > 0).
 	KV *kv.Report
 	// ShardStats is the shard-runtime report for the run: the lookahead
 	// in force, barrier counts and per-shard window/event/drain
-	// counters. BarrierWaitNs is wall-clock — like MetricsBytes it
-	// varies run to run, so the determinism tests strip the whole
-	// report. Not persisted by the store.
+	// counters. BarrierWaitNs is wall-clock and varies run to run, so
+	// the determinism tests strip the whole report. Not persisted by the
+	// store.
 	ShardStats *ShardStats
 }
 

@@ -25,9 +25,6 @@ func shardScale() Scale {
 // a serial Result: the knob itself and its wall-clock reflections.
 func stripShards(r Result) Result {
 	r.Scenario.Shards = 0
-	// Collector footprint is O(shards) by design, the one other Result
-	// field that legitimately varies with the shard count.
-	r.MetricsBytes = 0
 	// The shard-runtime report is all wall-clock and partitioning
 	// reflections: barrier counts, per-shard window/event splits,
 	// wait-time nanoseconds.

@@ -313,7 +313,6 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 	// state, so the fold reproduces the serial run bit for bit.
 	agg := o.collector()
 	for _, c := range l.cols {
-		res.MetricsBytes += c.MemFootprint()
 		agg.Merge(c)
 	}
 	// Senders the NICs have not reaped and receivers they have not
@@ -333,7 +332,6 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 			res.Timeouts += rcv.TimeoutNacks
 		}
 	}
-	res.MetricsBytes += agg.MemFootprint()
 	res.Summary = agg.Summarize()
 	res.SinglePktCDF = agg.SinglePacketTail([]float64{90, 95, 99, 99.9})
 	res.FCTSketch = agg.FCTHistogram()

@@ -154,12 +154,7 @@ func LinkSet(idx ...int) Selector {
 // of n — sweeps over n see nested link sets, like PeriodicFlaps.
 func Sample(sel Selector, n int, seed uint64) Selector {
 	return func(t topo.Topology) []int {
-		links := sel(t)
-		rng := sim.NewRNG(sim.DeriveSeed(seed, "chaos/sample", 0))
-		rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-		if n < len(links) {
-			links = links[:n]
-		}
+		links := sampleLinks(sel(t), n, seed, "chaos/sample")
 		sort.Ints(links)
 		return links
 	}

@@ -29,14 +29,8 @@ func FabricLinks(t topo.Topology) []int {
 // without nesting, a lucky draw at higher n could hit less-critical links
 // and fake a non-monotone trend.
 func PeriodicFlaps(t topo.Topology, n int, start sim.Time, every, down sim.Duration, count int, seed uint64) []Flap {
-	links := FabricLinks(t)
-	if n > len(links) {
-		n = len(links)
-	}
-	rng := sim.NewRNG(sim.DeriveSeed(seed, "fault/flap-links", 0))
-	rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
 	var flaps []Flap
-	for _, link := range links[:n] {
+	for _, link := range sampleLinks(FabricLinks(t), n, seed, "fault/flap-links") {
 		for k := 0; k < count; k++ {
 			at := start.Add(sim.Duration(k) * every)
 			flaps = append(flaps, Flap{Link: link, DownAt: at, UpAt: at.Add(down)})
@@ -50,15 +44,19 @@ func PeriodicFlaps(t topo.Topology, n int, start sim.Time, every, down sim.Durat
 // configured rate from from to to. As with PeriodicFlaps, the link choice
 // is independent of n, so sweeps over n use nested link sets.
 func DegradeLinks(t topo.Topology, n int, from, to sim.Time, factor float64, seed uint64) []Degrade {
-	links := FabricLinks(t)
-	if n > len(links) {
-		n = len(links)
-	}
-	rng := sim.NewRNG(sim.DeriveSeed(seed, "fault/degrade-links", 0))
-	rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
 	var dgs []Degrade
-	for _, link := range links[:n] {
+	for _, link := range sampleLinks(FabricLinks(t), n, seed, "fault/degrade-links") {
 		dgs = append(dgs, Degrade{Link: link, From: from, To: to, Factor: factor})
 	}
 	return dgs
+}
+
+// sampleLinks shuffles links in place under a seed derived from (seed,
+// label) and returns the first n of them (all of them when n exceeds the
+// count). The shuffle does not depend on n, so samples drawn for growing n
+// under one label are nested.
+func sampleLinks(links []int, n int, seed uint64, label string) []int {
+	rng := sim.NewRNG(sim.DeriveSeed(seed, label, 0))
+	rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+	return links[:min(n, len(links))]
 }

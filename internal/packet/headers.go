@@ -1,18 +1,14 @@
 package packet
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
+import "fmt"
 
-// This file defines the byte-level header layouts used by the verbs layer
-// and the hardware model: the InfiniBand Base Transport Header (BTH), the
-// RDMA Extended Transport Header (RETH), the ACK Extended Transport Header
-// (AETH), and the IRN extension header that carries WQE sequence numbers
-// and relative offsets so packets can be placed out of order (§5.3.2).
-//
-// Encodings are big-endian (network order) as on the wire.
+// This file defines the header layouts the verbs layer builds and reads:
+// the InfiniBand Base Transport Header (BTH), the RDMA Extended Transport
+// Header (RETH), the ACK Extended Transport Header (AETH), and the IRN
+// extension header that carries WQE sequence numbers and relative offsets
+// so packets can be placed out of order (§5.3.2). Headers cross the
+// simulated fabric as these structs and are never encoded to bytes; the
+// wire model charges each one its on-the-wire size (the *Size constants).
 
 // Opcode is the BTH operation code for reliable-connected (RC) QPs.
 type Opcode uint8
@@ -71,31 +67,12 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("Opcode(%#x)", uint8(o))
 }
 
-// IsFirst reports whether the opcode starts a multi-packet message.
-func (o Opcode) IsFirst() bool {
-	switch o {
-	case OpSendFirst, OpWriteFirst, OpReadRespFirst:
-		return true
-	}
-	return false
-}
-
 // IsLast reports whether the opcode ends a message (including *_ONLY).
 func (o Opcode) IsLast() bool {
 	switch o {
 	case OpSendLast, OpSendLastImm, OpSendLastInv, OpWriteLast, OpWriteLastImm,
 		OpReadRespLast, OpSendOnly, OpSendOnlyImm, OpSendOnlyInv,
 		OpWriteOnly, OpWriteOnlyImm, OpReadRespOnly:
-		return true
-	}
-	return false
-}
-
-// IsOnly reports whether the opcode is a single-packet message.
-func (o Opcode) IsOnly() bool {
-	switch o {
-	case OpSendOnly, OpSendOnlyImm, OpSendOnlyInv, OpWriteOnly, OpWriteOnlyImm,
-		OpReadRespOnly:
 		return true
 	}
 	return false
@@ -111,63 +88,13 @@ func (o Opcode) HasImmediate() bool {
 	return false
 }
 
-// BTH is the 12-byte Base Transport Header.
+// BTH is the 12-byte Base Transport Header, reduced to the two fields a
+// QP sets and reads. The rest of its bytes (solicited event, ack request,
+// pad count, partition key, destination QP, migration state, version) are
+// charged by BTHSize but not modelled.
 type BTH struct {
-	Opcode  Opcode
-	SE      bool   // solicited event
-	AckReq  bool   // acknowledgement requested
-	PadCnt  uint8  // 0-3 pad bytes
-	PKey    uint16 // partition key
-	DestQP  uint32 // 24-bit destination queue pair number
-	PSN     PSN    // 24-bit packet sequence number
-	MigReq  bool
-	HdrVer  uint8 // 4-bit transport header version
-	Reserve uint8
-}
-
-// maskPSN trims a sequence number to the 24-bit wire representation.
-func maskPSN(p PSN) uint32 { return p & 0xffffff }
-
-// Marshal appends the wire encoding of the BTH to b.
-func (h *BTH) Marshal(b []byte) []byte {
-	var buf [BTHSize]byte
-	buf[0] = uint8(h.Opcode)
-	flags := h.PadCnt << 4
-	if h.SE {
-		flags |= 0x80
-	}
-	if h.MigReq {
-		flags |= 0x40
-	}
-	flags |= h.HdrVer & 0x0f
-	buf[1] = flags
-	binary.BigEndian.PutUint16(buf[2:], h.PKey)
-	binary.BigEndian.PutUint32(buf[4:], h.DestQP&0xffffff)
-	apsn := maskPSN(h.PSN)
-	if h.AckReq {
-		apsn |= 1 << 31
-	}
-	binary.BigEndian.PutUint32(buf[8:], apsn)
-	return append(b, buf[:]...)
-}
-
-// UnmarshalBTH decodes a BTH from the front of b.
-func UnmarshalBTH(b []byte) (BTH, error) {
-	if len(b) < BTHSize {
-		return BTH{}, errors.New("packet: short BTH")
-	}
-	var h BTH
-	h.Opcode = Opcode(b[0])
-	h.SE = b[1]&0x80 != 0
-	h.MigReq = b[1]&0x40 != 0
-	h.PadCnt = (b[1] >> 4) & 0x03
-	h.HdrVer = b[1] & 0x0f
-	h.PKey = binary.BigEndian.Uint16(b[2:])
-	h.DestQP = binary.BigEndian.Uint32(b[4:]) & 0xffffff
-	apsn := binary.BigEndian.Uint32(b[8:])
-	h.AckReq = apsn&(1<<31) != 0
-	h.PSN = apsn & 0xffffff
-	return h, nil
+	Opcode Opcode
+	PSN    PSN
 }
 
 // RETH is the 16-byte RDMA Extended Transport Header carrying the remote
@@ -180,27 +107,6 @@ type RETH struct {
 	DMALen uint32 // total transfer length
 }
 
-// Marshal appends the wire encoding of the RETH to b.
-func (h *RETH) Marshal(b []byte) []byte {
-	var buf [RETHSize]byte
-	binary.BigEndian.PutUint64(buf[0:], h.VA)
-	binary.BigEndian.PutUint32(buf[8:], h.RKey)
-	binary.BigEndian.PutUint32(buf[12:], h.DMALen)
-	return append(b, buf[:]...)
-}
-
-// UnmarshalRETH decodes a RETH from the front of b.
-func UnmarshalRETH(b []byte) (RETH, error) {
-	if len(b) < RETHSize {
-		return RETH{}, errors.New("packet: short RETH")
-	}
-	return RETH{
-		VA:     binary.BigEndian.Uint64(b[0:]),
-		RKey:   binary.BigEndian.Uint32(b[8:]),
-		DMALen: binary.BigEndian.Uint32(b[12:]),
-	}, nil
-}
-
 // AETH syndrome classes (upper 3 bits of the syndrome byte).
 const (
 	SyndromeAck     = 0x00
@@ -209,58 +115,20 @@ const (
 )
 
 // AETH is the 4-byte ACK Extended Transport Header: a syndrome byte and
-// the 24-bit message sequence number (MSN) used to expire Request WQEs at
-// the requester (§5.3.3).
+// the message sequence number (MSN) used to expire Request WQEs at the
+// requester (§5.3.3).
 type AETH struct {
 	Syndrome uint8
-	MSN      uint32 // 24-bit
-}
-
-// Marshal appends the wire encoding of the AETH to b.
-func (h *AETH) Marshal(b []byte) []byte {
-	var buf [AETHSize]byte
-	v := uint32(h.Syndrome)<<24 | (h.MSN & 0xffffff)
-	binary.BigEndian.PutUint32(buf[0:], v)
-	return append(b, buf[:]...)
-}
-
-// UnmarshalAETH decodes an AETH from the front of b.
-func UnmarshalAETH(b []byte) (AETH, error) {
-	if len(b) < AETHSize {
-		return AETH{}, errors.New("packet: short AETH")
-	}
-	v := binary.BigEndian.Uint32(b)
-	return AETH{Syndrome: uint8(v >> 24), MSN: v & 0xffffff}, nil
+	MSN      uint32
 }
 
 // IRNExt is the IRN extension header: the WQE sequence number used to
 // match packets to Receive WQEs (recv_WQE_SN) or Read WQE buffer slots
 // (read_WQE_SN), and the relative packet offset within its message used to
-// compute the placement address for Sends (§5.3.2). Both are 24-bit.
+// compute the placement address for Sends (§5.3.2). Both are 24-bit on
+// the wire (IRNExtSize); as with PSN, the simulator keeps them in a
+// uint32 and does not model that width.
 type IRNExt struct {
-	WQESeq    uint32 // 24-bit recv_WQE_SN or read_WQE_SN
-	RelOffset uint32 // 24-bit packet offset within the message
-}
-
-// Marshal appends the wire encoding of the IRN extension to b.
-func (h *IRNExt) Marshal(b []byte) []byte {
-	var buf [IRNExtSize]byte
-	buf[0] = byte(h.WQESeq >> 16)
-	buf[1] = byte(h.WQESeq >> 8)
-	buf[2] = byte(h.WQESeq)
-	buf[3] = byte(h.RelOffset >> 16)
-	buf[4] = byte(h.RelOffset >> 8)
-	buf[5] = byte(h.RelOffset)
-	return append(b, buf[:]...)
-}
-
-// UnmarshalIRNExt decodes an IRN extension header from the front of b.
-func UnmarshalIRNExt(b []byte) (IRNExt, error) {
-	if len(b) < IRNExtSize {
-		return IRNExt{}, errors.New("packet: short IRN extension")
-	}
-	return IRNExt{
-		WQESeq:    uint32(b[0])<<16 | uint32(b[1])<<8 | uint32(b[2]),
-		RelOffset: uint32(b[3])<<16 | uint32(b[4])<<8 | uint32(b[5]),
-	}, nil
+	WQESeq    uint32 // recv_WQE_SN or read_WQE_SN
+	RelOffset uint32 // packet offset within the message
 }

@@ -1,12 +1,12 @@
 // Package packet defines the simulation's wire model: data packets,
-// acknowledgements (cumulative ACKs and IRN NACK/SACKs), DCQCN congestion
-// notification packets, and PFC pause/resume frames, together with the
-// RoCEv2/IRN header layouts (BTH, RETH, AETH and the IRN extensions) and
-// their binary encodings.
+// acknowledgements (cumulative ACKs and IRN NACK/SACKs) and DCQCN
+// congestion notification packets, together with the RoCEv2/IRN header
+// layouts (BTH, RETH, AETH and the IRN extensions) that the verbs layer
+// carries in VPacket.
 //
-// The event-driven fabric passes *Packet values around without
-// serialization for speed; the verbs layer and the hardware model encode
-// and decode the real byte layouts to validate header arithmetic.
+// Nothing is serialized: the event-driven fabric passes *Packet values
+// around and charges each one its wire size, computed from the header
+// sizes below.
 package packet
 
 import (
@@ -22,10 +22,11 @@ type NodeID int32
 // source/destination queue pair).
 type FlowID uint64
 
-// PSN is a 24-bit packet sequence number as used by the RoCE transport.
-// We keep it in a uint32 and mask to 24 bits only at the wire-encoding
-// boundary; inside the simulator sequence numbers are monotonically
-// increasing so window arithmetic never wraps.
+// PSN is a packet sequence number. RoCE's BTH carries it in 24 bits; the
+// simulator keeps it in a uint32 and does not model the 24-bit width.
+// There is no wire-encoding boundary where it could be masked: sequence
+// numbers increase monotonically for a whole run, so window arithmetic
+// never wraps.
 type PSN = uint32
 
 // Type discriminates simulation packets: data, or one of the transport
@@ -215,10 +216,6 @@ func (q *Queue) Empty() bool { return q.head == nil }
 // Reset empties the queue for a new run. The packets it held are left as
 // they are, still marked queued, for Pool.Reset to reclaim.
 func (q *Queue) Reset() { *q = Queue{} }
-
-// IsControl reports whether the packet is a transport control packet
-// (ACK/NACK/CNP): every packet that is not data.
-func (p *Packet) IsControl() bool { return p.Type != TypeData }
 
 // String renders a compact human-readable description for debugging.
 func (p *Packet) String() string {

@@ -3,8 +3,12 @@ package packet
 // VPacket is a verbs-layer packet: the BTH plus IRN's extensions. IRN
 // carries the RETH in every packet of a Write (§5.3.1) and the WQE
 // sequence number + relative offset in Sends and Read/Atomic requests
-// (§5.3.2). The verbs layer builds and consumes it; a fabric Packet
-// carries one through the simulated network in its Verbs field.
+// (§5.3.2). The verbs layer builds and consumes it, and a fabric Packet
+// carries one through the simulated network in its Verbs field. It is the
+// verbs wire format: every field is one a QP sets on send and reads on
+// receipt, and nothing encodes it to bytes. The fabric charges its
+// headers by size instead: a data packet pays DataHeader (BTH included)
+// plus RETHSize and IRNExtSize, and an ack's AETH rides in a ControlFrame.
 type VPacket struct {
 	BTH  BTH
 	RETH RETH   // remote placement (writes; reads carry the source)
@@ -45,43 +49,4 @@ func (s *VPacketStack) Pop() *VPacket {
 		s.top, p.next = p.next, nil
 	}
 	return p
-}
-
-// Marshal encodes the packet's headers plus payload to bytes (big-endian
-// wire layout); used by tests to verify the header arithmetic the
-// hardware would perform.
-func (p *VPacket) Marshal() []byte {
-	b := p.BTH.Marshal(nil)
-	b = p.RETH.Marshal(b)
-	b = p.Ext.Marshal(b)
-	b = p.AETH.Marshal(b)
-	return append(b, p.Payload...)
-}
-
-// UnmarshalVPacket decodes a packet produced by Marshal. SackPSN and the
-// atomic operands ride in payload position for simplicity of the test
-// codec (the real design assigns them dedicated extension headers).
-func UnmarshalVPacket(b []byte) (*VPacket, error) {
-	var p VPacket
-	var err error
-	if p.BTH, err = UnmarshalBTH(b); err != nil {
-		return nil, err
-	}
-	b = b[BTHSize:]
-	if p.RETH, err = UnmarshalRETH(b); err != nil {
-		return nil, err
-	}
-	b = b[RETHSize:]
-	if p.Ext, err = UnmarshalIRNExt(b); err != nil {
-		return nil, err
-	}
-	b = b[IRNExtSize:]
-	if p.AETH, err = UnmarshalAETH(b); err != nil {
-		return nil, err
-	}
-	b = b[AETHSize:]
-	if len(b) > 0 {
-		p.Payload = append([]byte(nil), b...)
-	}
-	return &p, nil
 }

@@ -20,15 +20,26 @@ package sim_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/irnsim/irn/internal/exp"
+	"github.com/irnsim/irn/internal/fabric"
+	"github.com/irnsim/irn/internal/fault"
 )
 
 // invariantScale keeps the full preset sweep test-suite fast while still
-// driving every code path (drops, retransmits, incast, faults).
+// driving retransmits, incast and faults through every preset.
 func invariantScale() exp.Scale {
 	return exp.Scale{Flows: 60, IncastBytes: 500_000, IncastReps: 1}
+}
+
+// deathSites reaches the death sites no preset reaches at invariantScale:
+// a lossy IRN fabric whose small buffers overflow (switch drop-tail) under
+// a corruption overlay (the receiving port's CRC check).
+func deathSites() exp.Scenario {
+	return exp.Scenario{Name: "deathsites", Arity: 4, NumFlows: 60, Seed: 1,
+		BufferBytes: 20_000, Faults: fault.Spec{CorruptRate: 0.001}}
 }
 
 func checkConservation(t *testing.T, expID string, r exp.Result) {
@@ -38,22 +49,43 @@ func checkConservation(t *testing.T, expID string, r exp.Result) {
 	}
 }
 
+// TestPacketConservationAcrossFigurePresets balances the census of every
+// figure preset plus deathSites, and fails unless the sweep as a
+// whole saw every fabric death site: a census that balances only because
+// a site never fired vouches for nothing there.
 func TestPacketConservationAcrossFigurePresets(t *testing.T) {
-	sc := invariantScale()
+	var (
+		mu     sync.Mutex
+		deaths fabric.Stats
+	)
+	check := func(t *testing.T, id string, scenarios []exp.Scenario) {
+		t.Parallel()
+		for _, s := range scenarios {
+			r := exp.Run(s)
+			checkConservation(t, id, r)
+			mu.Lock()
+			deaths.Drops += r.Net.Drops
+			deaths.FaultDrops += r.Net.FaultDrops
+			deaths.Corrupted += r.Net.Corrupted
+			mu.Unlock()
+		}
+	}
+	// Cleanup runs once every parallel subtest has finished.
+	t.Cleanup(func() {
+		if deaths.Drops == 0 || deaths.FaultDrops == 0 || deaths.Corrupted == 0 {
+			t.Errorf("sweep missed a death site: drops %d, fault drops %d, corrupted %d",
+				deaths.Drops, deaths.FaultDrops, deaths.Corrupted)
+		}
+	})
 	ran := 0
-	for _, e := range exp.All(sc) {
+	for _, e := range exp.All(invariantScale()) {
 		if !strings.HasPrefix(e.ID, "fig") {
 			continue
 		}
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			for _, s := range e.Scenarios {
-				checkConservation(t, e.ID, exp.Run(s))
-			}
-		})
+		t.Run(e.ID, func(t *testing.T) { check(t, e.ID, e.Scenarios) })
 		ran++
 	}
+	t.Run("deathsites", func(t *testing.T) { check(t, "deathsites", []exp.Scenario{deathSites()}) })
 	if ran < 14 {
 		t.Errorf("only %d figure presets found, want >= 14 (fig1-fig12, figloss, figflap)", ran)
 	}
