@@ -4,10 +4,12 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/irnsim/irn/internal/metrics"
+	"github.com/irnsim/irn/internal/sim"
 )
 
 // diffScale keeps the sketch-vs-exact sweep fast: every fig* preset runs
@@ -19,10 +21,11 @@ func diffScale() Scale {
 }
 
 // TestSketchMatchesExact is the differential harness: every fig* preset
-// runs with dual-mode collection (streaming sketches and the historical
-// record-retaining reference side by side) and every streaming statistic
-// must land within its documented tolerance of the exact computation —
-// means to float tolerance, quantiles within metrics.QuantileEpsilon.
+// runs once, and every streaming statistic of its merged collector must
+// land within its documented tolerance of the exact statistic computed
+// from the run's flow table — the FCT (Finish − Start) of each finished
+// flow, sorted, and its slowdown against the fabric's ideal FCT. Means
+// agree to float tolerance, quantiles within metrics.QuantileEpsilon.
 func TestSketchMatchesExact(t *testing.T) {
 	relErr := func(got, want float64) float64 {
 		if want == 0 {
@@ -39,50 +42,78 @@ func TestSketchMatchesExact(t *testing.T) {
 			s := s
 			t.Run(e.ID+"/"+s.Name, func(t *testing.T) {
 				ran++
-				res, ex := NewWorker().run(s, runOpts{exact: true})
-				if ex == nil || !ex.Exact() {
-					t.Fatal("exact run must carry the exact collector")
+				w := NewWorker()
+				res, col, flows := w.run(s, runOpts{})
+				var fcts, onePkt []int64
+				var fctSum int64
+				slowSum := 0.0
+				unfinished := 0
+				for _, fl := range flows {
+					if !fl.Finished {
+						unfinished++
+						continue
+					}
+					fct := fl.Finish.Sub(fl.Start)
+					fcts = append(fcts, int64(fct))
+					fctSum += int64(fct)
+					if ideal := w.net.IdealFCT(fl.Src, fl.Dst, fl.Size); ideal > 0 {
+						slowSum += float64(fct) / float64(ideal)
+					}
+					if fl.Pkts == 1 {
+						onePkt = append(onePkt, int64(fct))
+					}
 				}
-				if ex.Count() != res.Summary.Flows {
-					t.Fatalf("collector count %d != summary flows %d", ex.Count(), res.Summary.Flows)
+				if len(fcts) != res.Summary.Flows || unfinished != res.Summary.Incomplete {
+					t.Fatalf("flow table has %d finished and %d unfinished flows, summary %d and %d",
+						len(fcts), unfinished, res.Summary.Flows, res.Summary.Incomplete)
+				}
+				if col.Count() != res.Summary.Flows {
+					t.Fatalf("collector count %d != summary flows %d", col.Count(), res.Summary.Flows)
 				}
 				if res.Summary.Flows == 0 {
 					return
 				}
+				slices.Sort(fcts)
+				slices.Sort(onePkt)
 				// Means: the streaming integer accumulators against the
-				// float-sum / sort-free references.
-				if got, want := ex.AvgFCT(), ex.ExactAvgFCT(); got != want {
+				// table's integer FCT sum and float slowdown sum.
+				if got, want := col.AvgFCT(), sim.Duration(fctSum/int64(len(fcts))); got != want {
 					t.Errorf("avg fct: streaming %v != exact %v", got, want)
 				}
-				if re := relErr(ex.AvgSlowdown(), ex.ExactAvgSlowdown()); re > 1e-6 {
+				exactSlow := slowSum / float64(len(fcts))
+				if re := relErr(col.AvgSlowdown(), exactSlow); re > 1e-6 {
 					t.Errorf("avg slowdown: streaming %v vs exact %v (rel err %v)",
-						ex.AvgSlowdown(), ex.ExactAvgSlowdown(), re)
+						col.AvgSlowdown(), exactSlow, re)
 				}
 				// Quantiles: within the documented ε at every headline
 				// percentile.
 				for _, p := range []float64{50, 90, 99, 99.9} {
-					got := float64(ex.PercentileFCT(p))
-					want := float64(ex.ExactPercentileFCT(p))
+					got := float64(col.PercentileFCT(p))
+					want := float64(metrics.NearestRank(fcts, p))
 					if relErr(got, want) > metrics.QuantileEpsilon {
 						t.Errorf("p%v fct: streaming %v vs exact %v (rel err %v)",
 							p, got, want, relErr(got, want))
 					}
 				}
 				// The Figure 8 single-packet tail series, point for point.
-				sp := ex.SinglePacketTail([]float64{90, 95, 99, 99.9})
-				ref := ex.ExactSinglePacketTail([]float64{90, 95, 99, 99.9})
-				if len(sp) != len(ref) {
-					t.Fatalf("single-packet series length %d vs %d", len(sp), len(ref))
+				sp := col.SinglePacketTail([]float64{90, 95, 99, 99.9})
+				if len(onePkt) == 0 {
+					if sp != nil {
+						t.Fatalf("single-packet series %v with no single-packet flow", sp)
+					}
+				} else if len(sp) != 4 {
+					t.Fatalf("single-packet series length %d, want 4", len(sp))
 				}
-				for i := range sp {
-					if relErr(float64(sp[i].Latency), float64(ref[i].Latency)) > metrics.QuantileEpsilon {
+				for _, pt := range sp {
+					want := float64(metrics.NearestRank(onePkt, pt.Percentile))
+					if relErr(float64(pt.Latency), want) > metrics.QuantileEpsilon {
 						t.Errorf("single-packet p%v: streaming %v vs exact %v",
-							sp[i].Percentile, sp[i].Latency, ref[i].Latency)
+							pt.Percentile, pt.Latency, want)
 					}
 				}
 				// The Result surface is wired from the same collector.
-				if res.Summary != ex.Summarize() {
-					t.Errorf("result summary %+v != collector summary %+v", res.Summary, ex.Summarize())
+				if res.Summary != col.Summarize() {
+					t.Errorf("result summary %+v != collector summary %+v", res.Summary, col.Summarize())
 				}
 				if res.FCTSketch.N() != uint64(res.Summary.Flows) {
 					t.Errorf("sketch n %d != flows %d", res.FCTSketch.N(), res.Summary.Flows)
@@ -133,13 +164,13 @@ func TestFigDCPreset(t *testing.T) {
 // MemFootprint at all, and the absolute footprint must stay under a hard
 // byte budget.
 func TestFigDCCollectorMemoryBounded(t *testing.T) {
-	run := func(flows int, o runOpts) (Result, int) {
+	run := func(flows int) (Result, int) {
 		e, _ := ByID("figdc", Scale{Flows: flows, IncastBytes: 1, IncastReps: 1})
-		res, col := NewWorker().run(e.Scenarios[1], o) // IRN side
+		res, col, _ := NewWorker().run(e.Scenarios[1], runOpts{}) // IRN side
 		return res, col.MemFootprint()
 	}
-	a, fa := run(100, runOpts{})
-	b, fb := run(200, runOpts{})
+	a, fa := run(100)
+	b, fb := run(200)
 	if a.Summary.Flows != 100 || b.Summary.Flows != 200 {
 		t.Fatalf("runs completed %d and %d flows", a.Summary.Flows, b.Summary.Flows)
 	}
@@ -149,10 +180,6 @@ func TestFigDCCollectorMemoryBounded(t *testing.T) {
 	const budget = 200 << 10
 	if fa <= 0 || fa > budget {
 		t.Errorf("MemFootprint = %d, want (0, %d]", fa, budget)
-	}
-	// Exact mode is the deliberate exception: it retains records.
-	if _, fx := run(200, runOpts{exact: true}); fx <= fb {
-		t.Errorf("exact mode footprint %d should exceed streaming %d", fx, fb)
 	}
 }
 
@@ -168,7 +195,7 @@ func TestFigDCFullScale(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, col := NewWorker().run(s, runOpts{})
+	res, col, _ := NewWorker().run(s, runOpts{})
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	t.Logf("figdc full scale: %s events=%d heap_delta=%dKB collector_bytes=%d",

@@ -92,7 +92,7 @@ func FuzzScenario(f *testing.F) {
 		if slow(s.normalize()) {
 			return
 		}
-		r, _ := NewWorker().run(s, runOpts{grace: 10 * sim.Millisecond})
+		r, _, _ := NewWorker().run(s, runOpts{grace: 10 * sim.Millisecond})
 		if err := r.CheckConservation(); err != nil {
 			t.Fatal(err)
 		}

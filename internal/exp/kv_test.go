@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/irnsim/irn/internal/kv"
+	"github.com/irnsim/irn/internal/packet"
 )
 
 // figkvScenario pulls one scenario of the figkv preset at a test scale.
@@ -152,9 +153,31 @@ func TestOneRunCarriesFlowsAndKV(t *testing.T) {
 	mixed.Load = 0.5
 	mixed.Shards = 4
 
-	res := Run(mixed)
+	res, _, flows := NewWorker().run(mixed, runOpts{})
 	if res.KV == nil {
 		t.Fatal("mixed run produced no KV report")
+	}
+	// The flow table is keyed by launch index: the kv QPs take flow IDs
+	// 1…idBase, two per client and two per follower, and slot i holds
+	// flow idBase+i+1. Its finished and unfinished flows are the ones
+	// the summary counts.
+	kvo := mixed.normalize().KV
+	idBase := 2 * (kvo.Clients + kvo.Followers)
+	if idBase == 0 || len(flows) != 300 {
+		t.Fatalf("idBase %d, %d flow slots: want kv QPs below 300 flows", idBase, len(flows))
+	}
+	finished := 0
+	for i, fl := range flows {
+		if fl.ID != packet.FlowID(idBase+i+1) {
+			t.Fatalf("slot %d holds flow %d, want %d", i, fl.ID, idBase+i+1)
+		}
+		if fl.Finished {
+			finished++
+		}
+	}
+	if finished != res.Summary.Flows || len(flows)-finished != res.Summary.Incomplete {
+		t.Fatalf("flow table has %d finished and %d unfinished flows, summary %d and %d",
+			finished, len(flows)-finished, res.Summary.Flows, res.Summary.Incomplete)
 	}
 	if n := len(res.ShardStats.Shards); n != 1 {
 		t.Fatalf("mixed run spanned %d shard engines, want 1", n)

@@ -31,7 +31,7 @@ func TestLookaheadDifferentialAcrossPresets(t *testing.T) {
 					wide := s
 					wide.Shards = shards
 					ref := stripShards(Run(wide))
-					bare, _ := NewWorker().run(wide, runOpts{bareLookahead: true})
+					bare, _, _ := NewWorker().run(wide, runOpts{bareLookahead: true})
 					got := stripShards(bare)
 					if !reflect.DeepEqual(got, ref) {
 						t.Fatalf("%s at %d shards: bare lookahead diverged from widened:\nwidened: %+v\nbare:    %+v",

@@ -167,7 +167,7 @@ func TestAdaptiveWindowsCollapseBarriers(t *testing.T) {
 			t.Parallel()
 			for _, s := range e.Scenarios {
 				s.Shards = 4
-				rf, _ := NewWorker().run(s, runOpts{fixedWindows: true})
+				rf, _, _ := NewWorker().run(s, runOpts{fixedWindows: true})
 				ra := Run(s)
 				if !reflect.DeepEqual(stripShards(rf), stripShards(ra)) {
 					t.Fatalf("%s: adaptive windows changed the Result", s.Name)

@@ -17,18 +17,14 @@ import (
 
 // runOpts are the test-harness switches of a run. They are not part of a
 // Scenario, its store fingerprint, or any public surface; Worker.Run
-// always passes the zero value. Only grace changes results: none of the
+// always passes the zero value. Only grace changes results: neither of the
 // others can change a streaming aggregate or the executed-event set — the
-// differential, lookahead and barrier-count tests pin exactly that.
+// lookahead and barrier-count tests pin exactly that.
 type runOpts struct {
 	// grace, when set, replaces the grace constant as the run's cut-off
 	// past the last flow arrival or kv issue, so a test can strand flows
 	// mid-flight.
 	grace sim.Duration
-	// exact keeps every flow record (O(flows) memory), so the merged
-	// collector run returns carries the sort-based reference statistics
-	// next to the streaming ones.
-	exact bool
 	// bareLookahead narrows the conservative windows to the bare
 	// link-propagation lookahead instead of the widened propagation +
 	// minimum-frame-serialization bound the fabric computes.
@@ -37,14 +33,6 @@ type runOpts struct {
 	// sim.RunWindows): every window spans exactly one lookahead past the
 	// global minimum, paying a barrier per window through sparse phases.
 	fixedWindows bool
-}
-
-// collector returns a fresh collector in the run's mode.
-func (o runOpts) collector() *metrics.Collector {
-	if o.exact {
-		return metrics.NewExact()
-	}
-	return &metrics.Collector{}
 }
 
 // cutoff returns how long past the last arrival or issue the run may go.
@@ -128,13 +116,15 @@ func Run(s Scenario) Result { return NewWorker().Run(s) }
 // the fabric when the scenario is structurally identical to the previous
 // run's.
 func (w *Worker) Run(s Scenario) Result {
-	res, _ := w.run(s, runOpts{})
+	res, _, _ := w.run(s, runOpts{})
 	return res
 }
 
-// run is Run under the given test-harness switches; it also returns the
-// run's merged collector, which retains every record when o.exact is set.
-func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
+// run is Run under the given test-harness switches. It also returns the
+// run's merged collector and the launcher's flow table: slot i is flow
+// idBase+i+1, with its endpoints, size, start and, once Finished, its
+// Finish time. The table is the run's own, handed over without a copy.
+func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector, []transport.Flow) {
 	if err := s.Validate(); err != nil {
 		panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
 	}
@@ -227,7 +217,7 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 		incastFlows: incastFlows,
 	}
 	for i := range l.cols {
-		l.cols[i] = o.collector()
+		l.cols[i] = &metrics.Collector{}
 	}
 	l.done.Init(net.Shards(), len(specs), net.WindowSlack())
 
@@ -311,7 +301,7 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 	// (each written only by the shard owning the flow's destination);
 	// merge them in shard order. Every merged aggregate is exact-integer
 	// state, so the fold reproduces the serial run bit for bit.
-	agg := o.collector()
+	agg := &metrics.Collector{}
 	for _, c := range l.cols {
 		agg.Merge(c)
 	}
@@ -341,5 +331,5 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector) {
 		res.Timeouts += tos
 		res.KV = svc.Report()
 	}
-	return res, agg
+	return res, agg, l.flows
 }

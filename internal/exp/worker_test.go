@@ -318,7 +318,7 @@ func TestWorkerReclaimsCutOffPackets(t *testing.T) {
 	w := NewWorker()
 	var caps []int
 	for i, s := range []Scenario{irn, roce, irn, roce} {
-		got, _ := w.run(s, cut)
+		got, _, _ := w.run(s, cut)
 		if got.InFlight == 0 || got.Summary.Incomplete == 0 {
 			t.Fatalf("run %d (%s): %d packets in flight, %d flows incomplete — the cut-off stranded nothing",
 				i, s.Name, got.InFlight, got.Summary.Incomplete)
@@ -326,7 +326,7 @@ func TestWorkerReclaimsCutOffPackets(t *testing.T) {
 		if err := got.CheckConservation(); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		if want, _ := NewWorker().run(s, cut); !reflect.DeepEqual(got, want) {
+		if want, _, _ := NewWorker().run(s, cut); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d (%s) on the reused worker diverged from a fresh one", i, s.Name)
 		}
 		caps = append(caps, w.net.PoolCap())

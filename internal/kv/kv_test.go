@@ -2,7 +2,9 @@ package kv
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -222,12 +224,18 @@ func TestPlaceRejectsTooFewHosts(t *testing.T) {
 	if err := (Options{Followers: 1}).Validate(len(hosts)); err != nil {
 		t.Errorf("Validate(2 hosts, 1 follower) = %v", err)
 	}
-	for _, o := range []Options{{Followers: -1}, {Mode: 7}, {Requests: 1 << 40},
+	bad := []Options{{Followers: -1}, {Mode: 7},
 		{Phases: []Phase{{Name: "a", From: 10, To: 20}, {Name: "b", From: 5, To: 8}}},   // out of order
 		{Phases: []Phase{{Name: "a", From: 10, To: 20}, {Name: "b", From: 15, To: 30}}}, // overlapping
 		{Phases: []Phase{{Name: "a", From: 10}, {Name: "b", From: 20, To: 30}}},         // open-ended, not last
 		{Phases: []Phase{{Name: "a", From: 10, To: 5}}},                                 // ends before it starts
-	} {
+	}
+	if strconv.IntSize == 64 {
+		// No 32-bit int reaches the clock bound: 64 × (2³¹−1) requests
+		// issued 50 µs apart end near 6.9e18 ps, below sim.MaxTime.
+		bad = append(bad, Options{Requests: math.MaxInt})
+	}
+	for _, o := range bad {
 		if err := o.Validate(64); err == nil {
 			t.Errorf("Validate(%+v) accepted options no run can take", o)
 		}

@@ -169,8 +169,7 @@ func (h *Histogram) Quantile(p float64) int64 {
 }
 
 // ceilFrac computes ceil(p/100 × n) in floats — the same arithmetic as
-// the historical percentileIndex, so streaming and exact paths pick the
-// same rank.
+// NearestRank, so the sketch and the sorted reference pick the same rank.
 func ceilFrac(p float64, n uint64) int64 {
 	r := p / 100 * float64(n)
 	i := int64(r)

@@ -73,7 +73,7 @@ func TestHistQuantileAgainstSorted(t *testing.T) {
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	for _, p := range []float64{0.1, 1, 10, 50, 90, 99, 99.9, 100} {
-		want := float64(vals[percentileIndex(len(vals), p)])
+		want := float64(NearestRank(vals, p))
 		got := float64(h.Quantile(p))
 		if math.Abs(got-want)/want > QuantileEpsilon {
 			t.Errorf("p%v: sketch %v vs exact %v", p, got, want)

@@ -11,27 +11,26 @@
 // record slice alive. Collectors merge deterministically: every aggregate
 // is an integer (or derived from integers by a fixed arithmetic sequence),
 // so folding per-shard collectors in any grouping reproduces the serial
-// run bit for bit. An exact mode (NewExact) additionally retains raw
-// records and exposes the old sort-based reference computations; the
-// differential harness in internal/exp runs both side by side and pins
-// the streaming quantiles within QuantileEpsilon of exact.
+// run bit for bit. NearestRank is the sort-based reference statistic: the
+// differential harness in internal/exp applies it to the sorted FCTs of a
+// run's finished flows and pins the streaming quantiles within
+// QuantileEpsilon of it.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/irnsim/irn/internal/sim"
 )
 
-// FlowRecord captures one completed flow.
+// FlowRecord captures one completed flow. Its slowdown is FCT / Ideal, or
+// 0 when Ideal is 0.
 type FlowRecord struct {
 	Size         int
 	Pkts         int
 	FCT          sim.Duration
 	Ideal        sim.Duration
-	Slowdown     float64
 	SinglePacket bool
 }
 
@@ -43,8 +42,7 @@ type FlowRecord struct {
 const slowdownScale = 1e6
 
 // Collector accumulates flow records as streaming aggregates. The zero
-// value is an empty streaming collector; NewExact returns one that also
-// retains records for reference computations.
+// value is an empty collector.
 type Collector struct {
 	count      uint64
 	incomplete int
@@ -54,34 +52,18 @@ type Collector struct {
 
 	fct    Histogram // all completed flows' FCTs
 	onePkt Histogram // single-packet-message FCTs (Figure 8)
-
-	exact   bool
-	records []FlowRecord // exact mode only
 }
-
-// NewExact returns a collector that additionally keeps every record, so
-// the Exact* reference methods (sorted-order statistics, float-sum
-// means) are available for differential testing. Memory is O(flows)
-// again in this mode — it exists for harnesses, not for runs.
-func NewExact() *Collector { return &Collector{exact: true} }
-
-// Exact reports whether the collector retains raw records.
-func (c *Collector) Exact() bool { return c.exact }
 
 // Add records a completed flow.
 func (c *Collector) Add(r FlowRecord) {
-	if r.Ideal > 0 && r.Slowdown == 0 {
-		r.Slowdown = float64(r.FCT) / float64(r.Ideal)
-	}
 	c.count++
 	c.fctSum += int64(r.FCT)
-	c.slowMicro += int64(math.Round(r.Slowdown * slowdownScale))
+	if r.Ideal > 0 {
+		c.slowMicro += int64(math.Round(float64(r.FCT) / float64(r.Ideal) * slowdownScale))
+	}
 	c.fct.Observe(int64(r.FCT))
 	if r.SinglePacket {
 		c.onePkt.Observe(int64(r.FCT))
-	}
-	if c.exact {
-		c.records = append(c.records, r)
 	}
 }
 
@@ -89,8 +71,7 @@ func (c *Collector) Add(r FlowRecord) {
 func (c *Collector) AddIncomplete() { c.incomplete++ }
 
 // Merge folds another collector into c — the sharded launcher's fold.
-// Integer state merges exactly in any order; records append (exact mode
-// on both sides only) in call order.
+// Integer state merges exactly in any order.
 func (c *Collector) Merge(o *Collector) {
 	c.count += o.count
 	c.incomplete += o.incomplete
@@ -98,9 +79,6 @@ func (c *Collector) Merge(o *Collector) {
 	c.slowMicro += o.slowMicro
 	c.fct.Merge(&o.fct)
 	c.onePkt.Merge(&o.onePkt)
-	if c.exact && o.exact {
-		c.records = append(c.records, o.records...)
-	}
 }
 
 // Count returns the number of completed flows.
@@ -108,19 +86,6 @@ func (c *Collector) Count() int { return int(c.count) }
 
 // Incomplete returns the number of unfinished flows.
 func (c *Collector) Incomplete() int { return c.incomplete }
-
-// Records returns a copy of the retained records (exact mode), or nil
-// for a streaming collector, which keeps none. The copy is deliberate:
-// callers sort and slice report data freely without aliasing collector
-// state.
-func (c *Collector) Records() []FlowRecord {
-	if c.records == nil {
-		return nil
-	}
-	out := make([]FlowRecord, len(c.records))
-	copy(out, c.records)
-	return out
-}
 
 // AvgSlowdown returns the mean slowdown (micro-unit quantized).
 func (c *Collector) AvgSlowdown() float64 {
@@ -169,88 +134,24 @@ func (c *Collector) SinglePacketTail(percentiles []float64) []CDFPoint {
 }
 
 // MemFootprint approximates the collector's live heap bytes: the two
-// fixed-size sketches plus any retained records. For a streaming
-// collector this is a constant (~18 KB once both sketches have
+// fixed-size sketches. It is a constant (~18 KB once both sketches have
 // observations) independent of flow count — the memory-bound regression
 // tests assert exactly that.
 func (c *Collector) MemFootprint() int {
-	const recordSize = 48 // unsafe.Sizeof(FlowRecord{}) on 64-bit
-	return c.fct.footprint() + c.onePkt.footprint() + 128 + cap(c.records)*recordSize
+	return c.fct.footprint() + c.onePkt.footprint() + 128
 }
 
-// ExactAvgSlowdown is the reference mean: a float sum over records in
-// collection order (exact mode only; 0 otherwise).
-func (c *Collector) ExactAvgSlowdown() float64 {
-	if len(c.records) == 0 {
+// NearestRank is the reference quantile: the p-th percentile (p in
+// (0,100]) of sorted, an ascending slice, by the nearest-rank rule. It
+// returns 0 for an empty slice. Histogram.Quantile picks its rank with
+// the same arithmetic (ceilFrac), so the two agree on which order
+// statistic a percentile names.
+func NearestRank(sorted []int64, p float64) int64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	s := 0.0
-	for _, r := range c.records {
-		s += r.Slowdown
-	}
-	return s / float64(len(c.records))
-}
-
-// ExactAvgFCT is the reference mean FCT over retained records (exact
-// mode only; 0 otherwise).
-func (c *Collector) ExactAvgFCT() sim.Duration {
-	if len(c.records) == 0 {
-		return 0
-	}
-	var s int64
-	for _, r := range c.records {
-		s += int64(r.FCT)
-	}
-	return sim.Duration(s / int64(len(c.records)))
-}
-
-// ExactPercentileFCT is the reference quantile: sort all retained FCTs
-// and take the nearest rank (exact mode only; 0 otherwise).
-func (c *Collector) ExactPercentileFCT(p float64) sim.Duration {
-	if len(c.records) == 0 {
-		return 0
-	}
-	fcts := make([]int64, len(c.records))
-	for i, r := range c.records {
-		fcts[i] = int64(r.FCT)
-	}
-	sort.Slice(fcts, func(i, j int) bool { return fcts[i] < fcts[j] })
-	return sim.Duration(fcts[percentileIndex(len(fcts), p)])
-}
-
-// percentileIndex maps a percentile to a sorted-slice index (nearest-rank).
-func percentileIndex(n int, p float64) int {
-	idx := int(math.Ceil(p/100*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return idx
-}
-
-// ExactSinglePacketTail is the reference Figure 8 series from retained
-// records (exact mode only; nil otherwise).
-func (c *Collector) ExactSinglePacketTail(percentiles []float64) []CDFPoint {
-	var fcts []int64
-	for _, r := range c.records {
-		if r.SinglePacket {
-			fcts = append(fcts, int64(r.FCT))
-		}
-	}
-	if len(fcts) == 0 {
-		return nil
-	}
-	sort.Slice(fcts, func(i, j int) bool { return fcts[i] < fcts[j] })
-	pts := make([]CDFPoint, 0, len(percentiles))
-	for _, p := range percentiles {
-		pts = append(pts, CDFPoint{
-			Percentile: p,
-			Latency:    sim.Duration(fcts[percentileIndex(len(fcts), p)]),
-		})
-	}
-	return pts
+	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 
 // CDFPoint is one point of a latency CDF.

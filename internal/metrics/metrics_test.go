@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,13 +31,10 @@ func TestCollectorBasics(t *testing.T) {
 	if got := c.AvgFCT(); got != 250 {
 		t.Errorf("avg fct = %v, want 250", got)
 	}
-}
-
-func TestSlowdownPrecomputedWins(t *testing.T) {
-	var c Collector
-	c.Add(FlowRecord{FCT: 500, Ideal: 100, Slowdown: 7})
-	if c.AvgSlowdown() != 7 {
-		t.Error("explicit slowdown must not be recomputed")
+	// A flow without an ideal FCT counts with slowdown 0.
+	c.Add(FlowRecord{Size: 1000, FCT: 400})
+	if got := c.AvgSlowdown(); got != 5.0/3 {
+		t.Errorf("avg slowdown with an ideal-less flow = %v, want 5/3", got)
 	}
 }
 
@@ -64,45 +62,24 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
-func TestExactReferenceSemantics(t *testing.T) {
-	// Exact mode preserves the historical sort-based behavior bit for
-	// bit — the reference the differential harness compares against.
-	c := NewExact()
-	for i := 1; i <= 100; i++ {
-		c.Add(FlowRecord{FCT: sim.Duration(i), Ideal: 1})
+func TestNearestRank(t *testing.T) {
+	// The sort-based reference the differential harnesses compare the
+	// sketches against: the ceil(p/100 × n)-th smallest value, clamped to
+	// the slice.
+	vals := make([]int64, 100)
+	for i := range vals {
+		vals[i] = int64(i + 1)
 	}
-	if got := c.ExactPercentileFCT(99); got != 99 {
-		t.Errorf("exact p99 = %v, want 99", got)
+	for _, tc := range []struct {
+		p    float64
+		want int64
+	}{{99, 99}, {50, 50}, {100, 100}, {99.9, 100}, {0.5, 1}, {0, 1}} {
+		if got := NearestRank(vals, tc.p); got != tc.want {
+			t.Errorf("p%v = %v, want %v", tc.p, got, tc.want)
+		}
 	}
-	if got := c.ExactPercentileFCT(50); got != 50 {
-		t.Errorf("exact p50 = %v, want 50", got)
-	}
-	if got := c.ExactPercentileFCT(100); got != 100 {
-		t.Errorf("exact p100 = %v, want 100", got)
-	}
-	if got := c.ExactAvgFCT(); got != c.AvgFCT() {
-		t.Errorf("exact avg %v != streaming avg %v", got, c.AvgFCT())
-	}
-	if relErr(c.ExactAvgSlowdown(), c.AvgSlowdown()) > 1e-6 {
-		t.Errorf("exact slowdown %v vs streaming %v", c.ExactAvgSlowdown(), c.AvgSlowdown())
-	}
-}
-
-func TestRecordsCopied(t *testing.T) {
-	// Streaming collectors retain nothing; exact collectors hand out a
-	// copy that callers may sort or truncate freely.
-	var stream Collector
-	stream.Add(FlowRecord{FCT: 5, Ideal: 1})
-	if stream.Records() != nil {
-		t.Error("streaming collector must not retain records")
-	}
-	ex := NewExact()
-	ex.Add(FlowRecord{FCT: 5, Ideal: 1})
-	ex.Add(FlowRecord{FCT: 9, Ideal: 1})
-	recs := ex.Records()
-	recs[0].FCT = 12345
-	if got := ex.Records()[0].FCT; got != 5 {
-		t.Errorf("mutating the returned slice leaked into the collector: %v", got)
+	if got := NearestRank(nil, 50); got != 0 {
+		t.Errorf("empty p50 = %v, want 0", got)
 	}
 }
 
@@ -201,23 +178,30 @@ func syntheticRecords(n int) []FlowRecord {
 
 func TestStreamingQuantilesWithinEpsilon(t *testing.T) {
 	// Differential property at the package level: streaming quantiles
-	// against the exact sorted reference on a realistic distribution.
-	c := NewExact()
+	// against the nearest rank of the sorted FCTs on a realistic
+	// distribution.
+	var c Collector
+	var all, onePkt []int64
 	for _, r := range syntheticRecords(5000) {
 		c.Add(r)
+		all = append(all, int64(r.FCT))
+		if r.SinglePacket {
+			onePkt = append(onePkt, int64(r.FCT))
+		}
 	}
+	slices.Sort(all)
+	slices.Sort(onePkt)
 	for _, p := range []float64{10, 25, 50, 75, 90, 95, 99, 99.9, 100} {
 		got := float64(c.PercentileFCT(p))
-		want := float64(c.ExactPercentileFCT(p))
+		want := float64(NearestRank(all, p))
 		if relErr(got, want) > QuantileEpsilon {
 			t.Errorf("p%v: streaming %v vs exact %v (rel err %v)", p, got, want, relErr(got, want))
 		}
 	}
-	sp := c.SinglePacketTail([]float64{90, 95, 99, 99.9})
-	ref := c.ExactSinglePacketTail([]float64{90, 95, 99, 99.9})
-	for i := range sp {
-		if relErr(float64(sp[i].Latency), float64(ref[i].Latency)) > QuantileEpsilon {
-			t.Errorf("single-packet p%v: %v vs %v", sp[i].Percentile, sp[i].Latency, ref[i].Latency)
+	for _, pt := range c.SinglePacketTail([]float64{90, 95, 99, 99.9}) {
+		want := float64(NearestRank(onePkt, pt.Percentile))
+		if relErr(float64(pt.Latency), want) > QuantileEpsilon {
+			t.Errorf("single-packet p%v: %v vs %v", pt.Percentile, pt.Latency, want)
 		}
 	}
 }

@@ -67,7 +67,6 @@ const (
 	BTHSize      = 12
 	ICRCSize     = 4
 	RETHSize     = 16 // remote memory address (8) + rkey (4) + length (4)
-	AETHSize     = 4
 	IRNExtSize   = 6  // recv_WQE_SN (3) + relative offset (3), §5.3.2
 	ControlFrame = 64 // ACK/NACK/CNP/PFC minimum frame on the wire
 

@@ -71,7 +71,7 @@ func (r *rolling) delay() Duration {
 	case x == 0:
 		return 2 * 3600 * Second
 	case x < 100:
-		return Duration(1 + r.rng.Intn(int(5*Millisecond)))
+		return Duration(1 + r.rng.Uint64()%uint64(5*Millisecond))
 	default:
 		return Duration(1 + r.rng.Intn(int(3*Microsecond)))
 	}

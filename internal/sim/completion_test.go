@@ -27,7 +27,8 @@ func TestCompletionDoneAtWant(t *testing.T) {
 	if !none.Done() {
 		t.Fatal("a run wanting no outcomes is not Done")
 	}
-	if s := unsafe.Sizeof(completionShard{}); s != 64 {
+	// The padding is computed for 8-byte ints.
+	if s := unsafe.Sizeof(completionShard{}); s != 64 && unsafe.Sizeof(0) == 8 {
 		t.Errorf("a shard slot is %d bytes, want one 64-byte cache line", s)
 	}
 }

@@ -74,7 +74,7 @@ func TestWheelMatchesHeap(t *testing.T) {
 			m := &wheelModel{}
 			r := NewRNG(seed*7919 + uint64(span))
 			for i := 0; i < 4000; i++ {
-				m.push(m.now + Time(r.Intn(int(span))+1)*Picoseconds(1))
+				m.push(m.now + Time(r.Uint64()%uint64(span)+1)*Picoseconds(1))
 				// Interleave pops so the cursor moves while pushes
 				// continue, and occasionally schedule at the exact
 				// current time (tick <= cursor path).
