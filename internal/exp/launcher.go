@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"unsafe"
 
 	"github.com/irnsim/irn/internal/cc"
 	"github.com/irnsim/irn/internal/core"
@@ -57,8 +58,16 @@ func (s *supply[T]) put(p *T) { s.free = append(s.free, p) }
 // shard's goroutine during windows and read by the coordinator after the
 // run: the loss counters of the senders reaped and the receivers retired
 // so far, and the stores that shard's per-flow transport state comes
-// from. Padded so two shards' fields never share a cache line.
+// from. Padded to whole 64-byte cache lines, on every GOARCH, so two
+// shards' fields never share a line.
 type launcherShard struct {
+	launcherShardFields
+	_ [(64 - unsafe.Sizeof(launcherShardFields{})%64) % 64]byte
+}
+
+// launcherShardFields are launcherShard's fields, apart so its padding can
+// be sized from them.
+type launcherShardFields struct {
 	retransmits uint64 // of the senders reaped on this shard
 	timeouts    uint64 // of those senders and of the RoCE receivers retired here
 
@@ -77,8 +86,6 @@ type launcherShard struct {
 	roceSnd supply[rocev2.Sender]
 	roceRcv supply[rocev2.Receiver]
 	words   slab.Slab[uint64] // SACK and arrival bitmap words
-
-	_ [3]uint64 // to 256 bytes
 }
 
 // flowSender is the sender of an IRN or an iWARP flow. An iWARP flow's
@@ -245,7 +252,7 @@ func (l *launcher) FlowDone(fl *transport.Flow, now sim.Time) {
 		Ideal:        l.net.IdealFCT(fl.Src, fl.Dst, fl.Size),
 		SinglePacket: fl.Pkts == 1,
 	})
-	l.done.Add(k, l.net.EngineOf(fl.Dst), now)
+	l.done.Add(k, now)
 	switch rcv := l.net.NIC(fl.Dst).Retire(fl.ID).(type) {
 	case *core.Receiver:
 		sh.irnRcv.put(rcv)

@@ -105,9 +105,6 @@ func TestLaunchStreamRejectsOutOfOrderStarts(t *testing.T) {
 // 64-byte cache lines, so the shards' slices of the launcher, side by side
 // in one array, never share a line.
 func TestLauncherShardFillsCacheLines(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("the padding is computed for 8-byte pointers")
-	}
 	if n := unsafe.Sizeof(launcherShard{}); n%64 != 0 {
 		t.Fatalf("launcherShard is %d bytes, not a whole number of cache lines: recompute its padding", n)
 	}

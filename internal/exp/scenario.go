@@ -412,8 +412,8 @@ func (r *Result) CheckConservation() error {
 
 // ShardStats reports how the conservative windowed runtime behaved for
 // one run: which lookahead was in force, the runtime's own counters
-// (barriers, widened windows, and each shard's windows, events and
-// barrier wait), and what each shard drained from its boundary channels.
+// (barriers, and each shard's windows, events and barrier wait), and what
+// each shard drained from its boundary channels.
 // Surfaced by `irnsim -shard-stats` and the bench suite's ReportMetric
 // columns.
 type ShardStats struct {

@@ -150,43 +150,3 @@ func TestFleetShardArbitration(t *testing.T) {
 		t.Fatal("capped fleet diverged from serial fleet")
 	}
 }
-
-// TestAdaptiveWindowsCollapseBarriers pins the adaptive safe-window
-// extension at 4 shards on saturated fabrics (figscale, figdc), asserted
-// through the shard-stats counters. Every shard holds events inside every
-// lookahead window there, so span/lookahead barriers is the conservative
-// floor and no sound windowing can beat it by much. The extension must
-// engage (wide windows granted), never pay MORE barriers than fixed
-// windows, and leave the Result bit-identical — the Done horizon pins the
-// executed-event set regardless of window boundaries.
-func TestAdaptiveWindowsCollapseBarriers(t *testing.T) {
-	sc := shardScale()
-	for _, e := range []Experiment{FigureScale(sc), FigureDC(sc)} {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			for _, s := range e.Scenarios {
-				s.Shards = 4
-				rf, _, _ := NewWorker().run(s, runOpts{fixedWindows: true})
-				ra := Run(s)
-				if !reflect.DeepEqual(stripShards(rf), stripShards(ra)) {
-					t.Fatalf("%s: adaptive windows changed the Result", s.Name)
-				}
-				if rf.ShardStats.WideWindows != 0 {
-					t.Fatalf("%s: fixed run reports %d widened windows, want 0",
-						s.Name, rf.ShardStats.WideWindows)
-				}
-				if ra.ShardStats.WideWindows == 0 {
-					t.Fatalf("%s: adaptive run widened no windows", s.Name)
-				}
-				bf, ba := rf.ShardStats.Barriers, ra.ShardStats.Barriers
-				t.Logf("%s: barriers fixed=%d adaptive=%d (%.0f%%), wide=%d",
-					s.Name, bf, ba, 100*float64(ba)/float64(bf), ra.ShardStats.WideWindows)
-				if ba > bf {
-					t.Fatalf("%s: adaptive run paid %d barriers vs fixed %d — extension made it worse",
-						s.Name, ba, bf)
-				}
-			}
-		})
-	}
-}

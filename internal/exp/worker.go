@@ -17,9 +17,9 @@ import (
 
 // runOpts are the test-harness switches of a run. They are not part of a
 // Scenario, its store fingerprint, or any public surface; Worker.Run
-// always passes the zero value. Only grace changes results: neither of the
-// others can change a streaming aggregate or the executed-event set — the
-// lookahead and barrier-count tests pin exactly that.
+// always passes the zero value. Only grace changes results: bareLookahead
+// can change neither a streaming aggregate nor the executed-event set —
+// the lookahead tests pin exactly that.
 type runOpts struct {
 	// grace, when set, replaces the grace constant as the run's cut-off
 	// past the last flow arrival or kv issue, so a test can strand flows
@@ -29,10 +29,6 @@ type runOpts struct {
 	// link-propagation lookahead instead of the widened propagation +
 	// minimum-frame-serialization bound the fabric computes.
 	bareLookahead bool
-	// fixedWindows disables the adaptive safe-window extension (see
-	// sim.RunWindows): every window spans exactly one lookahead past the
-	// global minimum, paying a barrier per window through sparse phases.
-	fixedWindows bool
 }
 
 // cutoff returns how long past the last arrival or issue the run may go.
@@ -241,9 +237,7 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector, []trans
 
 	// The kv service is deployed after the flows: they draw their clock
 	// ranks first, so a flow ranks the same with or without kv in the run.
-	// A run carrying both is done when both are, on the later horizon. It
-	// is serial, and a single engine never widens a window, so Widen stays
-	// the flows' own.
+	// A run carrying both is done when both are, on the later horizon.
 	var lastIssue sim.Time
 	done, horizon := l.done.Done, l.done.Horizon
 	if svc != nil {
@@ -261,15 +255,13 @@ func (w *Worker) run(s Scenario, o runOpts) (Result, *metrics.Collector, []trans
 	lookahead := o.lookahead(net)
 	var wstats sim.WindowStats
 	sim.RunWindows(sim.WindowConfig{
-		Engines:      engines,
-		Lookahead:    lookahead,
-		Deadline:     max(lastArrival, lastIssue).Add(o.cutoff()),
-		Drain:        net.DrainAll,
-		Done:         done,
-		Horizon:      horizon,
-		Widen:        l.done.Widen,
-		FixedWindows: o.fixedWindows,
-		Stats:        &wstats,
+		Engines:   engines,
+		Lookahead: lookahead,
+		Deadline:  max(lastArrival, lastIssue).Add(o.cutoff()),
+		Drain:     net.DrainAll,
+		Done:      done,
+		Horizon:   horizon,
+		Stats:     &wstats,
 	})
 
 	res := Result{

@@ -301,7 +301,6 @@ func (net *Network) wire(from, to packet.NodeID, idx, peerPort int, flt *fault.L
 			inPort: peerPort,
 			eng:    consumer.eng,
 			clk:    port.clk,
-			net:    net,
 			part:   consumer,
 			prod:   owner,
 		}

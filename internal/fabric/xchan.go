@@ -44,7 +44,6 @@ type linkChan struct {
 	inPort int         // dst's port index for this link
 	eng    *sim.Engine // consumer shard's engine
 	clk    *sim.Clock  // producing node's clock
-	net    *Network    // owning fabric, for the producer window clamp
 
 	// part is the consumer partition, whose drain count the channel
 	// advances. A channel never kills a packet: a fault model requires a
@@ -91,33 +90,25 @@ type chanEntry struct {
 }
 
 // mark registers the channel on the producer partition's dirty list on
-// its first push since the last drain, and clamps the producer's current
-// safe window: the occurrence arrives at the consumer at time at, and
-// nothing the consumer does with it can influence the producer earlier
-// than at plus the fabric's minimum cross-shard latency (one propagation
-// plus the smallest frame serialization — the window slack). An
-// adaptively widened window (see sim.RunWindows) must therefore end by
-// at + slack, or the bounce-back could land in this shard's executed
-// past. Runs on the producing shard.
-func (c *linkChan) mark(at sim.Time) {
+// its first push since the last drain. Runs on the producing shard.
+func (c *linkChan) mark() {
 	if !c.queued {
 		c.queued = true
 		c.prod.dirty = append(c.prod.dirty, c)
 	}
-	c.prod.eng.LimitWindow(at.Add(c.net.slack))
 }
 
 // send pushes a packet arrival due at. Called by the producing port at
 // serialization start, where an interior port schedules portDeliver.
 func (c *linkChan) send(at sim.Time, pkt *packet.Packet) {
-	c.mark(at)
+	c.mark()
 	c.inbox = append(c.inbox, chanEntry{at: at, rank: c.clk.Next(), pkt: pkt})
 	c.sent++
 }
 
 // sendPFC pushes a PFC frame due at.
 func (c *linkChan) sendPFC(at sim.Time, pause bool) {
-	c.mark(at)
+	c.mark()
 	c.inbox = append(c.inbox, chanEntry{at: at, rank: c.clk.Next(), pause: pause})
 }
 

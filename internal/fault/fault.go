@@ -202,7 +202,7 @@ type Link struct {
 	// (flaps before degrades before bursts).
 	Sched []Change
 
-	rng *sim.RNG
+	rng sim.RNG
 }
 
 // DropLoss draws the in-flight loss decision for one packet at the link's
@@ -320,6 +320,16 @@ func New(spec Spec, numLinks int, seed uint64) (*Model, error) {
 		return changeRank(a, base) - changeRank(b, base)
 	}
 	rated := spec.LossRate > 0 || spec.CorruptRate > 0
+	// Both directions of every faulted link are carved from one array,
+	// sized exactly, so appending never moves a Link a dir points to.
+	faulted, prev := 0, 0
+	for _, e := range end {
+		if rated || e > prev {
+			faulted++
+		}
+		prev = e
+	}
+	links := make([]Link, 0, 2*faulted)
 	m := &Model{dirs: make([]*Link, 2*numLinks)}
 	start := 0
 	for l, e := range end {
@@ -333,12 +343,10 @@ func New(spec Spec, numLinks int, seed uint64) (*Model, error) {
 		}
 		slices.SortStableFunc(sched, order)
 		for d := 2 * l; d < 2*l+2; d++ {
-			m.dirs[d] = &Link{
-				Loss:    spec.LossRate,
-				Corrupt: spec.CorruptRate,
-				Sched:   sched,
-				rng:     sim.NewRNG(sim.DeriveSeed(seed, "fault/dir", d)),
-			}
+			links = append(links, Link{Loss: spec.LossRate, Corrupt: spec.CorruptRate, Sched: sched})
+			lk := &links[len(links)-1]
+			lk.rng.Seed(sim.DeriveSeed(seed, "fault/dir", d))
+			m.dirs[d] = lk
 		}
 	}
 	return m, nil

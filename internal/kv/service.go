@@ -66,11 +66,12 @@ type Service struct {
 	resolved sim.Completion
 }
 
-// Widen is the sim.WindowConfig.Widen hook of a kv run (see
-// sim.Completion.Widen). A single-engine run never calls it, so the
-// simulator does not either; it stays because benchmark/probe.go compiles
-// against it.
-func (s *Service) Widen(shard int) bool { return s.resolved.Widen(shard) }
+// Widen returns false.
+//
+// Deprecated: it was the hook of the adaptive window extension, which is
+// gone (see sim.WindowConfig.Widen). Only benchmark/ still names it;
+// ROADMAP item 7 deletes both.
+func (*Service) Widen(int) bool { return false }
 
 // phaseWindow is one Options.Phases entry with its bucket resolved.
 type phaseWindow struct {
@@ -910,7 +911,7 @@ func (c *client) resolve(status RespStatus, now sim.Time) {
 	is := &c.cur
 	lat := now.Sub(is.at) // measured from the *scheduled* issue time
 	c.st.Resolved++
-	c.s.resolved.Add(0, c.nic.Engine(), now)
+	c.s.resolved.Add(0, now)
 	b := c.s.bucketOf(is.at)
 	c.phase[b].Issued++
 	switch status {
@@ -938,7 +939,7 @@ func (c *client) giveUp(now sim.Time) {
 	c.inBackoff = false
 	is := &c.cur
 	c.st.Resolved++
-	c.s.resolved.Add(0, c.nic.Engine(), now)
+	c.s.resolved.Add(0, now)
 	c.st.GiveUps++
 	c.phase[c.s.bucketOf(is.at)].Issued++
 	c.startNext(now)

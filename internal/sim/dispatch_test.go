@@ -21,11 +21,10 @@ type dispatchModel struct {
 	lastRank uint64
 
 	// The bound of the run in progress: deadline for RunUntil, end for
-	// RunWindow. With limit set, handlers shrink end through LimitWindow.
+	// RunWindow.
 	deadline Time
 	end      Time
 	window   bool
-	limit    bool
 
 	// Stop plan for RunUntil: stopBurst stops on an event that another
 	// event at the same instant follows, stopLast on the last event due
@@ -33,7 +32,7 @@ type dispatchModel struct {
 	stopBurst, stopLast, stopped bool
 
 	// Coverage: each path the test means to exercise must be hit.
-	lateDispatches, limits, burstStops, lastStops int
+	lateDispatches, burstStops, lastStops int
 }
 
 func newDispatchModel(t *testing.T, seed uint64) *dispatchModel {
@@ -90,13 +89,6 @@ func (m *dispatchModel) HandleEvent(kind uint8, arg uint64) {
 	}
 
 	switch {
-	case m.limit && m.rng.Intn(8) == 0:
-		end := now + Time(m.rng.Intn(1<<(wheelTickShift+1)))
-		m.e.LimitWindow(end)
-		if end < m.end {
-			m.end = end
-			m.limits++
-		}
 	case m.stopBurst && len(m.ref) > 0 && m.ref[0].at == now && m.rng.Intn(4) == 0:
 		m.e.Stop()
 		m.stopBurst, m.stopped = false, true
@@ -120,8 +112,8 @@ func (m *dispatchModel) done() {
 // the dispatch loop against the reference heap, with handlers scheduling
 // into the queue as they run. RunUntil rounds stop mid-burst and on the
 // last event before the deadline (the clock must stay there, not jump to
-// the deadline); RunWindow rounds shrink their window mid-run, and the
-// loop must honour the new end on the very next event.
+// the deadline); RunWindow rounds must stop at their end with the
+// next-event cache primed.
 func TestRunLoopMatchesReference(t *testing.T) {
 	t.Run("Run", func(t *testing.T) {
 		m := newDispatchModel(t, 1)
@@ -164,9 +156,8 @@ func TestRunLoopMatchesReference(t *testing.T) {
 	t.Run("RunWindow", func(t *testing.T) {
 		m := newDispatchModel(t, 3)
 		m.window = true
-		for round := 0; len(m.ref) > 0; round++ {
+		for len(m.ref) > 0 {
 			m.end = m.ref[0].at + Time(m.rng.Intn(1<<(wheelTickShift+wheelLevelBits)))
-			m.limit = round%2 == 1
 			m.e.RunWindow(m.end)
 			if len(m.ref) == 0 {
 				break
@@ -179,8 +170,5 @@ func TestRunLoopMatchesReference(t *testing.T) {
 			}
 		}
 		m.done()
-		if m.limits == 0 {
-			t.Fatal("no LimitWindow call shrank a window")
-		}
 	})
 }

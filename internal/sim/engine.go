@@ -167,12 +167,6 @@ type Engine struct {
 	nextAt    Time
 	nextKnown bool
 
-	// windowEnd is the end of the window RunWindow is currently
-	// executing. LimitWindow shrinks it mid-run: the producer-side safety
-	// valve for adaptively widened windows (see RunWindows), called by
-	// this engine's own execution, so it needs no synchronization.
-	windowEnd Time
-
 	// timerGen is the last generation a Timer on this engine drew (see
 	// Timer.scheduleAt). It only grows, so no two timer events the engine
 	// ever queues carry the same generation.
@@ -198,7 +192,6 @@ func (e *Engine) Reset() {
 	e.clk.Reset()
 	e.stopped = false
 	e.nextAt, e.nextKnown = 0, false
-	e.windowEnd = 0
 	e.queue.reset()
 }
 
@@ -333,13 +326,13 @@ func (e *Engine) Schedule(at Time, fn func()) { e.ScheduleEvent(at, funcHandler(
 func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.now.Add(d), fn) }
 
 // Run executes events until the queue empties or Stop is called.
-func (e *Engine) Run() { e.run(MaxTime, false) }
+func (e *Engine) Run() { e.run(MaxTime, 0, false) }
 
 // RunUntil executes events until the queue empties, Stop is called, or the
 // next event would fire after deadline. If the deadline cut the run short,
 // the clock advances to it; if Stop fired or the queue drained, the clock
 // stays at the last executed event.
-func (e *Engine) RunUntil(deadline Time) { e.run(deadline, false) }
+func (e *Engine) RunUntil(deadline Time) { e.run(deadline, 0, false) }
 
 // RunWindow executes events with firing time strictly before end, in
 // (at, rank) order, leaving the clock at the last executed event. This is
@@ -348,10 +341,7 @@ func (e *Engine) RunUntil(deadline Time) { e.run(deadline, false) }
 // another shard can land inside it. Stop() is honored mid-window for
 // symmetry with Run, though windowed runs normally terminate via the
 // coordinator's Done hook.
-func (e *Engine) RunWindow(end Time) {
-	e.windowEnd = end
-	e.run(MaxTime, true)
-}
+func (e *Engine) RunWindow(end Time) { e.run(MaxTime, end, true) }
 
 // run is the one dispatch loop. Each iteration reads the earliest event
 // where it lies in the queue, checks Stop and then the bound, copies the
@@ -363,17 +353,17 @@ func (e *Engine) RunWindow(end Time) {
 // fails store-to-load forwarding on every event.
 //
 // Stop precedes the bound: after Stop, advancing the clock to deadline
-// would teleport the caller past events that never ran. RunWindow's bound
-// is windowEnd, re-read every event because LimitWindow may shrink it; on
+// would teleport the caller past events that never ran. With window set
+// the bound is RunWindow's end instead, fixed for the whole window; on
 // exit the front just found primes the next-event cache, its refill paid
 // on the shard's own goroutine inside the parallel section.
-func (e *Engine) run(deadline Time, window bool) {
+func (e *Engine) run(deadline, end Time, window bool) {
 	e.stopped = false
 	e.nextKnown = false
 	q := &e.queue
 	for q.size > 0 && !e.stopped {
 		ev, late := q.front()
-		if window && ev.at >= e.windowEnd {
+		if window && ev.at >= end {
 			e.nextAt, e.nextKnown = ev.at, true
 			return
 		}
@@ -417,21 +407,6 @@ func (e *Engine) AdvanceTo(t Time) {
 // Stop halts Run/RunUntil after the current event completes. Pending events
 // remain queued.
 func (e *Engine) Stop() { e.stopped = true }
-
-// LimitWindow shrinks the end of the window this engine is currently
-// executing (RunWindow exits before any event at or past the new end).
-// This is the producer-side guarantee behind adaptively widened safe
-// windows: when an event on a widened shard pushes a cross-engine
-// occurrence due at time d, anything the receiving shard does with it can
-// influence this engine no earlier than d plus the minimum cross-engine
-// latency — so the producer clamps its own window to that bound at the
-// push site (see fabric's boundary channels). Must only be called from
-// events executing on this engine; growing the window is not possible.
-func (e *Engine) LimitWindow(end Time) {
-	if end < e.windowEnd {
-		e.windowEnd = end
-	}
-}
 
 // Timer is a cancellable, re-armable one-shot timer.
 //

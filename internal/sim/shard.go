@@ -30,25 +30,6 @@ import (
 // boundary occurrences at serialization *start* (see fabric.NewPartitioned
 // for the full argument).
 //
-// On top of the fixed-width window the coordinator layers an adaptive
-// extension: the shard holding the global minimum event time may run past
-// T + lookahead, up to secondMin + lookahead, where secondMin is the
-// earliest pending event on any *other* shard — every other shard
-// executes at g >= secondMin, so nothing it produces lands before
-// secondMin + lookahead — and when no other shard holds any pending
-// event at all, the minimum shard may run clear to the deadline. The one
-// input that bound does not cover is the widened shard's own output
-// bouncing back: a cross-shard occurrence it pushes with arrival time d
-// can provoke a response due as early as d plus the minimum cross-shard
-// latency, which a window stretching far past d would overrun. Producers
-// close that hole themselves: every cross-engine push clamps the pushing
-// engine's current window to d + slack via Engine.LimitWindow (see
-// fabric's boundary channels), so a widened window survives exactly as
-// long as the shard stays cross-shard silent. In sparse phases
-// (endurance soaks, fault blackouts, flow-arrival tails) that collapses
-// long runs of near-empty fixed windows into one barrier, while under
-// dense boundary traffic windows self-clamp back to safety.
-//
 // Determinism does not depend on the window boundaries at all: events
 // carry the canonical (at, rank) key, ranks are drawn by the producing
 // node's Clock (whose sequence is a pure function of that node's
@@ -97,39 +78,21 @@ type WindowConfig struct {
 	// condition itself, e.g. "time the last flow completed plus the
 	// maximum window width ever usable" (fabric.Network.WindowSlack).
 	Horizon func() Time
-	// Widen gates the adaptive extension while a Done condition is armed
-	// but not yet seen. Done is only polled at barriers, so letting the
-	// minimum shard run far past the global safe window could carry it
-	// beyond the instant Done first becomes true — executing events the
-	// canonical (fixed-window) run would clamp away. Widen(shard) grants
-	// the extension anyway; a hook that returns true must arrange for
-	// that shard to stop itself (Engine.Stop) no later than the moment
-	// the done condition turns true on it, which pins the executed-event
-	// set back to the canonical horizon:
+	// Widen is ignored: every window spans exactly one lookahead past
+	// the global minimum.
 	//
-	//   - If the last contribution to the done condition lands on the
-	//     widened shard, the armed self-stop halts it there, the next
-	//     barrier sees Done, and the Horizon clamp takes over.
-	//   - If it lands on any other shard, that shard executed at or
-	//     after secondMin, so the horizon is at least secondMin plus the
-	//     window slack — past everything the widened window could run —
-	//     and a stale self-stop either never fires or fires early, which
-	//     only costs an extra barrier (pending events keep their turn).
-	//
-	// The hook runs on the coordinating goroutine at a barrier, so it
-	// may read shard-owned completion counters freely. Nil (or Done nil
-	// having never armed) means: extend freely once Done has been seen —
-	// the deadline is already clamped — and never before.
+	// Deprecated: the adaptive window extension it gated is gone. Only
+	// benchmark/ still sets it; ROADMAP item 7 deletes both.
 	Widen func(shard int) bool
-	// FixedWindows disables the adaptive extension entirely, restoring
-	// fixed lookahead-width windows. Results are bit-identical either
-	// way (the executed-event set is window-independent); the knob
-	// exists for barrier-count comparisons and as an escape hatch.
+	// FixedWindows is ignored: windows are always fixed.
+	//
+	// Deprecated: as Widen. Only benchmark/ still sets it; ROADMAP item
+	// 7 deletes both.
 	FixedWindows bool
 	// Stats, when non-nil, is reset and filled with runtime counters for
-	// this run: barrier rounds, widened windows, and per-shard work and
-	// wait tallies. The wall-clock wait figures are nondeterministic;
-	// everything else is a pure function of the run.
+	// this run: barrier rounds and per-shard work and wait tallies. The
+	// wall-clock wait figures are nondeterministic; everything else is a
+	// pure function of the run.
 	Stats *WindowStats
 }
 
@@ -140,8 +103,10 @@ type WindowStats struct {
 	// shard received a window. Fewer barriers for the same event count
 	// means less synchronization overhead.
 	Barriers uint64
-	// WideWindows counts rounds where the adaptive extension actually
-	// widened the minimum shard's window past the global safe width.
+	// WideWindows is always 0.
+	//
+	// Deprecated: windows are never widened. Only benchmark/ still reads
+	// it; ROADMAP item 7 deletes both.
 	WideWindows uint64
 	// Shards holds per-shard tallies, indexed by shard.
 	Shards []ShardWindowStats
@@ -418,28 +383,15 @@ func RunWindows(cfg WindowConfig) bool {
 				cfg.Deadline = h
 			}
 		}
-		// One scan finds the global minimum event time t, the shard m
-		// holding it, and the minimum over the *other* shards (the
-		// adaptive extension's bound). An idle shard's cached next-event
-		// time makes this O(1) per shard.
+		// The global minimum event time t. An idle shard's cached
+		// next-event time makes this O(1) per shard.
 		var (
-			t, second        Time
-			have, haveSecond bool
-			m                int
+			t    Time
+			have bool
 		)
-		for i, e := range cfg.Engines {
-			at, ok := e.NextEventTime()
-			if !ok {
-				continue
-			}
-			switch {
-			case !have || at < t:
-				if have && (!haveSecond || t < second) {
-					second, haveSecond = t, true // old minimum demotes
-				}
-				t, have, m = at, true, i
-			case !haveSecond || at < second:
-				second, haveSecond = at, true
+		for _, e := range cfg.Engines {
+			if at, ok := e.NextEventTime(); ok && (!have || at < t) {
+				t, have = at, true
 			}
 		}
 		if !have || t > cfg.Deadline {
@@ -460,42 +412,16 @@ func RunWindows(cfg WindowConfig) bool {
 			continue
 		}
 		w := windowEnd(t, cfg.Lookahead, cfg.Deadline)
-		// Adaptive extension for the minimum shard. Safe unconditionally
-		// when no Done condition is pending (the deadline alone bounds
-		// the run, and nothing another shard executes this round lands
-		// before second + lookahead); while Done is armed, only a Widen
-		// hook that pins the stop point may grant it — see Widen.
-		//
-		// Single-engine groups never extend: the lookahead argument only
-		// covers events crossing *between* engines, and a lone engine's
-		// Drain hook may legitimately feed events back into itself one
-		// lookahead out (windowed serial execution), which a deadline-wide
-		// window would overrun. There is no barrier concurrency to save
-		// there anyway.
-		wm := w
-		if n > 1 && !cfg.FixedWindows && (!haveSecond || second > t) &&
-			(cfg.Done == nil || doneSeen || (cfg.Widen != nil && cfg.Widen(m))) {
-			wm = deadlineEnd(cfg.Deadline)
-			if haveSecond && second < cfg.Deadline {
-				wm = windowEnd(second, cfg.Lookahead, cfg.Deadline)
-			}
-		}
 		if stats != nil {
 			stats.Barriers++
-			if wm > w {
-				stats.WideWindows++
-			}
 		}
-		// Dispatch only to shards with work inside the window; the
-		// minimum shard m (which always qualifies) gets the extended end.
+		// Dispatch only to shards with work inside the window.
 		for i, e := range cfg.Engines {
 			ends[i] = 0
-			if at, ok := e.NextEventTime(); !ok || at >= w {
-				continue
+			if at, ok := e.NextEventTime(); ok && at < w {
+				ends[i] = w
 			}
-			ends[i] = w
 		}
-		ends[m] = wm
 		if n == 1 {
 			before := cfg.Engines[0].Executed()
 			ack := runWindowRecover(cfg.Engines[0], 0, ends[0])
